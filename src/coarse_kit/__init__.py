@@ -17,7 +17,6 @@ from .complexes import (
     new_complex,
     path_complex,
     point,
-    product_interval,
     simplicial_complex,
     subcomplex_matching,
     wedge,
@@ -25,8 +24,6 @@ from .complexes import (
 from .exact_linalg import (
     NormCertificate,
     SnfDecomposition,
-    ilp_min_linf,
-    lp_min_linf,
     smith_normal_form,
     solve_integer,
 )

@@ -11,7 +11,7 @@ import json
 import sys
 import time
 
-from .complexes import annulus_triangulation, circle, product_interval
+from .complexes import annulus_triangulation, circle, interval_product
 from .errors import CoarseKitError, InvalidParams, SizeGuardExceeded
 from .interchange import read_complex, write_complex
 from .towers import MkParams, build_Mk, build_tower, build_Y_stage
@@ -120,7 +120,7 @@ def cmd_build(args):
                                size_guard=3_000_000)
         X = stages[-1].complex
     elif args.kind == "product":
-        X = product_interval(circle(args.n), args.levels)
+        X = interval_product(circle(args.n), args.levels).complex
     counts = " ".join(str(c) for c in X.counts)
     print(f"cells {counts}")
     print(f"euler {X.euler_characteristic()}")

@@ -12,13 +12,20 @@ from fractions import Fraction
 
 from .errors import (
     DegreeOutOfRange,
+    NodeLimitExceeded,
     NotACoboundary,
     NotASubcomplex,
     ShapeMismatch,
     WrongShape,
 )
 from .exact_linalg import (
-    ilp_min_linf,
+    NormCertificate,
+    _det_unimodular,
+    _identity,
+    _unimodular_inverse,
+    box_feasibility,
+    kernel_lattice_basis,
+    lattice_quotient_complement,
     smith_normal_form,
     solve_integer,
 )
@@ -99,6 +106,27 @@ class CohomologySummary:
         return " + ".join(parts) if parts else "0"
 
 
+def _coboundary_block(X, k, rows, cols):
+    """Dense block of delta: C^k -> C^{k+1} on chosen cells.
+
+    Row s is the (k+1)-cell ``rows[s]``, column t the k-cell ``cols[t]``;
+    boundary entries on k-cells outside ``cols`` are dropped.  Every dense
+    coboundary matrix in this module is built here.
+    """
+    col_pos = {i: t for t, i in enumerate(cols)}
+    mat = [[0] * len(cols) for _ in rows]
+    for row, j in zip(mat, rows):
+        for r, c in X.boundary_of(k + 1, j).items():
+            if r in col_pos:
+                row[col_pos[r]] = c
+    return mat
+
+
+def _cells(X, k, A_cells, inside=False):
+    """Indices of the k-cells outside (or inside) a subcomplex, in order."""
+    return [i for i in range(X.n_cells(k)) if ((k, i) in A_cells) == inside]
+
+
 def coboundary_matrix(X, k):
     """Matrix of delta: C^k -> C^{k+1}; transpose of the (k+1)-boundary.
 
@@ -106,13 +134,8 @@ def coboundary_matrix(X, k):
     """
     if not 0 <= k < X.dim:
         raise DegreeOutOfRange(f"no coboundary out of degree {k} on dim {X.dim}")
-    rows = X.n_cells(k + 1)
-    cols = X.n_cells(k)
-    mat = [[0] * cols for _ in range(rows)]
-    for j in range(rows):
-        for r, c in X.boundary_of(k + 1, j).items():
-            mat[j][r] = c
-    return mat
+    return _coboundary_block(X, k, range(X.n_cells(k + 1)),
+                             range(X.n_cells(k)))
 
 
 def coboundary(c):
@@ -158,16 +181,9 @@ def relative_coboundary_matrix(X, A_cells, k):
     Columns: k-cells outside A; rows: (k+1)-cells outside A.  Returns
     (matrix, kept column indices, kept row indices).
     """
-    cols = [i for i in range(X.n_cells(k)) if (k, i) not in A_cells]
-    rows = [j for j in range(X.n_cells(k + 1)) if (k + 1, j) not in A_cells] \
-        if k + 1 <= X.dim else []
-    col_pos = {i: t for t, i in enumerate(cols)}
-    mat = [[0] * len(cols) for _ in rows]
-    for rt, j in enumerate(rows):
-        for r, c in X.boundary_of(k + 1, j).items():
-            if r in col_pos:
-                mat[rt][col_pos[r]] = c
-    return mat, cols, rows
+    cols = _cells(X, k, A_cells)
+    rows = _cells(X, k + 1, A_cells)
+    return _coboundary_block(X, k, rows, cols), cols, rows
 
 
 def _cohomology_from_matrices(delta_km1, delta_k, n_k, ring):
@@ -222,61 +238,45 @@ def relative_cohomology(X, subcomplex, k, ring=RING_Z):
 # -- exactness of the pair sequence --------------------------------------------
 
 
-def _frac_rank(M):
-    """Rank over Q by exact Gaussian elimination on Fractions."""
-    if not M or not M[0]:
-        return 0
-    A = [[Fraction(v) for v in row] for row in M]
-    m, n = len(A), len(A[0])
-    rank = 0
-    row = 0
+def _gauss_jordan(M, field, ncols=0):
+    """Reduced row echelon elimination of M over Q or F_p.
+
+    Returns (rank, kernel): the columns of ``kernel`` span ker(M); it has one
+    row per column of M (``ncols`` rows when M has no rows) and one column
+    per free variable.  Exact: Fractions over Q, residues over F_p.
+    """
+    n = len(M[0]) if M else ncols
+    p = field[1] if _is_zp(field) else None
+
+    def red(v):
+        return v % p if p else v
+
+    A = [[v % p for v in row] for row in M] if p else \
+        [[Fraction(v) for v in row] for row in M]
+    pivots = []
     for col in range(n):
-        piv = next((i for i in range(row, m) if A[i][col] != 0), None)
+        r = len(pivots)
+        if r == len(A):
+            break
+        piv = next((i for i in range(r, len(A)) if A[i][col]), None)
         if piv is None:
             continue
-        A[row], A[piv] = A[piv], A[row]
-        pv = A[row][col]
-        for i in range(row + 1, m):
-            if A[i][col] != 0:
-                f = A[i][col] / pv
-                for j in range(col, n):
-                    A[i][j] -= f * A[row][j]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
-def _rank_mod_p_dense(M, p):
-    if not M or not M[0]:
-        return 0
-    A = [[v % p for v in row] for row in M]
-    m, n = len(A), len(A[0])
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if A[i][col] % p != 0), None)
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        inv = pow(A[row][col], -1, p)
-        for i in range(row + 1, m):
-            if A[i][col] % p:
-                f = (A[i][col] * inv) % p
-                for j in range(col, n):
-                    A[i][j] = (A[i][j] - f * A[row][j]) % p
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
-def _field_rank(M, ring):
-    if _is_zp(ring):
-        return _rank_mod_p_dense(M, ring[1])
-    return _frac_rank(M)
+        A[r], A[piv] = A[piv], A[r]
+        s = pow(A[r][col], -1, p) if p else 1 / A[r][col]
+        A[r] = [red(v * s) for v in A[r]]
+        for i, row in enumerate(A):
+            f = row[col]
+            if i != r and f:
+                A[i] = [red(v - f * w) for v, w in zip(row, A[r])]
+        pivots.append(col)
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    kernel = [[0] * len(free) for _ in range(n)]
+    for t, fc in enumerate(free):
+        kernel[fc][t] = 1
+        for r, pc in enumerate(pivots):
+            kernel[pc][t] = red(-A[r][fc])
+    return len(pivots), kernel
 
 
 def _quotient_map_rank(F, Z_basis, B_target, ring):
@@ -288,7 +288,7 @@ def _quotient_map_rank(F, Z_basis, B_target, ring):
     """
     fz = _mat_mul(F, Z_basis)
     joint = [row_f + row_b for row_f, row_b in zip(fz, B_target)]
-    return _field_rank(joint, ring) - _field_rank(B_target, ring)
+    return _gauss_jordan(joint, ring)[0] - _gauss_jordan(B_target, ring)[0]
 
 
 def _mat_mul(A, B):
@@ -307,74 +307,6 @@ def _mat_mul(A, B):
     return out
 
 
-def _kernel_basis(M, ncols, ring):
-    """Columns spanning ker(M) over Q or F_p (exact elimination)."""
-    if not M or not M[0]:
-        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    if _is_zp(ring):
-        p = ring[1]
-        A = [[v % p for v in row] for row in M]
-        return _kernel_zp(A, ncols, p)
-    A = [[Fraction(v) for v in row] for row in M]
-    m, n = len(A), len(A[0])
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if A[i][col] != 0), None)
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        pv = A[row][col]
-        A[row] = [v / pv for v in A[row]]
-        for i in range(m):
-            if i != row and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [v - f * w for v, w in zip(A[i], A[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -A[r][fc]
-        basis.append(vec)
-    return [list(col) for col in zip(*basis)] if basis else [[] for _ in range(n)]
-
-
-def _kernel_zp(A, ncols, p):
-    m, n = len(A), len(A[0]) if A else ncols
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if A[i][col] % p != 0), None)
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        inv = pow(A[row][col], -1, p)
-        A[row] = [(v * inv) % p for v in A[row]]
-        for i in range(m):
-            if i != row and A[i][col] % p:
-                f = A[i][col]
-                A[i] = [(v - f * w) % p for v, w in zip(A[i], A[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-A[r][fc]) % p
-        basis.append(vec)
-    return [list(col) for col in zip(*basis)] if basis else [[] for _ in range(n)]
-
-
 def exactness_check(X, subcomplex, ring=RING_Q):
     """Rank-level exactness of ... -> H^k(X,A) -> H^k(X) -> H^k(A) -> ...
 
@@ -386,55 +318,26 @@ def exactness_check(X, subcomplex, ring=RING_Q):
     """
     field = ring if _is_zp(ring) else RING_Q
     A_cells = _subcomplex_cells(X, subcomplex)
-    # the subcomplex as its own complex: reuse X's cells, keep A columns
     dims = X.dim
     report = []
 
-    def delta_abs(k):
-        return coboundary_matrix(X, k) if 0 <= k < dims else []
+    def cells(kind, k):
+        if kind == "abs":
+            return list(range(X.n_cells(k)))
+        return _cells(X, k, A_cells, inside=(kind == "sub"))
 
-    def delta_sub(k):
-        # coboundary of A (columns/rows = A cells)
-        cols = [i for i in range(X.n_cells(k)) if (k, i) in A_cells]
-        rows = [j for j in range(X.n_cells(k + 1)) if (k + 1, j) in A_cells] \
-            if k + 1 <= dims else []
-        col_pos = {i: t for t, i in enumerate(cols)}
-        M = [[0] * len(cols) for _ in rows]
-        for rt, j in enumerate(rows):
-            for r, c in X.boundary_of(k + 1, j).items():
-                if r in col_pos:
-                    M[rt][col_pos[r]] = c
-        return M, cols
-
-    def delta_rel(k):
-        if 0 <= k < dims:
-            M, cols, _ = relative_coboundary_matrix(X, A_cells, k)
-            return M, cols
-        cols = [i for i in range(X.n_cells(k)) if (k, i) not in A_cells] \
-            if 0 <= k <= dims else []
-        return [], cols
-
-    # cocycle bases, coboundary bases, and dims per degree for the 3 theories
+    # cocycle bases and coboundary matrices per degree for the 3 theories:
+    # relative (cells outside A), absolute, and the subcomplex A itself
     spaces = {}
-    for k in range(dims + 1):
-        relM, rel_cols = delta_rel(k)
-        absM = delta_abs(k)
-        subM, sub_cols = delta_sub(k)
-        spaces[("rel", k)] = {
-            "cols": rel_cols,
-            "Z": _kernel_basis(relM, len(rel_cols), field),
-            "delta": relM,
-        }
-        spaces[("abs", k)] = {
-            "cols": list(range(X.n_cells(k))),
-            "Z": _kernel_basis(absM, X.n_cells(k), field),
-            "delta": absM,
-        }
-        spaces[("sub", k)] = {
-            "cols": sub_cols,
-            "Z": _kernel_basis(subM, len(sub_cols), field),
-            "delta": subM,
-        }
+    for kind in ("rel", "abs", "sub"):
+        for k in range(dims + 1):
+            cols = cells(kind, k)
+            delta = _coboundary_block(X, k, cells(kind, k + 1), cols)
+            spaces[(kind, k)] = {
+                "cols": cols,
+                "Z": _gauss_jordan(delta, field, len(cols))[1],
+                "delta": delta,
+            }
 
     def image_basis(kind, k):
         # coboundaries in degree k as columns: delta_{k-1} applied to all
@@ -449,11 +352,8 @@ def exactness_check(X, subcomplex, ring=RING_Q):
         return M  # rows = degree-k cells, cols = degree-(k-1) cells
 
     def hdim(kind, k):
-        Z = spaces[(kind, k)]["Z"]
-        zrank = _field_rank(Z, field) if Z and Z[0:] and len(Z[0]) else 0
-        B = image_basis(kind, k)
-        brank = _field_rank(B, field) if B and len(B) and len(B[0]) else 0
-        return zrank - brank
+        zrank = _gauss_jordan(spaces[(kind, k)]["Z"], field)[0]
+        return zrank - _gauss_jordan(image_basis(kind, k), field)[0]
 
     # cochain-level matrices of the three maps per degree
     def map_j(k):  # H^k(X, A) -> H^k(X): inclusion of relative cochains
@@ -471,15 +371,8 @@ def exactness_check(X, subcomplex, ring=RING_Q):
         return F
 
     def map_conn(k):  # H^k(A) -> H^{k+1}(X, A): extend by zero, then delta
-        sub_cols = spaces[("sub", k)]["cols"]
-        rel_cols1 = spaces[("rel", k + 1)]["cols"]
-        F = [[0] * len(sub_cols) for _ in rel_cols1]
-        pos = {i: t for t, i in enumerate(sub_cols)}
-        for rt, j in enumerate(rel_cols1):
-            for r, c in X.boundary_of(k + 1, j).items():
-                if r in pos:
-                    F[rt][pos[r]] = c
-        return F
+        return _coboundary_block(X, k, spaces[("rel", k + 1)]["cols"],
+                                 spaces[("sub", k)]["cols"])
 
     ranks = {}
     for k in range(dims + 1):
@@ -631,7 +524,7 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
     ``vanishing_on``: optional subcomplex (label or cells); the minimum is
     then taken over primitives that vanish there (the relative problem the
     retraction obstruction actually poses).  Raises NotACoboundary when no
-    primitive exists.
+    primitive exists and DegreeOutOfRange when c is not of degree 2.
 
     The solution set is gamma0 + im(delta^0) + (free cocycle lattice); the
     potential part is minimized exactly by difference-constraint feasibility
@@ -642,7 +535,8 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
     if c.ring != RING_Z:
         raise NotACoboundary("minimal primitives are an integer computation")
     if k != 2:
-        return _min_norm_primitive_generic(c, node_limit, vanishing_on)
+        raise DegreeOutOfRange(
+            f"minimal primitives are computed for degree-2 cochains, not {k}")
     A_cells = _subcomplex_cells(X, vanishing_on)
     M, cols, rows = relative_coboundary_matrix(X, A_cells, k - 1)
     b = [c.values[j] for j in rows]
@@ -651,11 +545,16 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
             raise NotACoboundary(
                 "cochain is nonzero on the subcomplex its primitive must vanish on"
             )
-    feas = solve_integer(M, b)
+    snf = smith_normal_form(M)
+    feas = solve_integer(M, b, snf=snf)
     if not feas:
         raise NotACoboundary(f"no integer primitive: {feas.obstruction}")
     gamma0 = feas.solution
-    optimum, witness, meta = _structured_min(X, A_cells, cols, gamma0,
+    # the cocycle lattice comes from the same Smith form of M; U, D and V are
+    # released before the search, where holding them raises peak memory
+    K = kernel_lattice_basis(M, snf=snf) if M else _identity(len(cols))
+    del snf
+    optimum, witness, meta = _structured_min(X, A_cells, cols, gamma0, M, K,
                                              node_limit=node_limit)
     # certificate at optimum - 1: one exact LP probe; Farkas when tight
     proof = {"kind": "search-exhausted", "bound": optimum - 1,
@@ -665,14 +564,10 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
         proof = {"kind": "trivial", "detail": "optimum is zero"}
         lp_bound = Fraction(0)
     else:
-        from .exact_linalg import box_feasibility
-
         probe, farkas = box_feasibility(M, b, optimum - 1)
         if probe is None:
             proof = {"kind": "lp-dual", "dual": farkas, "bound": optimum - 1}
             lp_bound = Fraction(optimum)
-    from .exact_linalg import NormCertificate
-
     cert = NormCertificate(
         optimum=optimum, witness=witness, infeasibility_proof=proof,
         node_count=meta["evaluations"], lp_bound=lp_bound,
@@ -686,42 +581,19 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
     return PrimitiveResult(certificate=cert, gamma=gamma, vanishing_on=vanishing_on)
 
 
-def _min_norm_primitive_generic(c, node_limit, vanishing_on):
-    """Fallback through the generic integer search (non-degree-2 cochains)."""
-    X, k = c.complex, c.degree
-    A_cells = _subcomplex_cells(X, vanishing_on)
-    M, cols, rows = relative_coboundary_matrix(X, A_cells, k - 1)
-    b = [c.values[j] for j in rows]
-    feas = solve_integer(M, b)
-    if not feas:
-        raise NotACoboundary(f"no integer primitive: {feas.obstruction}")
-    cert = ilp_min_linf(M, b, node_limit=node_limit)
-    gamma_vals = [0] * X.n_cells(k - 1)
-    for t, i in enumerate(cols):
-        gamma_vals[i] = cert.witness[t]
-    gamma = Cochain(X, k - 1, RING_Z, gamma_vals)
-    if coboundary(gamma).values != list(c.values):
-        raise ArithmeticError("primitive verification failed")
-    return PrimitiveResult(certificate=cert, gamma=gamma, vanishing_on=vanishing_on)
-
-
-def _structured_min(X, A_cells, cols, gamma0, node_limit=10_000_000):
+def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000):
     """Minimize ||gamma0 + delta0 h + free-lattice part||_inf exactly.
 
     Returns (optimum, witness vector over ``cols``, meta).  ``cols`` are the
     non-subcomplex edge indices; potentials live on non-subcomplex vertices
-    with subcomplex vertices grounded at zero.  Exceeding ``node_limit``
-    lattice evaluations raises NodeLimitExceeded with the best interval.
+    with subcomplex vertices grounded at zero.  ``M`` is the relative
+    coboundary out of degree 1 (rows: 2-cells, columns: ``cols``) and the
+    vectors of ``K`` are a basis of its integer kernel.  Exceeding
+    ``node_limit`` lattice evaluations raises NodeLimitExceeded with the
+    best interval.
     """
-    from .exact_linalg import (
-        _det_unimodular,
-        kernel_lattice_basis,
-        lattice_quotient_complement,
-    )
-
-    col_pos = {e: t for t, e in enumerate(cols)}
     # vertices and grounding
-    free_verts = [v for v in range(X.n_cells(0)) if (0, v) not in A_cells]
+    free_verts = _cells(X, 0, A_cells)
     node_of = {v: i for i, v in enumerate(free_verts)}
     ground = len(free_verts)
     n_nodes = ground + 1
@@ -737,27 +609,9 @@ def _structured_min(X, A_cells, cols, gamma0, node_limit=10_000_000):
     def potential_opt(w):
         return _potential_minimax(edge_ends, w, node_of, n_nodes, ground)
 
-    # relative coboundary in degree 0 and its kernel lattice in degree 1
-    delta1 = [[0] * len(cols) for _ in range(0)]
-    d1_rows = []
-    for j in range(X.n_cells(2)):
-        if (2, j) in A_cells:
-            continue
-        row = [0] * len(cols)
-        for r, cc in X.boundary_of(2, j).items():
-            if r in col_pos:
-                row[col_pos[r]] = cc
-        d1_rows.append(row)
-    K = kernel_lattice_basis(d1_rows) if d1_rows else [
-        [1 if i == j else 0 for i in range(len(cols))] for j in range(len(cols))
-    ]
-    d0_cols = []
-    for v in free_verts:
-        vec = [0] * len(cols)
-        for t, e in enumerate(cols):
-            coeff = X.boundary_of(1, e).get(v, 0)
-            vec[t] = coeff
-        d0_cols.append(vec)
+    # d0_cols[i] is the coboundary of the i-th free vertex: column i of delta0
+    delta0 = _coboundary_block(X, 0, cols, free_verts)
+    d0_cols = [[row[i] for row in delta0] for i in range(len(free_verts))]
     free_z, torsion = lattice_quotient_complement(K, d0_cols)
     if torsion:
         raise ArithmeticError("degree-1 relative cohomology has torsion")
@@ -767,18 +621,10 @@ def _structured_min(X, A_cells, cols, gamma0, node_limit=10_000_000):
         B, h = potential_opt(gamma0)
         meta["evaluations"] = 1
         return B, _apply_potentials(gamma0, edge_ends, h, ground), meta
-    # probe cycles: free basis of relative 1-cycles mod boundaries
-    d1_chain_rows = []
-    for v in free_verts:
-        row = [0] * len(cols)
-        for t, e in enumerate(cols):
-            row[t] = X.boundary_of(1, e).get(v, 0)
-        d1_chain_rows.append(row)
-    Kc = kernel_lattice_basis(d1_chain_rows) if d1_chain_rows else [
-        [1 if i == j else 0 for i in range(len(cols))] for j in range(len(cols))
-    ]
-    bnd_cols = [list(row) for row in d1_rows]  # boundaries of relative faces
-    cycles, _ = lattice_quotient_complement(Kc, bnd_cols)
+    # probe cycles: free basis of relative 1-cycles (kernel of the boundary
+    # d0_cols) mod the boundaries of relative faces (the rows of M)
+    Kc = kernel_lattice_basis(d0_cols) if d0_cols else _identity(len(cols))
+    cycles, _ = lattice_quotient_complement(Kc, M)
     if len(cycles) != beta:
         raise ArithmeticError("cycle/cocycle rank mismatch")
     P = [[sum(z[t] * Cj[t] for t in range(len(cols))) for Cj in cycles]
@@ -811,8 +657,6 @@ def _structured_min(X, A_cells, cols, gamma0, node_limit=10_000_000):
             return cache[u]
         meta["evaluations"] += 1
         if meta["evaluations"] > node_limit:
-            from .errors import NodeLimitExceeded
-
             raise NodeLimitExceeded(
                 "lattice evaluation budget exhausted",
                 lower=0,
@@ -865,8 +709,6 @@ def _structured_min(X, A_cells, cols, gamma0, node_limit=10_000_000):
 
 
 def _int_inverse_transpose(P):
-    from .exact_linalg import _unimodular_inverse
-
     inv = _unimodular_inverse(P)
     n = len(inv)
     return [[inv[j][i] for j in range(n)] for i in range(n)]

@@ -579,10 +579,6 @@ def _vertex_span_cells(X, vertices):
     return cells
 
 
-def induced_cells(X, vertices):
-    return _vertex_span_cells(X, vertices)
-
-
 # -- wedge and gluing -------------------------------------------------------
 
 
@@ -896,11 +892,6 @@ def interval_product(X, n, size_guard=DEFAULT_CELL_BUDGET):
     Z = CellComplex(counts, boundaries, labels=labels)
     prod.complex = Z
     return prod
-
-
-def product_interval(X, n, size_guard=DEFAULT_CELL_BUDGET):
-    """X x [0, n] as a plain cell complex (slices labeled slice-0, slice-n)."""
-    return interval_product(X, n, size_guard=size_guard).complex
 
 
 def slice_inclusion(prod, level):

@@ -61,10 +61,6 @@ class InvalidParams(CoarseKitError):
     pass
 
 
-class InfeasibleOverQ(CoarseKitError):
-    pass
-
-
 class NoIntegerSolution(CoarseKitError):
     pass
 

@@ -1,12 +1,30 @@
 """Independent oracles the test suite checks production code against.
 
-Everything here is deliberately written as straight-line brute force on dense
+Most of this is deliberately written as straight-line brute force on dense
 matrices, independent of the package internals: a gcd-only Smith
 diagonalization (no pivot strategy, no witnesses), homology ranks from it,
 and a complete backtracking enumerator for minimal sup-norm solutions.
+
+``ilp_min_linf`` is the second reference for minimal sup-norms: a generic
+branch and bound (integer bounds propagation plus the package's exact box
+LP) that knows nothing of the lattice structure the degree-2 minimal
+primitive search exploits.
 """
 
+from fractions import Fraction
 from itertools import product as iproduct
+
+from coarse_kit.errors import NodeLimitExceeded, NoIntegerSolution
+from coarse_kit.exact_linalg import (
+    NormCertificate,
+    _box_lp,
+    _shape,
+    box_feasibility,
+    mat_vec,
+    solve_integer,
+)
+
+DEFAULT_NODE_LIMIT = 10_000_000
 
 
 def oracle_smith_diagonal(A):
@@ -153,6 +171,244 @@ def oracle_min_linf(A, b, max_bound=6):
         if backtrack(0):
             return bound, list(x)
     return None
+
+
+# -- generic branch and bound for min ||x||_inf ------------------------------
+
+
+def _propagate_bounds(rows_sparse, cols_sparse, b, lo, hi):
+    """Integer bounds-consistency on A x = b over the box [lo, hi].
+
+    Tightens lo/hi in place to a fixpoint; returns False when some row
+    becomes unsatisfiable.  Exact integer arithmetic throughout.
+    """
+    m = len(rows_sparse)
+    n = len(lo)
+    min_term = [[0] * len(r) for r in rows_sparse]
+    max_term = [[0] * len(r) for r in rows_sparse]
+    minS = [0] * m
+    maxS = [0] * m
+    pos_in_row = [dict() for _ in range(m)]
+    for i, r in enumerate(rows_sparse):
+        for t_, (j, a) in enumerate(r):
+            v1, v2 = a * lo[j], a * hi[j]
+            min_term[i][t_] = min(v1, v2)
+            max_term[i][t_] = max(v1, v2)
+            pos_in_row[i][j] = t_
+        minS[i] = sum(min_term[i])
+        maxS[i] = sum(max_term[i])
+    from collections import deque
+
+    queue = deque(range(m))
+    queued = [True] * m
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        if not (minS[i] <= b[i] <= maxS[i]):
+            return False
+        for t_, (j, a) in enumerate(rows_sparse[i]):
+            rest_min = minS[i] - min_term[i][t_]
+            rest_max = maxS[i] - max_term[i][t_]
+            # a * x_j must lie in [b_i - rest_max, b_i - rest_min]
+            lo_ax, hi_ax = b[i] - rest_max, b[i] - rest_min
+            if a > 0:
+                new_lo = _ceil_div(lo_ax, a)
+                new_hi = _floor_div(hi_ax, a)
+            else:
+                new_lo = _ceil_div(hi_ax, a)
+                new_hi = _floor_div(lo_ax, a)
+            changed = False
+            if new_lo > lo[j]:
+                lo[j] = new_lo
+                changed = True
+            if new_hi < hi[j]:
+                hi[j] = new_hi
+                changed = True
+            if lo[j] > hi[j]:
+                return False
+            if changed:
+                for i2, a2 in cols_sparse[j]:
+                    t2 = pos_in_row[i2][j]
+                    v1, v2 = a2 * lo[j], a2 * hi[j]
+                    nmin, nmax = min(v1, v2), max(v1, v2)
+                    minS[i2] += nmin - min_term[i2][t2]
+                    maxS[i2] += nmax - max_term[i2][t2]
+                    min_term[i2][t2] = nmin
+                    max_term[i2][t2] = nmax
+                    if not queued[i2]:
+                        queue.append(i2)
+                        queued[i2] = True
+    return True
+
+
+def _floor_div(a, d):
+    return a // d
+
+
+def _ceil_div(a, d):
+    return -((-a) // d)
+
+
+def _integer_point_in_box(A, b, t, node_budget, state):
+    """Complete search for an integer point of A x = b with ||x||_inf <= t.
+
+    Branch and bound: integer bounds propagation at every node, then the
+    exact box-LP relaxation; infeasible nodes prune, integral vertices
+    finish, otherwise the most fractional coordinate branches with the
+    nearer integer side explored first.  Deterministic.
+    """
+    m, n = _shape(A)
+    rows_sparse = []
+    cols_sparse = [[] for _ in range(n)]
+    for i in range(m):
+        r = [(j, A[i][j]) for j in range(n) if A[i][j] != 0]
+        rows_sparse.append(r)
+        for j, a in r:
+            cols_sparse[j].append((i, a))
+    b = [int(v) for v in b]
+    stack = [([-t] * n, [t] * n)]
+    while stack:
+        lo, hi = stack.pop()
+        state["nodes"] += 1
+        if state["nodes"] > node_budget:
+            raise NodeLimitExceeded("node budget exhausted",
+                                    node_count=state["nodes"])
+        if not _propagate_bounds(rows_sparse, cols_sparse, b, lo, hi):
+            continue
+        if all(lo[j] == hi[j] for j in range(n)):
+            x = list(lo)
+            if mat_vec(A, x) == b:
+                return x
+            continue
+        x, _ = _box_lp(A, b, lo, hi)
+        if x is None:
+            continue
+        frac = [(abs(x[j] - x[j].numerator // x[j].denominator - Fraction(1, 2)),
+                 j) for j in range(n) if x[j].denominator != 1]
+        if not frac:
+            return [int(v) for v in x]
+        _, jb = min(frac)
+        f = x[jb]
+        fl = f.numerator // f.denominator
+        down = (list(lo), list(hi))
+        down[1][jb] = fl
+        up = (list(lo), list(hi))
+        up[0][jb] = fl + 1
+        if f - fl <= Fraction(1, 2):  # floor side is nearer: explore first
+            stack.append(up)
+            stack.append(down)
+        else:
+            stack.append(down)
+            stack.append(up)
+    return None
+
+
+def ilp_min_linf(A, b, node_limit=DEFAULT_NODE_LIMIT, snf=None):
+    """Exact integer optimum of min ||x||_inf s.t. A x = b.
+
+    The rational relaxation is probed at integer bounds (exact phase-1
+    feasibility with Farkas certificates), which pins ceil(lp) and usually
+    hands over an integral vertex witness for free; otherwise the level is
+    settled by a complete depth-first search with exact arithmetic.  Raises
+    NoIntegerSolution when A x = b is unsolvable over Z, NodeLimitExceeded
+    (best-known interval attached) when the budget runs out.
+    """
+    m, n = _shape(A)
+    b = [int(v) for v in b]
+    base = solve_integer(A, b, snf=snf)
+    if not base:
+        raise NoIntegerSolution(base.obstruction)
+    if all(v == 0 for v in b):
+        return NormCertificate(
+            optimum=0, witness=[0] * n,
+            infeasibility_proof={"kind": "trivial", "detail": "rhs is zero"},
+            node_count=0, lp_bound=Fraction(0),
+        )
+    # find the smallest integer t with a rational solution in the box [-t, t]
+    farkas_at = {}
+    points = {}
+
+    def lp_feasible(t):
+        if t in points or t in farkas_at:
+            return t in points
+        x, pi = box_feasibility(A, b, t)
+        if x is not None:
+            points[t] = x
+            return True
+        farkas_at[t] = pi
+        return False
+
+    lp_feasible(0)  # records the Farkas vector at 0 (b is nonzero here)
+    t = 1
+    while not lp_feasible(t):
+        t *= 2
+    lo_t, hi_t = t // 2, t
+    while lo_t + 1 < hi_t:
+        mid = (lo_t + hi_t) // 2
+        if lp_feasible(mid):
+            hi_t = mid
+        else:
+            lo_t = mid
+    lo = hi_t  # = ceil of the rational optimum
+    state = {"nodes": 0}
+    incumbent = None
+    incumbent_bound = None
+    vertex = points.get(lo)
+    if vertex is not None and all(v.denominator == 1 for v in vertex):
+        incumbent = [int(v) for v in vertex]
+        incumbent_bound = max(abs(v) for v in incumbent)
+
+    def feasible(bound):
+        nonlocal incumbent, incumbent_bound
+        if incumbent_bound is not None and incumbent_bound <= bound:
+            return True
+        try:
+            sol = _integer_point_in_box(A, b, bound, node_limit, state)
+        except NodeLimitExceeded as exc:
+            raise NodeLimitExceeded(
+                str(exc), lower=lo, upper=incumbent_bound, witness=incumbent,
+                node_count=state["nodes"],
+            ) from exc
+        if sol is not None:
+            val = max(abs(v) for v in sol) if sol else 0
+            if incumbent_bound is None or val < incumbent_bound:
+                incumbent, incumbent_bound = sol, val
+        return sol is not None
+
+    search_exhausted_at = None
+    hi = max(lo, 1)
+    while not feasible(hi):
+        search_exhausted_at = hi
+        lo = hi + 1
+        hi = 2 * hi + 1
+    hi = incumbent_bound
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = min(mid, incumbent_bound)
+        else:
+            search_exhausted_at = max(search_exhausted_at or -1, mid)
+            lo = mid + 1
+    optimum = hi
+    witness = incumbent
+    if optimum == 0:
+        proof = {"kind": "trivial", "detail": "optimum is zero"}
+    elif optimum - 1 in farkas_at:
+        proof = {
+            "kind": "lp-dual",
+            "dual": farkas_at[optimum - 1],
+            "bound": optimum - 1,
+        }
+    else:
+        proof = {
+            "kind": "search-exhausted",
+            "bound": optimum - 1,
+            "nodes": state["nodes"],
+        }
+    return NormCertificate(
+        optimum=optimum, witness=witness, infeasibility_proof=proof,
+        node_count=state["nodes"], lp_bound=Fraction(hi_t),
+    )
 
 
 def oracle_all_solutions(A, b, bound):

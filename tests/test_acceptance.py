@@ -19,8 +19,8 @@ from coarse_kit import (
     filled_triangle,
     fundamental_cycle,
     glue,
+    interval_product,
     mapping_cylinder,
-    product_interval,
     simplicial_complex,
     subcomplex_matching,
 )
@@ -34,7 +34,7 @@ from coarse_kit.cochains import (
 )
 from coarse_kit.complexes import midpoint_subdivision, remove_cells
 from coarse_kit.degrees import DegreeReport, bezout, check_degree_relation, circle_map_degree
-from coarse_kit.exact_linalg import ilp_min_linf, solve_integer
+from coarse_kit.exact_linalg import solve_integer
 from coarse_kit.metric_nerve import (
     CoverSpec,
     canonical_projection,
@@ -56,6 +56,7 @@ from coarse_kit.towers import (
 )
 
 from oracles import (
+    ilp_min_linf,
     oracle_cohomology_mod_p,
     oracle_complex_homology,
     oracle_min_linf,
@@ -128,8 +129,8 @@ def test_criterion_01_chain_complex_validity(bundles):
              coarsening_cylinder(6, 3)[0],
              mapping_cylinder(CellMap.from_vertex_map(
                  circle(6), circle(3), [j % 3 for j in range(6)]))[0],
-             product_interval(circle(3), 2),
-             product_interval(filled_triangle(), 3)]
+             interval_product(circle(3), 2).complex,
+             interval_product(filled_triangle(), 3).complex]
     built += [b.complex for b in bundles.values()]
     built += [s.complex for s in _build_tower_522()]
     tau = midpoint_subdivision(filled_triangle())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -5,6 +6,19 @@ import pytest
 
 from coarse_kit.cli import main
 from coarse_kit.report import load_report
+
+# sha256 of reports and witnesses for the fixed runs below; refactors of the
+# exact core must leave these bytes unchanged
+PROP51_521_REPORT = \
+    "d0a5710a96bb6d1015a155bbe215cf0ebdccdc56098aba24d1c0f03121104ff9"
+PROP51_521_MK_CKX = \
+    "45edad63ca53f1b71c46b9122bdc5d7b5d2a84f53aeac3fefef2a26bd1ee8b44"
+PROP52_521_LCM_REPORT = \
+    "d51bb6ae3d1b24bac8c21c72f84cccb78d2057f7bb4923133af24ad896698912"
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(autouse=True)
@@ -73,8 +87,18 @@ class TestVerify:
         data = load_report(report_path)
         record = {r["name"]: r for r in data["records"]}
         assert record["beta-norm-bound"]["status"] == "PASS"
+        assert sha256_of(report_path) == PROP52_521_LCM_REPORT
         capsys.readouterr()
         assert main(["check-witness", "--report", str(report_path)]) == 0
+        checked = json.loads(capsys.readouterr().out)
+        claim = {r["name"]: r for r in checked["records"]}
+        assert claim["witness-norm-matches-claim"]["status"] == "PASS"
+        # a report claiming a different m_k no longer matches its witness
+        for r in data["records"]:
+            if r["name"] == "minimal-primitive":
+                r["values"]["m_k"] = str(int(r["values"]["m_k"]) + 1)
+        report_path.write_text(json.dumps(data))
+        assert main(["check-witness", "--report", str(report_path)]) != 0
 
     def test_reports_deterministic(self, capsys, tmp_path):
         # identical inputs (same output filename) in two directories
@@ -89,6 +113,8 @@ class TestVerify:
             (d2 / "report.json").read_bytes()
         assert (d1 / "report.mk.ckx").read_bytes() == \
             (d2 / "report.mk.ckx").read_bytes()
+        assert sha256_of(d1 / "report.json") == PROP51_521_REPORT
+        assert sha256_of(d1 / "report.mk.ckx") == PROP51_521_MK_CKX
 
     def test_config_file_supplies_flags(self, capsys, tmp_path):
         conf = tmp_path / "conf.json"

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from coarse_kit.cochains import (
     Cochain,
     RING_Q,
     RING_Z,
+    _gauss_jordan,
     coboundary,
     coboundary_matrix,
     cohomology,
@@ -19,9 +21,9 @@ from coarse_kit.cochains import (
     zero_cochain,
 )
 from coarse_kit.complexes import midpoint_subdivision, remove_cells
-from coarse_kit.errors import NotACoboundary, WrongShape
+from coarse_kit.errors import DegreeOutOfRange, NotACoboundary, WrongShape
 
-from oracles import oracle_cohomology_mod_p
+from oracles import oracle_cohomology_mod_p, oracle_rank, oracle_rank_mod_p
 from test_complexes import random_circle_map
 
 
@@ -139,6 +141,32 @@ class TestRelative:
         for k in range(X.dim + 1):
             s = relative_cohomology(lbl, "all", k)
             assert s.free_rank == 0 and s.torsion == []
+
+
+class TestFieldEliminator:
+    def test_rank_and_kernel_random(self):
+        rng = random.Random(53)
+        for field in (RING_Q, ring_zp(2), ring_zp(3)):
+            p = field[1] if field != RING_Q else None
+            for _ in range(40):
+                m, n = rng.randrange(1, 6), rng.randrange(1, 7)
+                M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+                rank, kernel = _gauss_jordan(M, field)
+                assert rank == (oracle_rank(M) if p is None
+                                else oracle_rank_mod_p(M, p))
+                assert len(kernel) == n
+                vectors = [list(col) for col in zip(*kernel)]
+                assert len(vectors) == n - rank
+                for v in vectors:
+                    Mv = [sum(Fraction(a) * x for a, x in zip(row, v))
+                          for row in M]
+                    assert all(e == 0 if p is None else e % p == 0
+                               for e in Mv)
+
+    def test_no_rows_gives_identity_kernel(self):
+        rank, kernel = _gauss_jordan([], RING_Q, ncols=3)
+        assert rank == 0
+        assert kernel == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 class TestExactness:
@@ -265,6 +293,11 @@ class TestMinNormPrimitive:
             res = min_norm_primitive(c)
             assert res.certificate.optimum <= g.norm()
             assert coboundary(res.gamma) == c
+
+    def test_degree_one_rejected(self):
+        X = filled_triangle()
+        with pytest.raises(DegreeOutOfRange):
+            min_norm_primitive(zero_cochain(X, 1))
 
     def test_not_a_coboundary(self):
         # the degree-2 attaching cell complex: c = 1 on the 2-cell needs

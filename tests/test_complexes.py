@@ -15,7 +15,6 @@ from coarse_kit import (
     midpoint_subdivision,
     new_complex,
     point,
-    product_interval,
     simplicial_complex,
     subcomplex_matching,
     wedge,
@@ -244,18 +243,18 @@ class TestWedgeGlue:
 
 class TestProducts:
     def test_point_times_interval(self):
-        P = product_interval(point(), 3)
+        P = interval_product(point(), 3).complex
         assert P.counts == [4, 3]
 
     def test_circle_times_interval(self):
-        P = product_interval(circle(3), 1)
+        P = interval_product(circle(3), 1).complex
         assert P.euler_characteristic() == 0
         assert oracle_complex_homology(P, 1) == (1, [])
 
     def test_chi_invariance(self):
         for X in [circle(4), filled_triangle()]:
             for n in (1, 2, 5):
-                P = product_interval(X, n)
+                P = interval_product(X, n).complex
                 assert P.euler_characteristic() == X.euler_characteristic()
 
     def test_slice_labels_are_chain_closed(self):

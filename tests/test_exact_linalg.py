@@ -7,18 +7,17 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from coarse_kit.errors import InfeasibleOverQ, NoIntegerSolution
+from coarse_kit.errors import NoIntegerSolution
 from coarse_kit.exact_linalg import (
+    box_feasibility,
     check_lp_lower_bound,
     check_norm_certificate,
-    ilp_min_linf,
-    lp_min_linf,
     smith_normal_form,
     solve_integer,
     verify_snf,
 )
 
-from oracles import oracle_min_linf, oracle_smith_diagonal
+from oracles import ilp_min_linf, oracle_min_linf, oracle_smith_diagonal
 
 
 def random_matrix(rng, m, n, lo=-3, hi=3):
@@ -111,38 +110,22 @@ class TestSolveInteger:
                 assert res, f"trial {trial}: oracle found a solution, solver did not"
 
 
-class TestLpMinLinf:
-    def test_two_ones(self):
-        assert lp_min_linf([[1, 1]], [2]).value == 1
+class TestBoxFeasibility:
+    def test_feasible_box_returns_point(self):
+        x, farkas = box_feasibility([[5, 2]], [1], 1)
+        assert farkas is None
+        assert 5 * x[0] + 2 * x[1] == 1 and max(abs(v) for v in x) <= 1
 
-    def test_zero_rhs(self):
-        assert lp_min_linf([[1]], [0]).value == 0
+    def test_farkas_certifies_bezout_row(self):
+        x, farkas = box_feasibility([[5, 2]], [1], 0)
+        assert x is None
+        assert farkas == [Fraction(1, 7)]
+        assert check_lp_lower_bound([[5, 2]], [1], farkas, Fraction(1, 8))
 
-    def test_bezout_row_seventh(self):
-        res = lp_min_linf([[5, 2]], [1])
-        assert res.value == Fraction(1, 7)
-        assert check_lp_lower_bound([[5, 2]], [1], res.dual, Fraction(1, 8))
-
-    def test_infeasible(self):
-        with pytest.raises(InfeasibleOverQ):
-            lp_min_linf([[0, 0]], [1])
-
-    def test_contradictory_rows(self):
-        with pytest.raises(InfeasibleOverQ):
-            lp_min_linf([[1, 0], [1, 0]], [1, 2])
-
-    def test_dual_certificate_random(self):
-        rng = random.Random(3)
-        for _ in range(25):
-            m, n = rng.randrange(1, 4), rng.randrange(1, 5)
-            A = random_matrix(rng, m, n)
-            x = [rng.randint(-2, 2) for _ in range(n)]
-            b = [sum(A[i][j] * x[j] for j in range(n)) for i in range(m)]
-            res = lp_min_linf(A, b)
-            # witness x gives an upper bound, dual certifies the value
-            assert res.value <= max((abs(v) for v in x), default=0)
-            dot = sum(Fraction(bi) * yi for bi, yi in zip(b, res.dual))
-            assert dot == res.value
+    def test_doubled_farkas_fails(self):
+        # ||A^T y||_1 = 2 > 1: the dual no longer bounds the sup-norm
+        dual = [Fraction(2, 7)]
+        assert not check_lp_lower_bound([[5, 2]], [1], dual, Fraction(1, 8))
 
 
 class TestIlpMinLinf:
