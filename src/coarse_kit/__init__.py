@@ -30,14 +30,3 @@ from .exact_linalg import (
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    # heavier subsystems load on first use: cochains, towers, metric_nerve
-    from importlib import import_module
-
-    for mod in ("cochains", "towers", "metric_nerve", "interchange",
-                "verify", "report"):
-        module = import_module(f".{mod}", __name__)
-        if hasattr(module, name):
-            return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

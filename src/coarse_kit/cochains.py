@@ -20,8 +20,8 @@ from .errors import (
 )
 from .exact_linalg import (
     NormCertificate,
-    _det_unimodular,
     _identity,
+    _mat_mul,
     _unimodular_inverse,
     box_feasibility,
     kernel_lattice_basis,
@@ -238,73 +238,40 @@ def relative_cohomology(X, subcomplex, k, ring=RING_Z):
 # -- exactness of the pair sequence --------------------------------------------
 
 
-def _gauss_jordan(M, field, ncols=0):
-    """Reduced row echelon elimination of M over Q or F_p.
+def _field_rank_kernel(M, field, ncols=0):
+    """Rank and kernel of M over Q or F_p, read off one Smith form.
 
-    Returns (rank, kernel): the columns of ``kernel`` span ker(M); it has one
-    row per column of M (``ncols`` rows when M has no rows) and one column
-    per free variable.  Exact: Fractions over Q, residues over F_p.
+    U M V = D with U and V invertible over the field, so the rank counts the
+    diagonal entries that are units there, and the columns j of V with
+    d_j = 0 (Q) or p | d_j (F_p), every j past the diagonal included, span
+    ker(M).  ``kernel`` has one row per column of M (``ncols`` rows when M
+    has no rows) and one column per kernel vector.
     """
-    n = len(M[0]) if M else ncols
+    if not M:
+        return 0, _identity(ncols)
     p = field[1] if _is_zp(field) else None
-
-    def red(v):
-        return v % p if p else v
-
-    A = [[v % p for v in row] for row in M] if p else \
-        [[Fraction(v) for v in row] for row in M]
-    pivots = []
-    for col in range(n):
-        r = len(pivots)
-        if r == len(A):
-            break
-        piv = next((i for i in range(r, len(A)) if A[i][col]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        s = pow(A[r][col], -1, p) if p else 1 / A[r][col]
-        A[r] = [red(v * s) for v in A[r]]
-        for i, row in enumerate(A):
-            f = row[col]
-            if i != r and f:
-                A[i] = [red(v - f * w) for v, w in zip(row, A[r])]
-        pivots.append(col)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    kernel = [[0] * len(free) for _ in range(n)]
-    for t, fc in enumerate(free):
-        kernel[fc][t] = 1
-        for r, pc in enumerate(pivots):
-            kernel[pc][t] = red(-A[r][fc])
-    return len(pivots), kernel
+    if p:
+        M = [[v % p for v in row] for row in M]
+    snf = smith_normal_form(M)
+    diag = snf.diagonal()
+    rank = _rank_mod_p(diag, p) if p else snf.rank
+    padded = diag + [0] * (len(snf.V) - len(diag))  # d_j = 0 past the diagonal
+    free = [j for j, d in enumerate(padded) if (d % p if p else d) == 0]
+    kernel = [[row[j] % p if p else row[j] for j in free] for row in snf.V]
+    return rank, kernel
 
 
-def _quotient_map_rank(F, Z_basis, B_target, ring):
+def _quotient_map_rank(F, Z_basis, image, ring):
     """Rank of the induced map on cohomology over a field.
 
     ``F``: cochain-level matrix; ``Z_basis``: columns spanning the source
-    cocycles; ``B_target``: columns spanning the target coboundaries.
-    rank = rank([F Z | B]) - rank(B).
+    cocycles; ``image``: (B, rank(B)), the columns of B spanning the target
+    coboundaries.  rank = rank([F Z | B]) - rank(B).
     """
+    B_target, B_rank = image
     fz = _mat_mul(F, Z_basis)
     joint = [row_f + row_b for row_f, row_b in zip(fz, B_target)]
-    return _gauss_jordan(joint, ring)[0] - _gauss_jordan(B_target, ring)[0]
-
-
-def _mat_mul(A, B):
-    if not A or not B or not B[0]:
-        return [[] for _ in A]
-    m, n, l = len(A), len(B), len(B[0])
-    out = [[0] * l for _ in range(m)]
-    for i in range(m):
-        Ai = A[i]
-        for k in range(n):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(l):
-                    out[i][j] += a * Bk[j]
-    return out
+    return _field_rank_kernel(joint, ring)[0] - B_rank
 
 
 def exactness_check(X, subcomplex, ring=RING_Q):
@@ -326,34 +293,32 @@ def exactness_check(X, subcomplex, ring=RING_Q):
             return list(range(X.n_cells(k)))
         return _cells(X, k, A_cells, inside=(kind == "sub"))
 
-    # cocycle bases and coboundary matrices per degree for the 3 theories:
-    # relative (cells outside A), absolute, and the subcomplex A itself
+    # cocycle bases, coboundary matrices and their ranks per degree for the
+    # 3 theories: relative (cells outside A), absolute, and the subcomplex A
     spaces = {}
     for kind in ("rel", "abs", "sub"):
         for k in range(dims + 1):
             cols = cells(kind, k)
             delta = _coboundary_block(X, k, cells(kind, k + 1), cols)
+            rank, Z = _field_rank_kernel(delta, field, len(cols))
             spaces[(kind, k)] = {
-                "cols": cols,
-                "Z": _gauss_jordan(delta, field, len(cols))[1],
-                "delta": delta,
+                "cols": cols, "Z": Z, "delta": delta, "rank": rank,
             }
 
     def image_basis(kind, k):
-        # coboundaries in degree k as columns: delta_{k-1} applied to all
-        # unit cochains = the matrix of delta_{k-1} (its columns)
+        # coboundaries in degree k as columns, and their rank: delta_{k-1}
+        # applied to all unit cochains = the matrix of delta_{k-1}
         if k == 0:
-            return [[0] * 0 for _ in spaces[(kind, 0)]["cols"]]
-        M = spaces[(kind, k - 1)]["delta"]
-        ncols_prev = len(spaces[(kind, k - 1)]["cols"])
-        nrows = len(spaces[(kind, k)]["cols"])
-        if not M:
-            return [[0] * ncols_prev for _ in range(nrows)]
-        return M  # rows = degree-k cells, cols = degree-(k-1) cells
+            return [[0] * 0 for _ in spaces[(kind, 0)]["cols"]], 0
+        prev = spaces[(kind, k - 1)]
+        if not prev["delta"]:
+            nrows = len(spaces[(kind, k)]["cols"])
+            return [[0] * len(prev["cols"]) for _ in range(nrows)], 0
+        return prev["delta"], prev["rank"]
 
-    def hdim(kind, k):
-        zrank = _gauss_jordan(spaces[(kind, k)]["Z"], field)[0]
-        return zrank - _gauss_jordan(image_basis(kind, k), field)[0]
+    def hdim(kind, k):  # dim ker(delta_k) - rank(delta_{k-1})
+        space = spaces[(kind, k)]
+        return len(space["cols"]) - space["rank"] - image_basis(kind, k)[1]
 
     # cochain-level matrices of the three maps per degree
     def map_j(k):  # H^k(X, A) -> H^k(X): inclusion of relative cochains
@@ -549,7 +514,8 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
     feas = solve_integer(M, b, snf=snf)
     if not feas:
         raise NotACoboundary(f"no integer primitive: {feas.obstruction}")
-    gamma0 = feas.solution
+    # with no relative 2-cells M has no rows and every edge vector solves it
+    gamma0 = feas.solution if M else [0] * len(cols)
     # the cocycle lattice comes from the same Smith form of M; U, D and V are
     # released before the search, where holding them raises peak memory
     K = kernel_lattice_basis(M, snf=snf) if M else _identity(len(cols))
@@ -629,9 +595,10 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000):
         raise ArithmeticError("cycle/cocycle rank mismatch")
     P = [[sum(z[t] * Cj[t] for t in range(len(cols))) for Cj in cycles]
          for z in free_z]
-    if abs(_det_unimodular(P)) != 1:
-        raise ArithmeticError("cocycle/cycle pairing is not unimodular")
-    Pinv_T = _int_inverse_transpose(P)
+    try:
+        Pinv_T = _unimodular_inverse([list(col) for col in zip(*P)])
+    except ArithmeticError as exc:
+        raise ArithmeticError("cocycle/cycle pairing is not unimodular") from exc
     lengths = [sum(abs(v) for v in Cj) for Cj in cycles]
     g0 = [sum(gamma0[t] * Cj[t] for t in range(len(cols))) for Cj in cycles]
 
@@ -706,12 +673,6 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000):
         target = best_B - 1
     w = w_of_t(t_of_u(best_u))
     return best_B, _apply_potentials(w, edge_ends, best_h, ground), meta
-
-
-def _int_inverse_transpose(P):
-    inv = _unimodular_inverse(P)
-    n = len(inv)
-    return [[inv[j][i] for j in range(n)] for i in range(n)]
 
 
 def _apply_potentials(w, edge_ends, h, ground):

@@ -164,19 +164,6 @@ class CellComplex:
             validate=False,
         )
 
-    def edges_as_pairs(self):
-        """Vertex pairs of all 1-cells (simplicial mode: the stored tuples)."""
-        if self.is_simplicial:
-            return list(self.simplices[1])
-        pairs = []
-        for col in self._bnd[1]:
-            ends = sorted(col)
-            if len(ends) == 2:
-                pairs.append((ends[0], ends[1]))
-            else:
-                pairs.append(None)
-        return pairs
-
     # -- validation ------------------------------------------------------
 
     def _validate(self):
@@ -523,23 +510,7 @@ def annulus_triangulation(a, b):
     rim.  Labels: "domain-rim" (the a-circle), "target-rim" (the b-circle).
     Returns ``(complex, collapse map to circle(b))``.
     """
-    if b < 3:
-        raise TooFewVertices(f"target circle needs >= 3 vertices, got {b}")
-    if a % b != 0 or a < b:
-        from .errors import NotDivisible
-
-        raise NotDivisible(f"domain size {a} is not a positive multiple of {b}")
-    top, bot = circle(a), circle(b)
-    f = CellMap.from_vertex_map(top, bot, [j % b for j in range(a)])
-    cyl, _, retr = mapping_cylinder(f)
-    lbl = {
-        "domain-rim": _vertex_span_cells(cyl, range(a)),
-        "target-rim": _vertex_span_cells(cyl, range(a, a + b)),
-    }
-    cyl = cyl.relabeled(lbl)
-    retr = CellMap(cyl, bot, retr.assignment, vertex_map=retr.vertex_map,
-                   validate=False)
-    return cyl, retr
+    return _rim_cylinder(a, b, lambda j: j % b)
 
 
 def coarsening_cylinder(a, b):
@@ -548,15 +519,19 @@ def coarsening_cylinder(a, b):
     Used to re-coarsen circle sizes between winding stages without adding
     degree.  Same labeling contract as :func:`annulus_triangulation`.
     """
+    return _rim_cylinder(a, b, lambda j: j // (a // b))
+
+
+def _rim_cylinder(a, b, vertex_map):
+    """Labeled mapping cylinder of circle(a) -> circle(b), j -> vertex_map(j)."""
     if b < 3:
         raise TooFewVertices(f"target circle needs >= 3 vertices, got {b}")
     if a % b != 0 or a < b:
         from .errors import NotDivisible
 
         raise NotDivisible(f"domain size {a} is not a positive multiple of {b}")
-    d = a // b
     top, bot = circle(a), circle(b)
-    f = CellMap.from_vertex_map(top, bot, [j // d for j in range(a)])
+    f = CellMap.from_vertex_map(top, bot, [vertex_map(j) for j in range(a)])
     cyl, _, retr = mapping_cylinder(f)
     lbl = {
         "domain-rim": _vertex_span_cells(cyl, range(a)),
@@ -828,18 +803,6 @@ class IntervalProduct:
         off = (self.n + 1) * self.base.n_cells(k)
         return off + level * self.base.n_cells(k - 1) + i
 
-    def n_slice_cells(self, k):
-        return (self.n + 1) * self.base.n_cells(k)
-
-    def describe_cell(self, k, j):
-        """Inverse of the indexing: ('slice', base cell, level) or ('prism', ...)."""
-        cnt = self.base.n_cells(k)
-        if j < (self.n + 1) * cnt:
-            return ("slice", (k, j % cnt), j // cnt)
-        j2 = j - (self.n + 1) * cnt
-        cnt2 = self.base.n_cells(k - 1)
-        return ("prism", (k - 1, j2 % cnt2), j2 // cnt2)
-
 
 def interval_product(X, n, size_guard=DEFAULT_CELL_BUDGET):
     """Regular cell structure on X x [0, n] with unit interval subdivision.
@@ -1098,15 +1061,12 @@ def cone_middle_subdivision(X):
                 continue
             simplices.append(verts)
     next_v = sd.n_cells(0)
-    cone_faces = {}
     for f, midf in sorted(sub.middle_faces.items()):
         apex = next_v
         next_v += 1
         apex_of[f] = apex
         m1, m2, m3 = sd.simplices[2][midf]
-        cone_faces[f] = []
         for pair in ((m1, m2), (m1, m3), (m2, m3)):
-            cone_faces[f].append(tuple(sorted(pair + (apex,))))
             simplices.append(tuple(sorted(pair + (apex,))))
     tau = simplicial_complex(simplices)
     carrier = {}
@@ -1120,10 +1080,6 @@ def cone_middle_subdivision(X):
             if base_cell is None:
                 # touches an apex: carried by the base face that owns it
                 apex_faces = [f for f, a in apex_of.items() if a in verts]
-                inherited = []
-                for v in verts:
-                    if v < sd.n_cells(0):
-                        inherited.append(sub.carrier[(0, v)])
                 cand = apex_faces[0] if apex_faces else None
                 base_cell = (2, cand)
             carrier[(k, i)] = base_cell

@@ -1,10 +1,13 @@
 """Exact integer and rational linear algebra.
 
-Smith normal form with unimodular witnesses, integer linear solving and
-kernel lattices, and one exact LP: feasibility of A x = b in an integer box,
-which hands back a Farkas vector when the box holds no rational solution.
-That vector is the re-checkable certificate behind every sup-norm lower
-bound (``check_lp_lower_bound``, ``check_norm_certificate``).
+Smith normal form with unimodular witnesses is the one elimination routine:
+integer solving, kernel lattices, lattice complements and unimodular
+inverses are all read off it.  ``verify_snf`` checks its output with a
+separate Bareiss determinant, so Smith is not used to verify Smith.  Beside
+it sits one exact LP: feasibility of A x = b in an integer box, which hands
+back a Farkas vector when the box holds no rational solution.  That vector
+is the re-checkable certificate behind every sup-norm lower bound
+(``check_lp_lower_bound``, ``check_norm_certificate``).
 
 No floating point anywhere: integers are arbitrary precision, the LP runs on
 an all-integer tableau (fraction-free pivoting), values are Fractions.
@@ -33,6 +36,22 @@ def mat_vec(A, x):
 
 def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _mat_mul(A, B):
+    if not A or not B or not B[0]:
+        return [[] for _ in A]
+    m, n, l = len(A), len(B), len(B[0])
+    out = [[0] * l for _ in range(m)]
+    for i in range(m):
+        Ai = A[i]
+        for k in range(n):
+            a = Ai[k]
+            if a:
+                Bk = B[k]
+                for j in range(l):
+                    out[i][j] += a * Bk[j]
+    return out
 
 
 @dataclass
@@ -146,11 +165,7 @@ def smith_normal_form(A, size_guard=DEFAULT_SNF_BUDGET):
 def verify_snf(A, snf):
     """Exact check of all Smith-form invariants; returns True or raises."""
     m, n = _shape(A)
-    prod = [[sum(snf.U[i][k] * A[k][j] for k in range(m)) for j in range(n)]
-            for i in range(m)]
-    prod = [[sum(prod[i][k] * snf.V[k][j] for k in range(n)) for j in range(n)]
-            for i in range(m)]
-    if prod != snf.D:
+    if _mat_mul(_mat_mul(snf.U, A), snf.V) != snf.D:
         raise ArithmeticError("U*A*V != D")
     for i in range(m):
         for j in range(n):
@@ -227,7 +242,7 @@ def lattice_quotient_complement(K, M):
         return list(K), []
     Smat = [[S[t][i] for t in range(len(S))] for i in range(r)]
     dec = smith_normal_form(Smat)
-    # rows of U^-1 give the adapted basis; columns of U^-1 = solve U X = I
+    # rows of U^-1 give the adapted basis
     Uinv = _unimodular_inverse(dec.U)
     adapted = []
     for t in range(r):
@@ -241,27 +256,18 @@ def lattice_quotient_complement(K, M):
 
 
 def _unimodular_inverse(U):
-    """Exact inverse of a unimodular integer matrix (integer entries)."""
-    n = len(U)
-    aug = [list(U[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    # fraction-free Gauss-Jordan; determinant +-1 keeps everything integral
-    from fractions import Fraction as F
+    """Integer inverse of a unimodular matrix, read off its Smith form.
 
-    M = [[F(v) for v in row] for row in aug]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if M[i][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [v / pv for v in M[col]]
-        for i in range(n):
-            if i != col and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [v - f * w for v, w in zip(M[i], M[col])]
-    inv = [[M[i][n + j] for j in range(n)] for i in range(n)]
-    out = [[int(v) for v in row] for row in inv]
-    if any(inv[i][j] != out[i][j] for i in range(n) for j in range(n)):
+    The factors satisfy W U V = I, so U^-1 = V W.  Raises ArithmeticError
+    unless U is square with every invariant factor 1 (determinant +-1).
+    """
+    m, n = _shape(U)
+    if m != n:
+        raise ArithmeticError(f"{m}x{n} matrix is not square")
+    snf = smith_normal_form(U)
+    if any(d != 1 for d in snf.diagonal()):
         raise ArithmeticError("matrix is not unimodular")
-    return out
+    return _mat_mul(snf.V, snf.U)
 
 
 @dataclass

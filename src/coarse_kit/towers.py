@@ -29,7 +29,6 @@ from .complexes import (
     filled_triangle,
     glue,
     interval_product,
-    labeled_cycle,
     midpoint_subdivision,
     midpoint_subdivision_global,
     path_complex,
@@ -136,13 +135,6 @@ class MkBundle:
     p_hole_label: str = "p-hole"
     q_hole_label: str = "q-hole"
     notes: dict = field(default_factory=dict)
-
-    def boundary_cycle(self):
-        return labeled_cycle(self.complex, self.boundary_label)
-
-    def hole_cycle(self, which):
-        label = self.p_hole_label if which == "p" else self.q_hole_label
-        return labeled_cycle(self.complex, label)
 
 
 def _relabel_only(X, labels):
@@ -290,7 +282,7 @@ def _pants(ap, aq):
     return _relabel_only(cyl, labels)
 
 
-def _max_valence(X, cells=None):
+def _max_valence(X):
     counts = {}
     for e in range(X.n_cells(1)):
         for v in X.simplex(1, e):

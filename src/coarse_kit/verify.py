@@ -17,7 +17,7 @@ from .cochains import (
     relative_coboundary_matrix,
 )
 from .degrees import DegreeReport, bezout, check_degree_relation, min_m_bound
-from .errors import NodeLimitExceeded
+from .errors import NodeLimitExceeded, NotACoboundary
 from .exact_linalg import check_lp_lower_bound, solve_integer
 from .interchange import bind_cochain, read_complex, write_complex
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport, decode_number
@@ -66,15 +66,26 @@ def verify_prop51(params, node_limit=10_000_000, out_prefix=None):
     M = bundle.complex
     p, q, k = params.p, params.q, params.k
 
-    # (a) the obstruction cocycle has a primitive: absolute and relative
+    # (a) the obstruction cocycle has a primitive: absolute and relative.
+    # The relative system is factored once, by the minimal-primitive search
+    # of (d), which raises NotACoboundary when it has no solution
     abs_mat, abs_cols, abs_rows = relative_coboundary_matrix(M, set(), 1)
     abs_rhs = [bundle.obstruction.values[j] for j in abs_rows]
     res_abs = solve_integer(abs_mat, abs_rhs)
-    rel_mat, rel_rhs, rel_cols, _ = _relative_system(bundle)
-    res_rel = solve_integer(rel_mat, rel_rhs)
+    prim = exhausted = None
+    try:
+        prim = min_norm_primitive(
+            bundle.obstruction, node_limit=node_limit,
+            vanishing_on=bundle.boundary_label,
+        )
+    except NodeLimitExceeded as exc:
+        exhausted = exc
+    except NotACoboundary:
+        pass
+    res_rel = prim is not None or exhausted is not None
     report.check(
-        "retraction-obstruction-solvable", bool(res_abs) and bool(res_rel),
-        absolute=bool(res_abs), relative=bool(res_rel),
+        "retraction-obstruction-solvable", bool(res_abs) and res_rel,
+        absolute=bool(res_abs), relative=res_rel,
     )
 
     # (b) Bezout coefficient against the divisibility bound
@@ -106,13 +117,10 @@ def verify_prop51(params, node_limit=10_000_000, out_prefix=None):
     report.check("winding-relation", rel_ok, signs=signs,
                  exponents={"p": p ** k, "q": q ** k})
 
-    # (d) exact minimal primitive norm >= q^k - 1
+    # (d) exact minimal primitive norm >= q^k - 1; without a relative
+    # primitive there is no norm to bound and (a) has already failed
     witness_vals = None
-    try:
-        prim = min_norm_primitive(
-            bundle.obstruction, node_limit=node_limit,
-            vanishing_on=bundle.boundary_label,
-        )
+    if prim is not None:
         m_k = prim.certificate.optimum
         ok = m_k >= q ** k - 1
         proof = prim.certificate.infeasibility_proof
@@ -129,12 +137,12 @@ def verify_prop51(params, node_limit=10_000_000, out_prefix=None):
                 "dual": [str(v) for v in proof["dual"]],
                 "bound": str(proof["bound"]),
             }
-    except NodeLimitExceeded as exc:
+    elif exhausted is not None:
         report.add(
-            "norm-lower-bound", INCONCLUSIVE,
-            lower=exc.lower, upper=exc.upper, node_count=exc.node_count,
+            "norm-lower-bound", INCONCLUSIVE, lower=exhausted.lower,
+            upper=exhausted.upper, node_count=exhausted.node_count,
         )
-        report.node_count += exc.node_count
+        report.node_count += exhausted.node_count
     if out_prefix is not None and witness_vals is not None:
         path = f"{out_prefix}.mk.ckx"
         text = write_complex(path, M, cochains={

@@ -8,7 +8,7 @@ from coarse_kit.cochains import (
     Cochain,
     RING_Q,
     RING_Z,
-    _gauss_jordan,
+    _field_rank_kernel,
     coboundary,
     coboundary_matrix,
     cohomology,
@@ -151,7 +151,7 @@ class TestFieldEliminator:
             for _ in range(40):
                 m, n = rng.randrange(1, 6), rng.randrange(1, 7)
                 M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-                rank, kernel = _gauss_jordan(M, field)
+                rank, kernel = _field_rank_kernel(M, field)
                 assert rank == (oracle_rank(M) if p is None
                                 else oracle_rank_mod_p(M, p))
                 assert len(kernel) == n
@@ -164,7 +164,7 @@ class TestFieldEliminator:
                                for e in Mv)
 
     def test_no_rows_gives_identity_kernel(self):
-        rank, kernel = _gauss_jordan([], RING_Q, ncols=3)
+        rank, kernel = _field_rank_kernel([], RING_Q, ncols=3)
         assert rank == 0
         assert kernel == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -293,6 +293,18 @@ class TestMinNormPrimitive:
             res = min_norm_primitive(c)
             assert res.certificate.optimum <= g.norm()
             assert coboundary(res.gamma) == c
+
+    def test_relative_edges_without_relative_faces(self):
+        # the pair (triangle + pendant edge, closed triangle) has the edge
+        # (2, 3) outside the subcomplex but no 2-cell outside it
+        X = simplicial_complex([(0, 1, 2), (2, 3)])
+        triangle = [(k, i) for k in range(3)
+                    for i, verts in enumerate(X.simplices[k])
+                    if set(verts) <= {0, 1, 2}]
+        res = min_norm_primitive(zero_cochain(X, 2), vanishing_on=triangle)
+        assert res.certificate.optimum == 0
+        assert res.certificate.infeasibility_proof["kind"] == "trivial"
+        assert res.gamma.values == [0] * X.n_cells(1)
 
     def test_degree_one_rejected(self):
         X = filled_triangle()

@@ -1,9 +1,11 @@
-"""Every top-level definition in the package is used somewhere.
+"""Every definition in the package is used somewhere.
 
 A top-level ``def`` or ``class`` in ``src/coarse_kit`` must be named by some
 other top-level statement under ``src/`` or ``tests/``: as a name, an
-attribute, or an imported name.  Dunders are exempt.  Mentions in comments
-or strings do not count, nor do references from inside the definition.
+attribute, or an imported name.  A method of a package class must be named
+outside its own body: by another statement of its class or by any other
+top-level statement.  Dunders are exempt.  Mentions in comments or strings do
+not count, nor do references from inside the definition.
 """
 
 import ast
@@ -11,6 +13,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "coarse_kit"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = FUNCTIONS + (ast.ClassDef,)
 
 
 def _referenced_names(node):
@@ -25,23 +29,55 @@ def _referenced_names(node):
     return out
 
 
-def test_no_dead_top_level_definitions():
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _dead_definitions():
+    """(top-level names, method names) that nothing outside them names."""
     files = sorted((ROOT / "src").rglob("*.py")) + \
         sorted((ROOT / "tests").rglob("*.py"))
     definitions = []
+    methods = []
     references = []
     for path in files:
         tree = ast.parse(path.read_text(), filename=str(path))
         for index, stmt in enumerate(tree.body):
-            references.append(((path, index), _referenced_names(stmt)))
-            if path.parent == PACKAGE and isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append(((path, index), stmt.name))
-    dead = []
-    for where, name in definitions:
-        if name.startswith("__") and name.endswith("__"):
-            continue
-        if not any(name in names for at, names in references if at != where):
-            dead.append(f"{where[0].relative_to(ROOT)}: {name}")
+            where = (path, index)
+            references.append((where, _referenced_names(stmt)))
+            if path.parent != PACKAGE or not isinstance(stmt, DEFS):
+                continue
+            definitions.append((where, stmt.name))
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            for member in stmt.body:
+                if isinstance(member, FUNCTIONS):
+                    rest = set().union(*[_referenced_names(m) for m in
+                                         stmt.body if m is not member])
+                    methods.append((where, f"{stmt.name}.{member.name}",
+                                    member.name, rest))
+
+    def named_elsewhere(name, where):
+        return any(name in names for at, names in references if at != where)
+
+    dead = [f"{where[0].relative_to(ROOT)}: {name}"
+            for where, name in definitions
+            if not _is_dunder(name) and not named_elsewhere(name, where)]
+    dead_methods = [
+        f"{where[0].relative_to(ROOT)}: {qualname}"
+        for where, qualname, name, rest in methods
+        if not _is_dunder(name) and name not in rest
+        and not named_elsewhere(name, where)]
+    return dead, dead_methods
+
+
+def test_no_dead_top_level_definitions():
+    dead, _ = _dead_definitions()
     assert not dead, "top-level definitions named nowhere else: " + \
+        ", ".join(dead)
+
+
+def test_no_dead_methods():
+    _, dead = _dead_definitions()
+    assert not dead, "methods named nowhere outside their body: " + \
         ", ".join(dead)

@@ -9,6 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from coarse_kit.errors import NoIntegerSolution
 from coarse_kit.exact_linalg import (
+    _unimodular_inverse,
     box_feasibility,
     check_lp_lower_bound,
     check_norm_certificate,
@@ -108,6 +109,38 @@ class TestSolveInteger:
                 assert (A @ np.array(res.solution, dtype=object) == b).all()
             if small_solution_exists:
                 assert res, f"trial {trial}: oracle found a solution, solver did not"
+
+
+class TestUnimodularInverse:
+    def test_inverse_of_elementary_product(self):
+        rng = random.Random(61)
+        for n in (1, 2, 3, 5, 8):
+            for _ in range(5):
+                U = [[int(i == j) for j in range(n)] for i in range(n)]
+                for _ in range(6 * n):
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    if i == j:
+                        U[i] = [-v for v in U[i]]
+                    elif rng.random() < 0.2:
+                        U[i], U[j] = U[j], U[i]
+                    else:
+                        q = rng.randint(-3, 3)
+                        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+                inv = _unimodular_inverse(U)
+                assert all(type(v) is int for row in inv for v in row)
+                prod = [[sum(inv[i][t] * U[t][j] for t in range(n))
+                         for j in range(n)] for i in range(n)]
+                assert prod == [[int(i == j) for j in range(n)]
+                                for i in range(n)]
+
+    @pytest.mark.parametrize("U", [
+        [[2]],
+        [[1, 2], [2, 4]],
+        [[1, 0, 0], [0, 1, 0]],
+    ], ids=["det-2", "singular", "non-square"])
+    def test_non_unimodular_raises(self, U):
+        with pytest.raises(ArithmeticError):
+            _unimodular_inverse(U)
 
 
 class TestBoxFeasibility:
