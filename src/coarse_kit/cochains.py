@@ -447,40 +447,45 @@ def _bellman_potentials(n_nodes, arcs):
     return dist
 
 
-def _potential_minimax(edge_ends, w, node_of, n_nodes, ground):
+def _potential_minimax(edge_ends, w, n_nodes, ground):
     """Exact min over integer potentials h (h = 0 on ground) of
     max_e |w_e + h(v_e) - h(u_e)|, plus an optimal h.
 
-    Difference-constraint feasibility at bound B is totally unimodular, so
-    binary search over integer B is exact.
+    Bound B is met exactly when the difference constraints
+    h_v - h_u <= B - w_e and h_u - h_v <= B + w_e are feasible, that is
+    when no cycle of the arcs u->v (gain w_e) and v->u (gain -w_e) has mean
+    gain above B (CLRS 24.4).  So the optimum is the ceiling of the maximum
+    cycle mean, read off one pass of Karp's recurrence (1978): with every
+    node started at D_0 = 0 and D_k(v) the largest gain of a k-arc walk
+    ending at v, it is max_v min_k ceil((D_n(v) - D_k(v)) / (n - k)) over
+    the nodes with an arc.  One Bellman-Ford run at that bound gives h.
     """
     if not edge_ends:
         return 0, [0] * n_nodes
-    hi = max(abs(v) for v in w)
-    lo = 0
-    best_h = None
-
-    def feasible(B):
-        arcs = []
-        for (u, v), we in zip(edge_ends, w):
-            arcs.append((u, v, B - we))
-            arcs.append((v, u, B + we))
-        h = _bellman_potentials(n_nodes, arcs)
-        return h
-
-    h_hi = feasible(hi)
-    if h_hi is None:
-        raise ArithmeticError("potential system infeasible at its own max")
-    best_h, best_B = h_hi, hi
-    while lo < best_B:
-        mid = (lo + best_B) // 2
-        h = feasible(mid)
-        if h is not None:
-            best_h, best_B = h, mid
-        else:
-            lo = mid + 1
-    shift = best_h[ground]
-    return best_B, [v - shift for v in best_h]
+    n = n_nodes
+    edges = [(u, v, we) for (u, v), we in zip(edge_ends, w)]
+    # below every k-arc walk gain; only nodes without arcs keep it
+    floor = -(n + 1) * (max(map(abs, w)) + 1)
+    walks = [[0] * n]  # walks[k][v] = D_k(v)
+    for _ in range(n):
+        prev, cur = walks[-1], [floor] * n
+        for u, v, g in edges:
+            if prev[u] + g > cur[v]:
+                cur[v] = prev[u] + g
+            if prev[v] - g > cur[u]:
+                cur[u] = prev[v] - g
+        walks.append(cur)
+    B = max(min(-((walks[k][v] - walks[n][v]) // (n - k)) for k in range(n))
+            for v in {x for ends in edge_ends for x in ends})
+    arcs = []
+    for (u, v), we in zip(edge_ends, w):
+        arcs.append((u, v, B - we))
+        arcs.append((v, u, B + we))
+    h = _bellman_potentials(n, arcs)
+    if h is None:
+        raise ArithmeticError("potential system infeasible at its cycle mean")
+    shift = h[ground]
+    return B, [v - shift for v in h]
 
 
 def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
@@ -492,9 +497,11 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
     primitive exists and DegreeOutOfRange when c is not of degree 2.
 
     The solution set is gamma0 + im(delta^0) + (free cocycle lattice); the
-    potential part is minimized exactly by difference-constraint feasibility
-    and the free lattice (rank = first Betti number of the pair) by a
-    bounded integer scan, so no general branch and bound is needed.
+    potential part is minimized exactly at each lattice point by one
+    maximum-mean-cycle pass over the difference constraints and the free
+    lattice (rank = first Betti number of the pair) by a bounded integer
+    scan, so no general branch and bound is needed.  A scan cut short by
+    ``node_limit`` raises NodeLimitExceeded with a true interval.
     """
     X, k = c.complex, c.degree
     if c.ring != RING_Z:
@@ -520,8 +527,13 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
     # released before the search, where holding them raises peak memory
     K = kernel_lattice_basis(M, snf=snf) if M else _identity(len(cols))
     del snf
+    # |c(s)| <= ||gamma|| * sum_e |<ds, e>| over relative edges on every
+    # relative face s: the lower end of an interval the budget cuts short
+    lower = max((-(-abs(bs) // sum(map(abs, row)))
+                 for row, bs in zip(M, b) if any(row)), default=0)
     optimum, witness, meta = _structured_min(X, A_cells, cols, gamma0, M, K,
-                                             node_limit=node_limit)
+                                             node_limit=node_limit,
+                                             lower=lower)
     # certificate at optimum - 1: one exact LP probe; Farkas when tight
     proof = {"kind": "search-exhausted", "bound": optimum - 1,
              "nodes": meta["evaluations"]}
@@ -547,16 +559,17 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
     return PrimitiveResult(certificate=cert, gamma=gamma, vanishing_on=vanishing_on)
 
 
-def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000):
+def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
+                    lower=0):
     """Minimize ||gamma0 + delta0 h + free-lattice part||_inf exactly.
 
     Returns (optimum, witness vector over ``cols``, meta).  ``cols`` are the
     non-subcomplex edge indices; potentials live on non-subcomplex vertices
     with subcomplex vertices grounded at zero.  ``M`` is the relative
     coboundary out of degree 1 (rows: 2-cells, columns: ``cols``) and the
-    vectors of ``K`` are a basis of its integer kernel.  Exceeding
-    ``node_limit`` lattice evaluations raises NodeLimitExceeded with the
-    best interval.
+    vectors of ``K`` are a basis of its integer kernel.  A search that
+    needs more than ``node_limit`` lattice evaluations raises
+    NodeLimitExceeded with the interval [``lower``, best value evaluated].
     """
     # vertices and grounding
     free_verts = _cells(X, 0, A_cells)
@@ -573,7 +586,7 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000):
         edge_ends.append((u, v))
 
     def potential_opt(w):
-        return _potential_minimax(edge_ends, w, node_of, n_nodes, ground)
+        return _potential_minimax(edge_ends, w, n_nodes, ground)
 
     # d0_cols[i] is the coboundary of the i-th free vertex: column i of delta0
     delta0 = _coboundary_block(X, 0, cols, free_verts)
@@ -622,15 +635,14 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000):
         u = tuple(u)
         if u in cache:
             return cache[u]
-        meta["evaluations"] += 1
-        if meta["evaluations"] > node_limit:
+        if meta["evaluations"] >= node_limit:
             raise NodeLimitExceeded(
                 "lattice evaluation budget exhausted",
-                lower=0,
-                upper=cache[min(cache, key=lambda k: cache[k][0])][0]
-                if cache else None,
+                lower=lower,
+                upper=min(B for B, _, _ in cache.values()) if cache else None,
                 node_count=meta["evaluations"],
             )
+        meta["evaluations"] += 1
         B, h = potential_opt(w_of_t(t_of_u(u)))
         cache[u] = (B, h, u)
         return cache[u]

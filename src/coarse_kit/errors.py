@@ -69,7 +69,9 @@ class NodeLimitExceeded(CoarseKitError):
     """Search budget exhausted; carries the best-known interval.
 
     Attributes:
-        lower: exact lower bound (ceil of the rational relaxation).
+        lower: a proven lower bound on the optimum; for minimal primitives
+            the largest ceil(|c(s)| / sum of |coefficients| of ds on
+            relative edges) over relative faces s.
         upper: best incumbent value, or None if no feasible point was found.
         witness: incumbent vector for `upper`, or None.
         node_count: nodes explored before giving up.

@@ -31,7 +31,9 @@ def _shape(A):
 
 
 def mat_vec(A, x):
-    return [sum(a * v for a, v in zip(row, x)) for row in A]
+    """A x, summed over the nonzero entries of x only."""
+    nonzero = [(j, v) for j, v in enumerate(x) if v]
+    return [sum(row[j] * v for j, v in nonzero) for row in A]
 
 
 def _identity(n):
@@ -244,10 +246,7 @@ def lattice_quotient_complement(K, M):
     dec = smith_normal_form(Smat)
     # rows of U^-1 give the adapted basis
     Uinv = _unimodular_inverse(dec.U)
-    adapted = []
-    for t in range(r):
-        vec = [sum(Uinv[i][t] * K[i][j] for i in range(r)) for j in range(n)]
-        adapted.append(vec)
+    adapted = [mat_vec(KT, [Uinv[i][t] for i in range(r)]) for t in range(r)]
     diag = dec.diagonal()
     free = [adapted[t] for t in range(len(diag), r)]
     free += [adapted[t] for t in range(len(diag)) if diag[t] == 0]

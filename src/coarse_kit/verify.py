@@ -68,10 +68,9 @@ def verify_prop51(params, node_limit=10_000_000, out_prefix=None):
 
     # (a) the obstruction cocycle has a primitive: absolute and relative.
     # The relative system is factored once, by the minimal-primitive search
-    # of (d), which raises NotACoboundary when it has no solution
-    abs_mat, abs_cols, abs_rows = relative_coboundary_matrix(M, set(), 1)
-    abs_rhs = [bundle.obstruction.values[j] for j in abs_rows]
-    res_abs = solve_integer(abs_mat, abs_rhs)
+    # of (d), which raises NotACoboundary when it has no solution.  A
+    # relative primitive extended by zero is an absolute one, so the
+    # absolute system is solved only when there is none
     prim = exhausted = None
     try:
         prim = min_norm_primitive(
@@ -82,10 +81,14 @@ def verify_prop51(params, node_limit=10_000_000, out_prefix=None):
         exhausted = exc
     except NotACoboundary:
         pass
-    res_rel = prim is not None or exhausted is not None
+    res_rel = res_abs = prim is not None or exhausted is not None
+    if not res_rel:
+        abs_mat, _, abs_rows = relative_coboundary_matrix(M, set(), 1)
+        abs_rhs = [bundle.obstruction.values[j] for j in abs_rows]
+        res_abs = bool(solve_integer(abs_mat, abs_rhs))
     report.check(
-        "retraction-obstruction-solvable", bool(res_abs) and res_rel,
-        absolute=bool(res_abs), relative=res_rel,
+        "retraction-obstruction-solvable", res_abs and res_rel,
+        absolute=res_abs, relative=res_rel,
     )
 
     # (b) Bezout coefficient against the divisibility bound
@@ -295,6 +298,12 @@ def verify_tower(params, stages, node_limit=10_000_000, out_prefix=None,
             continue
         report.node_count += prim.certificate.node_count
         values.append((j, prim.certificate.optimum))
+        if out_prefix is not None:
+            path = f"{out_prefix}.level-{j}.mk.ckx"
+            text = write_complex(path, bundle.complex, cochains={
+                "obstruction": bundle.obstruction, "primitive": prim.gamma,
+            })
+            report.attach_witness(f"mk-level-{j}", path, text)
     growing = all(a[1] < b[1] for a, b in zip(values, values[1:]))
     meets = all(m >= params.q ** j - 1 for j, m in values)
     if status == PASS:
@@ -333,29 +342,15 @@ def check_witness(report_path):
             int(data["params"].get("edge_scale", 3)),
             data["params"].get("reduce") == "true",
         )
-    mk_entry = data.get("witnesses", {}).get("mk-complex")
+    witnesses = data.get("witnesses", {})
+    mk_entry = witnesses.get("mk-complex")
     if mk_entry:
-        mk_path, digest_ok = resolve(mk_entry)
-        out.check("mk-witness-digest", digest_ok)
-        X, cochains, _ = read_complex(mk_path)
-        obstruction = bind_cochain(X, cochains["obstruction"])
-        gamma = bind_cochain(X, cochains["primitive"])
-        out.check("witness-solves-system",
-                  coboundary(gamma) == obstruction,
-                  norm=gamma.norm())
-        # the primitive must vanish on the boundary subcomplex
-        boundary_edges = set(X.label_cells_of_dim("boundary", 1))
-        vanishes = all(gamma.values[e] == 0 for e in boundary_edges)
-        out.check("witness-vanishes-on-boundary", vanishes)
         # prop51 claims m_k under norm-lower-bound, prop52 under
         # minimal-primitive; either way the witness must attain it
         claimed = _find_value(data, ("norm-lower-bound", "minimal-primitive"),
                               "m_k")
-        if claimed is not None:
-            out.check("witness-norm-matches-claim",
-                      gamma.norm() == decode_number(claimed),
-                      claimed=claimed, actual=gamma.norm())
-        dual_entry = data.get("witnesses", {}).get("norm-lower-bound-dual")
+        _check_mk_witness(out, resolve(mk_entry), claimed)
+        dual_entry = witnesses.get("norm-lower-bound-dual")
         if dual_entry and params is not None:
             bundle = _build_quiet(params)
             mat, rhs, _, _ = _relative_system(bundle)
@@ -364,7 +359,14 @@ def check_witness(report_path):
             out.check("lower-bound-dual-certificate",
                       check_lp_lower_bound(mat, rhs, dual, bound),
                       bound=bound)
-    prod_entry = data.get("witnesses", {}).get("product-complex")
+    # verify-tower: one witness per row j of the norm-growth table
+    table = _find_value(data, ("norm-growth-table",), "table") or {}
+    levels = sorted(int(name[len("mk-level-"):]) for name in witnesses
+                    if name.startswith("mk-level-"))
+    for j in levels:
+        _check_mk_witness(out, resolve(witnesses[f"mk-level-{j}"]),
+                          table.get(str(j)), tag=f"level-{j}-")
+    prod_entry = witnesses.get("product-complex")
     if prod_entry:
         prod_path, digest_ok = resolve(prod_entry)
         out.check("product-witness-digest", digest_ok)
@@ -376,6 +378,27 @@ def check_witness(report_path):
     if not out.records:
         out.add("no-witnesses-found", FAIL, report=str(report_path))
     return out
+
+
+def _check_mk_witness(out, resolved, claimed, tag=""):
+    """Re-check one M_k witness file: its digest, delta(primitive) =
+    obstruction, the primitive vanishing on the boundary subcomplex and,
+    when a value is claimed, its norm equal to it."""
+    path, digest_ok = resolved
+    out.check(f"{tag}mk-witness-digest", digest_ok)
+    X, cochains, _ = read_complex(path)
+    obstruction = bind_cochain(X, cochains["obstruction"])
+    gamma = bind_cochain(X, cochains["primitive"])
+    out.check(f"{tag}witness-solves-system",
+              coboundary(gamma) == obstruction,
+              norm=gamma.norm())
+    boundary_edges = set(X.label_cells_of_dim("boundary", 1))
+    vanishes = all(gamma.values[e] == 0 for e in boundary_edges)
+    out.check(f"{tag}witness-vanishes-on-boundary", vanishes)
+    if claimed is not None:
+        out.check(f"{tag}witness-norm-matches-claim",
+                  gamma.norm() == decode_number(claimed),
+                  claimed=claimed, actual=gamma.norm())
 
 
 def _find_value(data, record_names, key):

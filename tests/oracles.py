@@ -5,6 +5,9 @@ matrices, independent of the package internals: a gcd-only Smith
 diagonalization (no pivot strategy, no witnesses), homology ranks from it,
 and a complete backtracking enumerator for minimal sup-norm solutions.
 
+``oracle_potential_minimax`` is the binary search of Bellman-Ford probes
+that the maximum-mean-cycle potential minimax replaced.
+
 ``ilp_min_linf`` is the second reference for minimal sup-norms: a generic
 branch and bound (integer bounds propagation plus the package's exact box
 LP) that knows nothing of the lattice structure the degree-2 minimal
@@ -14,6 +17,7 @@ primitive search exploits.
 from fractions import Fraction
 from itertools import product as iproduct
 
+from coarse_kit.cochains import _bellman_potentials
 from coarse_kit.errors import NodeLimitExceeded, NoIntegerSolution
 from coarse_kit.exact_linalg import (
     NormCertificate,
@@ -409,6 +413,43 @@ def ilp_min_linf(A, b, node_limit=DEFAULT_NODE_LIMIT, snf=None):
         optimum=optimum, witness=witness, infeasibility_proof=proof,
         node_count=state["nodes"], lp_bound=Fraction(hi_t),
     )
+
+
+def oracle_potential_minimax(edge_ends, w, n_nodes, ground):
+    """Min over integer potentials h (h = 0 on ground) of
+    max_e |w_e + h(v_e) - h(u_e)|, plus an optimal h, by binary search on
+    the bound B with one Bellman-Ford feasibility run per probe.
+
+    Difference-constraint feasibility at bound B is totally unimodular, so
+    binary search over integer B is exact.
+    """
+    if not edge_ends:
+        return 0, [0] * n_nodes
+    hi = max(abs(v) for v in w)
+    lo = 0
+    best_h = None
+
+    def feasible(B):
+        arcs = []
+        for (u, v), we in zip(edge_ends, w):
+            arcs.append((u, v, B - we))
+            arcs.append((v, u, B + we))
+        h = _bellman_potentials(n_nodes, arcs)
+        return h
+
+    h_hi = feasible(hi)
+    if h_hi is None:
+        raise ArithmeticError("potential system infeasible at its own max")
+    best_h, best_B = h_hi, hi
+    while lo < best_B:
+        mid = (lo + best_B) // 2
+        h = feasible(mid)
+        if h is not None:
+            best_h, best_B = h, mid
+        else:
+            lo = mid + 1
+    shift = best_h[ground]
+    return best_B, [v - shift for v in best_h]
 
 
 def oracle_all_solutions(A, b, bound):

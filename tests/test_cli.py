@@ -15,6 +15,10 @@ PROP51_521_MK_CKX = \
     "45edad63ca53f1b71c46b9122bdc5d7b5d2a84f53aeac3fefef2a26bd1ee8b44"
 PROP52_521_LCM_REPORT = \
     "d51bb6ae3d1b24bac8c21c72f84cccb78d2057f7bb4923133af24ad896698912"
+PROP51_721_REPORT = \
+    "63fc4b194f3a94a99431d9b410f30d244d1c058d95decd1a16f4026376effa0d"
+PROP51_721_MK_CKX = \
+    "b7a56593d7ea5749f8a7b0937c9d490aa6f7f5c76774002a42ff2f4a07499573"
 
 
 def sha256_of(path):
@@ -115,6 +119,56 @@ class TestVerify:
             (d2 / "report.mk.ckx").read_bytes()
         assert sha256_of(d1 / "report.json") == PROP51_521_REPORT
         assert sha256_of(d1 / "report.mk.ckx") == PROP51_521_MK_CKX
+
+    def test_prop51_721_bytes(self, capsys, tmp_path):
+        # (7,2,1) is a k = 1 triple where the lattice search takes more than
+        # one evaluation, so these bytes pin the witness that search picks
+        report_path = tmp_path / "report.json"
+        rc = main(["verify-prop51", "--p", "7", "--q", "2", "--k", "1",
+                   "--reduce", "--out", str(report_path)])
+        capsys.readouterr()
+        assert rc == 0
+        assert sha256_of(report_path) == PROP51_721_REPORT
+        assert sha256_of(tmp_path / "report.mk.ckx") == PROP51_721_MK_CKX
+
+    def test_node_limit_interval(self, capsys):
+        rc = main(["verify-prop51", "--p", "7", "--q", "2", "--k", "1",
+                   "--reduce", "--node-limit", "1"])
+        data = json.loads(capsys.readouterr().out)
+        assert rc == 2
+        record = {r["name"]: r for r in data["records"]}["norm-lower-bound"]
+        assert record["status"] == "INCONCLUSIVE"
+        assert record["values"] == {"lower": "1", "node_count": "1",
+                                    "upper": "2"}
+        assert data["node_count"] == "1"
+
+    def test_tower_witnesses_recheck(self, capsys, tmp_path):
+        report_path = tmp_path / "tower.json"
+        rc = main(["verify-tower", "--p", "3", "--q", "2", "--k", "2",
+                   "--reduce", "--stages", "2", "--out", str(report_path)])
+        assert rc == 0
+        data = load_report(report_path)
+        assert sorted(data["witnesses"]) == ["mk-level-1", "mk-level-2"]
+        capsys.readouterr()
+        assert main(["check-witness", "--report", str(report_path)]) == 0
+        checked = json.loads(capsys.readouterr().out)
+        names = [r["name"] for r in checked["records"]]
+        for j in (1, 2):
+            assert f"level-{j}-witness-solves-system" in names
+            assert f"level-{j}-witness-vanishes-on-boundary" in names
+            assert f"level-{j}-witness-norm-matches-claim" in names
+        assert {r["status"] for r in checked["records"]} == {"PASS"}
+        # a table entry the level-2 witness does not attain fails the check
+        for r in data["records"]:
+            if r["name"] == "norm-growth-table":
+                r["values"]["table"]["2"] = str(
+                    int(r["values"]["table"]["2"]) + 1)
+        report_path.write_text(json.dumps(data))
+        assert main(["check-witness", "--report", str(report_path)]) == 1
+        checked = json.loads(capsys.readouterr().out)
+        failed = [r["name"] for r in checked["records"]
+                  if r["status"] != "PASS"]
+        assert failed == ["level-2-witness-norm-matches-claim"]
 
     def test_config_file_supplies_flags(self, capsys, tmp_path):
         conf = tmp_path / "conf.json"

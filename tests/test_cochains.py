@@ -9,6 +9,7 @@ from coarse_kit.cochains import (
     RING_Q,
     RING_Z,
     _field_rank_kernel,
+    _potential_minimax,
     coboundary,
     coboundary_matrix,
     cohomology,
@@ -23,7 +24,12 @@ from coarse_kit.cochains import (
 from coarse_kit.complexes import midpoint_subdivision, remove_cells
 from coarse_kit.errors import DegreeOutOfRange, NotACoboundary, WrongShape
 
-from oracles import oracle_cohomology_mod_p, oracle_rank, oracle_rank_mod_p
+from oracles import (
+    oracle_cohomology_mod_p,
+    oracle_potential_minimax,
+    oracle_rank,
+    oracle_rank_mod_p,
+)
 from test_complexes import random_circle_map
 
 
@@ -320,3 +326,32 @@ class TestMinNormPrimitive:
         c = Cochain(X, 2, RING_Z, [1])
         with pytest.raises(NotACoboundary):
             min_norm_primitive(c)
+
+
+class TestPotentialMinimax:
+    def test_matches_binary_search_random(self):
+        rng = random.Random(1978)
+        seen = {"empty": 0, "ground-loop": 0, "parallel": 0, "isolated": 0}
+        for _ in range(300):
+            n_nodes = rng.randint(1, 8)
+            ground = n_nodes - 1
+            edge_ends = []
+            for _ in range(rng.randint(0, 14)):
+                u, v = rng.randrange(n_nodes), rng.randrange(n_nodes)
+                if u == v:
+                    u = v = ground  # edges with both ends on the subcomplex
+                edge_ends.append((u, v))
+            w = [rng.randint(-6, 6) for _ in edge_ends]
+            B, h = _potential_minimax(edge_ends, w, n_nodes, ground)
+            assert (B, h) == oracle_potential_minimax(edge_ends, w, n_nodes,
+                                                      ground)
+            assert h[ground] == 0
+            assert B == max((abs(we + h[v] - h[u])
+                             for (u, v), we in zip(edge_ends, w)), default=0)
+            pairs = [frozenset(e) for e in edge_ends]
+            ends = {x for e in edge_ends for x in e}
+            seen["empty"] += not edge_ends
+            seen["ground-loop"] += (ground, ground) in edge_ends
+            seen["parallel"] += len(set(pairs)) < len(pairs)
+            seen["isolated"] += len(ends) < n_nodes
+        assert all(seen.values()), seen
