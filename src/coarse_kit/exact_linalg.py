@@ -10,11 +10,13 @@ is the re-checkable certificate behind every sup-norm lower bound
 (``check_lp_lower_bound``, ``check_norm_certificate``).
 
 No floating point anywhere: integers are arbitrary precision, the LP runs on
-an all-integer tableau (fraction-free pivoting), values are Fractions.
+a sparse tableau of integer rows, each over its own denominator, and values
+are Fractions.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import ShapeMismatch, SizeGuardExceeded
 
@@ -318,24 +320,74 @@ def solve_integer(A, b, snf=None):
 def check_lp_lower_bound(A, b, dual, bound):
     """Verify the dual certificate shows min ||x||_inf > bound.
 
-    Needs ||A^T y||_1 <= 1 and b . y > bound; then ||x||_inf >= b.y for every
-    solution of A x = b.  Pure evaluation, no search.
+    Needs one entry of y per row of A, ||A^T y||_1 <= 1 and b . y > bound;
+    then ||x||_inf >= b.y for every solution of A x = b.  Pure evaluation,
+    no search.
     """
     m, n = _shape(A)
-    norm1 = sum(abs(sum(A[i][j] * dual[i] for i in range(m))) for j in range(n))
-    dot = sum(Fraction(bi) * yi for bi, yi in zip(b, dual))
+    if len(dual) != m:
+        return False
+    norm1 = sum(abs(g) for g in _mat_t_vec(A, dual, n))
+    dot = sum((Fraction(bi) * yi for bi, yi in zip(b, dual) if bi and yi),
+              Fraction(0))
     return norm1 <= 1 and dot > bound
+
+
+def _mat_t_vec(A, y, n):
+    """A^T y for an A with n columns, summed over the nonzero terms only."""
+    g = [0] * n
+    for row, v in zip(A, y):
+        if v:
+            for j, a in enumerate(row):
+                if a:
+                    g[j] += a * v
+    return g
+
+
+def _eliminate(row, rhs, den, f, prow, prhs, piv):
+    """Subtract f/piv times the pivot row (prow, prhs) from a sparse row
+    (row, rhs) over den, where f and piv are the two rows' numerators in the
+    entering column: (T piv - f T_l) / (den piv).  Returns (row, rhs, den)
+    in lowest terms."""
+    new = {j: v * piv for j, v in row.items()}
+    for j, v in prow.items():
+        t = new.get(j, 0) - f * v
+        if t:
+            new[j] = t
+        else:
+            del new[j]
+    return _reduce_row(new, rhs * piv - f * prhs, den * piv)
+
+
+def _reduce_row(row, rhs, den):
+    """Lowest terms for a sparse row over its denominator: den > 0 and
+    gcd(den, rhs, entries) = 1.  Returns (row, rhs, den)."""
+    if den < 0:
+        row = {j: -v for j, v in row.items()}
+        rhs, den = -rhs, -den
+    g = gcd(den, rhs, *row.values())
+    if g > 1:
+        row = {j: v // g for j, v in row.items()}
+        rhs, den = rhs // g, den // g
+    return row, rhs, den
 
 
 def _box_lp(A, b, lo, hi, max_pivots=2_000_000):
     """Exact feasibility of A x = b with lo_j <= x_j <= hi_j (integers).
 
-    Phase-1 bounded-variable simplex on z = x - lo in [0, U_j] with an
-    all-integer tableau (fraction-free pivoting, signed denominator); upper
-    bounds handled by column substitutions z -> U - z so every nonbasic
-    variable sits at zero in the working frame.  Returns (x, None) with a
-    rational basic solution when feasible, else (None, farkas) where
-    farkas . b > sum_j max(g_j lo_j, g_j hi_j) for g = A^T farkas, exactly.
+    Phase-1 bounded-variable simplex on z = x - lo in [0, U_j]; upper bounds
+    handled by column substitutions z -> U - z so every nonbasic variable
+    sits at zero in the working frame.  The tableau is sparse and rational:
+    row i is a dict {column: int} over its own positive denominator, which
+    its right-hand side shares, and so is the cost row, whose right-hand
+    side is the objective cell; every row is kept in lowest terms.  A pivot
+    rewrites only the rows with a nonzero in the entering column (plus the
+    pivot and cost rows); every other row is unchanged as a rational.
+    Dantzig pricing with ties to the lowest column, then Bland's rule after
+    a degeneracy stall; ratio ties go to the lowest basic variable.
+    Returns (x, None) with a rational basic solution when feasible, else
+    (None, farkas) where farkas . b > sum_j max(g_j lo_j, g_j hi_j) for
+    g = A^T farkas, exactly.
     """
     m, n = _shape(A)
     b = [int(v) for v in b]
@@ -352,36 +404,38 @@ def _box_lp(A, b, lo, hi, max_pivots=2_000_000):
         pi[i] = Fraction(1 if bp[i] > 0 else -1)
         return None, _normalize_farkas(A, b, lo, hi, pi)
     row_sign = [1 if v >= 0 else -1 for v in bp]
-    T = [[row_sign[i] * A[i][j] for j in range(n)] + [0] * m for i in range(m)]
+    rows = []
     for i in range(m):
-        T[i][n + i] = 1
+        row = {j: row_sign[i] * a for j, a in enumerate(A[i]) if a}
+        row[n + i] = 1
+        rows.append(row)
     rhs = [row_sign[i] * bp[i] for i in range(m)]
-    nvars = n + m
-    den = 1
-    cost = [0] * nvars  # canonical phase-1 reduced costs
-    obj = 0             # rhs cell of the cost row (= -objective * den)
-    for i in range(m):
-        for j in range(n):
-            cost[j] -= T[i][j]
-        obj -= rhs[i]
+    den = [1] * m
+    cost = {}       # canonical phase-1 reduced costs, over dc
+    for row in rows:
+        for j, a in row.items():
+            if j < n:
+                cost[j] = cost.get(j, 0) - a
+    cost = {j: c for j, c in cost.items() if c}
+    obj = -sum(rhs)  # rhs cell of the cost row (= -objective * dc)
+    dc = 1
     basis = [n + i for i in range(m)]
     basic_pos = {n + i: i for i in range(m)}
+    fixed = {j for j in range(n) if U[j] == 0}
     flipped = [False] * n  # z_j currently substituted as U_j - z_j
-
-    def exact_div(a, d):
-        q, r = divmod(a, d)
-        if r != 0:
-            raise ArithmeticError("fraction-free pivot lost exact divisibility")
-        return q
 
     def flip_column(j):
         nonlocal obj
         u = U[j]
-        for i in range(m):
-            rhs[i] -= u * T[i][j]
-            T[i][j] = -T[i][j]
-        obj -= u * cost[j]
-        cost[j] = -cost[j]
+        for i, row in enumerate(rows):
+            a = row.get(j)
+            if a:
+                rhs[i] -= u * a
+                row[j] = -a
+        c = cost.get(j)
+        if c:
+            obj -= u * c
+            cost[j] = -c
         flipped[j] = not flipped[j]
 
     pivots = 0
@@ -391,40 +445,30 @@ def _box_lp(A, b, lo, hi, max_pivots=2_000_000):
         pivots += 1
         if pivots > max_pivots:
             raise SizeGuardExceeded("phase-1 pivot budget exhausted")
-        dsgn = 1 if den > 0 else -1
-        # Dantzig rule (most negative reduced cost) until a degeneracy stall,
-        # then Bland's rule for guaranteed termination
-        enter = None
-        if stall <= stall_limit:
-            best_c = 0
-            for j in range(nvars):
-                if j in basic_pos or (j < n and U[j] == 0):
-                    continue
-                c = dsgn * cost[j]
-                if c < best_c:
-                    best_c, enter = c, j
-        else:
-            enter = next(
-                (j for j in range(nvars)
-                 if j not in basic_pos and not (j < n and U[j] == 0)
-                 and dsgn * cost[j] < 0),
-                None,
-            )
-        if enter is None:
+        # Dantzig rule (most negative reduced cost, lowest column on ties)
+        # until a degeneracy stall, then Bland's rule (lowest column with a
+        # negative cost) for guaranteed termination
+        priced = [(c, j) for j, c in cost.items()
+                  if c < 0 and j not in basic_pos and j not in fixed]
+        if not priced:
             break
-        cap = Fraction(U[enter]) if enter < n else None
+        if stall <= stall_limit:
+            enter = min(priced)[1]
+        else:
+            enter = min(j for _, j in priced)
+        cap = U[enter] if enter < n else None
         leave = None
         leave_upper = False
         best = None
-        for i in range(m):
-            c = T[i][enter]
-            if c == 0:
+        for i, row in enumerate(rows):
+            c = row.get(enter)
+            if not c:
                 continue
-            if dsgn * c > 0:  # basic value decreases toward 0
+            if c > 0:  # basic value decreases toward 0
                 cand = Fraction(rhs[i], c)
                 upperhit = False
             elif basis[i] < n:  # basic value increases toward its U
-                cand = Fraction(U[basis[i]] * den - rhs[i], -c)
+                cand = Fraction(U[basis[i]] * den[i] - rhs[i], -c)
                 upperhit = True
             else:
                 continue
@@ -440,32 +484,29 @@ def _box_lp(A, b, lo, hi, max_pivots=2_000_000):
             continue
         stall = stall + 1 if best == 0 else 0
         out = basis[leave]
-        piv = T[leave][enter]
-        for i in range(m):
-            if i == leave:
-                continue
-            f = T[i][enter]
-            Ti, Tl = T[i], T[leave]
-            for j in range(nvars):
-                Ti[j] = exact_div(Ti[j] * piv - f * Tl[j], den)
-            rhs[i] = exact_div(rhs[i] * piv - f * rhs[leave], den)
-        f = cost[enter]
-        for j in range(nvars):
-            cost[j] = exact_div(cost[j] * piv - f * T[leave][j], den)
-        obj = exact_div(obj * piv - f * rhs[leave], den)
+        prow, prhs = rows[leave], rhs[leave]
+        piv = prow[enter]
+        # rows with a zero in the entering column keep their value; the
+        # pivot row becomes T_l / piv
+        for i, row in enumerate(rows):
+            f = row.get(enter)
+            if f and i != leave:
+                rows[i], rhs[i], den[i] = _eliminate(
+                    row, rhs[i], den[i], f, prow, prhs, piv)
+        rows[leave], rhs[leave], den[leave] = _reduce_row(prow, prhs, piv)
+        cost, obj, dc = _eliminate(cost, obj, dc, cost[enter], prow, prhs, piv)
         basis[leave] = enter
         del basic_pos[out]
         basic_pos[enter] = leave
-        den = piv
         if leave_upper and out < n:
             flip_column(out)  # the leaving variable parks at its upper bound
 
-    value = Fraction(-obj, den)
+    value = Fraction(-obj, dc)
     if value == 0:
         z = [Fraction(0)] * n
         for i in range(m):
             if basis[i] < n:
-                z[basis[i]] = Fraction(rhs[i], den)
+                z[basis[i]] = Fraction(rhs[i], den[i])
         for j in range(n):
             if flipped[j]:
                 z[j] = U[j] - z[j]
@@ -476,7 +517,7 @@ def _box_lp(A, b, lo, hi, max_pivots=2_000_000):
             raise ArithmeticError("phase-1 point violates the box")
         return x, None
     # infeasible: Farkas vector from the artificial reduced costs
-    y = [1 - Fraction(cost[n + i], den) for i in range(m)]
+    y = [1 - Fraction(cost.get(n + i, 0), dc) for i in range(m)]
     pi = [row_sign[i] * y[i] for i in range(m)]
     return None, _normalize_farkas(A, b, lo, hi, pi)
 
@@ -484,9 +525,9 @@ def _box_lp(A, b, lo, hi, max_pivots=2_000_000):
 def _normalize_farkas(A, b, lo, hi, pi):
     """Scale a Farkas vector and verify it separates the box exactly."""
     m, n = _shape(A)
-    g = [sum(A[i][j] * pi[i] for i in range(m)) for j in range(n)]
+    g = _mat_t_vec(A, pi, n)
     cap = sum(max(gj * lo[j], gj * hi[j]) for j, gj in enumerate(g))
-    dot = sum(Fraction(b[i]) * pi[i] for i in range(m))
+    dot = sum(Fraction(b[i]) * pi[i] for i in range(m) if b[i] and pi[i])
     if dot <= cap:
         raise ArithmeticError("phase-1 produced an invalid Farkas certificate")
     norm1 = sum(abs(gj) for gj in g)
@@ -507,7 +548,9 @@ def box_feasibility(A, b, t, max_pivots=2_000_000):
 
 
 def mat_vec_fraction(A, x):
-    return [sum(Fraction(a) * v for a, v in zip(row, x)) for row in A]
+    """A x over the rationals, summed over the nonzero terms only."""
+    return [sum((Fraction(a) * v for a, v in zip(row, x) if a and v),
+                Fraction(0)) for row in A]
 
 
 # -- integer L-infinity certificates -------------------------------------------

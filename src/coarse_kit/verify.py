@@ -352,13 +352,9 @@ def check_witness(report_path):
         _check_mk_witness(out, resolve(mk_entry), claimed)
         dual_entry = witnesses.get("norm-lower-bound-dual")
         if dual_entry and params is not None:
-            bundle = _build_quiet(params)
-            mat, rhs, _, _ = _relative_system(bundle)
-            dual = [Fraction(v) for v in dual_entry["dual"]]
-            bound = decode_number(dual_entry["bound"])
-            out.check("lower-bound-dual-certificate",
-                      check_lp_lower_bound(mat, rhs, dual, bound),
-                      bound=bound)
+            _check_dual_witness(
+                out, params, dual_entry,
+                _find_value(data, ("norm-lower-bound",), "m_k"))
     # verify-tower: one witness per row j of the norm-growth table
     table = _find_value(data, ("norm-growth-table",), "table") or {}
     levels = sorted(int(name[len("mk-level-"):]) for name in witnesses
@@ -399,6 +395,32 @@ def _check_mk_witness(out, resolved, claimed, tag=""):
         out.check(f"{tag}witness-norm-matches-claim",
                   gamma.norm() == decode_number(claimed),
                   claimed=claimed, actual=gamma.norm())
+
+
+def _check_dual_witness(out, params, entry, claimed):
+    """Re-check the LP dual y behind a claimed minimal norm m_k: one entry
+    per relative face, ||A^T y||_1 <= 1 and y . b > m_k - 1 on the relative
+    system, and the stored bound equal to m_k - 1.  A malformed entry or
+    claim is a FAIL record."""
+    name = "lower-bound-dual-certificate"
+    try:
+        m_k = decode_number(claimed)
+        bound = decode_number(entry["bound"])
+        if not isinstance(entry["dual"], list):
+            raise TypeError("dual is not a list")
+        dual = [Fraction(v) for v in entry["dual"]]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return out.check(name, False, reason=f"malformed certificate: {exc}")
+    if bound != m_k - 1:
+        return out.check(name, False, bound=bound,
+                         reason=f"bound is not m_k - 1 = {m_k - 1}")
+    mat, rhs, _, _ = _relative_system(_build_quiet(params))
+    if len(dual) != len(rhs):
+        return out.check(name, False, bound=bound,
+                         reason=f"{len(dual)} dual entries for "
+                                f"{len(rhs)} relative faces")
+    return out.check(name, check_lp_lower_bound(mat, rhs, dual, m_k - 1),
+                     bound=bound)
 
 
 def _find_value(data, record_names, key):

@@ -8,6 +8,10 @@ and a complete backtracking enumerator for minimal sup-norm solutions.
 ``oracle_potential_minimax`` is the binary search of Bellman-Ford probes
 that the maximum-mean-cycle potential minimax replaced.
 
+``oracle_box_lp`` is the dense fraction-free phase-1 simplex that the sparse
+rational tableau of ``exact_linalg._box_lp`` replaced; the two must return
+the same points and the same Farkas vectors.
+
 ``ilp_min_linf`` is the second reference for minimal sup-norms: a generic
 branch and bound (integer bounds propagation plus the package's exact box
 LP) that knows nothing of the lattice structure the degree-2 minimal
@@ -18,7 +22,12 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from coarse_kit.cochains import _bellman_potentials
-from coarse_kit.errors import NodeLimitExceeded, NoIntegerSolution
+from coarse_kit.errors import (
+    NodeLimitExceeded,
+    NoIntegerSolution,
+    ShapeMismatch,
+    SizeGuardExceeded,
+)
 from coarse_kit.exact_linalg import (
     NormCertificate,
     _box_lp,
@@ -450,6 +459,178 @@ def oracle_potential_minimax(edge_ends, w, n_nodes, ground):
             lo = mid + 1
     shift = best_h[ground]
     return best_B, [v - shift for v in best_h]
+
+
+def oracle_box_lp(A, b, lo, hi, max_pivots=2_000_000):
+    """Exact feasibility of A x = b with lo_j <= x_j <= hi_j (integers).
+
+    Dense reference for ``exact_linalg._box_lp``, same pivot rules.  Phase-1 bounded-variable simplex on z = x - lo in [0, U_j] with an
+    all-integer tableau (fraction-free pivoting, signed denominator); upper
+    bounds handled by column substitutions z -> U - z so every nonbasic
+    variable sits at zero in the working frame.  Returns (x, None) with a
+    rational basic solution when feasible, else (None, farkas) where
+    farkas . b > sum_j max(g_j lo_j, g_j hi_j) for g = A^T farkas, exactly.
+    """
+    m, n = _shape(A)
+    b = [int(v) for v in b]
+    if any(lo[j] > hi[j] for j in range(n)):
+        raise ShapeMismatch("empty box")
+    U = [hi[j] - lo[j] for j in range(n)]
+    bp = [b[i] - sum(A[i][j] * lo[j] for j in range(n)) for i in range(m)]
+    if n == 0 or all(u == 0 for u in U):
+        x = [Fraction(lo[j]) for j in range(n)]
+        if _oracle_mat_vec_fraction(A, x) == [Fraction(v) for v in b]:
+            return x, None
+        i = next(i for i in range(m) if bp[i] != 0)
+        pi = [Fraction(0)] * m
+        pi[i] = Fraction(1 if bp[i] > 0 else -1)
+        return None, _oracle_normalize_farkas(A, b, lo, hi, pi)
+    row_sign = [1 if v >= 0 else -1 for v in bp]
+    T = [[row_sign[i] * A[i][j] for j in range(n)] + [0] * m for i in range(m)]
+    for i in range(m):
+        T[i][n + i] = 1
+    rhs = [row_sign[i] * bp[i] for i in range(m)]
+    nvars = n + m
+    den = 1
+    cost = [0] * nvars  # canonical phase-1 reduced costs
+    obj = 0             # rhs cell of the cost row (= -objective * den)
+    for i in range(m):
+        for j in range(n):
+            cost[j] -= T[i][j]
+        obj -= rhs[i]
+    basis = [n + i for i in range(m)]
+    basic_pos = {n + i: i for i in range(m)}
+    flipped = [False] * n  # z_j currently substituted as U_j - z_j
+
+    def exact_div(a, d):
+        q, r = divmod(a, d)
+        if r != 0:
+            raise ArithmeticError("fraction-free pivot lost exact divisibility")
+        return q
+
+    def flip_column(j):
+        nonlocal obj
+        u = U[j]
+        for i in range(m):
+            rhs[i] -= u * T[i][j]
+            T[i][j] = -T[i][j]
+        obj -= u * cost[j]
+        cost[j] = -cost[j]
+        flipped[j] = not flipped[j]
+
+    pivots = 0
+    stall = 0
+    stall_limit = 20 * (m + n)
+    while True:
+        pivots += 1
+        if pivots > max_pivots:
+            raise SizeGuardExceeded("phase-1 pivot budget exhausted")
+        dsgn = 1 if den > 0 else -1
+        # Dantzig rule (most negative reduced cost) until a degeneracy stall,
+        # then Bland's rule for guaranteed termination
+        enter = None
+        if stall <= stall_limit:
+            best_c = 0
+            for j in range(nvars):
+                if j in basic_pos or (j < n and U[j] == 0):
+                    continue
+                c = dsgn * cost[j]
+                if c < best_c:
+                    best_c, enter = c, j
+        else:
+            enter = next(
+                (j for j in range(nvars)
+                 if j not in basic_pos and not (j < n and U[j] == 0)
+                 and dsgn * cost[j] < 0),
+                None,
+            )
+        if enter is None:
+            break
+        cap = Fraction(U[enter]) if enter < n else None
+        leave = None
+        leave_upper = False
+        best = None
+        for i in range(m):
+            c = T[i][enter]
+            if c == 0:
+                continue
+            if dsgn * c > 0:  # basic value decreases toward 0
+                cand = Fraction(rhs[i], c)
+                upperhit = False
+            elif basis[i] < n:  # basic value increases toward its U
+                cand = Fraction(U[basis[i]] * den - rhs[i], -c)
+                upperhit = True
+            else:
+                continue
+            if best is None or cand < best or (
+                cand == best and basis[i] < basis[leave]
+            ):
+                best, leave, leave_upper = cand, i, upperhit
+        if leave is None and cap is None:
+            raise ArithmeticError("phase-1 unbounded (cannot happen)")
+        if leave is None or (cap is not None and best > cap):
+            flip_column(enter)  # entering variable jumps to its other bound
+            stall = 0
+            continue
+        stall = stall + 1 if best == 0 else 0
+        out = basis[leave]
+        piv = T[leave][enter]
+        for i in range(m):
+            if i == leave:
+                continue
+            f = T[i][enter]
+            Ti, Tl = T[i], T[leave]
+            for j in range(nvars):
+                Ti[j] = exact_div(Ti[j] * piv - f * Tl[j], den)
+            rhs[i] = exact_div(rhs[i] * piv - f * rhs[leave], den)
+        f = cost[enter]
+        for j in range(nvars):
+            cost[j] = exact_div(cost[j] * piv - f * T[leave][j], den)
+        obj = exact_div(obj * piv - f * rhs[leave], den)
+        basis[leave] = enter
+        del basic_pos[out]
+        basic_pos[enter] = leave
+        den = piv
+        if leave_upper and out < n:
+            flip_column(out)  # the leaving variable parks at its upper bound
+
+    value = Fraction(-obj, den)
+    if value == 0:
+        z = [Fraction(0)] * n
+        for i in range(m):
+            if basis[i] < n:
+                z[basis[i]] = Fraction(rhs[i], den)
+        for j in range(n):
+            if flipped[j]:
+                z[j] = U[j] - z[j]
+        x = [zj + lo[j] for j, zj in enumerate(z)]
+        if _oracle_mat_vec_fraction(A, x) != [Fraction(v) for v in b]:
+            raise ArithmeticError("phase-1 produced an invalid point")
+        if any(not lo[j] <= x[j] <= hi[j] for j in range(n)):
+            raise ArithmeticError("phase-1 point violates the box")
+        return x, None
+    # infeasible: Farkas vector from the artificial reduced costs
+    y = [1 - Fraction(cost[n + i], den) for i in range(m)]
+    pi = [row_sign[i] * y[i] for i in range(m)]
+    return None, _oracle_normalize_farkas(A, b, lo, hi, pi)
+
+
+def _oracle_normalize_farkas(A, b, lo, hi, pi):
+    """Scale a Farkas vector and verify it separates the box exactly."""
+    m, n = _shape(A)
+    g = [sum(A[i][j] * pi[i] for i in range(m)) for j in range(n)]
+    cap = sum(max(gj * lo[j], gj * hi[j]) for j, gj in enumerate(g))
+    dot = sum(Fraction(b[i]) * pi[i] for i in range(m))
+    if dot <= cap:
+        raise ArithmeticError("phase-1 produced an invalid Farkas certificate")
+    norm1 = sum(abs(gj) for gj in g)
+    if norm1 > 0:
+        pi = [v / norm1 for v in pi]
+    return pi
+
+
+def _oracle_mat_vec_fraction(A, x):
+    return [sum(Fraction(a) * v for a, v in zip(row, x)) for row in A]
 
 
 def oracle_all_solutions(A, b, bound):

@@ -25,6 +25,18 @@ def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def prop51_521_report(tmp_path_factory):
+    """A verify-prop51 (5,2,1) report and its witnesses, whose norm lower
+    bound carries an LP dual certificate."""
+    path = tmp_path_factory.mktemp("prop51_521") / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["verify-prop51", "--p", "5", "--q", "2", "--k", "1",
+                     "--reduce", "--out", str(path)]) == 0
+    return path
+
+
 @pytest.fixture(autouse=True)
 def quiet():
     with warnings.catch_warnings():
@@ -169,6 +181,28 @@ class TestVerify:
         failed = [r["name"] for r in checked["records"]
                   if r["status"] != "PASS"]
         assert failed == ["level-2-witness-norm-matches-claim"]
+
+    @pytest.mark.parametrize("tamper", [
+        # an all-zero dual with its bound lowered to match: y . b = 0 > -1
+        lambda e: e.update(dual=["0"] * len(e["dual"]), bound="-1"),
+        lambda e: e.update(dual=e["dual"][:-1]),
+        lambda e: e.update(dual=["abc"] + e["dual"][1:]),
+        lambda e: e.update(dual=e["dual"] + ["0"]),
+    ], ids=["zero-dual-low-bound", "one-short", "non-numeric", "one-long"])
+    def test_dual_certificate_tampering(self, capsys, tmp_path,
+                                        prop51_521_report, tamper):
+        for src in prop51_521_report.parent.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        report_path = tmp_path / prop51_521_report.name
+        data = load_report(report_path)
+        tamper(data["witnesses"]["norm-lower-bound-dual"])
+        report_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check-witness", "--report", str(report_path)]) == 1
+        checked = json.loads(capsys.readouterr().out)
+        failed = [r["name"] for r in checked["records"]
+                  if r["status"] != "PASS"]
+        assert failed == ["lower-bound-dual-certificate"]
 
     def test_config_file_supplies_flags(self, capsys, tmp_path):
         conf = tmp_path / "conf.json"

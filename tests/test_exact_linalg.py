@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from coarse_kit.errors import NoIntegerSolution
 from coarse_kit.exact_linalg import (
+    _box_lp,
     _unimodular_inverse,
     box_feasibility,
     check_lp_lower_bound,
@@ -18,7 +20,15 @@ from coarse_kit.exact_linalg import (
     verify_snf,
 )
 
-from oracles import ilp_min_linf, oracle_min_linf, oracle_smith_diagonal
+from coarse_kit.towers import MkParams, build_Mk
+from coarse_kit.verify import _relative_system
+
+from oracles import (
+    ilp_min_linf,
+    oracle_box_lp,
+    oracle_min_linf,
+    oracle_smith_diagonal,
+)
 
 
 def random_matrix(rng, m, n, lo=-3, hi=3):
@@ -159,6 +169,87 @@ class TestBoxFeasibility:
         # ||A^T y||_1 = 2 > 1: the dual no longer bounds the sup-norm
         dual = [Fraction(2, 7)]
         assert not check_lp_lower_bound([[5, 2]], [1], dual, Fraction(1, 8))
+
+    def test_dual_of_wrong_length_fails(self):
+        for dual in ([], [Fraction(1, 7), 0]):
+            assert not check_lp_lower_bound([[5, 2]], [1], dual, 0)
+
+
+def _outcome(lp, A, b, lo, hi):
+    """(x, farkas) from an LP, or the type of the exception it raised."""
+    try:
+        return lp(A, b, lo, hi)
+    except Exception as exc:  # the exception type is what is compared
+        return type(exc)
+
+
+def _random_box(rng):
+    """A small box LP with the shapes that stress a simplex: zero-width
+    columns, zero and duplicate rows, right-hand sides at a box vertex or
+    zero (degenerate), random ones (often infeasible) and empty boxes.
+    Returns (A, b, lo, hi, tags)."""
+    m = rng.randrange(0, 6)
+    n = rng.randrange(1, 8) if m else 0
+    A = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, -5)) for _ in range(n)]
+         for _ in range(m)]
+    tags = set()
+    if m and rng.random() < 0.2:
+        A[rng.randrange(m)] = [0] * n
+    if m > 1 and rng.random() < 0.2:
+        A[rng.randrange(m)] = list(A[rng.randrange(m)])
+    lo = [rng.randint(-3, 2) for _ in range(n)]
+    hi = [v + rng.choice((0, 0, 1, 2, 5)) for v in lo]
+    if n and rng.random() < 0.01:
+        hi[rng.randrange(n)] -= 100
+        tags.add("empty box")
+    kind = rng.random()
+    if kind < 0.4:
+        x = [rng.choice((lo[j], hi[j])) for j in range(n)]
+        b = [sum(a * v for a, v in zip(row, x)) for row in A]
+    elif kind < 0.55:
+        b = [0] * m
+    else:
+        b = [rng.randint(-8, 8) for _ in range(m)]
+    if any(not any(row) for row in A):
+        tags.add("zero row")
+    if len({tuple(row) for row in A if any(row)}) < sum(map(any, A)):
+        tags.add("duplicate row")
+    if any(u == v for u, v in zip(lo, hi)):
+        tags.add("zero-width column")
+    if m and not any(b):
+        tags.add("zero rhs")
+    return A, b, lo, hi, tags
+
+
+class TestBoxLpAgainstDense:
+    """The sparse tableau against the fraction-free dense one it replaced:
+    the same points, the same Farkas vectors, the same exceptions."""
+
+    def test_random_boxes(self):
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(2000):
+            A, b, lo, hi, tags = _random_box(rng)
+            got = _outcome(_box_lp, A, b, lo, hi)
+            assert got == _outcome(oracle_box_lp, A, b, lo, hi), (A, b, lo, hi)
+            seen |= tags
+            if isinstance(got, tuple):
+                seen.add("feasible" if got[1] is None else "infeasible")
+        assert seen >= {"zero row", "duplicate row", "zero-width column",
+                        "zero rhs", "empty box", "feasible", "infeasible"}
+
+    @pytest.mark.parametrize("pqk, m_k", [
+        ((5, 2, 1), 1), ((7, 2, 1), 2), ((2, 3, 1), 1), ((3, 2, 2), 3),
+    ], ids=["521", "721", "231", "322"])
+    def test_mk_systems_every_bound(self, pqk, m_k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            bundle = build_Mk(MkParams(*pqk, 3, True))
+        A, b, _, _ = _relative_system(bundle)
+        n = len(A[0])
+        for t in range(m_k):
+            lo, hi = [-t] * n, [t] * n
+            assert _box_lp(A, b, lo, hi) == oracle_box_lp(A, b, lo, hi)
 
 
 class TestIlpMinLinf:
