@@ -106,19 +106,24 @@ class CohomologySummary:
         return " + ".join(parts) if parts else "0"
 
 
-def _coboundary_block(X, k, rows, cols):
-    """Dense block of delta: C^k -> C^{k+1} on chosen cells.
+def _coboundary_rows(X, k, rows, cols):
+    """Block of delta: C^k -> C^{k+1} on chosen cells, as sparse rows.
 
-    Row s is the (k+1)-cell ``rows[s]``, column t the k-cell ``cols[t]``;
-    boundary entries on k-cells outside ``cols`` are dropped.  Every dense
-    coboundary matrix in this module is built here.
+    Row s is the (k+1)-cell ``rows[s]``, as {t: coefficient} over the k-cells
+    ``cols[t]``; boundary entries on k-cells outside ``cols`` are dropped.
     """
     col_pos = {i: t for t, i in enumerate(cols)}
+    return [{col_pos[r]: c for r, c in X.boundary_of(k + 1, j).items()
+             if r in col_pos} for j in rows]
+
+
+def _coboundary_block(X, k, rows, cols):
+    """The block of ``_coboundary_rows`` as a dense matrix.  Every dense
+    coboundary matrix in this module is built here."""
     mat = [[0] * len(cols) for _ in rows]
-    for row, j in zip(mat, rows):
-        for r, c in X.boundary_of(k + 1, j).items():
-            if r in col_pos:
-                row[col_pos[r]] = c
+    for row, sparse in zip(mat, _coboundary_rows(X, k, rows, cols)):
+        for t, c in sparse.items():
+            row[t] = c
     return mat
 
 
@@ -186,24 +191,39 @@ def relative_coboundary_matrix(X, A_cells, k):
     return _coboundary_block(X, k, rows, cols), cols, rows
 
 
-def _cohomology_from_matrices(delta_km1, delta_k, n_k, ring):
-    """Ranks/torsion of ker(delta_k)/im(delta_{k-1}) over the given ring."""
-    snf_up = smith_normal_form(delta_k) if delta_k and delta_k[0:] and len(
-        delta_k[0]) else None
-    snf_down = smith_normal_form(delta_km1) if delta_km1 and len(
-        delta_km1) and len(delta_km1[0]) else None
-    diag_up = [d for d in (snf_up.diagonal() if snf_up else []) if d != 0]
-    diag_down = [d for d in (snf_down.diagonal() if snf_down else []) if d != 0]
+def _invariant_factors(rows, ncols):
+    """Nonzero invariant factors of a matrix given by sparse rows."""
+    snf = smith_normal_form(rows, ncols=ncols, factors=False)
+    return [d for d in snf.diagonal() if d]
+
+
+def _coboundary_factors(X, k):
+    """Nonzero invariant factors of delta_k, factored once per complex
+    (memoised in ``X.coboundary_factors``); they serve every ring.
+
+    The rows of delta_k are the boundary columns of the (k+1)-cells, so
+    they go to the Smith form as stored.
+    """
+    memo = X.coboundary_factors
+    if k not in memo:
+        memo[k] = _invariant_factors(X.boundary_columns(k + 1), X.n_cells(k))
+    return memo[k]
+
+
+def _cohomology_from_factors(down, up, n_k, ring):
+    """Ranks/torsion of ker(delta_k)/im(delta_{k-1}) over the given ring,
+    from the nonzero invariant factors of delta_{k-1} (``down``) and
+    delta_k (``up``)."""
     if ring == RING_Z:
-        free = n_k - len(diag_up) - len(diag_down)
-        torsion = sorted(d for d in diag_down if d > 1)
+        free = n_k - len(up) - len(down)
+        torsion = sorted(d for d in down if d > 1)
         return free, torsion
     if ring == RING_Q:
-        free = n_k - len(diag_up) - len(diag_down)
+        free = n_k - len(up) - len(down)
         return free, []
     if _is_zp(ring):
         p = ring[1]
-        free = n_k - _rank_mod_p(diag_up, p) - _rank_mod_p(diag_down, p)
+        free = n_k - _rank_mod_p(up, p) - _rank_mod_p(down, p)
         return free, []
     raise ShapeMismatch(f"unknown ring {ring!r}")
 
@@ -212,10 +232,17 @@ def cohomology(X, k, ring=RING_Z):
     """H^k of a finite complex over Z, Z_p or Q (Smith-form computation)."""
     if not 0 <= k <= X.dim:
         raise DegreeOutOfRange(f"degree {k} outside 0..{X.dim}")
-    delta_k = coboundary_matrix(X, k) if k < X.dim else []
-    delta_km1 = coboundary_matrix(X, k - 1) if k >= 1 else []
-    free, torsion = _cohomology_from_matrices(delta_km1, delta_k, X.n_cells(k), ring)
+    up = _coboundary_factors(X, k) if k < X.dim else []
+    down = _coboundary_factors(X, k - 1) if k >= 1 else []
+    free, torsion = _cohomology_from_factors(down, up, X.n_cells(k), ring)
     return CohomologySummary(degree=k, ring=ring, free_rank=free, torsion=torsion)
+
+
+def _relative_factors(X, A_cells, k):
+    """Nonzero invariant factors of the relative delta_k (cells outside A)."""
+    cols = _cells(X, k, A_cells)
+    rows = _coboundary_rows(X, k, _cells(X, k + 1, A_cells), cols)
+    return _invariant_factors(rows, len(cols))
 
 
 def relative_cohomology(X, subcomplex, k, ring=RING_Z):
@@ -223,15 +250,10 @@ def relative_cohomology(X, subcomplex, k, ring=RING_Z):
     if not 0 <= k <= X.dim:
         raise DegreeOutOfRange(f"degree {k} outside 0..{X.dim}")
     A_cells = _subcomplex_cells(X, subcomplex)
-    if k < X.dim:
-        up, cols_k, _ = relative_coboundary_matrix(X, A_cells, k)
-    else:
-        up, cols_k = [], [i for i in range(X.n_cells(k)) if (k, i) not in A_cells]
-    down = []
-    if k >= 1:
-        down, _, rows = relative_coboundary_matrix(X, A_cells, k - 1)
-        # rows of delta_{k-1} are exactly the relative k-cells
-    free, torsion = _cohomology_from_matrices(down, up, len(cols_k), ring)
+    up = _relative_factors(X, A_cells, k) if k < X.dim else []
+    down = _relative_factors(X, A_cells, k - 1) if k >= 1 else []
+    free, torsion = _cohomology_from_factors(
+        down, up, len(_cells(X, k, A_cells)), ring)
     return CohomologySummary(degree=k, ring=ring, free_rank=free, torsion=torsion)
 
 
@@ -255,9 +277,12 @@ def _field_rank_kernel(M, field, ncols=0):
     snf = smith_normal_form(M)
     diag = snf.diagonal()
     rank = _rank_mod_p(diag, p) if p else snf.rank
-    padded = diag + [0] * (len(snf.V) - len(diag))  # d_j = 0 past the diagonal
-    free = [j for j, d in enumerate(padded) if (d % p if p else d) == 0]
-    kernel = [[row[j] % p if p else row[j] for j in free] for row in snf.V]
+    n = snf.shape[1]
+    padded = diag + [0] * (n - len(diag))  # d_j = 0 past the diagonal
+    free = [snf.v_cols[j] for j, d in enumerate(padded)
+            if (d % p if p else d) == 0]
+    kernel = [[col.get(i, 0) % p if p else col.get(i, 0) for col in free]
+              for i in range(n)]
     return rank, kernel
 
 

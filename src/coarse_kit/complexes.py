@@ -65,6 +65,10 @@ class CellComplex:
         simplices: optional per-dimension lists of sorted vertex tuples;
             presence marks simplicial mode.
         labels: mapping label -> iterable of (dim, index) cells.
+
+    ``coboundary_factors`` memoises, by degree k, the nonzero invariant
+    factors of delta_k that ``cochains.cohomology`` reads; the boundaries
+    do not change after construction.
     """
 
     def __init__(self, counts, boundaries, simplices=None, labels=None, validate=True):
@@ -95,6 +99,7 @@ class CellComplex:
             self._simplex_index = [
                 {s: i for i, s in enumerate(level)} for level in self.simplices
             ]
+        self.coboundary_factors = {}
         self.labels = {}
         if labels:
             for name, cells in labels.items():

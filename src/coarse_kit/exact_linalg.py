@@ -1,19 +1,24 @@
 """Exact integer and rational linear algebra.
 
-Smith normal form with unimodular witnesses is the one elimination routine:
-integer solving, kernel lattices, lattice complements and unimodular
-inverses are all read off it.  ``verify_snf`` checks its output with a
-separate Bareiss determinant, so Smith is not used to verify Smith.  Beside
-it sits one exact LP: feasibility of A x = b in an integer box, which hands
-back a Farkas vector when the box holds no rational solution.  That vector
-is the re-checkable certificate behind every sup-norm lower bound
-(``check_lp_lower_bound``, ``check_norm_certificate``).
+Smith normal form is the one elimination routine.  It works on sparse rows
+(dense rows are converted) and builds the unimodular factors U and V only
+for callers that read them: integer solving, kernel lattices, lattice
+complements and unimodular inverses are read off the factors, in a fixed
+pivot order; cohomology reads only the invariant factors, which any pivot
+order gives, so it takes unit pivots from the shortest rows first.
+``verify_snf`` checks the output with a separate Bareiss determinant, so
+Smith is not used to verify Smith.  Beside it sits one exact LP:
+feasibility of A x = b in an integer box, which hands back a Farkas vector
+when the box holds no rational solution.  That vector is the re-checkable
+certificate behind every sup-norm lower bound (``check_lp_lower_bound``,
+``check_norm_certificate``).
 
 No floating point anywhere: integers are arbitrary precision, the LP runs on
 a sparse tableau of integer rows, each over its own denominator, and values
 are Fractions.
 """
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -60,114 +65,305 @@ def _mat_mul(A, B):
 
 @dataclass
 class SnfDecomposition:
-    """U * A * V = D with U, V unimodular and D a divisibility-chain diagonal."""
+    """U * A * V = D with U, V unimodular and D a divisibility-chain diagonal.
 
-    U: list
-    D: list
-    V: list
-    rank: int = 0
+    ``diag`` is the diagonal of D (min(m, n) entries, zeros last) and
+    ``shape`` is (m, n).  ``u_rows`` holds the rows of U and ``v_cols`` the
+    columns of V as sparse {index: int} dicts; both are None when the
+    factors were not asked for.  ``U``, ``D`` and ``V`` are the dense
+    matrices, built on each access.
+    """
+
+    shape: tuple
+    diag: list
+    u_rows: list = None
+    v_cols: list = None
+
+    @property
+    def rank(self):
+        return sum(1 for d in self.diag if d)
 
     def diagonal(self):
-        m = len(self.D)
-        n = len(self.D[0]) if m else 0
-        return [self.D[i][i] for i in range(min(m, n))]
+        return list(self.diag)
+
+    @property
+    def D(self):
+        m, n = self.shape
+        D = [[0] * n for _ in range(m)]
+        for i, d in enumerate(self.diag):
+            D[i][i] = d
+        return D
+
+    @property
+    def U(self):
+        m = self.shape[0]
+        return [[row.get(j, 0) for j in range(m)] for row in self.u_rows]
+
+    @property
+    def V(self):
+        return [[col.get(i, 0) for col in self.v_cols]
+                for i in range(self.shape[1])]
 
 
-def smith_normal_form(A, size_guard=DEFAULT_SNF_BUDGET):
-    """Smith normal form over Z with unimodular factors.
+def _sparse_rows(A, ncols=None):
+    """(m, n, rows): the rows of A as fresh {column: int} dicts without
+    zeros.  Each row of A is a dense list or a dict; ``ncols`` gives n when
+    the rows are dicts (default: the length of the dense rows)."""
+    m = len(A)
+    n = ncols
+    if n is None:
+        n = len(A[0]) if m and not isinstance(A[0], dict) else 0
+    rows = []
+    for row in A:
+        if isinstance(row, dict):
+            items = row.items()
+            if any(not 0 <= j < n for j in row):
+                raise ShapeMismatch(f"sparse row has a column outside 0..{n - 1}")
+        elif len(row) != n:
+            raise ShapeMismatch("ragged matrix")
+        else:
+            items = enumerate(row)
+        rows.append({j: int(v) for j, v in items if v})
+    return m, n, rows
 
-    Pivot rule: smallest nonzero absolute value, ties broken by (row, col).
-    Deterministic for a fixed input.
+
+def _axpy(target, source, q):
+    """target -= q * source on sparse dicts; q != 0."""
+    for k, v in source.items():
+        x = target.get(k, 0) - q * v
+        if x:
+            target[k] = x
+        else:
+            del target[k]
+
+
+class _SparseSmith:
+    """An integer matrix as sparse rows under unimodular row and column
+    operations.
+
+    ``rows[i]`` is {column: value} and ``cols[j]`` the set of rows with a
+    nonzero in column j.  When ``factors`` is set, U (sparse rows) and V
+    (sparse columns) start as identities and record every operation, so
+    U * A * V is the current matrix.
     """
-    m, n = _shape(A)
-    if m * n > size_guard:
-        raise SizeGuardExceeded(f"matrix has {m * n} cells (budget {size_guard})")
-    D = [list(map(int, row)) for row in A]
-    U = _identity(m)
-    V = _identity(n)
 
-    def row_op(i1, i2, q):
-        # row i2 -= q * row i1
-        Di1, Di2 = D[i1], D[i2]
-        for j in range(n):
-            Di2[j] -= q * Di1[j]
-        Ui1, Ui2 = U[i1], U[i2]
-        for j in range(m):
-            Ui2[j] -= q * Ui1[j]
+    def __init__(self, rows, n, factors):
+        self.rows = rows
+        self.cols = [set() for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j in row:
+                self.cols[j].add(i)
+        self.U = [{i: 1} for i in range(len(rows))] if factors else None
+        self.V = [{j: 1} for j in range(n)] if factors else None
 
-    def col_op(j1, j2, q):
-        for i in range(m):
-            D[i][j2] -= q * D[i][j1]
-        for i in range(n):
-            V[i][j2] -= q * V[i][j1]
+    def row_op(self, i1, i2, q):
+        """row i2 -= q * row i1, for q != 0."""
+        target, cols = self.rows[i2], self.cols
+        for j, v in self.rows[i1].items():
+            v *= q
+            old = target.get(j)
+            if old is None:
+                target[j] = -v
+                cols[j].add(i2)
+            elif old == v:
+                del target[j]
+                cols[j].discard(i2)
+            else:
+                target[j] = old - v
+        if self.U is not None:
+            _axpy(self.U[i2], self.U[i1], q)
 
-    def row_swap(i1, i2):
-        D[i1], D[i2] = D[i2], D[i1]
-        U[i1], U[i2] = U[i2], U[i1]
+    def col_op(self, j1, j2, q):
+        """column j2 -= q * column j1, for q != 0."""
+        rows, holders = self.rows, self.cols[j2]
+        for i in self.cols[j1]:
+            row = rows[i]
+            v = q * row[j1]
+            old = row.get(j2)
+            if old is None:
+                row[j2] = -v
+                holders.add(i)
+            elif old == v:
+                del row[j2]
+                holders.discard(i)
+            else:
+                row[j2] = old - v
+        if self.V is not None:
+            _axpy(self.V[j2], self.V[j1], q)
 
-    def col_swap(j1, j2):
-        for i in range(m):
-            D[i][j1], D[i][j2] = D[i][j2], D[i][j1]
-        for i in range(n):
-            V[i][j1], V[i][j2] = V[i][j2], V[i][j1]
+    def swap_rows(self, i1, i2):
+        if i1 == i2:
+            return
+        rows, cols = self.rows, self.cols
+        for j in rows[i1]:
+            cols[j].discard(i1)
+        for j in rows[i2]:
+            cols[j].discard(i2)
+        rows[i1], rows[i2] = rows[i2], rows[i1]
+        for j in rows[i1]:
+            cols[j].add(i1)
+        for j in rows[i2]:
+            cols[j].add(i2)
+        if self.U is not None:
+            self.U[i1], self.U[i2] = self.U[i2], self.U[i1]
 
-    def row_negate(i):
-        for j in range(n):
-            D[i][j] = -D[i][j]
-        for j in range(m):
-            U[i][j] = -U[i][j]
+    def swap_cols(self, j1, j2):
+        if j1 == j2:
+            return
+        rows, cols = self.rows, self.cols
+        for i in cols[j1] | cols[j2]:
+            row = rows[i]
+            a = row.pop(j1, 0)
+            b = row.pop(j2, 0)
+            if b:
+                row[j1] = b
+            if a:
+                row[j2] = a
+        cols[j1], cols[j2] = cols[j2], cols[j1]
+        if self.V is not None:
+            self.V[j1], self.V[j2] = self.V[j2], self.V[j1]
 
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = D[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        row_swap(t, i0)
-        col_swap(t, j0)
-        if D[t][t] < 0:
-            row_negate(t)
-        clean = True
-        for i in range(t + 1, m):
-            if D[i][t] != 0:
-                q = D[i][t] // D[t][t]
-                row_op(t, i, q)
-                if D[i][t] != 0:
+    def negate_row(self, i):
+        self.rows[i] = {j: -v for j, v in self.rows[i].items()}
+        if self.U is not None:
+            self.U[i] = {j: -v for j, v in self.U[i].items()}
+
+    def unit_pivots(self):
+        """Pivot on +-1 entries, shortest row first (then the column with
+        the fewest nonzeros): clear the pivot's column from the other rows,
+        then drop its row, which column operations would clear without
+        touching anything else.  Rows enter a heap keyed by length and
+        re-enter it whenever they change, so a row that lost every entry is
+        never looked at again.  Returns the number of pivots; every row left
+        has no +-1 entry.  Row operations only, and U and V are not kept."""
+        rows, cols = self.rows, self.cols
+        heap = [(len(row), i) for i, row in enumerate(rows) if row]
+        heapq.heapify(heap)
+        units = 0
+        while heap:
+            size, i = heapq.heappop(heap)
+            row = rows[i]
+            if len(row) != size:
+                continue  # stale: the row changed and was pushed again
+            units_here = [(len(cols[j]), j) for j, v in row.items()
+                          if v == 1 or v == -1]
+            if not units_here:
+                continue
+            j = min(units_here)[1]
+            s = row[j]
+            for i2 in [i2 for i2 in cols[j] if i2 != i]:
+                self.row_op(i, i2, rows[i2][j] * s)
+                if rows[i2]:
+                    heapq.heappush(heap, (len(rows[i2]), i2))
+            for j2 in row:
+                cols[j2].discard(i)
+            rows[i] = {}
+            units += 1
+        return units
+
+    def position_pivots(self):
+        """Diagonalize in place, pivoting in the current positions.
+
+        At step t the pivot is the smallest nonzero |v| in the block of
+        rows and columns >= t, ties to the lowest (row, col); it is swapped
+        to (t, t) and made positive.  Row then column operations reduce the
+        rest of its column and row by floor quotients; a remainder is a
+        new, smaller pivot candidate, so the step restarts.  Once the row
+        and column are clear, a row of the block holding an entry the pivot
+        does not divide is added to row t and the step restarts; otherwise
+        t advances.  The scan stops at the first row holding a +-1 (nothing
+        beats it) and a +-1 pivot skips the divisibility scan.  Returns the
+        pivots, a divisibility chain.
+        """
+        rows, cols = self.rows, self.cols
+        m = len(rows)
+        pivots = []
+        t = 0
+        while True:
+            # rows >= t have no entries left of column t
+            best = None
+            for i in range(t, m):
+                row = rows[i]
+                if row:
+                    a = min(map(abs, row.values()))
+                    if best is None or a < best[0]:
+                        best = (a, i, min(j for j, v in row.items()
+                                          if abs(v) == a))
+                        if a == 1:
+                            break
+            if best is None:
+                return pivots
+            _, i0, j0 = best
+            self.swap_rows(t, i0)
+            self.swap_cols(t, j0)
+            if rows[t][t] < 0:
+                self.negate_row(t)
+            d = rows[t][t]
+            clean = True
+            for i in [i for i in cols[t] if i != t]:
+                q = rows[i][t] // d
+                if q:
+                    self.row_op(t, i, q)
+                if t in rows[i]:
                     clean = False
-        for j in range(t + 1, n):
-            if D[t][j] != 0:
-                q = D[t][j] // D[t][t]
-                col_op(t, j, q)
-                if D[t][j] != 0:
+            for j in [j for j in rows[t] if j != t]:
+                q = rows[t][j] // d
+                if q:
+                    self.col_op(t, j, q)
+                if j in rows[t]:
                     clean = False
-        if not clean:
-            continue  # remainders became new, smaller pivot candidates
-        # pivot must divide the rest of the block; otherwise fold a bad row in
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i][j] % D[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            row_op(bad, t, -1)  # row t += row bad, creates reducible entries
-            continue
-        t += 1
-    rank = t
-    return SnfDecomposition(U=U, D=D, V=V, rank=rank)
+            if not clean:
+                continue  # remainders became new, smaller pivot candidates
+            if d != 1:
+                bad = next((i for i in range(t + 1, m)
+                            if any(v % d for v in rows[i].values())), None)
+                if bad is not None:
+                    self.row_op(bad, t, -1)  # row t += row bad
+                    continue
+            pivots.append(d)
+            t += 1
+
+
+def smith_normal_form(A, size_guard=DEFAULT_SNF_BUDGET, *, ncols=None,
+                      factors=True):
+    """Smith normal form over Z: U * A * V = D.
+
+    ``A`` is a list of rows, each a dense list or a sparse {column: int}
+    dict (dict rows need ``ncols``); the work is sparse either way.
+    ``size_guard`` bounds the nonzeros of A.
+
+    With ``factors`` the unimodular U and V are built, and they depend on
+    the pivot order, which is fixed: smallest nonzero |v|, ties to the
+    lowest current (row, col) position (``_SparseSmith.position_pivots``),
+    so equal input gives equal factors.  Without them only the diagonal is
+    computed, and in any order, since the invariant factors do not depend
+    on it: unit pivots first, shortest row first, then the position rule on
+    what is left, which holds no +-1.
+    """
+    m, n, rows = _sparse_rows(A, ncols)
+    nonzeros = sum(map(len, rows))
+    if nonzeros > size_guard:
+        raise SizeGuardExceeded(
+            f"matrix has {nonzeros} nonzeros (budget {size_guard})")
+    work = _SparseSmith(rows, n, factors)
+    if factors:
+        diag = work.position_pivots()
+    else:
+        diag = [1] * work.unit_pivots()
+        # the rows left hold no +-1: renumber their columns and finish
+        rest = [row for row in work.rows if row]
+        kept = sorted({j for row in rest for j in row})
+        pos = {j: t for t, j in enumerate(kept)}
+        rest = [{pos[j]: v for j, v in row.items()} for row in rest]
+        diag += _SparseSmith(rest, len(kept), factors=False).position_pivots()
+    diag += [0] * (min(m, n) - len(diag))
+    return SnfDecomposition(shape=(m, n), diag=diag, u_rows=work.U,
+                            v_cols=work.V)
 
 
 def verify_snf(A, snf):
-    """Exact check of all Smith-form invariants; returns True or raises."""
+    """Exact check of all Smith-form invariants of a decomposition with
+    factors; returns True or raises."""
     m, n = _shape(A)
     if _mat_mul(_mat_mul(snf.U, A), snf.V) != snf.D:
         raise ArithmeticError("U*A*V != D")
@@ -213,11 +409,10 @@ def kernel_lattice_basis(A, snf=None):
     Columns of the Smith V factor beyond the rank; returned as a list of
     basis vectors.
     """
-    m, n = _shape(A)
     if snf is None:
         snf = smith_normal_form(A)
-    rank = snf.rank
-    return [[snf.V[i][j] for i in range(n)] for j in range(rank, n)]
+    n = snf.shape[1]
+    return [[col.get(i, 0) for i in range(n)] for col in snf.v_cols[snf.rank:]]
 
 
 def lattice_quotient_complement(K, M):
@@ -259,16 +454,23 @@ def lattice_quotient_complement(K, M):
 def _unimodular_inverse(U):
     """Integer inverse of a unimodular matrix, read off its Smith form.
 
-    The factors satisfy W U V = I, so U^-1 = V W.  Raises ArithmeticError
-    unless U is square with every invariant factor 1 (determinant +-1).
+    The factors satisfy W U V = I, so U^-1 = V W, summed as one outer
+    product per column of V and row of W.  Raises ArithmeticError unless U
+    is square with every invariant factor 1 (determinant +-1).
     """
     m, n = _shape(U)
     if m != n:
         raise ArithmeticError(f"{m}x{n} matrix is not square")
     snf = smith_normal_form(U)
-    if any(d != 1 for d in snf.diagonal()):
+    if any(d != 1 for d in snf.diag):
         raise ArithmeticError("matrix is not unimodular")
-    return _mat_mul(snf.V, snf.U)
+    inv = [[0] * n for _ in range(n)]
+    for v_col, w_row in zip(snf.v_cols, snf.u_rows):
+        for i, a in v_col.items():
+            out = inv[i]
+            for j, b in w_row.items():
+                out[j] += a * b
+    return inv
 
 
 @dataclass
@@ -285,18 +487,21 @@ class IntegerSolveResult:
 def solve_integer(A, b, snf=None):
     """Solve A x = b over the integers via Smith normal form.
 
-    Returns an :class:`IntegerSolveResult`; when unsolvable, ``obstruction``
-    names the violated divisibility (or inconsistency) condition.
+    ``snf``, when given, is the Smith form of A with its factors (A is then
+    not read).  Returns an :class:`IntegerSolveResult`; when unsolvable,
+    ``obstruction`` names the violated divisibility (or inconsistency)
+    condition.
     """
-    m, n = _shape(A)
-    if len(b) != m:
-        raise ShapeMismatch(f"rhs length {len(b)} != {m} rows")
     if snf is None:
         snf = smith_normal_form(A)
-    c = mat_vec(snf.U, [int(v) for v in b])
-    y = [0] * n
+    m, n = snf.shape
+    if len(b) != m:
+        raise ShapeMismatch(f"rhs length {len(b)} != {m} rows")
+    nonzero = [(j, int(v)) for j, v in enumerate(b) if v]
+    c = [sum(row.get(j, 0) * v for j, v in nonzero) for row in snf.u_rows]
+    x = [0] * n
     for i in range(min(m, n)):
-        d = snf.D[i][i]
+        d = snf.diag[i]
         if d == 0:
             if c[i] != 0:
                 return IntegerSolveResult(
@@ -305,12 +510,14 @@ def solve_integer(A, b, snf=None):
         if c[i] % d != 0:
             return IntegerSolveResult(
                 obstruction=f"row {i}: {d} does not divide {c[i]}")
-        y[i] = c[i] // d
+        y = c[i] // d
+        if y:
+            for t, v in snf.v_cols[i].items():
+                x[t] += v * y
     for i in range(n, m):
         if c[i] != 0:
             return IntegerSolveResult(
                 obstruction=f"row {i}: 0 = {c[i]} is inconsistent")
-    x = mat_vec(snf.V, y)
     return IntegerSolveResult(solution=x)
 
 

@@ -18,7 +18,7 @@ from .cochains import (
 )
 from .degrees import DegreeReport, bezout, check_degree_relation, min_m_bound
 from .errors import NodeLimitExceeded, NotACoboundary
-from .exact_linalg import check_lp_lower_bound, solve_integer
+from .exact_linalg import check_lp_lower_bound, smith_normal_form, solve_integer
 from .interchange import bind_cochain, read_complex, write_complex
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport, decode_number
 from .towers import (
@@ -135,11 +135,7 @@ def verify_prop51(params, node_limit=10_000_000, out_prefix=None):
         )
         report.node_count += prim.certificate.node_count
         witness_vals = prim.gamma
-        if proof.get("kind") == "lp-dual":
-            report.witnesses["norm-lower-bound-dual"] = {
-                "dual": [str(v) for v in proof["dual"]],
-                "bound": str(proof["bound"]),
-            }
+        _attach_dual(report, proof)
     elif exhausted is not None:
         report.add(
             "norm-lower-bound", INCONCLUSIVE, lower=exhausted.lower,
@@ -156,6 +152,16 @@ def verify_prop51(params, node_limit=10_000_000, out_prefix=None):
     return report
 
 
+def _attach_dual(report, proof):
+    """Carry an LP dual lower-bound certificate as a witness, so that
+    check-witness can re-check the claimed minimal norm."""
+    if proof.get("kind") == "lp-dual":
+        report.witnesses["norm-lower-bound-dual"] = {
+            "dual": [str(v) for v in proof["dual"]],
+            "bound": str(proof["bound"]),
+        }
+
+
 def _winding_relation(bundle):
     """Check d(2-chain) = middle cycle - p^k a - q^k b for some signs.
 
@@ -170,10 +176,12 @@ def _winding_relation(bundle):
     z_mid = labeled_cycle(M, "middle-boundary")
     z_a = labeled_cycle(M, bundle.p_hole_label)
     z_b = labeled_cycle(M, bundle.q_hole_label)
-    d2 = M.boundary_matrix(2)
-    from .exact_linalg import smith_normal_form
-
-    snf = smith_normal_form(d2)
+    # the rows of d2 are edges: transpose the stored face columns
+    d2 = [{} for _ in range(M.n_cells(1))]
+    for f, col in enumerate(M.boundary_columns(2)):
+        for e, c in col.items():
+            d2[e][f] = c
+    snf = smith_normal_form(d2, ncols=M.n_cells(2))
     for sa in (1, -1):
         for sb in (1, -1):
             rhs = [0] * M.n_cells(1)
@@ -210,8 +218,10 @@ def verify_prop52(params, node_limit=10_000_000, n_mode="factorial",
     gamma = prim.gamma
     m_k = prim.certificate.optimum
     report.node_count += prim.certificate.node_count
+    proof = prim.certificate.infeasibility_proof
     report.add("minimal-primitive", PASS, m_k=m_k,
-               certificate=prim.certificate.infeasibility_proof.get("kind"))
+               certificate=proof.get("kind"))
+    _attach_dual(report, proof)
     try:
         n = pick_n(gamma, n_mode)
     except OverflowError:
@@ -346,15 +356,14 @@ def check_witness(report_path):
     mk_entry = witnesses.get("mk-complex")
     if mk_entry:
         # prop51 claims m_k under norm-lower-bound, prop52 under
-        # minimal-primitive; either way the witness must attain it
+        # minimal-primitive; either way the witness must attain it and an
+        # LP dual, when carried, must bound it from below
         claimed = _find_value(data, ("norm-lower-bound", "minimal-primitive"),
                               "m_k")
         _check_mk_witness(out, resolve(mk_entry), claimed)
         dual_entry = witnesses.get("norm-lower-bound-dual")
         if dual_entry and params is not None:
-            _check_dual_witness(
-                out, params, dual_entry,
-                _find_value(data, ("norm-lower-bound",), "m_k"))
+            _check_dual_witness(out, params, dual_entry, claimed)
     # verify-tower: one witness per row j of the norm-growth table
     table = _find_value(data, ("norm-growth-table",), "table") or {}
     levels = sorted(int(name[len("mk-level-"):]) for name in witnesses

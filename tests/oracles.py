@@ -5,6 +5,10 @@ matrices, independent of the package internals: a gcd-only Smith
 diagonalization (no pivot strategy, no witnesses), homology ranks from it,
 and a complete backtracking enumerator for minimal sup-norm solutions.
 
+``oracle_smith_normal_form`` is the dense Smith form with unimodular
+factors that the sparse kernel of ``exact_linalg.smith_normal_form``
+replaced; with factors the two must give the same U, D and V.
+
 ``oracle_potential_minimax`` is the binary search of Bellman-Ford probes
 that the maximum-mean-cycle potential minimax replaced.
 
@@ -31,6 +35,7 @@ from coarse_kit.errors import (
 from coarse_kit.exact_linalg import (
     NormCertificate,
     _box_lp,
+    _identity,
     _shape,
     box_feasibility,
     mat_vec,
@@ -38,6 +43,108 @@ from coarse_kit.exact_linalg import (
 )
 
 DEFAULT_NODE_LIMIT = 10_000_000
+
+
+def oracle_smith_normal_form(A, size_guard=4_000_000, events=None):
+    """Dense Smith normal form with unimodular factors: (U, D, V, rank).
+
+    The dense routine the sparse ``exact_linalg.smith_normal_form``
+    replaced; with factors the two must agree entry for entry.  Pivot rule:
+    smallest nonzero absolute value, ties broken by (row, col).  ``events``,
+    when a set, collects the branches taken ("non-unit-pivot",
+    "negative-pivot", "non-clean", "bad-row-fold").
+    """
+    m, n = _shape(A)
+    if m * n > size_guard:
+        raise SizeGuardExceeded(f"matrix has {m * n} cells (budget {size_guard})")
+    D = [list(map(int, row)) for row in A]
+    U = _identity(m)
+    V = _identity(n)
+    events = set() if events is None else events
+
+    def row_op(i1, i2, q):
+        # row i2 -= q * row i1
+        Di1, Di2 = D[i1], D[i2]
+        for j in range(n):
+            Di2[j] -= q * Di1[j]
+        Ui1, Ui2 = U[i1], U[i2]
+        for j in range(m):
+            Ui2[j] -= q * Ui1[j]
+
+    def col_op(j1, j2, q):
+        for i in range(m):
+            D[i][j2] -= q * D[i][j1]
+        for i in range(n):
+            V[i][j2] -= q * V[i][j1]
+
+    def row_swap(i1, i2):
+        D[i1], D[i2] = D[i2], D[i1]
+        U[i1], U[i2] = U[i2], U[i1]
+
+    def col_swap(j1, j2):
+        for i in range(m):
+            D[i][j1], D[i][j2] = D[i][j2], D[i][j1]
+        for i in range(n):
+            V[i][j1], V[i][j2] = V[i][j2], V[i][j1]
+
+    def row_negate(i):
+        for j in range(n):
+            D[i][j] = -D[i][j]
+        for j in range(m):
+            U[i][j] = -U[i][j]
+
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = D[i][j]
+                if v != 0 and (best is None or abs(v) < best):
+                    best = abs(v)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if best != 1:
+            events.add("non-unit-pivot")
+        i0, j0 = pivot
+        row_swap(t, i0)
+        col_swap(t, j0)
+        if D[t][t] < 0:
+            events.add("negative-pivot")
+            row_negate(t)
+        clean = True
+        for i in range(t + 1, m):
+            if D[i][t] != 0:
+                q = D[i][t] // D[t][t]
+                row_op(t, i, q)
+                if D[i][t] != 0:
+                    clean = False
+        for j in range(t + 1, n):
+            if D[t][j] != 0:
+                q = D[t][j] // D[t][t]
+                col_op(t, j, q)
+                if D[t][j] != 0:
+                    clean = False
+        if not clean:
+            events.add("non-clean")
+            continue  # remainders became new, smaller pivot candidates
+        # pivot must divide the rest of the block; otherwise fold a bad row in
+        bad = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if D[i][j] % D[t][t] != 0:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            events.add("bad-row-fold")
+            row_op(bad, t, -1)  # row t += row bad, creates reducible entries
+            continue
+        t += 1
+    rank = t
+    return U, D, V, rank
 
 
 def oracle_smith_diagonal(A):

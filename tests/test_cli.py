@@ -13,8 +13,10 @@ PROP51_521_REPORT = \
     "d0a5710a96bb6d1015a155bbe215cf0ebdccdc56098aba24d1c0f03121104ff9"
 PROP51_521_MK_CKX = \
     "45edad63ca53f1b71c46b9122bdc5d7b5d2a84f53aeac3fefef2a26bd1ee8b44"
+# the prop52 report carries its lp-dual certificate as the witness
+# norm-lower-bound-dual, which check-witness re-checks
 PROP52_521_LCM_REPORT = \
-    "d51bb6ae3d1b24bac8c21c72f84cccb78d2057f7bb4923133af24ad896698912"
+    "68c52db93acd8a013141020393f21dabd3224766f2e76f5923051b470dab9060"
 PROP51_721_REPORT = \
     "63fc4b194f3a94a99431d9b410f30d244d1c058d95decd1a16f4026376effa0d"
 PROP51_721_MK_CKX = \
@@ -35,6 +37,45 @@ def prop51_521_report(tmp_path_factory):
         assert main(["verify-prop51", "--p", "5", "--q", "2", "--k", "1",
                      "--reduce", "--out", str(path)]) == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def prop52_521_report(tmp_path_factory):
+    """A verify-prop52 --n-mode lcm (5,2,1) report and its witnesses, whose
+    minimal norm carries an LP dual certificate."""
+    path = tmp_path_factory.mktemp("prop52_521") / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["verify-prop52", "--p", "5", "--q", "2", "--k", "1",
+                     "--reduce", "--n-mode", "lcm", "--out", str(path)]) == 0
+    return path
+
+
+# edits of a norm-lower-bound-dual witness that check-witness must refuse
+DUAL_TAMPERS = [
+    # an all-zero dual with its bound lowered to match: y . b = 0 > -1
+    lambda e: e.update(dual=["0"] * len(e["dual"]), bound="-1"),
+    lambda e: e.update(dual=e["dual"][:-1]),
+    lambda e: e.update(dual=["abc"] + e["dual"][1:]),
+    lambda e: e.update(dual=e["dual"] + ["0"]),
+]
+DUAL_TAMPER_IDS = ["zero-dual-low-bound", "one-short", "non-numeric",
+                   "one-long"]
+
+
+def failed_after_dual_tamper(capsys, tmp_path, report, tamper):
+    """Copy a report and its witnesses, tamper with the dual, re-check:
+    returns the names of the failed records (exit code 1 asserted)."""
+    for src in report.parent.iterdir():
+        (tmp_path / src.name).write_bytes(src.read_bytes())
+    report_path = tmp_path / report.name
+    data = load_report(report_path)
+    tamper(data["witnesses"]["norm-lower-bound-dual"])
+    report_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["check-witness", "--report", str(report_path)]) == 1
+    checked = json.loads(capsys.readouterr().out)
+    return [r["name"] for r in checked["records"] if r["status"] != "PASS"]
 
 
 @pytest.fixture(autouse=True)
@@ -109,6 +150,7 @@ class TestVerify:
         checked = json.loads(capsys.readouterr().out)
         claim = {r["name"]: r for r in checked["records"]}
         assert claim["witness-norm-matches-claim"]["status"] == "PASS"
+        assert claim["lower-bound-dual-certificate"]["status"] == "PASS"
         # a report claiming a different m_k no longer matches its witness
         for r in data["records"]:
             if r["name"] == "minimal-primitive":
@@ -182,26 +224,19 @@ class TestVerify:
                   if r["status"] != "PASS"]
         assert failed == ["level-2-witness-norm-matches-claim"]
 
-    @pytest.mark.parametrize("tamper", [
-        # an all-zero dual with its bound lowered to match: y . b = 0 > -1
-        lambda e: e.update(dual=["0"] * len(e["dual"]), bound="-1"),
-        lambda e: e.update(dual=e["dual"][:-1]),
-        lambda e: e.update(dual=["abc"] + e["dual"][1:]),
-        lambda e: e.update(dual=e["dual"] + ["0"]),
-    ], ids=["zero-dual-low-bound", "one-short", "non-numeric", "one-long"])
+    @pytest.mark.parametrize("tamper", DUAL_TAMPERS, ids=DUAL_TAMPER_IDS)
     def test_dual_certificate_tampering(self, capsys, tmp_path,
                                         prop51_521_report, tamper):
-        for src in prop51_521_report.parent.iterdir():
-            (tmp_path / src.name).write_bytes(src.read_bytes())
-        report_path = tmp_path / prop51_521_report.name
-        data = load_report(report_path)
-        tamper(data["witnesses"]["norm-lower-bound-dual"])
-        report_path.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert main(["check-witness", "--report", str(report_path)]) == 1
-        checked = json.loads(capsys.readouterr().out)
-        failed = [r["name"] for r in checked["records"]
-                  if r["status"] != "PASS"]
+        failed = failed_after_dual_tamper(capsys, tmp_path,
+                                          prop51_521_report, tamper)
+        assert failed == ["lower-bound-dual-certificate"]
+
+    @pytest.mark.parametrize("tamper", DUAL_TAMPERS, ids=DUAL_TAMPER_IDS)
+    def test_prop52_dual_certificate_tampering(self, capsys, tmp_path,
+                                               prop52_521_report, tamper):
+        # the dual is checked against the minimal-primitive m_k
+        failed = failed_after_dual_tamper(capsys, tmp_path,
+                                          prop52_521_report, tamper)
         assert failed == ["lower-bound-dual-certificate"]
 
     def test_config_file_supplies_flags(self, capsys, tmp_path):

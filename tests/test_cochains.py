@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,8 @@ from coarse_kit.errors import DegreeOutOfRange, NotACoboundary, WrongShape
 
 from oracles import (
     oracle_cohomology_mod_p,
+    oracle_complex_homology,
+    oracle_homology,
     oracle_potential_minimax,
     oracle_rank,
     oracle_rank_mod_p,
@@ -125,6 +128,112 @@ class TestCohomology:
         assert c.norm() == 0
         z = Cochain(circle(3), 1, RING_Z, [4, 3, 2])
         assert z.norm() == 4
+
+
+def random_presentation_complex(rng):
+    """One vertex, loops, and 2-cells along random words: often torsion."""
+    from coarse_kit import new_complex
+
+    n_edges = rng.randrange(1, 5)
+    faces = [{e: rng.randint(-4, 4) for e in range(n_edges)}
+             for _ in range(rng.randrange(0, 5))]
+    return new_complex([1, n_edges, len(faces)],
+                       [None, [{}] * n_edges, faces])
+
+
+def closed_random_subcomplex(rng, X):
+    """Boundary closure of a random set of cells."""
+    closed = {(k, i) for k in range(X.dim + 1) for i in range(X.n_cells(k))
+              if rng.random() < 0.3}
+    todo = list(closed)
+    while todo:
+        k, i = todo.pop()
+        for r in X.boundary_of(k, i):
+            if (k - 1, r) not in closed:
+                closed.add((k - 1, r))
+                todo.append((k - 1, r))
+    return sorted(closed)
+
+
+class TestSparseCohomologyAgainstOracles:
+    """Cohomology reads invariant factors off the sparse Smith kernel
+    without factors; the dense oracles know nothing of it."""
+
+    def complexes(self, seed):
+        rng = random.Random(seed)
+        for trial in range(40):
+            yield rng, (random_two_complex(rng) if trial % 2
+                        else random_presentation_complex(rng))
+
+    def test_integer_matches_homology_oracle(self):
+        torsion_seen = False
+        for _, X in self.complexes(83):
+            for k in range(X.dim + 1):
+                h = cohomology(X, k)
+                # H^k = free part of H_k + torsion of H_{k-1}
+                assert h.free_rank == oracle_complex_homology(X, k)[0]
+                below = oracle_complex_homology(X, k - 1)[1] if k else []
+                assert h.torsion == below
+                torsion_seen = torsion_seen or bool(h.torsion)
+        assert torsion_seen
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_mod_p_matches_gf_oracle(self, p):
+        for _, X in self.complexes(89):
+            for k in range(X.dim + 1):
+                assert cohomology(X, k, ring_zp(p)).free_rank == \
+                    oracle_cohomology_mod_p(X, k, p)
+
+    def test_relative_matches_homology_oracle(self):
+        for rng, X in self.complexes(97):
+            A = set(closed_random_subcomplex(rng, X))
+            cells = [[i for i in range(X.n_cells(k)) if (k, i) not in A]
+                     for k in range(X.dim + 2)]
+
+            def boundary(k):  # relative d_k, dense: rows (k-1)-cells
+                if k < 1 or k > X.dim:
+                    return []
+                pos = {i: t for t, i in enumerate(cells[k - 1])}
+                mat = [[0] * len(cells[k]) for _ in cells[k - 1]]
+                for t, j in enumerate(cells[k]):
+                    for r, c in X.boundary_of(k, j).items():
+                        if r in pos:
+                            mat[pos[r]][t] = c
+                return mat
+
+            def homology(k):
+                if k < 0:
+                    return 0, []
+                return oracle_homology(boundary(k), boundary(k + 1),
+                                       len(cells[k]))
+
+            for k in range(X.dim + 1):
+                h = relative_cohomology(X, A, k)
+                assert (h.free_rank, h.torsion) == \
+                    (homology(k)[0], sorted(homology(k - 1)[1]))
+
+    def test_each_coboundary_factored_once(self, monkeypatch):
+        import coarse_kit.cochains as cochains
+        from coarse_kit.towers import MkParams, build_Mk
+        from coarse_kit.verify import homology_summary
+
+        calls = []
+        real = cochains.smith_normal_form
+
+        def counting(A, *args, **kwargs):
+            calls.append(len(A))
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(cochains, "smith_normal_form", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            X = build_Mk(MkParams(5, 2, 3, reduce=True)).complex
+        tables = [homology_summary(X, ring) for ring in (RING_Z, ring_zp(3))]
+        # delta_0 (357 rows) and delta_1 (249 rows), once for both tables
+        assert sorted(calls) == [249, 357]
+        for table in tables:
+            assert [(r["free_rank"], r["torsion"]) for r in table] == \
+                [(1, []), (2, []), (0, [])]
 
 
 class TestRelative:

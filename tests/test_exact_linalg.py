@@ -8,7 +8,7 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from coarse_kit.errors import NoIntegerSolution
+from coarse_kit.errors import NoIntegerSolution, ShapeMismatch, SizeGuardExceeded
 from coarse_kit.exact_linalg import (
     _box_lp,
     _unimodular_inverse,
@@ -28,6 +28,7 @@ from oracles import (
     oracle_box_lp,
     oracle_min_linf,
     oracle_smith_diagonal,
+    oracle_smith_normal_form,
 )
 
 
@@ -81,6 +82,78 @@ class TestSmithNormalForm:
             ref_diag = [abs(int(ref[i, i].element)) for i in range(min(m, n))]
             ref_diag = [d for d in ref_diag if d != 0]
             assert mine == ref_diag
+
+
+def _sparse(A):
+    return [{j: v for j, v in enumerate(row) if v} for row in A]
+
+
+class TestSmithAgainstOracle:
+    """The sparse kernel runs the dense routine's pivot rule and operation
+    order, so with factors U, D and V agree entry for entry."""
+
+    def _agree(self, A, events=None):
+        U, D, V, rank = oracle_smith_normal_form(A, events=events)
+        snf = smith_normal_form(A)
+        assert (snf.U, snf.D, snf.V, snf.rank) == (U, D, V, rank), A
+        if A:
+            sparse = smith_normal_form(_sparse(A), ncols=len(A[0]))
+            assert (sparse.U, sparse.D, sparse.V) == (U, D, V)
+        bare = smith_normal_form(A, factors=False)
+        assert (bare.u_rows, bare.v_cols) == (None, None)
+        assert bare.diagonal() == snf.diagonal()
+        return snf
+
+    def test_random_matrices(self):
+        rng = random.Random(71)
+        events = set()
+        shapes = set()
+        for trial in range(600):
+            m, n = rng.randrange(0, 8), rng.randrange(0, 8)
+            if trial % 10 == 0:
+                m = 1
+            elif trial % 10 == 1:
+                n = 1
+            spread = rng.choice([1, 2, 4, 9])
+            density = rng.choice([0.2, 0.5, 1.0])
+            A = [[rng.randint(-spread, spread) if rng.random() < density else 0
+                  for _ in range(n)] for _ in range(m)]
+            self._agree(A, events)
+            if m == 0:
+                shapes.add("empty")
+            elif n == 0:
+                shapes.add("no-columns")
+            if m == 1 and n > 1:
+                shapes.add("1xn")
+            if n == 1 and m > 1:
+                shapes.add("nx1")
+            if any(not any(row) for row in A):
+                shapes.add("zero-row")
+            if m and any(not any(row[j] for row in A) for j in range(n)):
+                shapes.add("zero-column")
+        assert events == {"non-unit-pivot", "negative-pivot", "non-clean",
+                          "bad-row-fold"}
+        assert shapes == {"empty", "no-columns", "1xn", "nx1", "zero-row",
+                          "zero-column"}
+
+    def test_mk_relative_system(self):
+        # the system the minimal-primitive search factors at (5,2,1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            bundle = build_Mk(MkParams(5, 2, 1, 3, True))
+        A, _, _, _ = _relative_system(bundle)
+        self._agree(A)
+
+    def test_sparse_rows_need_columns_in_range(self):
+        with pytest.raises(ShapeMismatch):
+            smith_normal_form([{3: 1}], ncols=2)
+
+    def test_size_guard_counts_nonzeros(self):
+        A = [[0] * 50 for _ in range(50)]
+        A[0][0] = A[1][1] = 2
+        assert smith_normal_form(A, size_guard=2).diagonal()[:3] == [2, 2, 0]
+        with pytest.raises(SizeGuardExceeded):
+            smith_normal_form(A, size_guard=1)
 
 
 class TestSolveInteger:
