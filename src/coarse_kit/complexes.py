@@ -32,6 +32,8 @@ Cell = tuple  # (dim, index)
 
 DEFAULT_CELL_BUDGET = 2_000_000
 
+_UNITS = frozenset((1, -1))
+
 
 def same_structure(X, Y):
     """Same cell counts and boundaries (complexes as immutable values)."""
@@ -42,17 +44,37 @@ def same_structure(X, Y):
     )
 
 
-def _sign_of_sort(seq):
-    """Parity sign of the permutation sorting ``seq`` (0 if repeats)."""
-    if len(set(seq)) != len(seq):
-        return 0
+def _sorted_with_sign(images):
+    """Sorted tuple of ``images`` and the parity sign of the sorting
+    permutation, both from one insertion sort; ``(None, 0)`` on a repeat."""
+    items = list(images)
     sign = 1
-    items = list(seq)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] > items[j]:
-                sign = -sign
-    return sign
+    for t in range(1, len(items)):
+        v = items[t]
+        s = t
+        while s and items[s - 1] > v:
+            items[s] = items[s - 1]
+            s -= 1
+            sign = -sign
+        if s and items[s - 1] == v:
+            return None, 0
+        items[s] = v
+    return tuple(items), sign
+
+
+def _canonical_boundaries(level, faces, k):
+    """Boundary {face index: (-1)**i} of each sorted k-simplex of a level,
+    face i dropping vertex i; ``faces`` indexes the (k-1)-simplices."""
+    if k == 1:
+        for a, b in level:
+            yield {faces[(b,)]: 1, faces[(a,)]: -1}
+    elif k == 2:
+        for a, b, c in level:
+            yield {faces[(b, c)]: 1, faces[(a, c)]: -1, faces[(a, b)]: 1}
+    else:
+        signs = [(-1) ** i for i in range(k + 1)]
+        for s in level:
+            yield {faces[s[:i] + s[i + 1:]]: signs[i] for i in range(k + 1)}
 
 
 class CellComplex:
@@ -83,11 +105,12 @@ class CellComplex:
                 raise ShapeMismatch(
                     f"dimension {k}: {len(cols)} boundary columns for {self.counts[k]} cells"
                 )
+            n_rows = self.counts[k - 1]
             frozen = []
             for col in cols:
                 clean = {int(r): int(c) for r, c in col.items() if c != 0}
                 for r in clean:
-                    if not 0 <= r < self.counts[k - 1]:
+                    if r < 0 or r >= n_rows:
                         raise ShapeMismatch(f"row {r} out of range in dimension {k}")
                 frozen.append(clean)
             self._bnd.append(frozen)
@@ -173,12 +196,13 @@ class CellComplex:
 
     def _validate(self):
         for k in range(2, self.dim + 1):
-            for j in range(self.counts[k]):
+            below = self._bnd[k - 1]
+            for j, col in enumerate(self._bnd[k]):
                 acc = {}
-                for r, c in self._bnd[k][j].items():
-                    for r2, c2 in self._bnd[k - 1][r].items():
+                for r, c in col.items():
+                    for r2, c2 in below[r].items():
                         acc[r2] = acc.get(r2, 0) + c * c2
-                if any(v != 0 for v in acc.values()):
+                if any(acc.values()):
                     raise NotAChainComplex(
                         f"boundary squared nonzero at cell (dim {k}, index {j})",
                         cell=(k, j),
@@ -195,23 +219,19 @@ class CellComplex:
                     raise NotSimplicial(f"bad vertex tuple {verts} in dim {k}")
         if self.dim >= 1:
             for j, col in enumerate(self._bnd[1]):
-                vals = sorted(col.values())
-                if vals != [-1, 1]:
+                if sorted(col.values()) != [-1, 1]:
                     raise NotSimplicial(
                         f"edge {j}: simplicial boundary must have one +1 and one -1"
                     )
         for k in range(1, self.dim + 1):
+            canonical_cols = _canonical_boundaries(
+                self.simplices[k], self._simplex_index[k - 1], k)
             for j, col in enumerate(self._bnd[k]):
-                if len(col) != k + 1 or any(abs(c) != 1 for c in col.values()):
+                if len(col) != k + 1 or not _UNITS.issuperset(col.values()):
                     raise NotSimplicial(
                         f"cell (dim {k}, {j}) boundary is not {k + 1} entries of +-1"
                     )
-                verts = self.simplices[k][j]
-                canonical = {}
-                for i in range(k + 1):
-                    face = verts[:i] + verts[i + 1:]
-                    canonical[self._simplex_index[k - 1][face]] = (-1) ** i
-                if col != canonical:
+                if col != next(canonical_cols):
                     raise NotSimplicial(
                         f"cell (dim {k}, {j}) boundary breaks the sorted-tuple "
                         "orientation convention"
@@ -231,36 +251,38 @@ def simplicial_complex(simplices, labels=None):
     """Build a simplicial complex from vertex tuples (closed under faces).
 
     Vertices are taken to be 0..max referenced index; orientation follows the
-    global vertex order with alternating boundary signs.
+    global vertex order with alternating boundary signs.  Faces are closed
+    one codimension at a time from the top, and each level is indexed in
+    sorted tuple order.
     """
-    closed = set()
+    levels = []
     max_v = -1
     for s in simplices:
         verts = tuple(sorted(set(s)))
-        if len(verts) != len(s):
+        n = len(verts)
+        if n != len(s):
             raise NotSimplicial(f"degenerate simplex {s}")
-        max_v = max(max_v, verts[-1])
-        for r in range(1, len(verts) + 1):
-            for sub in combinations(verts, r):
-                closed.add(sub)
-    n_vertices = max_v + 1
-    for v in range(n_vertices):
-        closed.add((v,))
-    dim = max(len(s) for s in closed) - 1
-    by_dim = [[] for _ in range(dim + 1)]
-    for s in sorted(closed, key=lambda t: (len(t), t)):
-        by_dim[len(s) - 1].append(s)
-    index = [{s: i for i, s in enumerate(level)} for level in by_dim]
+        if not n:
+            raise NotSimplicial("empty simplex")
+        while len(levels) < n:
+            levels.append(set())
+        levels[n - 1].add(verts)
+        if verts[-1] > max_v:
+            max_v = verts[-1]
+    if not levels:
+        raise NotSimplicial("a simplicial complex needs at least one simplex")
+    dim = len(levels) - 1
+    by_dim = [None] * (dim + 1)
+    for k in range(dim, 0, -1):
+        by_dim[k] = sorted(levels[k])
+        levels[k - 1].update(s[:i] + s[i + 1:]
+                             for s in by_dim[k] for i in range(k + 1))
+    levels[0].update((v,) for v in range(max_v + 1))
+    by_dim[0] = sorted(levels[0])
     boundaries = [None]
     for k in range(1, dim + 1):
-        cols = []
-        for s in by_dim[k]:
-            col = {}
-            for i in range(k + 1):
-                face = s[:i] + s[i + 1:]
-                col[index[k - 1][face]] = (-1) ** i
-            cols.append(col)
-        boundaries.append(cols)
+        faces = {s: i for i, s in enumerate(by_dim[k - 1])}
+        boundaries.append(list(_canonical_boundaries(by_dim[k], faces, k)))
     counts = [len(level) for level in by_dim]
     return CellComplex(counts, boundaries, simplices=by_dim, labels=labels)
 
@@ -272,17 +294,31 @@ class CellMap:
     """Cellular chain map between complexes.
 
     ``assignment[k][i]`` is the image of the i-th source k-cell as a
-    ``{target cell index: coefficient}`` dict.  Simplicial maps carry their
-    vertex map and their assignment is induced by it.
+    ``{target cell index: coefficient}`` dict.  A simplicial map (built by
+    :meth:`from_vertex_map`, or composed from two such maps) is determined by
+    its vertex map and stores, per dimension, two tables instead: the index
+    of each cell's image simplex (-1 where the image is degenerate) and its
+    orientation sign (0 there).  Its ``assignment`` is built from the tables
+    on each read; :meth:`cell_image` reads the tables directly.
     """
 
     def __init__(self, source, target, assignment, vertex_map=None, validate=True):
         self.source = source
         self.target = target
-        self.assignment = assignment
+        self._assignment = assignment
+        self._images = self._signs = None
         self.vertex_map = list(vertex_map) if vertex_map is not None else None
         if validate:
             self._validate()
+
+    @classmethod
+    def _from_tables(cls, source, target, vertex_map, images, signs, validate):
+        """A simplicial map stored as its image and sign tables."""
+        f = cls(source, target, None, vertex_map=vertex_map, validate=False)
+        f._images, f._signs = images, signs
+        if validate:
+            f._validate()
+        return f
 
     @classmethod
     def from_vertex_map(cls, source, target, vertex_map, validate=True):
@@ -292,23 +328,34 @@ class CellMap:
         vm = list(vertex_map)
         if len(vm) != source.n_cells(0):
             raise ShapeMismatch("vertex map length != vertex count")
-        assignment = []
+        images, signs = [], []
         for k in range(source.dim + 1):
-            level = []
+            index = target._simplex_index[k] if k <= target.dim else {}
+            img_k, sgn_k = [], []
             for verts in source.simplices[k]:
-                images = [vm[v] for v in verts]
-                sign = _sign_of_sort(images)
+                # vertices and edges, most of any map, skip the general sort
+                if k == 0:
+                    face, sign = (vm[verts[0]],), 1
+                elif k == 1:
+                    a, b = vm[verts[0]], vm[verts[1]]
+                    face, sign = (((a, b), 1) if a < b else
+                                  ((b, a), -1) if a > b else (None, 0))
+                else:
+                    face, sign = _sorted_with_sign([vm[v] for v in verts])
                 if sign == 0:
-                    level.append({})
+                    img_k.append(-1)
+                    sgn_k.append(0)
                     continue
-                idx = target.simplex_index(images)
+                idx = index.get(face)
                 if idx is None:
                     raise NotSimplicial(
-                        f"image {tuple(sorted(images))} is not a simplex of the target"
+                        f"image {face} is not a simplex of the target"
                     )
-                level.append({idx: sign})
-            assignment.append(level)
-        return cls(source, target, assignment, vertex_map=vm, validate=validate)
+                img_k.append(idx)
+                sgn_k.append(sign)
+            images.append(img_k)
+            signs.append(sgn_k)
+        return cls._from_tables(source, target, vm, images, signs, validate)
 
     @classmethod
     def identity(cls, X):
@@ -318,10 +365,23 @@ class CellMap:
         vm = list(range(X.n_cells(0))) if X.is_simplicial else None
         return cls(X, X, assignment, vertex_map=vm, validate=False)
 
+    @property
+    def assignment(self):
+        """Per dimension, the image of each source cell as a dict."""
+        if self._images is None:
+            return self._assignment
+        return [[{j: s} if j >= 0 else {} for j, s in zip(img, sgn)]
+                for img, sgn in zip(self._images, self._signs)]
+
     def cell_image(self, k, i):
-        if k >= len(self.assignment):
+        if self._images is None:
+            if k >= len(self._assignment):
+                return {}
+            return self._assignment[k][i]
+        if k >= len(self._images):
             return {}
-        return self.assignment[k][i]
+        j = self._images[k][i]
+        return {j: self._signs[k][i]} if j >= 0 else {}
 
     def chain_image(self, k, chain):
         """Push a k-chain (dict index -> coeff) forward to the target."""
@@ -334,26 +394,42 @@ class CellMap:
     def vertex_image(self, v):
         if self.vertex_map is not None:
             return self.vertex_map[v]
-        img = self.assignment[0][v]
+        img = self.cell_image(0, v)
         if len(img) != 1:
             raise NotAVertex(f"vertex {v} has no single-cell image")
         return next(iter(img))
 
     def _validate(self):
-        if len(self.assignment) < self.source.dim + 1:
+        """Check the chain-map identity d f(s) = f(d s) cell by cell."""
+        if self._images is not None:
+            self._validate_tables()
+            return
+        src, tgt, assignment = self.source, self.target, self._assignment
+        if len(assignment) < src.dim + 1:
             raise ShapeMismatch("assignment missing dimensions")
-        for k in range(self.source.dim + 1):
-            if len(self.assignment[k]) != self.source.n_cells(k):
+        for k in range(src.dim + 1):
+            if len(assignment[k]) != src.counts[k]:
                 raise ShapeMismatch(f"assignment size mismatch in dim {k}")
-        for k in range(1, self.source.dim + 1):
-            for i in range(self.source.n_cells(k)):
+            n_target = tgt.n_cells(k)
+            for i, img in enumerate(assignment[k]):
+                for j in img:
+                    if not 0 <= j < n_target:
+                        raise ShapeMismatch(
+                            f"image of cell (dim {k}, {i}) names target cell "
+                            f"(dim {k}, {j}), which does not exist"
+                        )
+        for k in range(1, src.dim + 1):
+            src_bnd = src._bnd[k]
+            tgt_bnd = tgt._bnd[k] if k <= tgt.dim else ()
+            below = assignment[k - 1]
+            for i, img in enumerate(assignment[k]):
                 lhs = {}
-                for j, c in self.assignment[k][i].items():
-                    for r, c2 in self.target.boundary_of(k, j).items():
+                for j, c in img.items():
+                    for r, c2 in tgt_bnd[j].items():
                         lhs[r] = lhs.get(r, 0) + c * c2
                 rhs = {}
-                for r, c in self.source.boundary_of(k, i).items():
-                    for j, c2 in self.assignment[k - 1][r].items():
+                for r, c in src_bnd[i].items():
+                    for j, c2 in below[r].items():
                         rhs[j] = rhs.get(j, 0) + c * c2
                 lhs = {j: c for j, c in lhs.items() if c != 0}
                 rhs = {j: c for j, c in rhs.items() if c != 0}
@@ -362,23 +438,58 @@ class CellMap:
                         f"chain-map identity fails at cell (dim {k}, {i})", cell=(k, i)
                     )
 
+    def _validate_tables(self):
+        """The chain-map identity read off the image and sign tables."""
+        src, tgt = self.source, self.target
+        for k in range(1, src.dim + 1):
+            tgt_bnd = tgt._bnd[k] if k <= tgt.dim else ()
+            img_k, sgn_k = self._images[k], self._signs[k]
+            img_below, sgn_below = self._images[k - 1], self._signs[k - 1]
+            for i, col in enumerate(src._bnd[k]):
+                # d f(s) - f(d s), scaled by the sign of f(s)
+                j = img_k[i]
+                s = sgn_k[i] if j >= 0 else 1
+                diff = dict(tgt_bnd[j]) if j >= 0 else {}
+                for r, c in col.items():
+                    jr = img_below[r]
+                    if jr >= 0:
+                        diff[jr] = diff.get(jr, 0) - s * c * sgn_below[r]
+                if any(diff.values()):
+                    raise NotAChainComplex(
+                        f"chain-map identity fails at cell (dim {k}, {i})", cell=(k, i)
+                    )
+
     def compose(self, other):
         """self after other (other: X -> Y, self: Y -> Z gives X -> Z)."""
         if not same_structure(other.target, self.source):
             raise ShapeMismatch("composition target/source mismatch")
+        vm = None
+        if self.vertex_map is not None and other.vertex_map is not None:
+            vm = [self.vertex_map[w] for w in other.vertex_map]
+        if self._images is not None and other._images is not None:
+            # simplicial after simplicial: compose the image tables
+            images, signs = [], []
+            for k, (img, sgn) in enumerate(zip(other._images, other._signs)):
+                if k >= len(self._images):
+                    images.append([-1] * len(img))
+                    signs.append([0] * len(img))
+                    continue
+                outer_img, outer_sgn = self._images[k], self._signs[k]
+                images.append([outer_img[j] if j >= 0 else -1 for j in img])
+                signs.append([outer_sgn[j] * s if j >= 0 else 0
+                              for j, s in zip(img, sgn)])
+            return CellMap._from_tables(other.source, self.target, vm, images,
+                                        signs, validate=False)
         assignment = []
         for k in range(other.source.dim + 1):
             level = []
             for i in range(other.source.n_cells(k)):
                 acc = {}
-                for j, c in other.assignment[k][i].items():
+                for j, c in other.cell_image(k, i).items():
                     for m, c2 in self.cell_image(k, j).items():
                         acc[m] = acc.get(m, 0) + c * c2
                 level.append({m: c for m, c in acc.items() if c != 0})
             assignment.append(level)
-        vm = None
-        if self.vertex_map is not None and other.vertex_map is not None:
-            vm = [self.vertex_map[w] for w in other.vertex_map]
         return CellMap(other.source, self.target, assignment, vertex_map=vm,
                        validate=False)
 
@@ -543,8 +654,7 @@ def _rim_cylinder(a, b, vertex_map):
         "target-rim": _vertex_span_cells(cyl, range(a, a + b)),
     }
     cyl = cyl.relabeled(lbl)
-    retr = CellMap(cyl, bot, retr.assignment, vertex_map=retr.vertex_map,
-                   validate=False)
+    retr = CellMap.from_vertex_map(cyl, bot, retr.vertex_map, validate=False)
     return cyl, retr
 
 
@@ -593,8 +703,8 @@ def subcomplex_matching(X, label_x, Y, label_y, vertex_map):
             images = [vertex_map[v] for v in verts]
         except KeyError as exc:
             raise NotIsomorphic(f"vertex {exc} not covered by the matching")
-        sign = _sign_of_sort(images)
-        idx = X.simplex_index(images) if sign != 0 else None
+        image, sign = _sorted_with_sign(images)
+        idx = X.simplex_index(image) if sign != 0 else None
         if sign == 0 or idx is None or (k, idx) not in cells_x:
             raise NotIsomorphic(
                 f"cell (dim {k}, {i}) has no matching image in {label_x!r}"
@@ -719,7 +829,7 @@ def _glue_simplicial(X, Y, norm):
     y_table = {}
     for (k, i), verts in y_tuples.items():
         idx = Z.simplex_index(verts)
-        sign = _sign_of_sort([vmap[v] for v in Y.simplex(k, i)])
+        _, sign = _sorted_with_sign([vmap[v] for v in Y.simplex(k, i)])
         y_table[(k, i)] = ((k, idx), sign)
     labels = {}
     for name, cells in X.labels.items():

@@ -54,19 +54,20 @@ def serialize_complex(X, cochains=None, covers=None):
              "counts " + " ".join(str(c) for c in X.counts)]
     for k in range(1, X.dim + 1):
         lines.append(f"boundary {k}")
-        triples = []
-        for j in range(X.n_cells(k)):
-            for r, c in X.boundary_of(k, j).items():
-                triples.append((r, j, c))
-        triples.sort()
-        for (r, j, c) in triples:
-            lines.append(f"{r} {j} {c}")
+        # (row, col) pairs are unique and columns are visited in order, so
+        # per-row buckets come out sorted row-major
+        rows = [[] for _ in range(X.n_cells(k - 1))]
+        for j, col in enumerate(X.boundary_columns(k)):
+            for r, c in col.items():
+                rows[r].append(f"{r} {j} {c}")
+        for row in rows:
+            lines.extend(row)
         lines.append("end")
     if X.is_simplicial:
         for k in range(X.dim + 1):
             lines.append(f"simplices {k}")
             for verts in X.simplices[k]:
-                lines.append(" ".join(str(v) for v in verts))
+                lines.append(" ".join(map(str, verts)))
             lines.append("end")
     for name in sorted(X.labels):
         cells = " ".join(f"{d}:{i}" for d, i in X.labels[name])

@@ -15,6 +15,7 @@ simplicial maps, and the iterated pull-back stages they generate.
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, gcd
 
 from .complexes import (
@@ -22,6 +23,7 @@ from .complexes import (
     CellMap,
     Subdivision,
     annulus_triangulation,
+    barycentric_subdivision,
     circle,
     coarsening_cylinder,
     cone_middle_subdivision,
@@ -801,12 +803,11 @@ def pullback_subdivision(chi, tau):
     For every cell m of the source with chi(m) equal to the carrier of a
     tau-cell, the tau-cell lifts into m; lifts glue along shared faces.
     Returns a Subdivision of chi's source whose complex carries the induced
-    light map to tau (stored in the ``apexes`` slot as a vertex map).
+    light map to tau (stored in the ``apexes`` slot as a vertex map).  The
+    caller checks that chi is light.
     """
     M, Delta = chi.source, chi.target
     tauC = tau.complex
-    if not is_light(chi):
-        raise NotLight("the map to the simplex must be injective on simplices")
     # source cells by their exact image simplex
     by_image = {}
     for k in range(M.dim + 1):
@@ -905,8 +906,6 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
     # projections: first coordinate to M', second to tau_M
     vm_base = [pair_verts[t][0] for t in range(len(pair_verts))]
     vm_fiber = [pair_verts[t][1] for t in range(len(pair_verts))]
-    # P's vertices were renumbered by simplicial_complex? No: vertices are
-    # the pair indices used in the simplices, dense by construction order
     proj_base = CellMap.from_vertex_map(P, Mp, vm_base)
     proj_fiber = CellMap.from_vertex_map(P, tau_M, vm_fiber)
     if not is_light(proj_base):
@@ -936,8 +935,6 @@ def pullback_section(result, chi, phi, tau, top_cell):
     sheet_vertex = {}
     sheet_faces = set()
     for r in range(1, n + 2):
-        from itertools import combinations
-
         for sub_v in combinations(sorted(verts), r):
             idx = M.simplex_index(sub_v)
             sheet_faces.add((r - 1, idx))
@@ -991,8 +988,6 @@ def build_Y_stage(params, stages, size_guard=DEFAULT_SIZE_GUARD):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             bt = build_Mk(lvl_params, size_guard=size_guard)
-        from .complexes import barycentric_subdivision
-
         sd = barycentric_subdivision(bt.complex)
         chi = dimension_coloring(sd)
         result = pullback_complex(chi, phi_prev, tau_prev,

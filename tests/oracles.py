@@ -16,6 +16,12 @@ that the maximum-mean-cycle potential minimax replaced.
 rational tableau of ``exact_linalg._box_lp`` replaced; the two must return
 the same points and the same Farkas vectors.
 
+``oracle_simplicial_complex`` (closure by every nonempty subset) and
+``oracle_from_vertex_map`` (one image dict per source cell, signs by pair
+inversions) are the builders that the one-pass face closure and the vertex
+tables of ``complexes.CellMap`` replaced; ``oracle_chain_map_failure`` is
+the dict chain-map check both forms of map must agree with.
+
 ``ilp_min_linf`` is the second reference for minimal sup-norms: a generic
 branch and bound (integer bounds propagation plus the package's exact box
 LP) that knows nothing of the lattice structure the degree-2 minimal
@@ -23,12 +29,15 @@ primitive search exploits.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 
 from coarse_kit.cochains import _bellman_potentials
+from coarse_kit.complexes import CellComplex, CellMap
 from coarse_kit.errors import (
     NodeLimitExceeded,
     NoIntegerSolution,
+    NotSimplicial,
     ShapeMismatch,
     SizeGuardExceeded,
 )
@@ -825,3 +834,96 @@ def oracle_cohomology_mod_p(X, k, p):
     up = oracle_rank_mod_p(delta(k), p)
     down = oracle_rank_mod_p(delta(k - 1), p) if k >= 1 else 0
     return X.n_cells(k) - up - down
+
+
+def _oracle_sign_of_sort(seq):
+    """Parity sign of the permutation sorting ``seq`` (0 if repeats)."""
+    if len(set(seq)) != len(seq):
+        return 0
+    sign = 1
+    items = list(seq)
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            if items[i] > items[j]:
+                sign = -sign
+    return sign
+
+
+def oracle_simplicial_complex(simplices, labels=None):
+    """Simplicial complex closed by adding every nonempty subset of each
+    simplex, cells sorted by (size, tuple)."""
+    closed = set()
+    max_v = -1
+    for s in simplices:
+        verts = tuple(sorted(set(s)))
+        if len(verts) != len(s):
+            raise NotSimplicial(f"degenerate simplex {s}")
+        max_v = max(max_v, verts[-1])
+        for r in range(1, len(verts) + 1):
+            for sub in combinations(verts, r):
+                closed.add(sub)
+    n_vertices = max_v + 1
+    for v in range(n_vertices):
+        closed.add((v,))
+    dim = max(len(s) for s in closed) - 1
+    by_dim = [[] for _ in range(dim + 1)]
+    for s in sorted(closed, key=lambda t: (len(t), t)):
+        by_dim[len(s) - 1].append(s)
+    index = [{s: i for i, s in enumerate(level)} for level in by_dim]
+    boundaries = [None]
+    for k in range(1, dim + 1):
+        cols = []
+        for s in by_dim[k]:
+            col = {}
+            for i in range(k + 1):
+                face = s[:i] + s[i + 1:]
+                col[index[k - 1][face]] = (-1) ** i
+            cols.append(col)
+        boundaries.append(cols)
+    counts = [len(level) for level in by_dim]
+    return CellComplex(counts, boundaries, simplices=by_dim, labels=labels)
+
+
+def oracle_from_vertex_map(source, target, vertex_map):
+    """Simplicial map with one {image index: sign} dict per source cell
+    ({} where the image is degenerate), not validated."""
+    vm = list(vertex_map)
+    if len(vm) != source.n_cells(0):
+        raise ShapeMismatch("vertex map length != vertex count")
+    assignment = []
+    for k in range(source.dim + 1):
+        level = []
+        for verts in source.simplices[k]:
+            images = [vm[v] for v in verts]
+            sign = _oracle_sign_of_sort(images)
+            if sign == 0:
+                level.append({})
+                continue
+            idx = target.simplex_index(images)
+            if idx is None:
+                raise NotSimplicial(
+                    f"image {tuple(sorted(images))} is not a simplex of the target"
+                )
+            level.append({idx: sign})
+        assignment.append(level)
+    return CellMap(source, target, assignment, vertex_map=vm, validate=False)
+
+
+def oracle_chain_map_failure(source, target, assignment):
+    """First cell (k, i) where d f(c) != f(d c), in order of dimension then
+    index, or None when the dicts form a chain map."""
+    for k in range(1, source.dim + 1):
+        for i in range(source.n_cells(k)):
+            lhs = {}
+            for j, c in assignment[k][i].items():
+                for r, c2 in target.boundary_of(k, j).items():
+                    lhs[r] = lhs.get(r, 0) + c * c2
+            rhs = {}
+            for r, c in source.boundary_of(k, i).items():
+                for j, c2 in assignment[k - 1][r].items():
+                    rhs[j] = rhs.get(j, 0) + c * c2
+            lhs = {j: c for j, c in lhs.items() if c != 0}
+            rhs = {j: c for j, c in rhs.items() if c != 0}
+            if lhs != rhs:
+                return (k, i)
+    return None

@@ -21,6 +21,12 @@ PROP51_721_REPORT = \
     "63fc4b194f3a94a99431d9b410f30d244d1c058d95decd1a16f4026376effa0d"
 PROP51_721_MK_CKX = \
     "b7a56593d7ea5749f8a7b0937c9d490aa6f7f5c76774002a42ff2f4a07499573"
+# the last stage of build tower (5,2,2) and build y-stage (5,2,1), two
+# stages each: the simplicial builders and the .ckx writer
+TOWER_522_CKX = \
+    "37d3b482507fa2d22fca70d6f99fe0ff24717e69cff0b39408d49c853a5dcf4a"
+Y_STAGE_521_CKX = \
+    "6cae2741fd839bc912dde62a05264a757dbb7eb9eedbb7a3ac40e8a1905a0ed9"
 
 
 def sha256_of(path):
@@ -114,6 +120,17 @@ class TestBuild:
                    "--reduce", "--stages", "1"])
         assert rc == 0
         assert "euler -1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, k, digest", [
+        ("tower", "2", TOWER_522_CKX),
+        ("y-stage", "1", Y_STAGE_521_CKX),
+    ], ids=["tower-522", "y-stage-521"])
+    def test_two_stage_ckx_bytes(self, capsys, tmp_path, kind, k, digest):
+        path = tmp_path / f"{kind}.ckx"
+        assert main(["build", kind, "--p", "5", "--q", "2", "--k", k,
+                     "--reduce", "--stages", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert sha256_of(path) == digest
 
     def test_annulus(self, capsys):
         rc = main(["build", "annulus", "--a", "6", "--b", "3"])

@@ -31,10 +31,16 @@ from coarse_kit.errors import (
     NotDivisible,
     NotIsomorphic,
     NotSimplicial,
+    ShapeMismatch,
     TooFewVertices,
 )
 
-from oracles import oracle_complex_homology
+from oracles import (
+    oracle_chain_map_failure,
+    oracle_complex_homology,
+    oracle_from_vertex_map,
+    oracle_simplicial_complex,
+)
 
 
 def random_circle_map(rng, a, b):
@@ -99,6 +105,165 @@ class TestElementary:
                 [None, [{0: 1, 1: 1}]],
                 simplices=[[(0,), (1,)], [(0, 1)]],
             )
+
+    def test_simplicial_boundary_checks(self):
+        X = filled_triangle()
+        bnd = [None] + [[dict(c) for c in X.boundary_columns(k)]
+                        for k in (1, 2)]
+        # the face's boundary negated: d.d = 0 still holds
+        bnd[2][0] = {r: -c for r, c in bnd[2][0].items()}
+        with pytest.raises(NotSimplicial, match="orientation convention"):
+            new_complex(X.counts, bnd, simplices=X.simplices)
+        bnd[2][0] = {}
+        with pytest.raises(NotSimplicial, match="not 3 entries of"):
+            new_complex(X.counts, bnd, simplices=X.simplices)
+        with pytest.raises(NotSimplicial, match="orientation convention"):
+            new_complex([2, 1], [None, [{0: 1, 1: -1}]],
+                        simplices=[[(0,), (1,)], [(0, 1)]])
+        with pytest.raises(NotSimplicial, match="bad vertex tuple"):
+            new_complex([2, 1], [None, [{0: -1, 1: 1}]],
+                        simplices=[[(0,), (1,)], [(1, 0)]])
+
+
+def random_simplices(rng, n_vertices, max_dim, count):
+    """Random vertex tuples in random order, sizes 1..max_dim+1."""
+    out = []
+    for _ in range(count):
+        size = rng.randint(1, min(max_dim + 1, n_vertices))
+        out.append(tuple(rng.sample(range(n_vertices), size)))
+    return out
+
+
+def random_vertex_map(rng, X, complete=True):
+    """A vertex map of X into fewer or as many vertices, and a target that
+    holds every image simplex plus unhit extras (one image left out when
+    ``complete`` is false)."""
+    m = rng.randint(1, X.n_cells(0) + 1)
+    vm = [rng.randrange(m) for _ in range(X.n_cells(0))]
+    images = sorted({tuple(sorted({vm[v] for v in s}))
+                     for level in X.simplices for s in level})
+    extra = random_simplices(rng, m + 2, 3, rng.randint(0, 3))
+    if not complete:
+        images.remove(max(images, key=len))
+    # (0,) keeps the target nonempty when its one image was left out
+    return vm, simplicial_complex(images + extra + [(0,)])
+
+
+class TestOnePassBuildersAgainstOracles:
+    """The one-pass face closure and the vertex tables of simplicial maps
+    against the all-subsets closure and the per-cell image dicts of the
+    oracles."""
+
+    def test_simplicial_complex_random(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 9)
+            simplices = random_simplices(rng, n, 3, rng.randint(1, 8))
+            labels = {"some": [(0, v) for v in range(0, n, 2)]}
+            X = simplicial_complex(simplices, labels=labels)
+            O = oracle_simplicial_complex(simplices, labels=labels)
+            assert X.counts == O.counts
+            assert X.simplices == O.simplices
+            assert X.labels == O.labels
+            for k in range(1, X.dim + 1):
+                # same columns with the same entry order
+                assert [list(c.items()) for c in X.boundary_columns(k)] == \
+                    [list(c.items()) for c in O.boundary_columns(k)]
+            for level in O.simplices:
+                for i, s in enumerate(level):
+                    assert X.simplex_index(s) == i
+
+    @pytest.mark.parametrize("simplices", [[(0, 1), (2, 2)], [], [()],
+                                           [(0, 1), ()]],
+                             ids=["repeated-vertex", "no-simplices",
+                                  "empty-simplex", "empty-among-others"])
+    def test_malformed_input_not_simplicial(self, simplices):
+        with pytest.raises(NotSimplicial):
+            simplicial_complex(simplices)
+
+    def test_vertex_tables_random(self):
+        seen = {"degenerate": 0, "unhit": 0, "lower-dim": 0, "refused": 0,
+                "composed-degenerate": 0}
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 8)
+            X = simplicial_complex(random_simplices(rng, n, 3, rng.randint(1, 6)))
+            vm, Y = random_vertex_map(rng, X, complete=rng.random() < 0.8)
+            try:
+                want = oracle_from_vertex_map(X, Y, vm)
+            except NotSimplicial as exc:
+                with pytest.raises(NotSimplicial) as got:
+                    CellMap.from_vertex_map(X, Y, vm)
+                assert str(got.value) == str(exc)
+                seen["refused"] += 1
+                continue
+            f = CellMap.from_vertex_map(X, Y, vm)
+            assert f.assignment == want.assignment
+            assert f.vertex_map == want.vertex_map
+            for k in range(X.dim + 1):
+                for i in range(X.n_cells(k)):
+                    assert f.cell_image(k, i) == want.cell_image(k, i)
+            assert oracle_chain_map_failure(X, Y, f.assignment) is None
+            hit = {(k, j) for k, level in enumerate(f.assignment)
+                   for img in level for j in img}
+            seen["degenerate"] += any(img == {} for level in f.assignment
+                                      for img in level)
+            seen["unhit"] += len(hit) < Y.total_cells()
+            seen["lower-dim"] += Y.dim < X.dim
+            # simplicial after simplicial: table composition
+            vm2, Z = random_vertex_map(rng, Y)
+            g = CellMap.from_vertex_map(Y, Z, vm2)
+            gf = g.compose(f)
+            want_gf = oracle_from_vertex_map(Y, Z, vm2).compose(want)
+            assert gf.assignment == want_gf.assignment
+            assert gf.vertex_map == want_gf.vertex_map
+            assert gf.assignment == \
+                CellMap.from_vertex_map(X, Z, gf.vertex_map).assignment
+            seen["composed-degenerate"] += any(
+                img == {} and f.cell_image(k, i)
+                for k, level in enumerate(gf.assignment)
+                for i, img in enumerate(level))
+        assert all(count >= 5 for count in seen.values()), seen
+
+    def test_tampered_tables_fail_at_oracle_cell(self):
+        failures = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(2, 8)
+            X = simplicial_complex(random_simplices(rng, n, 3, rng.randint(1, 6)))
+            vm, Y = random_vertex_map(rng, X)
+            f = CellMap.from_vertex_map(X, Y, vm)
+            cells = [(k, i) for k in range(X.dim + 1)
+                     for i in range(X.n_cells(k)) if f._images[k][i] >= 0]
+            k, i = rng.choice(cells)
+            if rng.random() < 0.5 or Y.n_cells(k) < 2:
+                f._signs[k][i] = -f._signs[k][i]
+            else:
+                f._images[k][i] = rng.choice(
+                    [j for j in range(Y.n_cells(k)) if j != f._images[k][i]])
+            expected = oracle_chain_map_failure(X, Y, f.assignment)
+            try:
+                f._validate()
+                got = None
+            except NotAChainComplex as exc:
+                got = exc.cell
+            assert got == expected, seed
+            failures += got is not None
+        assert failures >= 150
+
+    @pytest.mark.parametrize("source, assignment, cell", [
+        # a 2-cell image in a target without 2-cells
+        ([(0, 1, 2)], [[{0: 1}, {1: 1}, {1: 1}], [{0: 1}, {0: 1}, {}],
+                       [{0: 1}]], "dim 2, 0"),
+        ([(0, 1)], [[{0: 1}, {5: 1}], [{0: 1}]], "dim 0, 1"),
+        # a negative index must not wrap round to the last target cell
+        ([(0, 1)], [[{0: 1}, {1: 1}], [{-1: 1}]], "dim 1, 0"),
+    ], ids=["missing-dimension", "index-past-end", "negative-index"])
+    def test_image_outside_target_is_shape_mismatch(self, source, assignment,
+                                                    cell):
+        edge = simplicial_complex([(0, 1)])
+        with pytest.raises(ShapeMismatch, match=rf"\({cell}\)"):
+            CellMap(simplicial_complex(source), edge, assignment)
 
 
 class TestAnnulus:
