@@ -71,9 +71,6 @@ class Cochain:
             return 0
         return max((abs(v) for v in self.values), default=0)
 
-    def value(self, i):
-        return self.values[i]
-
     def support(self):
         return [i for i, v in enumerate(self.values) if v != 0]
 

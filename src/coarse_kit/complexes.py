@@ -11,6 +11,7 @@ Everything here is immutable after construction and all arithmetic is plain
 Python integers, so values can be shared freely between threads.
 """
 
+from copy import copy
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -42,6 +43,12 @@ def same_structure(X, Y):
     return X.counts == Y.counts and all(
         X.boundary_columns(k) == Y.boundary_columns(k) for k in range(1, X.dim + 1)
     )
+
+
+def _sorted_labels(labels):
+    """Each label's cells as a sorted tuple of int (dim, index) pairs."""
+    return {name: tuple(sorted((int(d), int(i)) for d, i in cells))
+            for name, cells in labels.items()}
 
 
 def _sorted_with_sign(images):
@@ -123,10 +130,7 @@ class CellComplex:
                 {s: i for i, s in enumerate(level)} for level in self.simplices
             ]
         self.coboundary_factors = {}
-        self.labels = {}
-        if labels:
-            for name, cells in labels.items():
-                self.labels[name] = tuple(sorted((int(d), int(i)) for d, i in cells))
+        self.labels = _sorted_labels(labels or {})
         if validate:
             self._validate()
 
@@ -183,14 +187,15 @@ class CellComplex:
     def label_cells_of_dim(self, name, k):
         return tuple(i for d, i in self.label_cells(name) if d == k)
 
-    def relabeled(self, extra):
-        """Copy of this complex with additional labels."""
-        labels = dict(self.labels)
-        labels.update(extra)
-        return CellComplex(
-            self.counts, self._bnd, simplices=self.simplices, labels=labels,
-            validate=False,
-        )
+    def relabeled(self, labels):
+        """This complex with exactly the given labels.
+
+        A shallow copy: it shares the boundary columns, simplex tables, face
+        index and ``coboundary_factors`` memo, none of which depend on labels.
+        """
+        Z = copy(self)
+        Z.labels = _sorted_labels(labels)
+        return Z
 
     # -- validation ------------------------------------------------------
 
@@ -231,7 +236,14 @@ class CellComplex:
                     raise NotSimplicial(
                         f"cell (dim {k}, {j}) boundary is not {k + 1} entries of +-1"
                     )
-                if col != next(canonical_cols):
+                try:
+                    canonical = next(canonical_cols)
+                except KeyError as exc:
+                    raise NotSimplicial(
+                        f"cell (dim {k}, {j}) has face {exc.args[0]}, which is "
+                        f"not in the dim {k - 1} simplex table"
+                    ) from None
+                if col != canonical:
                     raise NotSimplicial(
                         f"cell (dim {k}, {j}) boundary breaks the sorted-tuple "
                         "orientation convention"
@@ -291,34 +303,26 @@ def simplicial_complex(simplices, labels=None):
 
 
 class CellMap:
-    """Cellular chain map between complexes.
+    """Cellular chain map sending each cell to at most one cell, with sign +-1.
 
-    ``assignment[k][i]`` is the image of the i-th source k-cell as a
-    ``{target cell index: coefficient}`` dict.  A simplicial map (built by
-    :meth:`from_vertex_map`, or composed from two such maps) is determined by
-    its vertex map and stores, per dimension, two tables instead: the index
-    of each cell's image simplex (-1 where the image is degenerate) and its
-    orientation sign (0 there).  Its ``assignment`` is built from the tables
-    on each read; :meth:`cell_image` reads the tables directly.
+    Every map the constructions build has this form: vertex-map-induced
+    simplicial maps, identities, slice inclusions and their products.  It is
+    stored per dimension k as two tables over the source k-cells:
+    ``images[k][i]``, the index of the target k-cell the i-th cell maps to
+    (-1 where it maps to zero), and ``signs[k][i]``, its coefficient (+-1,
+    and 0 where the image is zero).  Simplicial maps also keep their
+    ``vertex_map``.
     """
 
-    def __init__(self, source, target, assignment, vertex_map=None, validate=True):
+    def __init__(self, source, target, images, signs, vertex_map=None,
+                 validate=True):
         self.source = source
         self.target = target
-        self._assignment = assignment
-        self._images = self._signs = None
+        self._images = images
+        self._signs = signs
         self.vertex_map = list(vertex_map) if vertex_map is not None else None
         if validate:
             self._validate()
-
-    @classmethod
-    def _from_tables(cls, source, target, vertex_map, images, signs, validate):
-        """A simplicial map stored as its image and sign tables."""
-        f = cls(source, target, None, vertex_map=vertex_map, validate=False)
-        f._images, f._signs = images, signs
-        if validate:
-            f._validate()
-        return f
 
     @classmethod
     def from_vertex_map(cls, source, target, vertex_map, validate=True):
@@ -341,7 +345,7 @@ class CellMap:
                     face, sign = (((a, b), 1) if a < b else
                                   ((b, a), -1) if a > b else (None, 0))
                 else:
-                    face, sign = _sorted_with_sign([vm[v] for v in verts])
+                    face, sign = _sorted_with_sign(map(vm.__getitem__, verts))
                 if sign == 0:
                     img_k.append(-1)
                     sgn_k.append(0)
@@ -355,31 +359,17 @@ class CellMap:
                 sgn_k.append(sign)
             images.append(img_k)
             signs.append(sgn_k)
-        return cls._from_tables(source, target, vm, images, signs, validate)
+        return cls(source, target, images, signs, vertex_map=vm,
+                   validate=validate)
 
     @classmethod
     def identity(cls, X):
-        assignment = [
-            [{i: 1} for i in range(X.n_cells(k))] for k in range(X.dim + 1)
-        ]
-        vm = list(range(X.n_cells(0))) if X.is_simplicial else None
-        return cls(X, X, assignment, vertex_map=vm, validate=False)
-
-    @property
-    def assignment(self):
-        """Per dimension, the image of each source cell as a dict."""
-        if self._images is None:
-            return self._assignment
-        return [[{j: s} if j >= 0 else {} for j, s in zip(img, sgn)]
-                for img, sgn in zip(self._images, self._signs)]
+        images = [list(range(n)) for n in X.counts]
+        vm = images[0] if X.is_simplicial else None
+        return cls(X, X, images, [[1] * n for n in X.counts], vertex_map=vm,
+                   validate=False)
 
     def cell_image(self, k, i):
-        if self._images is None:
-            if k >= len(self._assignment):
-                return {}
-            return self._assignment[k][i]
-        if k >= len(self._images):
-            return {}
         j = self._images[k][i]
         return {j: self._signs[k][i]} if j >= 0 else {}
 
@@ -394,62 +384,41 @@ class CellMap:
     def vertex_image(self, v):
         if self.vertex_map is not None:
             return self.vertex_map[v]
-        img = self.cell_image(0, v)
-        if len(img) != 1:
+        j = self._images[0][v]
+        if j < 0:
             raise NotAVertex(f"vertex {v} has no single-cell image")
-        return next(iter(img))
+        return j
 
     def _validate(self):
-        """Check the chain-map identity d f(s) = f(d s) cell by cell."""
-        if self._images is not None:
-            self._validate_tables()
-            return
-        src, tgt, assignment = self.source, self.target, self._assignment
-        if len(assignment) < src.dim + 1:
-            raise ShapeMismatch("assignment missing dimensions")
+        """Check cell by cell that each source k-cell maps to a target
+        k-cell with sign +-1, or to zero (-1, sign 0), and that the
+        chain-map identity d f(s) = f(d s) holds."""
+        src, tgt, images, signs = self.source, self.target, self._images, self._signs
         for k in range(src.dim + 1):
-            if len(assignment[k]) != src.counts[k]:
-                raise ShapeMismatch(f"assignment size mismatch in dim {k}")
-            n_target = tgt.n_cells(k)
-            for i, img in enumerate(assignment[k]):
-                for j in img:
-                    if not 0 <= j < n_target:
-                        raise ShapeMismatch(
-                            f"image of cell (dim {k}, {i}) names target cell "
-                            f"(dim {k}, {j}), which does not exist"
-                        )
-        for k in range(1, src.dim + 1):
-            src_bnd = src._bnd[k]
+            n_src, n_tgt = src.counts[k], tgt.n_cells(k)
+            img_k = images[k] if k < len(images) else ()
+            sgn_k = signs[k] if k < len(signs) else ()
+            if len(img_k) != n_src or len(sgn_k) != n_src:
+                raise ShapeMismatch(
+                    f"image tables of dim {k} have {len(img_k)} and "
+                    f"{len(sgn_k)} entries for cells (dim {k}, 0..{n_src - 1})"
+                )
             tgt_bnd = tgt._bnd[k] if k <= tgt.dim else ()
-            below = assignment[k - 1]
-            for i, img in enumerate(assignment[k]):
-                lhs = {}
-                for j, c in img.items():
-                    for r, c2 in tgt_bnd[j].items():
-                        lhs[r] = lhs.get(r, 0) + c * c2
-                rhs = {}
-                for r, c in src_bnd[i].items():
-                    for j, c2 in below[r].items():
-                        rhs[j] = rhs.get(j, 0) + c * c2
-                lhs = {j: c for j, c in lhs.items() if c != 0}
-                rhs = {j: c for j, c in rhs.items() if c != 0}
-                if lhs != rhs:
-                    raise NotAChainComplex(
-                        f"chain-map identity fails at cell (dim {k}, {i})", cell=(k, i)
-                    )
-
-    def _validate_tables(self):
-        """The chain-map identity read off the image and sign tables."""
-        src, tgt = self.source, self.target
-        for k in range(1, src.dim + 1):
-            tgt_bnd = tgt._bnd[k] if k <= tgt.dim else ()
-            img_k, sgn_k = self._images[k], self._signs[k]
-            img_below, sgn_below = self._images[k - 1], self._signs[k - 1]
+            # read only for k >= 1: vertices have no faces
+            img_below, sgn_below = images[k - 1], signs[k - 1]
             for i, col in enumerate(src._bnd[k]):
                 # d f(s) - f(d s), scaled by the sign of f(s)
-                j = img_k[i]
-                s = sgn_k[i] if j >= 0 else 1
-                diff = dict(tgt_bnd[j]) if j >= 0 else {}
+                j, s = img_k[i], sgn_k[i]
+                if 0 <= j < n_tgt and s * s == 1:
+                    diff = dict(tgt_bnd[j])
+                elif j == -1 and s == 0:
+                    diff, s = {}, 1
+                else:
+                    raise ShapeMismatch(
+                        f"image of cell (dim {k}, {i}) is index {j} with sign "
+                        f"{s}: neither a target index in 0..{n_tgt - 1} with "
+                        "sign +-1 nor -1 with sign 0"
+                    )
                 for r, c in col.items():
                     jr = img_below[r]
                     if jr >= 0:
@@ -466,31 +435,17 @@ class CellMap:
         vm = None
         if self.vertex_map is not None and other.vertex_map is not None:
             vm = [self.vertex_map[w] for w in other.vertex_map]
-        if self._images is not None and other._images is not None:
-            # simplicial after simplicial: compose the image tables
-            images, signs = [], []
-            for k, (img, sgn) in enumerate(zip(other._images, other._signs)):
-                if k >= len(self._images):
-                    images.append([-1] * len(img))
-                    signs.append([0] * len(img))
-                    continue
-                outer_img, outer_sgn = self._images[k], self._signs[k]
-                images.append([outer_img[j] if j >= 0 else -1 for j in img])
-                signs.append([outer_sgn[j] * s if j >= 0 else 0
-                              for j, s in zip(img, sgn)])
-            return CellMap._from_tables(other.source, self.target, vm, images,
-                                        signs, validate=False)
-        assignment = []
-        for k in range(other.source.dim + 1):
-            level = []
-            for i in range(other.source.n_cells(k)):
-                acc = {}
-                for j, c in other.cell_image(k, i).items():
-                    for m, c2 in self.cell_image(k, j).items():
-                        acc[m] = acc.get(m, 0) + c * c2
-                level.append({m: c for m, c in acc.items() if c != 0})
-            assignment.append(level)
-        return CellMap(other.source, self.target, assignment, vertex_map=vm,
+        images, signs = [], []
+        for k, (img, sgn) in enumerate(zip(other._images, other._signs)):
+            if k >= len(self._images):
+                images.append([-1] * len(img))
+                signs.append([0] * len(img))
+                continue
+            outer_img, outer_sgn = self._images[k], self._signs[k]
+            images.append([outer_img[j] if j >= 0 else -1 for j in img])
+            signs.append([outer_sgn[j] * s if j >= 0 else 0
+                          for j, s in zip(img, sgn)])
+        return CellMap(other.source, self.target, images, signs, vertex_map=vm,
                        validate=False)
 
 
@@ -653,7 +608,7 @@ def _rim_cylinder(a, b, vertex_map):
         "domain-rim": _vertex_span_cells(cyl, range(a)),
         "target-rim": _vertex_span_cells(cyl, range(a, a + b)),
     }
-    cyl = cyl.relabeled(lbl)
+    cyl = cyl.relabeled({**cyl.labels, **lbl})
     retr = CellMap.from_vertex_map(cyl, bot, retr.vertex_map, validate=False)
     return cyl, retr
 
@@ -717,39 +672,37 @@ def subcomplex_matching(X, label_x, Y, label_y, vertex_map):
 
 
 def glue(X, Y, matching):
-    """Pushout of X and Y along a matched pair of subcomplexes.
+    """Simplicial pushout of X and Y along a matched pair of subcomplexes.
 
-    ``matching`` maps Y-cells to X-cells, either ``cell -> cell`` or
-    ``cell -> (cell, sign)``.  The matched sets must be boundary-closed and
-    the matching must commute with the boundary operators (orientation
-    preserving); matched cells are counted once in the result.
+    ``matching`` maps Y-cells to ``(X-cell, sign)`` pairs, the form that
+    :func:`wedge` and :func:`subcomplex_matching` build.  The matched Y-cells
+    must be boundary-closed and the matching must commute with the boundary
+    operators (orientation preserving); matched cells are counted once in the
+    result.  The result is rebuilt from the merged vertex tuples, so every
+    stored boundary keeps the sorted-tuple alternating-sign convention that
+    vertex-map-induced chain maps rely on.
 
     Returns ``(glued complex, cell map table for Y)`` where the table sends
     every Y-cell to its (cell, sign) in the result.
     """
-    norm = {}
-    for y, tgt in matching.items():
-        if isinstance(tgt[0], tuple):
-            norm[y] = (tgt[0], tgt[1])
-        else:
-            norm[y] = (tgt, 1)
-    matched_y = set(norm)
+    if not (X.is_simplicial and Y.is_simplicial):
+        raise NotSimplicial("glue joins two simplicial complexes")
     # boundary closure on the Y side
-    for (k, i) in list(matched_y):
+    for (k, i) in matching:
         for r in Y.boundary_of(k, i):
-            if (k - 1, r) not in matched_y:
+            if (k - 1, r) not in matching:
                 raise NotASubcomplex(
                     f"matched set is not boundary-closed at Y-cell (dim {k}, {i})"
                 )
     # chain compatibility (orientation)
-    for (k, i), ((kx, ix), sign) in norm.items():
+    for (k, i), ((kx, ix), sign) in matching.items():
         if k != kx:
             raise NotIsomorphic("matched cells have different dimensions")
         if k == 0:
             continue
         lhs = {}
         for r, c in Y.boundary_of(k, i).items():
-            (rx_k, rx), s2 = norm[(k - 1, r)]
+            (rx_k, rx), s2 = matching[(k - 1, r)]
             lhs[rx] = lhs.get(rx, 0) + c * s2
         rhs = {r: sign * c for r, c in X.boundary_of(k, ix).items()}
         lhs = {r: c for r, c in lhs.items() if c != 0}
@@ -757,57 +710,12 @@ def glue(X, Y, matching):
             raise OrientationMismatch(
                 f"matching does not commute with the boundary at Y-cell (dim {k}, {i})"
             )
-    if X.is_simplicial and Y.is_simplicial:
-        return _glue_simplicial(X, Y, norm)
-    dim = max(X.dim, Y.dim)
-    counts = []
-    y_table = {}
-    for k in range(dim + 1):
-        base = X.n_cells(k)
-        new_index = {}
-        for i in range(Y.n_cells(k)):
-            if (k, i) in norm:
-                y_table[(k, i)] = (norm[(k, i)][0], norm[(k, i)][1])
-            else:
-                new_index[i] = base + len(new_index)
-                y_table[(k, i)] = ((k, new_index[i]), 1)
-        counts.append(base + len(new_index))
-    boundaries = [None]
-    for k in range(1, dim + 1):
-        cols = [dict(X.boundary_of(k, j)) for j in range(X.n_cells(k))]
-        for i in range(Y.n_cells(k)):
-            if (k, i) in norm:
-                continue
-            col = {}
-            for r, c in Y.boundary_of(k, i).items():
-                (rk, rj), s = y_table[(k - 1, r)]
-                col[rj] = col.get(rj, 0) + c * s
-            cols.append({r: c for r, c in col.items() if c != 0})
-        boundaries.append(cols)
-    labels = dict(X.labels)
-    for name, cells in Y.labels.items():
-        mapped = tuple(sorted(y_table[c][0] for c in cells))
-        key = name
-        while key in labels:
-            key += "+"
-        labels[key] = mapped
-    Z = CellComplex(counts, boundaries, labels=labels)
-    return Z, y_table
-
-
-def _glue_simplicial(X, Y, norm):
-    """Simplicial pushout rebuilt canonically from merged vertex tuples.
-
-    Keeps every stored boundary in the sorted-tuple alternating-sign
-    convention (vertex-map-induced chain maps rely on it); X and Y cell
-    indices are remapped through simplex lookups.
-    """
     n0 = X.n_cells(0)
     vmap = {}
     fresh = 0
     for i in range(Y.n_cells(0)):
-        if (0, i) in norm:
-            vmap[i] = norm[(0, i)][0][1]
+        if (0, i) in matching:
+            vmap[i] = matching[(0, i)][0][1]
         else:
             vmap[i] = n0 + fresh
             fresh += 1
@@ -823,7 +731,7 @@ def _glue_simplicial(X, Y, norm):
                     f"identification degenerates Y-cell (dim {k}, {i})"
                 )
             y_tuples[(k, i)] = verts
-            if (k, i) not in norm:
+            if (k, i) not in matching:
                 tuples.append(verts)
     Z = simplicial_complex(tuples)
     y_table = {}
@@ -975,41 +883,43 @@ def interval_product(X, n, size_guard=DEFAULT_CELL_BUDGET):
 def slice_inclusion(prod, level):
     """Chain map X -> X x [0, n] onto the slice at the given level."""
     X = prod.base
-    assignment = [
-        [{prod.slice_cell(k, i, level): 1} for i in range(X.n_cells(k))]
-        for k in range(X.dim + 1)
-    ]
-    return CellMap(X, prod.complex, assignment)
+    images = [[prod.slice_cell(k, i, level) for i in range(n)]
+              for k, n in enumerate(X.counts)]
+    return CellMap(X, prod.complex, images, [[1] * n for n in X.counts])
 
 
 def product_cellmap(prod_src, prod_dst, f, g):
     """Product of chain maps on interval products: (a x b) -> f(a) x g(b).
 
     ``f``: base -> base map, ``g``: path(0..n) -> path(0..m) map given as a
-    CellMap between :func:`path_complex` complexes.
+    CellMap between :func:`path_complex` complexes.  A product cell maps to
+    the product of the two factor images with the product of their signs,
+    and to zero when either factor does.
     """
-    Xs, Xd = prod_src.base, prod_dst.base
-    assignment = []
+    Xs = prod_src.base
+    images, signs = [], []
     for k in range(prod_src.complex.dim + 1):
-        level = []
-        for l in range(prod_src.n + 1):
-            for i in range(Xs.n_cells(k)):
-                acc = {}
-                for j, c in f.cell_image(k, i).items():
-                    for w, c2 in g.cell_image(0, l).items():
-                        idx = prod_dst.slice_cell(k, j, w)
-                        acc[idx] = acc.get(idx, 0) + c * c2
-                level.append({m: c for m, c in acc.items() if c != 0})
-        for l in range(prod_src.n):
-            for i in range(Xs.n_cells(k - 1)):
-                acc = {}
-                for j, c in f.cell_image(k - 1, i).items():
-                    for w, c2 in g.cell_image(1, l).items():
-                        idx = prod_dst.prism_cell(k, j, w)
-                        acc[idx] = acc.get(idx, 0) + c * c2
-                level.append({m: c for m, c in acc.items() if c != 0})
-        assignment.append(level)
-    return CellMap(prod_src.complex, prod_dst.complex, assignment)
+        img, sgn = [], []
+        # slice cells a x {l} (k-cells of the base), then prisms
+        # a x [l, l+1] ((k-1)-cells of the base)
+        for dim_a, dim_b, cell, n_levels in (
+                (k, 0, prod_dst.slice_cell, prod_src.n + 1),
+                (k - 1, 1, prod_dst.prism_cell, prod_src.n)):
+            if not 0 <= dim_a <= Xs.dim:
+                continue
+            f_img, f_sgn = f._images[dim_a], f._signs[dim_a]
+            for l in range(n_levels):
+                w, t = g._images[dim_b][l], g._signs[dim_b][l]
+                for j, s in zip(f_img, f_sgn):
+                    if j >= 0 and w >= 0:
+                        img.append(cell(k, j, w))
+                        sgn.append(s * t)
+                    else:
+                        img.append(-1)
+                        sgn.append(0)
+        images.append(img)
+        signs.append(sgn)
+    return CellMap(prod_src.complex, prod_dst.complex, images, signs)
 
 
 # -- subdivisions -------------------------------------------------------------

@@ -26,6 +26,7 @@ from math import gcd
 from .errors import ShapeMismatch, SizeGuardExceeded
 
 DEFAULT_SNF_BUDGET = 4_000_000
+MAX_LP_PIVOTS = 2_000_000  # per box_feasibility probe
 
 
 def _shape(A):
@@ -579,7 +580,7 @@ def _reduce_row(row, rhs, den):
     return row, rhs, den
 
 
-def _box_lp(A, b, lo, hi, max_pivots=2_000_000):
+def _box_lp(A, b, lo, hi):
     """Exact feasibility of A x = b with lo_j <= x_j <= hi_j (integers).
 
     Phase-1 bounded-variable simplex on z = x - lo in [0, U_j]; upper bounds
@@ -650,7 +651,7 @@ def _box_lp(A, b, lo, hi, max_pivots=2_000_000):
     stall_limit = 20 * (m + n)
     while True:
         pivots += 1
-        if pivots > max_pivots:
+        if pivots > MAX_LP_PIVOTS:
             raise SizeGuardExceeded("phase-1 pivot budget exhausted")
         # Dantzig rule (most negative reduced cost, lowest column on ties)
         # until a degeneracy stall, then Bland's rule (lowest column with a
@@ -743,7 +744,7 @@ def _normalize_farkas(A, b, lo, hi, pi):
     return pi
 
 
-def box_feasibility(A, b, t, max_pivots=2_000_000):
+def box_feasibility(A, b, t):
     """Feasibility of A x = b in the symmetric box |x_j| <= t.
 
     Returns (x, None) when feasible, else (None, farkas) with
@@ -751,7 +752,7 @@ def box_feasibility(A, b, t, max_pivots=2_000_000):
     checkable sup-norm lower-bound certificate at bound t.
     """
     m, n = _shape(A)
-    return _box_lp(A, b, [-t] * n, [t] * n, max_pivots=max_pivots)
+    return _box_lp(A, b, [-t] * n, [t] * n)
 
 
 def mat_vec_fraction(A, x):

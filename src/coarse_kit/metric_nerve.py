@@ -86,7 +86,7 @@ def skeleton_metric(X):
     return DistanceTable(dist=dist, components=components)
 
 
-def lipschitz_constant(f, metric_src=None, metric_dst=None):
+def lipschitz_constant(f):
     """Vertex-level Lipschitz constant: max over edges of d(f(u), f(v)).
 
     Exact on 1-skeleta (unit edges: the denominator is 1) and a lower bound
@@ -94,7 +94,7 @@ def lipschitz_constant(f, metric_src=None, metric_dst=None):
     spans two components of the target.
     """
     X, Y = f.source, f.target
-    table = metric_dst if metric_dst is not None else skeleton_metric(Y)
+    table = skeleton_metric(Y)
     best = 0
     for e in range(X.n_cells(1)):
         ends = sorted(X.boundary_of(1, e))
@@ -148,9 +148,9 @@ def open_star_cover(X):
                      centers=list(range(n)))
 
 
-def mesh(cover, metric=None):
+def mesh(cover):
     """Largest vertex diameter of a cover set."""
-    table = metric if metric is not None else skeleton_metric(cover.carrier)
+    table = skeleton_metric(cover.carrier)
     out = 0
     for s in cover.sets:
         for u in s:
@@ -238,7 +238,7 @@ def _complement_distances(X, s, adj):
     return [INFINITY if d is None else d for d in dist]
 
 
-def lebesgue_number(cover, metric=None):
+def lebesgue_number(cover):
     """L(cover) = min over vertices of max over sets of d(x, complement).
 
     Exact on the vertex set; a set with empty complement reports the INFINITY
@@ -260,7 +260,7 @@ def lebesgue_number(cover, metric=None):
     return overall if overall is not None else INFINITY
 
 
-def canonical_projection(cover, vertex, metric=None):
+def canonical_projection(cover, vertex):
     """Partition-of-unity weights d(x, X-U) / sum_V d(x, X-V), exact.
 
     Sets with empty complement would carry infinite weight; they share the

@@ -139,28 +139,14 @@ class MkBundle:
     notes: dict = field(default_factory=dict)
 
 
-def _relabel_only(X, labels):
-    """Same complex with exactly the given labels."""
-    return CellComplex(
-        X.counts,
-        [None] + [X.boundary_columns(k) for k in range(1, X.dim + 1)],
-        simplices=X.simplices,
-        labels=labels,
-        validate=False,
-    )
-
-
 def _map_label(y_table, Y, name):
     return tuple(sorted(y_table[c][0] for c in Y.label_cells(name)))
 
 
-def _cycle_from(X, label, start, reverse=False):
+def _cycle_from(X, label, start):
     order = cycle_vertices_of_label(X, label)
     i = order.index(start)
-    order = order[i:] + order[:i]
-    if reverse:
-        order = [order[0]] + list(reversed(order[1:]))
-    return order
+    return order[i:] + order[:i]
 
 
 def build_Tp(p, i, params=None):
@@ -199,7 +185,7 @@ def _tower_chain(u, params):
     pieces = []  # (complex, attach_label, free_label), glued in order
     if params.reduce:
         S, _ = annulus_triangulation(esc * u, esc)
-        chain = _relabel_only(S, {
+        chain = S.relabeled({
             "hole": S.label_cells("target-rim"),
             "top": S.label_cells("domain-rim"),
         })
@@ -213,13 +199,13 @@ def _tower_chain(u, params):
         S, _ = annulus_triangulation(base * u, base)
         if base > esc:
             C0, _ = coarsening_cylinder(base, esc)
-            chain = _relabel_only(C0, {
+            chain = C0.relabeled({
                 "hole": C0.label_cells("target-rim"),
                 "top": C0.label_cells("domain-rim"),
             })
             chain = _attach_cyl(chain, S, attach="target-rim", free="domain-rim")
         else:
-            chain = _relabel_only(S, {
+            chain = S.relabeled({
                 "hole": S.label_cells("target-rim"),
                 "top": S.label_cells("domain-rim"),
             })
@@ -247,7 +233,7 @@ def _attach_cyl(chain, piece, attach, free):
     labels = {name: Z.label_cells(name) for name in chain.labels
               if name != "top"}
     labels["top"] = _map_label(ytab, piece, free)
-    return _relabel_only(Z, labels)
+    return Z.relabeled(labels)
 
 
 def _pants(ap, aq):
@@ -281,7 +267,7 @@ def _pants(ap, aq):
         "p-loop": _vertex_span_cells(cyl, p_loop_verts),
         "q-loop": _vertex_span_cells(cyl, q_loop_verts),
     }
-    return _relabel_only(cyl, labels)
+    return cyl.relabeled(labels)
 
 
 def _max_valence(X):
@@ -314,10 +300,10 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
     # tower chains, wedged at their collar base points
     TP = _tower_chain(p, params)
     TQ = _tower_chain(q, params)
-    TP = _relabel_only(TP, {"p-hole": TP.label_cells("hole"),
-                            "collar-p": TP.label_cells("top")})
-    TQ = _relabel_only(TQ, {"q-hole": TQ.label_cells("hole"),
-                            "collar-q": TQ.label_cells("top")})
+    TP = TP.relabeled({"p-hole": TP.label_cells("hole"),
+                       "collar-p": TP.label_cells("top")})
+    TQ = TQ.relabeled({"q-hole": TQ.label_cells("hole"),
+                       "collar-q": TQ.label_cells("top")})
     base_p = cycle_vertices_of_label(TP, "collar-p")[0]
     base_q = cycle_vertices_of_label(TQ, "collar-q")[0]
     W, ytab = wedge(TP, TQ, base_p, base_q)
@@ -328,7 +314,7 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
         "collar-p": W.label_cells("collar-p"),
         "collar-q": _map_label(ytab, TQ, "collar-q"),
     }
-    W = _relabel_only(W, labels)
+    W = W.relabeled(labels)
     # pair of pants over the wedge of collars
     P = _pants(ap, aq)
     pants_valence = _max_valence(P)
@@ -343,16 +329,15 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
         vm[v] = q_order[t]
     wedge_cells = tuple(sorted(set(P.label_cells("p-loop"))
                                | set(P.label_cells("q-loop"))))
-    P = _relabel_only(P, {"wedge": wedge_cells,
-                          "domain-rim": P.label_cells("domain-rim")})
+    P = P.relabeled({"wedge": wedge_cells,
+                     "domain-rim": P.label_cells("domain-rim")})
     collar_cells = tuple(sorted(set(W.label_cells("collar-p"))
                                 | set(W.label_cells("collar-q"))))
-    W = _relabel_only(W, {**{n: W.label_cells(n) for n in
-                             ("p-hole", "q-hole")},
-                          "collar-wedge": collar_cells})
+    W = W.relabeled({**{n: W.label_cells(n) for n in ("p-hole", "q-hole")},
+                     "collar-wedge": collar_cells})
     matching = subcomplex_matching(W, "collar-wedge", P, "wedge", vm)
     M1, ytab = glue(W, P, matching)
-    M1 = _relabel_only(M1, {
+    M1 = M1.relabeled({
         "p-hole": M1.label_cells("p-hole"),
         "q-hole": M1.label_cells("q-hole"),
         "pants-rim": _map_label(ytab, P, "domain-rim"),
@@ -360,12 +345,12 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
     # coarsening collar down to the middle triangle size
     K, _ = coarsening_cylinder(ap + aq, esc)
     guts = _attach_cyl(
-        _relabel_only(M1, {"hole": (), "top": M1.label_cells("pants-rim"),
-                           "p-hole": M1.label_cells("p-hole"),
-                           "q-hole": M1.label_cells("q-hole")}),
+        M1.relabeled({"hole": (), "top": M1.label_cells("pants-rim"),
+                      "p-hole": M1.label_cells("p-hole"),
+                      "q-hole": M1.label_cells("q-hole")}),
         K, attach="domain-rim", free="target-rim",
     )
-    guts = _relabel_only(guts, {
+    guts = guts.relabeled({
         "p-hole": guts.label_cells("p-hole"),
         "q-hole": guts.label_cells("q-hole"),
         "guts-boundary": guts.label_cells("top"),
@@ -382,7 +367,7 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
     matching2 = subcomplex_matching(D, "middle-boundary", guts,
                                     "guts-boundary", vm2)
     M, ytab2 = glue(D, guts, matching2)
-    M = _relabel_only(M, {
+    M = M.relabeled({
         "boundary": M.label_cells("boundary"),
         "middle-boundary": M.label_cells("middle-boundary"),
         "p-hole": _map_label(ytab2, guts, "p-hole"),
@@ -583,7 +568,7 @@ def _guts_of(bundle):
     keep_rim = set(M.label_cells("middle-boundary"))
     doomed = sorted(d_cells - keep_rim, reverse=True)
     guts = remove_cells(M, doomed)
-    return _relabel_only(guts, {
+    return guts.relabeled({
         "guts-boundary": guts.label_cells("middle-boundary"),
         bundle.p_hole_label: guts.label_cells(bundle.p_hole_label),
         bundle.q_hole_label: guts.label_cells(bundle.q_hole_label),

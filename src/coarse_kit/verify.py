@@ -32,6 +32,10 @@ from .towers import (
     product_obstruction_cocycle,
 )
 
+# cell budgets: the beta product of verify-prop52, the tower of verify-tower
+PROP52_CELL_BUDGET = 200_000
+TOWER_CELL_BUDGET = 300_000
+
 
 def _params_dict(params, extra=None):
     out = {
@@ -197,7 +201,7 @@ def _winding_relation(bundle):
 
 
 def verify_prop52(params, node_limit=10_000_000, n_mode="factorial",
-                  out_prefix=None, size_guard=200_000):
+                  out_prefix=None):
     """Bounded product primitive: delta(beta) = pulled-back cocycle, norm <= 4."""
     report = VerificationReport(
         command="verify-prop52",
@@ -228,14 +232,14 @@ def verify_prop52(params, node_limit=10_000_000, n_mode="factorial",
         report.add("interval-length", FAIL, reason="factorial overflow")
         return report
     est = (2 * n + 1) * bundle.complex.total_cells()
-    if est > size_guard:
+    if est > PROP52_CELL_BUDGET:
         report.add(
             "interval-length", INCONCLUSIVE, n=n, estimated_cells=est,
             suggestion="rerun with --n-mode lcm",
         )
         return report
     report.add("interval-length", PASS, n=n, mode=n_mode)
-    cert = build_beta(gamma, n, size_guard=size_guard)
+    cert = build_beta(gamma, n, size_guard=PROP52_CELL_BUDGET)
     target, g = product_obstruction_cocycle(bundle, cert.product)
     lhs = coboundary(cert.beta)
     report.check("product-coboundary-identity", lhs == target,
@@ -256,8 +260,7 @@ def verify_prop52(params, node_limit=10_000_000, n_mode="factorial",
     return report
 
 
-def verify_tower(params, stages, node_limit=10_000_000, out_prefix=None,
-                 size_guard=300_000):
+def verify_tower(params, stages, node_limit=10_000_000, out_prefix=None):
     """Stage bounds, star-refinement witnesses, carrier containment, growth."""
     report = VerificationReport(
         command="verify-tower",
@@ -266,7 +269,8 @@ def verify_tower(params, stages, node_limit=10_000_000, out_prefix=None,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        tower = build_tower(params, depth=stages - 1, size_guard=size_guard)
+        tower = build_tower(params, depth=stages - 1,
+                            size_guard=TOWER_CELL_BUDGET)
     from .metric_nerve import lipschitz_constant
 
     for stage in tower[1:]:

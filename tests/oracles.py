@@ -18,9 +18,11 @@ the same points and the same Farkas vectors.
 
 ``oracle_simplicial_complex`` (closure by every nonempty subset) and
 ``oracle_from_vertex_map`` (one image dict per source cell, signs by pair
-inversions) are the builders that the one-pass face closure and the vertex
-tables of ``complexes.CellMap`` replaced; ``oracle_chain_map_failure`` is
-the dict chain-map check both forms of map must agree with.
+inversions) are the builders that the one-pass face closure and the image
+and sign tables of ``complexes.CellMap`` replaced.  ``oracle_compose`` and
+``oracle_product_cellmap`` are the dict composition and product of maps
+given as those dicts, and ``oracle_chain_map_failure`` is the dict
+chain-map check; the tables' ``cell_image`` views must agree with all three.
 
 ``ilp_min_linf`` is the second reference for minimal sup-norms: a generic
 branch and bound (integer bounds propagation plus the package's exact box
@@ -33,7 +35,7 @@ from itertools import combinations
 from itertools import product as iproduct
 
 from coarse_kit.cochains import _bellman_potentials
-from coarse_kit.complexes import CellComplex, CellMap
+from coarse_kit.complexes import CellComplex
 from coarse_kit.errors import (
     NodeLimitExceeded,
     NoIntegerSolution,
@@ -885,8 +887,8 @@ def oracle_simplicial_complex(simplices, labels=None):
 
 
 def oracle_from_vertex_map(source, target, vertex_map):
-    """Simplicial map with one {image index: sign} dict per source cell
-    ({} where the image is degenerate), not validated."""
+    """Simplicial map as per-dimension lists of one {image index: sign}
+    dict per source cell ({} where the image is degenerate)."""
     vm = list(vertex_map)
     if len(vm) != source.n_cells(0):
         raise ShapeMismatch("vertex map length != vertex count")
@@ -906,7 +908,49 @@ def oracle_from_vertex_map(source, target, vertex_map):
                 )
             level.append({idx: sign})
         assignment.append(level)
-    return CellMap(source, target, assignment, vertex_map=vm, validate=False)
+    return assignment
+
+
+def oracle_compose(outer, inner):
+    """Image dicts of ``outer`` after ``inner``, both given as image dicts."""
+    composed = []
+    for k, level in enumerate(inner):
+        out = []
+        for img in level:
+            acc = {}
+            for j, c in img.items():
+                for m, c2 in (outer[k][j] if k < len(outer) else {}).items():
+                    acc[m] = acc.get(m, 0) + c * c2
+            out.append({m: c for m, c in acc.items() if c != 0})
+        composed.append(out)
+    return composed
+
+
+def oracle_product_cellmap(prod_src, prod_dst, f, g):
+    """Image dicts of (a x b) -> f(a) x g(b) on interval products, from the
+    image dicts of a base map ``f`` and a path map ``g``."""
+    Xs = prod_src.base
+    assignment = []
+    for k in range(prod_src.complex.dim + 1):
+        level = []
+        for l in range(prod_src.n + 1):
+            for i in range(Xs.n_cells(k)):
+                acc = {}
+                for j, c in f[k][i].items():
+                    for w, c2 in g[0][l].items():
+                        idx = prod_dst.slice_cell(k, j, w)
+                        acc[idx] = acc.get(idx, 0) + c * c2
+                level.append({m: c for m, c in acc.items() if c != 0})
+        for l in range(prod_src.n):
+            for i in range(Xs.n_cells(k - 1)):
+                acc = {}
+                for j, c in f[k - 1][i].items():
+                    for w, c2 in g[1][l].items():
+                        idx = prod_dst.prism_cell(k, j, w)
+                        acc[idx] = acc.get(idx, 0) + c * c2
+                level.append({m: c for m, c in acc.items() if c != 0})
+        assignment.append(level)
+    return assignment
 
 
 def oracle_chain_map_failure(source, target, assignment):

@@ -28,9 +28,11 @@ from coarse_kit.complexes import (
 from coarse_kit.errors import (
     NotAChainComplex,
     NotASimplex,
+    NotASubcomplex,
     NotDivisible,
     NotIsomorphic,
     NotSimplicial,
+    OrientationMismatch,
     ShapeMismatch,
     TooFewVertices,
 )
@@ -38,9 +40,17 @@ from coarse_kit.errors import (
 from oracles import (
     oracle_chain_map_failure,
     oracle_complex_homology,
+    oracle_compose,
     oracle_from_vertex_map,
+    oracle_product_cellmap,
     oracle_simplicial_complex,
 )
+
+
+def cell_images(f):
+    """Per dimension, the ``cell_image`` dict of every source cell."""
+    return [[f.cell_image(k, i) for i in range(n)]
+            for k, n in enumerate(f.source.counts)]
 
 
 def random_circle_map(rng, a, b):
@@ -80,6 +90,14 @@ class TestElementary:
             for v in C.simplex(1, e):
                 touch[v] += 1
         assert touch == [2] * 6
+
+    def test_relabeled_replaces_labels_on_a_shared_copy(self):
+        C = circle(4)
+        R = C.relabeled({"arc": [(0, 1), (1, 0), (0, 0)]})
+        assert R.labels == {"arc": ((0, 0), (0, 1), (1, 0))}
+        assert C.labels == {"rim": ((0, 0), (0, 1), (0, 2), (0, 3))}
+        assert R.boundary_columns(1) is C.boundary_columns(1)
+        assert R.simplices is C.simplices
 
     def test_circle_too_small(self):
         with pytest.raises(TooFewVertices):
@@ -123,6 +141,11 @@ class TestElementary:
         with pytest.raises(NotSimplicial, match="bad vertex tuple"):
             new_complex([2, 1], [None, [{0: -1, 1: 1}]],
                         simplices=[[(0,), (1,)], [(1, 0)]])
+
+    def test_simplex_with_missing_face_is_not_simplicial(self):
+        with pytest.raises(NotSimplicial, match=r"face \(2,\)"):
+            new_complex([2, 1], [None, [{0: -1, 1: 1}]],
+                        simplices=[[(0,), (1,)], [(0, 2)]])
 
 
 def random_simplices(rng, n_vertices, max_dim, count):
@@ -198,15 +221,12 @@ class TestOnePassBuildersAgainstOracles:
                 seen["refused"] += 1
                 continue
             f = CellMap.from_vertex_map(X, Y, vm)
-            assert f.assignment == want.assignment
-            assert f.vertex_map == want.vertex_map
-            for k in range(X.dim + 1):
-                for i in range(X.n_cells(k)):
-                    assert f.cell_image(k, i) == want.cell_image(k, i)
-            assert oracle_chain_map_failure(X, Y, f.assignment) is None
-            hit = {(k, j) for k, level in enumerate(f.assignment)
+            assert cell_images(f) == want
+            assert f.vertex_map == vm
+            assert oracle_chain_map_failure(X, Y, want) is None
+            hit = {(k, j) for k, level in enumerate(want)
                    for img in level for j in img}
-            seen["degenerate"] += any(img == {} for level in f.assignment
+            seen["degenerate"] += any(img == {} for level in want
                                       for img in level)
             seen["unhit"] += len(hit) < Y.total_cells()
             seen["lower-dim"] += Y.dim < X.dim
@@ -214,14 +234,14 @@ class TestOnePassBuildersAgainstOracles:
             vm2, Z = random_vertex_map(rng, Y)
             g = CellMap.from_vertex_map(Y, Z, vm2)
             gf = g.compose(f)
-            want_gf = oracle_from_vertex_map(Y, Z, vm2).compose(want)
-            assert gf.assignment == want_gf.assignment
-            assert gf.vertex_map == want_gf.vertex_map
-            assert gf.assignment == \
-                CellMap.from_vertex_map(X, Z, gf.vertex_map).assignment
+            want_gf = oracle_compose(oracle_from_vertex_map(Y, Z, vm2), want)
+            assert cell_images(gf) == want_gf
+            assert gf.vertex_map == [vm2[w] for w in vm]
+            assert want_gf == \
+                cell_images(CellMap.from_vertex_map(X, Z, gf.vertex_map))
             seen["composed-degenerate"] += any(
                 img == {} and f.cell_image(k, i)
-                for k, level in enumerate(gf.assignment)
+                for k, level in enumerate(want_gf)
                 for i, img in enumerate(level))
         assert all(count >= 5 for count in seen.values()), seen
 
@@ -241,7 +261,7 @@ class TestOnePassBuildersAgainstOracles:
             else:
                 f._images[k][i] = rng.choice(
                     [j for j in range(Y.n_cells(k)) if j != f._images[k][i]])
-            expected = oracle_chain_map_failure(X, Y, f.assignment)
+            expected = oracle_chain_map_failure(X, Y, cell_images(f))
             try:
                 f._validate()
                 got = None
@@ -251,19 +271,52 @@ class TestOnePassBuildersAgainstOracles:
             failures += got is not None
         assert failures >= 150
 
-    @pytest.mark.parametrize("source, assignment, cell", [
+    @pytest.mark.parametrize("source, images, signs, cell", [
         # a 2-cell image in a target without 2-cells
-        ([(0, 1, 2)], [[{0: 1}, {1: 1}, {1: 1}], [{0: 1}, {0: 1}, {}],
-                       [{0: 1}]], "dim 2, 0"),
-        ([(0, 1)], [[{0: 1}, {5: 1}], [{0: 1}]], "dim 0, 1"),
-        # a negative index must not wrap round to the last target cell
-        ([(0, 1)], [[{0: 1}, {1: 1}], [{-1: 1}]], "dim 1, 0"),
-    ], ids=["missing-dimension", "index-past-end", "negative-index"])
-    def test_image_outside_target_is_shape_mismatch(self, source, assignment,
-                                                    cell):
+        ([(0, 1, 2)], [[0, 1, 1], [0, 0, -1], [0]],
+         [[1, 1, 1], [1, 1, 0], [1]], "dim 2, 0"),
+        ([(0, 1)], [[0, 5], [0]], [[1, 1], [1]], "dim 0, 1"),
+        # below -1 must not wrap round to a target cell
+        ([(0, 1)], [[0, 1], [-2]], [[1, 1], [0]], "dim 1, 0"),
+        ([(0, 1)], [[0, 1]], [[1, 1]], "dim 1, 0..0"),
+        ([(0, 1)], [[0, 1], [-1]], [[1, 1], [1]], "dim 1, 0"),
+        ([(0, 1)], [[0, 1], [0]], [[1, 0], [1]], "dim 0, 1"),
+        # as many zero signs as zero images, in the wrong places
+        ([(0, 1)], [[-1, 1], [0]], [[1, 0], [1]], "dim 0, 0"),
+        ([(0, 1)], [[0, 1], [0]], [[1, 1], [2]], "dim 1, 0"),
+    ], ids=["missing-dimension", "index-past-end", "negative-index",
+            "missing-table", "sign-on-zero", "zero-sign-on-cell",
+            "zero-signs-misplaced", "sign-not-unit"])
+    def test_image_outside_target_is_shape_mismatch(self, source, images,
+                                                    signs, cell):
         edge = simplicial_complex([(0, 1)])
         with pytest.raises(ShapeMismatch, match=rf"\({cell}\)"):
-            CellMap(simplicial_complex(source), edge, assignment)
+            CellMap(simplicial_complex(source), edge, images, signs)
+
+    def test_product_cellmap_random(self):
+        from coarse_kit.complexes import path_complex, product_cellmap
+
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(2, 6)
+            X = simplicial_complex(random_simplices(rng, n, 2, rng.randint(1, 5)))
+            vm, Y = random_vertex_map(rng, X)
+            if Y.dim > 2:
+                continue
+            levels, m = rng.randint(1, 4), rng.randint(1, 4)
+            # a walk on the target path: steps forward, back or none
+            steps = [rng.randint(0, m)]
+            for _ in range(levels):
+                steps.append(min(m, max(0, steps[-1] + rng.choice((-1, 0, 1)))))
+            src, dst = interval_product(X, levels), interval_product(Y, m)
+            f = CellMap.from_vertex_map(X, Y, vm)
+            g = CellMap.from_vertex_map(path_complex(levels), path_complex(m),
+                                        steps)
+            got = product_cellmap(src, dst, f, g)
+            assert cell_images(got) == oracle_product_cellmap(
+                src, dst, oracle_from_vertex_map(X, Y, vm),
+                oracle_from_vertex_map(path_complex(levels), path_complex(m),
+                                       steps))
 
 
 class TestAnnulus:
@@ -388,6 +441,23 @@ class TestWedgeGlue:
         with pytest.raises(NotIsomorphic):
             subcomplex_matching(A, "target-rim", C, "rim4",
                                 {0: 6, 1: 7, 2: 8, 3: 6})
+
+    def test_glue_refusals(self):
+        edge = simplicial_complex([(0, 1)]).relabeled(
+            {"all": [(0, 0), (0, 1), (1, 0)]})
+        matching = subcomplex_matching(edge, "all", edge, "all", {0: 0, 1: 1})
+        assert glue(edge, edge, matching)[0].counts == [2, 1]
+        with pytest.raises(NotASubcomplex):
+            glue(edge, edge, {(1, 0): ((1, 0), 1)})
+        with pytest.raises(NotIsomorphic, match="different dimensions"):
+            glue(edge, edge, {(0, 0): ((1, 0), 1)})
+        with pytest.raises(OrientationMismatch):
+            glue(edge, edge, {**matching, (1, 0): ((1, 0), -1)})
+        cylinder = interval_product(circle(3), 1).complex
+        with pytest.raises(NotSimplicial):
+            glue(cylinder, edge, {(0, 0): ((0, 0), 1)})
+        with pytest.raises(NotSimplicial):
+            glue(edge, cylinder, {(0, 0): ((0, 0), 1)})
 
     def test_glue_chi_formula(self):
         rng = random.Random(13)

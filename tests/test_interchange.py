@@ -2,9 +2,9 @@ import warnings
 
 import pytest
 
-from coarse_kit import circle, filled_triangle
+from coarse_kit import circle, filled_triangle, simplicial_complex
 from coarse_kit.cochains import Cochain, RING_Z, ring_zp
-from coarse_kit.errors import ShapeMismatch
+from coarse_kit.errors import NotSimplicial, ShapeMismatch
 from coarse_kit.interchange import (
     bind_cochain,
     parse_complex,
@@ -72,6 +72,13 @@ class TestRoundTrip:
     def test_rejects_garbage(self):
         with pytest.raises(ShapeMismatch):
             parse_complex("not a complex\n")
+
+    def test_rejects_simplex_with_missing_face(self):
+        text = serialize_complex(simplicial_complex([(0, 1)]))
+        assert "simplices 1\n0 1\nend" in text
+        with pytest.raises(NotSimplicial, match=r"face \(2,\)"):
+            parse_complex(text.replace("simplices 1\n0 1\nend",
+                                       "simplices 1\n0 2\nend"))
 
     def test_triples_sorted_row_major(self):
         text = serialize_complex(filled_triangle())
