@@ -9,6 +9,7 @@ cochains use the kernel model: cochains vanishing on the subcomplex.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import (
     DegreeOutOfRange,
@@ -448,25 +449,66 @@ class PrimitiveResult:
     vanishing_on: object = None
 
 
-def _bellman_potentials(n_nodes, arcs):
-    """Solve h_v - h_u <= w for all arcs (u, v, w); None on a negative cycle.
+def _pred_cycle(pred, edge_ends):
+    """A cycle of the predecessor graph as (edge, direction) pairs in walking
+    order, or None.  ``pred[v]`` is the arc that last lowered v (-1: none);
+    arc 2e runs along edge e (u_e -> v_e), arc 2e + 1 against it."""
+    mark = [-1] * len(pred)
+    for s in range(len(pred)):
+        v = s
+        while v >= 0 and mark[v] < 0:
+            mark[v] = s
+            a = pred[v]
+            v = edge_ends[a >> 1][a & 1] if a >= 0 else -1
+        if v >= 0 and mark[v] == s:  # this walk came back to v
+            cycle, x = [], v
+            while True:
+                a = pred[x]
+                cycle.append((a >> 1, -1 if a & 1 else 1))
+                x = edge_ends[a >> 1][a & 1]
+                if x == v:
+                    return cycle[::-1]
+    return None
 
-    Virtual-source initialization (all distances 0) keeps every component
-    honest; returned potentials are integers.
+
+def _bellman_potentials(n_nodes, edge_ends, w, bound):
+    """Integer potentials h with |w_e + h(v_e) - h(u_e)| <= bound on every
+    edge, or a cycle showing there are none.
+
+    The bound amounts to the difference constraints h_v - h_u <= bound - w_e
+    and h_u - h_v <= bound + w_e: arcs u_e -> v_e and v_e -> u_e with those
+    costs.  Bellman-Ford relaxes them edge by edge from all-zero potentials
+    (a virtual source, so every component is reached).  Returns (h, None),
+    or (None, cycle) with a negative cycle as (edge, +1 along u->v or -1
+    against it) pairs, whose signed w-sum exceeds bound * length.  After
+    every pass that lowered a potential the predecessor graph is searched:
+    any cycle in it is negative (each of its arcs was tight when set and
+    the last one set was strictly lowering), and a pass n that still lowers
+    something leaves one there.  So an infeasible bound usually stops after
+    a few passes (Cherkassky & Goldberg 1999).  A negative bound needs an
+    edge to be refused.
     """
     dist = [0] * n_nodes
-    for it in range(n_nodes):
+    pred = [-1] * n_nodes
+    for _ in range(n_nodes):
         changed = False
-        for (u, v, w) in arcs:
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
+        for e, ((u, v), we) in enumerate(zip(edge_ends, w)):
+            d = dist[u] + bound - we
+            if d < dist[v]:
+                dist[v] = d
+                pred[v] = 2 * e
+                changed = True
+            d = dist[v] + bound + we
+            if d < dist[u]:
+                dist[u] = d
+                pred[u] = 2 * e + 1
                 changed = True
         if not changed:
-            return dist
-    for (u, v, w) in arcs:
-        if dist[u] + w < dist[v]:
-            return None
-    return dist
+            return dist, None
+        cycle = _pred_cycle(pred, edge_ends)
+        if cycle is not None:
+            return None, cycle
+    raise ArithmeticError("pass n lowered a potential but left no cycle")
 
 
 def _potential_minimax(edge_ends, w, n_nodes, ground):
@@ -481,6 +523,8 @@ def _potential_minimax(edge_ends, w, n_nodes, ground):
     node started at D_0 = 0 and D_k(v) the largest gain of a k-arc walk
     ending at v, it is max_v min_k ceil((D_n(v) - D_k(v)) / (n - k)) over
     the nodes with an arc.  One Bellman-Ford run at that bound gives h.
+    The lattice search calls this only where the norm improves; it decides
+    every other point with one ``_bellman_potentials`` run.
     """
     if not edge_ends:
         return 0, [0] * n_nodes
@@ -499,12 +543,8 @@ def _potential_minimax(edge_ends, w, n_nodes, ground):
         walks.append(cur)
     B = max(min(-((walks[k][v] - walks[n][v]) // (n - k)) for k in range(n))
             for v in {x for ends in edge_ends for x in ends})
-    arcs = []
-    for (u, v), we in zip(edge_ends, w):
-        arcs.append((u, v, B - we))
-        arcs.append((v, u, B + we))
-    h = _bellman_potentials(n, arcs)
-    if h is None:
+    h, cycle = _bellman_potentials(n, edge_ends, w, B)
+    if cycle is not None:
         raise ArithmeticError("potential system infeasible at its cycle mean")
     shift = h[ground]
     return B, [v - shift for v in h]
@@ -519,11 +559,13 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
     primitive exists and DegreeOutOfRange when c is not of degree 2.
 
     The solution set is gamma0 + im(delta^0) + (free cocycle lattice); the
-    potential part is minimized exactly at each lattice point by one
-    maximum-mean-cycle pass over the difference constraints and the free
-    lattice (rank = first Betti number of the pair) by a bounded integer
-    scan, so no general branch and bound is needed.  A scan cut short by
-    ``node_limit`` raises NodeLimitExceeded with a true interval.
+    free lattice (rank = first Betti number of the pair) is scanned in a
+    bounded box, so no general branch and bound is needed.  At each lattice
+    point the potential part is a difference-constraint problem: past the
+    first point, one early-exit Bellman-Ford run decides whether the point
+    beats the incumbent, and only a point that does gets the exact
+    maximum-mean-cycle pass.  A scan cut short by ``node_limit`` raises
+    NodeLimitExceeded with a true interval.
     """
     X, k = c.complex, c.degree
     if c.ring != RING_Z:
@@ -591,7 +633,13 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
     coboundary out of degree 1 (rows: 2-cells, columns: ``cols``) and the
     vectors of ``K`` are a basis of its integer kernel.  A search that
     needs more than ``node_limit`` lattice evaluations raises
-    NodeLimitExceeded with the interval [``lower``, best value evaluated].
+    NodeLimitExceeded with the interval [``lower``, incumbent].
+
+    The search only asks whether a point beats the incumbent best_B, so
+    every point after the first is decided at bound best_B - 1 by one
+    ``_bellman_potentials`` run; its cycle proves B(u) >= best_B, and only
+    a point with no such cycle gets the exact ``_potential_minimax``.
+    Points are visited in the same order either way.
     """
     # vertices and grounding
     free_verts = _cells(X, 0, A_cells)
@@ -653,7 +701,10 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
 
     cache = {}
 
-    def evaluate(u):
+    def evaluate(u, incumbent=None):
+        # (B, h, u), exact unless a cycle shows B(u) >= incumbent: then
+        # (incumbent, None, u), a lower bound that stays one, and never an
+        # improvement, as the incumbent only decreases
         u = tuple(u)
         if u in cache:
             return cache[u]
@@ -661,12 +712,17 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
             raise NodeLimitExceeded(
                 "lattice evaluation budget exhausted",
                 lower=lower,
-                upper=min(B for B, _, _ in cache.values()) if cache else None,
+                upper=incumbent,
                 node_count=meta["evaluations"],
             )
         meta["evaluations"] += 1
-        B, h = potential_opt(w_of_t(t_of_u(u)))
-        cache[u] = (B, h, u)
+        w = w_of_t(t_of_u(u))
+        if incumbent is not None and _bellman_potentials(
+                n_nodes, edge_ends, w, incumbent - 1)[1] is not None:
+            cache[u] = (incumbent, None, u)
+        else:
+            B, h = potential_opt(w)
+            cache[u] = (B, h, u)
         return cache[u]
 
     # descend from u = 0, then sweep the certified box around the incumbent
@@ -679,7 +735,7 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
             for step in (1, -1):
                 cand = list(best_u)
                 cand[j] += step
-                B, h, u = evaluate(cand)
+                B, h, u = evaluate(cand, best_B)
                 if B < best_B:
                     best_B, best_h, best_u = B, h, u
                     improved = True
@@ -689,16 +745,14 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
         found = False
         ranges = [range(-target * lengths[j], target * lengths[j] + 1)
                   for j in range(beta)]
-        from itertools import product as _prod
-
-        for u in _prod(*ranges):
+        for u in product(*ranges):
             quick = max(
                 (abs(u[j]) + lengths[j] - 1) // lengths[j] if lengths[j] else 0
                 for j in range(beta)
             )
             if quick > target:
                 continue
-            B, h, uu = evaluate(u)
+            B, h, uu = evaluate(u, best_B)
             if B < best_B:
                 best_B, best_h, best_u = B, h, uu
                 found = True

@@ -369,6 +369,10 @@ class CellMap:
         return cls(X, X, images, [[1] * n for n in X.counts], vertex_map=vm,
                    validate=False)
 
+    def is_nondegenerate(self):
+        """True when no source cell maps to zero (no image is -1)."""
+        return all(-1 not in img for img in self._images)
+
     def cell_image(self, k, i):
         j = self._images[k][i]
         return {j: self._signs[k][i]} if j >= 0 else {}

@@ -751,15 +751,13 @@ def build_tower(params, depth, size_guard=DEFAULT_SIZE_GUARD):
 
 
 def is_light(f):
-    """A simplicial map is light when injective on every closed simplex."""
-    if f.vertex_map is None:
-        return False
-    for k in range(f.source.dim + 1):
-        for verts in f.source.simplices[k]:
-            images = {f.vertex_map[v] for v in verts}
-            if len(images) != len(verts):
-                return False
-    return True
+    """A simplicial map is light when injective on every closed simplex.
+
+    Maps with a vertex map come from ``from_vertex_map``, ``identity`` or
+    ``compose``, whose tables send a simplex to zero exactly when the
+    vertex map is not injective on it.
+    """
+    return f.vertex_map is not None and f.is_nondegenerate()
 
 
 @dataclass

@@ -10,7 +10,8 @@ factors that the sparse kernel of ``exact_linalg.smith_normal_form``
 replaced; with factors the two must give the same U, D and V.
 
 ``oracle_potential_minimax`` is the binary search of Bellman-Ford probes
-that the maximum-mean-cycle potential minimax replaced.
+that the maximum-mean-cycle potential minimax replaced; its Bellman-Ford
+is its own plain one, with no cycle search.
 
 ``oracle_box_lp`` is the dense fraction-free phase-1 simplex that the sparse
 rational tableau of ``exact_linalg._box_lp`` replaced; the two must return
@@ -23,6 +24,8 @@ and sign tables of ``complexes.CellMap`` replaced.  ``oracle_compose`` and
 ``oracle_product_cellmap`` are the dict composition and product of maps
 given as those dicts, and ``oracle_chain_map_failure`` is the dict
 chain-map check; the tables' ``cell_image`` views must agree with all three.
+``oracle_is_light`` is the vertex-image set test of lightness that the
+tables' zero entries replaced.
 
 ``ilp_min_linf`` is the second reference for minimal sup-norms: a generic
 branch and bound (integer bounds propagation plus the package's exact box
@@ -34,7 +37,6 @@ from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
 
-from coarse_kit.cochains import _bellman_potentials
 from coarse_kit.complexes import CellComplex
 from coarse_kit.errors import (
     NodeLimitExceeded,
@@ -561,8 +563,7 @@ def oracle_potential_minimax(edge_ends, w, n_nodes, ground):
         for (u, v), we in zip(edge_ends, w):
             arcs.append((u, v, B - we))
             arcs.append((v, u, B + we))
-        h = _bellman_potentials(n_nodes, arcs)
-        return h
+        return _oracle_bellman_ford(n_nodes, arcs)
 
     h_hi = feasible(hi)
     if h_hi is None:
@@ -577,6 +578,23 @@ def oracle_potential_minimax(edge_ends, w, n_nodes, ground):
             lo = mid + 1
     shift = best_h[ground]
     return best_B, [v - shift for v in best_h]
+
+
+def _oracle_bellman_ford(n_nodes, arcs):
+    """Potentials with h_v - h_u <= w on every arc (u, v, w), from all zero,
+    or None when n passes leave an arc to relax (a negative cycle)."""
+    dist = [0] * n_nodes
+    for _ in range(n_nodes):
+        changed = False
+        for (u, v, w) in arcs:
+            if dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                changed = True
+        if not changed:
+            return dist
+    if any(dist[u] + w < dist[v] for (u, v, w) in arcs):
+        return None
+    return dist
 
 
 def oracle_box_lp(A, b, lo, hi, max_pivots=2_000_000):
@@ -971,3 +989,11 @@ def oracle_chain_map_failure(source, target, assignment):
             if lhs != rhs:
                 return (k, i)
     return None
+
+
+def oracle_is_light(f):
+    """Lightness from the vertex map alone: injective on every simplex."""
+    if f.vertex_map is None:
+        return False
+    return all(len({f.vertex_map[v] for v in verts}) == len(verts)
+               for level in f.source.simplices for verts in level)

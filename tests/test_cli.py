@@ -21,6 +21,11 @@ PROP51_721_REPORT = \
     "63fc4b194f3a94a99431d9b410f30d244d1c058d95decd1a16f4026376effa0d"
 PROP51_721_MK_CKX = \
     "b7a56593d7ea5749f8a7b0937c9d490aa6f7f5c76774002a42ff2f4a07499573"
+# (5,2,2) is the triple whose lattice search visits 271 points
+PROP51_522_REPORT = \
+    "a80721187636f1e1aae1d51b5448521cd5fb0130e649f9dfe552317bd9473439"
+PROP51_522_MK_CKX = \
+    "80a38dd5d27d3e2271c2313627205294ae5dfe5f6286a17bc2d1c5a99bed7a25"
 # the last stage of build tower (5,2,2) and build y-stage (5,2,1), two
 # stages each: the simplicial builders and the .ckx writer
 TOWER_522_CKX = \
@@ -201,6 +206,27 @@ class TestVerify:
         assert rc == 0
         assert sha256_of(report_path) == PROP51_721_REPORT
         assert sha256_of(tmp_path / "report.mk.ckx") == PROP51_721_MK_CKX
+
+    def test_prop51_522_bytes(self, capsys, tmp_path):
+        report_path = tmp_path / "report.json"
+        rc = main(["verify-prop51", "--p", "5", "--q", "2", "--k", "2",
+                   "--reduce", "--out", str(report_path)])
+        capsys.readouterr()
+        assert rc == 0
+        assert sha256_of(report_path) == PROP51_522_REPORT
+        assert sha256_of(tmp_path / "report.mk.ckx") == PROP51_522_MK_CKX
+
+    def test_node_limit_interval_522(self, capsys):
+        # cut in the middle of the search: the upper end is the incumbent
+        rc = main(["verify-prop51", "--p", "5", "--q", "2", "--k", "2",
+                   "--reduce", "--node-limit", "40"])
+        data = json.loads(capsys.readouterr().out)
+        assert rc == 2
+        record = {r["name"]: r for r in data["records"]}["norm-lower-bound"]
+        assert record["status"] == "INCONCLUSIVE"
+        assert record["values"] == {"lower": "1", "node_count": "40",
+                                    "upper": "6"}
+        assert data["node_count"] == "40"
 
     def test_node_limit_interval(self, capsys):
         rc = main(["verify-prop51", "--p", "7", "--q", "2", "--k", "1",

@@ -9,6 +9,7 @@ from coarse_kit.cochains import (
     Cochain,
     RING_Q,
     RING_Z,
+    _bellman_potentials,
     _field_rank_kernel,
     _potential_minimax,
     coboundary,
@@ -24,6 +25,7 @@ from coarse_kit.cochains import (
 )
 from coarse_kit.complexes import midpoint_subdivision, remove_cells
 from coarse_kit.errors import DegreeOutOfRange, NotACoboundary, WrongShape
+from coarse_kit.towers import MkParams, build_Mk
 
 from oracles import (
     oracle_cohomology_mod_p,
@@ -421,6 +423,24 @@ class TestMinNormPrimitive:
         assert res.certificate.infeasibility_proof["kind"] == "trivial"
         assert res.gamma.values == [0] * X.n_cells(1)
 
+    def test_522_solves_one_point_exactly(self, monkeypatch):
+        # the first of the 271 lattice points of M(5,2,2) is already optimal,
+        # so a cycle rejects every later one without an exact minimax
+        import coarse_kit.cochains as cochains
+
+        calls = []
+        exact = cochains._potential_minimax
+        monkeypatch.setattr(cochains, "_potential_minimax",
+                            lambda *args: calls.append(1) or exact(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            bundle = build_Mk(MkParams(5, 2, 2, reduce=True))
+        res = min_norm_primitive(bundle.obstruction,
+                                 vanishing_on=bundle.boundary_label)
+        assert res.certificate.optimum == 6
+        assert res.certificate.node_count == 271
+        assert len(calls) == 1
+
     def test_degree_one_rejected(self):
         X = filled_triangle()
         with pytest.raises(DegreeOutOfRange):
@@ -437,20 +457,27 @@ class TestMinNormPrimitive:
             min_norm_primitive(c)
 
 
+def random_potential_system(rng):
+    """(edge_ends, w, n_nodes, ground) with ground loops, parallel edges,
+    isolated nodes and, now and then, no edges at all."""
+    n_nodes = rng.randint(1, 8)
+    ground = n_nodes - 1
+    edge_ends = []
+    for _ in range(rng.randint(0, 14)):
+        u, v = rng.randrange(n_nodes), rng.randrange(n_nodes)
+        if u == v:
+            u = v = ground  # edges with both ends on the subcomplex
+        edge_ends.append((u, v))
+    w = [rng.randint(-6, 6) for _ in edge_ends]
+    return edge_ends, w, n_nodes, ground
+
+
 class TestPotentialMinimax:
     def test_matches_binary_search_random(self):
         rng = random.Random(1978)
         seen = {"empty": 0, "ground-loop": 0, "parallel": 0, "isolated": 0}
         for _ in range(300):
-            n_nodes = rng.randint(1, 8)
-            ground = n_nodes - 1
-            edge_ends = []
-            for _ in range(rng.randint(0, 14)):
-                u, v = rng.randrange(n_nodes), rng.randrange(n_nodes)
-                if u == v:
-                    u = v = ground  # edges with both ends on the subcomplex
-                edge_ends.append((u, v))
-            w = [rng.randint(-6, 6) for _ in edge_ends]
+            edge_ends, w, n_nodes, ground = random_potential_system(rng)
             B, h = _potential_minimax(edge_ends, w, n_nodes, ground)
             assert (B, h) == oracle_potential_minimax(edge_ends, w, n_nodes,
                                                       ground)
@@ -464,3 +491,28 @@ class TestPotentialMinimax:
             seen["parallel"] += len(set(pairs)) < len(pairs)
             seen["isolated"] += len(ends) < n_nodes
         assert all(seen.values()), seen
+
+    def test_bellman_cycle_decides_every_bound(self):
+        rng = random.Random(1999)
+        cycles = 0
+        for _ in range(300):
+            edge_ends, w, n_nodes, ground = random_potential_system(rng)
+            B, _ = oracle_potential_minimax(edge_ends, w, n_nodes, ground)
+            # with no edges B = 0 and no cycle can show that it exceeds -1
+            for bound in range(-1 if edge_ends else 0, B + 2):
+                h, cycle = _bellman_potentials(n_nodes, edge_ends, w, bound)
+                assert (cycle is None) == (B <= bound)
+                if cycle is None:
+                    assert all(abs(we + h[v] - h[u]) <= bound
+                               for (u, v), we in zip(edge_ends, w))
+                    continue
+                cycles += 1
+                assert cycle and all(0 <= e < len(edge_ends) and d in (1, -1)
+                                     for e, d in cycle)
+                steps = [edge_ends[e] if d == 1 else edge_ends[e][::-1]
+                         for e, d in cycle]
+                # a closed walk: each step ends where the next one starts
+                assert all(steps[i - 1][1] == steps[i][0]
+                           for i in range(len(steps)))
+                assert sum(d * w[e] for e, d in cycle) > bound * len(cycle)
+        assert cycles >= 300

@@ -157,12 +157,17 @@ def random_simplices(rng, n_vertices, max_dim, count):
     return out
 
 
-def random_vertex_map(rng, X, complete=True):
-    """A vertex map of X into fewer or as many vertices, and a target that
-    holds every image simplex plus unhit extras (one image left out when
-    ``complete`` is false)."""
-    m = rng.randint(1, X.n_cells(0) + 1)
-    vm = [rng.randrange(m) for _ in range(X.n_cells(0))]
+def random_vertex_map(rng, X, complete=True, injective=False):
+    """A vertex map of X into fewer or as many vertices (two more, one to
+    one, when ``injective``), and a target that holds every image simplex
+    plus unhit extras (one image left out when ``complete`` is false)."""
+    n = X.n_cells(0)
+    if injective:
+        m = n + 2
+        vm = rng.sample(range(m), n)
+    else:
+        m = rng.randint(1, n + 1)
+        vm = [rng.randrange(m) for _ in range(n)]
     images = sorted({tuple(sorted({vm[v] for v in s}))
                      for level in X.simplices for s in level})
     extra = random_simplices(rng, m + 2, 3, rng.randint(0, 3))

@@ -46,7 +46,8 @@ from coarse_kit.towers import (
     staircase_prism_triangulation,
 )
 
-from oracles import oracle_complex_homology
+from oracles import oracle_complex_homology, oracle_is_light
+from test_complexes import random_simplices, random_vertex_map
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +351,23 @@ class TestPullback:
             simplicial_complex([(0, 1)]), filled_triangle(), [0, 0])
         with pytest.raises(NotLight):
             pullback_complex(degenerate, CellMap.identity(tau.complex), tau)
+
+    def test_is_light_matches_vertex_images(self):
+        seen = {"light": 0, "not-light": 0, "composed-light": 0,
+                "composed-not-light": 0}
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 8)
+            X = simplicial_complex(random_simplices(rng, n, 3, rng.randint(1, 6)))
+            vm, Y = random_vertex_map(rng, X, injective=rng.random() < 0.5)
+            f = CellMap.from_vertex_map(X, Y, vm)
+            vm2, Z = random_vertex_map(rng, Y, injective=rng.random() < 0.5)
+            gf = CellMap.from_vertex_map(Y, Z, vm2).compose(f)
+            for prefix, h in (("", f), ("composed-", gf)):
+                light = oracle_is_light(h)
+                assert is_light(h) == light
+                seen[prefix + ("light" if light else "not-light")] += 1
+        assert all(count >= 5 for count in seen.values()), seen
 
     def test_dimension_coloring_light(self):
         sd = barycentric_subdivision(filled_triangle())
