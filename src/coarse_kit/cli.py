@@ -30,7 +30,6 @@ def _add_mk_flags(sp):
     sp.add_argument("--p", type=int)
     sp.add_argument("--q", type=int)
     sp.add_argument("--k", type=int)
-    sp.add_argument("--edge-scale", type=int, default=3)
     sp.add_argument("--reduce", action="store_true", default=False)
     sp.add_argument("--node-limit", type=int, default=10_000_000)
     sp.add_argument("--config", type=str, default=None)
@@ -38,6 +37,7 @@ def _add_mk_flags(sp):
 
 
 def build_parser():
+    """The CLI parser and its subcommand parsers by name."""
     ap = argparse.ArgumentParser(prog="coarse-kit")
     sub = ap.add_subparsers(dest="command")
 
@@ -71,27 +71,37 @@ def build_parser():
     h.add_argument("--in", dest="infile", type=str, required=True)
     h.add_argument("--ring", choices=["Z", "Q", "Zp"], default="Z")
     h.add_argument("--prime", type=int, default=2)
-    return ap
+    return ap, sub.choices
 
 
-def _apply_config(args):
+def _parse(argv):
+    """The parsed command line, with the keys of a --config JSON object as
+    the subcommand's defaults: a flag given on the command line wins over
+    the file, and a string value goes through the flag's type."""
+    ap, commands = build_parser()
+    args = ap.parse_args(argv)
     if getattr(args, "config", None):
-        with open(args.config) as fp:
-            conf = json.load(fp)
+        parser = commands[args.command]
+        try:
+            with open(args.config) as fp:
+                conf = json.load(fp)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read config: {exc}")
+        defaults = {}
         for key, value in conf.items():
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise InvalidParams(f"unknown config key {key!r}")
-            default = build_parser().get_default(attr)
-            if getattr(args, attr) == default:
-                setattr(args, attr, value)
-    return args
+            if attr == "command" or not hasattr(args, attr):
+                parser.error(f"unknown config key {key!r}")
+            defaults[attr] = value
+        parser.set_defaults(**defaults)
+        args = ap.parse_args(argv)
+    return ap, args
 
 
 def _mk_params(args):
     if args.p is None or args.q is None or args.k is None:
         raise InvalidParams("--p, --q and --k are required")
-    return MkParams(args.p, args.q, args.k, args.edge_scale, args.reduce)
+    return MkParams(args.p, args.q, args.k, reduce=args.reduce)
 
 
 def _emit(report, out, started):
@@ -144,14 +154,17 @@ def cmd_homology(args):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        ap, args = _parse(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a parse error (2 is INCONCLUSIVE here) and 0
+        # after --help
+        return USAGE_ERROR if exc.code == 2 else exc.code
     if args.command is None:
         ap.print_help()
         return USAGE_ERROR
     started = time.time()
     try:
-        args = _apply_config(args)
         if args.command == "build":
             return cmd_build(args)
         if args.command == "homology":

@@ -52,6 +52,10 @@ from .errors import (
 
 DEFAULT_SIZE_GUARD = 300_000
 
+# edges of each hole and of the middle triangle the collar coarsens to; the
+# unit of every tower circle size
+HOLE_EDGES = 3
+
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
 
 
@@ -72,8 +76,7 @@ def _is_prime(n):
 class MkParams:
     """Parameters of the two-hole family.
 
-    ``edge_scale`` replaces the 3 in the edge-count bookkeeping (default 3);
-    ``reduce`` keeps every tower circle at edge_scale*p / edge_scale*q edges
+    ``reduce`` keeps every tower circle at HOLE_EDGES*p / HOLE_EDGES*q edges
     by interposing degree-one coarsening collars, preserving the per-stage
     winding degrees and the p^k / q^k totals at desk-scale cell counts.
     """
@@ -81,7 +84,6 @@ class MkParams:
     p: int
     q: int
     k: int
-    edge_scale: int = 3
     reduce: bool = False
 
     def __post_init__(self):
@@ -91,8 +93,6 @@ class MkParams:
             raise InvalidParams("p and q must differ")
         if self.k < 1:
             raise InvalidParams("level k must be >= 1")
-        if self.edge_scale < 3:
-            raise InvalidParams("edge_scale must be >= 3 (simplicial circles)")
         if self.p <= self.q ** 2:
             warnings.warn(
                 f"p = {self.p} <= q^2 = {self.q ** 2}: the norm bounds lose "
@@ -108,7 +108,8 @@ class TowerStage:
     ``projection`` is the honest simplicial map to the previous stage (the
     subdivision approximation); ``tau_map`` lands in the mesh-1/2 subdivision
     ``tau`` of the projection target, which is what certifies the 1/2 bound
-    per stage.  Pull-back stages carry their fiber data separately.
+    per stage.  Pull-back stages keep the level-1 triangle subdivision as
+    ``tau`` and their triangle-valued map into it as ``tau_map``.
     """
 
     complex: CellComplex
@@ -118,8 +119,6 @@ class TowerStage:
     tau: Subdivision = None
     tau_map: CellMap = None
     bundle: object = None
-    fiber_subdivision: Subdivision = None
-    fiber_map: CellMap = None
 
 
 @dataclass
@@ -149,56 +148,31 @@ def _cycle_from(X, label, start):
     return order[i:] + order[:i]
 
 
-def build_Tp(p, i, params=None):
-    """One winding stage of the degree-p tower.
-
-    Default sizes p^{i+1} -> p^i (scaled up by edge_scale when the target
-    would drop below a triangle); reduce mode uses edge_scale * those.
-    Returns the cylinder and its collapse to the target circle.
-    """
-    if not _is_prime(p):
-        raise InvalidParams(f"p = {p} must be prime")
-    if i < 1:
-        raise InvalidParams("stage index must be >= 1")
-    esc = params.edge_scale if params is not None else 3
-    scale = 1
-    if (params is not None and params.reduce) or p ** i < 3:
-        scale = esc
-    a, b = scale * p ** (i + 1), scale * p ** i
-    guard = DEFAULT_SIZE_GUARD
-    if 2 * (a + b) > guard:
-        raise SizeGuardExceeded(
-            f"stage would need {a + b} rim vertices; pass reduce mode"
-        )
-    return annulus_triangulation(a, b)
-
-
 def _tower_chain(u, params):
     """Tower of degree-u cylinders from a collar circle down to a small hole.
 
-    Returns a complex labeled "hole" (edge_scale edges) and "collar"
+    Returns a complex labeled "hole" (HOLE_EDGES edges) and "collar"
     (the outer rim), with composite winding u^k from collar to hole.
-    In reduce mode every circle is edge_scale or edge_scale*u; otherwise the
-    stage sizes run edge_scale^k * u^i with a final coarsening to the hole.
+    In reduce mode every circle is HOLE_EDGES or HOLE_EDGES*u; otherwise the
+    stage sizes run HOLE_EDGES^k * u^i with a final coarsening to the hole.
     """
-    esc, k = params.edge_scale, params.k
-    pieces = []  # (complex, attach_label, free_label), glued in order
+    k = params.k
     if params.reduce:
-        S, _ = annulus_triangulation(esc * u, esc)
+        S, _ = annulus_triangulation(HOLE_EDGES * u, HOLE_EDGES)
         chain = S.relabeled({
             "hole": S.label_cells("target-rim"),
             "top": S.label_cells("domain-rim"),
         })
         for _ in range(k - 1):
-            C, _ = coarsening_cylinder(esc * u, esc)
+            C, _ = coarsening_cylinder(HOLE_EDGES * u, HOLE_EDGES)
             chain = _attach_cyl(chain, C, attach="domain-rim", free="target-rim")
-            S2, _ = annulus_triangulation(esc * u, esc)
+            S2, _ = annulus_triangulation(HOLE_EDGES * u, HOLE_EDGES)
             chain = _attach_cyl(chain, S2, attach="target-rim", free="domain-rim")
     else:
-        base = esc ** k
+        base = HOLE_EDGES ** k
         S, _ = annulus_triangulation(base * u, base)
-        if base > esc:
-            C0, _ = coarsening_cylinder(base, esc)
+        if base > HOLE_EDGES:
+            C0, _ = coarsening_cylinder(base, HOLE_EDGES)
             chain = C0.relabeled({
                 "hole": C0.label_cells("target-rim"),
                 "top": C0.label_cells("domain-rim"),
@@ -288,9 +262,9 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
     collapses everything inside the middle hole onto one midpoint vertex and
     is the identity on the outer part.
     """
-    p, q, k, esc = params.p, params.q, params.k, params.edge_scale
-    ap = esc * p if params.reduce else (esc * p) ** k
-    aq = esc * q if params.reduce else (esc * q) ** k
+    p, q, k = params.p, params.q, params.k
+    ap = HOLE_EDGES * p if params.reduce else (HOLE_EDGES * p) ** k
+    aq = HOLE_EDGES * q if params.reduce else (HOLE_EDGES * q) ** k
     est = 6 * (ap + aq) * (k + 1)
     if est > size_guard:
         raise SizeGuardExceeded(
@@ -343,7 +317,7 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
         "pants-rim": _map_label(ytab, P, "domain-rim"),
     })
     # coarsening collar down to the middle triangle size
-    K, _ = coarsening_cylinder(ap + aq, esc)
+    K, _ = coarsening_cylinder(ap + aq, HOLE_EDGES)
     guts = _attach_cyl(
         M1.relabeled({"hole": (), "top": M1.label_cells("pants-rim"),
                       "p-hole": M1.label_cells("p-hole"),
@@ -395,12 +369,11 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
 
 def _check_bundle(bundle):
     M, params = bundle.complex, bundle.params
-    esc = params.edge_scale
     for label in (bundle.p_hole_label, bundle.q_hole_label):
         edges = M.label_cells_of_dim(label, 1)
-        if len(edges) != esc:
+        if len(edges) != HOLE_EDGES:
             raise InvalidParams(
-                f"{label} has {len(edges)} edges, expected {esc}"
+                f"{label} has {len(edges)} edges, expected {HOLE_EDGES}"
             )
     # phi restricted to the boundary is the identity onto the subdivided rim
     for (kk, i) in M.label_cells(bundle.boundary_label):
@@ -413,6 +386,30 @@ def _check_bundle(bundle):
             f"{bundle.notes['pants_max_valence']} > {params.p}",
             stacklevel=2,
         )
+
+
+def _host_carriers(X, vm, sub):
+    """Host vertex set of the subdivision carrier of vm(s), per simplex s.
+
+    ``vm`` sends the vertices of X to vertices of ``sub.complex``.  Returns
+    one list per dimension of X: entry i is the vertex set of the base cell
+    of ``sub`` carrying the image simplex vm(X.simplices[k][i]), or None when
+    that image is no simplex of ``sub.complex`` or has no carrier.  Simplices
+    with the same carrier share one frozenset.
+    """
+    tauC, host, carrier = sub.complex, sub.base, sub.carrier
+    vertex_sets = {}
+    table = []
+    for k in range(X.dim + 1):
+        row = []
+        for verts in X.simplices[k]:
+            imgs = tuple(sorted({vm[v] for v in verts}))
+            cell = carrier.get((len(imgs) - 1, tauC.simplex_index(imgs)))
+            if cell is not None and cell not in vertex_sets:
+                vertex_sets[cell] = frozenset(host.simplices[cell[0]][cell[1]])
+            row.append(vertex_sets.get(cell))
+        table.append(row)
+    return table
 
 
 def simplicial_approx_identity(sub):
@@ -430,14 +427,12 @@ def simplicial_approx_identity(sub):
             raise NoValidAssignment(f"no carrier for vertex {v}")
         vm.append(base.simplices[c[0]][c[1]][0])
     rho = CellMap.from_vertex_map(tau, base, vm)
-    for k in range(tau.dim + 1):
-        for i in range(tau.n_cells(k)):
-            carrier = sub.carrier.get((k, i))
-            if carrier is None:
+    carriers = _host_carriers(tau, range(tau.n_cells(0)), sub)
+    for k, row in enumerate(carriers):
+        for i, carrier_verts in enumerate(row):
+            if carrier_verts is None:
                 raise NoValidAssignment(f"no carrier for cell (dim {k}, {i})")
-            carrier_verts = set(base.simplices[carrier[0]][carrier[1]])
-            image_verts = {vm[v] for v in tau.simplices[k][i]}
-            if not image_verts <= carrier_verts:
+            if not {vm[v] for v in tau.simplices[k][i]} <= carrier_verts:
                 raise NoValidAssignment(
                     f"approximation escapes the carrier at cell (dim {k}, {i})"
                 )
@@ -660,22 +655,12 @@ def check_stage_carriers(stage, q=None):
     approximation explicitly.  Returns (ok, offending cell or None).
     """
     X = stage.complex
-    tau, tau_map = stage.tau, stage.tau_map
-    q = q if q is not None else stage.projection
-    host = tau.base
-    vm_tau = tau_map.vertex_map
-    vm_q = q.vertex_map
-    tauC = tau.complex
-    for k in range(X.dim + 1):
-        for i in range(X.n_cells(k)):
-            verts = X.simplices[k][i]
-            t_imgs = tuple(sorted({vm_tau[v] for v in verts}))
-            t_idx = tauC.simplex_index(t_imgs)
-            if t_idx is None:
-                return False, (k, i)
-            carrier = tau.carrier[(len(t_imgs) - 1, t_idx)]
-            carrier_verts = set(host.simplices[carrier[0]][carrier[1]])
-            if not {vm_q[v] for v in verts} <= carrier_verts:
+    vm_q = (q if q is not None else stage.projection).vertex_map
+    carriers = _host_carriers(X, stage.tau_map.vertex_map, stage.tau)
+    for k, row in enumerate(carriers):
+        for i, carrier_verts in enumerate(row):
+            if carrier_verts is None or not (
+                    {vm_q[v] for v in X.simplices[k][i]} <= carrier_verts):
                 return False, (k, i)
     return True, None
 
@@ -685,37 +670,24 @@ def open_star_refinement_witnesses(stage):
 
     For every vertex v of the stage complex, intersects the host carriers of
     the tau-images of all simplices containing v; any vertex in the
-    intersection witnesses Ost(v) c proj^{-1}(Ost(u, host)).  Returns
-    (all_found, witness dict).
+    intersection witnesses Ost(v) c proj^{-1}(Ost(u, host)).  A simplex
+    whose image has no carrier leaves its vertices without a witness.
+    Returns (all_found, witness dict).
     """
     X = stage.complex
-    tau, tau_map = stage.tau, stage.tau_map
-    host = tau.base
-    tauC = tau.complex
-    vm = tau_map.vertex_map
-    incident = [[] for _ in range(X.n_cells(0))]
-    for k in range(X.dim + 1):
-        for i in range(X.n_cells(k)):
+    carriers = _host_carriers(X, stage.tau_map.vertex_map, stage.tau)
+    common = [None] * X.n_cells(0)
+    for k, row in enumerate(carriers):
+        for i, carrier_verts in enumerate(row):
+            carrier_verts = carrier_verts or frozenset()
             for v in X.simplices[k][i]:
-                incident[v].append((k, i))
-    witnesses = {}
-    ok = True
-    for v in range(X.n_cells(0)):
-        cand = None
-        for (k, i) in incident[v]:
-            imgs = tuple(sorted({vm[u] for u in X.simplices[k][i]}))
-            t_idx = tauC.simplex_index(imgs)
-            carrier = tau.carrier[(len(imgs) - 1, t_idx)]
-            cv = set(host.simplices[carrier[0]][carrier[1]])
-            cand = cv if cand is None else cand & cv
-            if not cand:
-                break
-        if cand:
-            witnesses[v] = min(cand)
-        else:
-            ok = False
-            witnesses[v] = None
-    return ok, witnesses
+                c = common[v]
+                if c is None:
+                    common[v] = carrier_verts
+                elif c is not carrier_verts:
+                    common[v] = c & carrier_verts
+    witnesses = {v: min(c) if c else None for v, c in enumerate(common)}
+    return all(common), witnesses
 
 
 def build_tower(params, depth, size_guard=DEFAULT_SIZE_GUARD):
@@ -733,7 +705,7 @@ def build_tower(params, depth, size_guard=DEFAULT_SIZE_GUARD):
                          bundle=bundle)]
     for j in range(1, depth + 1):
         sub_params = MkParams(params.p, params.q, params.k - j,
-                              params.edge_scale, params.reduce)
+                              reduce=params.reduce)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inner = build_Mk(sub_params, size_guard=size_guard)
@@ -767,17 +739,16 @@ class PullbackResult:
     ``proj_fiber`` lands in the pulled-back subdivision of the light side
     (a genuine simplicial map; its carrier data reaches the undivided
     complex), ``proj_base`` is the light projection to the other factor.
+    ``tau_vertex_map`` is the vertex map of the induced light map from the
+    pulled-back subdivision to tau.
     """
 
     complex: CellComplex
     proj_base: CellMap
     proj_fiber: CellMap
     fiber_subdivision: Subdivision
+    tau_vertex_map: list
     pair_index: dict
-
-    @property
-    def fiber_map(self):
-        return self.proj_fiber
 
 
 def pullback_subdivision(chi, tau):
@@ -785,9 +756,8 @@ def pullback_subdivision(chi, tau):
 
     For every cell m of the source with chi(m) equal to the carrier of a
     tau-cell, the tau-cell lifts into m; lifts glue along shared faces.
-    Returns a Subdivision of chi's source whose complex carries the induced
-    light map to tau (stored in the ``apexes`` slot as a vertex map).  The
-    caller checks that chi is light.
+    Returns (Subdivision of chi's source, vertex map of the induced light
+    map from its complex to tau).  The caller checks that chi is light.
     """
     M, Delta = chi.source, chi.target
     tauC = tau.complex
@@ -830,10 +800,8 @@ def pullback_subdivision(chi, tau):
             cells = [verts_new[v][1] for v in verts]
             top = max(cells)
             carrier[(k, i)] = top
-    chi_tilde_vm = [verts_new[v][0] for v in range(len(verts_new))]
-    sub = Subdivision(tau_M, M, carrier)
-    sub.apexes = chi_tilde_vm  # vertex map of the induced light map to tau
-    return sub, verts_new, vert_index
+    chi_tilde_vm = [w for w, _ in verts_new]
+    return Subdivision(tau_M, M, carrier), chi_tilde_vm
 
 
 def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
@@ -847,9 +815,8 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
         raise NotLight("chi must be light (injective on closed simplices)")
     if phi.vertex_map is None:
         raise NotSimplicial("phi must be simplicial")
-    sub, verts_new, vert_index = pullback_subdivision(chi, tau)
+    sub, chi_vm = pullback_subdivision(chi, tau)
     tau_M = sub.complex
-    chi_vm = sub.apexes
     Mp = phi.source
     # tau_M simplices indexed by image vertex set in tau
     by_img = {}
@@ -895,7 +862,7 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
         raise NotLight("fiber projection lost lightness (internal error)")
     return PullbackResult(
         complex=P, proj_base=proj_base, proj_fiber=proj_fiber,
-        fiber_subdivision=sub, pair_index=pair_index,
+        fiber_subdivision=sub, tau_vertex_map=chi_vm, pair_index=pair_index,
     )
 
 
@@ -913,7 +880,7 @@ def pullback_section(result, chi, phi, tau, top_cell):
         raise NotLight("chosen cell is not a sheet over the whole simplex")
     inv = {chi.vertex_map[v]: v for v in verts}
     tau_M = result.fiber_subdivision.complex
-    chi_vm = result.fiber_subdivision.apexes
+    chi_vm = result.tau_vertex_map
     # tau_M vertices inside the chosen sheet: carrier is a face of top_cell
     sheet_vertex = {}
     sheet_faces = set()
@@ -956,8 +923,7 @@ def build_Y_stage(params, stages, size_guard=DEFAULT_SIZE_GUARD):
     """
     if stages < 1:
         raise InvalidParams("need at least one stage")
-    base_params = MkParams(params.p, params.q, 1, params.edge_scale,
-                           params.reduce)
+    base_params = MkParams(params.p, params.q, 1, reduce=params.reduce)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         b1 = build_Mk(base_params, size_guard=size_guard)
@@ -966,8 +932,7 @@ def build_Y_stage(params, stages, size_guard=DEFAULT_SIZE_GUARD):
     phi_prev = b1.phi
     tau_prev = b1.tau
     for t in range(2, stages + 1):
-        lvl_params = MkParams(params.p, params.q, t, params.edge_scale,
-                              params.reduce)
+        lvl_params = MkParams(params.p, params.q, t, reduce=params.reduce)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             bt = build_Mk(lvl_params, size_guard=size_guard)
@@ -984,61 +949,7 @@ def build_Y_stage(params, stages, size_guard=DEFAULT_SIZE_GUARD):
             complex=result.complex, projection=result.proj_base,
             lipschitz_bound=Fraction(1, 2) ** (t - 1), level=t,
             bundle=bt, tau=tau_prev, tau_map=phi_t,
-            fiber_subdivision=result.fiber_subdivision,
-            fiber_map=result.proj_fiber,
         )
         out.append(stage)
         phi_prev = phi_t
     return out
-
-
-def simplicial_ost_witnesses(proj):
-    """Open-star refinement witnesses for a plainly simplicial projection.
-
-    For a simplicial map, proj(Ost(v)) lands in Ost(proj(v)); this verifies
-    the containment cell by cell and returns (ok, {vertex: witness}).
-    """
-    X = proj.source
-    vm = proj.vertex_map
-    ok = True
-    witnesses = {}
-    for k in range(X.dim + 1):
-        for i in range(X.n_cells(k)):
-            verts = X.simplices[k][i]
-            imgs = {vm[v] for v in verts}
-            for v in verts:
-                if vm[v] not in imgs:
-                    ok = False
-    for v in range(X.n_cells(0)):
-        witnesses[v] = vm[v]
-    return ok, witnesses
-
-
-def staircase_prism_triangulation(prod):
-    """Simplicial triangulation of a 2-dim base times an interval.
-
-    Standard staircase scheme per prism; provided for completeness (the
-    product certificates run on the untriangulated prism structure).
-    """
-    X, n = prod.base, prod.n
-    if not X.is_simplicial or X.dim > 2:
-        raise NotSimplicial("staircase triangulation needs a 2-dim base")
-    n0 = X.n_cells(0)
-
-    def v_at(v, l):
-        return l * n0 + v
-
-    simplices = []
-    for l in range(n + 1):
-        for k in range(X.dim + 1):
-            for verts in X.simplices[k]:
-                simplices.append(tuple(v_at(v, l) for v in verts))
-    for l in range(n):
-        for k in range(1, X.dim + 1):
-            for verts in X.simplices[k]:
-                vs = sorted(verts)
-                for t in range(len(vs)):
-                    bottom = [v_at(v, l) for v in vs[: t + 1]]
-                    top = [v_at(v, l + 1) for v in vs[t:]]
-                    simplices.append(tuple(sorted(bottom + top)))
-    return simplicial_complex(sorted(set(simplices)))

@@ -22,6 +22,7 @@ from .exact_linalg import check_lp_lower_bound, smith_normal_form, solve_integer
 from .interchange import bind_cochain, read_complex, write_complex
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport, decode_number
 from .towers import (
+    HOLE_EDGES,
     MkParams,
     build_Mk,
     build_beta,
@@ -40,7 +41,7 @@ TOWER_CELL_BUDGET = 300_000
 def _params_dict(params, extra=None):
     out = {
         "p": params.p, "q": params.q, "k": params.k,
-        "edge_scale": params.edge_scale, "reduce": params.reduce,
+        "edge_scale": HOLE_EDGES, "reduce": params.reduce,
     }
     out.update(extra or {})
     return out
@@ -298,7 +299,7 @@ def verify_tower(params, stages, node_limit=10_000_000, out_prefix=None):
     values = []
     status = PASS
     for j in range(1, params.k + 1):
-        sub = MkParams(params.p, params.q, j, params.edge_scale, params.reduce)
+        sub = MkParams(params.p, params.q, j, reduce=params.reduce)
         bundle = _build_quiet(sub)
         try:
             prim = min_norm_primitive(
@@ -349,13 +350,15 @@ def check_witness(report_path):
     out = VerificationReport(command="check-witness",
                              params={"report": os.path.basename(str(report_path))})
     params = None
-    if all(k in data.get("params", {}) for k in ("p", "q", "k")):
-        params = MkParams(
-            int(data["params"]["p"]), int(data["params"]["q"]),
-            int(data["params"]["k"]),
-            int(data["params"].get("edge_scale", 3)),
-            data["params"].get("reduce") == "true",
-        )
+    given = data.get("params", {})
+    edge_scale = str(given.get("edge_scale", HOLE_EDGES))
+    if edge_scale != str(HOLE_EDGES):
+        # every hole of M(p, q, k) has HOLE_EDGES edges: no other build exists
+        out.add("params-edge-scale", FAIL, edge_scale=edge_scale,
+                expected=HOLE_EDGES)
+    elif all(k in given for k in ("p", "q", "k")):
+        params = MkParams(int(given["p"]), int(given["q"]), int(given["k"]),
+                          reduce=given.get("reduce") == "true")
     witnesses = data.get("witnesses", {})
     mk_entry = witnesses.get("mk-complex")
     if mk_entry:

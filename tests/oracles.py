@@ -27,6 +27,10 @@ chain-map check; the tables' ``cell_image`` views must agree with all three.
 ``oracle_is_light`` is the vertex-image set test of lightness that the
 tables' zero entries replaced.
 
+``oracle_simplicial_approx_identity``, ``oracle_check_stage_carriers`` and
+``oracle_open_star_refinement_witnesses`` are the three per-simplex carrier
+loops of ``towers`` that its one shared carrier table replaced.
+
 ``ilp_min_linf`` is the second reference for minimal sup-norms: a generic
 branch and bound (integer bounds propagation plus the package's exact box
 LP) that knows nothing of the lattice structure the degree-2 minimal
@@ -37,10 +41,11 @@ from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
 
-from coarse_kit.complexes import CellComplex
+from coarse_kit.complexes import CellComplex, CellMap
 from coarse_kit.errors import (
     NodeLimitExceeded,
     NoIntegerSolution,
+    NoValidAssignment,
     NotSimplicial,
     ShapeMismatch,
     SizeGuardExceeded,
@@ -997,3 +1002,84 @@ def oracle_is_light(f):
         return False
     return all(len({f.vertex_map[v] for v in verts}) == len(verts)
                for level in f.source.simplices for verts in level)
+
+
+def oracle_simplicial_approx_identity(sub):
+    """Approximation of the identity, every carrier looked up per cell."""
+    tau, base = sub.complex, sub.base
+    vm = []
+    for v in range(tau.n_cells(0)):
+        c = sub.carrier.get((0, v))
+        if c is None:
+            raise NoValidAssignment(f"no carrier for vertex {v}")
+        vm.append(base.simplices[c[0]][c[1]][0])
+    rho = CellMap.from_vertex_map(tau, base, vm)
+    for k in range(tau.dim + 1):
+        for i in range(tau.n_cells(k)):
+            carrier = sub.carrier.get((k, i))
+            if carrier is None:
+                raise NoValidAssignment(f"no carrier for cell (dim {k}, {i})")
+            carrier_verts = set(base.simplices[carrier[0]][carrier[1]])
+            image_verts = {vm[v] for v in tau.simplices[k][i]}
+            if not image_verts <= carrier_verts:
+                raise NoValidAssignment(
+                    f"approximation escapes the carrier at cell (dim {k}, {i})"
+                )
+    return rho
+
+
+def oracle_check_stage_carriers(stage, q=None):
+    """Carrier containment of q, one image lookup and carrier set per
+    simplex; a tau cell without a carrier raises KeyError."""
+    X = stage.complex
+    tau, tau_map = stage.tau, stage.tau_map
+    q = q if q is not None else stage.projection
+    host = tau.base
+    vm_tau = tau_map.vertex_map
+    vm_q = q.vertex_map
+    tauC = tau.complex
+    for k in range(X.dim + 1):
+        for i in range(X.n_cells(k)):
+            verts = X.simplices[k][i]
+            t_imgs = tuple(sorted({vm_tau[v] for v in verts}))
+            t_idx = tauC.simplex_index(t_imgs)
+            if t_idx is None:
+                return False, (k, i)
+            carrier = tau.carrier[(len(t_imgs) - 1, t_idx)]
+            carrier_verts = set(host.simplices[carrier[0]][carrier[1]])
+            if not {vm_q[v] for v in verts} <= carrier_verts:
+                return False, (k, i)
+    return True, None
+
+
+def oracle_open_star_refinement_witnesses(stage):
+    """Star-refinement witnesses, per vertex over its incident simplices;
+    a tau cell without a carrier raises KeyError."""
+    X = stage.complex
+    tau, tau_map = stage.tau, stage.tau_map
+    host = tau.base
+    tauC = tau.complex
+    vm = tau_map.vertex_map
+    incident = [[] for _ in range(X.n_cells(0))]
+    for k in range(X.dim + 1):
+        for i in range(X.n_cells(k)):
+            for v in X.simplices[k][i]:
+                incident[v].append((k, i))
+    witnesses = {}
+    ok = True
+    for v in range(X.n_cells(0)):
+        cand = None
+        for (k, i) in incident[v]:
+            imgs = tuple(sorted({vm[u] for u in X.simplices[k][i]}))
+            t_idx = tauC.simplex_index(imgs)
+            carrier = tau.carrier[(len(imgs) - 1, t_idx)]
+            cv = set(host.simplices[carrier[0]][carrier[1]])
+            cand = cv if cand is None else cand & cv
+            if not cand:
+                break
+        if cand:
+            witnesses[v] = min(cand)
+        else:
+            ok = False
+            witnesses[v] = None
+    return ok, witnesses

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
-from coarse_kit.cli import main
+from coarse_kit.cli import build_parser, main
 from coarse_kit.report import load_report
 
 # sha256 of reports and witnesses for the fixed runs below; refactors of the
@@ -289,9 +291,92 @@ class TestVerify:
         assert rc == 0
         capsys.readouterr()
 
+    def test_config_file_supplies_defaulted_flags(self, capsys, tmp_path):
+        # flags whose default is not None (reduce, n-mode) come from the
+        # file too: the report is the one of the same flags given inline
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"p": 5, "q": 2, "k": 1, "reduce": True,
+                                    "n-mode": "lcm"}))
+        report_path = tmp_path / "p52.json"
+        assert main(["verify-prop52", "--config", str(conf),
+                     "--out", str(report_path)]) == 0
+        capsys.readouterr()
+        assert sha256_of(report_path) == PROP52_521_LCM_REPORT
+
+    def test_command_line_beats_config(self, capsys, tmp_path):
+        # "p" as a string goes through the flag's type; --k and --levels
+        # on the command line win, also at their default value
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"p": "5", "q": 2, "k": 1,
+                                    "reduce": True}))
+        assert main(["build", "mk", "--config", str(conf), "--k", "2"]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["build", "mk", "--p", "5", "--q", "2", "--k", "2",
+                     "--reduce"]) == 0
+        assert from_config == capsys.readouterr().out
+        conf.write_text(json.dumps({"n": 4, "levels": 2}))
+        assert main(["build", "product", "--config", str(conf),
+                     "--levels", "1"]) == 0
+        assert "cells 8 12 4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("conf", [
+        {"p": 5, "edge-scale": 4}, {"command": "homology"}, "not json",
+    ], ids=["unknown-key", "command-key", "bad-json"])
+    def test_bad_config_usage_error(self, capsys, tmp_path, conf):
+        path = tmp_path / "conf.json"
+        path.write_text(conf if isinstance(conf, str) else json.dumps(conf))
+        assert main(["verify-prop51", "--config", str(path)]) == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_params_usage_error(self, capsys):
         rc = main(["verify-prop51"])
         assert rc == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "mk", "--p", "5", "--q", "2", "--k", "1", "--reduce",
+         "--edge-scale", "4"],
+        ["homology", "--in", "mk.ckx", "--ring", "R"],
+        ["check-witness"],
+    ], ids=["unknown-flag", "bad-choice", "missing-report"])
+    def test_parse_errors_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 3
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["verify-prop51", "--help"]) == 0
+        assert "--node-limit" in capsys.readouterr().out
+
+    def test_other_edge_scale_fails_check(self, capsys, tmp_path,
+                                          prop51_521_report):
+        # every M(p, q, k) hole has 3 edges; a report claiming another
+        # edge scale cannot be rebuilt and fails its re-check
+        for src in prop51_521_report.parent.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        report_path = tmp_path / prop51_521_report.name
+        data = load_report(report_path)
+        assert data["params"]["edge_scale"] == "3"
+        data["params"]["edge_scale"] = "4"
+        report_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check-witness", "--report", str(report_path)]) == 1
+        checked = json.loads(capsys.readouterr().out)
+        failed = [r["name"] for r in checked["records"]
+                  if r["status"] != "PASS"]
+        assert failed == ["params-edge-scale"]
+
+
+def test_readme_flags_match_verify_parsers():
+    # the README "Flags:" paragraph names exactly the options of the
+    # verify-* subcommands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Flags:"):].split("\n\n")[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    _, commands = build_parser()
+    options = {opt for name, parser in commands.items()
+               if name.startswith("verify-")
+               for action in parser._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    assert documented == options - {"--help"}
 
 
 class TestHomology:

@@ -140,7 +140,7 @@ class TestSmithAgainstOracle:
         # the system the minimal-primitive search factors at (5,2,1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            bundle = build_Mk(MkParams(5, 2, 1, 3, True))
+            bundle = build_Mk(MkParams(5, 2, 1, reduce=True))
         A, _, _, _ = _relative_system(bundle)
         self._agree(A)
 
@@ -317,7 +317,7 @@ class TestBoxLpAgainstDense:
     def test_mk_systems_every_bound(self, pqk, m_k):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            bundle = build_Mk(MkParams(*pqk, 3, True))
+            bundle = build_Mk(MkParams(*pqk, reduce=True))
         A, b, _, _ = _relative_system(bundle)
         n = len(A[0])
         for t in range(m_k):

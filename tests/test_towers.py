@@ -1,6 +1,8 @@
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,7 @@ from coarse_kit.cochains import (
 )
 from coarse_kit.complexes import (
     CellMap,
+    annulus_triangulation,
     barycentric_subdivision,
     filled_triangle,
     labeled_cycle,
@@ -23,12 +26,16 @@ from coarse_kit.complexes import (
     simplicial_complex,
 )
 from coarse_kit.degrees import circle_map_degree
-from coarse_kit.errors import DivisibilityViolated, InvalidParams
+from coarse_kit.errors import (
+    DivisibilityViolated,
+    InvalidParams,
+    NotSimplicial,
+    NoValidAssignment,
+)
 from coarse_kit.exact_linalg import solve_integer
 from coarse_kit.towers import (
     MkParams,
     build_Mk,
-    build_Tp,
     build_Y_stage,
     build_beta,
     build_tower,
@@ -42,11 +49,15 @@ from coarse_kit.towers import (
     pullback_complex,
     pullback_section,
     simplicial_approx_identity,
-    simplicial_ost_witnesses,
-    staircase_prism_triangulation,
 )
 
-from oracles import oracle_complex_homology, oracle_is_light
+from oracles import (
+    oracle_check_stage_carriers,
+    oracle_complex_homology,
+    oracle_is_light,
+    oracle_open_star_refinement_witnesses,
+    oracle_simplicial_approx_identity,
+)
 from test_complexes import random_simplices, random_vertex_map
 
 
@@ -55,6 +66,15 @@ def mk521():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return build_Mk(MkParams(5, 2, 1, reduce=True))
+
+
+@pytest.fixture(scope="module")
+def towers():
+    """The two-stage towers (3,2,2) and (5,2,2) in reduce mode."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return {pqk: build_tower(MkParams(*pqk, reduce=True), 1)
+                for pqk in ((3, 2, 2), (5, 2, 2))}
 
 
 @pytest.fixture(scope="module")
@@ -76,18 +96,17 @@ class TestParams:
             MkParams(3, 2, 1)
 
 
-class TestBuildTp:
+class TestWindingStage:
     def test_stage_is_annulus(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            A, collapse = build_Tp(2, 1, MkParams(5, 2, 1, reduce=True))
+        A, collapse = annulus_triangulation(12, 6)
         assert A.euler_characteristic() == 0
         # reduce mode: circle(12) -> circle(6), rim degree 2
         assert len(A.label_cells_of_dim("domain-rim", 1)) == 12
         assert len(A.label_cells_of_dim("target-rim", 1)) == 6
 
     def test_rim_degree(self):
-        A, collapse = build_Tp(5, 1, None)
+        # the degree-5 stage of a reduce-mode tower: circle(15) -> circle(3)
+        A, collapse = annulus_triangulation(15, 3)
         src = labeled_cycle(A, "domain-rim")
         from coarse_kit import fundamental_cycle
 
@@ -241,14 +260,6 @@ class TestBeta:
         assert pick_n(g, "factorial") == 2
         assert pick_n(g, "lcm") == 2
 
-    def test_staircase_triangulation(self):
-        from coarse_kit.complexes import interval_product
-
-        prod = interval_product(filled_triangle(), 2)
-        T = staircase_prism_triangulation(prod)
-        assert T.euler_characteristic() == 1
-        assert oracle_complex_homology(T, 1) == (0, [])
-
 
 class TestTower:
     def test_depth_zero(self, mk521):
@@ -263,10 +274,8 @@ class TestTower:
                 warnings.simplefilter("ignore")
                 build_tower(MkParams(5, 2, 1, reduce=True), 1)
 
-    def test_two_stage_tower(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            stages = build_tower(MkParams(5, 2, 2, reduce=True), 1)
+    def test_two_stage_tower(self, towers):
+        stages = towers[(5, 2, 2)]
         assert len(stages) == 2
         s1 = stages[1]
         assert s1.lipschitz_bound == Fraction(1, 2)
@@ -275,10 +284,8 @@ class TestTower:
         ok2, w = open_star_refinement_witnesses(s1)
         assert ok2 and all(u is not None for u in w.values())
 
-    def test_composite_bound(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            stages = build_tower(MkParams(5, 2, 2, reduce=True), 1)
+    def test_composite_bound(self, towers):
+        stages = towers[(5, 2, 2)]
         total = Fraction(1)
         for s in stages[1:]:
             total *= s.lipschitz_bound
@@ -308,6 +315,108 @@ class TestApproxIdentity:
         assert rho.target.counts == [3, 3, 1]
 
 
+def _tau_cells(stage):
+    """The tau cell each stage simplex lands in, keyed (dim, index)."""
+    X, vm, tauC = stage.complex, stage.tau_map.vertex_map, stage.tau.complex
+    out = {}
+    for k in range(X.dim + 1):
+        for i, verts in enumerate(X.simplices[k]):
+            imgs = tuple(sorted({vm[v] for v in verts}))
+            out[(k, i)] = (len(imgs) - 1, tauC.simplex_index(imgs))
+    return out
+
+
+def _outcome(check, *args):
+    """A check's result (a map as its vertex map), or the type of what it
+    raised."""
+    try:
+        result = check(*args)
+    except (KeyError, NotSimplicial, NoValidAssignment) as exc:
+        return type(exc)
+    return result.vertex_map if isinstance(result, CellMap) else result
+
+
+class TestCarrierOracles:
+    """The shared carrier table against the three per-simplex loops it
+    replaced, on stage 1 of each tower and on tampered copies: a q vertex
+    moved out of its carrier, a tau carrier pointed at a disjoint host face,
+    and a tau carrier deleted (one tau cell of each dimension)."""
+
+    @pytest.mark.parametrize("pqk", [(3, 2, 2), (5, 2, 2)],
+                             ids=["322", "522"])
+    def test_checks_match_references(self, towers, pqk):
+        stage = towers[pqk][1]
+        tau, host = stage.tau, stage.tau.base
+        tau_cells = _tau_cells(stage)
+        rng = random.Random(sum(pqk))
+        seen = set()
+
+        def host_verts(cell):
+            return set(host.simplices[cell[0]][cell[1]])
+
+        def compare(st, q=None):
+            ok_c = check_stage_carriers(st, q)
+            assert ok_c == oracle_check_stage_carriers(st, q)
+            ost = open_star_refinement_witnesses(st)
+            assert ost == oracle_open_star_refinement_witnesses(st)
+            approx = _outcome(simplicial_approx_identity, st.tau)
+            assert approx == _outcome(oracle_simplicial_approx_identity,
+                                      st.tau)
+            seen.update(kind for kind, failed in (
+                ("carrier-escape", not ok_c[0]),
+                ("missing-witness", not ost[0]),
+                ("no-valid-assignment", approx is NoValidAssignment),
+            ) if failed)
+            return ok_c, ost
+
+        ok_c, clean_ost = compare(stage)
+        assert ok_c == (True, None) and clean_ost[0] and not seen
+
+        vm_q = stage.projection.vertex_map
+        for v in rng.sample(range(stage.complex.n_cells(0)), 3):
+            outside = set(range(host.n_cells(0))) - host_verts(
+                tau.carrier[tau_cells[(0, v)]])
+            moved = list(vm_q)
+            moved[v] = min(outside)
+            q = SimpleNamespace(vertex_map=moved)
+            assert check_stage_carriers(stage, q) == (False, (0, v))
+            assert oracle_check_stage_carriers(stage, q) == (False, (0, v))
+
+        images = sorted(set(tau_cells.values()))
+        for dim in range(3):
+            cell = rng.choice([c for c in images if c[0] == dim])
+            old = host_verts(tau.carrier[cell])
+            face = next((2, f) for f in range(host.n_cells(2))
+                        if not old & host_verts((2, f)))
+            moved = replace(stage, tau=replace(
+                tau, carrier={**tau.carrier, cell: face}))
+            ok_c, _ = compare(moved)
+            assert not ok_c[0]
+
+            carrier = dict(tau.carrier)
+            del carrier[cell]
+            deleted = replace(stage, tau=replace(tau, carrier=carrier))
+            # the references raise KeyError at a deleted carrier; the
+            # table reports the first simplex over it and leaves its
+            # vertices without a witness
+            landing = [s for s, c in tau_cells.items() if c == cell]
+            assert check_stage_carriers(deleted) == (False, landing[0])
+            lost = {v for k, i in landing
+                    for v in stage.complex.simplices[k][i]}
+            witnesses = {v: None if v in lost else w
+                         for v, w in clean_ost[1].items()}
+            assert open_star_refinement_witnesses(deleted) == \
+                (False, witnesses)
+            for check in (oracle_check_stage_carriers,
+                          oracle_open_star_refinement_witnesses):
+                assert _outcome(check, deleted) is KeyError
+            for check in (simplicial_approx_identity,
+                          oracle_simplicial_approx_identity):
+                assert _outcome(check, deleted.tau) is NoValidAssignment
+        assert seen == {"carrier-escape", "missing-witness",
+                        "no-valid-assignment"}
+
+
 class TestPullback:
     def test_identity_chi(self):
         tau = midpoint_subdivision(filled_triangle())
@@ -333,13 +442,13 @@ class TestPullback:
         chi = CellMap.from_vertex_map(two, filled_triangle(), [0, 1, 2, 0, 1, 2])
         phi = CellMap.identity(tau.complex)
         res = pullback_complex(chi, phi, tau)
-        chi_tilde_vm = res.fiber_subdivision.apexes
+        chi_tilde_vm = res.tau_vertex_map
         for k in range(res.complex.dim + 1):
             for i in range(res.complex.n_cells(k)):
                 verts = res.complex.simplices[k][i]
                 lhs = sorted({phi.vertex_map[res.proj_base.vertex_map[v]]
                               for v in verts})
-                rhs = sorted({chi_tilde_vm[res.fiber_map.vertex_map[v]]
+                rhs = sorted({chi_tilde_vm[res.proj_fiber.vertex_map[v]]
                               for v in verts})
                 assert lhs == rhs
 
@@ -390,8 +499,6 @@ class TestYStages:
         s2 = stages[1]
         assert is_light(s2.projection)
         assert s2.lipschitz_bound == Fraction(1, 2)
-        ok, wit = simplicial_ost_witnesses(s2.projection)
-        assert ok and all(u is not None for u in wit.values())
         rho = simplicial_approx_identity(s2.tau)
         q_delta = rho.compose(s2.tau_map)
         ok2, off = check_stage_carriers(s2, q=q_delta)
