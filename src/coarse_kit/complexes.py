@@ -14,6 +14,7 @@ Python integers, so values can be shared freely between threads.
 from copy import copy
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import eq, lt
 
 from .errors import (
     DimensionTooHigh,
@@ -69,6 +70,15 @@ def _sorted_with_sign(images):
     return tuple(items), sign
 
 
+def _strictly_increasing(level, n):
+    """True when every tuple of ``level`` has n entries in strictly
+    increasing order, checked one vertex column at a time."""
+    if not set(map(len, level)) <= {n}:
+        return False
+    columns = list(zip(*level))
+    return all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
+
+
 def _canonical_boundaries(level, faces, k):
     """Boundary {face index: (-1)**i} of each sorted k-simplex of a level,
     face i dropping vertex i; ``faces`` indexes the (k-1)-simplices."""
@@ -98,6 +108,12 @@ class CellComplex:
     ``coboundary_factors`` memoises, by degree k, the nonzero invariant
     factors of delta_k that ``cochains.cohomology`` reads; the boundaries
     do not change after construction.
+
+    This constructor copies the raw columns it is given, dropping zero
+    entries and checking every row index.  :func:`simplicial_complex` hands
+    over the canonical columns and face index it built through
+    :meth:`_from_tables` instead, which keeps them as they are; both run
+    the same validation.
     """
 
     def __init__(self, counts, boundaries, simplices=None, labels=None, validate=True):
@@ -114,11 +130,13 @@ class CellComplex:
                 )
             n_rows = self.counts[k - 1]
             frozen = []
-            for col in cols:
+            for j, col in enumerate(cols):
                 clean = {int(r): int(c) for r, c in col.items() if c != 0}
                 for r in clean:
                     if r < 0 or r >= n_rows:
-                        raise ShapeMismatch(f"row {r} out of range in dimension {k}")
+                        raise ShapeMismatch(
+                            f"row {r} out of range at cell (dim {k}, {j})"
+                        )
                 frozen.append(clean)
             self._bnd.append(frozen)
         self.simplices = None
@@ -133,6 +151,22 @@ class CellComplex:
         self.labels = _sorted_labels(labels or {})
         if validate:
             self._validate()
+
+    @classmethod
+    def _from_tables(cls, simplices, boundaries, simplex_index, labels=None):
+        """Simplicial complex over tables built for it: per dimension the
+        sorted simplex list, the canonical boundary columns (``boundaries[k]``
+        for k >= 1) and the face index, all kept without a copy."""
+        X = cls.__new__(cls)
+        X.counts = [len(level) for level in simplices]
+        X.dim = len(X.counts) - 1
+        X._bnd = [[{} for _ in simplices[0]]] + boundaries[1:]
+        X.simplices = simplices
+        X._simplex_index = simplex_index
+        X.coboundary_factors = {}
+        X.labels = _sorted_labels(labels or {})
+        X._validate()
+        return X
 
     # -- basic queries ---------------------------------------------------
 
@@ -219,9 +253,15 @@ class CellComplex:
         for k, level in enumerate(self.simplices):
             if len(level) != self.counts[k]:
                 raise ShapeMismatch(f"simplex table size mismatch in dim {k}")
-            for verts in level:
-                if len(verts) != k + 1 or list(verts) != sorted(set(verts)):
-                    raise NotSimplicial(f"bad vertex tuple {verts} in dim {k}")
+            if not _strictly_increasing(level, k + 1):
+                for i, verts in enumerate(level):
+                    if len(verts) != k + 1 or list(verts) != sorted(set(verts)):
+                        raise NotSimplicial(
+                            f"bad vertex tuple {verts} at cell (dim {k}, {i})"
+                        )
+        if all(self._canonical_level(k) for k in range(1, self.dim + 1)):
+            return
+        # some column is off: find the first one and say what is wrong
         if self.dim >= 1:
             for j, col in enumerate(self._bnd[1]):
                 if sorted(col.values()) != [-1, 1]:
@@ -249,6 +289,16 @@ class CellComplex:
                         "orientation convention"
                     )
 
+    def _canonical_level(self, k):
+        """True when every k-cell's column is the sorted-tuple alternating
+        boundary of its simplex (False also where a face is missing)."""
+        canonical = _canonical_boundaries(
+            self.simplices[k], self._simplex_index[k - 1], k)
+        try:
+            return all(map(eq, self._bnd[k], canonical))
+        except KeyError:
+            return False
+
     def __repr__(self):
         kind = "simplicial" if self.is_simplicial else "cell"
         return f"<{kind} complex dim={self.dim} cells={self.counts}>"
@@ -265,7 +315,8 @@ def simplicial_complex(simplices, labels=None):
     Vertices are taken to be 0..max referenced index; orientation follows the
     global vertex order with alternating boundary signs.  Faces are closed
     one codimension at a time from the top, and each level is indexed in
-    sorted tuple order.
+    sorted tuple order.  The columns and face index built here become the
+    complex's own (see :meth:`CellComplex._from_tables`).
     """
     levels = []
     max_v = -1
@@ -287,16 +338,16 @@ def simplicial_complex(simplices, labels=None):
     by_dim = [None] * (dim + 1)
     for k in range(dim, 0, -1):
         by_dim[k] = sorted(levels[k])
-        levels[k - 1].update(s[:i] + s[i + 1:]
-                             for s in by_dim[k] for i in range(k + 1))
+        columns = list(zip(*by_dim[k]))
+        for i in range(k + 1):
+            levels[k - 1].update(zip(*(columns[:i] + columns[i + 1:])))
     levels[0].update((v,) for v in range(max_v + 1))
     by_dim[0] = sorted(levels[0])
+    index = [{s: i for i, s in enumerate(level)} for level in by_dim]
     boundaries = [None]
     for k in range(1, dim + 1):
-        faces = {s: i for i, s in enumerate(by_dim[k - 1])}
-        boundaries.append(list(_canonical_boundaries(by_dim[k], faces, k)))
-    counts = [len(level) for level in by_dim]
-    return CellComplex(counts, boundaries, simplices=by_dim, labels=labels)
+        boundaries.append(list(_canonical_boundaries(by_dim[k], index[k - 1], k)))
+    return CellComplex._from_tables(by_dim, boundaries, index, labels=labels)
 
 
 # -- cellular maps -------------------------------------------------------
@@ -344,6 +395,19 @@ class CellMap:
                     a, b = vm[verts[0]], vm[verts[1]]
                     face, sign = (((a, b), 1) if a < b else
                                   ((b, a), -1) if a > b else (None, 0))
+                elif k == 2:
+                    # three compare-and-swaps, each swap flipping the sign
+                    a, b, c = vm[verts[0]], vm[verts[1]], vm[verts[2]]
+                    sign = 1
+                    if a > b:
+                        a, b, sign = b, a, -1
+                    if b > c:
+                        b, c, sign = c, b, -sign
+                        if a > b:
+                            a, b, sign = b, a, -sign
+                    face = (a, b, c)
+                    if a == b or b == c:
+                        face, sign = None, 0
                 else:
                     face, sign = _sorted_with_sign(map(vm.__getitem__, verts))
                 if sign == 0:
@@ -411,9 +475,19 @@ class CellMap:
             # read only for k >= 1: vertices have no faces
             img_below, sgn_below = images[k - 1], signs[k - 1]
             for i, col in enumerate(src._bnd[k]):
-                # d f(s) - f(d s), scaled by the sign of f(s)
                 j, s = img_k[i], sgn_k[i]
                 if 0 <= j < n_tgt and s * s == 1:
+                    # f(d s), scaled by the sign of f(s); when the faces land
+                    # on distinct cells it must equal d f(s) entry for entry
+                    pushed = {img_below[r]: s * c * sgn_below[r]
+                              for r, c in col.items()}
+                    if len(pushed) == len(col) and -1 not in pushed:
+                        if pushed != tgt_bnd[j]:
+                            raise NotAChainComplex(
+                                f"chain-map identity fails at cell (dim {k}, {i})",
+                                cell=(k, i),
+                            )
+                        continue
                     diff = dict(tgt_bnd[j])
                 elif j == -1 and s == 0:
                     diff, s = {}, 1
@@ -423,6 +497,7 @@ class CellMap:
                         f"{s}: neither a target index in 0..{n_tgt - 1} with "
                         "sign +-1 nor -1 with sign 0"
                     )
+                # faces that collide or vanish: d f(s) - f(d s), accumulated
                 for r, c in col.items():
                     jr = img_below[r]
                     if jr >= 0:

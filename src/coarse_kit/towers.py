@@ -118,7 +118,6 @@ class TowerStage:
     level: int = 0
     tau: Subdivision = None
     tau_map: CellMap = None
-    bundle: object = None
 
 
 @dataclass
@@ -252,6 +251,16 @@ def _max_valence(X):
     return max(counts.values(), default=0)
 
 
+def _is_pure(X):
+    """True when every simplex of X is a face of a top-dimensional one."""
+    faces = set(X.simplices[X.dim])
+    for k in range(X.dim, 0, -1):
+        faces = {s[:i] + s[i + 1:] for s in faces for i in range(k + 1)}
+        if len(faces) != X.counts[k - 1]:
+            return False
+    return True
+
+
 def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
     """Assemble the two-hole winding complex M(p, q, k).
 
@@ -360,8 +369,7 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
     bundle = MkBundle(
         complex=M, params=params, phi=phi, tau=tau, rho=rho, q_map=q_map,
         obstruction=obstruction,
-        notes={"pants_max_valence": pants_valence,
-               "collar_sizes": (ap, aq)},
+        notes={"pants_max_valence": pants_valence},
     )
     _check_bundle(bundle)
     return bundle
@@ -589,47 +597,40 @@ def replace_faces(host, bundle, size_guard=DEFAULT_SIZE_GUARD):
         raise SizeGuardExceeded(
             f"stage would have about {est} cells (budget {size_guard})"
         )
+    for X, name in ((host, "host"), (guts, "bundle")):
+        if not _is_pure(X):
+            raise NotSimplicial(
+                f"the {name} has a simplex that is no face of a triangle; "
+                "the stage is built from triangles only"
+            )
     S = sub.complex
     middles = sub.middle_faces
     g_order = cycle_vertices_of_label(guts, "guts-boundary")
-    rim_cells = set(guts.label_cells("guts-boundary"))
-    interior_verts = [v for v in range(guts.n_cells(0))
-                      if (0, v) not in rim_cells]
+    rim_pos = {v: t for t, v in enumerate(g_order)}
+    interior_verts = [v for v in range(guts.n_cells(0)) if v not in rim_pos]
     n_interior = len(interior_verts)
     base0 = S.n_cells(0)
     inter_pos = {v: t for t, v in enumerate(interior_verts)}
 
-    def vert_in_copy(f, v, mids):
-        if (0, v) in rim_cells:
-            return mids[g_order.index(v)]
-        return base0 + f * n_interior + inter_pos[v]
-
-    tuples = []
-    doomed_faces = set(middles.values())
-    for k in range(3):
-        for i in range(S.n_cells(k)):
-            if k == 2 and i in doomed_faces:
-                continue
-            tuples.append(S.simplices[k][i])
-    copy_tuples = [dict() for _ in range(n_faces)]  # guts cell -> new tuple
-    for f in range(n_faces):
+    def in_copy(f, verts):
+        """A guts simplex in the copy glued along the middle of face f."""
         mids = S.simplices[2][middles[f]]
-        for k in range(guts.dim + 1):
-            for i in range(guts.n_cells(k)):
-                verts = tuple(sorted(
-                    vert_in_copy(f, v, mids) for v in guts.simplices[k][i]
-                ))
-                copy_tuples[f][(k, i)] = verts
-                if (k, i) not in rim_cells:
-                    tuples.append(verts)
-    stage_labels = {}
+        return tuple(mids[rim_pos[v]] if v in rim_pos
+                     else base0 + f * n_interior + inter_pos[v] for v in verts)
+
+    # host and guts are pure, so the triangles carry every cell: those of
+    # the subdivided host but its middles, and those of each guts copy
+    doomed_faces = set(middles.values())
+    tuples = [s for i, s in enumerate(S.simplices[2]) if i not in doomed_faces]
+    for f in range(n_faces):
+        tuples.extend(in_copy(f, verts) for verts in guts.simplices[2])
     stage = simplicial_complex(tuples)
+    stage_labels = {}
     for f in range(n_faces):
         for name in (bundle.p_hole_label, bundle.q_hole_label):
-            cells = []
-            for (k, i) in guts.label_cells(name):
-                cells.append((k, stage.simplex_index(copy_tuples[f][(k, i)])))
-            stage_labels[f"{name}-{f}"] = cells
+            stage_labels[f"{name}-{f}"] = [
+                (k, stage.simplex_index(in_copy(f, guts.simplices[k][i])))
+                for k, i in guts.label_cells(name)]
     stage = stage.relabeled(stage_labels)
     # projection into the cone subdivision of the host
     tau = cone_middle_subdivision(host)
@@ -646,17 +647,24 @@ def replace_faces(host, bundle, size_guard=DEFAULT_SIZE_GUARD):
     return stage, tau, tau_map, projection
 
 
-def check_stage_carriers(stage, q=None):
+def stage_carriers(stage):
+    """The host carrier table of a stage's tau map (see ``_host_carriers``),
+    the one table :func:`check_stage_carriers` and
+    :func:`open_star_refinement_witnesses` read."""
+    return _host_carriers(stage.complex, stage.tau_map.vertex_map, stage.tau)
+
+
+def check_stage_carriers(stage, carriers, q=None):
     """Verify a q-map is a simplicial approximation of the stage's tau map.
 
     For every simplex s: q(s) must land inside the host carrier of the cell
-    tau_map(s) lands in.  ``q`` defaults to the stage projection (the
+    tau_map(s) lands in, as the stage's :func:`stage_carriers` table
+    ``carriers`` records it.  ``q`` defaults to the stage projection (the
     face-replacement towers); pull-back stages pass their triangle-valued
     approximation explicitly.  Returns (ok, offending cell or None).
     """
     X = stage.complex
     vm_q = (q if q is not None else stage.projection).vertex_map
-    carriers = _host_carriers(X, stage.tau_map.vertex_map, stage.tau)
     for k, row in enumerate(carriers):
         for i, carrier_verts in enumerate(row):
             if carrier_verts is None or not (
@@ -665,17 +673,17 @@ def check_stage_carriers(stage, q=None):
     return True, None
 
 
-def open_star_refinement_witnesses(stage):
+def open_star_refinement_witnesses(stage, carriers):
     """Per-vertex witnesses for proj(Ost(v)) inside a single host open star.
 
     For every vertex v of the stage complex, intersects the host carriers of
     the tau-images of all simplices containing v; any vertex in the
-    intersection witnesses Ost(v) c proj^{-1}(Ost(u, host)).  A simplex
-    whose image has no carrier leaves its vertices without a witness.
-    Returns (all_found, witness dict).
+    intersection witnesses Ost(v) c proj^{-1}(Ost(u, host)), the carriers
+    read from the stage's :func:`stage_carriers` table ``carriers``.  A
+    simplex whose image has no carrier leaves its vertices without a
+    witness.  Returns (all_found, witness dict).
     """
     X = stage.complex
-    carriers = _host_carriers(X, stage.tau_map.vertex_map, stage.tau)
     common = [None] * X.n_cells(0)
     for k, row in enumerate(carriers):
         for i, carrier_verts in enumerate(row):
@@ -701,8 +709,7 @@ def build_tower(params, depth, size_guard=DEFAULT_SIZE_GUARD):
         raise InvalidParams("tower depth must stay below the level k")
     bundle = build_Mk(params, size_guard=size_guard)
     stages = [TowerStage(complex=bundle.complex, projection=None,
-                         lipschitz_bound=Fraction(1, 2), level=0,
-                         bundle=bundle)]
+                         lipschitz_bound=Fraction(1, 2), level=0)]
     for j in range(1, depth + 1):
         sub_params = MkParams(params.p, params.q, params.k - j,
                               reduce=params.reduce)
@@ -714,7 +721,7 @@ def build_tower(params, depth, size_guard=DEFAULT_SIZE_GUARD):
             host, inner, size_guard=size_guard)
         stages.append(TowerStage(
             complex=stage, projection=projection, tau=tau, tau_map=tau_map,
-            lipschitz_bound=Fraction(1, 2), level=j, bundle=inner,
+            lipschitz_bound=Fraction(1, 2), level=j,
         ))
     return stages
 
@@ -809,16 +816,30 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
 
     ``tau`` is the Subdivision of chi's target that phi maps into.  The
     result projects simplicially onto M' (light, since chi is) and onto the
-    pulled-back subdivision of M.
+    pulled-back subdivision tau_M of M.  Its simplices are the pairs
+    (sigma, t) of a simplex of M' and a simplex of tau_M with the same
+    image in tau; the vertices of (sigma, t) pair each v of sigma with the
+    vertex of t over phi(v).  ``size_guard`` bounds the number of them.
+
+    Both M and M' must be pure: only the pairs over the top simplices of M'
+    are made, and :func:`simplicial_complex` closes their faces.
     """
     if not is_light(chi):
         raise NotLight("chi must be light (injective on closed simplices)")
     if phi.vertex_map is None:
         raise NotSimplicial("phi must be simplicial")
+    Mp = phi.source
+    for X, name in ((chi.source, "chi"), (Mp, "phi")):
+        if not _is_pure(X):
+            raise NotSimplicial(
+                f"the source of {name} has a simplex that is no face of a top "
+                "simplex; the pullback is built from top simplices only"
+            )
     sub, chi_vm = pullback_subdivision(chi, tau)
     tau_M = sub.complex
-    Mp = phi.source
-    # tau_M simplices indexed by image vertex set in tau
+    phi_vm = phi.vertex_map
+    # tau_M simplices indexed by image vertex set in tau; the induced map
+    # is light, so each has the dimension of its image
     by_img = {}
     for k in range(tau_M.dim + 1):
         for i, verts in enumerate(tau_M.simplices[k]):
@@ -827,35 +848,38 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
     pair_verts = []
     pair_index = {}
     for v in range(Mp.n_cells(0)):
-        w = phi.vertex_map[v]
-        for (kk, i) in by_img.get((w,), []):
-            x = tau_M.simplices[0][i][0] if kk == 0 else None
-            if kk == 0:
-                pair_index[(v, x)] = len(pair_verts)
-                pair_verts.append((v, x))
-    est = 0
+        for (kk, i) in by_img.get((phi_vm[v],), []):
+            x = tau_M.simplices[0][i][0]
+            pair_index[(v, x)] = len(pair_verts)
+            pair_verts.append((v, x))
+    # one simplex of P per pair (sigma, t), in every dimension: count them
+    # all before any is made
+    images = [[tuple(sorted({phi_vm[v] for v in verts})) for verts in level]
+              for level in Mp.simplices]
+    if sum(len(by_img.get(img, ())) for level in images
+           for img in level) > size_guard:
+        raise SizeGuardExceeded(f"pullback exceeds {size_guard} simplices")
+    # The top simplices of M' are enough.  Take a simplex (sigma', t') of P
+    # and a top simplex sigma of M' containing sigma'.  Every simplex of
+    # tau_M lies in the copy of tau over some top cell of M, since M is pure
+    # and chi maps each top cell onto the whole simplex.  The copy holding
+    # t' has a simplex t over phi(sigma), which contains phi(sigma'); so t
+    # contains t', and (sigma', t') is a face of (sigma, t).
+    inverses = {}
     simplices = []
-    for k in range(Mp.dim + 1):
-        for i, verts in enumerate(Mp.simplices[k]):
-            img = tuple(sorted({phi.vertex_map[v] for v in verts}))
-            for (kk, t) in by_img.get(img, []):
-                if kk != len(img) - 1:
-                    continue
-                tverts = tau_M.simplices[kk][t]
-                inv = {chi_vm[x]: x for x in tverts}
-                cand = tuple(
-                    sorted(pair_index[(v, inv[phi.vertex_map[v]])] for v in verts)
-                )
-                simplices.append(cand)
-                est += 1
-                if est > size_guard:
-                    raise SizeGuardExceeded(
-                        f"pullback exceeds {size_guard} simplices"
-                    )
-    P = simplicial_complex(sorted(set(simplices)))
+    for verts, img in zip(Mp.simplices[Mp.dim], images[Mp.dim]):
+        over = [phi_vm[v] for v in verts]
+        for t in by_img.get(img, ()):
+            inv = inverses.get(t)
+            if inv is None:
+                inv = inverses[t] = {chi_vm[x]: x
+                                     for x in tau_M.simplices[t[0]][t[1]]}
+            simplices.append(tuple(pair_index[(v, inv[w])]
+                                   for v, w in zip(verts, over)))
+    P = simplicial_complex(simplices)
     # projections: first coordinate to M', second to tau_M
-    vm_base = [pair_verts[t][0] for t in range(len(pair_verts))]
-    vm_fiber = [pair_verts[t][1] for t in range(len(pair_verts))]
+    vm_base = [v for v, _ in pair_verts]
+    vm_fiber = [x for _, x in pair_verts]
     proj_base = CellMap.from_vertex_map(P, Mp, vm_base)
     proj_fiber = CellMap.from_vertex_map(P, tau_M, vm_fiber)
     if not is_light(proj_base):
@@ -928,7 +952,7 @@ def build_Y_stage(params, stages, size_guard=DEFAULT_SIZE_GUARD):
         warnings.simplefilter("ignore")
         b1 = build_Mk(base_params, size_guard=size_guard)
     out = [TowerStage(complex=b1.complex, projection=None,
-                      lipschitz_bound=Fraction(1, 2), level=1, bundle=b1)]
+                      lipschitz_bound=Fraction(1, 2), level=1)]
     phi_prev = b1.phi
     tau_prev = b1.tau
     for t in range(2, stages + 1):
@@ -948,7 +972,7 @@ def build_Y_stage(params, stages, size_guard=DEFAULT_SIZE_GUARD):
         stage = TowerStage(
             complex=result.complex, projection=result.proj_base,
             lipschitz_bound=Fraction(1, 2) ** (t - 1), level=t,
-            bundle=bt, tau=tau_prev, tau_map=phi_t,
+            tau=tau_prev, tau_map=phi_t,
         )
         out.append(stage)
         phi_prev = phi_t

@@ -31,6 +31,7 @@ from .towers import (
     open_star_refinement_witnesses,
     pick_n,
     product_obstruction_cocycle,
+    stage_carriers,
 )
 
 # cell budgets: the beta product of verify-prop52, the tower of verify-tower
@@ -286,10 +287,11 @@ def verify_tower(params, stages, node_limit=10_000_000, out_prefix=None):
             bound=stage.lipschitz_bound,
             cells=stage.complex.total_cells(),
         )
-        ok_c, offending = check_stage_carriers(stage)
+        carriers = stage_carriers(stage)
+        ok_c, offending = check_stage_carriers(stage, carriers)
         report.check(f"stage-{stage.level}-carrier-containment", ok_c,
                      offending=offending)
-        ok_o, wit = open_star_refinement_witnesses(stage)
+        ok_o, wit = open_star_refinement_witnesses(stage, carriers)
         report.check(
             f"stage-{stage.level}-star-refinement", ok_o,
             vertices=len(wit),

@@ -31,6 +31,10 @@ tables' zero entries replaced.
 ``oracle_open_star_refinement_witnesses`` are the three per-simplex carrier
 loops of ``towers`` that its one shared carrier table replaced.
 
+``oracle_pullback_complex`` is the fiber product that ``towers`` built from
+every (sigma, t) pair in every dimension, before it emitted pairs over the
+top simplices only and let the face closure derive the rest.
+
 ``ilp_min_linf`` is the second reference for minimal sup-norms: a generic
 branch and bound (integer bounds propagation plus the package's exact box
 LP) that knows nothing of the lattice structure the degree-2 minimal
@@ -59,6 +63,7 @@ from coarse_kit.exact_linalg import (
     mat_vec,
     solve_integer,
 )
+from coarse_kit.towers import pullback_subdivision
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -1083,3 +1088,48 @@ def oracle_open_star_refinement_witnesses(stage):
             ok = False
             witnesses[v] = None
     return ok, witnesses
+
+
+def oracle_pullback_complex(chi, phi, tau, size_guard):
+    """Fiber product of chi and phi from every pair (sigma, t): sigma any
+    simplex of phi's source, t any simplex of the pulled-back subdivision
+    with chi's image phi(sigma) and the same dimension as that image.
+
+    Returns (complex, base vertex map, fiber vertex map, pair index); the
+    complex is closed by ``oracle_simplicial_complex``.  Counts pairs
+    against ``size_guard`` as they are made.
+    """
+    sub, chi_vm = pullback_subdivision(chi, tau)
+    tau_M = sub.complex
+    Mp = phi.source
+    by_img = {}
+    for k in range(tau_M.dim + 1):
+        for i, verts in enumerate(tau_M.simplices[k]):
+            img = tuple(sorted({chi_vm[v] for v in verts}))
+            by_img.setdefault(img, []).append((k, i))
+    pair_verts = []
+    pair_index = {}
+    for v in range(Mp.n_cells(0)):
+        for (kk, i) in by_img.get((phi.vertex_map[v],), []):
+            if kk == 0:
+                x = tau_M.simplices[0][i][0]
+                pair_index[(v, x)] = len(pair_verts)
+                pair_verts.append((v, x))
+    est = 0
+    simplices = []
+    for k in range(Mp.dim + 1):
+        for verts in Mp.simplices[k]:
+            img = tuple(sorted({phi.vertex_map[v] for v in verts}))
+            for (kk, t) in by_img.get(img, []):
+                if kk != len(img) - 1:
+                    continue
+                inv = {chi_vm[x]: x for x in tau_M.simplices[kk][t]}
+                simplices.append(tuple(sorted(
+                    pair_index[(v, inv[phi.vertex_map[v]])] for v in verts)))
+                est += 1
+                if est > size_guard:
+                    raise SizeGuardExceeded(
+                        f"pullback exceeds {size_guard} simplices")
+    P = oracle_simplicial_complex(sorted(set(simplices)))
+    return (P, [v for v, _ in pair_verts], [x for _, x in pair_verts],
+            pair_index)

@@ -51,6 +51,7 @@ from coarse_kit.towers import (
     build_tower,
     check_stage_carriers,
     open_star_refinement_witnesses,
+    stage_carriers,
     pick_n,
     product_obstruction_cocycle,
     pullback_complex,
@@ -332,9 +333,10 @@ def test_criterion_09_tower_regularity():
     ok = True
     for stage in tower522[1:]:
         ok = ok and stage.lipschitz_bound <= Fraction(1, 2)
-        good, _ = check_stage_carriers(stage)
+        carriers = stage_carriers(stage)
+        good, _ = check_stage_carriers(stage, carriers)
         ok = ok and good
-        found, wit = open_star_refinement_witnesses(stage)
+        found, wit = open_star_refinement_witnesses(stage, carriers)
         ok = ok and found and all(u is not None for u in wit.values())
     _criterion(9, "two-stage tower regularity at (5,2,2)", ok, t0, 120,
                f"stage cells {[s.complex.total_cells() for s in tower522]}")

@@ -324,6 +324,52 @@ class TestOnePassBuildersAgainstOracles:
                                        steps))
 
 
+class TestFastPathTampering:
+    """Each whole-table fast path of the validators still rejects a bad
+    table and names the cell: the distinct-faces comparison and the
+    accumulate loop of the chain-map check, the level-wide sorted-tuple
+    check, and the row range check of raw columns."""
+
+    def test_flipped_sign_on_nondegenerate_triangle(self):
+        X = simplicial_complex([(0, 1, 2), (1, 2, 3)])
+        images = [list(range(n)) for n in X.counts]
+        signs = [[1] * n for n in X.counts]
+        CellMap(X, X, images, signs)
+        signs[2][1] = -1
+        with pytest.raises(NotAChainComplex, match=r"\(dim 2, 1\)") as exc:
+            CellMap(X, X, images, signs)
+        assert exc.value.cell == (2, 1)
+
+    def test_degenerate_triangle_with_uncancelled_collision(self):
+        # a vertex and a loop edge; the triangle maps to zero and its edges
+        # land on the loop, where they must cancel
+        loop = new_complex([1, 1], [None, [{}]])
+        X = filled_triangle()
+        images = [[0, 0, 0], [0, 0, -1], [-1]]
+        signs = [[1, 1, 1], [1, 1, 0], [0]]
+        CellMap(X, loop, images, signs)
+        images[1][2], signs[1][2] = 0, 1
+        with pytest.raises(NotAChainComplex, match=r"\(dim 2, 0\)") as exc:
+            CellMap(X, loop, images, signs)
+        assert exc.value.cell == (2, 0)
+
+    @pytest.mark.parametrize("edges, cell", [
+        ([(0, 1), (2, 1)], r"\(2, 1\) at cell \(dim 1, 1\)"),
+        ([(0, 1), (1, 1)], r"\(1, 1\) at cell \(dim 1, 1\)"),
+        ([(0, 1, 2), (1, 2)], r"\(0, 1, 2\) at cell \(dim 1, 0\)"),
+    ], ids=["unsorted", "repeated", "too-long"])
+    def test_bad_vertex_tuple(self, edges, cell):
+        with pytest.raises(NotSimplicial, match=cell):
+            new_complex([3, 2], [None, [{0: -1, 1: 1}, {1: -1, 2: 1}]],
+                        simplices=[[(0,), (1,), (2,)], edges])
+
+    @pytest.mark.parametrize("row", [2, -1])
+    def test_row_out_of_range(self, row):
+        with pytest.raises(ShapeMismatch,
+                           match=rf"row {row} out of range at cell \(dim 1, 1\)"):
+            new_complex([2, 2], [None, [{0: -1, 1: 1}, {0: -1, row: 1}]])
+
+
 class TestAnnulus:
     def test_counts_and_chi(self):
         A, collapse = annulus_triangulation(6, 3)

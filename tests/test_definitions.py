@@ -6,9 +6,14 @@ attribute, or an imported name.  A method of a package class must be named
 outside its own body: by another statement of its class or by any other
 top-level statement.  Dunders are exempt.  Mentions in comments or strings do
 not count, nor do references from inside the definition.
+
+Every function that ``perfbench/design.json`` lists for tracing resolves to
+a module-level callable of the package.
 """
 
 import ast
+import importlib
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +86,20 @@ def test_no_dead_methods():
     _, dead = _dead_definitions()
     assert not dead, "methods named nowhere outside their body: " + \
         ", ".join(dead)
+
+
+def test_traced_functions_resolve():
+    """Every function the bench traces is a module-level callable of its
+    home module, so a rename fails here and not only under ``--trace 1``."""
+    design = json.loads((ROOT / "perfbench" / "design.json").read_text())
+    names = [layer["function"] for layer in design["layers"]]
+    assert names
+    missing = []
+    for name in names:
+        home, attr = name.split(".")
+        module = importlib.import_module(f"coarse_kit.{home}")
+        fn = getattr(module, attr, None)
+        if not callable(fn) or fn.__module__ != module.__name__:
+            missing.append(name)
+    assert not missing, "traced names that do not resolve: " + \
+        ", ".join(missing)

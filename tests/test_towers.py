@@ -31,9 +31,11 @@ from coarse_kit.errors import (
     InvalidParams,
     NotSimplicial,
     NoValidAssignment,
+    SizeGuardExceeded,
 )
 from coarse_kit.exact_linalg import solve_integer
 from coarse_kit.towers import (
+    DEFAULT_SIZE_GUARD,
     MkParams,
     build_Mk,
     build_Y_stage,
@@ -48,7 +50,9 @@ from coarse_kit.towers import (
     product_obstruction_cocycle,
     pullback_complex,
     pullback_section,
+    replace_faces,
     simplicial_approx_identity,
+    stage_carriers,
 )
 
 from oracles import (
@@ -56,6 +60,7 @@ from oracles import (
     oracle_complex_homology,
     oracle_is_light,
     oracle_open_star_refinement_witnesses,
+    oracle_pullback_complex,
     oracle_simplicial_approx_identity,
 )
 from test_complexes import random_simplices, random_vertex_map
@@ -279,10 +284,17 @@ class TestTower:
         assert len(stages) == 2
         s1 = stages[1]
         assert s1.lipschitz_bound == Fraction(1, 2)
-        ok, offending = check_stage_carriers(s1)
+        carriers = stage_carriers(s1)
+        ok, offending = check_stage_carriers(s1, carriers)
         assert ok, offending
-        ok2, w = open_star_refinement_witnesses(s1)
+        ok2, w = open_star_refinement_witnesses(s1, carriers)
         assert ok2 and all(u is not None for u in w.values())
+
+    def test_impure_host_refused(self, mk521):
+        # a dangling edge would be lost: stages are built from triangles
+        host = simplicial_complex([(0, 1, 2), (2, 3)])
+        with pytest.raises(NotSimplicial, match="the host"):
+            replace_faces(host, mk521)
 
     def test_composite_bound(self, towers):
         stages = towers[(5, 2, 2)]
@@ -355,9 +367,10 @@ class TestCarrierOracles:
             return set(host.simplices[cell[0]][cell[1]])
 
         def compare(st, q=None):
-            ok_c = check_stage_carriers(st, q)
+            carriers = stage_carriers(st)
+            ok_c = check_stage_carriers(st, carriers, q)
             assert ok_c == oracle_check_stage_carriers(st, q)
-            ost = open_star_refinement_witnesses(st)
+            ost = open_star_refinement_witnesses(st, carriers)
             assert ost == oracle_open_star_refinement_witnesses(st)
             approx = _outcome(simplicial_approx_identity, st.tau)
             assert approx == _outcome(oracle_simplicial_approx_identity,
@@ -372,6 +385,7 @@ class TestCarrierOracles:
         ok_c, clean_ost = compare(stage)
         assert ok_c == (True, None) and clean_ost[0] and not seen
 
+        carriers = stage_carriers(stage)
         vm_q = stage.projection.vertex_map
         for v in rng.sample(range(stage.complex.n_cells(0)), 3):
             outside = set(range(host.n_cells(0))) - host_verts(
@@ -379,7 +393,7 @@ class TestCarrierOracles:
             moved = list(vm_q)
             moved[v] = min(outside)
             q = SimpleNamespace(vertex_map=moved)
-            assert check_stage_carriers(stage, q) == (False, (0, v))
+            assert check_stage_carriers(stage, carriers, q) == (False, (0, v))
             assert oracle_check_stage_carriers(stage, q) == (False, (0, v))
 
         images = sorted(set(tau_cells.values()))
@@ -400,13 +414,15 @@ class TestCarrierOracles:
             # table reports the first simplex over it and leaves its
             # vertices without a witness
             landing = [s for s, c in tau_cells.items() if c == cell]
-            assert check_stage_carriers(deleted) == (False, landing[0])
+            carriers_deleted = stage_carriers(deleted)
+            assert check_stage_carriers(deleted, carriers_deleted) == \
+                (False, landing[0])
             lost = {v for k, i in landing
                     for v in stage.complex.simplices[k][i]}
             witnesses = {v: None if v in lost else w
                          for v, w in clean_ost[1].items()}
-            assert open_star_refinement_witnesses(deleted) == \
-                (False, witnesses)
+            assert open_star_refinement_witnesses(
+                deleted, carriers_deleted) == (False, witnesses)
             for check in (oracle_check_stage_carriers,
                           oracle_open_star_refinement_witnesses):
                 assert _outcome(check, deleted) is KeyError
@@ -484,6 +500,68 @@ class TestPullback:
         assert is_light(chi)
 
 
+def _y_stage_inputs(p):
+    """chi, phi and tau of the second Y-stage at (p, 2, 1) in reduce mode,
+    as ``build_Y_stage`` makes them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        b1 = build_Mk(MkParams(p, 2, 1, reduce=True))
+        b2 = build_Mk(MkParams(p, 2, 2, reduce=True))
+    return dimension_coloring(barycentric_subdivision(b2.complex)), b1.phi, b1.tau
+
+
+class TestPullbackReference:
+    """The fiber product made from the top simplices of M' against the
+    all-pairs reference, on the second Y-stage and on impure inputs."""
+
+    @pytest.mark.parametrize("p", [3, 5], ids=["321", "521"])
+    def test_y_stage_matches_all_pairs(self, p):
+        chi, phi, tau = _y_stage_inputs(p)
+        ref, base, fiber, pairs = oracle_pullback_complex(
+            chi, phi, tau, DEFAULT_SIZE_GUARD)
+        res = pullback_complex(chi, phi, tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stage = build_Y_stage(MkParams(p, 2, 1, reduce=True), 2)[1]
+        for P in (res.complex, stage.complex):
+            assert P.counts == ref.counts
+            assert P.simplices == ref.simplices
+            for k in range(1, P.dim + 1):
+                assert P.boundary_columns(k) == ref.boundary_columns(k)
+        assert res.pair_index == pairs
+        assert res.proj_base.vertex_map == base
+        assert stage.projection.vertex_map == base
+        assert res.proj_fiber.vertex_map == fiber
+        assert stage.tau_map.vertex_map == [phi.vertex_map[v] for v in base]
+
+    def test_size_guard_counts_every_simplex(self):
+        # 108071 simplices in P at (3,2,1), in every dimension
+        chi, phi, tau = _y_stage_inputs(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            params = MkParams(3, 2, 1, reduce=True)
+            stages = build_Y_stage(params, 2, size_guard=108071)
+            assert stages[1].complex.total_cells() == 108071
+            for build in (
+                    lambda: build_Y_stage(params, 2, size_guard=108070),
+                    lambda: oracle_pullback_complex(chi, phi, tau, 108070)):
+                with pytest.raises(SizeGuardExceeded,
+                                   match="^pullback exceeds 108070 simplices$"):
+                    build()
+
+    def test_impure_inputs_refused(self):
+        tau = midpoint_subdivision(filled_triangle())
+        # a triangle with a dangling edge, light over the triangle and
+        # simplicial into tau
+        impure = simplicial_complex([(0, 1, 2), (2, 3)])
+        chi = CellMap.from_vertex_map(impure, filled_triangle(), [0, 1, 2, 0])
+        with pytest.raises(NotSimplicial, match="source of chi"):
+            pullback_complex(chi, CellMap.identity(tau.complex), tau)
+        phi = CellMap.from_vertex_map(impure, tau.complex, [0, 3, 4, 2])
+        with pytest.raises(NotSimplicial, match="source of phi"):
+            pullback_complex(CellMap.identity(filled_triangle()), phi, tau)
+
+
 class TestYStages:
     def test_single_stage(self):
         with warnings.catch_warnings():
@@ -501,5 +579,5 @@ class TestYStages:
         assert s2.lipschitz_bound == Fraction(1, 2)
         rho = simplicial_approx_identity(s2.tau)
         q_delta = rho.compose(s2.tau_map)
-        ok2, off = check_stage_carriers(s2, q=q_delta)
+        ok2, off = check_stage_carriers(s2, stage_carriers(s2), q=q_delta)
         assert ok2, off
