@@ -123,12 +123,12 @@ def cmd_build(args):
     elif args.kind == "mk":
         X = build_Mk(_mk_params(args)).complex
     elif args.kind == "tower":
-        stages = build_tower(_mk_params(args), depth=args.stages - 1)
-        X = stages[-1].complex
+        # only the last stage's complex is kept: the earlier stages and
+        # their projection and tau maps are freed before the write
+        X = build_tower(_mk_params(args), depth=args.stages - 1)[-1].complex
     elif args.kind == "y-stage":
-        stages = build_Y_stage(_mk_params(args), args.stages,
-                               size_guard=3_000_000)
-        X = stages[-1].complex
+        X = build_Y_stage(_mk_params(args), args.stages,
+                          size_guard=3_000_000)[-1].complex
     elif args.kind == "product":
         X = interval_product(circle(args.n), args.levels).complex
     counts = " ".join(str(c) for c in X.counts)

@@ -27,6 +27,7 @@ row-major, labels and cochains sorted by name.  All numbers are integers or
 """
 
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .complexes import CellComplex
 from .errors import ShapeMismatch
@@ -48,27 +49,47 @@ def _num_from_str(s):
     return int(s)
 
 
+def _boundary_text(columns):
+    """The triples "row col coeff" of one boundary level, row-major.
+
+    Entries are flattened column by column; one stable sort by row keeps
+    the column order inside each row, and one ``%`` format renders them.
+    """
+    rows = list(chain.from_iterable(columns))
+    n = len(rows)
+    cols = list(chain.from_iterable(map(repeat, range(len(columns)),
+                                        map(len, columns))))
+    coeffs = list(chain.from_iterable(map(dict.values, columns)))
+    order = sorted(range(n), key=rows.__getitem__)
+    flat = [0] * (3 * n)
+    flat[0::3] = map(rows.__getitem__, order)
+    flat[1::3] = map(cols.__getitem__, order)
+    flat[2::3] = map(coeffs.__getitem__, order)
+    return ("%d %d %d\n" * n) % tuple(flat)
+
+
+def _simplex_text(level, k):
+    """The vertex lines of the k-simplices of one level."""
+    return (("%d" + " %d" * k + "\n") * len(level)) % tuple(
+        chain.from_iterable(level))
+
+
 def serialize_complex(X, cochains=None, covers=None):
-    """Render a complex (plus optional cochains/covers) to format text."""
-    lines = [f"{MAGIC} {FORMAT_VERSION}", f"dim {X.dim}",
-             "counts " + " ".join(str(c) for c in X.counts)]
+    """Render a complex (plus optional cochains/covers) to format text.
+
+    Boundary and simplex levels, which hold nearly all the bytes, are each
+    rendered by one bulk format; labels, cochains and covers line by line.
+    """
+    parts = [f"{MAGIC} {FORMAT_VERSION}\ndim {X.dim}\ncounts "
+             + " ".join(str(c) for c in X.counts) + "\n"]
     for k in range(1, X.dim + 1):
-        lines.append(f"boundary {k}")
-        # (row, col) pairs are unique and columns are visited in order, so
-        # per-row buckets come out sorted row-major
-        rows = [[] for _ in range(X.n_cells(k - 1))]
-        for j, col in enumerate(X.boundary_columns(k)):
-            for r, c in col.items():
-                rows[r].append(f"{r} {j} {c}")
-        for row in rows:
-            lines.extend(row)
-        lines.append("end")
+        parts += [f"boundary {k}\n", _boundary_text(X.boundary_columns(k)),
+                  "end\n"]
     if X.is_simplicial:
         for k in range(X.dim + 1):
-            lines.append(f"simplices {k}")
-            for verts in X.simplices[k]:
-                lines.append(" ".join(map(str, verts)))
-            lines.append("end")
+            parts += [f"simplices {k}\n", _simplex_text(X.simplices[k], k),
+                      "end\n"]
+    lines = []
     for name in sorted(X.labels):
         cells = " ".join(f"{d}:{i}" for d, i in X.labels[name])
         lines.append(f"label {name} {cells}".rstrip())
@@ -86,7 +107,9 @@ def serialize_complex(X, cochains=None, covers=None):
         for s in cov.sets:
             lines.append(" ".join(str(v) for v in sorted(s)))
         lines.append("end")
-    return "\n".join(lines) + "\n"
+    if lines:
+        parts.append("\n".join(lines) + "\n")
+    return "".join(parts)
 
 
 def write_complex(path, X, cochains=None, covers=None):
@@ -96,29 +119,75 @@ def write_complex(path, X, cochains=None, covers=None):
     return text
 
 
+def _content_lines(text):
+    """(line number, text) of each line with its comment and trailing
+    blanks cut, skipping lines left empty."""
+    for n, ln in enumerate(text.splitlines(), 1):
+        ln = ln.split("#", 1)[0].rstrip()
+        if ln.strip():
+            yield n, ln
+
+
+def _ints(n, ln, what, size=None, skip=0):
+    """The integers of line n after its first ``skip`` words; exactly
+    ``size`` of them when given."""
+    try:
+        vals = [int(v) for v in ln.split()[skip:]]
+    except ValueError:
+        vals = None
+    if vals is None or (size is not None and len(vals) != size):
+        raise ShapeMismatch(f"line {n}: expected {what}, got {ln!r}")
+    return vals
+
+
+def _header_ints(lines, key):
+    """The integers of the ``key ...`` line that must come next."""
+    n, ln = next(lines, (None, None))
+    if ln is None:
+        raise ShapeMismatch(f"file ends before its {key} line")
+    if ln.split()[:1] != [key]:
+        raise ShapeMismatch(f"line {n}: expected '{key} ...', got {ln!r}")
+    return n, _ints(n, ln, f"'{key}' and integers", skip=1)
+
+
+def _block(lines, n, ln):
+    """The (line number, text) rows of the block opened at line n, up to
+    its ``end``."""
+    for row in lines:
+        if row[1] == "end":
+            return
+        yield row
+    raise ShapeMismatch(f"line {n}: block {ln!r} has no 'end'")
+
+
+def _meta(n, ln, fields, keys):
+    """The ``key=value`` fields of a block header; each of ``keys`` must be
+    among them."""
+    meta = dict(f.split("=", 1) for f in fields if "=" in f)
+    if len(meta) != len(fields) or not all(k in meta for k in keys):
+        raise ShapeMismatch(
+            f"line {n}: expected fields {', '.join(keys)}, got {ln!r}")
+    return meta
+
+
 def parse_complex(text):
     """Parse format text back into (complex, cochains, covers).
 
     Cochains come back as raw dicts (degree, ring, values); covers as
     (kind, vertex sets) — the caller owns rebinding them to richer types.
+    A malformed file raises ``ShapeMismatch`` naming the line at fault: a
+    bad header, a block without ``end``, a short or non-integer row, or a
+    row, column, cell or dimension out of range.
     """
-    lines = [ln.split("#", 1)[0].rstrip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
-    pos = 0
-
-    def take():
-        nonlocal pos
-        ln = lines[pos]
-        pos += 1
-        return ln
-
-    head = take().split()
-    if head[0] != MAGIC or head[1] != FORMAT_VERSION:
+    lines = _content_lines(text)
+    head = next(lines, (None, ""))[1].split()
+    if head != [MAGIC, FORMAT_VERSION]:
         raise ShapeMismatch(f"not a {MAGIC} {FORMAT_VERSION} file")
-    dim = int(take().split()[1])
-    counts = [int(v) for v in take().split()[1:]]
-    if len(counts) != dim + 1:
-        raise ShapeMismatch("counts line does not match dim")
+    _, dims = _header_ints(lines, "dim")
+    n, counts = _header_ints(lines, "counts")
+    if len(dims) != 1 or len(counts) != dims[0] + 1 or min(counts) < 0:
+        raise ShapeMismatch(f"line {n}: counts line does not match dim")
+    dim = dims[0]
     boundaries = [None] + [
         [dict() for _ in range(counts[k])] for k in range(1, dim + 1)
     ]
@@ -126,58 +195,75 @@ def parse_complex(text):
     labels = {}
     cochains = {}
     covers = {}
-    while pos < len(lines):
-        ln = take()
+    for n, ln in lines:
         parts = ln.split()
-        if parts[0] == "boundary":
-            k = int(parts[1])
-            while True:
-                row = take()
-                if row == "end":
-                    break
-                r, j, c = (int(v) for v in row.split())
-                boundaries[k][j][r] = c
-        elif parts[0] == "simplices":
-            k = int(parts[1])
+        kind = parts[0]
+        if kind in ("boundary", "simplices"):
+            k, = _ints(n, ln, f"'{kind} K'", 1, skip=1)
+            if not (0 if kind == "simplices" else 1) <= k <= dim:
+                raise ShapeMismatch(
+                    f"line {n}: {kind} {k} out of range for dim {dim}")
+        elif kind in ("label", "cochain", "cover") and len(parts) < 2:
+            raise ShapeMismatch(f"line {n}: {kind} without a name")
+        if kind == "boundary":
+            cols, n_rows, n_cols = boundaries[k], counts[k - 1], counts[k]
+            for n, row in _block(lines, n, ln):
+                try:
+                    r, j, c = map(int, row.split())
+                except ValueError:
+                    raise ShapeMismatch(f"line {n}: expected 'row col coeff'"
+                                        f", got {row!r}") from None
+                if not (0 <= r < n_rows and 0 <= j < n_cols):
+                    raise ShapeMismatch(
+                        f"line {n}: entry ({r}, {j}) out of range for "
+                        f"{n_rows} rows and {n_cols} columns")
+                cols[j][r] = c
+        elif kind == "simplices":
             if simplices is None:
                 simplices = [[] for _ in range(dim + 1)]
-            while True:
-                row = take()
-                if row == "end":
-                    break
-                simplices[k].append(tuple(int(v) for v in row.split()))
-        elif parts[0] == "label":
-            name = parts[1]
+            simplices[k].extend(
+                tuple(_ints(n, row, f"{k + 1} vertex ids", k + 1))
+                for n, row in _block(lines, n, ln))
+        elif kind == "label":
             cells = []
             for item in parts[2:]:
-                d, i = item.split(":")
-                cells.append((int(d), int(i)))
-            labels[name] = cells
-        elif parts[0] == "cochain":
-            name = parts[1]
-            meta = dict(p.split("=") for p in parts[2:])
-            degree = int(meta["degree"])
+                d, i = _ints(n, item.replace(":", " ", 1),
+                             "'dim:index' cells", 2)
+                if not (0 <= d <= dim and 0 <= i < counts[d]):
+                    raise ShapeMismatch(
+                        f"line {n}: label cell {item} out of range")
+                cells.append((d, i))
+            labels[parts[1]] = cells
+        elif kind == "cochain":
+            meta = _meta(n, ln, parts[2:], ("degree", "ring"))
+            degree, = _ints(n, meta["degree"], "an integer degree", 1)
             ring = meta["ring"]
+            if ring not in ("Z", "Q") and not (ring[:1] == "Z"
+                                               and ring[1:].isdigit()):
+                raise ShapeMismatch(f"line {n}: unknown ring {ring!r}")
+            n_cells = counts[degree] if 0 <= degree <= dim else 0
             values = {}
-            while True:
-                row = take()
-                if row == "end":
-                    break
-                i, v = row.split()
-                values[int(i)] = _num_from_str(v)
-            cochains[name] = {"degree": degree, "ring": ring, "values": values}
-        elif parts[0] == "cover":
-            name = parts[1]
-            meta = dict(p.split("=") for p in parts[2:])
-            sets = []
-            while True:
-                row = take()
-                if row == "end":
-                    break
-                sets.append({int(v) for v in row.split()})
-            covers[name] = {"kind": meta.get("kind", "explicit"), "sets": sets}
+            for n, row in _block(lines, n, ln):
+                try:
+                    i, v = row.split()
+                    i, v = int(i), _num_from_str(v)
+                except (ValueError, ZeroDivisionError):
+                    raise ShapeMismatch(f"line {n}: expected 'cell value', "
+                                        f"got {row!r}") from None
+                if not 0 <= i < n_cells:
+                    raise ShapeMismatch(f"line {n}: cell {i} out of range "
+                                        f"for degree {degree}")
+                values[i] = v
+            cochains[parts[1]] = {"degree": degree, "ring": ring,
+                                  "values": values}
+        elif kind == "cover":
+            meta = _meta(n, ln, parts[2:], ())
+            sets = [set(_ints(n, row, "vertex ids"))
+                    for n, row in _block(lines, n, ln)]
+            covers[parts[1]] = {"kind": meta.get("kind", "explicit"),
+                                "sets": sets}
         else:
-            raise ShapeMismatch(f"unrecognized line: {ln!r}")
+            raise ShapeMismatch(f"line {n}: unrecognized line: {ln!r}")
     X = CellComplex(counts, boundaries, simplices=simplices, labels=labels)
     return X, cochains, covers
 

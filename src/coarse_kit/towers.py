@@ -12,6 +12,8 @@ transporting a primitive cochain to X x [0, n], fiber products along light
 simplicial maps, and the iterated pull-back stages they generate.
 """
 
+import functools
+import gc
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -698,6 +700,26 @@ def open_star_refinement_witnesses(stage, carriers):
     return all(common), witnesses
 
 
+def _gc_paused(builder):
+    """Run ``builder`` with CPython's cyclic collector off, then restore the
+    collector's previous state.  The builders allocate hundreds of
+    thousands of long-lived dicts and tuples and make almost no cyclic
+    garbage, so generation-2 passes over them would only cost time."""
+
+    @functools.wraps(builder)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return builder(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
+@_gc_paused
 def build_tower(params, depth, size_guard=DEFAULT_SIZE_GUARD):
     """Recursive face-replacement tower, depth+1 stages.
 
@@ -936,6 +958,7 @@ def dimension_coloring(sd):
     return CellMap.from_vertex_map(X, target, vm)
 
 
+@_gc_paused
 def build_Y_stage(params, stages, size_guard=DEFAULT_SIZE_GUARD):
     """Finite initial segment of the iterated pull-back tower.
 

@@ -6,6 +6,8 @@ records an independent re-checker can validate without re-running any
 search.
 """
 
+import hashlib
+import os
 import warnings
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ from .cochains import (
     relative_coboundary_matrix,
 )
 from .degrees import DegreeReport, bezout, check_degree_relation, min_m_bound
-from .errors import NodeLimitExceeded, NotACoboundary
+from .errors import CoarseKitError, NodeLimitExceeded, NotACoboundary
 from .exact_linalg import check_lp_lower_bound, smith_normal_form, solve_integer
 from .interchange import bind_cochain, read_complex, write_complex
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport, decode_number
@@ -334,9 +336,6 @@ def verify_tower(params, stages, node_limit=10_000_000, out_prefix=None):
 
 def check_witness(report_path):
     """Re-validate a report's serialized witnesses without any search."""
-    import hashlib
-    import os
-
     from .report import load_report
 
     data = load_report(report_path)
@@ -344,8 +343,12 @@ def check_witness(report_path):
 
     def resolve(entry):
         path = os.path.join(base_dir, entry["path"])
-        with open(path) as fp:
-            text = fp.read()
+        try:
+            with open(path) as fp:
+                text = fp.read()
+        except OSError:
+            # the parse record that follows says why
+            return path, False
         digest = hashlib.sha256(text.encode()).hexdigest()
         return path, digest == entry.get("sha256")
 
@@ -384,25 +387,48 @@ def check_witness(report_path):
     if prod_entry:
         prod_path, digest_ok = resolve(prod_entry)
         out.check("product-witness-digest", digest_ok)
-        Z, cochains, _ = read_complex(prod_path)
-        beta = bind_cochain(Z, cochains["beta"])
-        target = bind_cochain(Z, cochains["target"])
-        out.check("beta-coboundary-identity", coboundary(beta) == target)
-        out.check("beta-norm-bound", beta.norm() <= 4, norm=beta.norm())
+        read = _read_witness(out, "product-witness-parse", prod_path,
+                             ("beta", "target"))
+        if read:
+            _, (beta, target) = read
+            out.check("beta-coboundary-identity", coboundary(beta) == target)
+            out.check("beta-norm-bound", beta.norm() <= 4, norm=beta.norm())
     if not out.records:
         out.add("no-witnesses-found", FAIL, report=str(report_path))
     return out
 
 
+def _read_witness(out, name, path, cochain_names):
+    """A witness file's complex and its named cochains bound to it, or None
+    after a FAIL record ``name`` saying why the file cannot be read."""
+    try:
+        X, raw, _ = read_complex(path)
+        return X, [bind_cochain(X, raw[c]) for c in cochain_names]
+    except OSError as exc:
+        reason = f"cannot read {os.path.basename(path)}: {exc.strerror}"
+    except KeyError as exc:
+        reason = f"no cochain {exc}"
+    except CoarseKitError as exc:
+        reason = str(exc)
+    out.add(name, FAIL, reason=reason)
+    return None
+
+
 def _check_mk_witness(out, resolved, claimed, tag=""):
     """Re-check one M_k witness file: its digest, delta(primitive) =
     obstruction, the primitive vanishing on the boundary subcomplex and,
-    when a value is claimed, its norm equal to it."""
+    when a value is claimed, its norm equal to it.  An unreadable file is
+    one FAIL record."""
     path, digest_ok = resolved
     out.check(f"{tag}mk-witness-digest", digest_ok)
-    X, cochains, _ = read_complex(path)
-    obstruction = bind_cochain(X, cochains["obstruction"])
-    gamma = bind_cochain(X, cochains["primitive"])
+    read = _read_witness(out, f"{tag}mk-witness-parse", path,
+                         ("obstruction", "primitive"))
+    if not read:
+        return
+    X, (obstruction, gamma) = read
+    if "boundary" not in X.labels:
+        out.add(f"{tag}mk-witness-parse", FAIL, reason="no boundary label")
+        return
     out.check(f"{tag}witness-solves-system",
               coboundary(gamma) == obstruction,
               norm=gamma.norm())

@@ -91,6 +91,22 @@ def failed_after_dual_tamper(capsys, tmp_path, report, tamper):
     return [r["name"] for r in checked["records"] if r["status"] != "PASS"]
 
 
+# edits of an M_k witness file (None: deleted) that check-witness must
+# report as unreadable, and how the reason it gives starts
+WITNESS_BREAKS = {
+    # cut mid-line: the last boundary row is short
+    "truncated": (lambda t: t[:t.index("\n", len(t) // 2) - 2], "line "),
+    "column-out-of-range":
+        (lambda t: t.replace("\n0 0 -1\n", "\n0 999 -1\n", 1), "line "),
+    "no-end": (lambda t: t[:t.index("\nend\n")], "line "),
+    "missing": (None, "cannot read report.mk.ckx"),
+    "no-primitive": (lambda t: t.replace("cochain primitive", "cochain g"),
+                     "no cochain 'primitive'"),
+    "no-boundary-label": (lambda t: t.replace("label boundary", "label b"),
+                          "no boundary label"),
+}
+
+
 @pytest.fixture(autouse=True)
 def quiet():
     with warnings.catch_warnings():
@@ -284,6 +300,47 @@ class TestVerify:
                                           prop52_521_report, tamper)
         assert failed == ["lower-bound-dual-certificate"]
 
+    @pytest.mark.parametrize("name", sorted(WITNESS_BREAKS))
+    def test_unreadable_witness_is_a_fail_record(self, capsys, tmp_path,
+                                                 prop51_521_report, name):
+        for src in prop51_521_report.parent.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        witness = tmp_path / "report.mk.ckx"
+        edit, reason = WITNESS_BREAKS[name]
+        if edit is None:
+            witness.unlink()
+        else:
+            witness.write_text(edit(witness.read_text()))
+        capsys.readouterr()
+        rc = main(["check-witness", "--report",
+                   str(tmp_path / prop51_521_report.name)])
+        assert rc == 1
+        records = json.loads(capsys.readouterr().out)["records"]
+        failed = {r["name"]: r["values"] for r in records
+                  if r["status"] != "PASS"}
+        assert sorted(failed) == ["mk-witness-digest", "mk-witness-parse"]
+        assert failed["mk-witness-parse"]["reason"].startswith(reason)
+        # the dual re-check does not read the witness file
+        assert "lower-bound-dual-certificate" in {r["name"] for r in records}
+
+    def test_unreadable_product_witness_is_a_fail_record(
+            self, capsys, tmp_path, prop52_521_report):
+        for src in prop52_521_report.parent.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        witness = tmp_path / "report.product.ckx"
+        witness.write_text(witness.read_text().replace("cochain target",
+                                                       "cochain t"))
+        capsys.readouterr()
+        rc = main(["check-witness", "--report",
+                   str(tmp_path / prop52_521_report.name)])
+        assert rc == 1
+        records = json.loads(capsys.readouterr().out)["records"]
+        failed = {r["name"]: r["values"] for r in records
+                  if r["status"] != "PASS"}
+        assert failed == {"product-witness-digest": {},
+                          "product-witness-parse":
+                              {"reason": "no cochain 'target'"}}
+
     def test_config_file_supplies_flags(self, capsys, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"p": 5, "q": 2, "k": 1, "reduce": True}))
@@ -390,3 +447,15 @@ class TestHomology:
         assert rc == 0
         assert "H^1: free 2" in out
         assert "H^2: free 0" in out
+
+    def test_malformed_file_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "mk.ckx"
+        main(["build", "mk", "--p", "5", "--q", "2", "--k", "1", "--reduce",
+              "--out", str(path)])
+        path.write_text(path.read_text().rsplit("end", 1)[0])
+        capsys.readouterr()
+        assert main(["homology", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.match(r"error: line \d+: block 'simplices 2' has no 'end'",
+                        captured.err)

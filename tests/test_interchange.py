@@ -1,17 +1,24 @@
+import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from coarse_kit import circle, filled_triangle, simplicial_complex
-from coarse_kit.cochains import Cochain, RING_Z, ring_zp
+from coarse_kit import circle, filled_triangle, interchange, simplicial_complex
+from coarse_kit.cochains import Cochain, RING_Q, RING_Z, ring_zp
+from coarse_kit.complexes import CellComplex
 from coarse_kit.errors import NotSimplicial, ShapeMismatch
 from coarse_kit.interchange import (
     bind_cochain,
     parse_complex,
     serialize_complex,
+    write_complex,
 )
 from coarse_kit.metric_nerve import CoverSpec
 from coarse_kit.towers import MkParams, build_Mk
+
+from oracles import oracle_serialize_complex
+from test_complexes import random_simplices
 
 
 def roundtrip(X, cochains=None, covers=None):
@@ -85,3 +92,191 @@ class TestRoundTrip:
         block = text.split("boundary 1\n")[1].split("end")[0].strip().splitlines()
         triples = [tuple(int(v) for v in ln.split()) for ln in block]
         assert triples == sorted(triples)
+
+
+def random_cell_complex(rng, X):
+    """A non-simplicial complex over the cells of X: columns rebuilt in
+    shuffled key order, each top column scaled by a nonzero integer (d^2 = 0
+    survives both), a top cell summing two others and, sometimes, loop
+    edges with empty boundaries (all of level 1 when X is a vertex set)."""
+    boundaries = [None]
+    for k in range(1, X.dim + 1):
+        level = []
+        for col in X.boundary_columns(k):
+            items = list(col.items())
+            rng.shuffle(items)
+            scale = rng.choice([-2, -1, 1, 3]) if k == X.dim else 1
+            level.append({r: scale * c for r, c in items})
+        if k == X.dim and len(level) >= 2:
+            a, b = level[0], level[-1]
+            level.append({r: a.get(r, 0) + b.get(r, 0)
+                          for r in reversed(sorted(set(a) | set(b)))})
+        boundaries.append(level)
+    counts = [len(level) for level in boundaries[1:]]
+    counts.insert(0, X.n_cells(0))
+    if X.dim <= 1 and rng.random() < 0.5:
+        if X.dim == 0:
+            boundaries.append([])
+            counts.append(0)
+        loops = rng.randint(1, 2)
+        boundaries[1] += [{} for _ in range(loops)]
+        counts[1] += loops
+    return CellComplex(counts, boundaries)
+
+
+def random_extras(rng, X):
+    """Random labels, Z/Q/Z_p cochains and covers on X."""
+    labels = {}
+    for name in rng.sample(["seam", "a", "zz", "empty"], rng.randint(0, 3)):
+        cells = [(d, rng.randrange(X.n_cells(d)))
+                 for d in range(X.dim + 1) for _ in range(2)
+                 if X.n_cells(d) and name != "empty"]
+        labels[name] = cells
+    cochains = {}
+    for name in rng.sample(["w", "beta", "u"], rng.randint(0, 3)):
+        d = rng.randint(0, X.dim)
+        ring = rng.choice([RING_Z, RING_Q, ring_zp(3), ring_zp(7)])
+        if ring == RING_Q:
+            vals = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(X.n_cells(d))]
+        else:
+            vals = [rng.choice([0, 0, rng.randint(-9, 9)])
+                    for _ in range(X.n_cells(d))]
+        cochains[name] = Cochain(X, d, ring, vals)
+    covers = {}
+    n = X.n_cells(0)
+    for name in rng.sample(["arcs", "stars"], rng.randint(0, 2)):
+        sets = [set(rng.sample(range(n), rng.randint(1, n)))
+                for _ in range(rng.randint(0, 3))]
+        sets.append(set(range(n)) - set().union(*sets) or {0})
+        covers[name] = CoverSpec(carrier=X, sets=sets,
+                                 kind=rng.choice(["explicit", "ball"]))
+    return X.relabeled(labels), cochains, covers
+
+
+class TestBulkSerializerAgainstOracle:
+    def test_random_complexes(self):
+        rng = random.Random(12)
+        seen = set()
+        for trial in range(300):
+            X = simplicial_complex(random_simplices(
+                rng, rng.randint(1, 7), rng.randint(0, 3), rng.randint(1, 6)))
+            if trial % 2:
+                X = random_cell_complex(rng, X)
+            X, cochains, covers = random_extras(rng, X)
+            text = serialize_complex(X, cochains=cochains, covers=covers)
+            assert text == oracle_serialize_complex(X, cochains, covers)
+            Y, raw, raw_covers = parse_complex(text)
+            assert Y.counts == X.counts and Y.labels == X.labels
+            assert Y.simplices == X.simplices
+            for k in range(1, X.dim + 1):
+                assert Y.boundary_columns(k) == X.boundary_columns(k)
+            for name, c in cochains.items():
+                assert bind_cochain(Y, raw[name]) == c
+            assert {name: (cov["kind"], cov["sets"])
+                    for name, cov in raw_covers.items()} == {
+                name: (cov.kind, [set(s) for s in cov.sets])
+                for name, cov in covers.items()}
+            seen.add("simplicial" if X.is_simplicial else "cell")
+            if X.dim == 0:
+                seen.add("dim-0")
+            if any(not X.boundary_columns(k)
+                   or not any(X.boundary_columns(k))
+                   for k in range(1, X.dim + 1)):
+                seen.add("empty level")
+            if any(list(col) != sorted(col) for k in range(1, X.dim + 1)
+                   for col in X.boundary_columns(k)):
+                seen.add("unsorted column")
+            if any(X.labels.values()):
+                seen.add("labels")
+            for c in cochains.values():
+                seen.add(c.ring if isinstance(c.ring, str) else "Zp")
+                if any(isinstance(v, Fraction) and v.denominator != 1
+                       for v in c.values):
+                    seen.add("p/q")
+            if covers:
+                seen.add("covers")
+        assert seen == {"simplicial", "cell", "dim-0", "empty level",
+                        "unsorted column", "labels", "Z", "Q", "Zp", "p/q",
+                        "covers"}
+
+    def test_mk_bytes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            b = build_Mk(MkParams(5, 2, 1, reduce=True))
+        cochains = {"obstruction": b.obstruction}
+        assert serialize_complex(b.complex, cochains=cochains) == \
+            oracle_serialize_complex(b.complex, cochains)
+
+
+def test_write_complex_goes_through_serialize_complex(tmp_path, monkeypatch):
+    """The writer renders through the module binding of serialize_complex,
+    which a tracer may replace, and writes exactly what it returns."""
+    calls = []
+    original = interchange.serialize_complex
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(interchange, "serialize_complex", counting)
+    X = filled_triangle()
+    cochains = {"w": Cochain(X, 1, RING_Z, [1, 0, -2])}
+    path = tmp_path / "x.ckx"
+    text = write_complex(path, X, cochains=cochains)
+    assert len(calls) == 1 and calls[0][0] is X
+    assert path.read_text() == text == original(X, cochains=cochains)
+
+
+VALID = serialize_complex(
+    filled_triangle().relabeled({"seam": [(0, 0), (1, 2)]}),
+    cochains={"w": Cochain(filled_triangle(), 1, RING_Z, [1, 0, -2])},
+    covers={"c": CoverSpec(carrier=filled_triangle(), sets=[{0, 1, 2}])})
+
+# edits of VALID that parse_complex must refuse, and the line at fault
+MALFORMED = {
+    "truncated-row": (lambda t: t.replace("1 0 1\n", "1 0\n", 1), 7),
+    "non-integer-row": (lambda t: t.replace("1 0 1\n", "1 x 1\n", 1), 7),
+    "row-out-of-range": (lambda t: t.replace("1 0 1\n", "3 0 1\n", 1), 7),
+    "column-out-of-range": (lambda t: t.replace("1 0 1\n", "1 3 1\n", 1), 7),
+    "negative-column": (lambda t: t.replace("1 0 1\n", "1 -1 1\n", 1), 7),
+    "truncated-file": (lambda t: t[:t.index("end")], 4),
+    "no-end": (lambda t: t.split("simplices 0")[0].rsplit("end", 1)[0], 12),
+    "boundary-zero": (lambda t: t.replace("boundary 1", "boundary 0"), 4),
+    "boundary-out-of-range":
+        (lambda t: t.replace("boundary 2", "boundary 3"), 12),
+    "counts-dim-mismatch":
+        (lambda t: t.replace("counts 3 3 1", "counts 3 3"), 3),
+    "non-integer-dim": (lambda t: t.replace("dim 2", "dim two"), 2),
+    "simplices-out-of-range":
+        (lambda t: t.replace("simplices 2", "simplices 3"), 27),
+    "short-simplex":
+        (lambda t: t.replace("simplices 2\n0 1 2", "simplices 2\n0 1"), 28),
+    "label-out-of-range": (lambda t: t.replace("1:2", "1:9"), 30),
+    "cochain-no-degree": (lambda t: t.replace(" degree=1", ""), 31),
+    "cochain-cell-out-of-range":
+        (lambda t: t.replace("\n2 -2\n", "\n5 -2\n"), 33),
+    "cochain-bad-value": (lambda t: t.replace("\n2 -2\n", "\n2 -2/0\n"), 33),
+    "cover-non-integer": (lambda t: t.replace("kind=explicit\n0 1 2",
+                                              "kind=explicit\n0 1 b"), 36),
+}
+
+
+class TestMalformedInput:
+    def test_valid_layout(self):
+        # the line numbers of MALFORMED refer to this layout
+        lines = VALID.splitlines()
+        assert [lines[i] for i in (3, 6, 11, 26, 32, 35)] == [
+            "boundary 1", "1 0 1", "boundary 2", "simplices 2", "2 -2",
+            "0 1 2"]
+        assert lines[29] == "label seam 0:0 1:2"
+        assert lines[30] == "cochain w degree=1 ring=Z"
+        parse_complex(VALID)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_refused_with_line(self, name):
+        edit, line = MALFORMED[name]
+        text = edit(VALID)
+        assert text != VALID
+        with pytest.raises(ShapeMismatch, match=f"^line {line}: "):
+            parse_complex(text)

@@ -1,3 +1,4 @@
+import gc
 import random
 import warnings
 from dataclasses import replace
@@ -302,6 +303,53 @@ class TestTower:
         for s in stages[1:]:
             total *= s.lipschitz_bound
         assert total == Fraction(1, 2) ** (len(stages) - 1)
+
+
+# the two builders that pause the cyclic collector, each on its smallest
+# input: a one-stage tower and a one-stage Y segment at (5, 2, 1)
+PAUSED_BUILDERS = {
+    "tower": lambda **kw: build_tower(MkParams(5, 2, 1, reduce=True), 0, **kw),
+    "y-stage": lambda **kw: build_Y_stage(MkParams(5, 2, 1, reduce=True), 1,
+                                          **kw),
+}
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the collector's state after a test that switches it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("builder", sorted(PAUSED_BUILDERS))
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_restored(self, gc_state, monkeypatch, builder, enabled):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return build_Mk(*args, **kwargs)
+
+        monkeypatch.setattr("coarse_kit.towers.build_Mk", spy)
+        (gc.enable if enabled else gc.disable)()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            PAUSED_BUILDERS[builder]()
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("builder", sorted(PAUSED_BUILDERS))
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_restored_after_size_guard(self, gc_state, builder,
+                                             enabled):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(SizeGuardExceeded):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                PAUSED_BUILDERS[builder](size_guard=10)
+        assert gc.isenabled() is enabled
 
 
 class TestApproxIdentity:
