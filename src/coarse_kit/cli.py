@@ -173,6 +173,8 @@ def main(argv=None):
             report = check_witness(args.report)
             return _emit(report, args.out, started)
         params = _mk_params(args)
+        if args.node_limit < 1:
+            raise InvalidParams(f"--node-limit {args.node_limit} is below 1")
         prefix = None
         if args.out:
             prefix = args.out[:-5] if args.out.endswith(".json") else args.out

@@ -13,6 +13,7 @@ from itertools import product
 
 from .errors import (
     DegreeOutOfRange,
+    InvalidParams,
     NodeLimitExceeded,
     NotACoboundary,
     NotASubcomplex,
@@ -511,43 +512,37 @@ def _bellman_potentials(n_nodes, edge_ends, w, bound):
     raise ArithmeticError("pass n lowered a potential but left no cycle")
 
 
-def _potential_minimax(edge_ends, w, n_nodes, ground):
-    """Exact min over integer potentials h (h = 0 on ground) of
-    max_e |w_e + h(v_e) - h(u_e)|, plus an optimal h.
+def _least_bound(n_nodes, edge_ends, w, below=None):
+    """Least bound B such that integer potentials h meet
+    |w_e + h(v_e) - h(u_e)| <= B on every edge, with the h of the
+    ``_bellman_potentials`` run at B; or (below, None) when B >= below.
 
-    Bound B is met exactly when the difference constraints
-    h_v - h_u <= B - w_e and h_u - h_v <= B + w_e are feasible, that is
-    when no cycle of the arcs u->v (gain w_e) and v->u (gain -w_e) has mean
-    gain above B (CLRS 24.4).  So the optimum is the ceiling of the maximum
-    cycle mean, read off one pass of Karp's recurrence (1978): with every
-    node started at D_0 = 0 and D_k(v) the largest gain of a k-arc walk
-    ending at v, it is max_v min_k ceil((D_n(v) - D_k(v)) / (n - k)) over
-    the nodes with an arc.  One Bellman-Ford run at that bound gives h.
-    The lattice search calls this only where the norm improves; it decides
-    every other point with one ``_bellman_potentials`` run.
+    Feasibility at a bound is monotone in it, so bisection over integer
+    bounds finds B.  With ``below``, one run at below - 1 decides whether B
+    is under it: a cycle says it is not, and so does below <= 0, since
+    B >= 0.  Without ``below`` the bisection starts at max |w_e|, which
+    h = 0 meets.
     """
-    if not edge_ends:
-        return 0, [0] * n_nodes
-    n = n_nodes
-    edges = [(u, v, we) for (u, v), we in zip(edge_ends, w)]
-    # below every k-arc walk gain; only nodes without arcs keep it
-    floor = -(n + 1) * (max(map(abs, w)) + 1)
-    walks = [[0] * n]  # walks[k][v] = D_k(v)
-    for _ in range(n):
-        prev, cur = walks[-1], [floor] * n
-        for u, v, g in edges:
-            if prev[u] + g > cur[v]:
-                cur[v] = prev[u] + g
-            if prev[v] - g > cur[u]:
-                cur[u] = prev[v] - g
-        walks.append(cur)
-    B = max(min(-((walks[k][v] - walks[n][v]) // (n - k)) for k in range(n))
-            for v in {x for ends in edge_ends for x in ends})
-    h, cycle = _bellman_potentials(n, edge_ends, w, B)
-    if cycle is not None:
-        raise ArithmeticError("potential system infeasible at its cycle mean")
-    shift = h[ground]
-    return B, [v - shift for v in h]
+    if below is None:
+        hi, h = max(map(abs, w), default=0), None
+    elif below <= 0:
+        return below, None
+    else:
+        hi = below - 1
+        h, cycle = _bellman_potentials(n_nodes, edge_ends, w, hi)
+        if cycle is not None:
+            return below, None
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        h_mid, cycle = _bellman_potentials(n_nodes, edge_ends, w, mid)
+        if cycle is None:
+            hi, h = mid, h_mid
+        else:
+            lo = mid + 1
+    if h is None:  # no bound under max |w_e| was feasible
+        h = _bellman_potentials(n_nodes, edge_ends, w, hi)[0]
+    return hi, h
 
 
 def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
@@ -563,11 +558,13 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
     bounded box, so no general branch and bound is needed.  At each lattice
     point the potential part is a difference-constraint problem: past the
     first point, one early-exit Bellman-Ford run decides whether the point
-    beats the incumbent, and only a point that does gets the exact
-    maximum-mean-cycle pass.  A scan cut short by ``node_limit`` raises
-    NodeLimitExceeded with a true interval.
+    beats the incumbent, and only a point that does is bisected to its exact
+    bound.  A scan cut short by ``node_limit`` raises NodeLimitExceeded with
+    a true interval; a ``node_limit`` below 1 raises InvalidParams.
     """
     X, k = c.complex, c.degree
+    if node_limit < 1:
+        raise InvalidParams(f"node limit {node_limit} is below 1")
     if c.ring != RING_Z:
         raise NotACoboundary("minimal primitives are an integer computation")
     if k != 2:
@@ -635,11 +632,10 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
     needs more than ``node_limit`` lattice evaluations raises
     NodeLimitExceeded with the interval [``lower``, incumbent].
 
-    The search only asks whether a point beats the incumbent best_B, so
-    every point after the first is decided at bound best_B - 1 by one
-    ``_bellman_potentials`` run; its cycle proves B(u) >= best_B, and only
-    a point with no such cycle gets the exact ``_potential_minimax``.
-    Points are visited in the same order either way.
+    Every point is decided by ``_least_bound``: the first exactly, and
+    every later one against the incumbent best_B, so a point that does not
+    beat it costs one Bellman-Ford run at best_B - 1 whose cycle proves
+    B(u) >= best_B.
     """
     # vertices and grounding
     free_verts = _cells(X, 0, A_cells)
@@ -655,9 +651,6 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
         v = node_of.get(hi_v, ground)
         edge_ends.append((u, v))
 
-    def potential_opt(w):
-        return _potential_minimax(edge_ends, w, n_nodes, ground)
-
     # d0_cols[i] is the coboundary of the i-th free vertex: column i of delta0
     delta0 = _coboundary_block(X, 0, cols, free_verts)
     d0_cols = [[row[i] for row in delta0] for i in range(len(free_verts))]
@@ -667,9 +660,9 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
     beta = len(free_z)
     meta = {"evaluations": 0, "beta": beta}
     if beta == 0:
-        B, h = potential_opt(gamma0)
+        B, h = _least_bound(n_nodes, edge_ends, gamma0)
         meta["evaluations"] = 1
-        return B, _apply_potentials(gamma0, edge_ends, h, ground), meta
+        return B, _apply_potentials(gamma0, edge_ends, h), meta
     # probe cycles: free basis of relative 1-cycles (kernel of the boundary
     # d0_cols) mod the boundaries of relative faces (the rows of M)
     Kc = kernel_lattice_basis(d0_cols) if d0_cols else _identity(len(cols))
@@ -685,26 +678,27 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
     lengths = [sum(abs(v) for v in Cj) for Cj in cycles]
     g0 = [sum(gamma0[t] * Cj[t] for t in range(len(cols))) for Cj in cycles]
 
-    def t_of_u(u):
-        diff = [u[j] - g0[j] for j in range(beta)]
-        return [sum(Pinv_T[i][j] * diff[j] for j in range(beta))
-                for i in range(beta)]
+    # the primitive whose pairings with the cycles are u is gamma0 + t*z
+    # with t = Pinv_T (u - g0), summed as base + sum_j u_j * dual_j
+    dual = [[sum(Pinv_T[i][j] * free_z[i][t] for i in range(beta))
+             for t in range(len(cols))] for j in range(beta)]
+    base = [gamma0[t] - sum(g0[j] * dual[j][t] for j in range(beta))
+            for t in range(len(cols))]
 
-    def w_of_t(tv):
-        w = list(gamma0)
-        for i, ti in enumerate(tv):
-            if ti:
-                zi = free_z[i]
-                for t in range(len(cols)):
-                    w[t] += ti * zi[t]
+    def w_of_u(u):
+        w = list(base)
+        for uj, dj in zip(u, dual):
+            if uj:
+                for t, d in enumerate(dj):
+                    w[t] += uj * d
         return w
 
     cache = {}
 
     def evaluate(u, incumbent=None):
-        # (B, h, u), exact unless a cycle shows B(u) >= incumbent: then
-        # (incumbent, None, u), a lower bound that stays one, and never an
-        # improvement, as the incumbent only decreases
+        # (B, h, u), exact unless B(u) >= incumbent: then (incumbent, None,
+        # u), a lower bound that stays one, and never an improvement, as the
+        # incumbent only decreases
         u = tuple(u)
         if u in cache:
             return cache[u]
@@ -716,13 +710,8 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
                 node_count=meta["evaluations"],
             )
         meta["evaluations"] += 1
-        w = w_of_t(t_of_u(u))
-        if incumbent is not None and _bellman_potentials(
-                n_nodes, edge_ends, w, incumbent - 1)[1] is not None:
-            cache[u] = (incumbent, None, u)
-        else:
-            B, h = potential_opt(w)
-            cache[u] = (B, h, u)
+        B, h = _least_bound(n_nodes, edge_ends, w_of_u(u), incumbent)
+        cache[u] = (B, h, u)
         return cache[u]
 
     # descend from u = 0, then sweep the certified box around the incumbent
@@ -746,12 +735,6 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
         ranges = [range(-target * lengths[j], target * lengths[j] + 1)
                   for j in range(beta)]
         for u in product(*ranges):
-            quick = max(
-                (abs(u[j]) + lengths[j] - 1) // lengths[j] if lengths[j] else 0
-                for j in range(beta)
-            )
-            if quick > target:
-                continue
             B, h, uu = evaluate(u, best_B)
             if B < best_B:
                 best_B, best_h, best_u = B, h, uu
@@ -759,13 +742,8 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
         if not found:
             break
         target = best_B - 1
-    w = w_of_t(t_of_u(best_u))
-    return best_B, _apply_potentials(w, edge_ends, best_h, ground), meta
+    return best_B, _apply_potentials(w_of_u(best_u), edge_ends, best_h), meta
 
 
-def _apply_potentials(w, edge_ends, h, ground):
-    out = []
-    hh = list(h) + [0] * (ground + 1 - len(h))
-    for (u, v), we in zip(edge_ends, w):
-        out.append(we + hh[v] - hh[u])
-    return out
+def _apply_potentials(w, edge_ends, h):
+    return [we + h[v] - h[u] for (u, v), we in zip(edge_ends, w)]

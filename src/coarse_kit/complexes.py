@@ -1148,20 +1148,22 @@ def midpoint_subdivision(X):
     return Subdivision(sd, X, sub.carrier, middle_faces=sub.middle_faces)
 
 
-def cone_middle_subdivision(X):
+def cone_middle_subdivision(sub):
     """Midpoint subdivision with every middle face coned from a new apex.
 
-    The standard stage-target subdivision: mesh <= 1/2 of the base.  Carrier
+    ``sub`` is the :func:`midpoint_subdivision_global` of the base.  The
+    standard stage-target subdivision: mesh <= 1/2 of the base.  Carrier
     sends apexes and cone cells to the base face.  ``apexes`` maps each base
     face to its apex vertex.
     """
-    sub = midpoint_subdivision_global(X)
+    X = sub.base
     sd = sub.complex
     apex_of = {}
+    middles = set(sub.middle_faces.values())
     simplices = []
     for k in range(sd.dim + 1):
         for i, verts in enumerate(sd.simplices[k]):
-            if k == 2 and i in set(sub.middle_faces.values()):
+            if k == 2 and i in middles:
                 continue
             simplices.append(verts)
     next_v = sd.n_cells(0)
@@ -1172,6 +1174,7 @@ def cone_middle_subdivision(X):
         m1, m2, m3 = sd.simplices[2][midf]
         for pair in ((m1, m2), (m1, m3), (m2, m3)):
             simplices.append(tuple(sorted(pair + (apex,))))
+    face_of = {a: f for f, a in apex_of.items()}
     tau = simplicial_complex(simplices)
     carrier = {}
     for k in range(tau.dim + 1):
@@ -1182,10 +1185,9 @@ def cone_middle_subdivision(X):
                 if old is not None:
                     base_cell = sub.carrier[(k, old)]
             if base_cell is None:
-                # touches an apex: carried by the base face that owns it
-                apex_faces = [f for f, a in apex_of.items() if a in verts]
-                cand = apex_faces[0] if apex_faces else None
-                base_cell = (2, cand)
+                # touches an apex, its largest vertex: carried by the base
+                # face that owns it
+                base_cell = (2, face_of.get(verts[-1]))
             carrier[(k, i)] = base_cell
     return Subdivision(tau, X, carrier, middle_faces=dict(sub.middle_faces),
                        apexes=apex_of)

@@ -442,12 +442,11 @@ def lattice_quotient_complement(K, M):
         return list(K), []
     Smat = [[S[t][i] for t in range(len(S))] for i in range(r)]
     dec = smith_normal_form(Smat)
-    # rows of U^-1 give the adapted basis
+    # columns of U^-1 give the adapted basis; only the free ones are built
     Uinv = _unimodular_inverse(dec.U)
-    adapted = [mat_vec(KT, [Uinv[i][t] for i in range(r)]) for t in range(r)]
     diag = dec.diagonal()
-    free = [adapted[t] for t in range(len(diag), r)]
-    free += [adapted[t] for t in range(len(diag)) if diag[t] == 0]
+    kept = [*range(len(diag), r), *(t for t, d in enumerate(diag) if d == 0)]
+    free = [mat_vec(KT, [Uinv[i][t] for i in range(r)]) for t in kept]
     torsion = [d for d in diag if d > 1]
     return free, torsion
 

@@ -635,7 +635,7 @@ def replace_faces(host, bundle, size_guard=DEFAULT_SIZE_GUARD):
                 for k, i in guts.label_cells(name)]
     stage = stage.relabeled(stage_labels)
     # projection into the cone subdivision of the host
-    tau = cone_middle_subdivision(host)
+    tau = cone_middle_subdivision(sub)
     vm = [None] * stage.n_cells(0)
     for i in range(base0):
         vm[i] = i  # the cone subdivision keeps the midpoint-subdivision ids
@@ -987,11 +987,9 @@ def build_Y_stage(params, stages, size_guard=DEFAULT_SIZE_GUARD):
         chi = dimension_coloring(sd)
         result = pullback_complex(chi, phi_prev, tau_prev,
                                   size_guard=size_guard)
-        # triangle-valued map of the new stage: compose with the projection
-        vm = [None] * result.complex.n_cells(0)
-        for (v, x), idx in result.pair_index.items():
-            vm[idx] = phi_prev.vertex_map[v]
-        phi_t = CellMap.from_vertex_map(result.complex, tau_prev.complex, vm)
+        # triangle-valued map of the new stage: phi_prev after the
+        # projection, a composite of chain maps and so one itself
+        phi_t = phi_prev.compose(result.proj_base)
         stage = TowerStage(
             complex=result.complex, projection=result.proj_base,
             lipschitz_bound=Fraction(1, 2) ** (t - 1), level=t,

@@ -9,9 +9,9 @@ and a complete backtracking enumerator for minimal sup-norm solutions.
 factors that the sparse kernel of ``exact_linalg.smith_normal_form``
 replaced; with factors the two must give the same U, D and V.
 
-``oracle_potential_minimax`` is the binary search of Bellman-Ford probes
-that the maximum-mean-cycle potential minimax replaced; its Bellman-Ford
-is its own plain one, with no cycle search.
+``oracle_potential_minimax`` is a binary search of Bellman-Ford probes,
+the reference for ``cochains._least_bound``; its Bellman-Ford is its own
+plain one, with no cycle search.
 
 ``oracle_box_lp`` is the dense fraction-free phase-1 simplex that the sparse
 rational tableau of ``exact_linalg._box_lp`` replaced; the two must return

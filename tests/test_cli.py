@@ -390,6 +390,27 @@ class TestVerify:
         assert rc == 3
 
     @pytest.mark.parametrize("argv", [
+        ["verify-prop51", "--node-limit", "0"],
+        ["verify-prop52", "--n-mode", "lcm", "--node-limit", "0"],
+        ["verify-tower", "--stages", "2", "--node-limit", "0"],
+        ["verify-prop51", "--node-limit", "-3"],
+    ], ids=["prop51", "prop52", "tower", "negative"])
+    def test_node_limit_below_one_usage_error(self, capsys, argv):
+        # a search allowed no lattice point has no upper end to report
+        rc = main(argv + ["--p", "3", "--q", "2", "--k", "2", "--reduce"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert "error: --node-limit" in captured.err
+
+    def test_node_limit_below_one_from_config(self, capsys, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"p": 5, "q": 2, "k": 1, "reduce": True,
+                                    "node_limit": 0}))
+        assert main(["verify-prop51", "--config", str(path)]) == 3
+        assert "error: --node-limit 0 is below 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["build", "mk", "--p", "5", "--q", "2", "--k", "1", "--reduce",
          "--edge-scale", "4"],
         ["homology", "--in", "mk.ckx", "--ring", "R"],

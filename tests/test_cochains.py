@@ -11,7 +11,8 @@ from coarse_kit.cochains import (
     RING_Z,
     _bellman_potentials,
     _field_rank_kernel,
-    _potential_minimax,
+    _least_bound,
+    _subcomplex_cells,
     coboundary,
     coboundary_matrix,
     cohomology,
@@ -19,15 +20,22 @@ from coarse_kit.cochains import (
     fundamental_class,
     min_norm_primitive,
     pullback_cochain,
+    relative_coboundary_matrix,
     relative_cohomology,
     ring_zp,
     zero_cochain,
 )
 from coarse_kit.complexes import midpoint_subdivision, remove_cells
-from coarse_kit.errors import DegreeOutOfRange, NotACoboundary, WrongShape
+from coarse_kit.errors import (
+    DegreeOutOfRange,
+    InvalidParams,
+    NotACoboundary,
+    WrongShape,
+)
 from coarse_kit.towers import MkParams, build_Mk
 
 from oracles import (
+    ilp_min_linf,
     oracle_cohomology_mod_p,
     oracle_complex_homology,
     oracle_homology,
@@ -423,15 +431,23 @@ class TestMinNormPrimitive:
         assert res.certificate.infeasibility_proof["kind"] == "trivial"
         assert res.gamma.values == [0] * X.n_cells(1)
 
-    def test_522_solves_one_point_exactly(self, monkeypatch):
+    def test_522_decides_each_rejected_point_in_one_run(self, monkeypatch):
         # the first of the 271 lattice points of M(5,2,2) is already optimal,
-        # so a cycle rejects every later one without an exact minimax
+        # so the cycle of one Bellman-Ford run rejects every later one
         import coarse_kit.cochains as cochains
 
-        calls = []
-        exact = cochains._potential_minimax
-        monkeypatch.setattr(cochains, "_potential_minimax",
-                            lambda *args: calls.append(1) or exact(*args))
+        runs, calls = [], []
+        bellman, least = cochains._bellman_potentials, cochains._least_bound
+
+        def counted(*args):
+            before = len(runs)
+            B, h = least(*args)
+            calls.append((h is not None, len(runs) - before))
+            return B, h
+
+        monkeypatch.setattr(cochains, "_bellman_potentials",
+                            lambda *args: runs.append(1) or bellman(*args))
+        monkeypatch.setattr(cochains, "_least_bound", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             bundle = build_Mk(MkParams(5, 2, 2, reduce=True))
@@ -439,7 +455,15 @@ class TestMinNormPrimitive:
                                  vanishing_on=bundle.boundary_label)
         assert res.certificate.optimum == 6
         assert res.certificate.node_count == 271
-        assert len(calls) == 1
+        assert len(calls) == 271
+        assert calls[0][0]  # the first point is solved exactly
+        assert calls[1:] == [(False, 1)] * 270
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_node_limit_below_one_rejected(self, limit):
+        with pytest.raises(InvalidParams, match="below 1"):
+            min_norm_primitive(zero_cochain(filled_triangle(), 2),
+                               node_limit=limit)
 
     def test_degree_one_rejected(self):
         X = filled_triangle()
@@ -455,6 +479,38 @@ class TestMinNormPrimitive:
         c = Cochain(X, 2, RING_Z, [1])
         with pytest.raises(NotACoboundary):
             min_norm_primitive(c)
+
+
+class TestMinNormPrimitiveAgainstReference:
+    """The lattice search against a generic branch and bound that knows
+    nothing of the cocycle lattice, at every rank of it up to 3 and past."""
+
+    def test_random_pairs(self):
+        rng = random.Random(2013)
+        betas = set()
+        for _ in range(200):
+            X = simplicial_complex(sorted(
+                {tuple(sorted(rng.sample(range(8), 3)))
+                 for _ in range(rng.randint(1, 5))}
+                | {tuple(sorted(rng.sample(range(8), 2)))
+                   for _ in range(rng.randint(0, 5))}))
+            A = closed_random_subcomplex(rng, X) if rng.random() < 0.4 else []
+            A_cells = _subcomplex_cells(X, A)
+            mat, cols, rows = relative_coboundary_matrix(X, A_cells, 1)
+            if not mat:
+                continue  # no relative 2-cell: the zero primitive is optimal
+            g = Cochain(X, 1, RING_Z, [
+                0 if (1, e) in A_cells else rng.randint(-2, 2)
+                for e in range(X.n_cells(1))])
+            c = coboundary(g)
+            res = min_norm_primitive(c, vanishing_on=A)
+            ref = ilp_min_linf(mat, [c.values[j] for j in rows])
+            assert res.certificate.optimum == ref.optimum
+            assert res.gamma.norm() == ref.optimum
+            assert coboundary(res.gamma) == c
+            assert all(res.gamma.values[i] == 0 for k, i in A_cells if k == 1)
+            betas.add(min(relative_cohomology(X, A, 1).free_rank, 3))
+        assert betas == {0, 1, 2, 3}
 
 
 def random_potential_system(rng):
@@ -475,15 +531,24 @@ def random_potential_system(rng):
 class TestPotentialMinimax:
     def test_matches_binary_search_random(self):
         rng = random.Random(1978)
-        seen = {"empty": 0, "ground-loop": 0, "parallel": 0, "isolated": 0}
+        seen = {"empty": 0, "ground-loop": 0, "parallel": 0, "isolated": 0,
+                "rejected": 0, "solved-below": 0}
         for _ in range(300):
             edge_ends, w, n_nodes, ground = random_potential_system(rng)
-            B, h = _potential_minimax(edge_ends, w, n_nodes, ground)
-            assert (B, h) == oracle_potential_minimax(edge_ends, w, n_nodes,
-                                                      ground)
-            assert h[ground] == 0
-            assert B == max((abs(we + h[v] - h[u])
-                             for (u, v), we in zip(edge_ends, w)), default=0)
+            B, h_ref = oracle_potential_minimax(edge_ends, w, n_nodes, ground)
+            # 2B + 3 makes the bisection step down from a feasible bound
+            for below in [None, *range(B + 2), 2 * B + 3]:
+                got, h = _least_bound(n_nodes, edge_ends, w, below)
+                if below is not None and B >= below:
+                    assert (got, h) == (below, None)
+                    seen["rejected"] += 1
+                    continue
+                seen["solved-below"] += below is not None
+                assert got == B
+                assert [v - h[ground] for v in h] == h_ref
+                assert B == max((abs(we + h[v] - h[u])
+                                 for (u, v), we in zip(edge_ends, w)),
+                                default=0)
             pairs = [frozenset(e) for e in edge_ends]
             ends = {x for e in edge_ends for x in e}
             seen["empty"] += not edge_ends

@@ -59,12 +59,13 @@ from coarse_kit.towers import (
 from oracles import (
     oracle_check_stage_carriers,
     oracle_complex_homology,
+    oracle_from_vertex_map,
     oracle_is_light,
     oracle_open_star_refinement_witnesses,
     oracle_pullback_complex,
     oracle_simplicial_approx_identity,
 )
-from test_complexes import random_simplices, random_vertex_map
+from test_complexes import cell_images, random_simplices, random_vertex_map
 
 
 @pytest.fixture(scope="module")
@@ -581,6 +582,8 @@ class TestPullbackReference:
         assert stage.projection.vertex_map == base
         assert res.proj_fiber.vertex_map == fiber
         assert stage.tau_map.vertex_map == [phi.vertex_map[v] for v in base]
+        assert cell_images(stage.tau_map) == oracle_from_vertex_map(
+            stage.complex, phi.target, [phi.vertex_map[v] for v in base])
 
     def test_size_guard_counts_every_simplex(self):
         # 108071 simplices in P at (3,2,1), in every dimension
