@@ -142,10 +142,11 @@ def cmd_build(args):
 
 
 def cmd_homology(args):
-    X, _, _ = read_complex(args.infile)
     from .cochains import RING_Q, RING_Z, ring_zp
 
+    # a modulus that is not prime is a usage error before any file is read
     ring = {"Z": RING_Z, "Q": RING_Q}.get(args.ring) or ring_zp(args.prime)
+    X, _, _ = read_complex(args.infile)
     for row in homology_summary(X, ring):
         torsion = " ".join(str(t) for t in row["torsion"])
         print(f"H^{row['degree']}: free {row['free_rank']}"

@@ -10,6 +10,7 @@ cochains use the kernel model: cochains vanishing on the subcomplex.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 from .errors import (
     DegreeOutOfRange,
@@ -36,7 +37,15 @@ RING_Z = "Z"
 RING_Q = "Q"
 
 
+def is_prime(n):
+    """True when the integer n is prime."""
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
 def ring_zp(p):
+    """The ring Z_p; raises InvalidParams unless p is prime."""
+    if not is_prime(p):
+        raise InvalidParams(f"Z_p needs a prime p, got {p}")
     return ("Zp", p)
 
 

@@ -14,7 +14,7 @@ Python integers, so values can be shared freely between threads.
 from copy import copy
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import eq, lt
+from operator import lt
 
 from .errors import (
     DimensionTooHigh,
@@ -33,8 +33,6 @@ from .errors import (
 Cell = tuple  # (dim, index)
 
 DEFAULT_CELL_BUDGET = 2_000_000
-
-_UNITS = frozenset((1, -1))
 
 
 def same_structure(X, Y):
@@ -101,22 +99,19 @@ class CellComplex:
         counts: number of cells per dimension 0..dim.
         boundaries: per dimension k >= 1, a list over k-cells of
             ``{(k-1)-cell index: incidence coefficient}`` dicts.
-        simplices: optional per-dimension lists of sorted vertex tuples;
-            presence marks simplicial mode.
         labels: mapping label -> iterable of (dim, index) cells.
 
     ``coboundary_factors`` memoises, by degree k, the nonzero invariant
     factors of delta_k that ``cochains.cohomology`` reads; the boundaries
     do not change after construction.
 
-    This constructor copies the raw columns it is given, dropping zero
-    entries and checking every row index.  :func:`simplicial_complex` hands
-    over the canonical columns and face index it built through
-    :meth:`_from_tables` instead, which keeps them as they are; both run
-    the same validation.
+    This constructor makes a cell complex: it copies the raw columns it is
+    given, dropping zero entries and checking every row index.  Every
+    simplicial complex is made by :meth:`from_simplices` instead, which
+    computes its columns from the vertex tuples.
     """
 
-    def __init__(self, counts, boundaries, simplices=None, labels=None, validate=True):
+    def __init__(self, counts, boundaries, labels=None):
         self.counts = [int(c) for c in counts]
         while len(self.counts) > 1 and self.counts[-1] == 0:
             self.counts.pop()
@@ -140,29 +135,59 @@ class CellComplex:
                 frozen.append(clean)
             self._bnd.append(frozen)
         self.simplices = None
-        if simplices is not None:
-            self.simplices = [
-                [tuple(s) for s in simplices[k]] for k in range(self.dim + 1)
-            ]
-            self._simplex_index = [
-                {s: i for i, s in enumerate(level)} for level in self.simplices
-            ]
         self.coboundary_factors = {}
         self.labels = _sorted_labels(labels or {})
-        if validate:
-            self._validate()
+        self._validate()
 
     @classmethod
-    def _from_tables(cls, simplices, boundaries, simplex_index, labels=None):
-        """Simplicial complex over tables built for it: per dimension the
-        sorted simplex list, the canonical boundary columns (``boundaries[k]``
-        for k >= 1) and the face index, all kept without a copy."""
+    def from_simplices(cls, levels, labels=None):
+        """Simplicial complex on its simplex levels.
+
+        ``levels[k]`` lists the k-simplices in cell order, each a strictly
+        increasing tuple of k+1 vertex ids and none twice; every face of a
+        k-simplex must be in ``levels[k-1]``.  Each boundary column is the
+        alternating sum of the faces, face i dropping vertex i.  The level
+        lists become the complex's own without a copy; trailing empty
+        levels are dropped.
+        """
+        levels = list(levels)
+        while len(levels) > 1 and not levels[-1]:
+            levels.pop()
+        index = []
+        for k, level in enumerate(levels):
+            if not _strictly_increasing(level, k + 1):
+                i, verts = next(
+                    (i, s) for i, s in enumerate(level)
+                    if len(s) != k + 1 or list(s) != sorted(set(s)))
+                raise NotSimplicial(
+                    f"bad vertex tuple {verts} at cell (dim {k}, {i})")
+            faces = {s: i for i, s in enumerate(level)}
+            if len(faces) != len(level):
+                # faces keeps the last copy: the first cell it misses is the
+                # first copy of a repeat
+                i = next(i for i, s in enumerate(level) if faces[s] != i)
+                raise NotSimplicial(
+                    f"simplex {level[i]} at cell (dim {k}, {i}) is repeated "
+                    f"at cell (dim {k}, {faces[level[i]]})")
+            index.append(faces)
+        bnd = [[{} for _ in levels[0]]]
+        for k in range(1, len(levels)):
+            cols = []
+            try:
+                cols.extend(_canonical_boundaries(levels[k], index[k - 1], k))
+            except KeyError as exc:
+                # extend keeps the columns made before the missing face
+                raise NotSimplicial(
+                    f"cell (dim {k}, {len(cols)}) has face {exc.args[0]}, "
+                    f"which is not in the dim {k - 1} simplex table"
+                ) from None
+            bnd.append(cols)
         X = cls.__new__(cls)
-        X.counts = [len(level) for level in simplices]
-        X.dim = len(X.counts) - 1
-        X._bnd = [[{} for _ in simplices[0]]] + boundaries[1:]
-        X.simplices = simplices
-        X._simplex_index = simplex_index
+        X.counts = [len(level) for level in levels]
+        X.dim = len(levels) - 1
+        X._bnd = bnd
+        X.simplices = levels
+        X._simplex_index = index
         X.coboundary_factors = {}
         X.labels = _sorted_labels(labels or {})
         X._validate()
@@ -246,67 +271,16 @@ class CellComplex:
                         f"boundary squared nonzero at cell (dim {k}, index {j})",
                         cell=(k, j),
                     )
-        if self.is_simplicial:
-            self._validate_simplicial()
-
-    def _validate_simplicial(self):
-        for k, level in enumerate(self.simplices):
-            if len(level) != self.counts[k]:
-                raise ShapeMismatch(f"simplex table size mismatch in dim {k}")
-            if not _strictly_increasing(level, k + 1):
-                for i, verts in enumerate(level):
-                    if len(verts) != k + 1 or list(verts) != sorted(set(verts)):
-                        raise NotSimplicial(
-                            f"bad vertex tuple {verts} at cell (dim {k}, {i})"
-                        )
-        if all(self._canonical_level(k) for k in range(1, self.dim + 1)):
-            return
-        # some column is off: find the first one and say what is wrong
-        if self.dim >= 1:
-            for j, col in enumerate(self._bnd[1]):
-                if sorted(col.values()) != [-1, 1]:
-                    raise NotSimplicial(
-                        f"edge {j}: simplicial boundary must have one +1 and one -1"
-                    )
-        for k in range(1, self.dim + 1):
-            canonical_cols = _canonical_boundaries(
-                self.simplices[k], self._simplex_index[k - 1], k)
-            for j, col in enumerate(self._bnd[k]):
-                if len(col) != k + 1 or not _UNITS.issuperset(col.values()):
-                    raise NotSimplicial(
-                        f"cell (dim {k}, {j}) boundary is not {k + 1} entries of +-1"
-                    )
-                try:
-                    canonical = next(canonical_cols)
-                except KeyError as exc:
-                    raise NotSimplicial(
-                        f"cell (dim {k}, {j}) has face {exc.args[0]}, which is "
-                        f"not in the dim {k - 1} simplex table"
-                    ) from None
-                if col != canonical:
-                    raise NotSimplicial(
-                        f"cell (dim {k}, {j}) boundary breaks the sorted-tuple "
-                        "orientation convention"
-                    )
-
-    def _canonical_level(self, k):
-        """True when every k-cell's column is the sorted-tuple alternating
-        boundary of its simplex (False also where a face is missing)."""
-        canonical = _canonical_boundaries(
-            self.simplices[k], self._simplex_index[k - 1], k)
-        try:
-            return all(map(eq, self._bnd[k], canonical))
-        except KeyError:
-            return False
 
     def __repr__(self):
         kind = "simplicial" if self.is_simplicial else "cell"
         return f"<{kind} complex dim={self.dim} cells={self.counts}>"
 
 
-def new_complex(cells_per_dim, boundaries, simplices=None, labels=None):
-    """Build and validate a complex from raw cell counts and boundary dicts."""
-    return CellComplex(cells_per_dim, boundaries, simplices=simplices, labels=labels)
+def new_complex(cells_per_dim, boundaries, labels=None):
+    """Build and validate a cell complex from raw cell counts and boundary
+    dicts."""
+    return CellComplex(cells_per_dim, boundaries, labels=labels)
 
 
 def simplicial_complex(simplices, labels=None):
@@ -315,8 +289,8 @@ def simplicial_complex(simplices, labels=None):
     Vertices are taken to be 0..max referenced index; orientation follows the
     global vertex order with alternating boundary signs.  Faces are closed
     one codimension at a time from the top, and each level is indexed in
-    sorted tuple order.  The columns and face index built here become the
-    complex's own (see :meth:`CellComplex._from_tables`).
+    sorted tuple order; :meth:`CellComplex.from_simplices` then computes
+    the columns.
     """
     levels = []
     max_v = -1
@@ -343,11 +317,7 @@ def simplicial_complex(simplices, labels=None):
             levels[k - 1].update(zip(*(columns[:i] + columns[i + 1:])))
     levels[0].update((v,) for v in range(max_v + 1))
     by_dim[0] = sorted(levels[0])
-    index = [{s: i for i, s in enumerate(level)} for level in by_dim]
-    boundaries = [None]
-    for k in range(1, dim + 1):
-        boundaries.append(list(_canonical_boundaries(by_dim[k], index[k - 1], k)))
-    return CellComplex._from_tables(by_dim, boundaries, index, labels=labels)
+    return CellComplex.from_simplices(by_dim, labels=labels)
 
 
 # -- cellular maps -------------------------------------------------------
@@ -833,7 +803,10 @@ def glue(X, Y, matching):
 
 
 def remove_cells(X, cells):
-    """Delete open cells (cells no remaining cell has on its boundary)."""
+    """Delete open cells (cells no remaining cell has on its boundary) of a
+    simplicial complex; the kept cells and vertices keep their order."""
+    if not X.is_simplicial:
+        raise NotSimplicial("remove_cells needs a simplicial complex")
     doomed = set(cells)
     for k in range(1, X.dim + 1):
         for i in range(X.n_cells(k)):
@@ -844,33 +817,15 @@ def remove_cells(X, cells):
                     raise NotASubcomplex(
                         f"cell (dim {k - 1}, {r}) is still a face of (dim {k}, {i})"
                     )
-    counts = []
     new_index = {}
     for k in range(X.dim + 1):
         kept = [i for i in range(X.n_cells(k)) if (k, i) not in doomed]
-        for pos, i in enumerate(kept):
-            new_index[(k, i)] = pos
-        counts.append(len(kept))
-    boundaries = [None]
-    for k in range(1, X.dim + 1):
-        cols = []
-        for i in range(X.n_cells(k)):
-            if (k, i) in doomed:
-                continue
-            cols.append(
-                {new_index[(k - 1, r)]: c for r, c in X.boundary_of(k, i).items()}
-            )
-        boundaries.append(cols)
-    simplices = None
-    if X.is_simplicial:
-        vmap = {i: new_index[(0, i)] for i in range(X.n_cells(0))
-                if (0, i) not in doomed}
-        simplices = []
-        for k in range(X.dim + 1):
-            simplices.append([
-                tuple(sorted(vmap[v] for v in X.simplices[k][i]))
-                for i in range(X.n_cells(k)) if (k, i) not in doomed
-            ])
+        new_index.update(((k, i), pos) for pos, i in enumerate(kept))
+    vmap = {i: new_index[(0, i)] for i in range(X.n_cells(0))
+            if (0, i) not in doomed}
+    levels = [[tuple(vmap[v] for v in verts)
+               for i, verts in enumerate(level) if (k, i) not in doomed]
+              for k, level in enumerate(X.simplices)]
     labels = {}
     for name, lcells in X.labels.items():
         kept = tuple(sorted(
@@ -878,8 +833,7 @@ def remove_cells(X, cells):
         ))
         if kept:
             labels[name] = kept
-    return CellComplex(counts, boundaries, simplices=simplices, labels=labels,
-                       validate=False)
+    return CellComplex.from_simplices(levels, labels=labels)
 
 
 # -- products ----------------------------------------------------------------

@@ -29,8 +29,9 @@ row-major, labels and cochains sorted by name.  All numbers are integers or
 from fractions import Fraction
 from itertools import chain, repeat
 
+from .cochains import Cochain, RING_Q, RING_Z, is_prime, ring_zp
 from .complexes import CellComplex
-from .errors import ShapeMismatch
+from .errors import NotSimplicial, ShapeMismatch
 
 FORMAT_VERSION = "v1"
 MAGIC = "coarse-kit-complex"
@@ -176,8 +177,15 @@ def parse_complex(text):
     Cochains come back as raw dicts (degree, ring, values); covers as
     (kind, vertex sets) — the caller owns rebinding them to richer types.
     A malformed file raises ``ShapeMismatch`` naming the line at fault: a
-    bad header, a block without ``end``, a short or non-integer row, or a
-    row, column, cell or dimension out of range.
+    bad header, a block without ``end``, a short or non-integer row, a
+    row, column, cell or dimension out of range, or a ring that is not Z,
+    Q or Z_p with p prime.
+
+    A file with simplex blocks is a simplicial complex: it is made from the
+    vertex tuples by :meth:`CellComplex.from_simplices`, which raises
+    ``NotSimplicial`` for a bad, repeated or faceless tuple, and each
+    boundary column of the file (zero entries dropped) must equal the one
+    computed, or ``NotSimplicial`` names the first cell that differs.
     """
     lines = _content_lines(text)
     head = next(lines, (None, ""))[1].split()
@@ -238,8 +246,9 @@ def parse_complex(text):
             meta = _meta(n, ln, parts[2:], ("degree", "ring"))
             degree, = _ints(n, meta["degree"], "an integer degree", 1)
             ring = meta["ring"]
-            if ring not in ("Z", "Q") and not (ring[:1] == "Z"
-                                               and ring[1:].isdigit()):
+            if ring not in ("Z", "Q") and not (
+                    ring[:1] == "Z" and ring[1:].isdigit()
+                    and is_prime(int(ring[1:]))):
                 raise ShapeMismatch(f"line {n}: unknown ring {ring!r}")
             n_cells = counts[degree] if 0 <= degree <= dim else 0
             values = {}
@@ -264,7 +273,21 @@ def parse_complex(text):
                                 "sets": sets}
         else:
             raise ShapeMismatch(f"line {n}: unrecognized line: {ln!r}")
-    X = CellComplex(counts, boundaries, simplices=simplices, labels=labels)
+    if simplices is None:
+        return CellComplex(counts, boundaries, labels=labels), cochains, covers
+    for k, level in enumerate(simplices):
+        if len(level) != counts[k]:
+            raise ShapeMismatch(f"simplices {k}: {len(level)} vertex "
+                                f"tuples for {counts[k]} cells")
+    X = CellComplex.from_simplices(simplices, labels=labels)
+    for k in range(1, X.dim + 1):
+        for j, (col, computed) in enumerate(zip(boundaries[k],
+                                                X.boundary_columns(k))):
+            if col != computed and {
+                    r: c for r, c in col.items() if c} != computed:
+                raise NotSimplicial(
+                    f"cell (dim {k}, {j}): the boundary in the file is not "
+                    f"the alternating boundary of simplex {X.simplex(k, j)}")
     return X, cochains, covers
 
 
@@ -275,8 +298,6 @@ def read_complex(path):
 
 def bind_cochain(X, raw):
     """Turn a parsed cochain record into a Cochain on the given complex."""
-    from .cochains import Cochain, RING_Q, RING_Z, ring_zp
-
     ring = raw["ring"]
     if ring == "Z":
         ring_obj = RING_Z

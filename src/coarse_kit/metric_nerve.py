@@ -31,58 +31,49 @@ class DistanceTable:
         return len(self.components) == 1
 
 
-def skeleton_metric(X):
-    """Shortest-path distances on the 1-skeleton with unit edges (BFS)."""
-    n = X.n_cells(0)
-    adj = [[] for _ in range(n)]
+def _adjacency(X):
+    """Neighbour lists of the 1-skeleton, edges in index order."""
+    adj = [[] for _ in range(X.n_cells(0))]
     for e in range(X.n_cells(1)):
         ends = sorted(X.boundary_of(1, e))
         if len(ends) == 2:
             u, v = ends
             adj[u].append(v)
             adj[v].append(u)
-    dist = [[None] * n for _ in range(n)]
-    seen_all = [False] * n
+    return adj
+
+
+def _bfs(adj, sources):
+    """Unit-edge distance from the nearest of ``sources`` to every vertex,
+    None where no source is reachable."""
+    dist = [None] * len(adj)
+    for v in sources:
+        dist[v] = 0
+    frontier = list(sources)
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if dist[w] is None:
+                    dist[w] = depth
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def skeleton_metric(X):
+    """Shortest-path distances on the 1-skeleton with unit edges (BFS)."""
+    adj = _adjacency(X)
+    dist = [_bfs(adj, [v]) for v in range(len(adj))]
     components = []
-    for start in range(n):
-        if seen_all[start]:
-            continue
-        comp = []
-        frontier = [start]
-        dist[start][start] = 0
-        seen_all[start] = True
-        comp.append(start)
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if dist[start][w] is None:
-                        dist[start][w] = depth
-                        nxt.append(w)
-            frontier = nxt
-        for v in range(n):
-            if dist[start][v] is not None and v != start and not seen_all[v]:
-                seen_all[v] = True
-                comp.append(v)
-        components.append(sorted(comp))
-        # BFS from the remaining vertices of this component
-        for v in comp:
-            if v == start:
-                continue
-            dist[v][v] = 0
-            frontier = [v]
-            depth = 0
-            while frontier:
-                depth += 1
-                nxt = []
-                for u in frontier:
-                    for w in adj[u]:
-                        if dist[v][w] is None:
-                            dist[v][w] = depth
-                            nxt.append(w)
-                frontier = nxt
+    placed = set()
+    for v, row in enumerate(dist):
+        if v not in placed:
+            comp = [w for w, d in enumerate(row) if d is not None]
+            placed.update(comp)
+            components.append(comp)
     return DistanceTable(dist=dist, components=components)
 
 
@@ -136,16 +127,10 @@ class CoverSpec:
 
 def open_star_cover(X):
     """The cover by open vertex stars (sets listed as closed-star vertices)."""
-    n = X.n_cells(0)
-    sets = [{v} for v in range(n)]
-    for e in range(X.n_cells(1)):
-        ends = sorted(X.boundary_of(1, e))
-        if len(ends) == 2:
-            u, v = ends
-            sets[u].add(v)
-            sets[v].add(u)
+    adj = _adjacency(X)
+    sets = [{v, *nbrs} for v, nbrs in enumerate(adj)]
     return CoverSpec(carrier=X, sets=sets, kind="open-star",
-                     centers=list(range(n)))
+                     centers=list(range(len(adj))))
 
 
 def mesh(cover):
@@ -200,42 +185,16 @@ def nerve(cover):
     return simplicial_complex(simplices)
 
 
-def _adjacency(X):
-    adj = [[] for _ in range(X.n_cells(0))]
-    for e in range(X.n_cells(1)):
-        ends = sorted(X.boundary_of(1, e))
-        if len(ends) == 2:
-            u, v = ends
-            adj[u].append(v)
-            adj[v].append(u)
-    return adj
-
-
-def _complement_distances(X, s, adj):
+def _complement_distances(s, adj):
     """d(x, complement of s) for every vertex x, by multi-source BFS.
 
     Returns None when the complement is empty; unreachable vertices (other
     components fully inside s) get the INFINITY sentinel.
     """
-    n = X.n_cells(0)
-    comp = [v for v in range(n) if v not in s]
+    comp = [v for v in range(len(adj)) if v not in s]
     if not comp:
         return None
-    dist = [None] * n
-    frontier = comp
-    for v in comp:
-        dist[v] = 0
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if dist[w] is None:
-                    dist[w] = depth
-                    nxt.append(w)
-        frontier = nxt
-    return [INFINITY if d is None else d for d in dist]
+    return [INFINITY if d is None else d for d in _bfs(adj, comp)]
 
 
 def lebesgue_number(cover):
@@ -247,7 +206,7 @@ def lebesgue_number(cover):
     X = cover.carrier
     adj = _adjacency(X)
     n = X.n_cells(0)
-    per_set = [_complement_distances(X, s, adj) for s in cover.sets]
+    per_set = [_complement_distances(s, adj) for s in cover.sets]
     overall = None
     for x in range(n):
         best = 0
@@ -272,7 +231,7 @@ def canonical_projection(cover, vertex):
     raw = []
     infinite = []
     for t, s in enumerate(cover.sets):
-        vec = _complement_distances(X, s, adj)
+        vec = _complement_distances(s, adj)
         d = INFINITY if vec is None else vec[vertex]
         if d is INFINITY:
             infinite.append(t)

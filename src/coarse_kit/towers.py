@@ -42,7 +42,13 @@ from .complexes import (
     subcomplex_matching,
     wedge,
 )
-from .cochains import Cochain, RING_Z, fundamental_class, pullback_cochain
+from .cochains import (
+    Cochain,
+    RING_Z,
+    fundamental_class,
+    is_prime,
+    pullback_cochain,
+)
 from .errors import (
     DivisibilityViolated,
     InvalidParams,
@@ -57,21 +63,6 @@ DEFAULT_SIZE_GUARD = 300_000
 # edges of each hole and of the middle triangle the collar coarsens to; the
 # unit of every tower circle size
 HOLE_EDGES = 3
-
-_SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n in _SMALL_PRIMES:
-        return True
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 @dataclass
@@ -89,7 +80,7 @@ class MkParams:
     reduce: bool = False
 
     def __post_init__(self):
-        if not (_is_prime(self.p) and _is_prime(self.q)):
+        if not (is_prime(self.p) and is_prime(self.q)):
             raise InvalidParams(f"p = {self.p} and q = {self.q} must be prime")
         if self.p == self.q:
             raise InvalidParams("p and q must differ")

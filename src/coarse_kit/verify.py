@@ -19,7 +19,12 @@ from .cochains import (
     relative_coboundary_matrix,
 )
 from .degrees import DegreeReport, bezout, check_degree_relation, min_m_bound
-from .errors import CoarseKitError, NodeLimitExceeded, NotACoboundary
+from .errors import (
+    CoarseKitError,
+    InvalidParams,
+    NodeLimitExceeded,
+    NotACoboundary,
+)
 from .exact_linalg import check_lp_lower_bound, smith_normal_form, solve_integer
 from .interchange import bind_cochain, read_complex, write_complex
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport, decode_number
@@ -355,15 +360,18 @@ def check_witness(report_path):
     out = VerificationReport(command="check-witness",
                              params={"report": os.path.basename(str(report_path))})
     params = None
-    given = data.get("params", {})
+    given = data.get("params")
+    given = given if isinstance(given, dict) else {}
     edge_scale = str(given.get("edge_scale", HOLE_EDGES))
     if edge_scale != str(HOLE_EDGES):
         # every hole of M(p, q, k) has HOLE_EDGES edges: no other build exists
         out.add("params-edge-scale", FAIL, edge_scale=edge_scale,
                 expected=HOLE_EDGES)
-    elif all(k in given for k in ("p", "q", "k")):
-        params = MkParams(int(given["p"]), int(given["q"]), int(given["k"]),
-                          reduce=given.get("reduce") == "true")
+    else:
+        try:
+            params = _report_mk_params(given)
+        except InvalidParams as exc:
+            out.add("report-params", FAIL, reason=str(exc))
     witnesses = data.get("witnesses", {})
     mk_entry = witnesses.get("mk-complex")
     if mk_entry:
@@ -374,7 +382,7 @@ def check_witness(report_path):
                               "m_k")
         _check_mk_witness(out, resolve(mk_entry), claimed)
         dual_entry = witnesses.get("norm-lower-bound-dual")
-        if dual_entry and params is not None:
+        if dual_entry:
             _check_dual_witness(out, params, dual_entry, claimed)
     # verify-tower: one witness per row j of the norm-growth table
     table = _find_value(data, ("norm-growth-table",), "table") or {}
@@ -396,6 +404,22 @@ def check_witness(report_path):
     if not out.records:
         out.add("no-witnesses-found", FAIL, report=str(report_path))
     return out
+
+
+def _report_mk_params(given):
+    """The M(p, q, k) parameters a report's params name; InvalidParams
+    says why they name none."""
+    try:
+        p, q, k = (int(str(given[key])) for key in ("p", "q", "k"))
+    except KeyError as exc:
+        raise InvalidParams(f"the report's params have no {exc}") from None
+    except ValueError:
+        raise InvalidParams(
+            "the report's p, q and k must be integers, got "
+            f"{given['p']!r}, {given['q']!r} and {given['k']!r}") from None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return MkParams(p, q, k, reduce=given.get("reduce") == "true")
 
 
 def _read_witness(out, name, path, cochain_names):
@@ -445,8 +469,11 @@ def _check_dual_witness(out, params, entry, claimed):
     """Re-check the LP dual y behind a claimed minimal norm m_k: one entry
     per relative face, ||A^T y||_1 <= 1 and y . b > m_k - 1 on the relative
     system, and the stored bound equal to m_k - 1.  A malformed entry or
-    claim is a FAIL record."""
+    claim, or no ``params`` to rebuild the system from, is a FAIL record."""
     name = "lower-bound-dual-certificate"
+    if params is None:
+        return out.check(name, False,
+                         reason="the report's params give no M(p, q, k)")
     try:
         m_k = decode_number(claimed)
         bound = decode_number(entry["bound"])

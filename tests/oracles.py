@@ -914,8 +914,13 @@ def oracle_simplicial_complex(simplices, labels=None):
                 col[index[k - 1][face]] = (-1) ** i
             cols.append(col)
         boundaries.append(cols)
-    counts = [len(level) for level in by_dim]
-    return CellComplex(counts, boundaries, simplices=by_dim, labels=labels)
+    # the cell constructor takes the columns as they are; the simplex
+    # tables are attached here, not computed by CellComplex.from_simplices
+    X = CellComplex([len(level) for level in by_dim], boundaries,
+                    labels=labels)
+    X.simplices = by_dim
+    X._simplex_index = index
+    return X
 
 
 def oracle_from_vertex_map(source, target, vertex_map):

@@ -104,6 +104,9 @@ WITNESS_BREAKS = {
                      "no cochain 'primitive'"),
     "no-boundary-label": (lambda t: t.replace("label boundary", "label b"),
                           "no boundary label"),
+    # Z_n cochains only for n prime
+    "ring-z0": (lambda t: t.replace("ring=Z", "ring=Z0", 1), "line "),
+    "ring-z4": (lambda t: t.replace("ring=Z", "ring=Z4", 1), "line "),
 }
 
 
@@ -341,6 +344,32 @@ class TestVerify:
                           "product-witness-parse":
                               {"reason": "no cochain 'target'"}}
 
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda data: data.pop("params"), "the report's params have no 'p'"),
+        (lambda data: data["params"].update(p="five"),
+         "the report's p, q and k must be integers, got 'five'"),
+        (lambda data: data["params"].update(p="4"),
+         "p = 4 and q = 2 must be prime"),
+    ], ids=["deleted", "non-integer", "not-prime"])
+    def test_bad_report_params_fail(self, capsys, tmp_path,
+                                    prop51_521_report, edit, reason):
+        # params that give no M(p, q, k) are a FAIL record, and the LP dual
+        # they would rebuild the system for fails instead of being skipped
+        for src in prop51_521_report.parent.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        report_path = tmp_path / prop51_521_report.name
+        data = load_report(report_path)
+        edit(data)
+        report_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check-witness", "--report", str(report_path)]) == 1
+        records = json.loads(capsys.readouterr().out)["records"]
+        failed = {r["name"]: r["values"] for r in records
+                  if r["status"] != "PASS"}
+        assert sorted(failed) == ["lower-bound-dual-certificate",
+                                  "report-params"]
+        assert failed["report-params"]["reason"].startswith(reason)
+
     def test_config_file_supplies_flags(self, capsys, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"p": 5, "q": 2, "k": 1, "reduce": True}))
@@ -440,7 +469,8 @@ class TestVerify:
         checked = json.loads(capsys.readouterr().out)
         failed = [r["name"] for r in checked["records"]
                   if r["status"] != "PASS"]
-        assert failed == ["params-edge-scale"]
+        # nor can the LP dual it carries be re-checked
+        assert failed == ["params-edge-scale", "lower-bound-dual-certificate"]
 
 
 def test_readme_flags_match_verify_parsers():
@@ -468,6 +498,17 @@ class TestHomology:
         assert rc == 0
         assert "H^1: free 2" in out
         assert "H^2: free 0" in out
+
+    @pytest.mark.parametrize("prime", ["0", "1", "4", "-3"])
+    def test_non_prime_modulus_usage_error(self, capsys, tmp_path, prime):
+        # checked before the file is read: a malformed file would exit 1
+        path = tmp_path / "bad.ckx"
+        path.write_text("not a complex\n")
+        assert main(["homology", "--in", str(path), "--ring", "Zp",
+                     "--prime", prime]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: Z_p needs a prime p, got {prime}\n"
 
     def test_malformed_file_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "mk.ckx"

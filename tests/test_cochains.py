@@ -18,6 +18,7 @@ from coarse_kit.cochains import (
     cohomology,
     exactness_check,
     fundamental_class,
+    is_prime,
     min_norm_primitive,
     pullback_cochain,
     relative_coboundary_matrix,
@@ -132,6 +133,15 @@ class TestCohomology:
             for k in range(X.dim + 1):
                 mine = cohomology(X, k, ring_zp(p)).free_rank
                 assert mine == oracle_cohomology_mod_p(X, k, p)
+
+    @pytest.mark.parametrize("p", [0, 1, 4, -3, 9])
+    def test_zp_needs_a_prime(self, p):
+        with pytest.raises(InvalidParams, match=f"prime p, got {p}"):
+            ring_zp(p)
+
+    def test_is_prime_against_trial_division(self):
+        for n in range(-5, 400):
+            assert is_prime(n) == (n > 1 and all(n % f for f in range(2, n)))
 
     def test_zp_norm_is_zero(self):
         c = Cochain(circle(3), 1, ring_zp(5), [4, 3, 2])

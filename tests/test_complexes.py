@@ -3,6 +3,7 @@ import random
 import pytest
 
 from coarse_kit import (
+    CellComplex,
     CellMap,
     annulus_triangulation,
     barycentric_subdivision,
@@ -36,6 +37,7 @@ from coarse_kit.errors import (
     ShapeMismatch,
     TooFewVertices,
 )
+from coarse_kit.interchange import parse_complex, serialize_complex
 
 from oracles import (
     oracle_chain_map_failure,
@@ -113,39 +115,71 @@ class TestElementary:
             )
 
     def test_new_complex_bad_edge_column_is_cell_mode_only(self):
-        # two +1 entries in an edge column: dd = 0 is vacuous, so the plain
-        # constructor accepts it; simplicial mode rejects it
+        # two +1 entries in an edge column: dd = 0 is vacuous, so the cell
+        # constructor accepts it; a file giving the edge a simplex refuses it
         X = new_complex([2, 1], [None, [{0: 1, 1: 1}]])
         assert X.dim == 1
-        with pytest.raises(NotSimplicial):
-            new_complex(
-                [2, 1],
-                [None, [{0: 1, 1: 1}]],
-                simplices=[[(0,), (1,)], [(0, 1)]],
-            )
+        with pytest.raises(NotSimplicial, match=r"\(dim 1, 0\)"):
+            parse_complex(with_simplices(X, [[(0,), (1,)], [(0, 1)]]))
 
     def test_simplicial_boundary_checks(self):
+        # a file's columns must be the alternating boundaries of its simplices
         X = filled_triangle()
         bnd = [None] + [[dict(c) for c in X.boundary_columns(k)]
                         for k in (1, 2)]
         # the face's boundary negated: d.d = 0 still holds
         bnd[2][0] = {r: -c for r, c in bnd[2][0].items()}
-        with pytest.raises(NotSimplicial, match="orientation convention"):
-            new_complex(X.counts, bnd, simplices=X.simplices)
+        with pytest.raises(NotSimplicial, match=MISMATCH.format(2, 0)):
+            parse_complex(with_simplices(new_complex(X.counts, bnd),
+                                         X.simplices))
         bnd[2][0] = {}
-        with pytest.raises(NotSimplicial, match="not 3 entries of"):
-            new_complex(X.counts, bnd, simplices=X.simplices)
-        with pytest.raises(NotSimplicial, match="orientation convention"):
-            new_complex([2, 1], [None, [{0: 1, 1: -1}]],
-                        simplices=[[(0,), (1,)], [(0, 1)]])
+        with pytest.raises(NotSimplicial, match=MISMATCH.format(2, 0)):
+            parse_complex(with_simplices(new_complex(X.counts, bnd),
+                                         X.simplices))
+        with pytest.raises(NotSimplicial, match=MISMATCH.format(1, 0)):
+            parse_complex(with_simplices(
+                new_complex([2, 1], [None, [{0: 1, 1: -1}]]),
+                [[(0,), (1,)], [(0, 1)]]))
         with pytest.raises(NotSimplicial, match="bad vertex tuple"):
-            new_complex([2, 1], [None, [{0: -1, 1: 1}]],
-                        simplices=[[(0,), (1,)], [(1, 0)]])
+            parse_complex(with_simplices(
+                new_complex([2, 1], [None, [{0: -1, 1: 1}]]),
+                [[(0,), (1,)], [(1, 0)]]))
+
+    def test_from_simplices_refuses_bad_levels(self):
+        # a tuple too long for its level, which a file cannot give
+        with pytest.raises(NotSimplicial, match=r"bad vertex tuple \(0, 1, "
+                           r"2\) at cell \(dim 1, 0\)"):
+            CellComplex.from_simplices([[(0,), (1,), (2,)],
+                                        [(0, 1, 2), (1, 2)]])
+        with pytest.raises(NotSimplicial, match=r"\(0, 1\) at cell \(dim 1, "
+                           r"0\) is repeated at cell \(dim 1, 2\)"):
+            CellComplex.from_simplices([[(0,), (1,)],
+                                        [(0, 1), (0, 1), (0, 1)]])
+
+    def test_remove_cells_refuses_cell_complex(self):
+        X = new_complex([2, 1], [None, [{0: -1, 1: 1}]])
+        with pytest.raises(NotSimplicial):
+            remove_cells(X, [(1, 0)])
 
     def test_simplex_with_missing_face_is_not_simplicial(self):
         with pytest.raises(NotSimplicial, match=r"face \(2,\)"):
-            new_complex([2, 1], [None, [{0: -1, 1: 1}]],
-                        simplices=[[(0,), (1,)], [(0, 2)]])
+            parse_complex(with_simplices(
+                new_complex([2, 1], [None, [{0: -1, 1: 1}]]),
+                [[(0,), (1,)], [(0, 2)]]))
+
+
+# how the reader names a cell whose column in the file is not the one its
+# simplex gives
+MISMATCH = r"cell \(dim {}, {}\): the boundary in the file is not"
+
+
+def with_simplices(X, levels):
+    """The .ckx text of X with one simplex block per level of vertex tuples
+    appended."""
+    return serialize_complex(X) + "".join(
+        f"simplices {k}\n" + "".join(" ".join(map(str, s)) + "\n"
+                                     for s in level) + "end\n"
+        for k, level in enumerate(levels))
 
 
 def random_simplices(rng, n_vertices, max_dim, count):
@@ -353,15 +387,19 @@ class TestFastPathTampering:
             CellMap(X, loop, images, signs)
         assert exc.value.cell == (2, 0)
 
-    @pytest.mark.parametrize("edges, cell", [
-        ([(0, 1), (2, 1)], r"\(2, 1\) at cell \(dim 1, 1\)"),
-        ([(0, 1), (1, 1)], r"\(1, 1\) at cell \(dim 1, 1\)"),
-        ([(0, 1, 2), (1, 2)], r"\(0, 1, 2\) at cell \(dim 1, 0\)"),
+    @pytest.mark.parametrize("edges, error, cell", [
+        ([(0, 1), (2, 1)], NotSimplicial,
+         r"\(2, 1\) at cell \(dim 1, 1\)"),
+        ([(0, 1), (1, 1)], NotSimplicial,
+         r"\(1, 1\) at cell \(dim 1, 1\)"),
+        # a row of three ids in a block of edges is a line error
+        ([(0, 1, 2), (1, 2)], ShapeMismatch,
+         r"^line \d+: expected 2 vertex ids, got '0 1 2'"),
     ], ids=["unsorted", "repeated", "too-long"])
-    def test_bad_vertex_tuple(self, edges, cell):
-        with pytest.raises(NotSimplicial, match=cell):
-            new_complex([3, 2], [None, [{0: -1, 1: 1}, {1: -1, 2: 1}]],
-                        simplices=[[(0,), (1,), (2,)], edges])
+    def test_bad_vertex_tuple(self, edges, error, cell):
+        X = new_complex([3, 2], [None, [{0: -1, 1: 1}, {1: -1, 2: 1}]])
+        with pytest.raises(error, match=cell):
+            parse_complex(with_simplices(X, [[(0,), (1,), (2,)], edges]))
 
     @pytest.mark.parametrize("row", [2, -1])
     def test_row_out_of_range(self, row):

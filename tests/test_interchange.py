@@ -87,11 +87,96 @@ class TestRoundTrip:
             parse_complex(text.replace("simplices 1\n0 1\nend",
                                        "simplices 1\n0 2\nend"))
 
+    def test_rejects_repeated_simplex(self):
+        # two copies of one triangle, each with its own matching column:
+        # the second copy would hide the first from simplex_index
+        X = filled_triangle()
+        text = serialize_complex(X).replace("counts 3 3 1", "counts 3 3 2")
+        assert "\n2 0 1\nend\n" in text and "simplices 2\n0 1 2\n" in text
+        text = text.replace("\n2 0 1\nend\n", "\n2 0 1\n0 1 1\n1 1 -1\n"
+                            "2 1 1\nend\n")
+        text = text.replace("simplices 2\n0 1 2\n", "simplices 2\n0 1 2\n"
+                            "0 1 2\n")
+        with pytest.raises(NotSimplicial, match=r"simplex \(0, 1, 2\) at "
+                           r"cell \(dim 2, 0\) is repeated at cell "
+                           r"\(dim 2, 1\)"):
+            parse_complex(text)
+
     def test_triples_sorted_row_major(self):
         text = serialize_complex(filled_triangle())
         block = text.split("boundary 1\n")[1].split("end")[0].strip().splitlines()
         triples = [tuple(int(v) for v in ln.split()) for ln in block]
         assert triples == sorted(triples)
+
+
+def tamper_simplicial(rng, X, text):
+    """One random edit of the .ckx text of a simplicial complex X that the
+    reader must refuse, and its kind: a triple negated or moved to another
+    row, a simplex line overwritten by another line of its level, two
+    vertices of a simplex swapped, or a simplex given a face that is not
+    there (its last vertex replaced by a new one)."""
+    lines = text.splitlines(keepends=True)
+    triples, simplices = [], {}
+    block = None
+    for t, ln in enumerate(lines):
+        words = ln.split()
+        if words[0] in ("boundary", "simplices"):
+            block = (words[0], int(words[1]))
+        elif words[0] == "end":
+            block = None
+        elif block and block[0] == "boundary":
+            triples.append((t, block[1]))
+        elif block:
+            simplices.setdefault(block[1], []).append(t)
+    kind = rng.choice(["negate", "move", "duplicate", "swap", "no-face"]
+                      if triples else ["duplicate"])
+    if kind in ("negate", "move"):
+        t, k = rng.choice(triples)
+        r, j, c = map(int, lines[t].split())
+        if kind == "negate":
+            c = -c
+        else:
+            r = rng.choice([x for x in range(X.n_cells(k - 1)) if x != r])
+        lines[t] = f"{r} {j} {c}\n"
+    elif kind == "duplicate":
+        level = rng.choice([ts for ts in simplices.values() if len(ts) >= 2])
+        t, u = rng.sample(level, 2)
+        lines[t] = lines[u]
+    else:
+        t = rng.choice([t for k, ts in simplices.items() if k for t in ts])
+        verts = lines[t].split()
+        if kind == "swap":
+            i = rng.randrange(len(verts) - 1)
+            verts[i], verts[i + 1] = verts[i + 1], verts[i]
+        else:
+            verts[-1] = str(X.n_cells(0))
+        lines[t] = " ".join(verts) + "\n"
+    return "".join(lines), kind
+
+
+class TestSimplicialRoundTripAndTamper:
+    def test_random_complexes(self):
+        rng = random.Random(14)
+        seen = set()
+        for _ in range(200):
+            # vertex 1 keeps two vertices to overwrite one with the other
+            X = simplicial_complex(random_simplices(
+                rng, rng.randint(2, 7), rng.randint(0, 3), rng.randint(1, 6))
+                + [(1,)])
+            text = serialize_complex(X)
+            Y, _, _ = parse_complex(text)
+            assert Y.counts == X.counts and Y.simplices == X.simplices
+            for k in range(1, X.dim + 1):
+                # the same columns with the same entry order
+                assert [list(c.items()) for c in Y.boundary_columns(k)] == \
+                    [list(c.items()) for c in X.boundary_columns(k)]
+            assert serialize_complex(Y) == text
+            bad, kind = tamper_simplicial(rng, X, text)
+            assert bad != text
+            with pytest.raises(NotSimplicial):
+                parse_complex(bad)
+            seen.add(kind)
+        assert seen == {"negate", "move", "duplicate", "swap", "no-face"}
 
 
 def random_cell_complex(rng, X):
@@ -259,6 +344,10 @@ MALFORMED = {
     "cochain-bad-value": (lambda t: t.replace("\n2 -2\n", "\n2 -2/0\n"), 33),
     "cover-non-integer": (lambda t: t.replace("kind=explicit\n0 1 2",
                                               "kind=explicit\n0 1 b"), 36),
+    # Z_n is a ring of the format only for n prime
+    "cochain-ring-z0": (lambda t: t.replace("ring=Z", "ring=Z0"), 31),
+    "cochain-ring-z1": (lambda t: t.replace("ring=Z", "ring=Z1"), 31),
+    "cochain-ring-z4": (lambda t: t.replace("ring=Z", "ring=Z4"), 31),
 }
 
 
@@ -280,3 +369,7 @@ class TestMalformedInput:
         assert text != VALID
         with pytest.raises(ShapeMismatch, match=f"^line {line}: "):
             parse_complex(text)
+
+    def test_prime_ring_accepted(self):
+        _, cochains, _ = parse_complex(VALID.replace("ring=Z", "ring=Z7"))
+        assert cochains["w"]["ring"] == "Z7"
