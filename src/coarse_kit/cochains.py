@@ -651,14 +651,11 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
     node_of = {v: i for i, v in enumerate(free_verts)}
     ground = len(free_verts)
     n_nodes = ground + 1
+    ends = X.edge_ends()
     edge_ends = []
     for e in cols:
-        ends = sorted(X.boundary_of(1, e).items())  # [(vertex, coeff)]
-        lo_v = next(v for v, cc in ends if cc < 0)
-        hi_v = next(v for v, cc in ends if cc > 0)
-        u = node_of.get(lo_v, ground)
-        v = node_of.get(hi_v, ground)
-        edge_ends.append((u, v))
+        tail, head = ends[e]
+        edge_ends.append((node_of.get(tail, ground), node_of.get(head, ground)))
 
     # d0_cols[i] is the coboundary of the i-th free vertex: column i of delta0
     delta0 = _coboundary_block(X, 0, cols, free_verts)

@@ -36,12 +36,14 @@ DEFAULT_CELL_BUDGET = 2_000_000
 
 
 def same_structure(X, Y):
-    """Same cell counts and boundaries (complexes as immutable values)."""
-    if X is Y:
+    """Same cell counts and boundary tables (complexes as immutable values);
+    relabeled copies share their tables."""
+    if X is Y or X._tables is Y._tables:
         return True
     return X.counts == Y.counts and all(
-        X.boundary_columns(k) == Y.boundary_columns(k) for k in range(1, X.dim + 1)
-    )
+        (a[0] == b[0] and a[1] == b[1] and list(a[2]) == list(b[2]))
+        or X.boundary_columns(k) == Y.boundary_columns(k)
+        for k, (a, b) in enumerate(zip(X._tables, Y._tables)))
 
 
 def _sorted_labels(labels):
@@ -77,19 +79,42 @@ def _strictly_increasing(level, n):
     return all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
 
 
-def _canonical_boundaries(level, faces, k):
-    """Boundary {face index: (-1)**i} of each sorted k-simplex of a level,
-    face i dropping vertex i; ``faces`` indexes the (k-1)-simplices."""
-    if k == 1:
-        for a, b in level:
-            yield {faces[(b,)]: 1, faces[(a,)]: -1}
-    elif k == 2:
-        for a, b, c in level:
-            yield {faces[(b, c)]: 1, faces[(a, c)]: -1, faces[(a, b)]: 1}
-    else:
-        signs = [(-1) ** i for i in range(k + 1)]
-        for s in level:
-            yield {faces[s[:i] + s[i + 1:]]: signs[i] for i in range(k + 1)}
+def _face_rows(level, faces, k):
+    """Row of every face of every sorted k-simplex of a level, cell after
+    cell, face i dropping vertex i; ``faces`` indexes the (k-1)-simplices.
+    A face missing from ``faces`` raises NotSimplicial naming the first
+    cell that has one."""
+    columns = list(zip(*level))
+    rows = [0] * ((k + 1) * len(level))
+    try:
+        for i in range(k + 1):
+            rows[i::k + 1] = map(faces.__getitem__,
+                                 zip(*columns[:i], *columns[i + 1:]))
+    except KeyError:
+        j, face = next((j, s[:i] + s[i + 1:]) for j, s in enumerate(level)
+                       for i in range(k + 1) if s[:i] + s[i + 1:] not in faces)
+        raise NotSimplicial(
+            f"cell (dim {k}, {j}) has face {face}, which is not in the "
+            f"dim {k - 1} simplex table") from None
+    return rows
+
+
+def _face_clashes(rows, below, k):
+    """Cells of a simplicial level k >= 2 at which, for some positions
+    i < l, face l-1 of face i is not face i of face l.  Both tables hold
+    k+1 and k alternating entries per cell, so d.d = 0 at every other cell:
+    the two paths to each (k-2)-face cancel."""
+    faces = [rows[i::k + 1] for i in range(k + 1)]
+    faces_below = [below[m::k] for m in range(k)]
+    clashes = set()
+    for l in range(1, k + 1):
+        for i in range(l):
+            a = list(map(faces_below[l - 1].__getitem__, faces[i]))
+            b = list(map(faces_below[i].__getitem__, faces[l]))
+            if a != b:
+                clashes.update(j for j, (x, y) in enumerate(zip(a, b))
+                               if x != y)
+    return sorted(clashes)
 
 
 class CellComplex:
@@ -101,6 +126,12 @@ class CellComplex:
             ``{(k-1)-cell index: incidence coefficient}`` dicts.
         labels: mapping label -> iterable of (dim, index) cells.
 
+    The boundary of each dimension k is stored as one flat table
+    ``(rows, coefs, ptr)``: the entries of cell j are ``rows[t]`` with
+    coefficient ``coefs[t]`` for t in ``range(ptr[j], ptr[j + 1])``.  No
+    per-cell object is kept; :meth:`boundary_of` and
+    :meth:`boundary_columns` build fresh dicts from the table.
+
     ``coboundary_factors`` memoises, by degree k, the nonzero invariant
     factors of delta_k that ``cochains.cohomology`` reads; the boundaries
     do not change after construction.
@@ -108,7 +139,7 @@ class CellComplex:
     This constructor makes a cell complex: it copies the raw columns it is
     given, dropping zero entries and checking every row index.  Every
     simplicial complex is made by :meth:`from_simplices` instead, which
-    computes its columns from the vertex tuples.
+    computes its tables from the vertex tuples.
     """
 
     def __init__(self, counts, boundaries, labels=None):
@@ -116,7 +147,7 @@ class CellComplex:
         while len(self.counts) > 1 and self.counts[-1] == 0:
             self.counts.pop()
         self.dim = len(self.counts) - 1
-        self._bnd = [[{} for _ in range(self.counts[0])]]
+        self._tables = [([], [], [0] * (self.counts[0] + 1))]
         for k in range(1, self.dim + 1):
             cols = boundaries[k]
             if len(cols) != self.counts[k]:
@@ -124,16 +155,20 @@ class CellComplex:
                     f"dimension {k}: {len(cols)} boundary columns for {self.counts[k]} cells"
                 )
             n_rows = self.counts[k - 1]
-            frozen = []
+            rows, coefs, ptr = [], [], [0]
             for j, col in enumerate(cols):
-                clean = {int(r): int(c) for r, c in col.items() if c != 0}
-                for r in clean:
+                for r, c in col.items():
+                    if c == 0:
+                        continue
+                    r = int(r)
                     if r < 0 or r >= n_rows:
                         raise ShapeMismatch(
                             f"row {r} out of range at cell (dim {k}, {j})"
                         )
-                frozen.append(clean)
-            self._bnd.append(frozen)
+                    rows.append(r)
+                    coefs.append(int(c))
+                ptr.append(len(rows))
+            self._tables.append((rows, coefs, ptr))
         self.simplices = None
         self.coboundary_factors = {}
         self.labels = _sorted_labels(labels or {})
@@ -144,11 +179,13 @@ class CellComplex:
         """Simplicial complex on its simplex levels.
 
         ``levels[k]`` lists the k-simplices in cell order, each a strictly
-        increasing tuple of k+1 vertex ids and none twice; every face of a
-        k-simplex must be in ``levels[k-1]``.  Each boundary column is the
-        alternating sum of the faces, face i dropping vertex i.  The level
-        lists become the complex's own without a copy; trailing empty
-        levels are dropped.
+        increasing tuple of k+1 vertex ids and none twice; ``levels[0]``
+        must be ``(0,), (1,), ..., (n-1,)`` in that order, and every face
+        of a k-simplex must be in ``levels[k-1]``.  Face i of a k-simplex
+        drops vertex i and has coefficient (-1)**i, so a level's table is
+        its face rows with ``ptr`` a range of step k+1 and the alternating
+        coefficients repeated.  The level lists become the complex's own
+        without a copy; trailing empty levels are dropped.
         """
         levels = list(levels)
         while len(levels) > 1 and not levels[-1]:
@@ -161,6 +198,12 @@ class CellComplex:
                     if len(s) != k + 1 or list(s) != sorted(set(s)))
                 raise NotSimplicial(
                     f"bad vertex tuple {verts} at cell (dim {k}, {i})")
+            if k == 0:
+                i = next((i for i, (v,) in enumerate(level) if v != i), None)
+                if i is not None:
+                    raise NotSimplicial(
+                        f"vertex {level[i]} at cell (dim 0, {i}): the vertex "
+                        f"ids must be 0..{len(level) - 1} in order")
             faces = {s: i for i, s in enumerate(level)}
             if len(faces) != len(level):
                 # faces keeps the last copy: the first cell it misses is the
@@ -170,22 +213,16 @@ class CellComplex:
                     f"simplex {level[i]} at cell (dim {k}, {i}) is repeated "
                     f"at cell (dim {k}, {faces[level[i]]})")
             index.append(faces)
-        bnd = [[{} for _ in levels[0]]]
+        tables = [([], [], [0] * (len(levels[0]) + 1))]
         for k in range(1, len(levels)):
-            cols = []
-            try:
-                cols.extend(_canonical_boundaries(levels[k], index[k - 1], k))
-            except KeyError as exc:
-                # extend keeps the columns made before the missing face
-                raise NotSimplicial(
-                    f"cell (dim {k}, {len(cols)}) has face {exc.args[0]}, "
-                    f"which is not in the dim {k - 1} simplex table"
-                ) from None
-            bnd.append(cols)
+            n = len(levels[k])
+            tables.append((_face_rows(levels[k], index[k - 1], k),
+                           [(-1) ** i for i in range(k + 1)] * n,
+                           range(0, (k + 1) * n + 1, k + 1)))
         X = cls.__new__(cls)
         X.counts = [len(level) for level in levels]
         X.dim = len(levels) - 1
-        X._bnd = bnd
+        X._tables = tables
         X.simplices = levels
         X._simplex_index = index
         X.coboundary_factors = {}
@@ -204,18 +241,44 @@ class CellComplex:
         return sum(self.counts)
 
     def boundary_of(self, k, i):
-        """Boundary of the i-th k-cell as a {row: coeff} dict."""
-        return self._bnd[k][i]
+        """Boundary of the i-th k-cell as a fresh {row: coeff} dict."""
+        rows, coefs, ptr = self._tables[k]
+        a, b = ptr[i], ptr[i + 1]
+        return dict(zip(rows[a:b], coefs[a:b]))
 
     def boundary_columns(self, k):
-        return self._bnd[k]
+        """Fresh {row: coeff} dicts of every k-cell, in cell order."""
+        rows, coefs, ptr = self._tables[k]
+        return [dict(zip(rows[a:b], coefs[a:b]))
+                for a, b in zip(ptr, ptr[1:])]
+
+    def boundary_table(self, k):
+        """The flat boundary table ``(rows, coefs, ptr)`` of dimension k,
+        the complex's own (see the class docstring); do not modify it."""
+        return self._tables[k]
+
+    def edge_ends(self):
+        """Per edge, ``(tail, head)`` when its boundary is head - tail, and
+        None for any other edge (a loop, say).  On a simplicial complex
+        these are its edge tuples."""
+        if self.dim < 1:
+            return []
+        if self.is_simplicial:
+            return self.simplices[1]
+        rows, coefs, ptr = self._tables[1]
+        ends = []
+        for a, b in zip(ptr, ptr[1:]):
+            col = sorted(zip(coefs[a:b], rows[a:b]))
+            ends.append((col[0][1], col[1][1])
+                        if [c for c, _ in col] == [-1, 1] else None)
+        return ends
 
     def boundary_matrix(self, k):
         """Dense boundary matrix: rows = (k-1)-cells, columns = k-cells."""
         rows, cols = self.n_cells(k - 1), self.n_cells(k)
         mat = [[0] * cols for _ in range(rows)]
-        for j in range(cols):
-            for r, c in self._bnd[k][j].items():
+        for j, col in enumerate(self.boundary_columns(k) if cols else ()):
+            for r, c in col.items():
                 mat[r][j] = c
         return mat
 
@@ -249,7 +312,7 @@ class CellComplex:
     def relabeled(self, labels):
         """This complex with exactly the given labels.
 
-        A shallow copy: it shares the boundary columns, simplex tables, face
+        A shallow copy: it shares the boundary tables, simplex tables, face
         index and ``coboundary_factors`` memo, none of which depend on labels.
         """
         Z = copy(self)
@@ -259,13 +322,24 @@ class CellComplex:
     # -- validation ------------------------------------------------------
 
     def _validate(self):
+        """d.d = 0 at every cell; NotAChainComplex names the first cell,
+        in order of dimension then index, where it fails.  On two simplicial
+        levels (offsets a range) only the cells where the face-of-face
+        identity fails are summed out."""
         for k in range(2, self.dim + 1):
-            below = self._bnd[k - 1]
-            for j, col in enumerate(self._bnd[k]):
+            rows, coefs, ptr = self._tables[k]
+            below, below_coefs, below_ptr = self._tables[k - 1]
+            if isinstance(ptr, range) and isinstance(below_ptr, range):
+                cells = _face_clashes(rows, below, k)
+            else:
+                cells = range(self.counts[k])
+            for j in cells:
                 acc = {}
-                for r, c in col.items():
-                    for r2, c2 in below[r].items():
-                        acc[r2] = acc.get(r2, 0) + c * c2
+                for t in range(ptr[j], ptr[j + 1]):
+                    c = coefs[t]
+                    r = rows[t]
+                    for u in range(below_ptr[r], below_ptr[r + 1]):
+                        acc[below[u]] = acc.get(below[u], 0) + c * below_coefs[u]
                 if any(acc.values()):
                     raise NotAChainComplex(
                         f"boundary squared nonzero at cell (dim {k}, index {j})",
@@ -321,6 +395,20 @@ def simplicial_complex(simplices, labels=None):
 
 
 # -- cellular maps -------------------------------------------------------
+
+
+class _Columns(dict):
+    """The boundary columns of one dimension of a complex, each made as a
+    {row: coeff} dict on first use: a map's check reads only the target
+    cells it hits."""
+
+    def __init__(self, X, k):
+        super().__init__()
+        self.X, self.k = X, k
+
+    def __missing__(self, j):
+        col = self[j] = self.X.boundary_of(self.k, j)
+        return col
 
 
 class CellMap:
@@ -428,12 +516,18 @@ class CellMap:
         return j
 
     def _validate(self):
-        """Check cell by cell that each source k-cell maps to a target
-        k-cell with sign +-1, or to zero (-1, sign 0), and that the
-        chain-map identity d f(s) = f(d s) holds."""
-        src, tgt, images, signs = self.source, self.target, self._images, self._signs
+        """Check cell by cell, in order of dimension then index, that each
+        source k-cell maps to a target k-cell with sign +-1, or to zero
+        (-1, sign 0), and that the chain-map identity d f(s) = f(d s) holds.
+
+        A quick pass over the flat source table (dimensions 1 and 2
+        unrolled) passes each cell whose faces land on distinct target
+        cells that make up the target column; every other cell is checked
+        exactly by ``_check_cell`` as soon as the pass meets it, so the
+        first failing cell is the one named."""
+        src, images, signs = self.source, self._images, self._signs
         for k in range(src.dim + 1):
-            n_src, n_tgt = src.counts[k], tgt.n_cells(k)
+            n_src = src.counts[k]
             img_k = images[k] if k < len(images) else ()
             sgn_k = signs[k] if k < len(signs) else ()
             if len(img_k) != n_src or len(sgn_k) != n_src:
@@ -441,41 +535,93 @@ class CellMap:
                     f"image tables of dim {k} have {len(img_k)} and "
                     f"{len(sgn_k)} entries for cells (dim {k}, 0..{n_src - 1})"
                 )
-            tgt_bnd = tgt._bnd[k] if k <= tgt.dim else ()
-            # read only for k >= 1: vertices have no faces
-            img_below, sgn_below = images[k - 1], signs[k - 1]
-            for i, col in enumerate(src._bnd[k]):
+            if not n_src:
+                continue
+            columns = _Columns(self.target, k)
+            for i in self._unchecked(k, columns):
+                self._check_cell(k, i, columns)
+
+    def _unchecked(self, k, columns):
+        """Source k-cells, in order, that the quick pass does not clear.
+
+        It clears a cell that maps to a target cell with sign +-1 when its
+        faces, pushed forward and scaled by that sign, land on distinct
+        target cells and make up the target column (a pushed face that
+        vanishes lands on -1, in no column); and a collapsed edge or
+        triangle, mapped to zero, whose faces cancel in pairs or vanish."""
+        img_k, sgn_k = self._images[k], self._signs[k]
+        n_tgt = self.target.n_cells(k)
+        if k == 0:
+            for i, (j, s) in enumerate(zip(img_k, sgn_k)):
+                if not (0 <= j < n_tgt and s * s == 1):
+                    yield i
+            return
+        img, sgn = self._images[k - 1], self._signs[k - 1]
+        rows, coefs, ptr = self.source._tables[k]
+        it, ct = iter(rows), iter(coefs)
+        if k == 1 and ptr == range(0, len(rows) + 1, 2):
+            for i, (r0, r1, c0, c1, j, s) in enumerate(
+                    zip(it, it, ct, ct, img_k, sgn_k)):
+                if 0 <= j < n_tgt and s * s == 1:
+                    pushed = {img[r0]: s * c0 * sgn[r0],
+                              img[r1]: s * c1 * sgn[r1]}
+                    if len(pushed) == 2 and pushed == columns[j]:
+                        continue
+                elif (j == -1 and s == 0 and img[r0] == img[r1]
+                      and c0 * sgn[r0] == -c1 * sgn[r1]):
+                    continue
+                yield i
+        elif k == 2 and ptr == range(0, len(rows) + 1, 3):
+            for i, (r0, r1, r2, c0, c1, c2, j, s) in enumerate(
+                    zip(it, it, it, ct, ct, ct, img_k, sgn_k)):
+                if 0 <= j < n_tgt and s * s == 1:
+                    pushed = {img[r0]: s * c0 * sgn[r0],
+                              img[r1]: s * c1 * sgn[r1],
+                              img[r2]: s * c2 * sgn[r2]}
+                    if len(pushed) == 3 and pushed == columns[j]:
+                        continue
+                elif j == -1 and s == 0:
+                    w0, w1, w2 = c0 * sgn[r0], c1 * sgn[r1], c2 * sgn[r2]
+                    x0, x1, x2 = img[r0], img[r1], img[r2]
+                    if (not w2 and x0 == x1 and w0 == -w1
+                            or not w1 and x0 == x2 and w0 == -w2
+                            or not w0 and x1 == x2 and w1 == -w2):
+                        continue
+                yield i
+        else:
+            for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
                 j, s = img_k[i], sgn_k[i]
                 if 0 <= j < n_tgt and s * s == 1:
-                    # f(d s), scaled by the sign of f(s); when the faces land
-                    # on distinct cells it must equal d f(s) entry for entry
-                    pushed = {img_below[r]: s * c * sgn_below[r]
-                              for r, c in col.items()}
-                    if len(pushed) == len(col) and -1 not in pushed:
-                        if pushed != tgt_bnd[j]:
-                            raise NotAChainComplex(
-                                f"chain-map identity fails at cell (dim {k}, {i})",
-                                cell=(k, i),
-                            )
+                    pushed = {img[r]: s * c * sgn[r]
+                              for r, c in zip(rows[a:b], coefs[a:b])}
+                    if len(pushed) == b - a and pushed == columns[j]:
                         continue
-                    diff = dict(tgt_bnd[j])
-                elif j == -1 and s == 0:
-                    diff, s = {}, 1
-                else:
-                    raise ShapeMismatch(
-                        f"image of cell (dim {k}, {i}) is index {j} with sign "
-                        f"{s}: neither a target index in 0..{n_tgt - 1} with "
-                        "sign +-1 nor -1 with sign 0"
-                    )
-                # faces that collide or vanish: d f(s) - f(d s), accumulated
-                for r, c in col.items():
-                    jr = img_below[r]
-                    if jr >= 0:
-                        diff[jr] = diff.get(jr, 0) - s * c * sgn_below[r]
-                if any(diff.values()):
-                    raise NotAChainComplex(
-                        f"chain-map identity fails at cell (dim {k}, {i})", cell=(k, i)
-                    )
+                yield i
+
+    def _check_cell(self, k, i, columns):
+        """The exact check of one source k-cell: d f(s) - f(d s),
+        accumulated over faces that may collide or vanish, is zero."""
+        j, s = self._images[k][i], self._signs[k][i]
+        n_tgt = self.target.n_cells(k)
+        if 0 <= j < n_tgt and s * s == 1:
+            diff = dict(columns[j])
+        elif j == -1 and s == 0:
+            diff, s = {}, 1
+        else:
+            raise ShapeMismatch(
+                f"image of cell (dim {k}, {i}) is index {j} with sign "
+                f"{s}: neither a target index in 0..{n_tgt - 1} with "
+                "sign +-1 nor -1 with sign 0"
+            )
+        if k:
+            img, sgn = self._images[k - 1], self._signs[k - 1]
+            for r, c in self.source.boundary_of(k, i).items():
+                if img[r] >= 0:
+                    diff[img[r]] = diff.get(img[r], 0) - s * c * sgn[r]
+        if any(diff.values()):
+            raise NotAChainComplex(
+                f"chain-map identity fails at cell (dim {k}, {i})", cell=(k, i)
+            )
 
     def compose(self, other):
         """self after other (other: X -> Y, self: Y -> Z gives X -> Z)."""

@@ -74,9 +74,11 @@ def circle_map_degree(f, src_cycle, dst_cycle):
     for X, chain, name in ((f.source, src_cycle, "source"),
                            (f.target, dst_cycle, "target")):
         acc = {}
+        ends = X.edge_ends()
         for e, c in chain.items():
-            for v, c2 in X.boundary_of(1, e).items():
-                acc[v] = acc.get(v, 0) + c * c2
+            tail, head = ends[e]
+            acc[tail] = acc.get(tail, 0) - c
+            acc[head] = acc.get(head, 0) + c
         if any(v != 0 for v in acc.values()):
             raise NotACycle(f"{name} chain is not a cycle")
     image = f.chain_image(1, src_cycle)

@@ -28,6 +28,7 @@ row-major, labels and cochains sorted by name.  All numbers are integers or
 
 from fractions import Fraction
 from itertools import chain, repeat
+from operator import sub
 
 from .cochains import Cochain, RING_Q, RING_Z, is_prime, ring_zp
 from .complexes import CellComplex
@@ -50,22 +51,24 @@ def _num_from_str(s):
     return int(s)
 
 
-def _boundary_text(columns):
-    """The triples "row col coeff" of one boundary level, row-major.
+def _row_major(table):
+    """The rows, columns and coefficients of a boundary table
+    ``(rows, coefs, ptr)``, each an iterator over its entries row-major:
+    one stable sort by row keeps the column order inside each row."""
+    rows, coefs, ptr = table
+    cols = list(chain.from_iterable(map(repeat, range(len(ptr) - 1),
+                                        map(sub, ptr[1:], ptr))))
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    return (map(rows.__getitem__, order), map(cols.__getitem__, order),
+            map(coefs.__getitem__, order))
 
-    Entries are flattened column by column; one stable sort by row keeps
-    the column order inside each row, and one ``%`` format renders them.
-    """
-    rows = list(chain.from_iterable(columns))
-    n = len(rows)
-    cols = list(chain.from_iterable(map(repeat, range(len(columns)),
-                                        map(len, columns))))
-    coeffs = list(chain.from_iterable(map(dict.values, columns)))
-    order = sorted(range(n), key=rows.__getitem__)
+
+def _boundary_text(table):
+    """The triples "row col coeff" of one boundary table, row-major,
+    rendered by one ``%`` format."""
+    n = len(table[0])
     flat = [0] * (3 * n)
-    flat[0::3] = map(rows.__getitem__, order)
-    flat[1::3] = map(cols.__getitem__, order)
-    flat[2::3] = map(coeffs.__getitem__, order)
+    flat[0::3], flat[1::3], flat[2::3] = _row_major(table)
     return ("%d %d %d\n" * n) % tuple(flat)
 
 
@@ -84,7 +87,7 @@ def serialize_complex(X, cochains=None, covers=None):
     parts = [f"{MAGIC} {FORMAT_VERSION}\ndim {X.dim}\ncounts "
              + " ".join(str(c) for c in X.counts) + "\n"]
     for k in range(1, X.dim + 1):
-        parts += [f"boundary {k}\n", _boundary_text(X.boundary_columns(k)),
+        parts += [f"boundary {k}\n", _boundary_text(X.boundary_table(k)),
                   "end\n"]
     if X.is_simplicial:
         for k in range(X.dim + 1):
@@ -196,9 +199,8 @@ def parse_complex(text):
     if len(dims) != 1 or len(counts) != dims[0] + 1 or min(counts) < 0:
         raise ShapeMismatch(f"line {n}: counts line does not match dim")
     dim = dims[0]
-    boundaries = [None] + [
-        [dict() for _ in range(counts[k])] for k in range(1, dim + 1)
-    ]
+    # per boundary level, the rows, columns and coefficients of its triples
+    triples = [None] + [([], [], []) for _ in range(dim)]
     simplices = None
     labels = {}
     cochains = {}
@@ -214,7 +216,8 @@ def parse_complex(text):
         elif kind in ("label", "cochain", "cover") and len(parts) < 2:
             raise ShapeMismatch(f"line {n}: {kind} without a name")
         if kind == "boundary":
-            cols, n_rows, n_cols = boundaries[k], counts[k - 1], counts[k]
+            rows, cols, coefs = triples[k]
+            n_rows, n_cols = counts[k - 1], counts[k]
             for n, row in _block(lines, n, ln):
                 try:
                     r, j, c = map(int, row.split())
@@ -225,7 +228,9 @@ def parse_complex(text):
                     raise ShapeMismatch(
                         f"line {n}: entry ({r}, {j}) out of range for "
                         f"{n_rows} rows and {n_cols} columns")
-                cols[j][r] = c
+                rows.append(r)
+                cols.append(j)
+                coefs.append(c)
         elif kind == "simplices":
             if simplices is None:
                 simplices = [[] for _ in range(dim + 1)]
@@ -274,6 +279,12 @@ def parse_complex(text):
         else:
             raise ShapeMismatch(f"line {n}: unrecognized line: {ln!r}")
     if simplices is None:
+        boundaries = [None]
+        for k in range(1, dim + 1):
+            columns = [{} for _ in range(counts[k])]
+            for r, j, c in zip(*triples[k]):
+                columns[j][r] = c
+            boundaries.append(columns)
         return CellComplex(counts, boundaries, labels=labels), cochains, covers
     for k, level in enumerate(simplices):
         if len(level) != counts[k]:
@@ -281,14 +292,36 @@ def parse_complex(text):
                                 f"tuples for {counts[k]} cells")
     X = CellComplex.from_simplices(simplices, labels=labels)
     for k in range(1, X.dim + 1):
-        for j, (col, computed) in enumerate(zip(boundaries[k],
-                                                X.boundary_columns(k))):
-            if col != computed and {
-                    r: c for r, c in col.items() if c} != computed:
-                raise NotSimplicial(
-                    f"cell (dim {k}, {j}): the boundary in the file is not "
-                    f"the alternating boundary of simplex {X.simplex(k, j)}")
+        j = _first_differing_column(triples[k], X.boundary_table(k), counts[k])
+        if j is not None:
+            raise NotSimplicial(
+                f"cell (dim {k}, {j}): the boundary in the file is not "
+                f"the alternating boundary of simplex {X.simplex(k, j)}")
     return X, cochains, covers
+
+
+def _first_differing_column(triples, table, n_cols):
+    """The first column where a boundary block's triples, a repeated
+    (row, col) keeping its last value and zero entries dropped, differ
+    from a boundary table; None where none does.
+
+    Both sides are compared row-major: the table in the order
+    :func:`serialize_complex` writes it, which a file it wrote has
+    already, and otherwise the triples sorted by (row, col).
+    """
+    want = tuple(map(list, _row_major(table)))
+    if triples == want:
+        return None
+    rows, cols, coefs = triples
+    key = [r * n_cols + j for r, j in zip(rows, cols)]
+    order = sorted(range(len(key)), key=key.__getitem__)
+    kept = [t for t, u in zip(order, order[1:] + [None])
+            if coefs[t] and (u is None or key[u] != key[t])]
+    got = ([rows[t] for t in kept], [cols[t] for t in kept],
+           [coefs[t] for t in kept])
+    if got == want:
+        return None
+    return min(j for _, j, _ in set(zip(*got)) ^ set(zip(*want)))
 
 
 def read_complex(path):

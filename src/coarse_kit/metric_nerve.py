@@ -34,9 +34,8 @@ class DistanceTable:
 def _adjacency(X):
     """Neighbour lists of the 1-skeleton, edges in index order."""
     adj = [[] for _ in range(X.n_cells(0))]
-    for e in range(X.n_cells(1)):
-        ends = sorted(X.boundary_of(1, e))
-        if len(ends) == 2:
+    for ends in X.edge_ends():
+        if ends:
             u, v = ends
             adj[u].append(v)
             adj[v].append(u)
@@ -87,9 +86,8 @@ def lipschitz_constant(f):
     X, Y = f.source, f.target
     table = skeleton_metric(Y)
     best = 0
-    for e in range(X.n_cells(1)):
-        ends = sorted(X.boundary_of(1, e))
-        if len(ends) != 2:
+    for e, ends in enumerate(X.edge_ends()):
+        if not ends:
             continue
         u, v = ends
         du, dv = f.vertex_image(u), f.vertex_image(v)

@@ -31,6 +31,12 @@ tables' zero entries replaced.
 ``oracle_open_star_refinement_witnesses`` are the three per-simplex carrier
 loops of ``towers`` that its one shared carrier table replaced.
 
+``oracle_simplicial_columns`` and ``oracle_interval_product_columns`` are
+boundary columns as one ``{row: coeff}`` dict per cell, made from simplex
+tuples and the product formula, the storage that the flat boundary tables
+of ``complexes.CellComplex`` replaced; ``oracle_boundary_squared_failure``
+is the per-cell d.d check on those dicts.
+
 ``oracle_pullback_complex`` is the fiber product that ``towers`` built from
 every (sigma, t) pair in every dimension, before it emitted pairs over the
 top simplices only and let the face closure derive the rest.
@@ -921,6 +927,60 @@ def oracle_simplicial_complex(simplices, labels=None):
     X.simplices = by_dim
     X._simplex_index = index
     return X
+
+
+def oracle_simplicial_columns(X, k):
+    """Boundary {face index: (-1)**i} of each k-simplex of X, face i
+    dropping vertex i, the faces looked up in X's own simplex tuples."""
+    index = {s: i for i, s in enumerate(X.simplices[k - 1])}
+    return [{index[s[:i] + s[i + 1:]]: (-1) ** i for i in range(k + 1)}
+            for s in X.simplices[k]]
+
+
+def oracle_interval_product_columns(X, n, k):
+    """Boundary dicts of the k-cells of X x [0, n] (slice cells level by
+    level, then prisms) from d(s x [l, l+1]) = ds x [l, l+1]
+    + (-1)**dim(s) (s x {l+1} - s x {l}), X simplicial."""
+    counts = [len(level) for level in X.simplices] + [0]
+
+    def base(d):
+        return oracle_simplicial_columns(X, d) if d >= 1 else \
+            [{} for _ in range(counts[0])]
+
+    def slice_cell(d, i, level):
+        return level * counts[d] + i
+
+    def prism_cell(d, i, level):
+        # a prism of dimension d over a base cell of dimension d - 1
+        return (n + 1) * counts[d] + level * counts[d - 1] + i
+
+    cols = []
+    if k <= X.dim:
+        for level in range(n + 1):
+            cols += [{slice_cell(k - 1, r, level): c for r, c in col.items()}
+                     for col in base(k)]
+    for level in range(n):
+        for i, col in enumerate(base(k - 1)):
+            out = {prism_cell(k - 1, r, level): c for r, c in col.items()}
+            out[slice_cell(k - 1, i, level + 1)] = (-1) ** (k - 1)
+            out[slice_cell(k - 1, i, level)] = -(-1) ** (k - 1)
+            cols.append(out)
+    return cols
+
+
+def oracle_boundary_squared_failure(X):
+    """First cell (k, j), in order of dimension then index, where d.d is
+    not zero, from one boundary dict per cell; None when d.d = 0."""
+    for k in range(2, X.dim + 1):
+        below = [X.boundary_of(k - 1, r) for r in range(X.n_cells(k - 1))]
+        for j in range(X.n_cells(k)):
+            acc = {}
+            for r, c in X.boundary_of(k, j).items():
+                for r2, c2 in below[r].items():
+                    acc[r2] = acc.get(r2, 0) + c * c2
+            if any(acc.values()):
+                return (k, j)
+    return None
 
 
 def oracle_from_vertex_map(source, target, vertex_map):

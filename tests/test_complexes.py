@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -40,11 +41,14 @@ from coarse_kit.errors import (
 from coarse_kit.interchange import parse_complex, serialize_complex
 
 from oracles import (
+    oracle_boundary_squared_failure,
     oracle_chain_map_failure,
     oracle_complex_homology,
     oracle_compose,
     oracle_from_vertex_map,
+    oracle_interval_product_columns,
     oracle_product_cellmap,
+    oracle_simplicial_columns,
     oracle_simplicial_complex,
 )
 
@@ -98,7 +102,7 @@ class TestElementary:
         R = C.relabeled({"arc": [(0, 1), (1, 0), (0, 0)]})
         assert R.labels == {"arc": ((0, 0), (0, 1), (1, 0))}
         assert C.labels == {"rim": ((0, 0), (0, 1), (0, 2), (0, 3))}
-        assert R.boundary_columns(1) is C.boundary_columns(1)
+        assert R.boundary_table(1) is C.boundary_table(1)
         assert R.simplices is C.simplices
 
     def test_circle_too_small(self):
@@ -155,6 +159,18 @@ class TestElementary:
                            r"0\) is repeated at cell \(dim 1, 2\)"):
             CellComplex.from_simplices([[(0,), (1,)],
                                         [(0, 1), (0, 1), (0, 1)]])
+
+    def test_from_simplices_refuses_vertex_ids_that_are_not_positions(self):
+        # the edge's faces are in the vertex level, but vertex 5 is cell 1
+        with pytest.raises(NotSimplicial, match=r"vertex \(5,\) at cell "
+                           r"\(dim 0, 1\): the vertex ids must be 0\.\.1"):
+            CellComplex.from_simplices([[(0,), (5,)], [(0, 5)]])
+        with pytest.raises(NotSimplicial, match=r"vertex \(1,\) at cell "
+                           r"\(dim 0, 0\)"):
+            CellComplex.from_simplices([[(1,), (0,)]])
+        with pytest.raises(NotSimplicial, match=r"vertex \(-1,\) at cell "
+                           r"\(dim 0, 0\)"):
+            simplicial_complex([(-1, 0)])
 
     def test_remove_cells_refuses_cell_complex(self):
         X = new_complex([2, 1], [None, [{0: -1, 1: 1}]])
@@ -387,6 +403,36 @@ class TestFastPathTampering:
             CellMap(X, loop, images, signs)
         assert exc.value.cell == (2, 0)
 
+    @pytest.mark.parametrize("vanishing", [0, 1, 2])
+    def test_collapsed_triangle_faces_cancel_on_a_loop(self, vanishing):
+        # the triangle maps to zero, its face ``vanishing`` too, and its
+        # other two faces land on a loop: a chain map when they cancel there,
+        # refused at the triangle once one of their signs is flipped
+        loop = new_complex([1, 1], [None, [{}]])
+        p, q = [i for i in range(3) if i != vanishing]
+        # face i of the triangle is edge 2 - i, with coefficient (-1)**i
+        edge_images, edge_signs = [0, 0, 0], [1, 1, 1]
+        edge_images[2 - vanishing], edge_signs[2 - vanishing] = -1, 0
+        edge_signs[2 - q] = -(-1) ** (p + q)
+        images = [[0, 0, 0], edge_images, [-1]]
+        signs = [[1, 1, 1], edge_signs, [0]]
+        CellMap(filled_triangle(), loop, images, signs)
+        edge_signs[2 - q] = -edge_signs[2 - q]
+        with pytest.raises(NotAChainComplex, match=r"\(dim 2, 0\)") as exc:
+            CellMap(filled_triangle(), loop, images, signs)
+        assert exc.value.cell == (2, 0)
+
+    def test_triangle_faces_colliding_on_its_image(self):
+        # one vertex, loops E and F and a 2-cell with boundary F - E; the
+        # faces (1, 2) and (0, 2) of the triangle both land on E and cancel,
+        # so f(d t) = F while d f(t) = F - E
+        target = new_complex([1, 2, 1], [None, [{}, {}], [{0: -1, 1: 1}]])
+        images = [[0, 0, 0], [1, 0, 0], [0]]
+        signs = [[1, 1, 1], [1, 1, 1], [1]]
+        with pytest.raises(NotAChainComplex, match=r"\(dim 2, 0\)") as exc:
+            CellMap(filled_triangle(), target, images, signs)
+        assert exc.value.cell == (2, 0)
+
     @pytest.mark.parametrize("edges, error, cell", [
         ([(0, 1), (2, 1)], NotSimplicial,
          r"\(2, 1\) at cell \(dim 1, 1\)"),
@@ -406,6 +452,127 @@ class TestFastPathTampering:
         with pytest.raises(ShapeMismatch,
                            match=rf"row {row} out of range at cell \(dim 1, 1\)"):
             new_complex([2, 2], [None, [{0: -1, 1: 1}, {0: -1, row: 1}]])
+
+
+def reachable_dicts(X):
+    """Every dict reachable from the attributes of X through lists,
+    tuples, sets and dicts."""
+    seen, found, stack = set(), [], list(vars(X).values())
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            found.append(obj)
+            stack += list(obj.keys()) + list(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack += obj
+    return found
+
+
+class TestFlatBoundaryTables:
+    """The flat per-level boundary tables against one oracle dict per
+    cell, and the checks that read them against the oracle checks."""
+
+    def test_boundaries_against_oracle_columns(self):
+        seen = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            X = simplicial_complex(random_simplices(
+                rng, rng.randint(2, 8), 3, rng.randint(1, 6)))
+            kind = rng.choice(["simplicial", "glue", "remove", "ckx",
+                               "product"])
+            if kind == "product" and X.dim <= 2:
+                n = rng.randint(1, 3)
+                Z = interval_product(X, n).complex
+                for k in range(1, Z.dim + 1):
+                    want = oracle_interval_product_columns(X, n, k)
+                    assert Z.boundary_columns(k) == want
+                    assert [Z.boundary_of(k, i)
+                            for i in range(Z.n_cells(k))] == want
+                assert Z.edge_ends() == [
+                    (min(col, key=col.get), max(col, key=col.get))
+                    for col in oracle_interval_product_columns(X, n, 1)]
+                seen.add(kind)
+                continue
+            if kind == "glue":
+                Y = simplicial_complex(random_simplices(
+                    rng, rng.randint(1, 6), 2, rng.randint(1, 4)))
+                Z, _ = wedge(X, Y, rng.randrange(X.n_cells(0)),
+                             rng.randrange(Y.n_cells(0)))
+            elif kind == "remove" and X.dim >= 1:
+                # top cells are no faces, so any of them may go
+                top = rng.sample(range(X.n_cells(X.dim)),
+                                 rng.randint(1, X.n_cells(X.dim)))
+                Z = remove_cells(X, [(X.dim, i) for i in top])
+            elif kind == "ckx":
+                Z = parse_complex(serialize_complex(X))[0]
+            else:
+                Z, kind = X, "simplicial"
+            for k in range(1, Z.dim + 1):
+                # the same columns with the same entry order
+                want = [list(c.items()) for c in oracle_simplicial_columns(Z, k)]
+                assert [list(c.items()) for c in Z.boundary_columns(k)] == want
+                assert [list(Z.boundary_of(k, i).items())
+                        for i in range(Z.n_cells(k))] == want
+            assert Z.edge_ends() == (Z.simplices[1] if Z.dim else [])
+            seen.add(kind)
+        assert seen == {"simplicial", "glue", "remove", "ckx", "product"}
+        # a loop and an edge from vertex 1 to vertex 0 of a cell complex
+        assert new_complex([2, 2], [None, [{}, {0: 1, 1: -1}]]).edge_ends() \
+            == [None, (1, 0)]
+
+    def test_simplicial_tables_hold_no_per_cell_dict(self):
+        from coarse_kit.towers import MkParams, build_Mk
+
+        rng = random.Random(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            M = build_Mk(MkParams(5, 2, 1, reduce=True)).complex
+        for X in (circle(5), filled_triangle(), M, simplicial_complex(
+                random_simplices(rng, 9, 3, 12) + [(0, 1, 2, 3)])):
+            for k in range(1, X.dim + 1):
+                rows, coefs, ptr = X.boundary_table(k)
+                assert len(rows) == len(coefs) == (k + 1) * X.n_cells(k)
+                assert ptr == range(0, len(rows) + 1, k + 1)
+                assert coefs == [(-1) ** i for i in range(k + 1)] * X.n_cells(k)
+            # a face index per level, the labels and the memo of invariant
+            # factors: nothing per cell
+            assert len(reachable_dicts(X)) == X.dim + 3
+
+    def test_tampered_face_entry_fails_at_oracle_cell(self):
+        seen = {"boundary squared": 0, "chain map": 0}
+        for seed in range(200):
+            rng = random.Random(seed)
+            X = simplicial_complex(random_simplices(
+                rng, rng.randint(3, 8), 3, rng.randint(1, 6)))
+            levels = [k for k in range(1, X.dim + 1) if X.n_cells(k - 1) >= 2]
+            if not levels:
+                continue
+            k = rng.choice(levels)
+            rows = X.boundary_table(k)[0]
+            t = rng.randrange(len(rows))
+            rows[t] = rng.choice([r for r in range(X.n_cells(k - 1))
+                                  if r != rows[t]])
+            expected = oracle_boundary_squared_failure(X)
+            if expected is not None:
+                with pytest.raises(NotAChainComplex) as exc:
+                    X._validate()
+                assert exc.value.cell == expected, seed
+                seen["boundary squared"] += 1
+                continue
+            X._validate()
+            # one to one on vertices, so the map tells every face apart
+            vm, Y = random_vertex_map(rng, X, injective=True)
+            f = CellMap.from_vertex_map(X, Y, vm, validate=False)
+            expected = oracle_chain_map_failure(X, Y, cell_images(f))
+            assert expected is not None, seed
+            with pytest.raises(NotAChainComplex) as exc:
+                f._validate()
+            assert exc.value.cell == expected, seed
+            seen["chain map"] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestAnnulus:

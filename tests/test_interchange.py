@@ -87,6 +87,43 @@ class TestRoundTrip:
             parse_complex(text.replace("simplices 1\n0 1\nend",
                                        "simplices 1\n0 2\nend"))
 
+    def test_rejects_vertex_ids_that_are_not_positions(self):
+        # vertex lines 0 and 5 and the edge 0 5, whose column matches the
+        # faces found by vertex id; vertex 5 is cell 1, so maps and cell
+        # removal would read past the vertex level
+        text = ("coarse-kit-complex v1\ndim 1\ncounts 2 1\nboundary 1\n"
+                "0 0 -1\n1 0 1\nend\nsimplices 0\n0\n5\nend\n"
+                "simplices 1\n0 5\nend\n")
+        with pytest.raises(NotSimplicial, match=r"vertex \(5,\) at cell "
+                           r"\(dim 0, 1\)"):
+            parse_complex(text)
+        parse_complex(text.replace("\n5\n", "\n1\n").replace("0 5", "0 1"))
+
+    @pytest.mark.parametrize("k, triples, bad_cell", [
+        (2, "2 0 1\n0 0 1\n1 0 -1\n", None),
+        (2, "0 0 1\n1 0 5\n1 0 -1\n2 0 1\n", None),
+        (2, "0 0 1\n1 0 -1\n2 0 1\n1 0 5\n", 0),
+        (2, "0 0 1\n1 0 -1\n2 0 1\n2 0 0\n", 0),
+        (2, "0 0 1\n1 0 -1\n", 0),
+        (1, "0 0 -1\n0 1 -1\n1 0 1\n1 2 -1\n2 1 1\n2 2 1\n2 0 0\n", None),
+        # edge 2 differs in row 1, edge 1 only in row 2: edge 1 is named
+        (1, "0 0 -1\n0 1 -1\n1 0 1\n1 2 1\n2 1 -1\n2 2 1\n", 1),
+    ], ids=["unordered", "repeat-last-right", "repeat-last-wrong",
+            "entry-then-zero", "entry-missing", "zero-off-the-column",
+            "two-columns-wrong"])
+    def test_triples_in_any_order(self, k, triples, bad_cell):
+        # a file need not be in the writer's order: a repeated entry keeps
+        # its last value and zero entries are dropped
+        text = serialize_complex(filled_triangle())
+        block = text.split(f"boundary {k}\n")[1].split("end\n")[0]
+        text = text.replace(f"boundary {k}\n{block}", f"boundary {k}\n{triples}")
+        if bad_cell is None:
+            parse_complex(text)
+        else:
+            with pytest.raises(NotSimplicial, match=rf"^cell \(dim {k}, "
+                               rf"{bad_cell}\): the boundary in the file"):
+                parse_complex(text)
+
     def test_rejects_repeated_simplex(self):
         # two copies of one triangle, each with its own matching column:
         # the second copy would hide the first from simplex_index
