@@ -146,7 +146,7 @@ def cmd_homology(args):
 
     # a modulus that is not prime is a usage error before any file is read
     ring = {"Z": RING_Z, "Q": RING_Q}.get(args.ring) or ring_zp(args.prime)
-    X, _, _ = read_complex(args.infile)
+    X, _ = read_complex(args.infile)
     for row in homology_summary(X, ring):
         torsion = " ".join(str(t) for t in row["torsion"])
         print(f"H^{row['degree']}: free {row['free_rank']}"

@@ -1,15 +1,11 @@
 """The complex interchange format: one structured text file per complex.
 
-Layout (version 1, line oriented, `#` comments ignored):
+Layout (version 2, line oriented, `#` comments ignored):
 
-    coarse-kit-complex v1
+    coarse-kit-complex v2
     dim 2
     counts 6 9 4
-    boundary 1          # sparse triples "row col coeff", sorted row-major
-    0 0 -1
-    ...
-    end
-    simplices 1         # optional, one line of vertex ids per cell
+    simplices 1         # one block per level 0..dim, vertex ids per cell
     0 1
     ...
     end
@@ -17,9 +13,21 @@ Layout (version 1, line oriented, `#` comments ignored):
     cochain obstruction degree=2 ring=Z      # sparse "cell value" pairs
     2 1
     end
-    cover arcs kind=explicit                 # one vertex-set line per member
-    0 1 2
+
+A file has one form.  A simplicial complex is written as its simplex blocks
+only: the vertex tuples fix every boundary.  Face i of the k-simplex
+``(v0..vk)`` is the tuple without ``v_i``; it enters the boundary column of
+that simplex with coefficient ``(-1)^i``, at the row of that face's position
+in level k-1.  A cell complex, such as an interval product, has no simplex
+tables and is written as its boundary blocks instead, one per k = 1..dim:
+
+    boundary 1          # sparse triples "row col coeff", sorted row-major
+    0 0 -1
+    ...
     end
+
+A ``v1`` file (boundary blocks beside the simplex blocks, and cover
+sections) is refused.
 
 Serialization is deterministic: cells in index order, triples sorted
 row-major, labels and cochains sorted by name.  All numbers are integers or
@@ -32,9 +40,9 @@ from operator import sub
 
 from .cochains import Cochain, RING_Q, RING_Z, is_prime, ring_zp
 from .complexes import CellComplex
-from .errors import NotSimplicial, ShapeMismatch
+from .errors import ShapeMismatch
 
-FORMAT_VERSION = "v1"
+FORMAT_VERSION = "v2"
 MAGIC = "coarse-kit-complex"
 
 
@@ -78,20 +86,21 @@ def _simplex_text(level, k):
         chain.from_iterable(level))
 
 
-def serialize_complex(X, cochains=None, covers=None):
-    """Render a complex (plus optional cochains/covers) to format text.
+def serialize_complex(X, cochains=None):
+    """Render a complex (plus optional cochains) to format text.
 
-    Boundary and simplex levels, which hold nearly all the bytes, are each
-    rendered by one bulk format; labels, cochains and covers line by line.
+    Simplex or boundary levels, which hold nearly all the bytes, are each
+    rendered by one bulk format; labels and cochains line by line.
     """
     parts = [f"{MAGIC} {FORMAT_VERSION}\ndim {X.dim}\ncounts "
              + " ".join(str(c) for c in X.counts) + "\n"]
-    for k in range(1, X.dim + 1):
-        parts += [f"boundary {k}\n", _boundary_text(X.boundary_table(k)),
-                  "end\n"]
     if X.is_simplicial:
         for k in range(X.dim + 1):
             parts += [f"simplices {k}\n", _simplex_text(X.simplices[k], k),
+                      "end\n"]
+    else:
+        for k in range(1, X.dim + 1):
+            parts += [f"boundary {k}\n", _boundary_text(X.boundary_table(k)),
                       "end\n"]
     lines = []
     for name in sorted(X.labels):
@@ -105,19 +114,13 @@ def serialize_complex(X, cochains=None, covers=None):
             if v != 0:
                 lines.append(f"{i} {_num_to_str(v)}")
         lines.append("end")
-    for name in sorted(covers or {}):
-        cov = covers[name]
-        lines.append(f"cover {name} kind={cov.kind}")
-        for s in cov.sets:
-            lines.append(" ".join(str(v) for v in sorted(s)))
-        lines.append("end")
     if lines:
         parts.append("\n".join(lines) + "\n")
     return "".join(parts)
 
 
-def write_complex(path, X, cochains=None, covers=None):
-    text = serialize_complex(X, cochains=cochains, covers=covers)
+def write_complex(path, X, cochains=None):
+    text = serialize_complex(X, cochains=cochains)
     with open(path, "w") as fp:
         fp.write(text)
     return text
@@ -175,20 +178,21 @@ def _meta(n, ln, fields, keys):
 
 
 def parse_complex(text):
-    """Parse format text back into (complex, cochains, covers).
+    """Parse format text back into (complex, cochains).
 
-    Cochains come back as raw dicts (degree, ring, values); covers as
-    (kind, vertex sets) — the caller owns rebinding them to richer types.
-    A malformed file raises ``ShapeMismatch`` naming the line at fault: a
-    bad header, a block without ``end``, a short or non-integer row, a
-    row, column, cell or dimension out of range, or a ring that is not Z,
-    Q or Z_p with p prime.
+    Cochains come back as raw dicts (degree, ring, values); the caller
+    binds them to the complex with :func:`bind_cochain`.  A malformed file
+    raises ``ShapeMismatch`` naming the line at fault: a bad header (a
+    ``v1`` file among them), a block without ``end``, a short or
+    non-integer row, a row, column, cell, degree or dimension out of range,
+    a boundary block in a file with simplex blocks, a label or cochain name
+    given twice, a ring that is not Z, Q or Z_p with p prime, or a value
+    that is not an integer in a Z or Z_p cochain.
 
-    A file with simplex blocks is a simplicial complex: it is made from the
-    vertex tuples by :meth:`CellComplex.from_simplices`, which raises
-    ``NotSimplicial`` for a bad, repeated or faceless tuple, and each
-    boundary column of the file (zero entries dropped) must equal the one
-    computed, or ``NotSimplicial`` names the first cell that differs.
+    A file with simplex blocks is a simplicial complex, made from its
+    vertex tuples alone by :meth:`CellComplex.from_simplices`, which
+    computes every boundary, checks d^2 = 0 and raises ``NotSimplicial``
+    for a bad, repeated or faceless tuple.
     """
     lines = _content_lines(text)
     head = next(lines, (None, ""))[1].split()
@@ -201,10 +205,10 @@ def parse_complex(text):
     dim = dims[0]
     # per boundary level, the rows, columns and coefficients of its triples
     triples = [None] + [([], [], []) for _ in range(dim)]
+    boundary_line = None
     simplices = None
     labels = {}
     cochains = {}
-    covers = {}
     for n, ln in lines:
         parts = ln.split()
         kind = parts[0]
@@ -213,9 +217,15 @@ def parse_complex(text):
             if not (0 if kind == "simplices" else 1) <= k <= dim:
                 raise ShapeMismatch(
                     f"line {n}: {kind} {k} out of range for dim {dim}")
-        elif kind in ("label", "cochain", "cover") and len(parts) < 2:
-            raise ShapeMismatch(f"line {n}: {kind} without a name")
+        elif kind in ("label", "cochain"):
+            if len(parts) < 2:
+                raise ShapeMismatch(f"line {n}: {kind} without a name")
+            if parts[1] in (labels if kind == "label" else cochains):
+                raise ShapeMismatch(
+                    f"line {n}: {kind} {parts[1]} given twice")
         if kind == "boundary":
+            if boundary_line is None:
+                boundary_line = n
             rows, cols, coefs = triples[k]
             n_rows, n_cols = counts[k - 1], counts[k]
             for n, row in _block(lines, n, ln):
@@ -250,32 +260,31 @@ def parse_complex(text):
         elif kind == "cochain":
             meta = _meta(n, ln, parts[2:], ("degree", "ring"))
             degree, = _ints(n, meta["degree"], "an integer degree", 1)
+            if not 0 <= degree <= dim:
+                raise ShapeMismatch(
+                    f"line {n}: degree {degree} out of range for dim {dim}")
             ring = meta["ring"]
             if ring not in ("Z", "Q") and not (
                     ring[:1] == "Z" and ring[1:].isdigit()
                     and is_prime(int(ring[1:]))):
                 raise ShapeMismatch(f"line {n}: unknown ring {ring!r}")
-            n_cells = counts[degree] if 0 <= degree <= dim else 0
+            # only a Q cochain may hold p/q values
+            num, what = ((_num_from_str, "'cell value'") if ring == "Q"
+                         else (int, "'cell value' with an integer value"))
             values = {}
             for n, row in _block(lines, n, ln):
                 try:
                     i, v = row.split()
-                    i, v = int(i), _num_from_str(v)
+                    i, v = int(i), num(v)
                 except (ValueError, ZeroDivisionError):
-                    raise ShapeMismatch(f"line {n}: expected 'cell value', "
+                    raise ShapeMismatch(f"line {n}: expected {what}, "
                                         f"got {row!r}") from None
-                if not 0 <= i < n_cells:
+                if not 0 <= i < counts[degree]:
                     raise ShapeMismatch(f"line {n}: cell {i} out of range "
                                         f"for degree {degree}")
                 values[i] = v
             cochains[parts[1]] = {"degree": degree, "ring": ring,
                                   "values": values}
-        elif kind == "cover":
-            meta = _meta(n, ln, parts[2:], ())
-            sets = [set(_ints(n, row, "vertex ids"))
-                    for n, row in _block(lines, n, ln)]
-            covers[parts[1]] = {"kind": meta.get("kind", "explicit"),
-                                "sets": sets}
         else:
             raise ShapeMismatch(f"line {n}: unrecognized line: {ln!r}")
     if simplices is None:
@@ -285,43 +294,15 @@ def parse_complex(text):
             for r, j, c in zip(*triples[k]):
                 columns[j][r] = c
             boundaries.append(columns)
-        return CellComplex(counts, boundaries, labels=labels), cochains, covers
+        return CellComplex(counts, boundaries, labels=labels), cochains
+    if boundary_line is not None:
+        raise ShapeMismatch(f"line {boundary_line}: a boundary block in a "
+                            f"file with simplex blocks")
     for k, level in enumerate(simplices):
         if len(level) != counts[k]:
             raise ShapeMismatch(f"simplices {k}: {len(level)} vertex "
                                 f"tuples for {counts[k]} cells")
-    X = CellComplex.from_simplices(simplices, labels=labels)
-    for k in range(1, X.dim + 1):
-        j = _first_differing_column(triples[k], X.boundary_table(k), counts[k])
-        if j is not None:
-            raise NotSimplicial(
-                f"cell (dim {k}, {j}): the boundary in the file is not "
-                f"the alternating boundary of simplex {X.simplex(k, j)}")
-    return X, cochains, covers
-
-
-def _first_differing_column(triples, table, n_cols):
-    """The first column where a boundary block's triples, a repeated
-    (row, col) keeping its last value and zero entries dropped, differ
-    from a boundary table; None where none does.
-
-    Both sides are compared row-major: the table in the order
-    :func:`serialize_complex` writes it, which a file it wrote has
-    already, and otherwise the triples sorted by (row, col).
-    """
-    want = tuple(map(list, _row_major(table)))
-    if triples == want:
-        return None
-    rows, cols, coefs = triples
-    key = [r * n_cols + j for r, j in zip(rows, cols)]
-    order = sorted(range(len(key)), key=key.__getitem__)
-    kept = [t for t, u in zip(order, order[1:] + [None])
-            if coefs[t] and (u is None or key[u] != key[t])]
-    got = ([rows[t] for t in kept], [cols[t] for t in kept],
-           [coefs[t] for t in kept])
-    if got == want:
-        return None
-    return min(j for _, j, _ in set(zip(*got)) ^ set(zip(*want)))
+    return CellComplex.from_simplices(simplices, labels=labels), cochains
 
 
 def read_complex(path):

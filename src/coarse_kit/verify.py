@@ -426,7 +426,7 @@ def _read_witness(out, name, path, cochain_names):
     """A witness file's complex and its named cochains bound to it, or None
     after a FAIL record ``name`` saying why the file cannot be read."""
     try:
-        X, raw, _ = read_complex(path)
+        X, raw = read_complex(path)
         return X, [bind_cochain(X, raw[c]) for c in cochain_names]
     except OSError as exc:
         reason = f"cannot read {os.path.basename(path)}: {exc.strerror}"

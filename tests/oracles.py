@@ -44,6 +44,8 @@ top simplices only and let the face closure derive the rest.
 ``oracle_serialize_complex`` is the line-by-line ``.ckx`` writer (one
 string per line, triples bucketed by row) that the bulk level formats of
 ``interchange.serialize_complex`` replaced; the two must give the same text.
+It writes format v2, as the package does: simplex blocks only for a
+simplicial complex, boundary blocks for any other.
 
 ``ilp_min_linf`` is the second reference for minimal sup-norms: a generic
 branch and bound (integer bounds propagation plus the package's exact box
@@ -1204,32 +1206,34 @@ def oracle_pullback_complex(chi, phi, tau, size_guard):
             pair_index)
 
 
-def oracle_serialize_complex(X, cochains=None, covers=None):
-    """Format text of a complex, one string per line, triples row-major."""
+def oracle_serialize_complex(X, cochains=None):
+    """Format v2 text of a complex, one string per line: simplex blocks for
+    a simplicial complex, boundary triples row-major for any other."""
 
     def num(v):
         if isinstance(v, Fraction) and v.denominator != 1:
             return f"{v.numerator}/{v.denominator}"
         return str(int(v))
 
-    lines = ["coarse-kit-complex v1", f"dim {X.dim}",
+    lines = ["coarse-kit-complex v2", f"dim {X.dim}",
              "counts " + " ".join(str(c) for c in X.counts)]
-    for k in range(1, X.dim + 1):
-        lines.append(f"boundary {k}")
-        # (row, col) pairs are unique and columns are visited in order, so
-        # per-row buckets come out sorted row-major
-        rows = [[] for _ in range(X.n_cells(k - 1))]
-        for j, col in enumerate(X.boundary_columns(k)):
-            for r, c in col.items():
-                rows[r].append(f"{r} {j} {c}")
-        for row in rows:
-            lines.extend(row)
-        lines.append("end")
     if X.is_simplicial:
         for k in range(X.dim + 1):
             lines.append(f"simplices {k}")
             for verts in X.simplices[k]:
                 lines.append(" ".join(map(str, verts)))
+            lines.append("end")
+    else:
+        for k in range(1, X.dim + 1):
+            lines.append(f"boundary {k}")
+            # (row, col) pairs are unique and columns are visited in order,
+            # so per-row buckets come out sorted row-major
+            rows = [[] for _ in range(X.n_cells(k - 1))]
+            for j, col in enumerate(X.boundary_columns(k)):
+                for r, c in col.items():
+                    rows[r].append(f"{r} {j} {c}")
+            for row in rows:
+                lines.extend(row)
             lines.append("end")
     for name in sorted(X.labels):
         cells = " ".join(f"{d}:{i}" for d, i in X.labels[name])
@@ -1241,11 +1245,5 @@ def oracle_serialize_complex(X, cochains=None, covers=None):
         for i, v in enumerate(c.values):
             if v != 0:
                 lines.append(f"{i} {num(v)}")
-        lines.append("end")
-    for name in sorted(covers or {}):
-        cov = covers[name]
-        lines.append(f"cover {name} kind={cov.kind}")
-        for s in cov.sets:
-            lines.append(" ".join(str(v) for v in sorted(s)))
         lines.append("end")
     return "\n".join(lines) + "\n"

@@ -120,34 +120,37 @@ class TestElementary:
 
     def test_new_complex_bad_edge_column_is_cell_mode_only(self):
         # two +1 entries in an edge column: dd = 0 is vacuous, so the cell
-        # constructor accepts it; a file giving the edge a simplex refuses it
+        # constructor accepts it; a file that gives the edge a simplex cannot
+        # also give it that column, since its boundary block is refused
         X = new_complex([2, 1], [None, [{0: 1, 1: 1}]])
         assert X.dim == 1
-        with pytest.raises(NotSimplicial, match=r"\(dim 1, 0\)"):
-            parse_complex(with_simplices(X, [[(0,), (1,)], [(0, 1)]]))
+        with pytest.raises(ShapeMismatch, match=BOUNDARY_BLOCK.format(4)):
+            parse_complex(serialize_complex(X) + simplices_text(
+                [[(0,), (1,)], [(0, 1)]]).split("counts 2 1\n")[1])
 
     def test_simplicial_boundary_checks(self):
-        # a file's columns must be the alternating boundaries of its simplices
+        # a simplicial file's columns are the alternating boundaries of its
+        # simplices: face i of (v0..vk) drops v_i with coefficient (-1)^i
+        Y = parse_complex(simplices_text(filled_triangle().simplices))[0]
+        assert Y.boundary_columns(1) == [{0: -1, 1: 1}, {0: -1, 2: 1},
+                                         {1: -1, 2: 1}]
+        assert Y.boundary_columns(2) == [{2: 1, 1: -1, 0: 1}]
+        # a boundary block beside the simplices is refused at its line,
+        # before or after them, whether or not its columns are right
         X = filled_triangle()
         bnd = [None] + [[dict(c) for c in X.boundary_columns(k)]
                         for k in (1, 2)]
-        # the face's boundary negated: d.d = 0 still holds
         bnd[2][0] = {r: -c for r, c in bnd[2][0].items()}
-        with pytest.raises(NotSimplicial, match=MISMATCH.format(2, 0)):
-            parse_complex(with_simplices(new_complex(X.counts, bnd),
-                                         X.simplices))
-        bnd[2][0] = {}
-        with pytest.raises(NotSimplicial, match=MISMATCH.format(2, 0)):
-            parse_complex(with_simplices(new_complex(X.counts, bnd),
-                                         X.simplices))
-        with pytest.raises(NotSimplicial, match=MISMATCH.format(1, 0)):
-            parse_complex(with_simplices(
-                new_complex([2, 1], [None, [{0: 1, 1: -1}]]),
-                [[(0,), (1,)], [(0, 1)]]))
+        text = simplices_text(X.simplices)
+        with pytest.raises(ShapeMismatch, match=BOUNDARY_BLOCK.format(4)):
+            parse_complex(serialize_complex(new_complex(X.counts, bnd))
+                          + text.split("counts 3 3 1\n")[1])
+        for column in ("0 0 1\n1 0 -1\n2 0 1\n", ""):
+            with pytest.raises(ShapeMismatch,
+                               match=BOUNDARY_BLOCK.format(17)):
+                parse_complex(text + f"boundary 2\n{column}end\n")
         with pytest.raises(NotSimplicial, match="bad vertex tuple"):
-            parse_complex(with_simplices(
-                new_complex([2, 1], [None, [{0: -1, 1: 1}]]),
-                [[(0,), (1,)], [(1, 0)]]))
+            parse_complex(simplices_text([[(0,), (1,)], [(1, 0)]]))
 
     def test_from_simplices_refuses_bad_levels(self):
         # a tuple too long for its level, which a file cannot give
@@ -179,23 +182,21 @@ class TestElementary:
 
     def test_simplex_with_missing_face_is_not_simplicial(self):
         with pytest.raises(NotSimplicial, match=r"face \(2,\)"):
-            parse_complex(with_simplices(
-                new_complex([2, 1], [None, [{0: -1, 1: 1}]]),
-                [[(0,), (1,)], [(0, 2)]]))
+            parse_complex(simplices_text([[(0,), (1,)], [(0, 2)]]))
 
 
-# how the reader names a cell whose column in the file is not the one its
-# simplex gives
-MISMATCH = r"cell \(dim {}, {}\): the boundary in the file is not"
+# how the reader names a boundary block in a file with simplex blocks
+BOUNDARY_BLOCK = r"^line {}: a boundary block in a file with simplex blocks"
 
 
-def with_simplices(X, levels):
-    """The .ckx text of X with one simplex block per level of vertex tuples
-    appended."""
-    return serialize_complex(X) + "".join(
-        f"simplices {k}\n" + "".join(" ".join(map(str, s)) + "\n"
-                                     for s in level) + "end\n"
-        for k, level in enumerate(levels))
+def simplices_text(levels):
+    """The .ckx text of a simplicial complex given by its levels of vertex
+    tuples, one simplex block per level."""
+    return (f"coarse-kit-complex v2\ndim {len(levels) - 1}\ncounts "
+            + " ".join(str(len(level)) for level in levels) + "\n"
+            + "".join(f"simplices {k}\n" + "".join(
+                " ".join(map(str, s)) + "\n" for s in level) + "end\n"
+                for k, level in enumerate(levels)))
 
 
 def random_simplices(rng, n_vertices, max_dim, count):
@@ -443,9 +444,8 @@ class TestFastPathTampering:
          r"^line \d+: expected 2 vertex ids, got '0 1 2'"),
     ], ids=["unsorted", "repeated", "too-long"])
     def test_bad_vertex_tuple(self, edges, error, cell):
-        X = new_complex([3, 2], [None, [{0: -1, 1: 1}, {1: -1, 2: 1}]])
         with pytest.raises(error, match=cell):
-            parse_complex(with_simplices(X, [[(0,), (1,), (2,)], edges]))
+            parse_complex(simplices_text([[(0,), (1,), (2,)], edges]))
 
     @pytest.mark.parametrize("row", [2, -1])
     def test_row_out_of_range(self, row):

@@ -4,70 +4,78 @@ from fractions import Fraction
 
 import pytest
 
-from coarse_kit import circle, filled_triangle, interchange, simplicial_complex
+from coarse_kit import (
+    circle,
+    filled_triangle,
+    interchange,
+    interval_product,
+    simplicial_complex,
+)
 from coarse_kit.cochains import Cochain, RING_Q, RING_Z, ring_zp
 from coarse_kit.complexes import CellComplex
-from coarse_kit.errors import NotSimplicial, ShapeMismatch
+from coarse_kit.errors import NotAChainComplex, NotSimplicial, ShapeMismatch
 from coarse_kit.interchange import (
     bind_cochain,
     parse_complex,
     serialize_complex,
     write_complex,
 )
-from coarse_kit.metric_nerve import CoverSpec
 from coarse_kit.towers import MkParams, build_Mk
 
 from oracles import oracle_serialize_complex
 from test_complexes import random_simplices
 
 
-def roundtrip(X, cochains=None, covers=None):
-    text = serialize_complex(X, cochains=cochains, covers=covers)
+def roundtrip(X, cochains=None):
+    text = serialize_complex(X, cochains=cochains)
     return parse_complex(text), text
+
+
+def as_cell_complex(X):
+    """X with the same boundaries but no simplex tables, which a file
+    gives as boundary blocks."""
+    return CellComplex(X.counts, [None] + [X.boundary_columns(k)
+                                           for k in range(1, X.dim + 1)])
 
 
 class TestRoundTrip:
     def test_circle(self):
-        (Y, cochains, covers), text = roundtrip(circle(5))
+        (Y, cochains), text = roundtrip(circle(5))
         assert Y.counts == [5, 5]
         assert Y.is_simplicial
         assert Y.simplices[1] == circle(5).simplices[1]
 
     def test_labels_survive(self):
         X = filled_triangle().relabeled({"seam": [(0, 0), (1, 2)]})
-        (Y, _, _), _ = roundtrip(X)
+        (Y, _), _ = roundtrip(X)
         assert Y.label_cells("seam") == ((0, 0), (1, 2))
 
     def test_cochain_roundtrip(self):
         X = circle(4)
         c = Cochain(X, 1, RING_Z, [3, 0, -2, 0])
-        (Y, cochains, _), _ = roundtrip(X, cochains={"w": c})
+        (Y, cochains), _ = roundtrip(X, cochains={"w": c})
         back = bind_cochain(Y, cochains["w"])
         assert back.values == c.values and back.degree == 1
 
     def test_zp_cochain(self):
         X = circle(4)
         c = Cochain(X, 0, ring_zp(5), [1, 2, 3, 4])
-        (Y, cochains, _), _ = roundtrip(X, cochains={"w": c})
+        (Y, cochains), _ = roundtrip(X, cochains={"w": c})
         back = bind_cochain(Y, cochains["w"])
         assert back.ring == ring_zp(5)
         assert back.values == c.values
-
-    def test_cover_roundtrip(self):
-        X = circle(6)
-        cov = CoverSpec(carrier=X, sets=[{0, 1, 2, 3}, {3, 4, 5, 0}])
-        (Y, _, covers), _ = roundtrip(X, covers={"arcs": cov})
-        assert covers["arcs"]["sets"] == [{0, 1, 2, 3}, {0, 3, 4, 5}]
 
     def test_mk_roundtrip_with_boundaries(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             b = build_Mk(MkParams(5, 2, 1, reduce=True))
-        (Y, _, _), _ = roundtrip(b.complex)
+        (Y, _), text = roundtrip(b.complex)
         assert Y.counts == b.complex.counts
         for k in range(1, Y.dim + 1):
             assert Y.boundary_columns(k) == b.complex.boundary_columns(k)
         assert Y.labels == b.complex.labels
+        # the boundaries come from the simplices alone
+        assert "\nboundary " not in text
 
     def test_deterministic_bytes(self):
         with warnings.catch_warnings():
@@ -80,6 +88,13 @@ class TestRoundTrip:
         with pytest.raises(ShapeMismatch):
             parse_complex("not a complex\n")
 
+    def test_rejects_v1(self):
+        text = serialize_complex(filled_triangle())
+        assert text.startswith("coarse-kit-complex v2\n")
+        with pytest.raises(ShapeMismatch,
+                           match="^not a coarse-kit-complex v2 file"):
+            parse_complex(text.replace(" v2\n", " v1\n", 1))
+
     def test_rejects_simplex_with_missing_face(self):
         text = serialize_complex(simplicial_complex([(0, 1)]))
         assert "simplices 1\n0 1\nend" in text
@@ -88,12 +103,11 @@ class TestRoundTrip:
                                        "simplices 1\n0 2\nend"))
 
     def test_rejects_vertex_ids_that_are_not_positions(self):
-        # vertex lines 0 and 5 and the edge 0 5, whose column matches the
-        # faces found by vertex id; vertex 5 is cell 1, so maps and cell
-        # removal would read past the vertex level
-        text = ("coarse-kit-complex v1\ndim 1\ncounts 2 1\nboundary 1\n"
-                "0 0 -1\n1 0 1\nend\nsimplices 0\n0\n5\nend\n"
-                "simplices 1\n0 5\nend\n")
+        # vertex lines 0 and 5 and the edge 0 5, whose faces are found by
+        # vertex id; vertex 5 is cell 1, so maps and cell removal would read
+        # past the vertex level
+        text = ("coarse-kit-complex v2\ndim 1\ncounts 2 1\nsimplices 0\n0\n"
+                "5\nend\nsimplices 1\n0 5\nend\n")
         with pytest.raises(NotSimplicial, match=r"vertex \(5,\) at cell "
                            r"\(dim 0, 1\)"):
             parse_complex(text)
@@ -106,32 +120,33 @@ class TestRoundTrip:
         (2, "0 0 1\n1 0 -1\n2 0 1\n2 0 0\n", 0),
         (2, "0 0 1\n1 0 -1\n", 0),
         (1, "0 0 -1\n0 1 -1\n1 0 1\n1 2 -1\n2 1 1\n2 2 1\n2 0 0\n", None),
-        # edge 2 differs in row 1, edge 1 only in row 2: edge 1 is named
-        (1, "0 0 -1\n0 1 -1\n1 0 1\n1 2 1\n2 1 -1\n2 2 1\n", 1),
+        (1, "0 0 -1\n0 1 -1\n1 0 1\n1 2 1\n2 1 -1\n2 2 1\n", 0),
     ], ids=["unordered", "repeat-last-right", "repeat-last-wrong",
             "entry-then-zero", "entry-missing", "zero-off-the-column",
             "two-columns-wrong"])
     def test_triples_in_any_order(self, k, triples, bad_cell):
-        # a file need not be in the writer's order: a repeated entry keeps
-        # its last value and zero entries are dropped
-        text = serialize_complex(filled_triangle())
+        # a cell-complex file need not be in the writer's order: a repeated
+        # entry keeps its last value and zero entries are dropped; a column
+        # read wrong breaks d.d = 0 at the triangle
+        X = as_cell_complex(filled_triangle())
+        text = serialize_complex(X)
         block = text.split(f"boundary {k}\n")[1].split("end\n")[0]
         text = text.replace(f"boundary {k}\n{block}", f"boundary {k}\n{triples}")
         if bad_cell is None:
-            parse_complex(text)
+            Y = parse_complex(text)[0]
+            for d in (1, 2):
+                assert Y.boundary_columns(d) == X.boundary_columns(d)
         else:
-            with pytest.raises(NotSimplicial, match=rf"^cell \(dim {k}, "
-                               rf"{bad_cell}\): the boundary in the file"):
+            with pytest.raises(NotAChainComplex,
+                               match=rf"at cell \(dim 2, index {bad_cell}\)"):
                 parse_complex(text)
 
     def test_rejects_repeated_simplex(self):
-        # two copies of one triangle, each with its own matching column:
-        # the second copy would hide the first from simplex_index
-        X = filled_triangle()
-        text = serialize_complex(X).replace("counts 3 3 1", "counts 3 3 2")
-        assert "\n2 0 1\nend\n" in text and "simplices 2\n0 1 2\n" in text
-        text = text.replace("\n2 0 1\nend\n", "\n2 0 1\n0 1 1\n1 1 -1\n"
-                            "2 1 1\nend\n")
+        # two copies of one triangle: the second copy would hide the first
+        # from simplex_index
+        text = serialize_complex(filled_triangle()).replace(
+            "counts 3 3 1", "counts 3 3 2")
+        assert "simplices 2\n0 1 2\n" in text
         text = text.replace("simplices 2\n0 1 2\n", "simplices 2\n0 1 2\n"
                             "0 1 2\n")
         with pytest.raises(NotSimplicial, match=r"simplex \(0, 1, 2\) at "
@@ -140,42 +155,43 @@ class TestRoundTrip:
             parse_complex(text)
 
     def test_triples_sorted_row_major(self):
-        text = serialize_complex(filled_triangle())
-        block = text.split("boundary 1\n")[1].split("end")[0].strip().splitlines()
-        triples = [tuple(int(v) for v in ln.split()) for ln in block]
-        assert triples == sorted(triples)
+        text = serialize_complex(interval_product(circle(3), 2).complex)
+        for k in (1, 2):
+            block = text.split(f"boundary {k}\n")[1].split("end")[0]
+            triples = [tuple(int(v) for v in ln.split())
+                       for ln in block.strip().splitlines()]
+            assert triples == sorted(triples)
 
 
 def tamper_simplicial(rng, X, text):
     """One random edit of the .ckx text of a simplicial complex X that the
-    reader must refuse, and its kind: a triple negated or moved to another
-    row, a simplex line overwritten by another line of its level, two
-    vertices of a simplex swapped, or a simplex given a face that is not
-    there (its last vertex replaced by a new one)."""
+    reader must refuse, the kind of edit and the error it must raise: a
+    boundary block of X added (the v1 form), a simplex line overwritten by
+    another line of its level, two vertices of a simplex swapped, or a
+    simplex given a face that is not there (its last vertex replaced by a
+    new one)."""
     lines = text.splitlines(keepends=True)
-    triples, simplices = [], {}
+    simplices = {}
     block = None
     for t, ln in enumerate(lines):
         words = ln.split()
-        if words[0] in ("boundary", "simplices"):
-            block = (words[0], int(words[1]))
+        if words[0] == "simplices":
+            block = int(words[1])
         elif words[0] == "end":
             block = None
-        elif block and block[0] == "boundary":
-            triples.append((t, block[1]))
-        elif block:
-            simplices.setdefault(block[1], []).append(t)
-    kind = rng.choice(["negate", "move", "duplicate", "swap", "no-face"]
-                      if triples else ["duplicate"])
-    if kind in ("negate", "move"):
-        t, k = rng.choice(triples)
-        r, j, c = map(int, lines[t].split())
-        if kind == "negate":
-            c = -c
-        else:
-            r = rng.choice([x for x in range(X.n_cells(k - 1)) if x != r])
-        lines[t] = f"{r} {j} {c}\n"
-    elif kind == "duplicate":
+        elif block is not None:
+            simplices.setdefault(block, []).append(t)
+    kind = rng.choice(["boundary", "duplicate", "swap", "no-face"]
+                      if X.dim else ["duplicate"])
+    if kind == "boundary":
+        k = rng.randint(1, X.dim)
+        cell_text = serialize_complex(as_cell_complex(X))
+        block = cell_text[cell_text.index(f"boundary {k}\n"):]
+        block = block[:block.index("end\n") + 4]
+        t = rng.choice([3, len(lines)])
+        lines.insert(t, block)
+        return "".join(lines), kind, (ShapeMismatch, rf"^line {t + 1}: ")
+    if kind == "duplicate":
         level = rng.choice([ts for ts in simplices.values() if len(ts) >= 2])
         t, u = rng.sample(level, 2)
         lines[t] = lines[u]
@@ -188,7 +204,7 @@ def tamper_simplicial(rng, X, text):
         else:
             verts[-1] = str(X.n_cells(0))
         lines[t] = " ".join(verts) + "\n"
-    return "".join(lines), kind
+    return "".join(lines), kind, (NotSimplicial, None)
 
 
 class TestSimplicialRoundTripAndTamper:
@@ -201,19 +217,19 @@ class TestSimplicialRoundTripAndTamper:
                 rng, rng.randint(2, 7), rng.randint(0, 3), rng.randint(1, 6))
                 + [(1,)])
             text = serialize_complex(X)
-            Y, _, _ = parse_complex(text)
+            Y, _ = parse_complex(text)
             assert Y.counts == X.counts and Y.simplices == X.simplices
             for k in range(1, X.dim + 1):
                 # the same columns with the same entry order
                 assert [list(c.items()) for c in Y.boundary_columns(k)] == \
                     [list(c.items()) for c in X.boundary_columns(k)]
             assert serialize_complex(Y) == text
-            bad, kind = tamper_simplicial(rng, X, text)
+            bad, kind, (error, match) = tamper_simplicial(rng, X, text)
             assert bad != text
-            with pytest.raises(NotSimplicial):
+            with pytest.raises(error, match=match):
                 parse_complex(bad)
             seen.add(kind)
-        assert seen == {"negate", "move", "duplicate", "swap", "no-face"}
+        assert seen == {"boundary", "duplicate", "swap", "no-face"}
 
 
 def random_cell_complex(rng, X):
@@ -247,7 +263,7 @@ def random_cell_complex(rng, X):
 
 
 def random_extras(rng, X):
-    """Random labels, Z/Q/Z_p cochains and covers on X."""
+    """Random labels and Z/Q/Z_p cochains on X."""
     labels = {}
     for name in rng.sample(["seam", "a", "zz", "empty"], rng.randint(0, 3)):
         cells = [(d, rng.randrange(X.n_cells(d)))
@@ -265,15 +281,7 @@ def random_extras(rng, X):
             vals = [rng.choice([0, 0, rng.randint(-9, 9)])
                     for _ in range(X.n_cells(d))]
         cochains[name] = Cochain(X, d, ring, vals)
-    covers = {}
-    n = X.n_cells(0)
-    for name in rng.sample(["arcs", "stars"], rng.randint(0, 2)):
-        sets = [set(rng.sample(range(n), rng.randint(1, n)))
-                for _ in range(rng.randint(0, 3))]
-        sets.append(set(range(n)) - set().union(*sets) or {0})
-        covers[name] = CoverSpec(carrier=X, sets=sets,
-                                 kind=rng.choice(["explicit", "ball"]))
-    return X.relabeled(labels), cochains, covers
+    return X.relabeled(labels), cochains
 
 
 class TestBulkSerializerAgainstOracle:
@@ -285,20 +293,16 @@ class TestBulkSerializerAgainstOracle:
                 rng, rng.randint(1, 7), rng.randint(0, 3), rng.randint(1, 6)))
             if trial % 2:
                 X = random_cell_complex(rng, X)
-            X, cochains, covers = random_extras(rng, X)
-            text = serialize_complex(X, cochains=cochains, covers=covers)
-            assert text == oracle_serialize_complex(X, cochains, covers)
-            Y, raw, raw_covers = parse_complex(text)
+            X, cochains = random_extras(rng, X)
+            text = serialize_complex(X, cochains=cochains)
+            assert text == oracle_serialize_complex(X, cochains)
+            Y, raw = parse_complex(text)
             assert Y.counts == X.counts and Y.labels == X.labels
             assert Y.simplices == X.simplices
             for k in range(1, X.dim + 1):
                 assert Y.boundary_columns(k) == X.boundary_columns(k)
             for name, c in cochains.items():
                 assert bind_cochain(Y, raw[name]) == c
-            assert {name: (cov["kind"], cov["sets"])
-                    for name, cov in raw_covers.items()} == {
-                name: (cov.kind, [set(s) for s in cov.sets])
-                for name, cov in covers.items()}
             seen.add("simplicial" if X.is_simplicial else "cell")
             if X.dim == 0:
                 seen.add("dim-0")
@@ -316,11 +320,8 @@ class TestBulkSerializerAgainstOracle:
                 if any(isinstance(v, Fraction) and v.denominator != 1
                        for v in c.values):
                     seen.add("p/q")
-            if covers:
-                seen.add("covers")
         assert seen == {"simplicial", "cell", "dim-0", "empty level",
-                        "unsorted column", "labels", "Z", "Q", "Zp", "p/q",
-                        "covers"}
+                        "unsorted column", "labels", "Z", "Q", "Zp", "p/q"}
 
     def test_mk_bytes(self):
         with warnings.catch_warnings():
@@ -352,61 +353,85 @@ def test_write_complex_goes_through_serialize_complex(tmp_path, monkeypatch):
 
 VALID = serialize_complex(
     filled_triangle().relabeled({"seam": [(0, 0), (1, 2)]}),
-    cochains={"w": Cochain(filled_triangle(), 1, RING_Z, [1, 0, -2])},
-    covers={"c": CoverSpec(carrier=filled_triangle(), sets=[{0, 1, 2}])})
+    cochains={"w": Cochain(filled_triangle(), 1, RING_Z, [1, 0, -2])})
 
-# edits of VALID that parse_complex must refuse, and the line at fault
+# a cell complex, whose file has boundary blocks
+VALID_CELL = serialize_complex(interval_product(circle(3), 2).complex)
+
+# edits of VALID (or VALID_CELL) that parse_complex must refuse, and the line
+# at fault
 MALFORMED = {
-    "truncated-row": (lambda t: t.replace("1 0 1\n", "1 0\n", 1), 7),
-    "non-integer-row": (lambda t: t.replace("1 0 1\n", "1 x 1\n", 1), 7),
-    "row-out-of-range": (lambda t: t.replace("1 0 1\n", "3 0 1\n", 1), 7),
-    "column-out-of-range": (lambda t: t.replace("1 0 1\n", "1 3 1\n", 1), 7),
-    "negative-column": (lambda t: t.replace("1 0 1\n", "1 -1 1\n", 1), 7),
-    "truncated-file": (lambda t: t[:t.index("end")], 4),
-    "no-end": (lambda t: t.split("simplices 0")[0].rsplit("end", 1)[0], 12),
+    "truncated-row": (lambda t: t.replace("1 0 1\n", "1 0\n", 1), 8),
+    "non-integer-row": (lambda t: t.replace("1 0 1\n", "1 x 1\n", 1), 8),
+    "row-out-of-range": (lambda t: t.replace("1 0 1\n", "9 0 1\n", 1), 8),
+    "column-out-of-range": (lambda t: t.replace("1 0 1\n", "1 15 1\n", 1), 8),
+    "negative-column": (lambda t: t.replace("1 0 1\n", "1 -1 1\n", 1), 8),
+    "no-end": (lambda t: t.split("label")[0].rsplit("end", 1)[0], 36),
     "boundary-zero": (lambda t: t.replace("boundary 1", "boundary 0"), 4),
     "boundary-out-of-range":
-        (lambda t: t.replace("boundary 2", "boundary 3"), 12),
+        (lambda t: t.replace("boundary 2", "boundary 3"), 36),
+}
+MALFORMED = {name: (VALID_CELL, edit, line)
+             for name, (edit, line) in MALFORMED.items()}
+MALFORMED.update({name: (VALID, edit, line) for name, (edit, line) in {
+    "truncated-file": (lambda t: t[:t.index("end")], 4),
     "counts-dim-mismatch":
         (lambda t: t.replace("counts 3 3 1", "counts 3 3"), 3),
     "non-integer-dim": (lambda t: t.replace("dim 2", "dim two"), 2),
+    "boundary-in-simplicial-file": (lambda t: t.replace(
+        "counts 3 3 1\n", "counts 3 3 1\nboundary 1\n0 0 -1\nend\n"), 4),
     "simplices-out-of-range":
-        (lambda t: t.replace("simplices 2", "simplices 3"), 27),
+        (lambda t: t.replace("simplices 2", "simplices 3"), 14),
     "short-simplex":
-        (lambda t: t.replace("simplices 2\n0 1 2", "simplices 2\n0 1"), 28),
-    "label-out-of-range": (lambda t: t.replace("1:2", "1:9"), 30),
-    "cochain-no-degree": (lambda t: t.replace(" degree=1", ""), 31),
+        (lambda t: t.replace("simplices 2\n0 1 2", "simplices 2\n0 1"), 15),
+    "label-out-of-range": (lambda t: t.replace("1:2", "1:9"), 17),
+    "label-repeated": (lambda t: t.replace(
+        "label seam 0:0 1:2\n", "label seam 0:0 1:2\nlabel seam 0:1\n"), 18),
+    "cochain-no-degree": (lambda t: t.replace(" degree=1", ""), 18),
+    # an empty cochain of a degree the complex does not have
+    "cochain-degree-above-dim": (lambda t: t.replace(
+        "degree=1 ring=Z\n0 1\n2 -2\n", "degree=7 ring=Z\n"), 18),
+    "cochain-degree-negative": (lambda t: t.replace(
+        "degree=1 ring=Z\n0 1\n2 -2\n", "degree=-1 ring=Z\n"), 18),
     "cochain-cell-out-of-range":
-        (lambda t: t.replace("\n2 -2\n", "\n5 -2\n"), 33),
-    "cochain-bad-value": (lambda t: t.replace("\n2 -2\n", "\n2 -2/0\n"), 33),
-    "cover-non-integer": (lambda t: t.replace("kind=explicit\n0 1 2",
-                                              "kind=explicit\n0 1 b"), 36),
+        (lambda t: t.replace("\n2 -2\n", "\n5 -2\n"), 20),
+    "cochain-bad-value": (lambda t: t.replace("\n2 -2\n", "\n2 -2/0\n"), 20),
+    # only a Q cochain holds p/q values
+    "cochain-non-integer-z":
+        (lambda t: t.replace("\n2 -2\n", "\n2 1/2\n"), 20),
+    "cochain-non-integer-zp": (lambda t: t.replace("ring=Z", "ring=Z7")
+                               .replace("\n2 -2\n", "\n2 1/2\n"), 20),
+    "cochain-repeated": (lambda t: t + "cochain w degree=0 ring=Q\nend\n", 22),
     # Z_n is a ring of the format only for n prime
-    "cochain-ring-z0": (lambda t: t.replace("ring=Z", "ring=Z0"), 31),
-    "cochain-ring-z1": (lambda t: t.replace("ring=Z", "ring=Z1"), 31),
-    "cochain-ring-z4": (lambda t: t.replace("ring=Z", "ring=Z4"), 31),
-}
+    "cochain-ring-z0": (lambda t: t.replace("ring=Z", "ring=Z0"), 18),
+    "cochain-ring-z1": (lambda t: t.replace("ring=Z", "ring=Z1"), 18),
+    "cochain-ring-z4": (lambda t: t.replace("ring=Z", "ring=Z4"), 18),
+}.items()})
 
 
 class TestMalformedInput:
     def test_valid_layout(self):
-        # the line numbers of MALFORMED refer to this layout
+        # the line numbers of MALFORMED refer to these layouts
         lines = VALID.splitlines()
-        assert [lines[i] for i in (3, 6, 11, 26, 32, 35)] == [
-            "boundary 1", "1 0 1", "boundary 2", "simplices 2", "2 -2",
-            "0 1 2"]
-        assert lines[29] == "label seam 0:0 1:2"
-        assert lines[30] == "cochain w degree=1 ring=Z"
+        assert [lines[i] for i in (3, 13, 14, 16, 17, 19)] == [
+            "simplices 0", "simplices 2", "0 1 2", "label seam 0:0 1:2",
+            "cochain w degree=1 ring=Z", "2 -2"]
+        assert len(lines) == 21
+        lines = VALID_CELL.splitlines()
+        assert [lines[i] for i in (3, 7, 35)] == [
+            "boundary 1", "1 0 1", "boundary 2"]
+        assert lines[2] == "counts 9 15 6"
         parse_complex(VALID)
+        parse_complex(VALID_CELL)
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_refused_with_line(self, name):
-        edit, line = MALFORMED[name]
-        text = edit(VALID)
-        assert text != VALID
+        valid, edit, line = MALFORMED[name]
+        text = edit(valid)
+        assert text != valid
         with pytest.raises(ShapeMismatch, match=f"^line {line}: "):
             parse_complex(text)
 
     def test_prime_ring_accepted(self):
-        _, cochains, _ = parse_complex(VALID.replace("ring=Z", "ring=Z7"))
+        _, cochains = parse_complex(VALID.replace("ring=Z", "ring=Z7"))
         assert cochains["w"]["ring"] == "Z7"
