@@ -635,7 +635,9 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
 
     Returns (optimum, witness vector over ``cols``, meta).  ``cols`` are the
     non-subcomplex edge indices; potentials live on non-subcomplex vertices
-    with subcomplex vertices grounded at zero.  ``M`` is the relative
+    with subcomplex vertices grounded at zero.  A loop (an edge with an empty
+    boundary) joins the ground to itself; an edge that is neither head - tail
+    nor a loop raises ShapeMismatch naming it.  ``M`` is the relative
     coboundary out of degree 1 (rows: 2-cells, columns: ``cols``) and the
     vectors of ``K`` are a basis of its integer kernel.  A search that
     needs more than ``node_limit`` lattice evaluations raises
@@ -654,8 +656,17 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
     ends = X.edge_ends()
     edge_ends = []
     for e in cols:
-        tail, head = ends[e]
-        edge_ends.append((node_of.get(tail, ground), node_of.get(head, ground)))
+        if ends[e] is not None:
+            tail, head = ends[e]
+            edge_ends.append((node_of.get(tail, ground),
+                              node_of.get(head, ground)))
+        elif not X.boundary_of(1, e):
+            # a loop: |w_e| <= B whatever the potentials, so on the ground
+            edge_ends.append((ground, ground))
+        else:
+            raise ShapeMismatch(
+                f"edge {e} has boundary {X.boundary_of(1, e)}: the potentials "
+                "need every edge to be head - tail or a loop")
 
     # d0_cols[i] is the coboundary of the i-th free vertex: column i of delta0
     delta0 = _coboundary_block(X, 0, cols, free_verts)

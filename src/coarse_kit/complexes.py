@@ -99,24 +99,6 @@ def _face_rows(level, faces, k):
     return rows
 
 
-def _face_clashes(rows, below, k):
-    """Cells of a simplicial level k >= 2 at which, for some positions
-    i < l, face l-1 of face i is not face i of face l.  Both tables hold
-    k+1 and k alternating entries per cell, so d.d = 0 at every other cell:
-    the two paths to each (k-2)-face cancel."""
-    faces = [rows[i::k + 1] for i in range(k + 1)]
-    faces_below = [below[m::k] for m in range(k)]
-    clashes = set()
-    for l in range(1, k + 1):
-        for i in range(l):
-            a = list(map(faces_below[l - 1].__getitem__, faces[i]))
-            b = list(map(faces_below[i].__getitem__, faces[l]))
-            if a != b:
-                clashes.update(j for j, (x, y) in enumerate(zip(a, b))
-                               if x != y)
-    return sorted(clashes)
-
-
 class CellComplex:
     """A finite regular cell complex with integer boundary matrices.
 
@@ -186,6 +168,12 @@ class CellComplex:
         its face rows with ``ptr`` a range of step k+1 and the alternating
         coefficients repeated.  The level lists become the complex's own
         without a copy; trailing empty levels are dropped.
+
+        Checked, each refusal naming its cell: the tuples, the vertex ids,
+        repeats and missing faces.  d.d = 0 needs no check: face l-1 of
+        face i and face i of face l (i < l) are the same tuple, so their
+        rows agree, and their coefficients (-1)**(i+l-1) and (-1)**(i+l)
+        cancel.
         """
         levels = list(levels)
         while len(levels) > 1 and not levels[-1]:
@@ -227,7 +215,6 @@ class CellComplex:
         X._simplex_index = index
         X.coboundary_factors = {}
         X.labels = _sorted_labels(labels or {})
-        X._validate()
         return X
 
     # -- basic queries ---------------------------------------------------
@@ -323,17 +310,12 @@ class CellComplex:
 
     def _validate(self):
         """d.d = 0 at every cell; NotAChainComplex names the first cell,
-        in order of dimension then index, where it fails.  On two simplicial
-        levels (offsets a range) only the cells where the face-of-face
-        identity fails are summed out."""
+        in order of dimension then index, where it fails.  Run on every cell
+        complex; :meth:`from_simplices` tables need no run (see there)."""
         for k in range(2, self.dim + 1):
             rows, coefs, ptr = self._tables[k]
             below, below_coefs, below_ptr = self._tables[k - 1]
-            if isinstance(ptr, range) and isinstance(below_ptr, range):
-                cells = _face_clashes(rows, below, k)
-            else:
-                cells = range(self.counts[k])
-            for j in cells:
+            for j in range(self.counts[k]):
                 acc = {}
                 for t in range(ptr[j], ptr[j + 1]):
                     c = coefs[t]
@@ -397,20 +379,6 @@ def simplicial_complex(simplices, labels=None):
 # -- cellular maps -------------------------------------------------------
 
 
-class _Columns(dict):
-    """The boundary columns of one dimension of a complex, each made as a
-    {row: coeff} dict on first use: a map's check reads only the target
-    cells it hits."""
-
-    def __init__(self, X, k):
-        super().__init__()
-        self.X, self.k = X, k
-
-    def __missing__(self, j):
-        col = self[j] = self.X.boundary_of(self.k, j)
-        return col
-
-
 class CellMap:
     """Cellular chain map sending each cell to at most one cell, with sign +-1.
 
@@ -434,8 +402,19 @@ class CellMap:
             self._validate()
 
     @classmethod
-    def from_vertex_map(cls, source, target, vertex_map, validate=True):
-        """Simplicial map induced by a vertex assignment."""
+    def from_vertex_map(cls, source, target, vertex_map):
+        """Simplicial map induced by a vertex assignment.
+
+        A simplex goes to the sorted tuple of its vertex images, with the
+        sign of the sorting permutation, or to zero when two of its
+        vertices meet.  Checked: both complexes are simplicial, the map
+        covers every vertex, and every image that is not zero is a simplex
+        of the target (``NotSimplicial`` names the first that is not).  The
+        chain-map identity needs no check: a simplicial map is a chain map
+        on oriented chains with degenerate simplices sent to zero (Munkres,
+        *Elements of Algebraic Topology*, section 12), and both tables hold
+        the alternating boundaries of sorted tuples.
+        """
         if not (source.is_simplicial and target.is_simplicial):
             raise NotSimplicial("vertex maps need simplicial complexes")
         vm = list(vertex_map)
@@ -482,7 +461,7 @@ class CellMap:
             images.append(img_k)
             signs.append(sgn_k)
         return cls(source, target, images, signs, vertex_map=vm,
-                   validate=validate)
+                   validate=False)
 
     @classmethod
     def identity(cls, X):
@@ -518,13 +497,12 @@ class CellMap:
     def _validate(self):
         """Check cell by cell, in order of dimension then index, that each
         source k-cell maps to a target k-cell with sign +-1, or to zero
-        (-1, sign 0), and that the chain-map identity d f(s) = f(d s) holds.
+        (-1, sign 0), and that the chain-map identity d f(s) = f(d s) holds;
+        ``_check_cell`` names the first cell that fails.
 
-        A quick pass over the flat source table (dimensions 1 and 2
-        unrolled) passes each cell whose faces land on distinct target
-        cells that make up the target column; every other cell is checked
-        exactly by ``_check_cell`` as soon as the pass meets it, so the
-        first failing cell is the one named."""
+        Run on the maps built from tables: products, slice inclusions and
+        direct calls.  A map from :meth:`from_vertex_map` needs no run (see
+        there)."""
         src, images, signs = self.source, self._images, self._signs
         for k in range(src.dim + 1):
             n_src = src.counts[k]
@@ -535,76 +513,16 @@ class CellMap:
                     f"image tables of dim {k} have {len(img_k)} and "
                     f"{len(sgn_k)} entries for cells (dim {k}, 0..{n_src - 1})"
                 )
-            if not n_src:
-                continue
-            columns = _Columns(self.target, k)
-            for i in self._unchecked(k, columns):
-                self._check_cell(k, i, columns)
+            for i in range(n_src):
+                self._check_cell(k, i)
 
-    def _unchecked(self, k, columns):
-        """Source k-cells, in order, that the quick pass does not clear.
-
-        It clears a cell that maps to a target cell with sign +-1 when its
-        faces, pushed forward and scaled by that sign, land on distinct
-        target cells and make up the target column (a pushed face that
-        vanishes lands on -1, in no column); and a collapsed edge or
-        triangle, mapped to zero, whose faces cancel in pairs or vanish."""
-        img_k, sgn_k = self._images[k], self._signs[k]
-        n_tgt = self.target.n_cells(k)
-        if k == 0:
-            for i, (j, s) in enumerate(zip(img_k, sgn_k)):
-                if not (0 <= j < n_tgt and s * s == 1):
-                    yield i
-            return
-        img, sgn = self._images[k - 1], self._signs[k - 1]
-        rows, coefs, ptr = self.source._tables[k]
-        it, ct = iter(rows), iter(coefs)
-        if k == 1 and ptr == range(0, len(rows) + 1, 2):
-            for i, (r0, r1, c0, c1, j, s) in enumerate(
-                    zip(it, it, ct, ct, img_k, sgn_k)):
-                if 0 <= j < n_tgt and s * s == 1:
-                    pushed = {img[r0]: s * c0 * sgn[r0],
-                              img[r1]: s * c1 * sgn[r1]}
-                    if len(pushed) == 2 and pushed == columns[j]:
-                        continue
-                elif (j == -1 and s == 0 and img[r0] == img[r1]
-                      and c0 * sgn[r0] == -c1 * sgn[r1]):
-                    continue
-                yield i
-        elif k == 2 and ptr == range(0, len(rows) + 1, 3):
-            for i, (r0, r1, r2, c0, c1, c2, j, s) in enumerate(
-                    zip(it, it, it, ct, ct, ct, img_k, sgn_k)):
-                if 0 <= j < n_tgt and s * s == 1:
-                    pushed = {img[r0]: s * c0 * sgn[r0],
-                              img[r1]: s * c1 * sgn[r1],
-                              img[r2]: s * c2 * sgn[r2]}
-                    if len(pushed) == 3 and pushed == columns[j]:
-                        continue
-                elif j == -1 and s == 0:
-                    w0, w1, w2 = c0 * sgn[r0], c1 * sgn[r1], c2 * sgn[r2]
-                    x0, x1, x2 = img[r0], img[r1], img[r2]
-                    if (not w2 and x0 == x1 and w0 == -w1
-                            or not w1 and x0 == x2 and w0 == -w2
-                            or not w0 and x1 == x2 and w1 == -w2):
-                        continue
-                yield i
-        else:
-            for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
-                j, s = img_k[i], sgn_k[i]
-                if 0 <= j < n_tgt and s * s == 1:
-                    pushed = {img[r]: s * c * sgn[r]
-                              for r, c in zip(rows[a:b], coefs[a:b])}
-                    if len(pushed) == b - a and pushed == columns[j]:
-                        continue
-                yield i
-
-    def _check_cell(self, k, i, columns):
+    def _check_cell(self, k, i):
         """The exact check of one source k-cell: d f(s) - f(d s),
         accumulated over faces that may collide or vanish, is zero."""
         j, s = self._images[k][i], self._signs[k][i]
         n_tgt = self.target.n_cells(k)
         if 0 <= j < n_tgt and s * s == 1:
-            diff = dict(columns[j])
+            diff = self.target.boundary_of(k, j)
         elif j == -1 and s == 0:
             diff, s = {}, 1
         else:
@@ -716,13 +634,7 @@ def cycle_vertices_of_label(X, label):
 
 def labeled_cycle(X, label):
     """Fundamental cycle of a labeled circle subcomplex as {edge: +-1}."""
-    order = cycle_vertices_of_label(X, label)
-    chain = {}
-    for t in range(len(order)):
-        v, w = order[t], order[(t + 1) % len(order)]
-        idx = X.simplex_index((min(v, w), max(v, w)))
-        chain[idx] = 1 if v < w else -1
-    return chain
+    return fundamental_cycle(X, cycle_vertices_of_label(X, label))
 
 
 # -- mapping cylinders -----------------------------------------------------
@@ -762,10 +674,9 @@ def mapping_cylinder(f):
             if all(v >= nk for v in verts):
                 tgt_cells.append((k, i))
     cyl = cyl.relabeled({"domain": dom_cells, "target": tgt_cells})
-    incl = CellMap.from_vertex_map(K, cyl, [src(v) for v in range(nk)],
-                                   validate=False)
+    incl = CellMap.from_vertex_map(K, cyl, [src(v) for v in range(nk)])
     retr_vm = [f.vertex_map[v] for v in range(nk)] + list(range(L.n_cells(0)))
-    retr = CellMap.from_vertex_map(cyl, L, retr_vm, validate=False)
+    retr = CellMap.from_vertex_map(cyl, L, retr_vm)
     return cyl, incl, retr
 
 
@@ -804,7 +715,7 @@ def _rim_cylinder(a, b, vertex_map):
         "target-rim": _vertex_span_cells(cyl, range(a, a + b)),
     }
     cyl = cyl.relabeled({**cyl.labels, **lbl})
-    retr = CellMap.from_vertex_map(cyl, bot, retr.vertex_map, validate=False)
+    retr = CellMap.from_vertex_map(cyl, bot, retr.vertex_map)
     return cyl, retr
 
 

@@ -183,16 +183,20 @@ def parse_complex(text):
     Cochains come back as raw dicts (degree, ring, values); the caller
     binds them to the complex with :func:`bind_cochain`.  A malformed file
     raises ``ShapeMismatch`` naming the line at fault: a bad header (a
-    ``v1`` file among them), a block without ``end``, a short or
-    non-integer row, a row, column, cell, degree or dimension out of range,
-    a boundary block in a file with simplex blocks, a label or cochain name
-    given twice, a ring that is not Z, Q or Z_p with p prime, or a value
-    that is not an integer in a Z or Z_p cochain.
+    ``v1`` file among them), a counts line whose top dimension has no
+    cells (the writer drops empty top levels), a block without ``end``, a
+    short or non-integer row, a row, column, cell, degree or dimension out
+    of range, a boundary block in a file with simplex blocks, a label or
+    cochain name given twice, a cochain cell given twice, a ring that is
+    not Z, Q or Z_p with p prime, or a value that is not an integer in a Z
+    or Z_p cochain.
 
     A file with simplex blocks is a simplicial complex, made from its
     vertex tuples alone by :meth:`CellComplex.from_simplices`, which
-    computes every boundary, checks d^2 = 0 and raises ``NotSimplicial``
-    for a bad, repeated or faceless tuple.
+    computes every boundary and raises ``NotSimplicial`` for a bad,
+    repeated or faceless tuple; d^2 = 0 holds there by construction.  A
+    file with boundary blocks is a cell complex, whose constructor checks
+    d^2 = 0 and names the first cell where it fails.
     """
     lines = _content_lines(text)
     head = next(lines, (None, ""))[1].split()
@@ -203,6 +207,8 @@ def parse_complex(text):
     if len(dims) != 1 or len(counts) != dims[0] + 1 or min(counts) < 0:
         raise ShapeMismatch(f"line {n}: counts line does not match dim")
     dim = dims[0]
+    if dim and not counts[-1]:
+        raise ShapeMismatch(f"line {n}: no cells of the top dimension {dim}")
     # per boundary level, the rows, columns and coefficients of its triples
     triples = [None] + [([], [], []) for _ in range(dim)]
     boundary_line = None
@@ -282,6 +288,8 @@ def parse_complex(text):
                 if not 0 <= i < counts[degree]:
                     raise ShapeMismatch(f"line {n}: cell {i} out of range "
                                         f"for degree {degree}")
+                if i in values:
+                    raise ShapeMismatch(f"line {n}: cell {i} given twice")
                 values[i] = v
             cochains[parts[1]] = {"degree": degree, "ring": ring,
                                   "values": values}

@@ -31,6 +31,7 @@ from coarse_kit.errors import (
     DegreeOutOfRange,
     InvalidParams,
     NotACoboundary,
+    ShapeMismatch,
     WrongShape,
 )
 from coarse_kit.towers import MkParams, build_Mk
@@ -489,6 +490,28 @@ class TestMinNormPrimitive:
         c = Cochain(X, 2, RING_Z, [1])
         with pytest.raises(NotACoboundary):
             min_norm_primitive(c)
+
+    def test_loop_edge_goes_on_the_ground(self):
+        # one vertex, a loop edge and a 2-cell on it: |gamma(loop)| = 3
+        # whatever the potential of the vertex
+        from coarse_kit import new_complex
+
+        X = new_complex([1, 1, 1], [None, [{}], [{0: 1}]])
+        c = Cochain(X, 2, RING_Z, [3])
+        res = min_norm_primitive(c)
+        mat, _, rows = relative_coboundary_matrix(X, set(), 1)
+        assert res.certificate.optimum == 3
+        assert ilp_min_linf(mat, [c.values[j] for j in rows]).optimum == 3
+        assert res.gamma.values == [3]
+
+    def test_edge_that_is_no_graph_edge_is_named(self):
+        # edge 0 has boundary 2 v0 - 2 v1; the system gamma(edge 1) = 3
+        # is solvable, but the potentials cannot carry edge 0
+        from coarse_kit import new_complex
+
+        X = new_complex([2, 2, 1], [None, [{0: 2, 1: -2}, {}], [{1: 1}]])
+        with pytest.raises(ShapeMismatch, match=r"^edge 0 has boundary"):
+            min_norm_primitive(Cochain(X, 2, RING_Z, [3]))
 
 
 class TestMinNormPrimitiveAgainstReference:

@@ -262,7 +262,8 @@ class TestOnePassBuildersAgainstOracles:
 
     def test_vertex_tables_random(self):
         seen = {"degenerate": 0, "unhit": 0, "lower-dim": 0, "refused": 0,
-                "composed-degenerate": 0}
+                "composed-degenerate": 0, "dim-3-degenerate": 0,
+                "dim-3-sign-minus": 0}
         for seed in range(200):
             rng = random.Random(seed)
             n = rng.randint(1, 8)
@@ -299,6 +300,15 @@ class TestOnePassBuildersAgainstOracles:
                 img == {} and f.cell_image(k, i)
                 for k, level in enumerate(want_gf)
                 for i, img in enumerate(level))
+            # one to one on vertices, so every 3-simplex keeps its dimension
+            vm3, W = random_vertex_map(rng, X, injective=True)
+            h = CellMap.from_vertex_map(X, W, vm3)
+            assert cell_images(h) == oracle_from_vertex_map(X, W, vm3)
+            if X.dim >= 3:
+                # the general sort: 3-simplices sent to zero, or reversed
+                seen["dim-3-degenerate"] += -1 in f._images[3]
+                seen["dim-3-sign-minus"] += (-1 in f._signs[3]) + (
+                    -1 in h._signs[3])
         assert all(count >= 5 for count in seen.values()), seen
 
     def test_tampered_tables_fail_at_oracle_cell(self):
@@ -376,10 +386,13 @@ class TestOnePassBuildersAgainstOracles:
 
 
 class TestFastPathTampering:
-    """Each whole-table fast path of the validators still rejects a bad
-    table and names the cell: the distinct-faces comparison and the
-    accumulate loop of the chain-map check, the level-wide sorted-tuple
-    check, and the row range check of raw columns."""
+    """The checks that remain reject a bad table and name the cell: the
+    exact chain-map check of a map given by image tables (colliding,
+    cancelling and vanishing faces among them), the level-wide sorted-tuple
+    check of simplex levels, and the row range check of raw columns.  What
+    no test tampers with here needs no check: a map from a vertex map and
+    the tables of a simplicial complex are right by construction (see
+    ``CellMap.from_vertex_map`` and ``CellComplex.from_simplices``)."""
 
     def test_flipped_sign_on_nondegenerate_triangle(self):
         X = simplicial_complex([(0, 1, 2), (1, 2, 3)])
@@ -565,7 +578,7 @@ class TestFlatBoundaryTables:
             X._validate()
             # one to one on vertices, so the map tells every face apart
             vm, Y = random_vertex_map(rng, X, injective=True)
-            f = CellMap.from_vertex_map(X, Y, vm, validate=False)
+            f = CellMap.from_vertex_map(X, Y, vm)
             expected = oracle_chain_map_failure(X, Y, cell_images(f))
             assert expected is not None, seed
             with pytest.raises(NotAChainComplex) as exc:
