@@ -456,7 +456,6 @@ class PrimitiveResult:
 
     certificate: object  # NormCertificate
     gamma: Cochain
-    vanishing_on: object = None
 
 
 def _pred_cycle(pred, edge_ends):
@@ -626,7 +625,7 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
     gamma = Cochain(X, k - 1, RING_Z, gamma_vals)
     if coboundary(gamma).values != list(c.values):
         raise ArithmeticError("primitive verification failed")
-    return PrimitiveResult(certificate=cert, gamma=gamma, vanishing_on=vanishing_on)
+    return PrimitiveResult(certificate=cert, gamma=gamma)
 
 
 def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,

@@ -24,7 +24,6 @@ from .errors import (
     NotAVertex,
     NotIsomorphic,
     NotSimplicial,
-    OrientationMismatch,
     ShapeMismatch,
     SizeGuardExceeded,
     TooFewVertices,
@@ -739,16 +738,17 @@ def wedge(X, Y, x0, y0):
         raise NotAVertex(f"{x0} is not a vertex of the first summand")
     if not (0 <= y0 < Y.n_cells(0)):
         raise NotAVertex(f"{y0} is not a vertex of the second summand")
-    matching = {(0, y0): ((0, x0), 1)}
-    return glue(X, Y, matching)
+    return glue(X, Y, {y0: x0})
 
 
 def subcomplex_matching(X, label_x, Y, label_y, vertex_map):
-    """Cell matching (with signs) induced by a vertex bijection Y -> X.
+    """The vertex identification of Y's labeled subcomplex with X's.
 
     ``vertex_map`` maps the vertices of Y's labeled subcomplex onto the
-    vertices of X's.  Raises NotIsomorphic when the map is not a simplicial
-    isomorphism of the two subcomplexes.
+    vertices of X's.  Raises NotASubcomplex when Y's label is not closed
+    under faces, and NotIsomorphic when the map is not a simplicial
+    isomorphism of the two subcomplexes.  Returns ``{Y-vertex: X-vertex}``
+    over the vertices of Y's label, the form :func:`glue` takes.
     """
     cells_x = set(X.label_cells(label_x))
     cells_y = Y.label_cells(label_y)
@@ -756,107 +756,87 @@ def subcomplex_matching(X, label_x, Y, label_y, vertex_map):
         raise NotIsomorphic(
             f"subcomplex sizes differ: {len(cells_y)} vs {len(cells_x)}"
         )
-    matching = {}
+    closed = set(cells_y)
     seen = set()
     for (k, i) in cells_y:
-        verts = Y.simplex(k, i)
+        if any((k - 1, r) not in closed for r in Y.boundary_of(k, i)):
+            raise NotASubcomplex(
+                f"label {label_y!r} is not closed under faces at Y-cell "
+                f"(dim {k}, {i})"
+            )
         try:
-            images = [vertex_map[v] for v in verts]
+            images = [vertex_map[v] for v in Y.simplex(k, i)]
         except KeyError as exc:
             raise NotIsomorphic(f"vertex {exc} not covered by the matching")
-        image, sign = _sorted_with_sign(images)
-        idx = X.simplex_index(image) if sign != 0 else None
-        if sign == 0 or idx is None or (k, idx) not in cells_x:
+        idx = X.simplex_index(images)
+        if idx is None or (k, idx) not in cells_x:
             raise NotIsomorphic(
                 f"cell (dim {k}, {i}) has no matching image in {label_x!r}"
             )
         if (k, idx) in seen:
             raise NotIsomorphic("vertex map is not injective on cells")
         seen.add((k, idx))
-        matching[(k, i)] = ((k, idx), sign)
-    return matching
+    return {v: vertex_map[v] for d, v in cells_y if d == 0}
 
 
-def glue(X, Y, matching):
-    """Simplicial pushout of X and Y along a matched pair of subcomplexes.
+def glue(X, Y, identify):
+    """Simplicial pushout of X and Y along a vertex identification.
 
-    ``matching`` maps Y-cells to ``(X-cell, sign)`` pairs, the form that
-    :func:`wedge` and :func:`subcomplex_matching` build.  The matched Y-cells
-    must be boundary-closed and the matching must commute with the boundary
-    operators (orientation preserving); matched cells are counted once in the
-    result.  The result is rebuilt from the merged vertex tuples, so every
-    stored boundary keeps the sorted-tuple alternating-sign convention that
-    vertex-map-induced chain maps rely on.
-
-    Returns ``(glued complex, cell map table for Y)`` where the table sends
-    every Y-cell to its (cell, sign) in the result.
+    ``identify`` maps Y-vertices injectively to X-vertices, the form that
+    :func:`wedge` and :func:`subcomplex_matching` build.  The other
+    Y-vertices are numbered after X's, in Y order.  The result is built
+    from the merged vertex tuples, so a Y-simplex whose image is an
+    X-simplex is counted once, and every stored boundary keeps the
+    sorted-tuple alternating-sign convention that vertex-map-induced chain
+    maps rely on.  It carries X's labels and Y's, a Y label whose name X
+    already uses with ``+`` appended.
     """
     if not (X.is_simplicial and Y.is_simplicial):
         raise NotSimplicial("glue joins two simplicial complexes")
-    # boundary closure on the Y side
-    for (k, i) in matching:
-        for r in Y.boundary_of(k, i):
-            if (k - 1, r) not in matching:
-                raise NotASubcomplex(
-                    f"matched set is not boundary-closed at Y-cell (dim {k}, {i})"
-                )
-    # chain compatibility (orientation)
-    for (k, i), ((kx, ix), sign) in matching.items():
-        if k != kx:
-            raise NotIsomorphic("matched cells have different dimensions")
-        if k == 0:
-            continue
-        lhs = {}
-        for r, c in Y.boundary_of(k, i).items():
-            (rx_k, rx), s2 = matching[(k - 1, r)]
-            lhs[rx] = lhs.get(rx, 0) + c * s2
-        rhs = {r: sign * c for r, c in X.boundary_of(k, ix).items()}
-        lhs = {r: c for r, c in lhs.items() if c != 0}
-        if lhs != rhs:
-            raise OrientationMismatch(
-                f"matching does not commute with the boundary at Y-cell (dim {k}, {i})"
-            )
-    n0 = X.n_cells(0)
-    vmap = {}
-    fresh = 0
-    for i in range(Y.n_cells(0)):
-        if (0, i) in matching:
-            vmap[i] = matching[(0, i)][0][1]
-        else:
-            vmap[i] = n0 + fresh
+    n0, ny = X.n_cells(0), Y.n_cells(0)
+    for y, x in identify.items():
+        if not 0 <= y < ny:
+            raise NotAVertex(f"{y} is not a vertex of the second complex")
+        if not 0 <= x < n0:
+            raise NotAVertex(f"{x} is not a vertex of the first complex")
+    vmap = []
+    fresh = n0
+    for i in range(ny):
+        x = identify.get(i)
+        if x is None:
+            x = fresh
             fresh += 1
-    tuples = []
-    for k in range(X.dim + 1):
-        tuples.extend(X.simplices[k])
-    y_tuples = {}
-    for k in range(Y.dim + 1):
-        for i in range(Y.n_cells(k)):
-            verts = tuple(sorted(vmap[v] for v in Y.simplex(k, i)))
-            if len(set(verts)) != len(verts):
+        vmap.append(x)
+    tuples = [verts for level in X.simplices for verts in level]
+    y_tuples = []
+    for k, level in enumerate(Y.simplices):
+        images = []
+        for i, verts in enumerate(level):
+            image = tuple(sorted(vmap[v] for v in verts))
+            if len(set(image)) != len(image):
                 raise NotIsomorphic(
                     f"identification degenerates Y-cell (dim {k}, {i})"
                 )
-            y_tuples[(k, i)] = verts
-            if (k, i) not in matching:
-                tuples.append(verts)
+            images.append(image)
+        y_tuples.append(images)
+        tuples.extend(images)
+    if len(set(identify.values())) != len(identify):
+        raise NotIsomorphic("identification sends two Y-vertices to one "
+                            "X-vertex")
     Z = simplicial_complex(tuples)
-    y_table = {}
-    for (k, i), verts in y_tuples.items():
-        idx = Z.simplex_index(verts)
-        _, sign = _sorted_with_sign([vmap[v] for v in Y.simplex(k, i)])
-        y_table[(k, i)] = ((k, idx), sign)
     labels = {}
     for name, cells in X.labels.items():
         labels[name] = tuple(sorted(
             (k, Z.simplex_index(X.simplex(k, i))) for k, i in cells
         ))
     for name, cells in Y.labels.items():
-        mapped = tuple(sorted(y_table[c][0] for c in cells))
         key = name
         while key in labels:
             key += "+"
-        labels[key] = mapped
-    return Z.relabeled(labels), y_table
+        labels[key] = tuple(sorted(
+            (k, Z.simplex_index(y_tuples[k][i])) for k, i in cells
+        ))
+    return Z.relabeled(labels)
 
 
 def remove_cells(X, cells):

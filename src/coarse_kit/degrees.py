@@ -20,8 +20,6 @@ class DegreeReport:
     p: int
     q: int
     k: int
-    n: int = None
-    m: int = None
     d: int = None
     d_p: int = None
     d_q: int = None

@@ -41,10 +41,6 @@ class NotIsomorphic(CoarseKitError):
     pass
 
 
-class OrientationMismatch(CoarseKitError):
-    pass
-
-
 class DimensionTooHigh(CoarseKitError):
     pass
 

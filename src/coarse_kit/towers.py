@@ -15,9 +15,8 @@ simplicial maps, and the iterated pull-back stages they generate.
 import functools
 import gc
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import factorial, gcd
 
 from .complexes import (
@@ -121,17 +120,11 @@ class MkBundle:
     params: MkParams
     phi: CellMap
     tau: Subdivision
-    rho: CellMap
     q_map: CellMap
     obstruction: Cochain
     boundary_label: str = "boundary"
     p_hole_label: str = "p-hole"
     q_hole_label: str = "q-hole"
-    notes: dict = field(default_factory=dict)
-
-
-def _map_label(y_table, Y, name):
-    return tuple(sorted(y_table[c][0] for c in Y.label_cells(name)))
 
 
 def _cycle_from(X, label, start):
@@ -194,11 +187,10 @@ def _attach_cyl(chain, piece, attach, free):
             f"cannot chain: rim sizes {len(rim_order)} vs {len(top_order)}"
         )
     vm = {rim_order[t]: top_order[t] for t in range(len(rim_order))}
-    matching = subcomplex_matching(chain, "top", piece, attach, vm)
-    Z, ytab = glue(chain, piece, matching)
+    Z = glue(chain, piece, subcomplex_matching(chain, "top", piece, attach, vm))
     labels = {name: Z.label_cells(name) for name in chain.labels
               if name != "top"}
-    labels["top"] = _map_label(ytab, piece, free)
+    labels["top"] = Z.label_cells(free)
     return Z.relabeled(labels)
 
 
@@ -209,7 +201,7 @@ def _pants(ap, aq):
     edges meeting at the image of the two collapsed points.  Labels:
     "domain-rim", "wedge" (the whole target), "p-loop", "q-loop".
     """
-    W, ytab = wedge(circle(ap), circle(aq), 0, 0)
+    W = wedge(circle(ap), circle(aq), 0, 0)
     # wedge complex: X-circle keeps vertices 0..ap-1; Y-vertex u >= 1 lands
     # at ap + u - 1; the wedge point is 0
     dom = circle(ap + aq)
@@ -234,14 +226,6 @@ def _pants(ap, aq):
         "q-loop": _vertex_span_cells(cyl, q_loop_verts),
     }
     return cyl.relabeled(labels)
-
-
-def _max_valence(X):
-    counts = {}
-    for e in range(X.n_cells(1)):
-        for v in X.simplex(1, e):
-            counts[v] = counts.get(v, 0) + 1
-    return max(counts.values(), default=0)
 
 
 def _is_pure(X):
@@ -282,18 +266,10 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
                        "collar-q": TQ.label_cells("top")})
     base_p = cycle_vertices_of_label(TP, "collar-p")[0]
     base_q = cycle_vertices_of_label(TQ, "collar-q")[0]
-    W, ytab = wedge(TP, TQ, base_p, base_q)
+    W = wedge(TP, TQ, base_p, base_q)
     wedge_vertex = base_p
-    labels = {
-        "p-hole": W.label_cells("p-hole"),
-        "q-hole": _map_label(ytab, TQ, "q-hole"),
-        "collar-p": W.label_cells("collar-p"),
-        "collar-q": _map_label(ytab, TQ, "collar-q"),
-    }
-    W = W.relabeled(labels)
     # pair of pants over the wedge of collars
     P = _pants(ap, aq)
-    pants_valence = _max_valence(P)
     p_order = _cycle_from(W, "collar-p", wedge_vertex)
     q_order = _cycle_from(W, "collar-q", wedge_vertex)
     loop_p = _cycle_from(P, "p-loop", ap + aq)
@@ -311,17 +287,11 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
                                 | set(W.label_cells("collar-q"))))
     W = W.relabeled({**{n: W.label_cells(n) for n in ("p-hole", "q-hole")},
                      "collar-wedge": collar_cells})
-    matching = subcomplex_matching(W, "collar-wedge", P, "wedge", vm)
-    M1, ytab = glue(W, P, matching)
-    M1 = M1.relabeled({
-        "p-hole": M1.label_cells("p-hole"),
-        "q-hole": M1.label_cells("q-hole"),
-        "pants-rim": _map_label(ytab, P, "domain-rim"),
-    })
+    M1 = glue(W, P, subcomplex_matching(W, "collar-wedge", P, "wedge", vm))
     # coarsening collar down to the middle triangle size
     K, _ = coarsening_cylinder(ap + aq, HOLE_EDGES)
     guts = _attach_cyl(
-        M1.relabeled({"hole": (), "top": M1.label_cells("pants-rim"),
+        M1.relabeled({"top": M1.label_cells("domain-rim"),
                       "p-hole": M1.label_cells("p-hole"),
                       "q-hole": M1.label_cells("q-hole")}),
         K, attach="domain-rim", free="target-rim",
@@ -340,15 +310,10 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
     d_order = cycle_vertices_of_label(D, "middle-boundary")
     for t, v in enumerate(g_order):
         vm2[v] = d_order[t]
-    matching2 = subcomplex_matching(D, "middle-boundary", guts,
-                                    "guts-boundary", vm2)
-    M, ytab2 = glue(D, guts, matching2)
-    M = M.relabeled({
-        "boundary": M.label_cells("boundary"),
-        "middle-boundary": M.label_cells("middle-boundary"),
-        "p-hole": _map_label(ytab2, guts, "p-hole"),
-        "q-hole": _map_label(ytab2, guts, "q-hole"),
-    })
+    M = glue(D, guts, subcomplex_matching(D, "middle-boundary", guts,
+                                          "guts-boundary", vm2))
+    M = M.relabeled({name: M.label_cells(name) for name in
+                     ("boundary", "middle-boundary", "p-hole", "q-hole")})
     # phi: identity on the subdivided-triangle part, everything else onto
     # one midpoint vertex of the middle face
     n_outer = tau.complex.n_cells(0)
@@ -360,16 +325,15 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
     mu = fundamental_class(filled_triangle(), 2)
     obstruction = pullback_cochain(q_map, mu)
     bundle = MkBundle(
-        complex=M, params=params, phi=phi, tau=tau, rho=rho, q_map=q_map,
+        complex=M, params=params, phi=phi, tau=tau, q_map=q_map,
         obstruction=obstruction,
-        notes={"pants_max_valence": pants_valence},
     )
     _check_bundle(bundle)
     return bundle
 
 
 def _check_bundle(bundle):
-    M, params = bundle.complex, bundle.params
+    M = bundle.complex
     for label in (bundle.p_hole_label, bundle.q_hole_label):
         edges = M.label_cells_of_dim(label, 1)
         if len(edges) != HOLE_EDGES:
@@ -381,12 +345,6 @@ def _check_bundle(bundle):
         img = bundle.phi.cell_image(kk, i)
         if list(img.values()) != [1]:
             raise InvalidParams("phi does not fix the boundary pointwise")
-    if bundle.notes["pants_max_valence"] > max(params.p, 6):
-        warnings.warn(
-            "pants triangulation exceeds the vertex-valence target: "
-            f"{bundle.notes['pants_max_valence']} > {params.p}",
-            stacklevel=2,
-        )
 
 
 def _host_carriers(X, vm, sub):
@@ -726,9 +684,7 @@ def build_tower(params, depth, size_guard=DEFAULT_SIZE_GUARD):
     for j in range(1, depth + 1):
         sub_params = MkParams(params.p, params.q, params.k - j,
                               reduce=params.reduce)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            inner = build_Mk(sub_params, size_guard=size_guard)
+        inner = build_Mk(sub_params, size_guard=size_guard)
         host = stages[-1].complex
         stage, tau, tau_map, projection = replace_faces(
             host, inner, size_guard=size_guard)
@@ -756,19 +712,16 @@ def is_light(f):
 class PullbackResult:
     """Fiber product along a light map, with both projections.
 
-    ``proj_fiber`` lands in the pulled-back subdivision of the light side
-    (a genuine simplicial map; its carrier data reaches the undivided
-    complex), ``proj_base`` is the light projection to the other factor.
-    ``tau_vertex_map`` is the vertex map of the induced light map from the
-    pulled-back subdivision to tau.
+    ``proj_base`` is the light projection to the other factor;
+    ``fiber_vertex_map`` sends each vertex to its vertex of the pulled-back
+    subdivision of the light side, and ``tau_vertex_map`` is the vertex
+    map of the induced light map from that subdivision to tau.
     """
 
     complex: CellComplex
     proj_base: CellMap
-    proj_fiber: CellMap
-    fiber_subdivision: Subdivision
+    fiber_vertex_map: list
     tau_vertex_map: list
-    pair_index: dict
 
 
 def pullback_subdivision(chi, tau):
@@ -776,8 +729,9 @@ def pullback_subdivision(chi, tau):
 
     For every cell m of the source with chi(m) equal to the carrier of a
     tau-cell, the tau-cell lifts into m; lifts glue along shared faces.
-    Returns (Subdivision of chi's source, vertex map of the induced light
-    map from its complex to tau).  The caller checks that chi is light.
+    Returns (complex of the pulled-back subdivision of chi's source, vertex
+    map of the induced light map from it to tau).  The caller checks that
+    chi is light.
     """
     M, Delta = chi.source, chi.target
     tauC = tau.complex
@@ -794,9 +748,8 @@ def pullback_subdivision(chi, tau):
         c_img = tuple(sorted(Delta.simplices[cw[0]][cw[1]]))
         for m in by_image.get(c_img, []):
             vert_index[(w, m)] = len(verts_new)
-            verts_new.append((w, m))
+            verts_new.append(w)
     simplices = []
-    carrier = {}
     for k in range(tauC.dim + 1):
         for t, tverts in enumerate(tauC.simplices[k]):
             ct = tau.carrier[(k, t)]
@@ -814,14 +767,7 @@ def pullback_subdivision(chi, tau):
                     face = M.simplex_index(sub_m)
                     lift.append(vert_index[(w, (len(sub_m) - 1, face))])
                 simplices.append(tuple(sorted(lift)))
-    tau_M = simplicial_complex(sorted(set(simplices)))
-    for k in range(tau_M.dim + 1):
-        for i, verts in enumerate(tau_M.simplices[k]):
-            cells = [verts_new[v][1] for v in verts]
-            top = max(cells)
-            carrier[(k, i)] = top
-    chi_tilde_vm = [w for w, _ in verts_new]
-    return Subdivision(tau_M, M, carrier), chi_tilde_vm
+    return simplicial_complex(sorted(set(simplices))), verts_new
 
 
 def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
@@ -848,8 +794,7 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
                 f"the source of {name} has a simplex that is no face of a top "
                 "simplex; the pullback is built from top simplices only"
             )
-    sub, chi_vm = pullback_subdivision(chi, tau)
-    tau_M = sub.complex
+    tau_M, chi_vm = pullback_subdivision(chi, tau)
     phi_vm = phi.vertex_map
     # tau_M simplices indexed by image vertex set in tau; the induced map
     # is light, so each has the dimension of its image
@@ -858,13 +803,15 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
         for i, verts in enumerate(tau_M.simplices[k]):
             img = tuple(sorted({chi_vm[v] for v in verts}))
             by_img.setdefault(img, []).append((k, i))
-    pair_verts = []
+    vm_base = []
+    vm_fiber = []
     pair_index = {}
     for v in range(Mp.n_cells(0)):
         for (kk, i) in by_img.get((phi_vm[v],), []):
             x = tau_M.simplices[0][i][0]
-            pair_index[(v, x)] = len(pair_verts)
-            pair_verts.append((v, x))
+            pair_index[(v, x)] = len(vm_base)
+            vm_base.append(v)
+            vm_fiber.append(x)
     # one simplex of P per pair (sigma, t), in every dimension: count them
     # all before any is made
     images = [[tuple(sorted({phi_vm[v] for v in verts})) for verts in level]
@@ -890,54 +837,12 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
             simplices.append(tuple(pair_index[(v, inv[w])]
                                    for v, w in zip(verts, over)))
     P = simplicial_complex(simplices)
-    # projections: first coordinate to M', second to tau_M
-    vm_base = [v for v, _ in pair_verts]
-    vm_fiber = [x for _, x in pair_verts]
-    proj_base = CellMap.from_vertex_map(P, Mp, vm_base)
-    proj_fiber = CellMap.from_vertex_map(P, tau_M, vm_fiber)
-    if not is_light(proj_base):
-        raise NotLight("fiber projection lost lightness (internal error)")
+    # The base projection is light with no check: a simplex (sigma, t) has
+    # one vertex over each vertex of sigma, so it is injective on simplices
     return PullbackResult(
-        complex=P, proj_base=proj_base, proj_fiber=proj_fiber,
-        fiber_subdivision=sub, tau_vertex_map=chi_vm, pair_index=pair_index,
+        complex=P, proj_base=CellMap.from_vertex_map(P, Mp, vm_base),
+        fiber_vertex_map=vm_fiber, tau_vertex_map=chi_vm,
     )
-
-
-def pullback_section(result, chi, phi, tau, top_cell):
-    """Section of the base projection induced by a section of chi.
-
-    ``top_cell``: index of a top simplex of chi's source mapped isomorphically
-    onto the whole simplex (any one defines a section s with chi . s = id).
-    Returns the vertex map M' -> P of the induced section.
-    """
-    M = chi.source
-    n = M.dim
-    verts = M.simplices[n][top_cell]
-    if len({chi.vertex_map[v] for v in verts}) != n + 1:
-        raise NotLight("chosen cell is not a sheet over the whole simplex")
-    inv = {chi.vertex_map[v]: v for v in verts}
-    tau_M = result.fiber_subdivision.complex
-    chi_vm = result.tau_vertex_map
-    # tau_M vertices inside the chosen sheet: carrier is a face of top_cell
-    sheet_vertex = {}
-    sheet_faces = set()
-    for r in range(1, n + 2):
-        for sub_v in combinations(sorted(verts), r):
-            idx = M.simplex_index(sub_v)
-            sheet_faces.add((r - 1, idx))
-    for x in range(tau_M.n_cells(0)):
-        cell = result.fiber_subdivision.carrier[(0, x)]
-        if cell in sheet_faces:
-            sheet_vertex[chi_vm[x]] = x
-    vm = []
-    Mp = phi.source
-    for v in range(Mp.n_cells(0)):
-        w = phi.vertex_map[v]
-        x = sheet_vertex.get(w)
-        if x is None:
-            raise NoValidAssignment("section sheet misses a tau vertex")
-        vm.append(result.pair_index[(v, x)])
-    return CellMap.from_vertex_map(Mp, result.complex, vm)
 
 
 def dimension_coloring(sd):
@@ -962,18 +867,14 @@ def build_Y_stage(params, stages, size_guard=DEFAULT_SIZE_GUARD):
     if stages < 1:
         raise InvalidParams("need at least one stage")
     base_params = MkParams(params.p, params.q, 1, reduce=params.reduce)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        b1 = build_Mk(base_params, size_guard=size_guard)
+    b1 = build_Mk(base_params, size_guard=size_guard)
     out = [TowerStage(complex=b1.complex, projection=None,
                       lipschitz_bound=Fraction(1, 2), level=1)]
     phi_prev = b1.phi
     tau_prev = b1.tau
     for t in range(2, stages + 1):
         lvl_params = MkParams(params.p, params.q, t, reduce=params.reduce)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            bt = build_Mk(lvl_params, size_guard=size_guard)
+        bt = build_Mk(lvl_params, size_guard=size_guard)
         sd = barycentric_subdivision(bt.complex)
         chi = dimension_coloring(sd)
         result = pullback_complex(chi, phi_prev, tau_prev,

@@ -55,10 +55,27 @@ def _params_dict(params, extra=None):
     return out
 
 
-def _build_quiet(params, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_Mk(params, **kw)
+def _search_primitive(report, bundle, node_limit):
+    """Minimal primitive of the bundle's obstruction vanishing on its
+    boundary: ``(result, None)``, or ``(None, exc)`` when the search ran out
+    of nodes.  Either way its evaluations count toward the report's
+    ``node_count``; NotACoboundary propagates."""
+    try:
+        prim = min_norm_primitive(
+            bundle.obstruction, node_limit=node_limit,
+            vanishing_on=bundle.boundary_label,
+        )
+    except NodeLimitExceeded as exc:
+        report.node_count += exc.node_count
+        return None, exc
+    report.node_count += prim.certificate.node_count
+    return prim, None
+
+
+def _add_exhausted(report, name, exc):
+    """INCONCLUSIVE record of a search that ran out of nodes."""
+    report.add(name, INCONCLUSIVE, lower=exc.lower, upper=exc.upper,
+               node_count=exc.node_count)
 
 
 def _relative_system(bundle):
@@ -75,7 +92,7 @@ def verify_prop51(params, node_limit=10_000_000, out_prefix=None):
         command="verify-prop51",
         params=_params_dict(params, {"node_limit": node_limit}),
     )
-    bundle = _build_quiet(params)
+    bundle = build_Mk(params)
     M = bundle.complex
     p, q, k = params.p, params.q, params.k
 
@@ -84,16 +101,10 @@ def verify_prop51(params, node_limit=10_000_000, out_prefix=None):
     # of (d), which raises NotACoboundary when it has no solution.  A
     # relative primitive extended by zero is an absolute one, so the
     # absolute system is solved only when there is none
-    prim = exhausted = None
     try:
-        prim = min_norm_primitive(
-            bundle.obstruction, node_limit=node_limit,
-            vanishing_on=bundle.boundary_label,
-        )
-    except NodeLimitExceeded as exc:
-        exhausted = exc
+        prim, exhausted = _search_primitive(report, bundle, node_limit)
     except NotACoboundary:
-        pass
+        prim = exhausted = None
     res_rel = res_abs = prim is not None or exhausted is not None
     if not res_rel:
         abs_mat, _, abs_rows = relative_coboundary_matrix(M, set(), 1)
@@ -146,15 +157,10 @@ def verify_prop51(params, node_limit=10_000_000, out_prefix=None):
             certificate=proof.get("kind"),
             evaluations=prim.certificate.node_count,
         )
-        report.node_count += prim.certificate.node_count
         witness_vals = prim.gamma
         _attach_dual(report, proof)
     elif exhausted is not None:
-        report.add(
-            "norm-lower-bound", INCONCLUSIVE, lower=exhausted.lower,
-            upper=exhausted.upper, node_count=exhausted.node_count,
-        )
-        report.node_count += exhausted.node_count
+        _add_exhausted(report, "norm-lower-bound", exhausted)
     if out_prefix is not None and witness_vals is not None:
         path = f"{out_prefix}.mk.ckx"
         text = write_complex(path, M, cochains={
@@ -217,20 +223,13 @@ def verify_prop52(params, node_limit=10_000_000, n_mode="factorial",
         params=_params_dict(params, {"node_limit": node_limit,
                                      "n_mode": n_mode}),
     )
-    bundle = _build_quiet(params)
-    try:
-        prim = min_norm_primitive(
-            bundle.obstruction, node_limit=node_limit,
-            vanishing_on=bundle.boundary_label,
-        )
-    except NodeLimitExceeded as exc:
-        report.add("minimal-primitive", INCONCLUSIVE,
-                   lower=exc.lower, upper=exc.upper)
-        report.node_count += exc.node_count
+    bundle = build_Mk(params)
+    prim, exhausted = _search_primitive(report, bundle, node_limit)
+    if exhausted is not None:
+        _add_exhausted(report, "minimal-primitive", exhausted)
         return report
     gamma = prim.gamma
     m_k = prim.certificate.optimum
-    report.node_count += prim.certificate.node_count
     proof = prim.certificate.infeasibility_proof
     report.add("minimal-primitive", PASS, m_k=m_k,
                certificate=proof.get("kind"))
@@ -309,18 +308,12 @@ def verify_tower(params, stages, node_limit=10_000_000, out_prefix=None):
     status = PASS
     for j in range(1, params.k + 1):
         sub = MkParams(params.p, params.q, j, reduce=params.reduce)
-        bundle = _build_quiet(sub)
-        try:
-            prim = min_norm_primitive(
-                bundle.obstruction, node_limit=node_limit,
-                vanishing_on=bundle.boundary_label,
-            )
-        except NodeLimitExceeded as exc:
-            report.add(f"norm-growth-level-{j}", INCONCLUSIVE,
-                       lower=exc.lower, upper=exc.upper)
+        bundle = build_Mk(sub)
+        prim, exhausted = _search_primitive(report, bundle, node_limit)
+        if exhausted is not None:
+            _add_exhausted(report, f"norm-growth-level-{j}", exhausted)
             status = INCONCLUSIVE
             continue
-        report.node_count += prim.certificate.node_count
         values.append((j, prim.certificate.optimum))
         if out_prefix is not None:
             path = f"{out_prefix}.level-{j}.mk.ckx"
@@ -485,7 +478,7 @@ def _check_dual_witness(out, params, entry, claimed):
     if bound != m_k - 1:
         return out.check(name, False, bound=bound,
                          reason=f"bound is not m_k - 1 = {m_k - 1}")
-    mat, rhs, _, _ = _relative_system(_build_quiet(params))
+    mat, rhs, _, _ = _relative_system(build_Mk(params))
     if len(dual) != len(rhs):
         return out.check(name, False, bound=bound,
                          reason=f"{len(dual)} dual entries for "

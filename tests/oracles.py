@@ -37,6 +37,12 @@ tuples and the product formula, the storage that the flat boundary tables
 of ``complexes.CellComplex`` replaced; ``oracle_boundary_squared_failure``
 is the per-cell d.d check on those dicts.
 
+``oracle_glue`` is the pushout along a cell matching ``{Y-cell: (X-cell,
+sign)}`` that ``complexes.glue`` took before it took a vertex
+identification, with its boundary-closure and orientation checks;
+``oracle_vertex_matching`` is the matching an identification induces.  The
+two gluings must give the same complex and labels.
+
 ``oracle_pullback_complex`` is the fiber product that ``towers`` built from
 every (sigma, t) pair in every dimension, before it emitted pairs over the
 top simplices only and let the face closure derive the rest.
@@ -62,6 +68,8 @@ from coarse_kit.errors import (
     NodeLimitExceeded,
     NoIntegerSolution,
     NoValidAssignment,
+    NotASubcomplex,
+    NotIsomorphic,
     NotSimplicial,
     ShapeMismatch,
     SizeGuardExceeded,
@@ -1161,6 +1169,79 @@ def oracle_open_star_refinement_witnesses(stage):
     return ok, witnesses
 
 
+def oracle_vertex_matching(X, Y, cells, identify):
+    """The cell matching ``{Y-cell: (X-cell, sign)}`` that the vertex
+    identification ``identify`` (Y-vertex -> X-vertex) induces on the
+    Y-cells ``cells``, signs by pair inversions."""
+    out = {}
+    for k, i in cells:
+        images = [identify[v] for v in Y.simplices[k][i]]
+        out[(k, i)] = ((k, X.simplex_index(images)),
+                       _oracle_sign_of_sort(images))
+    return out
+
+
+def oracle_glue(X, Y, matching):
+    """Simplicial pushout of X and Y along a cell matching: the matched
+    Y-cells must be boundary-closed and the matching must commute with the
+    boundaries.  Unmatched Y-vertices are numbered after X's, in Y order;
+    Y labels whose name X uses get a ``+``."""
+    for (k, i) in matching:
+        for r in Y.boundary_of(k, i):
+            if (k - 1, r) not in matching:
+                raise NotASubcomplex(
+                    f"matched set is not boundary-closed at Y-cell (dim {k}, {i})"
+                )
+    for (k, i), ((kx, ix), sign) in matching.items():
+        if k != kx:
+            raise NotIsomorphic("matched cells have different dimensions")
+        if k == 0:
+            continue
+        lhs = {}
+        for r, c in Y.boundary_of(k, i).items():
+            (_, rx), s2 = matching[(k - 1, r)]
+            lhs[rx] = lhs.get(rx, 0) + c * s2
+        rhs = {r: sign * c for r, c in X.boundary_of(k, ix).items()}
+        if {r: c for r, c in lhs.items() if c != 0} != rhs:
+            raise NotIsomorphic(
+                f"matching does not commute with the boundary at Y-cell "
+                f"(dim {k}, {i})"
+            )
+    n0 = X.n_cells(0)
+    vmap = {}
+    fresh = 0
+    for i in range(Y.n_cells(0)):
+        if (0, i) in matching:
+            vmap[i] = matching[(0, i)][0][1]
+        else:
+            vmap[i] = n0 + fresh
+            fresh += 1
+    tuples = [verts for level in X.simplices for verts in level]
+    y_tuples = {}
+    for k in range(Y.dim + 1):
+        for i in range(Y.n_cells(k)):
+            verts = tuple(sorted(vmap[v] for v in Y.simplices[k][i]))
+            if len(set(verts)) != len(verts):
+                raise NotIsomorphic(
+                    f"identification degenerates Y-cell (dim {k}, {i})"
+                )
+            y_tuples[(k, i)] = verts
+            if (k, i) not in matching:
+                tuples.append(verts)
+    Z = oracle_simplicial_complex(tuples)
+    labels = {}
+    for name, cells in X.labels.items():
+        labels[name] = tuple(sorted(
+            (k, Z.simplex_index(X.simplices[k][i])) for k, i in cells))
+    for name, cells in Y.labels.items():
+        key = name
+        while key in labels:
+            key += "+"
+        labels[key] = tuple(sorted(
+            (k, Z.simplex_index(y_tuples[(k, i)])) for k, i in cells))
+    return Z.relabeled(labels)
+
+
 def oracle_pullback_complex(chi, phi, tau, size_guard):
     """Fiber product of chi and phi from every pair (sigma, t): sigma any
     simplex of phi's source, t any simplex of the pulled-back subdivision
@@ -1170,8 +1251,7 @@ def oracle_pullback_complex(chi, phi, tau, size_guard):
     complex is closed by ``oracle_simplicial_complex``.  Counts pairs
     against ``size_guard`` as they are made.
     """
-    sub, chi_vm = pullback_subdivision(chi, tau)
-    tau_M = sub.complex
+    tau_M, chi_vm = pullback_subdivision(chi, tau)
     Mp = phi.source
     by_img = {}
     for k in range(tau_M.dim + 1):

@@ -125,7 +125,7 @@ def _mini_two_hole():
     a_order = cycle_vertices_of_label(A, "target-rim")
     vm = {a_order[t]: d_order[t] for t in range(3)}
     matching = subcomplex_matching(D, "middle-boundary", A, "target-rim", vm)
-    Z, _ = glue(D, A, matching)
+    Z = glue(D, A, matching)
     return Z
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -135,6 +138,18 @@ class TestBuild:
         assert rc == 0
         assert "euler -1" in capsys.readouterr().out
 
+    def test_mk_prints_no_warning(self):
+        # a fresh interpreter, so that no test filter hides a warning
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run(
+            [sys.executable, "-m", "coarse_kit.cli", "build", "mk", "--p", "5",
+             "--q", "2", "--k", "1", "--reduce"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert run.returncode == 0
+        assert "euler -1" in run.stdout
+        assert "Warning" not in run.stderr
+
     def test_not_prime_is_usage_error(self, capsys):
         rc = main(["build", "mk", "--p", "4", "--q", "2", "--k", "1"])
         assert rc == 3
@@ -262,6 +277,23 @@ class TestVerify:
         assert record["values"] == {"lower": "1", "node_count": "1",
                                     "upper": "2"}
         assert data["node_count"] == "1"
+
+    @pytest.mark.parametrize("argv, counts", [
+        (["verify-prop52"], {"minimal-primitive": "2"}),
+        (["verify-tower", "--stages", "1"],
+         {"norm-growth-level-1": "2", "norm-growth-level-2": "2"}),
+    ], ids=["prop52", "tower"])
+    def test_exhausted_searches_count_their_nodes(self, capsys, argv,
+                                                  counts):
+        rc = main(argv + ["--p", "5", "--q", "2", "--k", "2", "--reduce",
+                          "--node-limit", "2"])
+        data = json.loads(capsys.readouterr().out)
+        assert rc == 2
+        records = {r["name"]: r for r in data["records"]}
+        for name, count in counts.items():
+            assert records[name]["status"] == "INCONCLUSIVE"
+            assert records[name]["values"]["node_count"] == count
+        assert data["node_count"] == str(sum(map(int, counts.values())))
 
     def test_tower_witnesses_recheck(self, capsys, tmp_path):
         report_path = tmp_path / "tower.json"

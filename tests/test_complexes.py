@@ -22,6 +22,7 @@ from coarse_kit import (
     wedge,
 )
 from coarse_kit.complexes import (
+    cycle_vertices_of_label,
     interval_product,
     labeled_cycle,
     midpoint_subdivision_global,
@@ -33,8 +34,8 @@ from coarse_kit.errors import (
     NotASubcomplex,
     NotDivisible,
     NotIsomorphic,
+    NotAVertex,
     NotSimplicial,
-    OrientationMismatch,
     ShapeMismatch,
     TooFewVertices,
 )
@@ -46,10 +47,12 @@ from oracles import (
     oracle_complex_homology,
     oracle_compose,
     oracle_from_vertex_map,
+    oracle_glue,
     oracle_interval_product_columns,
     oracle_product_cellmap,
     oracle_simplicial_columns,
     oracle_simplicial_complex,
+    oracle_vertex_matching,
 )
 
 
@@ -512,8 +515,8 @@ class TestFlatBoundaryTables:
             if kind == "glue":
                 Y = simplicial_complex(random_simplices(
                     rng, rng.randint(1, 6), 2, rng.randint(1, 4)))
-                Z, _ = wedge(X, Y, rng.randrange(X.n_cells(0)),
-                             rng.randrange(Y.n_cells(0)))
+                Z = wedge(X, Y, rng.randrange(X.n_cells(0)),
+                          rng.randrange(Y.n_cells(0)))
             elif kind == "remove" and X.dim >= 1:
                 # top cells are no faces, so any of them may go
                 top = rng.sample(range(X.n_cells(X.dim)),
@@ -665,20 +668,27 @@ class TestMappingCylinder:
                 ), f"H_{k} mismatch for degree {deg} map {a}->{b}"
 
 
+def _random_label(rng, X):
+    """X with one more label, "part", on a random set of its cells."""
+    cells = [(k, i) for k, n in enumerate(X.counts) for i in range(n)]
+    part = rng.sample(cells, rng.randint(0, len(cells)))
+    return X.relabeled({**X.labels, "part": part})
+
+
 class TestWedgeGlue:
     def test_wedge_of_circles(self):
-        W, _ = wedge(circle(3), circle(3), 0, 0)
+        W = wedge(circle(3), circle(3), 0, 0)
         assert oracle_complex_homology(W, 1) == (2, [])
         assert W.euler_characteristic() == -1
 
     def test_wedge_point_identity(self):
         X = circle(4)
-        W, _ = wedge(point(), X, 0, 0)
+        W = wedge(point(), X, 0, 0)
         assert W.counts == X.counts
         assert oracle_complex_homology(W, 1) == (1, [])
 
     def test_wedge_chi_additivity(self):
-        W, _ = wedge(circle(3), circle(4), 1, 2)
+        W = wedge(circle(3), circle(4), 1, 2)
         assert W.euler_characteristic() == 0 + 0 - 1
 
     def test_glue_two_triangles_along_edge(self):
@@ -687,7 +697,7 @@ class TestWedgeGlue:
         lbl1 = T1.relabeled({"seam": [(0, 0), (0, 1), (1, 0)]})
         lbl2 = T2.relabeled({"seam": [(0, 0), (0, 1), (1, 0)]})
         matching = subcomplex_matching(lbl1, "seam", lbl2, "seam", {0: 0, 1: 1})
-        Z, _ = glue(lbl1, lbl2, matching)
+        Z = glue(lbl1, lbl2, matching)
         assert Z.counts == [4, 5, 2]
         assert Z.euler_characteristic() == 1
 
@@ -698,7 +708,7 @@ class TestWedgeGlue:
             {"rim3": [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]}
         )
         matching = subcomplex_matching(C, "rim3", T, "rim3", {0: 0, 1: 1, 2: 2})
-        Z, _ = glue(C, T, matching)
+        Z = glue(C, T, matching)
         assert oracle_complex_homology(Z, 0) == (1, [])
         assert oracle_complex_homology(Z, 1) == (0, [])
         assert oracle_complex_homology(Z, 2) == (0, [])
@@ -714,19 +724,68 @@ class TestWedgeGlue:
     def test_glue_refusals(self):
         edge = simplicial_complex([(0, 1)]).relabeled(
             {"all": [(0, 0), (0, 1), (1, 0)]})
-        matching = subcomplex_matching(edge, "all", edge, "all", {0: 0, 1: 1})
-        assert glue(edge, edge, matching)[0].counts == [2, 1]
-        with pytest.raises(NotASubcomplex):
-            glue(edge, edge, {(1, 0): ((1, 0), 1)})
-        with pytest.raises(NotIsomorphic, match="different dimensions"):
-            glue(edge, edge, {(0, 0): ((1, 0), 1)})
-        with pytest.raises(OrientationMismatch):
-            glue(edge, edge, {**matching, (1, 0): ((1, 0), -1)})
+        identify = subcomplex_matching(edge, "all", edge, "all", {0: 0, 1: 1})
+        assert identify == {0: 0, 1: 1}
+        assert glue(edge, edge, identify).counts == [2, 1]
+        # an edge without its end vertices is no subcomplex
+        open_edge = edge.relabeled({"all": [(0, 0), (1, 0)]})
+        with pytest.raises(NotASubcomplex, match=r"\(dim 1, 0\)"):
+            subcomplex_matching(open_edge, "all", open_edge, "all",
+                                {0: 0, 1: 1})
+        with pytest.raises(NotIsomorphic, match="degenerates Y-cell"):
+            glue(edge, edge, {0: 0, 1: 0})
+        two_points = simplicial_complex([(0,), (1,)])
+        with pytest.raises(NotIsomorphic, match="two Y-vertices"):
+            glue(edge, two_points, {0: 0, 1: 0})
+        for bad in ({2: 0}, {-1: 0}, {0: 2}, {0: -1}):
+            with pytest.raises(NotAVertex):
+                glue(edge, edge, bad)
         cylinder = interval_product(circle(3), 1).complex
         with pytest.raises(NotSimplicial):
-            glue(cylinder, edge, {(0, 0): ((0, 0), 1)})
+            glue(cylinder, edge, {0: 0})
         with pytest.raises(NotSimplicial):
-            glue(edge, cylinder, {(0, 0): ((0, 0), 1)})
+            glue(edge, cylinder, {0: 0})
+
+    def test_glue_against_oracle(self):
+        """Wedges at random vertices and gluings along labeled circles
+        against the cell-matching pushout."""
+        seen = {"wedge": 0, "circle": 0}
+        for seed in range(240):
+            rng = random.Random(seed)
+            if rng.random() < 0.5:
+                X, Y = (simplicial_complex(random_simplices(
+                    rng, rng.randint(1, 7), 3, rng.randint(1, 5)))
+                    for _ in range(2))
+                x0 = rng.randrange(X.n_cells(0))
+                y0 = rng.randrange(Y.n_cells(0))
+                X, Y = _random_label(rng, X), _random_label(rng, Y)
+                Z = wedge(X, Y, x0, y0)
+                identify, cells, kind = {y0: x0}, [(0, y0)], "wedge"
+            else:
+                # mapping cylinders of circle maps onto n-circles, glued
+                # along an n-circle rim of each, turned and maybe reflected
+                n = rng.randint(3, 5)
+                X, Y = (_random_label(rng, mapping_cylinder(random_circle_map(
+                    rng, n * rng.randint(1, 3), n)[0])[0]) for _ in range(2))
+                rim_x = cycle_vertices_of_label(X, "target")
+                rim_y = cycle_vertices_of_label(Y, "target")
+                if rng.random() < 0.5:
+                    rim_y.reverse()
+                turn = rng.randrange(n)
+                vm = {rim_y[t]: rim_x[(t + turn) % n] for t in range(n)}
+                identify = subcomplex_matching(X, "target", Y, "target", vm)
+                assert identify == vm
+                Z = glue(X, Y, identify)
+                cells, kind = Y.label_cells("target"), "circle"
+            ref = oracle_glue(X, Y, oracle_vertex_matching(X, Y, cells,
+                                                           identify))
+            assert Z.counts == ref.counts
+            assert Z.simplices == ref.simplices
+            for k in range(1, Z.dim + 1):
+                assert Z.boundary_columns(k) == ref.boundary_columns(k)
+            assert Z.labels == ref.labels
+            seen[kind] += 1
+        assert min(seen.values()) >= 100, seen
 
     def test_glue_chi_formula(self):
         rng = random.Random(13)
@@ -738,7 +797,7 @@ class TestWedgeGlue:
                                + [(1, i) for i in range(n)]})
             vm = {n + i: i for i in range(n)}  # target rim verts -> C verts
             m = subcomplex_matching(Crl, "glue-rim", A, "target-rim", vm)
-            Z, _ = glue(Crl, A, m)
+            Z = glue(Crl, A, m)
             chi_l = 0  # circle
             assert Z.euler_characteristic() == (
                 Crl.euler_characteristic() + A.euler_characteristic() - chi_l

@@ -7,6 +7,9 @@ outside its own body: by another statement of its class or by any other
 top-level statement.  Dunders are exempt.  Mentions in comments or strings do
 not count, nor do references from inside the definition.
 
+Every field of a package dataclass is read as an attribute somewhere under
+``src/`` or ``tests/``: a field that is only ever set is dead weight.
+
 Every function that ``perfbench/design.json`` lists for tracing resolves to
 a module-level callable of the package.
 """
@@ -86,6 +89,45 @@ def test_no_dead_methods():
     _, dead = _dead_definitions()
     assert not dead, "methods named nowhere outside their body: " + \
         ", ".join(dead)
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else \
+            getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def test_no_write_only_fields():
+    """Reads are ``obj.field`` loads and ``getattr(obj, "field")`` calls;
+    a field counts as read when any object's attribute of that name is."""
+    fields = []
+    read = set()
+    files = sorted((ROOT / "src").rglob("*.py")) + \
+        sorted((ROOT / "tests").rglob("*.py"))
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+            elif (path.parent == PACKAGE and isinstance(node, ast.ClassDef)
+                  and _is_dataclass(node)):
+                fields.extend(
+                    (f"{node.name}.{stmt.target.id}", stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name))
+    unread = [qualname for qualname, name in fields if name not in read]
+    assert not unread, "dataclass fields never read: " + ", ".join(unread)
 
 
 def test_traced_functions_resolve():

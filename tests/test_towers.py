@@ -50,7 +50,6 @@ from coarse_kit.towers import (
     pick_n,
     product_obstruction_cocycle,
     pullback_complex,
-    pullback_section,
     replace_faces,
     simplicial_approx_identity,
     stage_carriers,
@@ -497,9 +496,6 @@ class TestPullback:
         phi = CellMap.identity(tau.complex)
         res = pullback_complex(chi, phi, tau)
         assert res.complex.counts == [2 * c for c in tau.complex.counts]
-        sec = pullback_section(res, chi, phi, tau, 1)
-        # a section embeds the base complex into the pullback
-        assert sec.source.counts == tau.complex.counts
 
     def test_square_commutes(self):
         tau = midpoint_subdivision(filled_triangle())
@@ -513,7 +509,7 @@ class TestPullback:
                 verts = res.complex.simplices[k][i]
                 lhs = sorted({phi.vertex_map[res.proj_base.vertex_map[v]]
                               for v in verts})
-                rhs = sorted({chi_tilde_vm[res.proj_fiber.vertex_map[v]]
+                rhs = sorted({chi_tilde_vm[res.fiber_vertex_map[v]]
                               for v in verts})
                 assert lhs == rhs
 
@@ -577,10 +573,10 @@ class TestPullbackReference:
             assert P.simplices == ref.simplices
             for k in range(1, P.dim + 1):
                 assert P.boundary_columns(k) == ref.boundary_columns(k)
-        assert res.pair_index == pairs
+        assert dict(zip(zip(base, fiber), range(len(base)))) == pairs
         assert res.proj_base.vertex_map == base
         assert stage.projection.vertex_map == base
-        assert res.proj_fiber.vertex_map == fiber
+        assert res.fiber_vertex_map == fiber
         assert stage.tau_map.vertex_map == [phi.vertex_map[v] for v in base]
         assert cell_images(stage.tau_map) == oracle_from_vertex_map(
             stage.complex, phi.target, [phi.vertex_map[v] for v in base])
