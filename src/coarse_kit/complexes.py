@@ -379,26 +379,23 @@ def simplicial_complex(simplices, labels=None):
 
 
 class CellMap:
-    """Cellular chain map sending each cell to at most one cell, with sign +-1.
+    """Simplicial map: a vertex map and the cell tables it induces.
 
     Every map the constructions build has this form: vertex-map-induced
-    simplicial maps, identities, slice inclusions and their products.  It is
-    stored per dimension k as two tables over the source k-cells:
+    maps, identities and their composites.  Besides its ``vertex_map`` it
+    is stored per dimension k as two tables over the source k-cells:
     ``images[k][i]``, the index of the target k-cell the i-th cell maps to
     (-1 where it maps to zero), and ``signs[k][i]``, its coefficient (+-1,
-    and 0 where the image is zero).  Simplicial maps also keep their
-    ``vertex_map``.
+    and 0 where the image is zero).  The constructor trusts its tables; they
+    come from :meth:`from_vertex_map`, :meth:`identity` or :meth:`compose`.
     """
 
-    def __init__(self, source, target, images, signs, vertex_map=None,
-                 validate=True):
+    def __init__(self, source, target, images, signs, vertex_map):
         self.source = source
         self.target = target
         self._images = images
         self._signs = signs
-        self.vertex_map = list(vertex_map) if vertex_map is not None else None
-        if validate:
-            self._validate()
+        self.vertex_map = list(vertex_map)
 
     @classmethod
     def from_vertex_map(cls, source, target, vertex_map):
@@ -459,15 +456,12 @@ class CellMap:
                 sgn_k.append(sign)
             images.append(img_k)
             signs.append(sgn_k)
-        return cls(source, target, images, signs, vertex_map=vm,
-                   validate=False)
+        return cls(source, target, images, signs, vm)
 
     @classmethod
     def identity(cls, X):
         images = [list(range(n)) for n in X.counts]
-        vm = images[0] if X.is_simplicial else None
-        return cls(X, X, images, [[1] * n for n in X.counts], vertex_map=vm,
-                   validate=False)
+        return cls(X, X, images, [[1] * n for n in X.counts], images[0])
 
     def is_nondegenerate(self):
         """True when no source cell maps to zero (no image is -1)."""
@@ -485,68 +479,11 @@ class CellMap:
                 out[j] = out.get(j, 0) + c * c2
         return {j: c for j, c in out.items() if c != 0}
 
-    def vertex_image(self, v):
-        if self.vertex_map is not None:
-            return self.vertex_map[v]
-        j = self._images[0][v]
-        if j < 0:
-            raise NotAVertex(f"vertex {v} has no single-cell image")
-        return j
-
-    def _validate(self):
-        """Check cell by cell, in order of dimension then index, that each
-        source k-cell maps to a target k-cell with sign +-1, or to zero
-        (-1, sign 0), and that the chain-map identity d f(s) = f(d s) holds;
-        ``_check_cell`` names the first cell that fails.
-
-        Run on the maps built from tables: products, slice inclusions and
-        direct calls.  A map from :meth:`from_vertex_map` needs no run (see
-        there)."""
-        src, images, signs = self.source, self._images, self._signs
-        for k in range(src.dim + 1):
-            n_src = src.counts[k]
-            img_k = images[k] if k < len(images) else ()
-            sgn_k = signs[k] if k < len(signs) else ()
-            if len(img_k) != n_src or len(sgn_k) != n_src:
-                raise ShapeMismatch(
-                    f"image tables of dim {k} have {len(img_k)} and "
-                    f"{len(sgn_k)} entries for cells (dim {k}, 0..{n_src - 1})"
-                )
-            for i in range(n_src):
-                self._check_cell(k, i)
-
-    def _check_cell(self, k, i):
-        """The exact check of one source k-cell: d f(s) - f(d s),
-        accumulated over faces that may collide or vanish, is zero."""
-        j, s = self._images[k][i], self._signs[k][i]
-        n_tgt = self.target.n_cells(k)
-        if 0 <= j < n_tgt and s * s == 1:
-            diff = self.target.boundary_of(k, j)
-        elif j == -1 and s == 0:
-            diff, s = {}, 1
-        else:
-            raise ShapeMismatch(
-                f"image of cell (dim {k}, {i}) is index {j} with sign "
-                f"{s}: neither a target index in 0..{n_tgt - 1} with "
-                "sign +-1 nor -1 with sign 0"
-            )
-        if k:
-            img, sgn = self._images[k - 1], self._signs[k - 1]
-            for r, c in self.source.boundary_of(k, i).items():
-                if img[r] >= 0:
-                    diff[img[r]] = diff.get(img[r], 0) - s * c * sgn[r]
-        if any(diff.values()):
-            raise NotAChainComplex(
-                f"chain-map identity fails at cell (dim {k}, {i})", cell=(k, i)
-            )
-
     def compose(self, other):
         """self after other (other: X -> Y, self: Y -> Z gives X -> Z)."""
         if not same_structure(other.target, self.source):
             raise ShapeMismatch("composition target/source mismatch")
-        vm = None
-        if self.vertex_map is not None and other.vertex_map is not None:
-            vm = [self.vertex_map[w] for w in other.vertex_map]
+        vm = [self.vertex_map[w] for w in other.vertex_map]
         images, signs = [], []
         for k, (img, sgn) in enumerate(zip(other._images, other._signs)):
             if k >= len(self._images):
@@ -557,8 +494,7 @@ class CellMap:
             images.append([outer_img[j] if j >= 0 else -1 for j in img])
             signs.append([outer_sgn[j] * s if j >= 0 else 0
                           for j, s in zip(img, sgn)])
-        return CellMap(other.source, self.target, images, signs, vertex_map=vm,
-                       validate=False)
+        return CellMap(other.source, self.target, images, signs, vm)
 
 
 # -- elementary constructors ----------------------------------------------
@@ -647,8 +583,6 @@ def mapping_cylinder(f):
     deformation-retracts to the target, so their homologies agree (tested
     via the Smith-form oracle).
     """
-    if f.vertex_map is None:
-        raise NotSimplicial("mapping cylinder needs a simplicial map")
     K, L = f.source, f.target
     nk = K.n_cells(0)
     src = lambda v: v            # cylinder indices of domain vertices
@@ -948,48 +882,6 @@ def interval_product(X, n, size_guard=DEFAULT_CELL_BUDGET):
     Z = CellComplex(counts, boundaries, labels=labels)
     prod.complex = Z
     return prod
-
-
-def slice_inclusion(prod, level):
-    """Chain map X -> X x [0, n] onto the slice at the given level."""
-    X = prod.base
-    images = [[prod.slice_cell(k, i, level) for i in range(n)]
-              for k, n in enumerate(X.counts)]
-    return CellMap(X, prod.complex, images, [[1] * n for n in X.counts])
-
-
-def product_cellmap(prod_src, prod_dst, f, g):
-    """Product of chain maps on interval products: (a x b) -> f(a) x g(b).
-
-    ``f``: base -> base map, ``g``: path(0..n) -> path(0..m) map given as a
-    CellMap between :func:`path_complex` complexes.  A product cell maps to
-    the product of the two factor images with the product of their signs,
-    and to zero when either factor does.
-    """
-    Xs = prod_src.base
-    images, signs = [], []
-    for k in range(prod_src.complex.dim + 1):
-        img, sgn = [], []
-        # slice cells a x {l} (k-cells of the base), then prisms
-        # a x [l, l+1] ((k-1)-cells of the base)
-        for dim_a, dim_b, cell, n_levels in (
-                (k, 0, prod_dst.slice_cell, prod_src.n + 1),
-                (k - 1, 1, prod_dst.prism_cell, prod_src.n)):
-            if not 0 <= dim_a <= Xs.dim:
-                continue
-            f_img, f_sgn = f._images[dim_a], f._signs[dim_a]
-            for l in range(n_levels):
-                w, t = g._images[dim_b][l], g._signs[dim_b][l]
-                for j, s in zip(f_img, f_sgn):
-                    if j >= 0 and w >= 0:
-                        img.append(cell(k, j, w))
-                        sgn.append(s * t)
-                    else:
-                        img.append(-1)
-                        sgn.append(0)
-        images.append(img)
-        signs.append(sgn)
-    return CellMap(prod_src.complex, prod_dst.complex, images, signs)
 
 
 # -- subdivisions -------------------------------------------------------------

@@ -90,7 +90,7 @@ def lipschitz_constant(f):
         if not ends:
             continue
         u, v = ends
-        du, dv = f.vertex_image(u), f.vertex_image(v)
+        du, dv = f.vertex_map[u], f.vertex_map[v]
         d = table.d(du, dv)
         if d is None:
             raise Disconnected(

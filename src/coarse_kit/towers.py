@@ -34,8 +34,6 @@ from .complexes import (
     interval_product,
     midpoint_subdivision,
     midpoint_subdivision_global,
-    path_complex,
-    product_cellmap,
     remove_cells,
     simplicial_complex,
     subcomplex_matching,
@@ -120,7 +118,6 @@ class MkBundle:
     params: MkParams
     phi: CellMap
     tau: Subdivision
-    q_map: CellMap
     obstruction: Cochain
     boundary_label: str = "boundary"
     p_hole_label: str = "p-hole"
@@ -321,12 +318,10 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
     phi_vm = [v if v < n_outer else mid_vertex for v in range(M.n_cells(0))]
     phi = CellMap.from_vertex_map(M, tau.complex, phi_vm)
     rho = simplicial_approx_identity(tau)
-    q_map = rho.compose(phi)
     mu = fundamental_class(filled_triangle(), 2)
-    obstruction = pullback_cochain(q_map, mu)
+    obstruction = pullback_cochain(rho.compose(phi), mu)
     bundle = MkBundle(
-        complex=M, params=params, phi=phi, tau=tau, q_map=q_map,
-        obstruction=obstruction,
+        complex=M, params=params, phi=phi, tau=tau, obstruction=obstruction,
     )
     _check_bundle(bundle)
     return bundle
@@ -398,16 +393,6 @@ def simplicial_approx_identity(sub):
     return rho
 
 
-def collapse_map_xi(n):
-    """Collapse [0, n] onto [0, 1]: everything below n-1 to 0, last edge iso."""
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
-    src = path_complex(n)
-    dst = path_complex(1)
-    vm = [0] * n + [1]
-    return CellMap.from_vertex_map(src, dst, vm)
-
-
 # -- the product certificate -----------------------------------------------
 
 
@@ -466,20 +451,20 @@ def build_beta(gamma, n, size_guard=DEFAULT_SIZE_GUARD):
     return BetaCertificate(beta=beta, product=prod, n=n, gamma=gamma)
 
 
-def product_obstruction_cocycle(bundle, prod):
+def product_obstruction_cocycle(obstruction, prod):
     """(q x xi)^* of the product fundamental cocycle on M x [0, n].
 
-    The target is the triangle times a unit interval; its single 3-cell
-    carries 1 and the pullback along q_map x collapse evaluates it on every
-    prism of the product.
+    ``obstruction`` is q^* mu, the fundamental cocycle of the triangle
+    pulled back along q: M -> triangle, and xi collapses [0, n] onto
+    [0, 1], sending every edge but the last, n - 1, to zero.  The pullback
+    is therefore the cross product q^* mu x xi^* iota: each prism
+    f x [n - 1, n] carries the obstruction's value on f, and every other
+    3-cell carries zero.
     """
-    n = prod.n
-    xi = collapse_map_xi(n)
-    target_prod = interval_product(bundle.q_map.target, 1)
-    g = product_cellmap(prod, target_prod, bundle.q_map, xi)
-    one = Cochain(target_prod.complex, 3, RING_Z,
-                  [1] * target_prod.complex.n_cells(3))
-    return pullback_cochain(g, one), g
+    values = [0] * prod.complex.n_cells(3)
+    for f, v in enumerate(obstruction.values):
+        values[prod.prism_cell(3, f, prod.n - 1)] = v
+    return Cochain(prod.complex, 3, RING_Z, values)
 
 
 def lcm_of_values(gamma):
@@ -701,11 +686,11 @@ def build_tower(params, depth, size_guard=DEFAULT_SIZE_GUARD):
 def is_light(f):
     """A simplicial map is light when injective on every closed simplex.
 
-    Maps with a vertex map come from ``from_vertex_map``, ``identity`` or
-    ``compose``, whose tables send a simplex to zero exactly when the
-    vertex map is not injective on it.
+    Every map comes from ``from_vertex_map``, ``identity`` or ``compose``,
+    whose tables send a simplex to zero exactly when the vertex map is not
+    injective on it.
     """
-    return f.vertex_map is not None and f.is_nondegenerate()
+    return f.is_nondegenerate()
 
 
 @dataclass
@@ -785,8 +770,6 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
     """
     if not is_light(chi):
         raise NotLight("chi must be light (injective on closed simplices)")
-    if phi.vertex_map is None:
-        raise NotSimplicial("phi must be simplicial")
     Mp = phi.source
     for X, name in ((chi.source, "chi"), (Mp, "phi")):
         if not _is_pure(X):

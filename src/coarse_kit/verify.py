@@ -18,6 +18,7 @@ from .cochains import (
     min_norm_primitive,
     relative_coboundary_matrix,
 )
+from .complexes import interval_product, same_structure
 from .degrees import DegreeReport, bezout, check_degree_relation, min_m_bound
 from .errors import (
     CoarseKitError,
@@ -248,7 +249,7 @@ def verify_prop52(params, node_limit=10_000_000, n_mode="factorial",
         return report
     report.add("interval-length", PASS, n=n, mode=n_mode)
     cert = build_beta(gamma, n, size_guard=PROP52_CELL_BUDGET)
-    target, g = product_obstruction_cocycle(bundle, cert.product)
+    target = product_obstruction_cocycle(bundle.obstruction, cert.product)
     lhs = coboundary(cert.beta)
     report.check("product-coboundary-identity", lhs == target,
                  cells=cert.product.complex.n_cells(3))
@@ -367,13 +368,14 @@ def check_witness(report_path):
             out.add("report-params", FAIL, reason=str(exc))
     witnesses = data.get("witnesses", {})
     mk_entry = witnesses.get("mk-complex")
+    mk = None
     if mk_entry:
         # prop51 claims m_k under norm-lower-bound, prop52 under
         # minimal-primitive; either way the witness must attain it and an
         # LP dual, when carried, must bound it from below
         claimed = _find_value(data, ("norm-lower-bound", "minimal-primitive"),
                               "m_k")
-        _check_mk_witness(out, resolve(mk_entry), claimed)
+        mk = _check_mk_witness(out, resolve(mk_entry), claimed)
         dual_entry = witnesses.get("norm-lower-bound-dual")
         if dual_entry:
             _check_dual_witness(out, params, dual_entry, claimed)
@@ -391,9 +393,11 @@ def check_witness(report_path):
         read = _read_witness(out, "product-witness-parse", prod_path,
                              ("beta", "target"))
         if read:
-            _, (beta, target) = read
+            P, (beta, target) = read
             out.check("beta-coboundary-identity", coboundary(beta) == target)
             out.check("beta-norm-bound", beta.norm() <= 4, norm=beta.norm())
+            n = _find_value(data, ("interval-length",), "n")
+            _check_product_target(out, mk, n, P, target)
     if not out.records:
         out.add("no-witnesses-found", FAIL, report=str(report_path))
     return out
@@ -435,17 +439,18 @@ def _check_mk_witness(out, resolved, claimed, tag=""):
     """Re-check one M_k witness file: its digest, delta(primitive) =
     obstruction, the primitive vanishing on the boundary subcomplex and,
     when a value is claimed, its norm equal to it.  An unreadable file is
-    one FAIL record."""
+    one FAIL record.  Returns the file's complex and obstruction, or None
+    when it cannot be read."""
     path, digest_ok = resolved
     out.check(f"{tag}mk-witness-digest", digest_ok)
     read = _read_witness(out, f"{tag}mk-witness-parse", path,
                          ("obstruction", "primitive"))
     if not read:
-        return
+        return None
     X, (obstruction, gamma) = read
     if "boundary" not in X.labels:
         out.add(f"{tag}mk-witness-parse", FAIL, reason="no boundary label")
-        return
+        return None
     out.check(f"{tag}witness-solves-system",
               coboundary(gamma) == obstruction,
               norm=gamma.norm())
@@ -456,6 +461,34 @@ def _check_mk_witness(out, resolved, claimed, tag=""):
         out.check(f"{tag}witness-norm-matches-claim",
                   gamma.norm() == decode_number(claimed),
                   claimed=claimed, actual=gamma.norm())
+    return X, obstruction
+
+
+def _check_product_target(out, mk, n, P, target):
+    """Tie the product witness to M_k: its complex ``P`` is the M_k
+    witness's complex times [0, n] for the report's interval length n, and
+    its ``target`` is that complex's obstruction pulled back to the product
+    (:func:`towers.product_obstruction_cocycle`).  ``mk`` is the M_k
+    witness's complex and obstruction, None when it was not read."""
+    name = "product-target-is-pulled-back-obstruction"
+    if mk is None:
+        return out.check(name, False, reason="no readable M_k witness")
+    if not (isinstance(n, str) and n.isdecimal()):
+        return out.check(name, False,
+                         reason=f"the report gives no interval length n: {n!r}")
+    X, obstruction = mk
+    try:
+        prod = interval_product(X, int(n), size_guard=PROP52_CELL_BUDGET)
+    except CoarseKitError as exc:
+        return out.check(name, False, n=n, reason=str(exc))
+    if not same_structure(P, prod.complex):
+        return out.check(name, False, n=n,
+                         reason=f"the product witness is not M_k x [0, {n}]")
+    want = product_obstruction_cocycle(obstruction, prod)
+    if (target.ring, target.values) != (want.ring, want.values):
+        return out.check(name, False, n=n,
+                         reason="target is not the pulled-back obstruction")
+    return out.check(name, True, n=n)
 
 
 def _check_dual_witness(out, params, entry, claimed):

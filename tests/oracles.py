@@ -20,10 +20,13 @@ the same points and the same Farkas vectors.
 ``oracle_simplicial_complex`` (closure by every nonempty subset) and
 ``oracle_from_vertex_map`` (one image dict per source cell, signs by pair
 inversions) are the builders that the one-pass face closure and the image
-and sign tables of ``complexes.CellMap`` replaced.  ``oracle_compose`` and
-``oracle_product_cellmap`` are the dict composition and product of maps
-given as those dicts, and ``oracle_chain_map_failure`` is the dict
-chain-map check; the tables' ``cell_image`` views must agree with all three.
+and sign tables of ``complexes.CellMap`` replaced.  ``oracle_compose`` is
+the dict composition of maps given as those dicts, and
+``oracle_chain_map_failure`` is the dict chain-map check; the tables'
+``cell_image`` views must agree with both.  ``oracle_product_cellmap`` is
+the dict product of a base map and a path map on interval products, the
+reference for ``towers.product_obstruction_cocycle``: the closed form must
+equal the unit 3-cocycle pulled back along q x xi.
 ``oracle_is_light`` is the vertex-image set test of lightness that the
 tables' zero entries replaced.
 
@@ -1082,8 +1085,6 @@ def oracle_chain_map_failure(source, target, assignment):
 
 def oracle_is_light(f):
     """Lightness from the vertex map alone: injective on every simplex."""
-    if f.vertex_map is None:
-        return False
     return all(len({f.vertex_map[v] for v in verts}) == len(verts)
                for level in f.source.simplices for verts in level)
 

@@ -223,7 +223,7 @@ def test_criterion_05_beta_certificate(bundles):
     gamma = min_norm_primitive(b.obstruction, vanishing_on="boundary").gamma
     n = pick_n(gamma, "lcm")
     cert = build_beta(gamma, n)
-    target, _ = product_obstruction_cocycle(b, cert.product)
+    target = product_obstruction_cocycle(b.obstruction, cert.product)
     ok = coboundary(cert.beta) == target and cert.beta.norm() <= 4
     _criterion(5, "product primitive matches the pulled-back cocycle, norm <= 4",
                ok, t0, 60, f"n={n}, norm={cert.beta.norm()}")

@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 
 from coarse_kit.cli import build_parser, main
+from coarse_kit.cochains import RING_Z, Cochain
+from coarse_kit.complexes import filled_triangle, interval_product
+from coarse_kit.interchange import read_complex, write_complex
 from coarse_kit.report import load_report
 
 # sha256 of reports and witnesses for the fixed runs below; refactors of the
@@ -25,6 +28,10 @@ PROP51_521_MK_CKX = \
 # norm-lower-bound-dual, which check-witness re-checks
 PROP52_521_LCM_REPORT = \
     "85b91852e10597fa0e6bfaaff917f8c09d87b1bb1899bbe07fe95db43c13cb31"
+# (7,2,1) picks n = 2, so its product target is off the first layer; the
+# report carries the sha256 of report.product.ckx
+PROP52_721_LCM_REPORT = \
+    "69f72f1b119cd12f0122eb9f5ba0be36f214d8ef653d62f7a78ba2854ee1cb65"
 PROP51_721_REPORT = \
     "cb2bf192cec5dd8ec5f119a97bb62813c3b4e7749e50e69a6097e27df3e08f6f"
 PROP51_721_MK_CKX = \
@@ -95,6 +102,41 @@ def failed_after_dual_tamper(capsys, tmp_path, report, tamper):
     assert main(["check-witness", "--report", str(report_path)]) == 1
     checked = json.loads(capsys.readouterr().out)
     return [r["name"] for r in checked["records"] if r["status"] != "PASS"]
+
+
+def forge_product(data, witness, X):
+    """Replace a report's product witness by X with beta and target zero,
+    and update the report's digest to match."""
+    text = write_complex(witness, X, cochains={
+        "beta": Cochain(X, 2, RING_Z, [0] * X.n_cells(2)),
+        "target": Cochain(X, 3, RING_Z, [0] * X.n_cells(3)),
+    })
+    data["witnesses"]["product-complex"]["sha256"] = \
+        hashlib.sha256(text.encode()).hexdigest()
+
+
+def interval_length(data):
+    return next(r["values"] for r in data["records"]
+                if r["name"] == "interval-length")
+
+
+# edits of a verify-prop52 (5,2,1) report or its product witness that keep
+# delta(beta) = target and |beta| <= 4, and the reason check-witness gives
+# for refusing them
+PRODUCT_FORGERIES = {
+    "one-triangle": (lambda data, witness: forge_product(
+        data, witness, interval_product(filled_triangle(), 1).complex),
+        "the product witness is not M_k x [0, 1]"),
+    "zeroed": (lambda data, witness: forge_product(
+        data, witness, read_complex(witness)[0]),
+        "target is not the pulled-back obstruction"),
+    "n-edited": (lambda data, witness: interval_length(data).update(n="2"),
+                 "the product witness is not M_k x [0, 2]"),
+    "no-n": (lambda data, witness: interval_length(data).pop("n"),
+             "the report gives no interval length n: None"),
+    "no-mk-witness": (lambda data, witness: data["witnesses"].pop(
+        "mk-complex"), "no readable M_k witness"),
+}
 
 
 # edits of an M_k witness file (None: deleted) that check-witness must
@@ -212,12 +254,24 @@ class TestVerify:
         claim = {r["name"]: r for r in checked["records"]}
         assert claim["witness-norm-matches-claim"]["status"] == "PASS"
         assert claim["lower-bound-dual-certificate"]["status"] == "PASS"
+        assert claim["product-target-is-pulled-back-obstruction"] == {
+            "name": "product-target-is-pulled-back-obstruction",
+            "status": "PASS", "values": {"n": "1"}}
         # a report claiming a different m_k no longer matches its witness
         for r in data["records"]:
             if r["name"] == "minimal-primitive":
                 r["values"]["m_k"] = str(int(r["values"]["m_k"]) + 1)
         report_path.write_text(json.dumps(data))
         assert main(["check-witness", "--report", str(report_path)]) != 0
+
+    def test_prop52_721_lcm_bytes(self, capsys, tmp_path):
+        report_path = tmp_path / "report.json"
+        rc = main(["verify-prop52", "--p", "7", "--q", "2", "--k", "1",
+                   "--reduce", "--n-mode", "lcm", "--out", str(report_path)])
+        capsys.readouterr()
+        assert rc == 0
+        assert sha256_of(report_path) == PROP52_721_LCM_REPORT
+        assert main(["check-witness", "--report", str(report_path)]) == 0
 
     def test_reports_deterministic(self, capsys, tmp_path):
         # identical inputs (same output filename) in two directories
@@ -378,6 +432,27 @@ class TestVerify:
         assert failed == {"product-witness-digest": {},
                           "product-witness-parse":
                               {"reason": "no cochain 'target'"}}
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_FORGERIES))
+    def test_forged_product_witness_fails(self, capsys, tmp_path,
+                                          prop52_521_report, name):
+        # the product witness must be the M_k witness times [0, n] for the
+        # report's n, carrying the obstruction pulled back as its target
+        for src in prop52_521_report.parent.iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        report_path = tmp_path / prop52_521_report.name
+        data = load_report(report_path)
+        forge, reason = PRODUCT_FORGERIES[name]
+        forge(data, tmp_path / "report.product.ckx")
+        report_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["check-witness", "--report", str(report_path)]) == 1
+        records = json.loads(capsys.readouterr().out)["records"]
+        failed = {r["name"]: r["values"] for r in records
+                  if r["status"] != "PASS"}
+        assert list(failed) == ["product-target-is-pulled-back-obstruction"]
+        assert failed["product-target-is-pulled-back-obstruction"][
+            "reason"] == reason
 
     @pytest.mark.parametrize("edit, reason", [
         (lambda data: data.pop("params"), "the report's params have no 'p'"),

@@ -49,7 +49,6 @@ from oracles import (
     oracle_from_vertex_map,
     oracle_glue,
     oracle_interval_product_columns,
-    oracle_product_cellmap,
     oracle_simplicial_columns,
     oracle_simplicial_complex,
     oracle_vertex_matching,
@@ -314,141 +313,13 @@ class TestOnePassBuildersAgainstOracles:
                     -1 in h._signs[3])
         assert all(count >= 5 for count in seen.values()), seen
 
-    def test_tampered_tables_fail_at_oracle_cell(self):
-        failures = 0
-        for seed in range(200):
-            rng = random.Random(seed)
-            n = rng.randint(2, 8)
-            X = simplicial_complex(random_simplices(rng, n, 3, rng.randint(1, 6)))
-            vm, Y = random_vertex_map(rng, X)
-            f = CellMap.from_vertex_map(X, Y, vm)
-            cells = [(k, i) for k in range(X.dim + 1)
-                     for i in range(X.n_cells(k)) if f._images[k][i] >= 0]
-            k, i = rng.choice(cells)
-            if rng.random() < 0.5 or Y.n_cells(k) < 2:
-                f._signs[k][i] = -f._signs[k][i]
-            else:
-                f._images[k][i] = rng.choice(
-                    [j for j in range(Y.n_cells(k)) if j != f._images[k][i]])
-            expected = oracle_chain_map_failure(X, Y, cell_images(f))
-            try:
-                f._validate()
-                got = None
-            except NotAChainComplex as exc:
-                got = exc.cell
-            assert got == expected, seed
-            failures += got is not None
-        assert failures >= 150
-
-    @pytest.mark.parametrize("source, images, signs, cell", [
-        # a 2-cell image in a target without 2-cells
-        ([(0, 1, 2)], [[0, 1, 1], [0, 0, -1], [0]],
-         [[1, 1, 1], [1, 1, 0], [1]], "dim 2, 0"),
-        ([(0, 1)], [[0, 5], [0]], [[1, 1], [1]], "dim 0, 1"),
-        # below -1 must not wrap round to a target cell
-        ([(0, 1)], [[0, 1], [-2]], [[1, 1], [0]], "dim 1, 0"),
-        ([(0, 1)], [[0, 1]], [[1, 1]], "dim 1, 0..0"),
-        ([(0, 1)], [[0, 1], [-1]], [[1, 1], [1]], "dim 1, 0"),
-        ([(0, 1)], [[0, 1], [0]], [[1, 0], [1]], "dim 0, 1"),
-        # as many zero signs as zero images, in the wrong places
-        ([(0, 1)], [[-1, 1], [0]], [[1, 0], [1]], "dim 0, 0"),
-        ([(0, 1)], [[0, 1], [0]], [[1, 1], [2]], "dim 1, 0"),
-    ], ids=["missing-dimension", "index-past-end", "negative-index",
-            "missing-table", "sign-on-zero", "zero-sign-on-cell",
-            "zero-signs-misplaced", "sign-not-unit"])
-    def test_image_outside_target_is_shape_mismatch(self, source, images,
-                                                    signs, cell):
-        edge = simplicial_complex([(0, 1)])
-        with pytest.raises(ShapeMismatch, match=rf"\({cell}\)"):
-            CellMap(simplicial_complex(source), edge, images, signs)
-
-    def test_product_cellmap_random(self):
-        from coarse_kit.complexes import path_complex, product_cellmap
-
-        for seed in range(40):
-            rng = random.Random(seed)
-            n = rng.randint(2, 6)
-            X = simplicial_complex(random_simplices(rng, n, 2, rng.randint(1, 5)))
-            vm, Y = random_vertex_map(rng, X)
-            if Y.dim > 2:
-                continue
-            levels, m = rng.randint(1, 4), rng.randint(1, 4)
-            # a walk on the target path: steps forward, back or none
-            steps = [rng.randint(0, m)]
-            for _ in range(levels):
-                steps.append(min(m, max(0, steps[-1] + rng.choice((-1, 0, 1)))))
-            src, dst = interval_product(X, levels), interval_product(Y, m)
-            f = CellMap.from_vertex_map(X, Y, vm)
-            g = CellMap.from_vertex_map(path_complex(levels), path_complex(m),
-                                        steps)
-            got = product_cellmap(src, dst, f, g)
-            assert cell_images(got) == oracle_product_cellmap(
-                src, dst, oracle_from_vertex_map(X, Y, vm),
-                oracle_from_vertex_map(path_complex(levels), path_complex(m),
-                                       steps))
-
-
 class TestFastPathTampering:
     """The checks that remain reject a bad table and name the cell: the
-    exact chain-map check of a map given by image tables (colliding,
-    cancelling and vanishing faces among them), the level-wide sorted-tuple
-    check of simplex levels, and the row range check of raw columns.  What
-    no test tampers with here needs no check: a map from a vertex map and
-    the tables of a simplicial complex are right by construction (see
-    ``CellMap.from_vertex_map`` and ``CellComplex.from_simplices``)."""
-
-    def test_flipped_sign_on_nondegenerate_triangle(self):
-        X = simplicial_complex([(0, 1, 2), (1, 2, 3)])
-        images = [list(range(n)) for n in X.counts]
-        signs = [[1] * n for n in X.counts]
-        CellMap(X, X, images, signs)
-        signs[2][1] = -1
-        with pytest.raises(NotAChainComplex, match=r"\(dim 2, 1\)") as exc:
-            CellMap(X, X, images, signs)
-        assert exc.value.cell == (2, 1)
-
-    def test_degenerate_triangle_with_uncancelled_collision(self):
-        # a vertex and a loop edge; the triangle maps to zero and its edges
-        # land on the loop, where they must cancel
-        loop = new_complex([1, 1], [None, [{}]])
-        X = filled_triangle()
-        images = [[0, 0, 0], [0, 0, -1], [-1]]
-        signs = [[1, 1, 1], [1, 1, 0], [0]]
-        CellMap(X, loop, images, signs)
-        images[1][2], signs[1][2] = 0, 1
-        with pytest.raises(NotAChainComplex, match=r"\(dim 2, 0\)") as exc:
-            CellMap(X, loop, images, signs)
-        assert exc.value.cell == (2, 0)
-
-    @pytest.mark.parametrize("vanishing", [0, 1, 2])
-    def test_collapsed_triangle_faces_cancel_on_a_loop(self, vanishing):
-        # the triangle maps to zero, its face ``vanishing`` too, and its
-        # other two faces land on a loop: a chain map when they cancel there,
-        # refused at the triangle once one of their signs is flipped
-        loop = new_complex([1, 1], [None, [{}]])
-        p, q = [i for i in range(3) if i != vanishing]
-        # face i of the triangle is edge 2 - i, with coefficient (-1)**i
-        edge_images, edge_signs = [0, 0, 0], [1, 1, 1]
-        edge_images[2 - vanishing], edge_signs[2 - vanishing] = -1, 0
-        edge_signs[2 - q] = -(-1) ** (p + q)
-        images = [[0, 0, 0], edge_images, [-1]]
-        signs = [[1, 1, 1], edge_signs, [0]]
-        CellMap(filled_triangle(), loop, images, signs)
-        edge_signs[2 - q] = -edge_signs[2 - q]
-        with pytest.raises(NotAChainComplex, match=r"\(dim 2, 0\)") as exc:
-            CellMap(filled_triangle(), loop, images, signs)
-        assert exc.value.cell == (2, 0)
-
-    def test_triangle_faces_colliding_on_its_image(self):
-        # one vertex, loops E and F and a 2-cell with boundary F - E; the
-        # faces (1, 2) and (0, 2) of the triangle both land on E and cancel,
-        # so f(d t) = F while d f(t) = F - E
-        target = new_complex([1, 2, 1], [None, [{}, {}], [{0: -1, 1: 1}]])
-        images = [[0, 0, 0], [1, 0, 0], [0]]
-        signs = [[1, 1, 1], [1, 1, 1], [1]]
-        with pytest.raises(NotAChainComplex, match=r"\(dim 2, 0\)") as exc:
-            CellMap(filled_triangle(), target, images, signs)
-        assert exc.value.cell == (2, 0)
+    level-wide sorted-tuple check of simplex levels and the row range check
+    of raw columns.  What no test tampers with here needs no check: every
+    map comes from a vertex map, and it and the tables of a simplicial
+    complex are right by construction (see ``CellMap.from_vertex_map`` and
+    ``CellComplex.from_simplices``)."""
 
     @pytest.mark.parametrize("edges, error, cell", [
         ([(0, 1), (2, 1)], NotSimplicial,
@@ -558,7 +429,7 @@ class TestFlatBoundaryTables:
             assert len(reachable_dicts(X)) == X.dim + 3
 
     def test_tampered_face_entry_fails_at_oracle_cell(self):
-        seen = {"boundary squared": 0, "chain map": 0}
+        seen = 0
         for seed in range(200):
             rng = random.Random(seed)
             X = simplicial_complex(random_simplices(
@@ -576,19 +447,10 @@ class TestFlatBoundaryTables:
                 with pytest.raises(NotAChainComplex) as exc:
                     X._validate()
                 assert exc.value.cell == expected, seed
-                seen["boundary squared"] += 1
-                continue
-            X._validate()
-            # one to one on vertices, so the map tells every face apart
-            vm, Y = random_vertex_map(rng, X, injective=True)
-            f = CellMap.from_vertex_map(X, Y, vm)
-            expected = oracle_chain_map_failure(X, Y, cell_images(f))
-            assert expected is not None, seed
-            with pytest.raises(NotAChainComplex) as exc:
-                f._validate()
-            assert exc.value.cell == expected, seed
-            seen["chain map"] += 1
-        assert min(seen.values()) >= 20, seen
+                seen += 1
+            else:
+                X._validate()
+        assert seen >= 20, seen
 
 
 class TestAnnulus:
@@ -829,15 +691,6 @@ class TestProducts:
                 if k >= 1:
                     for r in Z.boundary_of(k, i):
                         assert (k - 1, r) in cells
-
-    def test_slice_inclusion_is_chain_map(self):
-        from coarse_kit.complexes import slice_inclusion
-
-        prod = interval_product(filled_triangle(), 3)
-        for l in (0, 1, 3):
-            # CellMap validates the chain-map identity at construction
-            inc = slice_inclusion(prod, l)
-            assert inc.cell_image(2, 0) == {prod.slice_cell(2, 0, l): 1}
 
     def test_product_boundary_squared(self):
         # implicit in construction, but exercise a 2-dim base fully

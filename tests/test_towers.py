@@ -13,7 +13,9 @@ from coarse_kit.cochains import (
     coboundary,
     cohomology,
     exactness_check,
+    fundamental_class,
     min_norm_primitive,
+    pullback_cochain,
     relative_cohomology,
     ring_zp,
 )
@@ -22,8 +24,10 @@ from coarse_kit.complexes import (
     annulus_triangulation,
     barycentric_subdivision,
     filled_triangle,
+    interval_product,
     labeled_cycle,
     midpoint_subdivision,
+    path_complex,
     simplicial_complex,
 )
 from coarse_kit.degrees import circle_map_degree
@@ -43,7 +47,6 @@ from coarse_kit.towers import (
     build_beta,
     build_tower,
     check_stage_carriers,
-    collapse_map_xi,
     dimension_coloring,
     is_light,
     open_star_refinement_witnesses,
@@ -61,6 +64,7 @@ from oracles import (
     oracle_from_vertex_map,
     oracle_is_light,
     oracle_open_star_refinement_witnesses,
+    oracle_product_cellmap,
     oracle_pullback_complex,
     oracle_simplicial_approx_identity,
 )
@@ -199,21 +203,73 @@ class TestBuildMk:
                 build_Mk(MkParams(5, 2, 4), size_guard=2000)
 
 
+def collapse_xi(n):
+    """xi: [0, n] -> [0, 1], everything below n - 1 to 0, the last edge
+    onto the unit edge."""
+    return CellMap.from_vertex_map(path_complex(n), path_complex(1),
+                                   [0] * n + [1])
+
+
 class TestCollapseXi:
+    """xi kills every edge but the last, which is why the product
+    obstruction cocycle is a cross product (see
+    ``towers.product_obstruction_cocycle``)."""
+
     def test_identity_at_one(self):
-        xi = collapse_map_xi(1)
+        xi = collapse_xi(1)
         assert xi.cell_image(1, 0) == {0: 1}
 
     def test_collapse_three(self):
-        xi = collapse_map_xi(3)
+        xi = collapse_xi(3)
         assert xi.cell_image(1, 0) == {}
         assert xi.cell_image(1, 1) == {}
         assert xi.cell_image(1, 2) == {0: 1}
 
     def test_fundamental_chain_image(self):
-        xi = collapse_map_xi(4)
+        xi = collapse_xi(4)
         image = xi.chain_image(1, {0: 1, 1: 1, 2: 1, 3: 1})
         assert image == {0: 1}
+
+
+class TestProductObstruction:
+    def test_closed_form_against_product_map_oracle(self):
+        """The closed form against the pullback of the unit 3-cocycle of
+        triangle x [0, 1] along the oracle's product map q x xi, for n = 1
+        to 6: random 2-complexes mapped onto the triangle, and the bundles
+        (5,2,1) and (7,2,1) with q = rho . phi."""
+        T = filled_triangle()
+        mu = fundamental_class(T, 2)
+        cases = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            X = simplicial_complex(random_simplices(
+                rng, rng.randint(3, 7), 2, rng.randint(1, 6)) + [(0, 1, 2)])
+            # the triangle (0, 1, 2) keeps its dimension, with either sign
+            vm = rng.sample(range(3), 3) + [
+                rng.randrange(3) for _ in range(X.n_cells(0) - 3)]
+            q = CellMap.from_vertex_map(X, T, vm)
+            cases.append((X, pullback_cochain(q, mu), vm))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for p in (5, 7):
+                b = build_Mk(MkParams(p, 2, 1, reduce=True))
+                q = simplicial_approx_identity(b.tau).compose(b.phi)
+                cases.append((b.complex, b.obstruction, q.vertex_map))
+        unit = interval_product(T, 1)
+        values = set()
+        for X, obstruction, vm in cases:
+            q_dicts = oracle_from_vertex_map(X, T, vm)
+            values.update(obstruction.values)
+            for n in range(1, 7):
+                prod = interval_product(X, n)
+                xi_dicts = oracle_from_vertex_map(
+                    path_complex(n), path_complex(1), [0] * n + [1])
+                images = oracle_product_cellmap(prod, unit, q_dicts,
+                                                xi_dicts)[3]
+                want = [sum(img.values()) for img in images]
+                got = product_obstruction_cocycle(obstruction, prod)
+                assert got.values == want, (X.counts, n)
+        assert values == {-1, 0, 1}
 
 
 class TestBeta:
@@ -245,7 +301,7 @@ class TestBeta:
         gamma = gamma521.gamma
         n = pick_n(gamma, "lcm")
         cert = build_beta(gamma, n)
-        c, g = product_obstruction_cocycle(mk521, cert.product)
+        c = product_obstruction_cocycle(mk521.obstruction, cert.product)
         assert coboundary(cert.beta) == c
         assert cert.beta.norm() <= 4
 
