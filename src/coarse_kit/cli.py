@@ -107,7 +107,8 @@ def _mk_params(args):
 def _emit(report, out, started):
     text = report.to_json()
     if out:
-        report.write(out)
+        with open(out, "w") as fp:
+            fp.write(text)
     sys.stdout.write(text)
     print(f"# status {report.status} in {time.time() - started:.2f}s",
           file=sys.stderr)
@@ -146,7 +147,7 @@ def cmd_homology(args):
 
     # a modulus that is not prime is a usage error before any file is read
     ring = {"Z": RING_Z, "Q": RING_Q}.get(args.ring) or ring_zp(args.prime)
-    X, _ = read_complex(args.infile)
+    X = read_complex(args.infile)
     for row in homology_summary(X, ring):
         torsion = " ".join(str(t) for t in row["torsion"])
         print(f"H^{row['degree']}: free {row['free_rank']}"
@@ -176,27 +177,19 @@ def main(argv=None):
         params = _mk_params(args)
         if args.node_limit < 1:
             raise InvalidParams(f"--node-limit {args.node_limit} is below 1")
-        prefix = None
-        if args.out:
-            prefix = args.out[:-5] if args.out.endswith(".json") else args.out
         if args.command == "verify-prop51":
-            report = verify_prop51(params, node_limit=args.node_limit,
-                                   out_prefix=prefix)
+            report = verify_prop51(params, node_limit=args.node_limit)
         elif args.command == "verify-prop52":
             report = verify_prop52(params, node_limit=args.node_limit,
-                                   n_mode=args.n_mode, out_prefix=prefix)
+                                   n_mode=args.n_mode)
         elif args.command == "verify-tower":
             report = verify_tower(params, stages=args.stages,
-                                  node_limit=args.node_limit,
-                                  out_prefix=prefix)
+                                  node_limit=args.node_limit)
         else:
             ap.print_help()
             return USAGE_ERROR
         return _emit(report, args.out, started)
-    except (InvalidParams, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except SizeGuardExceeded as exc:
+    except (InvalidParams, OSError, SizeGuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CoarseKitError as exc:

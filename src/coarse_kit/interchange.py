@@ -10,9 +10,6 @@ Layout (version 2, line oriented, `#` comments ignored):
     ...
     end
     label boundary 0:0 0:1 1:3 ...
-    cochain obstruction degree=2 ring=Z      # sparse "cell value" pairs
-    2 1
-    end
 
 A file has one form.  A simplicial complex is written as its simplex blocks
 only: the vertex tuples fix every boundary.  Face i of the k-simplex
@@ -27,36 +24,24 @@ tables and is written as its boundary blocks instead, one per k = 1..dim:
     end
 
 A ``v1`` file (boundary blocks beside the simplex blocks, and cover
-sections) is refused.
+sections) is refused.  A file holds a complex and its labels only:
+witness cochains travel inline in verification reports.  Dropping the
+``cochain`` section, which only witness files ever held, left every file
+that ``build`` writes unchanged, so the header stays ``v2``; a ``cochain``
+line is refused as an unrecognized line.
 
 Serialization is deterministic: cells in index order, triples sorted
-row-major, labels and cochains sorted by name.  All numbers are integers or
-`p/q` rationals; nothing is floating point.
+row-major, labels sorted by name.  Every number is an integer.
 """
 
-from fractions import Fraction
 from itertools import chain, repeat
 from operator import sub
 
-from .cochains import Cochain, RING_Q, RING_Z, is_prime, ring_zp
 from .complexes import CellComplex
 from .errors import ShapeMismatch
 
 FORMAT_VERSION = "v2"
 MAGIC = "coarse-kit-complex"
-
-
-def _num_to_str(v):
-    if isinstance(v, Fraction) and v.denominator != 1:
-        return f"{v.numerator}/{v.denominator}"
-    return str(int(v))
-
-
-def _num_from_str(s):
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return int(s)
 
 
 def _row_major(table):
@@ -86,11 +71,11 @@ def _simplex_text(level, k):
         chain.from_iterable(level))
 
 
-def serialize_complex(X, cochains=None):
-    """Render a complex (plus optional cochains) to format text.
+def serialize_complex(X):
+    """Render a complex to format text.
 
     Simplex or boundary levels, which hold nearly all the bytes, are each
-    rendered by one bulk format; labels and cochains line by line.
+    rendered by one bulk format; labels line by line.
     """
     parts = [f"{MAGIC} {FORMAT_VERSION}\ndim {X.dim}\ncounts "
              + " ".join(str(c) for c in X.counts) + "\n"]
@@ -106,21 +91,13 @@ def serialize_complex(X, cochains=None):
     for name in sorted(X.labels):
         cells = " ".join(f"{d}:{i}" for d, i in X.labels[name])
         lines.append(f"label {name} {cells}".rstrip())
-    for name in sorted(cochains or {}):
-        c = cochains[name]
-        ring = c.ring if isinstance(c.ring, str) else f"Z{c.ring[1]}"
-        lines.append(f"cochain {name} degree={c.degree} ring={ring}")
-        for i, v in enumerate(c.values):
-            if v != 0:
-                lines.append(f"{i} {_num_to_str(v)}")
-        lines.append("end")
     if lines:
         parts.append("\n".join(lines) + "\n")
     return "".join(parts)
 
 
-def write_complex(path, X, cochains=None):
-    text = serialize_complex(X, cochains=cochains)
+def write_complex(path, X):
+    text = serialize_complex(X)
     with open(path, "w") as fp:
         fp.write(text)
     return text
@@ -167,29 +144,16 @@ def _block(lines, n, ln):
     raise ShapeMismatch(f"line {n}: block {ln!r} has no 'end'")
 
 
-def _meta(n, ln, fields, keys):
-    """The ``key=value`` fields of a block header; each of ``keys`` must be
-    among them."""
-    meta = dict(f.split("=", 1) for f in fields if "=" in f)
-    if len(meta) != len(fields) or not all(k in meta for k in keys):
-        raise ShapeMismatch(
-            f"line {n}: expected fields {', '.join(keys)}, got {ln!r}")
-    return meta
-
-
 def parse_complex(text):
-    """Parse format text back into (complex, cochains).
+    """Parse format text back into a complex.
 
-    Cochains come back as raw dicts (degree, ring, values); the caller
-    binds them to the complex with :func:`bind_cochain`.  A malformed file
-    raises ``ShapeMismatch`` naming the line at fault: a bad header (a
-    ``v1`` file among them), a counts line whose top dimension has no
-    cells (the writer drops empty top levels), a block without ``end``, a
-    short or non-integer row, a row, column, cell, degree or dimension out
-    of range, a boundary block in a file with simplex blocks, a label or
-    cochain name given twice, a cochain cell given twice, a ring that is
-    not Z, Q or Z_p with p prime, or a value that is not an integer in a Z
-    or Z_p cochain.
+    A malformed file raises ``ShapeMismatch`` naming the line at fault: a
+    bad header (a ``v1`` file among them), a counts line whose top
+    dimension has no cells (the writer drops empty top levels), a block
+    without ``end``, a short or non-integer row, a row, column, cell or
+    dimension out of range, a boundary block in a file with simplex
+    blocks, a label name given twice, or an unrecognized line (a
+    ``cochain`` section among them).
 
     A file with simplex blocks is a simplicial complex, made from its
     vertex tuples alone by :meth:`CellComplex.from_simplices`, which
@@ -214,7 +178,6 @@ def parse_complex(text):
     boundary_line = None
     simplices = None
     labels = {}
-    cochains = {}
     for n, ln in lines:
         parts = ln.split()
         kind = parts[0]
@@ -223,12 +186,11 @@ def parse_complex(text):
             if not (0 if kind == "simplices" else 1) <= k <= dim:
                 raise ShapeMismatch(
                     f"line {n}: {kind} {k} out of range for dim {dim}")
-        elif kind in ("label", "cochain"):
+        elif kind == "label":
             if len(parts) < 2:
-                raise ShapeMismatch(f"line {n}: {kind} without a name")
-            if parts[1] in (labels if kind == "label" else cochains):
-                raise ShapeMismatch(
-                    f"line {n}: {kind} {parts[1]} given twice")
+                raise ShapeMismatch(f"line {n}: label without a name")
+            if parts[1] in labels:
+                raise ShapeMismatch(f"line {n}: label {parts[1]} given twice")
         if kind == "boundary":
             if boundary_line is None:
                 boundary_line = n
@@ -263,36 +225,6 @@ def parse_complex(text):
                         f"line {n}: label cell {item} out of range")
                 cells.append((d, i))
             labels[parts[1]] = cells
-        elif kind == "cochain":
-            meta = _meta(n, ln, parts[2:], ("degree", "ring"))
-            degree, = _ints(n, meta["degree"], "an integer degree", 1)
-            if not 0 <= degree <= dim:
-                raise ShapeMismatch(
-                    f"line {n}: degree {degree} out of range for dim {dim}")
-            ring = meta["ring"]
-            if ring not in ("Z", "Q") and not (
-                    ring[:1] == "Z" and ring[1:].isdigit()
-                    and is_prime(int(ring[1:]))):
-                raise ShapeMismatch(f"line {n}: unknown ring {ring!r}")
-            # only a Q cochain may hold p/q values
-            num, what = ((_num_from_str, "'cell value'") if ring == "Q"
-                         else (int, "'cell value' with an integer value"))
-            values = {}
-            for n, row in _block(lines, n, ln):
-                try:
-                    i, v = row.split()
-                    i, v = int(i), num(v)
-                except (ValueError, ZeroDivisionError):
-                    raise ShapeMismatch(f"line {n}: expected {what}, "
-                                        f"got {row!r}") from None
-                if not 0 <= i < counts[degree]:
-                    raise ShapeMismatch(f"line {n}: cell {i} out of range "
-                                        f"for degree {degree}")
-                if i in values:
-                    raise ShapeMismatch(f"line {n}: cell {i} given twice")
-                values[i] = v
-            cochains[parts[1]] = {"degree": degree, "ring": ring,
-                                  "values": values}
         else:
             raise ShapeMismatch(f"line {n}: unrecognized line: {ln!r}")
     if simplices is None:
@@ -302,7 +234,7 @@ def parse_complex(text):
             for r, j, c in zip(*triples[k]):
                 columns[j][r] = c
             boundaries.append(columns)
-        return CellComplex(counts, boundaries, labels=labels), cochains
+        return CellComplex(counts, boundaries, labels=labels)
     if boundary_line is not None:
         raise ShapeMismatch(f"line {boundary_line}: a boundary block in a "
                             f"file with simplex blocks")
@@ -310,24 +242,10 @@ def parse_complex(text):
         if len(level) != counts[k]:
             raise ShapeMismatch(f"simplices {k}: {len(level)} vertex "
                                 f"tuples for {counts[k]} cells")
-    return CellComplex.from_simplices(simplices, labels=labels), cochains
+    return CellComplex.from_simplices(simplices, labels=labels)
 
 
 def read_complex(path):
     with open(path) as fp:
         return parse_complex(fp.read())
 
-
-def bind_cochain(X, raw):
-    """Turn a parsed cochain record into a Cochain on the given complex."""
-    ring = raw["ring"]
-    if ring == "Z":
-        ring_obj = RING_Z
-    elif ring == "Q":
-        ring_obj = RING_Q
-    else:
-        ring_obj = ring_zp(int(ring[1:]))
-    vals = [0] * X.n_cells(raw["degree"])
-    for i, v in raw["values"].items():
-        vals[i] = v
-    return Cochain(X, raw["degree"], ring_obj, vals)

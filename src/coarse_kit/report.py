@@ -3,10 +3,10 @@
 Reports are deterministic JSON: every numeric value is carried as a string
 (integers and `p/q` rationals round-trip losslessly), keys are sorted, and
 nothing time-dependent is written — wall-clock timing goes to the console,
-not the artifact.
+not the artifact.  A report carries its witness cochains inline under
+``witnesses``, each as the object ``{cell: value}`` of its nonzero values.
 """
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,15 +60,6 @@ class VerificationReport:
     def check(self, name, ok, **values):
         return self.add(name, PASS if ok else FAIL, **values)
 
-    def attach_witness(self, name, path, text):
-        # basename only: identical runs give identical bytes wherever they
-        # land; the checker resolves relative to the report location
-        import os
-
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        self.witnesses[name] = {"path": os.path.basename(str(path)),
-                                "sha256": digest}
-
     @property
     def status(self):
         if any(r["status"] == FAIL for r in self.records):
@@ -91,12 +82,6 @@ class VerificationReport:
             "version": self.version,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    def write(self, path):
-        text = self.to_json()
-        with open(path, "w") as fp:
-            fp.write(text)
-        return text
 
 
 def load_report(path):

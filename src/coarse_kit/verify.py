@@ -1,24 +1,25 @@
 """Verification pipelines behind the CLI subcommands.
 
-Each pipeline builds the complexes it needs, runs the exact checks, writes
-witness files in the interchange format, and returns a report whose PASS
-records an independent re-checker can validate without re-running any
-search.
+Each pipeline builds the complexes it needs, runs the exact checks and
+returns a report that carries its witness cochains inline, so that
+``check_witness`` can validate its PASS records on complexes it rebuilds
+from the report's params, without re-running any search.
 """
 
-import hashlib
 import os
+import re
 import warnings
 from fractions import Fraction
 
 from .cochains import (
     RING_Z,
+    Cochain,
     _subcomplex_cells,
     coboundary,
     min_norm_primitive,
     relative_coboundary_matrix,
 )
-from .complexes import interval_product, same_structure
+from .complexes import interval_product
 from .degrees import DegreeReport, bezout, check_degree_relation, min_m_bound
 from .errors import (
     CoarseKitError,
@@ -27,7 +28,6 @@ from .errors import (
     NotACoboundary,
 )
 from .exact_linalg import check_lp_lower_bound, smith_normal_form, solve_integer
-from .interchange import bind_cochain, read_complex, write_complex
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport, decode_number
 from .towers import (
     HOLE_EDGES,
@@ -45,6 +45,11 @@ from .towers import (
 # cell budgets: the beta product of verify-prop52, the tower of verify-tower
 PROP52_CELL_BUDGET = 200_000
 TOWER_CELL_BUDGET = 300_000
+
+# a witness entry maps canonical decimal cell indices to decimal integers
+_INDEX = re.compile(r"0|[1-9][0-9]*")
+_INTEGER = re.compile(r"-?[0-9]+")
+NO_MK = "the report's params give no M(p, q, k)"
 
 
 def _params_dict(params, extra=None):
@@ -87,7 +92,7 @@ def _relative_system(bundle):
     return mat, rhs, cols, rows
 
 
-def verify_prop51(params, node_limit=10_000_000, out_prefix=None):
+def verify_prop51(params, node_limit=10_000_000):
     """Retraction obstruction, Bezout bound, degree relation, norm growth."""
     report = VerificationReport(
         command="verify-prop51",
@@ -147,7 +152,6 @@ def verify_prop51(params, node_limit=10_000_000, out_prefix=None):
 
     # (d) exact minimal primitive norm >= q^k - 1; without a relative
     # primitive there is no norm to bound and (a) has already failed
-    witness_vals = None
     if prim is not None:
         m_k = prim.certificate.optimum
         ok = m_k >= q ** k - 1
@@ -158,23 +162,23 @@ def verify_prop51(params, node_limit=10_000_000, out_prefix=None):
             certificate=proof.get("kind"),
             evaluations=prim.certificate.node_count,
         )
-        witness_vals = prim.gamma
-        _attach_dual(report, proof)
+        _attach_primitive(report, prim)
     elif exhausted is not None:
         _add_exhausted(report, "norm-lower-bound", exhausted)
-    if out_prefix is not None and witness_vals is not None:
-        path = f"{out_prefix}.mk.ckx"
-        text = write_complex(path, M, cochains={
-            "obstruction": bundle.obstruction,
-            "primitive": witness_vals,
-        })
-        report.attach_witness("mk-complex", path, text)
     return report
 
 
-def _attach_dual(report, proof):
-    """Carry an LP dual lower-bound certificate as a witness, so that
-    check-witness can re-check the claimed minimal norm."""
+def _sparse(cochain):
+    """A witness entry: the nonzero values of a cochain by cell index."""
+    return {str(i): str(v) for i, v in enumerate(cochain.values) if v}
+
+
+def _attach_primitive(report, prim):
+    """Carry a minimal primitive as a witness, and its LP dual lower-bound
+    certificate when it has one, so that check-witness can re-check the
+    claimed minimal norm."""
+    report.witnesses["primitive"] = _sparse(prim.gamma)
+    proof = prim.certificate.infeasibility_proof
     if proof.get("kind") == "lp-dual":
         report.witnesses["norm-lower-bound-dual"] = {
             "dual": [str(v) for v in proof["dual"]],
@@ -216,8 +220,7 @@ def _winding_relation(bundle):
     return False, None
 
 
-def verify_prop52(params, node_limit=10_000_000, n_mode="factorial",
-                  out_prefix=None):
+def verify_prop52(params, node_limit=10_000_000, n_mode="factorial"):
     """Bounded product primitive: delta(beta) = pulled-back cocycle, norm <= 4."""
     report = VerificationReport(
         command="verify-prop52",
@@ -234,7 +237,7 @@ def verify_prop52(params, node_limit=10_000_000, n_mode="factorial",
     proof = prim.certificate.infeasibility_proof
     report.add("minimal-primitive", PASS, m_k=m_k,
                certificate=proof.get("kind"))
-    _attach_dual(report, proof)
+    _attach_primitive(report, prim)
     try:
         n = pick_n(gamma, n_mode)
     except OverflowError:
@@ -255,21 +258,11 @@ def verify_prop52(params, node_limit=10_000_000, n_mode="factorial",
                  cells=cert.product.complex.n_cells(3))
     report.check("beta-norm-bound", cert.beta.norm() <= 4,
                  norm=cert.beta.norm())
-    if out_prefix is not None:
-        path1 = f"{out_prefix}.mk.ckx"
-        text1 = write_complex(path1, bundle.complex, cochains={
-            "obstruction": bundle.obstruction, "primitive": gamma,
-        })
-        report.attach_witness("mk-complex", path1, text1)
-        path2 = f"{out_prefix}.product.ckx"
-        text2 = write_complex(path2, cert.product.complex, cochains={
-            "beta": cert.beta, "target": target,
-        })
-        report.attach_witness("product-complex", path2, text2)
+    report.witnesses["beta"] = _sparse(cert.beta)
     return report
 
 
-def verify_tower(params, stages, node_limit=10_000_000, out_prefix=None):
+def verify_tower(params, stages, node_limit=10_000_000):
     """Stage bounds, star-refinement witnesses, carrier containment, growth."""
     report = VerificationReport(
         command="verify-tower",
@@ -304,24 +297,19 @@ def verify_tower(params, stages, node_limit=10_000_000, out_prefix=None):
             vertices=len(wit),
             missing=sum(1 for u in wit.values() if u is None),
         )
-    # norm growth across levels
+    # norm growth across levels; each row of the table carries its primitive
     values = []
+    gammas = {}
     status = PASS
     for j in range(1, params.k + 1):
         sub = MkParams(params.p, params.q, j, reduce=params.reduce)
-        bundle = build_Mk(sub)
-        prim, exhausted = _search_primitive(report, bundle, node_limit)
+        prim, exhausted = _search_primitive(report, build_Mk(sub), node_limit)
         if exhausted is not None:
             _add_exhausted(report, f"norm-growth-level-{j}", exhausted)
             status = INCONCLUSIVE
             continue
         values.append((j, prim.certificate.optimum))
-        if out_prefix is not None:
-            path = f"{out_prefix}.level-{j}.mk.ckx"
-            text = write_complex(path, bundle.complex, cochains={
-                "obstruction": bundle.obstruction, "primitive": prim.gamma,
-            })
-            report.attach_witness(f"mk-level-{j}", path, text)
+        gammas[f"level-{j}-primitive"] = _sparse(prim.gamma)
     growing = all(a[1] < b[1] for a, b in zip(values, values[1:]))
     meets = all(m >= params.q ** j - 1 for j, m in values)
     if status == PASS:
@@ -330,29 +318,28 @@ def verify_tower(params, stages, node_limit=10_000_000, out_prefix=None):
             table={str(j): m for j, m in values},
             strictly_growing=growing, meets_lower_bounds=meets,
         )
+        report.witnesses.update(gammas)
     return report
 
 
 def check_witness(report_path):
-    """Re-validate a report's serialized witnesses without any search."""
+    """Re-check a report's inline witnesses without any search, on the
+    complexes its params fix: M(p, q, k) for the primitive, its LP dual and
+    beta (on M x [0, n]), and M(p, q, j) for row j of a norm-growth table.
+
+    The records fix the witnesses a report carries: a missing or an
+    unexpected witness, like a report that cannot be read, is a FAIL
+    record."""
     from .report import load_report
-
-    data = load_report(report_path)
-    base_dir = os.path.dirname(os.path.abspath(str(report_path)))
-
-    def resolve(entry):
-        path = os.path.join(base_dir, entry["path"])
-        try:
-            with open(path) as fp:
-                text = fp.read()
-        except OSError:
-            # the parse record that follows says why
-            return path, False
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        return path, digest == entry.get("sha256")
 
     out = VerificationReport(command="check-witness",
                              params={"report": os.path.basename(str(report_path))})
+    try:
+        data = load_report(report_path)
+        claims, witnesses = _report_parts(data)
+    except ValueError as exc:
+        out.add("report-parse", FAIL, reason=str(exc))
+        return out
     params = None
     given = data.get("params")
     given = given if isinstance(given, dict) else {}
@@ -366,41 +353,77 @@ def check_witness(report_path):
             params = _report_mk_params(given)
         except InvalidParams as exc:
             out.add("report-params", FAIL, reason=str(exc))
-    witnesses = data.get("witnesses", {})
-    mk_entry = witnesses.get("mk-complex")
-    mk = None
-    if mk_entry:
-        # prop51 claims m_k under norm-lower-bound, prop52 under
-        # minimal-primitive; either way the witness must attain it and an
-        # LP dual, when carried, must bound it from below
-        claimed = _find_value(data, ("norm-lower-bound", "minimal-primitive"),
-                              "m_k")
-        mk = _check_mk_witness(out, resolve(mk_entry), claimed)
-        dual_entry = witnesses.get("norm-lower-bound-dual")
-        if dual_entry:
-            _check_dual_witness(out, params, dual_entry, claimed)
-    # verify-tower: one witness per row j of the norm-growth table
-    table = _find_value(data, ("norm-growth-table",), "table") or {}
-    levels = sorted(int(name[len("mk-level-"):]) for name in witnesses
-                    if name.startswith("mk-level-"))
-    for j in levels:
-        _check_mk_witness(out, resolve(witnesses[f"mk-level-{j}"]),
-                          table.get(str(j)), tag=f"level-{j}-")
-    prod_entry = witnesses.get("product-complex")
-    if prod_entry:
-        prod_path, digest_ok = resolve(prod_entry)
-        out.check("product-witness-digest", digest_ok)
-        read = _read_witness(out, "product-witness-parse", prod_path,
-                             ("beta", "target"))
-        if read:
-            P, (beta, target) = read
-            out.check("beta-coboundary-identity", coboundary(beta) == target)
-            out.check("beta-norm-bound", beta.norm() <= 4, norm=beta.norm())
-            n = _find_value(data, ("interval-length",), "n")
-            _check_product_target(out, mk, n, P, target)
+    # prop51 claims m_k under norm-lower-bound, prop52 under
+    # minimal-primitive: the primitive must attain it and an LP dual, when
+    # that is its certificate, must bound it from below.  The product
+    # identity calls for beta, and row j of verify-tower's norm-growth table
+    # for the primitive of level j
+    mk_claim = (claims.get("norm-lower-bound")
+                or claims.get("minimal-primitive") or {})
+    table = claims.get("norm-growth-table", {}).get("table", {})
+    needed = {f"level-{j}-primitive" for j in table}
+    if "m_k" in mk_claim:
+        needed.add("primitive")
+    if mk_claim.get("certificate") == "lp-dual":
+        needed.add("norm-lower-bound-dual")
+    if "product-coboundary-identity" in claims:
+        needed.add("beta")
+    for name, names in (("missing-witness", needed - witnesses.keys()),
+                        ("unexpected-witness", witnesses.keys() - needed)):
+        if names:
+            out.add(name, FAIL, witnesses=sorted(names))
+    present = needed & witnesses.keys()
+    bundle = None
+    if params is not None and present & {"primitive", "beta",
+                                         "norm-lower-bound-dual"}:
+        bundle = build_Mk(params)
+    m_k = mk_claim.get("m_k")
+    if "primitive" in present:
+        _check_primitive(out, bundle, witnesses["primitive"], m_k)
+    if "norm-lower-bound-dual" in present:
+        _check_dual_witness(out, bundle, witnesses["norm-lower-bound-dual"],
+                            m_k)
+    if "beta" in present:
+        _check_beta(out, bundle, witnesses["beta"],
+                    claims.get("interval-length", {}).get("n"))
+    for j, claimed in table.items():
+        tag = f"level-{j}-"
+        if f"{tag}primitive" not in present:
+            continue
+        level = None
+        if params is not None:
+            if not (_INDEX.fullmatch(j) and 1 <= int(j) <= params.k):
+                out.add(f"{tag}witness-solves-system", FAIL,
+                        reason=f"{j!r} is not a level 1..{params.k}")
+                continue
+            level = build_Mk(_report_mk_params({**given, "k": j}))
+        _check_primitive(out, level, witnesses[f"{tag}primitive"], claimed,
+                         tag)
     if not out.records:
         out.add("no-witnesses-found", FAIL, report=str(report_path))
     return out
+
+
+def _report_parts(data):
+    """The values of a report's records by record name, and its witnesses;
+    ValueError says why the report has none."""
+    if not isinstance(data, dict):
+        raise ValueError("the report is not a JSON object")
+    records, witnesses = data.get("records", []), data.get("witnesses", {})
+    if not isinstance(records, list):
+        raise ValueError("the report's records are not a list")
+    if not isinstance(witnesses, dict):
+        raise ValueError("the report's witnesses are not an object")
+    claims = {}
+    for i, rec in enumerate(records):
+        if not (isinstance(rec, dict) and isinstance(rec.get("values"), dict)):
+            raise ValueError(f"record {i} is not an object with a values "
+                             "object")
+        claims.setdefault(str(rec.get("name")), rec["values"])
+    if not isinstance(claims.get("norm-growth-table", {}).get("table", {}),
+                      dict):
+        raise ValueError("the norm-growth-table is not an object")
+    return claims, witnesses
 
 
 def _report_mk_params(given):
@@ -419,87 +442,83 @@ def _report_mk_params(given):
         return MkParams(p, q, k, reduce=given.get("reduce") == "true")
 
 
-def _read_witness(out, name, path, cochain_names):
-    """A witness file's complex and its named cochains bound to it, or None
-    after a FAIL record ``name`` saying why the file cannot be read."""
+
+
+def _read_entry(entry, X, degree):
+    """The integer cochain on the degree-cells of X that a witness entry
+    ``{cell: value}`` gives; ValueError says why the entry gives none."""
+    if not isinstance(entry, dict):
+        raise ValueError("the witness is not an object of cell values")
+    values = [0] * X.n_cells(degree)
+    for cell, v in entry.items():
+        if not (_INDEX.fullmatch(cell) and int(cell) < len(values)):
+            raise ValueError(f"cell {cell!r} is not a {degree}-cell index "
+                             f"below {len(values)}")
+        if not (isinstance(v, str) and _INTEGER.fullmatch(v)):
+            raise ValueError(f"the value {v!r} of cell {cell} is not a "
+                             "decimal integer")
+        values[int(cell)] = int(v)
+    return Cochain(X, degree, RING_Z, values)
+
+
+def _check_primitive(out, bundle, entry, claimed, tag=""):
+    """Re-check a primitive gamma on the bundle's M(p, q, k): delta(gamma) =
+    obstruction, gamma vanishing on the boundary subcomplex and, when a
+    value is claimed, its norm equal to it.  No bundle, or an entry that
+    is no 1-cochain on it, is a FAIL of the first record."""
+    name = f"{tag}witness-solves-system"
+    if bundle is None:
+        return out.check(name, False, reason=NO_MK)
     try:
-        X, raw = read_complex(path)
-        return X, [bind_cochain(X, raw[c]) for c in cochain_names]
-    except OSError as exc:
-        reason = f"cannot read {os.path.basename(path)}: {exc.strerror}"
-    except KeyError as exc:
-        reason = f"no cochain {exc}"
-    except CoarseKitError as exc:
-        reason = str(exc)
-    out.add(name, FAIL, reason=reason)
-    return None
-
-
-def _check_mk_witness(out, resolved, claimed, tag=""):
-    """Re-check one M_k witness file: its digest, delta(primitive) =
-    obstruction, the primitive vanishing on the boundary subcomplex and,
-    when a value is claimed, its norm equal to it.  An unreadable file is
-    one FAIL record.  Returns the file's complex and obstruction, or None
-    when it cannot be read."""
-    path, digest_ok = resolved
-    out.check(f"{tag}mk-witness-digest", digest_ok)
-    read = _read_witness(out, f"{tag}mk-witness-parse", path,
-                         ("obstruction", "primitive"))
-    if not read:
-        return None
-    X, (obstruction, gamma) = read
-    if "boundary" not in X.labels:
-        out.add(f"{tag}mk-witness-parse", FAIL, reason="no boundary label")
-        return None
-    out.check(f"{tag}witness-solves-system",
-              coboundary(gamma) == obstruction,
+        gamma = _read_entry(entry, bundle.complex, 1)
+    except ValueError as exc:
+        return out.check(name, False, reason=str(exc))
+    out.check(name, coboundary(gamma) == bundle.obstruction,
               norm=gamma.norm())
-    boundary_edges = set(X.label_cells_of_dim("boundary", 1))
-    vanishes = all(gamma.values[e] == 0 for e in boundary_edges)
-    out.check(f"{tag}witness-vanishes-on-boundary", vanishes)
+    boundary = bundle.complex.label_cells_of_dim(bundle.boundary_label, 1)
+    out.check(f"{tag}witness-vanishes-on-boundary",
+              all(gamma.values[e] == 0 for e in boundary))
     if claimed is not None:
-        out.check(f"{tag}witness-norm-matches-claim",
-                  gamma.norm() == decode_number(claimed),
-                  claimed=claimed, actual=gamma.norm())
-    return X, obstruction
+        name = f"{tag}witness-norm-matches-claim"
+        try:
+            ok = gamma.norm() == decode_number(claimed)
+        except (TypeError, ValueError, ZeroDivisionError):
+            return out.check(name, False, claimed=claimed,
+                             reason="the claim is not a number")
+        out.check(name, ok, claimed=claimed, actual=gamma.norm())
 
 
-def _check_product_target(out, mk, n, P, target):
-    """Tie the product witness to M_k: its complex ``P`` is the M_k
-    witness's complex times [0, n] for the report's interval length n, and
-    its ``target`` is that complex's obstruction pulled back to the product
-    (:func:`towers.product_obstruction_cocycle`).  ``mk`` is the M_k
-    witness's complex and obstruction, None when it was not read."""
-    name = "product-target-is-pulled-back-obstruction"
-    if mk is None:
-        return out.check(name, False, reason="no readable M_k witness")
-    if not (isinstance(n, str) and n.isdecimal()):
-        return out.check(name, False,
-                         reason=f"the report gives no interval length n: {n!r}")
-    X, obstruction = mk
+def _check_beta(out, bundle, entry, n):
+    """Re-check beta on M x [0, n], for M the bundle's M(p, q, k) and n the
+    report's interval length: delta(beta) is the obstruction pulled back to
+    the product (:func:`towers.product_obstruction_cocycle`), and
+    ||beta|| <= 4.  No bundle, no n, or an entry that is no 2-cochain on the
+    product is a FAIL of the first record."""
+    name = "beta-coboundary-identity"
+    if bundle is None:
+        return out.check(name, False, reason=NO_MK)
+    if not (isinstance(n, str) and _INDEX.fullmatch(n)):
+        return out.check(name, False, reason="the report gives no interval "
+                                             f"length n: {n!r}")
     try:
-        prod = interval_product(X, int(n), size_guard=PROP52_CELL_BUDGET)
-    except CoarseKitError as exc:
+        prod = interval_product(bundle.complex, int(n),
+                                size_guard=PROP52_CELL_BUDGET)
+        beta = _read_entry(entry, prod.complex, 2)
+    except (CoarseKitError, ValueError) as exc:
         return out.check(name, False, n=n, reason=str(exc))
-    if not same_structure(P, prod.complex):
-        return out.check(name, False, n=n,
-                         reason=f"the product witness is not M_k x [0, {n}]")
-    want = product_obstruction_cocycle(obstruction, prod)
-    if (target.ring, target.values) != (want.ring, want.values):
-        return out.check(name, False, n=n,
-                         reason="target is not the pulled-back obstruction")
-    return out.check(name, True, n=n)
+    target = product_obstruction_cocycle(bundle.obstruction, prod)
+    out.check(name, coboundary(beta) == target, n=n)
+    out.check("beta-norm-bound", beta.norm() <= 4, norm=beta.norm())
 
 
-def _check_dual_witness(out, params, entry, claimed):
+def _check_dual_witness(out, bundle, entry, claimed):
     """Re-check the LP dual y behind a claimed minimal norm m_k: one entry
     per relative face, ||A^T y||_1 <= 1 and y . b > m_k - 1 on the relative
-    system, and the stored bound equal to m_k - 1.  A malformed entry or
-    claim, or no ``params`` to rebuild the system from, is a FAIL record."""
+    system of the bundle's M(p, q, k), and the stored bound equal to
+    m_k - 1.  A malformed entry or claim, or no bundle, is a FAIL record."""
     name = "lower-bound-dual-certificate"
-    if params is None:
-        return out.check(name, False,
-                         reason="the report's params give no M(p, q, k)")
+    if bundle is None:
+        return out.check(name, False, reason=NO_MK)
     try:
         m_k = decode_number(claimed)
         bound = decode_number(entry["bound"])
@@ -511,20 +530,13 @@ def _check_dual_witness(out, params, entry, claimed):
     if bound != m_k - 1:
         return out.check(name, False, bound=bound,
                          reason=f"bound is not m_k - 1 = {m_k - 1}")
-    mat, rhs, _, _ = _relative_system(build_Mk(params))
+    mat, rhs, _, _ = _relative_system(bundle)
     if len(dual) != len(rhs):
         return out.check(name, False, bound=bound,
                          reason=f"{len(dual)} dual entries for "
                                 f"{len(rhs)} relative faces")
     return out.check(name, check_lp_lower_bound(mat, rhs, dual, m_k - 1),
                      bound=bound)
-
-
-def _find_value(data, record_names, key):
-    for rec in data.get("records", []):
-        if rec["name"] in record_names:
-            return rec["values"].get(key)
-    return None
 
 
 def homology_summary(X, ring=RING_Z):

@@ -1287,14 +1287,9 @@ def oracle_pullback_complex(chi, phi, tau, size_guard):
             pair_index)
 
 
-def oracle_serialize_complex(X, cochains=None):
+def oracle_serialize_complex(X):
     """Format v2 text of a complex, one string per line: simplex blocks for
     a simplicial complex, boundary triples row-major for any other."""
-
-    def num(v):
-        if isinstance(v, Fraction) and v.denominator != 1:
-            return f"{v.numerator}/{v.denominator}"
-        return str(int(v))
 
     lines = ["coarse-kit-complex v2", f"dim {X.dim}",
              "counts " + " ".join(str(c) for c in X.counts)]
@@ -1319,12 +1314,4 @@ def oracle_serialize_complex(X, cochains=None):
     for name in sorted(X.labels):
         cells = " ".join(f"{d}:{i}" for d, i in X.labels[name])
         lines.append(f"label {name} {cells}".rstrip())
-    for name in sorted(cochains or {}):
-        c = cochains[name]
-        ring = c.ring if isinstance(c.ring, str) else f"Z{c.ring[1]}"
-        lines.append(f"cochain {name} degree={c.degree} ring={ring}")
-        for i, v in enumerate(c.values):
-            if v != 0:
-                lines.append(f"{i} {num(v)}")
-        lines.append("end")
     return "\n".join(lines) + "\n"

@@ -10,37 +10,30 @@ from pathlib import Path
 import pytest
 
 from coarse_kit.cli import build_parser, main
-from coarse_kit.cochains import RING_Z, Cochain
-from coarse_kit.complexes import filled_triangle, interval_product
-from coarse_kit.interchange import read_complex, write_complex
 from coarse_kit.report import load_report
 
-# sha256 of reports and witnesses for the fixed runs below; refactors of the
-# exact core must leave these bytes unchanged.  They were re-pinned once, when
-# .ckx went to format v2: each witness is its v1 file with the boundary blocks
-# of simplicial complexes cut and v1 -> v2 in the header, and each report
-# differs from its v1 run only in the witness sha256 values
+# sha256 of reports for the fixed runs below; refactors of the exact core
+# must leave these bytes unchanged.  Each report carries its witness
+# cochains inline, so its digest pins them too.  They were re-pinned when
+# the witnesses moved inline from .ckx files: each report differs from the
+# run before only in its `witnesses`
 PROP51_521_REPORT = \
-    "aaf23b821057f30310f3ea9d982bde9f795c0c572149cd5af24e1e50d58d7623"
-PROP51_521_MK_CKX = \
-    "2f267c327ee26e0a786ab587140b8f968aee94b93292bfa1498be160a8a23182"
+    "c8a4db919454d13f346b054b5629cd81dfbb90809a118c9eaeec4f6b6a032c81"
 # the prop52 report carries its lp-dual certificate as the witness
 # norm-lower-bound-dual, which check-witness re-checks
 PROP52_521_LCM_REPORT = \
-    "85b91852e10597fa0e6bfaaff917f8c09d87b1bb1899bbe07fe95db43c13cb31"
-# (7,2,1) picks n = 2, so its product target is off the first layer; the
-# report carries the sha256 of report.product.ckx
+    "0bdb75dc5b8cd146ada797ccdec02a758b93194799fc2f0d42c3ce0f4ec636ed"
+# (7,2,1) picks n = 2, so its product obstruction is off the first layer
 PROP52_721_LCM_REPORT = \
-    "69f72f1b119cd12f0122eb9f5ba0be36f214d8ef653d62f7a78ba2854ee1cb65"
+    "e5cd49d3427952c5853ab7929d18efb0b79575091a1628ac0ff228215acc7dd8"
+# (3,2,2) picks n = 6: a k = 2 product certificate
+PROP52_322_LCM_REPORT = \
+    "dcfd7e2b01ee8b3718a58bdef5915d066e5c211401db06e8d555c35fcf8e9df4"
 PROP51_721_REPORT = \
-    "cb2bf192cec5dd8ec5f119a97bb62813c3b4e7749e50e69a6097e27df3e08f6f"
-PROP51_721_MK_CKX = \
-    "ce4b03d4d6cc5111cdbe35558f31005fad60c14724d7e181acc67a02fca93b1f"
+    "f902c730c5a03e9df05f7de4fa8359ce977cc738f7813d2d6b63098a295f96ad"
 # (5,2,2) is the triple whose lattice search visits 271 points
 PROP51_522_REPORT = \
-    "d729ead1bf51718d7fa63dce656a956b0ab66aaa9fd40203733eed6dfd7275c2"
-PROP51_522_MK_CKX = \
-    "64cc3963d6d5efc3363e72c6e4c72a426d11937e0c10cab6705d09bf015cfe42"
+    "a797542b069b5e92f092c668166da1e59f0b04cf9b268a9202c65e3d4242cb3c"
 # the last stage of build tower (5,2,2) and build y-stage (5,2,1), two
 # stages each: the simplicial builders and the .ckx writer
 TOWER_522_CKX = \
@@ -53,28 +46,52 @@ def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def prop51_521_report(tmp_path_factory):
-    """A verify-prop51 (5,2,1) report and its witnesses, whose norm lower
-    bound carries an LP dual certificate."""
-    path = tmp_path_factory.mktemp("prop51_521") / "report.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main(["verify-prop51", "--p", "5", "--q", "2", "--k", "1",
-                     "--reduce", "--out", str(path)]) == 0
-    return path
+def report_fixture(name, argv):
+    """A module fixture: the report of one verify run, written by --out."""
+
+    @pytest.fixture(scope="module")
+    def report(tmp_path_factory):
+        path = tmp_path_factory.mktemp(name) / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv + ["--reduce", "--out", str(path)]) == 0
+        return path
+
+    return report
 
 
-@pytest.fixture(scope="module")
-def prop52_521_report(tmp_path_factory):
-    """A verify-prop52 --n-mode lcm (5,2,1) report and its witnesses, whose
-    minimal norm carries an LP dual certificate."""
-    path = tmp_path_factory.mktemp("prop52_521") / "report.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main(["verify-prop52", "--p", "5", "--q", "2", "--k", "1",
-                     "--reduce", "--n-mode", "lcm", "--out", str(path)]) == 0
-    return path
+# a verify-prop51 (5,2,1) report, whose norm lower bound carries an LP dual
+# certificate
+prop51_521_report = report_fixture("prop51_521", [
+    "verify-prop51", "--p", "5", "--q", "2", "--k", "1"])
+# a verify-prop52 --n-mode lcm (5,2,1) report, whose minimal norm carries an
+# LP dual certificate
+prop52_521_report = report_fixture("prop52_521", [
+    "verify-prop52", "--p", "5", "--q", "2", "--k", "1", "--n-mode", "lcm"])
+# a verify-prop51 (7,2,1) report, whose M_k has more edges than (5,2,1)'s
+prop51_721_report = report_fixture("prop51_721", [
+    "verify-prop51", "--p", "7", "--q", "2", "--k", "1"])
+# a verify-prop52 --n-mode lcm (7,2,1) report: n = 2 and no LP dual
+prop52_721_report = report_fixture("prop52_721", [
+    "verify-prop52", "--p", "7", "--q", "2", "--k", "1", "--n-mode", "lcm"])
+# a verify-tower (3,2,2) report, whose table has rows 1 and 2
+tower_322_report = report_fixture("tower_322", [
+    "verify-tower", "--p", "3", "--q", "2", "--k", "2", "--stages", "2"])
+
+
+def recheck(capsys, tmp_path, report, edit=None):
+    """check-witness on a copy of a report after ``edit`` of its data: the
+    exit code, and the values of the records that did not pass by name."""
+    data = load_report(report)
+    if edit is not None:
+        edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["check-witness", "--report", str(path)])
+    records = json.loads(capsys.readouterr().out)["records"]
+    return rc, {r["name"]: r["values"] for r in records
+                if r["status"] != "PASS"}
 
 
 # edits of a norm-lower-bound-dual witness that check-witness must refuse
@@ -89,72 +106,74 @@ DUAL_TAMPER_IDS = ["zero-dual-low-bound", "one-short", "non-numeric",
                    "one-long"]
 
 
-def failed_after_dual_tamper(capsys, tmp_path, report, tamper):
-    """Copy a report and its witnesses, tamper with the dual, re-check:
-    returns the names of the failed records (exit code 1 asserted)."""
-    for src in report.parent.iterdir():
-        (tmp_path / src.name).write_bytes(src.read_bytes())
-    report_path = tmp_path / report.name
-    data = load_report(report_path)
-    tamper(data["witnesses"]["norm-lower-bound-dual"])
-    report_path.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert main(["check-witness", "--report", str(report_path)]) == 1
-    checked = json.loads(capsys.readouterr().out)
-    return [r["name"] for r in checked["records"] if r["status"] != "PASS"]
+def record(data, name):
+    return next(r["values"] for r in data["records"] if r["name"] == name)
 
 
-def forge_product(data, witness, X):
-    """Replace a report's product witness by X with beta and target zero,
-    and update the report's digest to match."""
-    text = write_complex(witness, X, cochains={
-        "beta": Cochain(X, 2, RING_Z, [0] * X.n_cells(2)),
-        "target": Cochain(X, 3, RING_Z, [0] * X.n_cells(3)),
-    })
-    data["witnesses"]["product-complex"]["sha256"] = \
-        hashlib.sha256(text.encode()).hexdigest()
+def negate_first(entry):
+    cell = min(entry, key=int)
+    entry[cell] = str(-int(entry[cell]))
 
 
-def interval_length(data):
-    return next(r["values"] for r in data["records"]
-                if r["name"] == "interval-length")
-
-
-# edits of a verify-prop52 (5,2,1) report or its product witness that keep
-# delta(beta) = target and |beta| <= 4, and the reason check-witness gives
-# for refusing them
+# edits of a verify-prop52 (5,2,1) report that check-witness must refuse
+# with a FAIL of beta-coboundary-identity, and the reason it gives (None:
+# delta(beta) differs from the obstruction pulled back to M x [0, n]).
+# Forging the product complex itself, or the M_k it is built on, is no
+# longer possible: check-witness builds both from the report's params
 PRODUCT_FORGERIES = {
-    "one-triangle": (lambda data, witness: forge_product(
-        data, witness, interval_product(filled_triangle(), 1).complex),
-        "the product witness is not M_k x [0, 1]"),
-    "zeroed": (lambda data, witness: forge_product(
-        data, witness, read_complex(witness)[0]),
-        "target is not the pulled-back obstruction"),
-    "n-edited": (lambda data, witness: interval_length(data).update(n="2"),
-                 "the product witness is not M_k x [0, 2]"),
-    "no-n": (lambda data, witness: interval_length(data).pop("n"),
+    "zeroed": (lambda data: data["witnesses"]["beta"].clear(), None),
+    "one-value-changed": (lambda data: negate_first(data["witnesses"]["beta"]),
+                          None),
+    "n-edited": (lambda data: record(data, "interval-length").update(n="2"),
+                 None),
+    "no-n": (lambda data: record(data, "interval-length").pop("n"),
              "the report gives no interval length n: None"),
-    "no-mk-witness": (lambda data, witness: data["witnesses"].pop(
-        "mk-complex"), "no readable M_k witness"),
+    "value-not-integer": (lambda data: data["witnesses"]["beta"].update(
+        {"0": "1/2"}), "the value '1/2' of cell 0 is not a decimal integer"),
+    "cell-out-of-range": (lambda data: data["witnesses"]["beta"].update(
+        {"99999": "1"}), "cell '99999' is not a 2-cell index below 387"),
 }
 
 
-# edits of an M_k witness file (None: deleted) that check-witness must
-# report as unreadable, and how the reason it gives starts
+def unreadable(reason):
+    return {"witness-solves-system": {"reason": reason}}
+
+
+def first_half(entry):
+    return dict(sorted(entry.items(), key=lambda kv: int(kv[0]))
+                [:len(entry) // 2])
+
+
+# edits of the witnesses of a verify-prop51 (5,2,1) report, whose M_k has
+# 165 edges, and the records check-witness must fail for them
 WITNESS_BREAKS = {
-    # cut mid-line: the last simplex row is short
-    "truncated": (lambda t: t[:t.index("\n", len(t) // 2) - 2], "line "),
-    "cell-out-of-range": (lambda t: t.replace(
-        "\nlabel boundary 0:0 ", "\nlabel boundary 0:999 ", 1), "line "),
-    "no-end": (lambda t: t[:t.index("\nend\n")], "line "),
-    "missing": (None, "cannot read report.mk.ckx"),
-    "no-primitive": (lambda t: t.replace("cochain primitive", "cochain g"),
-                     "no cochain 'primitive'"),
-    "no-boundary-label": (lambda t: t.replace("label boundary", "label b"),
-                          "no boundary label"),
-    # Z_n cochains only for n prime
-    "ring-z0": (lambda t: t.replace("ring=Z", "ring=Z0", 1), "line "),
-    "ring-z4": (lambda t: t.replace("ring=Z", "ring=Z4", 1), "line "),
+    "one-value-changed": (lambda w: negate_first(w["primitive"]),
+                          {"witness-solves-system": {"norm": "1"}}),
+    "truncated": (lambda w: w.update(primitive=first_half(w["primitive"])),
+                  {"witness-solves-system": {"norm": "1"}}),
+    "missing": (lambda w: w.pop("primitive"),
+                {"missing-witness": {"witnesses": ["primitive"]}}),
+    "no-primitive": (lambda w: w.update(g=w.pop("primitive")),
+                     {"missing-witness": {"witnesses": ["primitive"]},
+                      "unexpected-witness": {"witnesses": ["g"]}}),
+    "not-an-object": (lambda w: w.update(primitive=list(w["primitive"])),
+                      unreadable("the witness is not an object of cell "
+                                 "values")),
+    "cell-out-of-range": (lambda w: w["primitive"].update({"165": "1"}),
+                          unreadable("cell '165' is not a 1-cell index "
+                                     "below 165")),
+    "negative-cell": (lambda w: w["primitive"].update({"-1": "1"}),
+                      unreadable("cell '-1' is not a 1-cell index below "
+                                 "165")),
+    "leading-zero-cell": (lambda w: w["primitive"].update(
+        {"08": w["primitive"].pop("8")}),
+        unreadable("cell '08' is not a 1-cell index below 165")),
+    "value-not-integer": (lambda w: w["primitive"].update({"8": "1/2"}),
+                          unreadable("the value '1/2' of cell 8 is not a "
+                                     "decimal integer")),
+    "value-a-json-number": (lambda w: w["primitive"].update({"8": -1}),
+                            unreadable("the value -1 of cell 8 is not a "
+                                       "decimal integer")),
 }
 
 
@@ -254,8 +273,8 @@ class TestVerify:
         claim = {r["name"]: r for r in checked["records"]}
         assert claim["witness-norm-matches-claim"]["status"] == "PASS"
         assert claim["lower-bound-dual-certificate"]["status"] == "PASS"
-        assert claim["product-target-is-pulled-back-obstruction"] == {
-            "name": "product-target-is-pulled-back-obstruction",
+        assert claim["beta-coboundary-identity"] == {
+            "name": "beta-coboundary-identity",
             "status": "PASS", "values": {"n": "1"}}
         # a report claiming a different m_k no longer matches its witness
         for r in data["records"]:
@@ -284,10 +303,9 @@ class TestVerify:
         capsys.readouterr()
         assert (d1 / "report.json").read_bytes() == \
             (d2 / "report.json").read_bytes()
-        assert (d1 / "report.mk.ckx").read_bytes() == \
-            (d2 / "report.mk.ckx").read_bytes()
         assert sha256_of(d1 / "report.json") == PROP51_521_REPORT
-        assert sha256_of(d1 / "report.mk.ckx") == PROP51_521_MK_CKX
+        # --out writes the report only
+        assert sorted(p.name for p in d1.iterdir()) == ["report.json"]
 
     def test_prop51_721_bytes(self, capsys, tmp_path):
         # (7,2,1) is a k = 1 triple where the lattice search takes more than
@@ -298,7 +316,6 @@ class TestVerify:
         capsys.readouterr()
         assert rc == 0
         assert sha256_of(report_path) == PROP51_721_REPORT
-        assert sha256_of(tmp_path / "report.mk.ckx") == PROP51_721_MK_CKX
 
     def test_prop51_522_bytes(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
@@ -307,7 +324,6 @@ class TestVerify:
         capsys.readouterr()
         assert rc == 0
         assert sha256_of(report_path) == PROP51_522_REPORT
-        assert sha256_of(tmp_path / "report.mk.ckx") == PROP51_522_MK_CKX
 
     def test_node_limit_interval_522(self, capsys):
         # cut in the middle of the search: the upper end is the incumbent
@@ -355,7 +371,8 @@ class TestVerify:
                    "--reduce", "--stages", "2", "--out", str(report_path)])
         assert rc == 0
         data = load_report(report_path)
-        assert sorted(data["witnesses"]) == ["mk-level-1", "mk-level-2"]
+        assert sorted(data["witnesses"]) == ["level-1-primitive",
+                                             "level-2-primitive"]
         capsys.readouterr()
         assert main(["check-witness", "--report", str(report_path)]) == 0
         checked = json.loads(capsys.readouterr().out)
@@ -380,79 +397,49 @@ class TestVerify:
     @pytest.mark.parametrize("tamper", DUAL_TAMPERS, ids=DUAL_TAMPER_IDS)
     def test_dual_certificate_tampering(self, capsys, tmp_path,
                                         prop51_521_report, tamper):
-        failed = failed_after_dual_tamper(capsys, tmp_path,
-                                          prop51_521_report, tamper)
-        assert failed == ["lower-bound-dual-certificate"]
+        rc, failed = recheck(capsys, tmp_path, prop51_521_report, lambda d:
+                             tamper(d["witnesses"]["norm-lower-bound-dual"]))
+        assert rc == 1
+        assert list(failed) == ["lower-bound-dual-certificate"]
 
     @pytest.mark.parametrize("tamper", DUAL_TAMPERS, ids=DUAL_TAMPER_IDS)
     def test_prop52_dual_certificate_tampering(self, capsys, tmp_path,
                                                prop52_521_report, tamper):
         # the dual is checked against the minimal-primitive m_k
-        failed = failed_after_dual_tamper(capsys, tmp_path,
-                                          prop52_521_report, tamper)
-        assert failed == ["lower-bound-dual-certificate"]
+        rc, failed = recheck(capsys, tmp_path, prop52_521_report, lambda d:
+                             tamper(d["witnesses"]["norm-lower-bound-dual"]))
+        assert rc == 1
+        assert list(failed) == ["lower-bound-dual-certificate"]
 
     @pytest.mark.parametrize("name", sorted(WITNESS_BREAKS))
     def test_unreadable_witness_is_a_fail_record(self, capsys, tmp_path,
                                                  prop51_521_report, name):
-        for src in prop51_521_report.parent.iterdir():
-            (tmp_path / src.name).write_bytes(src.read_bytes())
-        witness = tmp_path / "report.mk.ckx"
-        edit, reason = WITNESS_BREAKS[name]
-        if edit is None:
-            witness.unlink()
-        else:
-            witness.write_text(edit(witness.read_text()))
-        capsys.readouterr()
-        rc = main(["check-witness", "--report",
-                   str(tmp_path / prop51_521_report.name)])
+        edit, want = WITNESS_BREAKS[name]
+        rc, failed = recheck(capsys, tmp_path, prop51_521_report,
+                             lambda data: edit(data["witnesses"]))
         assert rc == 1
-        records = json.loads(capsys.readouterr().out)["records"]
-        failed = {r["name"]: r["values"] for r in records
-                  if r["status"] != "PASS"}
-        assert sorted(failed) == ["mk-witness-digest", "mk-witness-parse"]
-        assert failed["mk-witness-parse"]["reason"].startswith(reason)
-        # the dual re-check does not read the witness file
-        assert "lower-bound-dual-certificate" in {r["name"] for r in records}
+        # the LP dual is re-checked on the rebuilt M_k all the same
+        assert failed == want
 
     def test_unreadable_product_witness_is_a_fail_record(
             self, capsys, tmp_path, prop52_521_report):
-        for src in prop52_521_report.parent.iterdir():
-            (tmp_path / src.name).write_bytes(src.read_bytes())
-        witness = tmp_path / "report.product.ckx"
-        witness.write_text(witness.read_text().replace("cochain target",
-                                                       "cochain t"))
-        capsys.readouterr()
-        rc = main(["check-witness", "--report",
-                   str(tmp_path / prop52_521_report.name)])
+        rc, failed = recheck(capsys, tmp_path, prop52_521_report, lambda d:
+                             d["witnesses"].update(beta=["1"]))
         assert rc == 1
-        records = json.loads(capsys.readouterr().out)["records"]
-        failed = {r["name"]: r["values"] for r in records
-                  if r["status"] != "PASS"}
-        assert failed == {"product-witness-digest": {},
-                          "product-witness-parse":
-                              {"reason": "no cochain 'target'"}}
+        assert failed == {"beta-coboundary-identity": {
+            "n": "1", "reason": "the witness is not an object of cell values"}}
 
     @pytest.mark.parametrize("name", sorted(PRODUCT_FORGERIES))
     def test_forged_product_witness_fails(self, capsys, tmp_path,
                                           prop52_521_report, name):
-        # the product witness must be the M_k witness times [0, n] for the
-        # report's n, carrying the obstruction pulled back as its target
-        for src in prop52_521_report.parent.iterdir():
-            (tmp_path / src.name).write_bytes(src.read_bytes())
-        report_path = tmp_path / prop52_521_report.name
-        data = load_report(report_path)
+        # beta lives on the M_k of the report's params times [0, n] for the
+        # report's n, and its coboundary is that M_k's obstruction pulled
+        # back
         forge, reason = PRODUCT_FORGERIES[name]
-        forge(data, tmp_path / "report.product.ckx")
-        report_path.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert main(["check-witness", "--report", str(report_path)]) == 1
-        records = json.loads(capsys.readouterr().out)["records"]
-        failed = {r["name"]: r["values"] for r in records
-                  if r["status"] != "PASS"}
-        assert list(failed) == ["product-target-is-pulled-back-obstruction"]
-        assert failed["product-target-is-pulled-back-obstruction"][
-            "reason"] == reason
+        rc, failed = recheck(capsys, tmp_path, prop52_521_report, forge)
+        assert rc == 1
+        assert list(failed) == ["beta-coboundary-identity"]
+        assert failed["beta-coboundary-identity"].get("reason") == reason
 
     @pytest.mark.parametrize("edit, reason", [
         (lambda data: data.pop("params"), "the report's params have no 'p'"),
@@ -463,21 +450,13 @@ class TestVerify:
     ], ids=["deleted", "non-integer", "not-prime"])
     def test_bad_report_params_fail(self, capsys, tmp_path,
                                     prop51_521_report, edit, reason):
-        # params that give no M(p, q, k) are a FAIL record, and the LP dual
-        # they would rebuild the system for fails instead of being skipped
-        for src in prop51_521_report.parent.iterdir():
-            (tmp_path / src.name).write_bytes(src.read_bytes())
-        report_path = tmp_path / prop51_521_report.name
-        data = load_report(report_path)
-        edit(data)
-        report_path.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert main(["check-witness", "--report", str(report_path)]) == 1
-        records = json.loads(capsys.readouterr().out)["records"]
-        failed = {r["name"]: r["values"] for r in records
-                  if r["status"] != "PASS"}
+        # params that give no M(p, q, k) are a FAIL record, and the
+        # primitive and LP dual checked on that M(p, q, k) fail instead of
+        # being skipped
+        rc, failed = recheck(capsys, tmp_path, prop51_521_report, edit)
+        assert rc == 1
         assert sorted(failed) == ["lower-bound-dual-certificate",
-                                  "report-params"]
+                                  "report-params", "witness-solves-system"]
         assert failed["report-params"]["reason"].startswith(reason)
 
     def test_config_file_supplies_flags(self, capsys, tmp_path):
@@ -567,20 +546,164 @@ class TestVerify:
                                           prop51_521_report):
         # every M(p, q, k) hole has 3 edges; a report claiming another
         # edge scale cannot be rebuilt and fails its re-check
-        for src in prop51_521_report.parent.iterdir():
-            (tmp_path / src.name).write_bytes(src.read_bytes())
-        report_path = tmp_path / prop51_521_report.name
-        data = load_report(report_path)
-        assert data["params"]["edge_scale"] == "3"
-        data["params"]["edge_scale"] = "4"
-        report_path.write_text(json.dumps(data))
+        assert load_report(prop51_521_report)["params"]["edge_scale"] == "3"
+        rc, failed = recheck(capsys, tmp_path, prop51_521_report,
+                             lambda d: d["params"].update(edge_scale="4"))
+        assert rc == 1
+        # nor can the primitive and LP dual it carries be re-checked
+        assert list(failed) == ["params-edge-scale", "witness-solves-system",
+                                "lower-bound-dual-certificate"]
+
+
+def swap_levels(data):
+    w = data["witnesses"]
+    w["level-1-primitive"], w["level-2-primitive"] = \
+        w["level-2-primitive"], w["level-1-primitive"]
+
+
+def replace_values(name, values):
+    def edit(data):
+        next(r for r in data["records"] if r["name"] == name)["values"] = \
+            values
+    return edit
+
+
+def add_row_x(data):
+    # a table row and its witness for a level that is no level
+    record(data, "norm-growth-table")["table"]["x"] = "1"
+    data["witnesses"]["level-x-primitive"] = \
+        data["witnesses"]["level-1-primitive"]
+
+
+class TestCheckWitness:
+    """check-witness rebuilds every complex from the report's params and
+    reads the witness cochains the records call for from the report."""
+
+    @pytest.mark.parametrize("report, witness", [
+        ("tower_322_report", "level-2-primitive"),
+        ("prop52_721_report", "beta"),
+        ("prop51_521_report", "primitive"),
+    ], ids=["tower-level-2", "prop52-beta", "prop51-primitive"])
+    def test_missing_witness_fails(self, capsys, tmp_path, request, report,
+                                   witness):
+        # each record that makes a claim calls for its witness: a row of
+        # the norm-growth table, the product identity, the minimal norm
+        rc, failed = recheck(capsys, tmp_path, request.getfixturevalue(report),
+                             lambda data: data["witnesses"].pop(witness))
+        assert rc == 1
+        assert failed == {"missing-witness": {"witnesses": [witness]}}
+
+    def test_primitive_of_another_triple_fails(
+            self, capsys, tmp_path, prop51_521_report, prop51_721_report):
+        # the (7,2,1) primitive does not solve the (5,2,1) system
+        other = load_report(prop51_721_report)["witnesses"]["primitive"]
+        rc, failed = recheck(capsys, tmp_path, prop51_521_report, lambda d:
+                             d["witnesses"].update(primitive=other))
+        assert rc == 1
+        assert list(failed) == ["witness-solves-system"]
+
+    @pytest.mark.parametrize("report, edit, failed", [
+        # level 2's primitive has cells beyond level 1's edges
+        ("tower_322_report", swap_levels,
+         ["level-1-witness-solves-system", "level-2-witness-solves-system",
+          "level-2-witness-norm-matches-claim"]),
+        ("prop52_521_report", lambda data: negate_first(
+            data["witnesses"]["primitive"]), ["witness-solves-system"]),
+    ], ids=["levels-swapped", "prop52-primitive-value"])
+    def test_forgery_fails(self, capsys, tmp_path, request, report, edit,
+                           failed):
+        rc, got = recheck(capsys, tmp_path, request.getfixturevalue(report),
+                          edit)
+        assert rc == 1
+        assert list(got) == failed
+
+    @pytest.mark.parametrize("report, edit, name, reason", [
+        ("prop51_521_report", lambda data: data.update(witnesses=[]),
+         "report-parse", "the report's witnesses are not an object"),
+        ("tower_322_report", lambda data: data["witnesses"].update(
+            {"mk-level-x": data["witnesses"]["level-1-primitive"]}),
+         "unexpected-witness", None),
+        ("prop51_521_report", replace_values("norm-lower-bound", "m_k"),
+         "report-parse", "record 4 is not an object with a values object"),
+        ("prop52_721_report", lambda data: record(
+            data, "minimal-primitive").update(m_k="abc"),
+         "witness-norm-matches-claim", "the claim is not a number"),
+        ("tower_322_report", add_row_x, "level-x-witness-solves-system",
+         "'x' is not a level 1..2"),
+    ], ids=["witnesses-a-list", "witness-mk-level-x", "values-a-string",
+            "m_k-not-a-number", "table-row-x"])
+    def test_malformed_report_fails(self, capsys, tmp_path, request, report,
+                                    edit, name, reason):
+        rc, failed = recheck(capsys, tmp_path,
+                             request.getfixturevalue(report), edit)
+        assert rc == 1
+        assert list(failed) == [name]
+        assert failed[name].get("reason") == reason
+
+    def test_report_not_json_fails(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("{not json")
+        assert main(["check-witness", "--report", str(path)]) == 1
+        failed = json.loads(capsys.readouterr().out)["records"]
+        assert [r["name"] for r in failed] == ["report-parse"]
+        assert failed[0]["values"]["reason"].startswith("Expecting ")
+        path.write_text("[]")
+        assert main(["check-witness", "--report", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["records"] == [{
+            "name": "report-parse", "status": "FAIL",
+            "values": {"reason": "the report is not a JSON object"}}]
+
+    def test_unreadable_report_path_is_a_usage_error(self, capsys, tmp_path):
+        # a path that cannot be opened is no report to re-check
+        assert main(["check-witness", "--report", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert main(["check-witness", "--report",
+                     str(tmp_path / "none.json")]) == 3
+
+    def test_stdout_report_rechecks(self, capsys, tmp_path):
+        # without --out the report on stdout carries its witnesses too
+        assert main(["verify-prop51", "--p", "5", "--q", "2", "--k", "1",
+                     "--reduce"]) == 0
+        path = tmp_path / "saved.json"
+        path.write_text(capsys.readouterr().out)
+        assert main(["check-witness", "--report", str(path)]) == 0
+        names = {r["name"] for r in
+                 json.loads(capsys.readouterr().out)["records"]}
+        assert {"witness-solves-system", "witness-norm-matches-claim",
+                "lower-bound-dual-certificate"} <= names
+
+    @pytest.mark.parametrize("p, n, m_k, digest", [
+        ("3", "6", "3", PROP52_322_LCM_REPORT),
+        ("5", "60", "6", None),
+    ], ids=["322", "522"])
+    def test_prop52_k2(self, capsys, tmp_path, p, n, m_k, digest):
+        # the k = 2 rows of the product certificate
+        path = tmp_path / "report.json"
+        assert main(["verify-prop52", "--p", p, "--q", "2", "--k", "2",
+                     "--reduce", "--n-mode", "lcm", "--out",
+                     str(path)]) == 0
+        data = load_report(path)
+        assert record(data, "interval-length")["n"] == n
+        assert record(data, "minimal-primitive")["m_k"] == m_k
+        if digest is not None:
+            assert sha256_of(path) == digest
         capsys.readouterr()
-        assert main(["check-witness", "--report", str(report_path)]) == 1
+        assert main(["check-witness", "--report", str(path)]) == 0
         checked = json.loads(capsys.readouterr().out)
-        failed = [r["name"] for r in checked["records"]
-                  if r["status"] != "PASS"]
-        # nor can the LP dual it carries be re-checked
-        assert failed == ["params-edge-scale", "lower-bound-dual-certificate"]
+        assert {r["name"]: r["values"] for r in checked["records"]}[
+            "beta-coboundary-identity"] == {"n": n}
+
+
+def test_cli_import_loads_no_openssl():
+    # hashlib loads libcrypto: a few MB in every CLI process for nothing
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, coarse_kit.cli; "
+         "print('_hashlib' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0
+    assert run.stdout == "False\n"
 
 
 def test_readme_flags_match_verify_parsers():

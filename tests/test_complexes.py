@@ -133,7 +133,7 @@ class TestElementary:
     def test_simplicial_boundary_checks(self):
         # a simplicial file's columns are the alternating boundaries of its
         # simplices: face i of (v0..vk) drops v_i with coefficient (-1)^i
-        Y = parse_complex(simplices_text(filled_triangle().simplices))[0]
+        Y = parse_complex(simplices_text(filled_triangle().simplices))
         assert Y.boundary_columns(1) == [{0: -1, 1: 1}, {0: -1, 2: 1},
                                          {1: -1, 2: 1}]
         assert Y.boundary_columns(2) == [{2: 1, 1: -1, 0: 1}]
@@ -394,7 +394,7 @@ class TestFlatBoundaryTables:
                                  rng.randint(1, X.n_cells(X.dim)))
                 Z = remove_cells(X, [(X.dim, i) for i in top])
             elif kind == "ckx":
-                Z = parse_complex(serialize_complex(X))[0]
+                Z = parse_complex(serialize_complex(X))
             else:
                 Z, kind = X, "simplicial"
             for k in range(1, Z.dim + 1):

@@ -1,6 +1,5 @@
 import random
 import warnings
-from fractions import Fraction
 
 import pytest
 
@@ -11,11 +10,9 @@ from coarse_kit import (
     interval_product,
     simplicial_complex,
 )
-from coarse_kit.cochains import Cochain, RING_Q, RING_Z, ring_zp
 from coarse_kit.complexes import CellComplex
 from coarse_kit.errors import NotAChainComplex, NotSimplicial, ShapeMismatch
 from coarse_kit.interchange import (
-    bind_cochain,
     parse_complex,
     serialize_complex,
     write_complex,
@@ -26,8 +23,8 @@ from oracles import oracle_serialize_complex
 from test_complexes import random_simplices
 
 
-def roundtrip(X, cochains=None):
-    text = serialize_complex(X, cochains=cochains)
+def roundtrip(X):
+    text = serialize_complex(X)
     return parse_complex(text), text
 
 
@@ -40,36 +37,21 @@ def as_cell_complex(X):
 
 class TestRoundTrip:
     def test_circle(self):
-        (Y, cochains), text = roundtrip(circle(5))
+        Y, text = roundtrip(circle(5))
         assert Y.counts == [5, 5]
         assert Y.is_simplicial
         assert Y.simplices[1] == circle(5).simplices[1]
 
     def test_labels_survive(self):
         X = filled_triangle().relabeled({"seam": [(0, 0), (1, 2)]})
-        (Y, _), _ = roundtrip(X)
+        Y, _ = roundtrip(X)
         assert Y.label_cells("seam") == ((0, 0), (1, 2))
-
-    def test_cochain_roundtrip(self):
-        X = circle(4)
-        c = Cochain(X, 1, RING_Z, [3, 0, -2, 0])
-        (Y, cochains), _ = roundtrip(X, cochains={"w": c})
-        back = bind_cochain(Y, cochains["w"])
-        assert back.values == c.values and back.degree == 1
-
-    def test_zp_cochain(self):
-        X = circle(4)
-        c = Cochain(X, 0, ring_zp(5), [1, 2, 3, 4])
-        (Y, cochains), _ = roundtrip(X, cochains={"w": c})
-        back = bind_cochain(Y, cochains["w"])
-        assert back.ring == ring_zp(5)
-        assert back.values == c.values
 
     def test_mk_roundtrip_with_boundaries(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             b = build_Mk(MkParams(5, 2, 1, reduce=True))
-        (Y, _), text = roundtrip(b.complex)
+        Y, text = roundtrip(b.complex)
         assert Y.counts == b.complex.counts
         for k in range(1, Y.dim + 1):
             assert Y.boundary_columns(k) == b.complex.boundary_columns(k)
@@ -133,7 +115,7 @@ class TestRoundTrip:
         block = text.split(f"boundary {k}\n")[1].split("end\n")[0]
         text = text.replace(f"boundary {k}\n{block}", f"boundary {k}\n{triples}")
         if bad_cell is None:
-            Y = parse_complex(text)[0]
+            Y = parse_complex(text)
             for d in (1, 2):
                 assert Y.boundary_columns(d) == X.boundary_columns(d)
         else:
@@ -217,7 +199,7 @@ class TestSimplicialRoundTripAndTamper:
                 rng, rng.randint(2, 7), rng.randint(0, 3), rng.randint(1, 6))
                 + [(1,)])
             text = serialize_complex(X)
-            Y, _ = parse_complex(text)
+            Y = parse_complex(text)
             assert Y.counts == X.counts and Y.simplices == X.simplices
             for k in range(1, X.dim + 1):
                 # the same columns with the same entry order
@@ -262,26 +244,15 @@ def random_cell_complex(rng, X):
     return CellComplex(counts, boundaries)
 
 
-def random_extras(rng, X):
-    """Random labels and Z/Q/Z_p cochains on X."""
+def random_labels(rng, X):
+    """X with random labels."""
     labels = {}
     for name in rng.sample(["seam", "a", "zz", "empty"], rng.randint(0, 3)):
         cells = [(d, rng.randrange(X.n_cells(d)))
                  for d in range(X.dim + 1) for _ in range(2)
                  if X.n_cells(d) and name != "empty"]
         labels[name] = cells
-    cochains = {}
-    for name in rng.sample(["w", "beta", "u"], rng.randint(0, 3)):
-        d = rng.randint(0, X.dim)
-        ring = rng.choice([RING_Z, RING_Q, ring_zp(3), ring_zp(7)])
-        if ring == RING_Q:
-            vals = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                    for _ in range(X.n_cells(d))]
-        else:
-            vals = [rng.choice([0, 0, rng.randint(-9, 9)])
-                    for _ in range(X.n_cells(d))]
-        cochains[name] = Cochain(X, d, ring, vals)
-    return X.relabeled(labels), cochains
+    return X.relabeled(labels)
 
 
 class TestBulkSerializerAgainstOracle:
@@ -293,16 +264,14 @@ class TestBulkSerializerAgainstOracle:
                 rng, rng.randint(1, 7), rng.randint(0, 3), rng.randint(1, 6)))
             if trial % 2:
                 X = random_cell_complex(rng, X)
-            X, cochains = random_extras(rng, X)
-            text = serialize_complex(X, cochains=cochains)
-            assert text == oracle_serialize_complex(X, cochains)
-            Y, raw = parse_complex(text)
+            X = random_labels(rng, X)
+            text = serialize_complex(X)
+            assert text == oracle_serialize_complex(X)
+            Y = parse_complex(text)
             assert Y.counts == X.counts and Y.labels == X.labels
             assert Y.simplices == X.simplices
             for k in range(1, X.dim + 1):
                 assert Y.boundary_columns(k) == X.boundary_columns(k)
-            for name, c in cochains.items():
-                assert bind_cochain(Y, raw[name]) == c
             seen.add("simplicial" if X.is_simplicial else "cell")
             if X.dim == 0:
                 seen.add("dim-0")
@@ -315,21 +284,15 @@ class TestBulkSerializerAgainstOracle:
                 seen.add("unsorted column")
             if any(X.labels.values()):
                 seen.add("labels")
-            for c in cochains.values():
-                seen.add(c.ring if isinstance(c.ring, str) else "Zp")
-                if any(isinstance(v, Fraction) and v.denominator != 1
-                       for v in c.values):
-                    seen.add("p/q")
         assert seen == {"simplicial", "cell", "dim-0", "empty level",
-                        "unsorted column", "labels", "Z", "Q", "Zp", "p/q"}
+                        "unsorted column", "labels"}
 
     def test_mk_bytes(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             b = build_Mk(MkParams(5, 2, 1, reduce=True))
-        cochains = {"obstruction": b.obstruction}
-        assert serialize_complex(b.complex, cochains=cochains) == \
-            oracle_serialize_complex(b.complex, cochains)
+        assert serialize_complex(b.complex) == \
+            oracle_serialize_complex(b.complex)
 
 
 def test_write_complex_goes_through_serialize_complex(tmp_path, monkeypatch):
@@ -344,16 +307,14 @@ def test_write_complex_goes_through_serialize_complex(tmp_path, monkeypatch):
 
     monkeypatch.setattr(interchange, "serialize_complex", counting)
     X = filled_triangle()
-    cochains = {"w": Cochain(X, 1, RING_Z, [1, 0, -2])}
     path = tmp_path / "x.ckx"
-    text = write_complex(path, X, cochains=cochains)
+    text = write_complex(path, X)
     assert len(calls) == 1 and calls[0][0] is X
-    assert path.read_text() == text == original(X, cochains=cochains)
+    assert path.read_text() == text == original(X)
 
 
 VALID = serialize_complex(
-    filled_triangle().relabeled({"seam": [(0, 0), (1, 2)]}),
-    cochains={"w": Cochain(filled_triangle(), 1, RING_Z, [1, 0, -2])})
+    filled_triangle().relabeled({"seam": [(0, 0), (1, 2)]}))
 
 # a cell complex, whose file has boundary blocks
 VALID_CELL = serialize_complex(interval_product(circle(3), 2).complex)
@@ -391,30 +352,12 @@ MALFORMED.update({name: (VALID, edit, line) for name, (edit, line) in {
     "label-out-of-range": (lambda t: t.replace("1:2", "1:9"), 17),
     "label-repeated": (lambda t: t.replace(
         "label seam 0:0 1:2\n", "label seam 0:0 1:2\nlabel seam 0:1\n"), 18),
-    "cochain-no-degree": (lambda t: t.replace(" degree=1", ""), 18),
-    # an empty cochain of a degree the complex does not have
-    "cochain-degree-above-dim": (lambda t: t.replace(
-        "degree=1 ring=Z\n0 1\n2 -2\n", "degree=7 ring=Z\n"), 18),
-    "cochain-degree-negative": (lambda t: t.replace(
-        "degree=1 ring=Z\n0 1\n2 -2\n", "degree=-1 ring=Z\n"), 18),
-    "cochain-cell-out-of-range":
-        (lambda t: t.replace("\n2 -2\n", "\n5 -2\n"), 20),
-    "cochain-bad-value": (lambda t: t.replace("\n2 -2\n", "\n2 -2/0\n"), 20),
-    # only a Q cochain holds p/q values
-    "cochain-non-integer-z":
-        (lambda t: t.replace("\n2 -2\n", "\n2 1/2\n"), 20),
-    "cochain-non-integer-zp": (lambda t: t.replace("ring=Z", "ring=Z7")
-                               .replace("\n2 -2\n", "\n2 1/2\n"), 20),
-    "cochain-repeated": (lambda t: t + "cochain w degree=0 ring=Q\nend\n", 22),
-    "cochain-cell-repeated":
-        (lambda t: t.replace("\n0 1\n2 -2\n", "\n0 1\n0 5\n2 -2\n"), 20),
     "empty-top-level-simplicial": (lambda t: t.replace(
         "simplices 2\n0 1 2\nend\n", "").replace(
         "counts 3 3 1", "counts 3 3 0"), 3),
-    # Z_n is a ring of the format only for n prime
-    "cochain-ring-z0": (lambda t: t.replace("ring=Z", "ring=Z0"), 18),
-    "cochain-ring-z1": (lambda t: t.replace("ring=Z", "ring=Z1"), 18),
-    "cochain-ring-z4": (lambda t: t.replace("ring=Z", "ring=Z4"), 18),
+    # witness cochains travel in reports: no .ckx file holds one
+    "cochain-section": (lambda t: t + "cochain w degree=1 ring=Z\n0 1\n"
+                        "end\n", 18),
 }.items()})
 
 
@@ -422,10 +365,9 @@ class TestMalformedInput:
     def test_valid_layout(self):
         # the line numbers of MALFORMED refer to these layouts
         lines = VALID.splitlines()
-        assert [lines[i] for i in (3, 13, 14, 16, 17, 19)] == [
-            "simplices 0", "simplices 2", "0 1 2", "label seam 0:0 1:2",
-            "cochain w degree=1 ring=Z", "2 -2"]
-        assert len(lines) == 21
+        assert [lines[i] for i in (3, 13, 14, 16)] == [
+            "simplices 0", "simplices 2", "0 1 2", "label seam 0:0 1:2"]
+        assert len(lines) == 17
         lines = VALID_CELL.splitlines()
         assert [lines[i] for i in (3, 7, 35)] == [
             "boundary 1", "1 0 1", "boundary 2"]
@@ -440,7 +382,3 @@ class TestMalformedInput:
         assert text != valid
         with pytest.raises(ShapeMismatch, match=f"^line {line}: "):
             parse_complex(text)
-
-    def test_prime_ring_accepted(self):
-        _, cochains = parse_complex(VALID.replace("ring=Z", "ring=Z7"))
-        assert cochains["w"]["ring"] == "Z7"
