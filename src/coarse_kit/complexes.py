@@ -8,7 +8,9 @@ maps, subdivisions and gluings work through.  Cells are addressed as
 to cell sets.
 
 Everything here is immutable after construction and all arithmetic is plain
-Python integers, so values can be shared freely between threads.
+Python integers, so values can be shared freely between threads.  The one
+cache, a simplicial complex's face index, is filled level by level on first
+lookup; two threads filling one level at once store equal dicts.
 """
 
 from copy import copy
@@ -172,12 +174,13 @@ class CellComplex:
         repeats and missing faces.  d.d = 0 needs no check: face l-1 of
         face i and face i of face l (i < l) are the same tuple, so their
         rows agree, and their coefficients (-1)**(i+l-1) and (-1)**(i+l)
-        cancel.
+        cancel.  Level k's ``{tuple: index}`` dict serves only its repeat
+        check and level k+1's face rows; lookups go to :meth:`_level_index`.
         """
         levels = list(levels)
         while len(levels) > 1 and not levels[-1]:
             levels.pop()
-        index = []
+        tables = [([], [], [0] * (len(levels[0]) + 1))]
         for k, level in enumerate(levels):
             if not _strictly_increasing(level, k + 1):
                 i, verts = next(
@@ -191,6 +194,12 @@ class CellComplex:
                     raise NotSimplicial(
                         f"vertex {level[i]} at cell (dim 0, {i}): the vertex "
                         f"ids must be 0..{len(level) - 1} in order")
+            else:
+                n = len(level)
+                tables.append((_face_rows(level, faces, k),
+                               [(-1) ** i for i in range(k + 1)] * n,
+                               range(0, (k + 1) * n + 1, k + 1)))
+                faces = None  # free level k-1's index first
             faces = {s: i for i, s in enumerate(level)}
             if len(faces) != len(level):
                 # faces keeps the last copy: the first cell it misses is the
@@ -199,19 +208,20 @@ class CellComplex:
                 raise NotSimplicial(
                     f"simplex {level[i]} at cell (dim {k}, {i}) is repeated "
                     f"at cell (dim {k}, {faces[level[i]]})")
-            index.append(faces)
-        tables = [([], [], [0] * (len(levels[0]) + 1))]
-        for k in range(1, len(levels)):
-            n = len(levels[k])
-            tables.append((_face_rows(levels[k], index[k - 1], k),
-                           [(-1) ** i for i in range(k + 1)] * n,
-                           range(0, (k + 1) * n + 1, k + 1)))
+        X = cls._from_tables(tables, labels)
+        X.simplices, X._simplex_index = levels, [None] * len(levels)
+        return X
+
+    @classmethod
+    def _from_tables(cls, tables, labels):
+        """Cell complex on flat boundary tables that are a chain complex by
+        construction, taken as they are: no copy and no d.d check.  The
+        counts are read off each ``ptr``, and the last level has cells."""
         X = cls.__new__(cls)
-        X.counts = [len(level) for level in levels]
-        X.dim = len(levels) - 1
+        X.counts = [len(ptr) - 1 for _, _, ptr in tables]
+        X.dim = len(tables) - 1
         X._tables = tables
-        X.simplices = levels
-        X._simplex_index = index
+        X.simplices = None
         X.coboundary_factors = {}
         X.labels = _sorted_labels(labels or {})
         return X
@@ -285,7 +295,16 @@ class CellComplex:
         k = len(verts) - 1
         if not self.is_simplicial or k > self.dim:
             return None
-        return self._simplex_index[k].get(verts)
+        return self._level_index(k).get(verts)
+
+    def _level_index(self, k):
+        """``{simplex: index}`` of the k-simplices, built on first use and
+        kept in the per-level cache that relabeled copies share."""
+        index = self._simplex_index[k]
+        if index is None:
+            index = self._simplex_index[k] = {
+                s: i for i, s in enumerate(self.simplices[k])}
+        return index
 
     def label_cells(self, name):
         if name not in self.labels:
@@ -299,7 +318,8 @@ class CellComplex:
         """This complex with exactly the given labels.
 
         A shallow copy: it shares the boundary tables, simplex tables, face
-        index and ``coboundary_factors`` memo, none of which depend on labels.
+        index cache and ``coboundary_factors`` memo, none of which depend on
+        labels.
         """
         Z = copy(self)
         Z.labels = _sorted_labels(labels)
@@ -345,7 +365,8 @@ def simplicial_complex(simplices, labels=None):
     global vertex order with alternating boundary signs.  Faces are closed
     one codimension at a time from the top, and each level is indexed in
     sorted tuple order; :meth:`CellComplex.from_simplices` then computes
-    the columns.
+    the columns.  A simplex given as a sorted tuple becomes the complex's
+    own, with no copy; each closure set goes once its level is sorted.
     """
     levels = []
     max_v = -1
@@ -356,6 +377,8 @@ def simplicial_complex(simplices, labels=None):
             raise NotSimplicial(f"degenerate simplex {s}")
         if not n:
             raise NotSimplicial("empty simplex")
+        if verts == s:
+            verts = s
         while len(levels) < n:
             levels.append(set())
         levels[n - 1].add(verts)
@@ -366,12 +389,13 @@ def simplicial_complex(simplices, labels=None):
     dim = len(levels) - 1
     by_dim = [None] * (dim + 1)
     for k in range(dim, 0, -1):
-        by_dim[k] = sorted(levels[k])
+        by_dim[k] = sorted(levels.pop())
         columns = list(zip(*by_dim[k]))
         for i in range(k + 1):
             levels[k - 1].update(zip(*(columns[:i] + columns[i + 1:])))
+        del columns
     levels[0].update((v,) for v in range(max_v + 1))
-    by_dim[0] = sorted(levels[0])
+    by_dim[0] = sorted(levels.pop())
     return CellComplex.from_simplices(by_dim, labels=labels)
 
 
@@ -418,7 +442,7 @@ class CellMap:
             raise ShapeMismatch("vertex map length != vertex count")
         images, signs = [], []
         for k in range(source.dim + 1):
-            index = target._simplex_index[k] if k <= target.dim else {}
+            index = target._level_index(k) if k <= target.dim else {}
             img_k, sgn_k = [], []
             for verts in source.simplices[k]:
                 # vertices and edges, most of any map, skip the general sort
@@ -835,7 +859,9 @@ def interval_product(X, n, size_guard=DEFAULT_CELL_BUDGET):
     """Regular cell structure on X x [0, n] with unit interval subdivision.
 
     Boundary convention: d(sigma x [l, l+1]) = d(sigma) x [l, l+1]
-    + (-1)^dim(sigma) (sigma x {l+1} - sigma x {l}).
+    + (-1)^dim(sigma) (sigma x {l+1} - sigma x {l}), written in that order
+    straight from X's tables with no d.d check: the formula makes a chain
+    complex of any chain complex X (Hatcher, *Algebraic Topology*, 3.B).
     """
     if X.dim > 2:
         raise DimensionTooHigh("products only implemented for base dim <= 2")
@@ -847,31 +873,31 @@ def interval_product(X, n, size_guard=DEFAULT_CELL_BUDGET):
             f"product would have {total} cells (budget {size_guard})"
         )
     prod = IntervalProduct(None, X, n)
-    dim = X.dim + 1
-    counts = []
-    for k in range(dim + 1):
-        counts.append((n + 1) * X.n_cells(k) + n * X.n_cells(k - 1))
-    boundaries = [None]
-    for k in range(1, dim + 1):
-        cols = []
-        for l in range(n + 1):
-            for i in range(X.n_cells(k)):
-                col = {}
-                for r, c in X.boundary_of(k, i).items():
-                    col[prod.slice_cell(k - 1, r, l)] = c
-                cols.append(col)
+    tables = [([], [], [0] * ((n + 1) * X.n_cells(0) + 1))]
+    for k in range(1, X.dim + 2):
+        rows, coefs, ptr = [], [], [0]
+        if k <= X.dim:
+            # slice cells sigma x {l}: X's table, rows shifted to level l
+            x_rows, x_coefs, x_ptr = X.boundary_table(k)
+            for l in range(n + 1):
+                off, start = l * X.n_cells(k - 1), len(rows)
+                rows += [r + off for r in x_rows]
+                coefs += x_coefs
+                ptr += [start + t for t in x_ptr[1:]]
+        # prism cells tau x [l, l+1] over the (k-1)-cells tau
+        x_rows, x_coefs, x_ptr = X.boundary_table(k - 1)
+        sgn = (-1) ** (k - 1)
         for l in range(n):
+            off = prod.prism_cell(k - 1, 0, l)
             for i in range(X.n_cells(k - 1)):
-                col = {}
-                for r, c in (X.boundary_of(k - 1, i) if k >= 2 else {}).items():
-                    col[prod.prism_cell(k - 1, r, l)] = c
-                sgn = (-1) ** (k - 1)
-                top = prod.slice_cell(k - 1, i, l + 1)
-                bot = prod.slice_cell(k - 1, i, l)
-                col[top] = col.get(top, 0) + sgn
-                col[bot] = col.get(bot, 0) - sgn
-                cols.append({r: c for r, c in col.items() if c != 0})
-        boundaries.append(cols)
+                a, b = x_ptr[i], x_ptr[i + 1]
+                rows += [r + off for r in x_rows[a:b]]
+                coefs += x_coefs[a:b]
+                rows += (prod.slice_cell(k - 1, i, l + 1),
+                         prod.slice_cell(k - 1, i, l))
+                coefs += (sgn, -sgn)
+                ptr.append(len(rows))
+        tables.append((rows, coefs, ptr))
     labels = {}
     for l in range(n + 1):
         labels[f"slice-{l}"] = [
@@ -879,8 +905,7 @@ def interval_product(X, n, size_guard=DEFAULT_CELL_BUDGET):
             for k in range(X.dim + 1)
             for i in range(X.n_cells(k))
         ]
-    Z = CellComplex(counts, boundaries, labels=labels)
-    prod.complex = Z
+    prod.complex = CellComplex._from_tables(tables, labels)
     return prod
 
 

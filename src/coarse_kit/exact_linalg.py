@@ -6,12 +6,12 @@ for callers that read them: integer solving, kernel lattices, lattice
 complements and unimodular inverses are read off the factors, in a fixed
 pivot order; cohomology reads only the invariant factors, which any pivot
 order gives, so it takes unit pivots from the shortest rows first.
-``verify_snf`` checks the output with a separate Bareiss determinant, so
-Smith is not used to verify Smith.  Beside it sits one exact LP:
+The tests check the output against independent oracles (``verify_snf``
+in ``tests/oracles.py`` uses a separate Bareiss determinant), so Smith is
+not used to verify Smith.  Beside it sits one exact LP:
 feasibility of A x = b in an integer box, which hands back a Farkas vector
 when the box holds no rational solution.  That vector is the re-checkable
-certificate behind every sup-norm lower bound (``check_lp_lower_bound``,
-``check_norm_certificate``).
+certificate behind every sup-norm lower bound (``check_lp_lower_bound``).
 
 No floating point anywhere: integers are arbitrary precision, the LP runs on
 a sparse tableau of integer rows, each over its own denominator, and values
@@ -360,48 +360,6 @@ def smith_normal_form(A, size_guard=DEFAULT_SNF_BUDGET, *, ncols=None,
     diag += [0] * (min(m, n) - len(diag))
     return SnfDecomposition(shape=(m, n), diag=diag, u_rows=work.U,
                             v_cols=work.V)
-
-
-def verify_snf(A, snf):
-    """Exact check of all Smith-form invariants of a decomposition with
-    factors; returns True or raises."""
-    m, n = _shape(A)
-    if _mat_mul(_mat_mul(snf.U, A), snf.V) != snf.D:
-        raise ArithmeticError("U*A*V != D")
-    for i in range(m):
-        for j in range(n):
-            if i != j and snf.D[i][j] != 0:
-                raise ArithmeticError("D is not diagonal")
-    diag = snf.diagonal()
-    for a, b in zip(diag, diag[1:]):
-        if a < 0 or (a == 0 and b != 0) or (a > 0 and b % a != 0):
-            raise ArithmeticError("diagonal is not a divisibility chain")
-    if abs(_det_unimodular(snf.U)) != 1 or abs(_det_unimodular(snf.V)) != 1:
-        raise ArithmeticError("U or V is not unimodular")
-    return True
-
-
-def _det_unimodular(M):
-    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [list(row) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if swap is None:
-                return 0
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
 
 
 def kernel_lattice_basis(A, snf=None):
@@ -777,24 +735,3 @@ class NormCertificate:
     infeasibility_proof: dict
     node_count: int
     lp_bound: Fraction = None
-
-
-def check_norm_certificate(A, b, cert):
-    """Re-validate a NormCertificate without re-running any search."""
-    m, n = _shape(A)
-    if mat_vec(A, cert.witness) != [int(v) for v in b]:
-        return False, "witness does not solve the system"
-    norm = max((abs(v) for v in cert.witness), default=0)
-    if norm != cert.optimum:
-        return False, f"witness norm {norm} != claimed optimum {cert.optimum}"
-    proof = cert.infeasibility_proof
-    if cert.optimum == 0:
-        return True, "optimum 0 needs no lower-bound certificate"
-    if proof.get("kind") == "lp-dual":
-        ok = check_lp_lower_bound(A, b, proof["dual"], cert.optimum - 1)
-        return ok, "lp dual certificate " + ("valid" if ok else "INVALID")
-    if proof.get("kind") == "search-exhausted":
-        return True, "exhausted-search certificate (re-check requires re-search)"
-    if proof.get("kind") == "trivial":
-        return True, "trivial certificate"
-    return False, f"unknown certificate kind {proof.get('kind')!r}"

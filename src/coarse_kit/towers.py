@@ -819,6 +819,8 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
                                      for x in tau_M.simplices[t[0]][t[1]]}
             simplices.append(tuple(pair_index[(v, inv[w])]
                                    for v, w in zip(verts, over)))
+    # P's face closure is the peak of the build: free the lookups first
+    del by_img, pair_index, images, inverses, tau_M
     P = simplicial_complex(simplices)
     # The base projection is light with no check: a simplex (sigma, t) has
     # one vertex over each vertex of sigma, so it is injective on simplices

@@ -100,7 +100,7 @@ def verify_prop51(params, node_limit=10_000_000):
     )
     bundle = build_Mk(params)
     M = bundle.complex
-    p, q, k = params.p, params.q, params.k
+    q, k = params.q, params.k
 
     # (a) the obstruction cocycle has a primitive: absolute and relative.
     # The relative system is factored once, by the minimal-primitive search
@@ -121,6 +121,34 @@ def verify_prop51(params, node_limit=10_000_000):
         absolute=res_abs, relative=res_rel,
     )
 
+    _add_arithmetic_records(report, bundle)
+
+    # (d) exact minimal primitive norm >= q^k - 1; without a relative
+    # primitive there is no norm to bound and (a) has already failed
+    if prim is not None:
+        m_k = prim.certificate.optimum
+        ok = m_k >= q ** k - 1
+        proof = prim.certificate.infeasibility_proof
+        report.check(
+            "norm-lower-bound", ok,
+            m_k=m_k, bound=q ** k - 1,
+            certificate=proof.get("kind"),
+            evaluations=prim.certificate.node_count,
+        )
+        _attach_primitive(report, prim)
+    elif exhausted is not None:
+        _add_exhausted(report, "norm-lower-bound", exhausted)
+    return report
+
+
+ARITHMETIC_RECORDS = ("bezout-coefficient-bound", "degree-relation",
+                      "winding-relation")
+
+
+def _add_arithmetic_records(report, bundle):
+    """Add prop51's :data:`ARITHMETIC_RECORDS`, functions of the bundle's
+    M(p, q, k) alone that check-witness recomputes."""
+    p, q, k = bundle.params.p, bundle.params.q, bundle.params.k
     # (b) Bezout coefficient against the divisibility bound
     n_bez, m_bez = bezout(p, q, k)
     with warnings.catch_warnings():
@@ -149,23 +177,6 @@ def verify_prop51(params, node_limit=10_000_000):
     rel_ok, signs = _winding_relation(bundle)
     report.check("winding-relation", rel_ok, signs=signs,
                  exponents={"p": p ** k, "q": q ** k})
-
-    # (d) exact minimal primitive norm >= q^k - 1; without a relative
-    # primitive there is no norm to bound and (a) has already failed
-    if prim is not None:
-        m_k = prim.certificate.optimum
-        ok = m_k >= q ** k - 1
-        proof = prim.certificate.infeasibility_proof
-        report.check(
-            "norm-lower-bound", ok,
-            m_k=m_k, bound=q ** k - 1,
-            certificate=proof.get("kind"),
-            evaluations=prim.certificate.node_count,
-        )
-        _attach_primitive(report, prim)
-    elif exhausted is not None:
-        _add_exhausted(report, "norm-lower-bound", exhausted)
-    return report
 
 
 def _sparse(cochain):
@@ -326,6 +337,7 @@ def check_witness(report_path):
     """Re-check a report's inline witnesses without any search, on the
     complexes its params fix: M(p, q, k) for the primitive, its LP dual and
     beta (on M x [0, n]), and M(p, q, j) for row j of a norm-growth table.
+    prop51's :data:`ARITHMETIC_RECORDS` are recomputed on that M(p, q, k).
 
     The records fix the witnesses a report carries: a missing or an
     unexpected witness, like a report that cannot be read, is a FAIL
@@ -336,7 +348,7 @@ def check_witness(report_path):
                              params={"report": os.path.basename(str(report_path))})
     try:
         data = load_report(report_path)
-        claims, witnesses = _report_parts(data)
+        records, witnesses = _report_parts(data)
     except ValueError as exc:
         out.add("report-parse", FAIL, reason=str(exc))
         return out
@@ -353,6 +365,7 @@ def check_witness(report_path):
             params = _report_mk_params(given)
         except InvalidParams as exc:
             out.add("report-params", FAIL, reason=str(exc))
+    claims = {name: rec["values"] for name, rec in records.items()}
     # prop51 claims m_k under norm-lower-bound, prop52 under
     # minimal-primitive: the primitive must attain it and an LP dual, when
     # that is its certificate, must bound it from below.  The product
@@ -373,9 +386,10 @@ def check_witness(report_path):
         if names:
             out.add(name, FAIL, witnesses=sorted(names))
     present = needed & witnesses.keys()
+    arithmetic = [name for name in ARITHMETIC_RECORDS if name in records]
     bundle = None
-    if params is not None and present & {"primitive", "beta",
-                                         "norm-lower-bound-dual"}:
+    if params is not None and (arithmetic or present & {
+            "primitive", "beta", "norm-lower-bound-dual"}):
         bundle = build_Mk(params)
     m_k = mk_claim.get("m_k")
     if "primitive" in present:
@@ -399,14 +413,15 @@ def check_witness(report_path):
             level = build_Mk(_report_mk_params({**given, "k": j}))
         _check_primitive(out, level, witnesses[f"{tag}primitive"], claimed,
                          tag)
+    _check_arithmetic(out, bundle, records, arithmetic)
     if not out.records:
         out.add("no-witnesses-found", FAIL, report=str(report_path))
     return out
 
 
 def _report_parts(data):
-    """The values of a report's records by record name, and its witnesses;
-    ValueError says why the report has none."""
+    """A report's records by record name, and its witnesses; ValueError
+    says why the report has none."""
     if not isinstance(data, dict):
         raise ValueError("the report is not a JSON object")
     records, witnesses = data.get("records", []), data.get("witnesses", {})
@@ -414,16 +429,16 @@ def _report_parts(data):
         raise ValueError("the report's records are not a list")
     if not isinstance(witnesses, dict):
         raise ValueError("the report's witnesses are not an object")
-    claims = {}
+    by_name = {}
     for i, rec in enumerate(records):
         if not (isinstance(rec, dict) and isinstance(rec.get("values"), dict)):
             raise ValueError(f"record {i} is not an object with a values "
                              "object")
-        claims.setdefault(str(rec.get("name")), rec["values"])
-    if not isinstance(claims.get("norm-growth-table", {}).get("table", {}),
-                      dict):
+        by_name.setdefault(str(rec.get("name")), rec)
+    table = by_name.get("norm-growth-table", {"values": {}})["values"]
+    if not isinstance(table.get("table", {}), dict):
         raise ValueError("the norm-growth-table is not an object")
-    return claims, witnesses
+    return by_name, witnesses
 
 
 def _report_mk_params(given):
@@ -486,6 +501,25 @@ def _check_primitive(out, bundle, entry, claimed, tag=""):
             return out.check(name, False, claimed=claimed,
                              reason="the claim is not a number")
         out.check(name, ok, claimed=claimed, actual=gamma.norm())
+
+
+def _check_arithmetic(out, bundle, records, names):
+    """Each named record of the report must equal, status and values, the
+    one recomputed on the bundle's M(p, q, k); no bundle is a FAIL."""
+    redo = VerificationReport(command="", params={})
+    if bundle is not None:
+        _add_arithmetic_records(redo, bundle)
+    want = {r.pop("name"): r for r in redo.records}
+    for name in names:
+        given = {key: records[name].get(key) for key in ("status", "values")}
+        if bundle is None:
+            out.check(name, False, reason=NO_MK)
+        elif given != want[name]:
+            out.check(name, False, recomputed=want[name],
+                      reason="the report's record is not the one its params "
+                             "give")
+        else:
+            out.check(name, True)
 
 
 def _check_beta(out, bundle, entry, n):

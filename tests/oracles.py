@@ -9,6 +9,10 @@ and a complete backtracking enumerator for minimal sup-norm solutions.
 factors that the sparse kernel of ``exact_linalg.smith_normal_form``
 replaced; with factors the two must give the same U, D and V.
 
+``verify_snf`` checks every Smith-form invariant of a decomposition with
+factors, unimodularity by the Bareiss determinant ``_det_unimodular``, so
+Smith is not used to verify Smith.
+
 ``oracle_potential_minimax`` is a binary search of Bellman-Ford probes,
 the reference for ``cochains._least_bound``; its Bellman-Ford is its own
 plain one, with no cycle search.
@@ -59,7 +63,8 @@ simplicial complex, boundary blocks for any other.
 ``ilp_min_linf`` is the second reference for minimal sup-norms: a generic
 branch and bound (integer bounds propagation plus the package's exact box
 LP) that knows nothing of the lattice structure the degree-2 minimal
-primitive search exploits.
+primitive search exploits; ``check_norm_certificate`` re-validates the
+certificate it returns.
 """
 
 from fractions import Fraction
@@ -81,8 +86,10 @@ from coarse_kit.exact_linalg import (
     NormCertificate,
     _box_lp,
     _identity,
+    _mat_mul,
     _shape,
     box_feasibility,
+    check_lp_lower_bound,
     mat_vec,
     solve_integer,
 )
@@ -191,6 +198,48 @@ def oracle_smith_normal_form(A, size_guard=4_000_000, events=None):
         t += 1
     rank = t
     return U, D, V, rank
+
+
+def verify_snf(A, snf):
+    """Exact check of all Smith-form invariants of a decomposition with
+    factors; returns True or raises."""
+    m, n = _shape(A)
+    if _mat_mul(_mat_mul(snf.U, A), snf.V) != snf.D:
+        raise ArithmeticError("U*A*V != D")
+    for i in range(m):
+        for j in range(n):
+            if i != j and snf.D[i][j] != 0:
+                raise ArithmeticError("D is not diagonal")
+    diag = snf.diagonal()
+    for a, b in zip(diag, diag[1:]):
+        if a < 0 or (a == 0 and b != 0) or (a > 0 and b % a != 0):
+            raise ArithmeticError("diagonal is not a divisibility chain")
+    if abs(_det_unimodular(snf.U)) != 1 or abs(_det_unimodular(snf.V)) != 1:
+        raise ArithmeticError("U or V is not unimodular")
+    return True
+
+
+def _det_unimodular(M):
+    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
+    n = len(M)
+    if n == 0:
+        return 1
+    A = [list(row) for row in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+            if swap is None:
+                return 0
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
 
 
 def oracle_smith_diagonal(A):
@@ -577,6 +626,27 @@ def ilp_min_linf(A, b, node_limit=DEFAULT_NODE_LIMIT, snf=None):
     )
 
 
+def check_norm_certificate(A, b, cert):
+    """Re-validate a NormCertificate without re-running any search."""
+    m, n = _shape(A)
+    if mat_vec(A, cert.witness) != [int(v) for v in b]:
+        return False, "witness does not solve the system"
+    norm = max((abs(v) for v in cert.witness), default=0)
+    if norm != cert.optimum:
+        return False, f"witness norm {norm} != claimed optimum {cert.optimum}"
+    proof = cert.infeasibility_proof
+    if cert.optimum == 0:
+        return True, "optimum 0 needs no lower-bound certificate"
+    if proof.get("kind") == "lp-dual":
+        ok = check_lp_lower_bound(A, b, proof["dual"], cert.optimum - 1)
+        return ok, "lp dual certificate " + ("valid" if ok else "INVALID")
+    if proof.get("kind") == "search-exhausted":
+        return True, "exhausted-search certificate (re-check requires re-search)"
+    if proof.get("kind") == "trivial":
+        return True, "trivial certificate"
+    return False, f"unknown certificate kind {proof.get('kind')!r}"
+
+
 def oracle_potential_minimax(edge_ends, w, n_nodes, ground):
     """Min over integer potentials h (h = 0 on ground) of
     max_e |w_e + h(v_e) - h(u_e)|, plus an optimal h, by binary search on
@@ -953,12 +1023,15 @@ def oracle_simplicial_columns(X, k):
 def oracle_interval_product_columns(X, n, k):
     """Boundary dicts of the k-cells of X x [0, n] (slice cells level by
     level, then prisms) from d(s x [l, l+1]) = ds x [l, l+1]
-    + (-1)**dim(s) (s x {l+1} - s x {l}), X simplicial."""
-    counts = [len(level) for level in X.simplices] + [0]
+    + (-1)**dim(s) (s x {l+1} - s x {l}); the columns of X are made from
+    its simplex tuples when it has them."""
+    counts = X.counts + [0]
 
     def base(d):
-        return oracle_simplicial_columns(X, d) if d >= 1 else \
-            [{} for _ in range(counts[0])]
+        if d < 1:
+            return [{} for _ in range(counts[0])]
+        return oracle_simplicial_columns(X, d) if X.is_simplicial else \
+            X.boundary_columns(d)
 
     def slice_cell(d, i, level):
         return level * counts[d] + i

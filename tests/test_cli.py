@@ -11,6 +11,7 @@ import pytest
 
 from coarse_kit.cli import build_parser, main
 from coarse_kit.report import load_report
+from coarse_kit.verify import ARITHMETIC_RECORDS, NO_MK
 
 # sha256 of reports for the fixed runs below; refactors of the exact core
 # must leave these bytes unchanged.  Each report carries its witness
@@ -451,13 +452,16 @@ class TestVerify:
     def test_bad_report_params_fail(self, capsys, tmp_path,
                                     prop51_521_report, edit, reason):
         # params that give no M(p, q, k) are a FAIL record, and the
-        # primitive and LP dual checked on that M(p, q, k) fail instead of
-        # being skipped
+        # primitive, LP dual and arithmetic records checked on that
+        # M(p, q, k) fail instead of being skipped
         rc, failed = recheck(capsys, tmp_path, prop51_521_report, edit)
         assert rc == 1
-        assert sorted(failed) == ["lower-bound-dual-certificate",
-                                  "report-params", "witness-solves-system"]
+        assert sorted(failed) == sorted(
+            ["lower-bound-dual-certificate", "report-params",
+             "witness-solves-system", *ARITHMETIC_RECORDS])
         assert failed["report-params"]["reason"].startswith(reason)
+        for name in ARITHMETIC_RECORDS:
+            assert failed[name] == {"reason": NO_MK}
 
     def test_config_file_supplies_flags(self, capsys, tmp_path):
         conf = tmp_path / "conf.json"
@@ -550,9 +554,11 @@ class TestVerify:
         rc, failed = recheck(capsys, tmp_path, prop51_521_report,
                              lambda d: d["params"].update(edge_scale="4"))
         assert rc == 1
-        # nor can the primitive and LP dual it carries be re-checked
+        # nor can the primitive and LP dual it carries be re-checked, nor
+        # its arithmetic records recomputed
         assert list(failed) == ["params-edge-scale", "witness-solves-system",
-                                "lower-bound-dual-certificate"]
+                                "lower-bound-dual-certificate",
+                                *ARITHMETIC_RECORDS]
 
 
 def swap_levels(data):
@@ -566,6 +572,11 @@ def replace_values(name, values):
         next(r for r in data["records"] if r["name"] == name)["values"] = \
             values
     return edit
+
+
+def flip_winding_sign(data):
+    signs = record(data, "winding-relation")["signs"]
+    signs["q"] = str(-int(signs["q"]))
 
 
 def add_row_x(data):
@@ -616,6 +627,28 @@ class TestCheckWitness:
                           edit)
         assert rc == 1
         assert list(got) == failed
+
+    @pytest.mark.parametrize("edit, name", [
+        (lambda data: record(data, "bezout-coefficient-bound").update(
+            m="999"), "bezout-coefficient-bound"),
+        (flip_winding_sign, "winding-relation"),
+        (lambda data: record(data, "degree-relation")["samples"][0].update(
+            ok="false"), "degree-relation"),
+        (lambda data: next(r for r in data["records"] if r["name"] ==
+                           "degree-relation").update(status="FAIL"),
+         "degree-relation"),
+    ], ids=["bezout-m", "winding-sign", "degree-sample", "degree-status"])
+    def test_edited_arithmetic_record_fails(self, capsys, tmp_path,
+                                            prop51_521_report, edit, name):
+        # prop51's arithmetic records are recomputed from the params: the
+        # report's record must equal the recomputed one, status and values
+        want = next(r for r in load_report(prop51_521_report)["records"]
+                    if r["name"] == name)
+        rc, failed = recheck(capsys, tmp_path, prop51_521_report, edit)
+        assert rc == 1
+        assert failed == {name: {
+            "recomputed": {"status": want["status"], "values": want["values"]},
+            "reason": "the report's record is not the one its params give"}}
 
     @pytest.mark.parametrize("report, edit, name, reason", [
         ("prop51_521_report", lambda data: data.update(witnesses=[]),
@@ -670,7 +703,7 @@ class TestCheckWitness:
         names = {r["name"] for r in
                  json.loads(capsys.readouterr().out)["records"]}
         assert {"witness-solves-system", "witness-norm-matches-claim",
-                "lower-bound-dual-certificate"} <= names
+                "lower-bound-dual-certificate", *ARITHMETIC_RECORDS} <= names
 
     @pytest.mark.parametrize("p, n, m_k, digest", [
         ("3", "6", "3", PROP52_322_LCM_REPORT),

@@ -417,15 +417,20 @@ class TestFlatBoundaryTables:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             M = build_Mk(MkParams(5, 2, 1, reduce=True)).complex
-        for X in (circle(5), filled_triangle(), M, simplicial_complex(
-                random_simplices(rng, 9, 3, 12) + [(0, 1, 2, 3)])):
+        # build_Mk looked up M's vertices and edges; the others are fresh
+        for X, cached in ((circle(5), 0), (filled_triangle(), 0), (M, 2),
+                          (simplicial_complex(random_simplices(rng, 9, 3, 12)
+                                              + [(0, 1, 2, 3)]), 0)):
             for k in range(1, X.dim + 1):
                 rows, coefs, ptr = X.boundary_table(k)
                 assert len(rows) == len(coefs) == (k + 1) * X.n_cells(k)
                 assert ptr == range(0, len(rows) + 1, k + 1)
                 assert coefs == [(-1) ** i for i in range(k + 1)] * X.n_cells(k)
-            # a face index per level, the labels and the memo of invariant
-            # factors: nothing per cell
+            # the labels, the memo of invariant factors and the face index
+            # of each level looked up so far: nothing per cell
+            assert len(reachable_dicts(X)) == 2 + cached
+            for level in X.simplices:
+                X.simplex_index(level[0])
             assert len(reachable_dicts(X)) == X.dim + 3
 
     def test_tampered_face_entry_fails_at_oracle_cell(self):
@@ -451,6 +456,50 @@ class TestFlatBoundaryTables:
             else:
                 X._validate()
         assert seen >= 20, seen
+
+
+class TestFaceIndexCache:
+    """A simplicial complex keeps no face index: each level's is built on
+    its first lookup and shared with relabeled copies."""
+
+    def test_fresh_complex_holds_no_index(self):
+        rng = random.Random(3)
+        X = simplicial_complex(random_simplices(rng, 8, 3, 10))
+        for Z in (X, CellComplex.from_simplices(X.simplices),
+                  remove_cells(X, [(X.dim, 0)])):
+            assert Z._simplex_index == [None] * (Z.dim + 1)
+
+    def test_first_lookup_builds_its_level_only(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            X = simplicial_complex(random_simplices(rng, 8, 3, 10)
+                                   + [(0, 1, 2, 3)])
+            built = set()
+            for k in rng.sample(range(X.dim + 1), X.dim + 1):
+                i = rng.randrange(X.n_cells(k))
+                assert X.simplex_index(X.simplices[k][i]) == i
+                built.add(k)
+                assert [d is not None for d in X._simplex_index] == \
+                    [d in built for d in range(X.dim + 1)]
+        # a vertex map looks up the target levels of the source's dimensions
+        T = filled_triangle()
+        CellMap.from_vertex_map(circle(3), T, [0, 1, 2])
+        assert [d is not None for d in T._simplex_index] == [True, True, False]
+
+    def test_relabeled_copies_share_the_cache(self):
+        X = filled_triangle()
+        Y = X.relabeled({"corner": [(0, 0)]})
+        assert Y.simplex_index((0, 2)) == 1
+        assert X._simplex_index is Y._simplex_index
+        assert X._simplex_index[1] is not None
+
+    def test_sorted_tuples_are_kept(self):
+        given = [(0, 1, 2), (1, 2, 3), (3, 4), (1, 2)]
+        X = simplicial_complex(given + [(2, 1, 4), [4, 5]])
+        for s in given:
+            assert X.simplices[len(s) - 1][X.simplex_index(s)] is s
+        assert X.simplices[2][X.simplex_index((1, 2, 4))] == (1, 2, 4)
+        assert type(X.simplices[1][X.simplex_index((4, 5))]) is tuple
 
 
 class TestAnnulus:
@@ -696,6 +745,36 @@ class TestProducts:
         # implicit in construction, but exercise a 2-dim base fully
         prod = interval_product(filled_triangle(), 3)
         assert prod.complex.dim == 3
+
+    def test_tables_are_those_of_the_cell_constructor(self):
+        # the tables written straight from the base's equal, entry for
+        # entry, those the cell constructor makes of the formula's columns,
+        # on simplicial bases and on bases whose cells were reoriented
+        kinds = set()
+        for seed in range(100):
+            rng = random.Random(seed)
+            X = simplicial_complex(random_simplices(
+                rng, rng.randint(1, 7), 2, rng.randint(1, 6)))
+            if seed % 2:
+                flip = [[rng.choice((1, -1)) for _ in range(c)]
+                        for c in X.counts]
+                X = new_complex(X.counts, [None] + [
+                    [{r: flip[k - 1][r] * flip[k][j] * c
+                      for r, c in col.items()}
+                     for j, col in enumerate(X.boundary_columns(k))]
+                    for k in range(1, X.dim + 1)])
+            kinds.add(X.is_simplicial)
+            n = rng.randint(1, 3)
+            Z = interval_product(X, n).complex
+            want = CellComplex(Z.counts, [None] + [
+                oracle_interval_product_columns(X, n, k)
+                for k in range(1, Z.dim + 1)], labels=Z.labels)
+            assert Z.counts == want.counts and Z.labels == want.labels
+            for k in range(Z.dim + 1):
+                assert [list(t) for t in Z.boundary_table(k)] == \
+                    [list(t) for t in want.boundary_table(k)], (seed, k)
+            Z._validate()
+        assert kinds == {True, False}
 
 
 class TestSubdivisions:

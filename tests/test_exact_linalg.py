@@ -14,21 +14,21 @@ from coarse_kit.exact_linalg import (
     _unimodular_inverse,
     box_feasibility,
     check_lp_lower_bound,
-    check_norm_certificate,
     smith_normal_form,
     solve_integer,
-    verify_snf,
 )
 
 from coarse_kit.towers import MkParams, build_Mk
 from coarse_kit.verify import _relative_system
 
 from oracles import (
+    check_norm_certificate,
     ilp_min_linf,
     oracle_box_lp,
     oracle_min_linf,
     oracle_smith_diagonal,
     oracle_smith_normal_form,
+    verify_snf,
 )
 
 
