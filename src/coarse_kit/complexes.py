@@ -15,8 +15,8 @@ lookup; two threads filling one level at once store equal dicts.
 
 from copy import copy
 from dataclasses import dataclass, field
-from itertools import combinations
-from operator import lt
+from itertools import chain, combinations, compress, repeat
+from operator import and_, itemgetter, lt, not_
 
 from .errors import (
     DimensionTooHigh,
@@ -71,33 +71,55 @@ def _sorted_with_sign(images):
     return tuple(items), sign
 
 
-def _strictly_increasing(level, n):
-    """True when every tuple of ``level`` has n entries in strictly
-    increasing order, checked one vertex column at a time."""
-    if not set(map(len, level)) <= {n}:
-        return False
-    columns = list(zip(*level))
-    return all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
+def _increasing_rows(rows, n):
+    """Per row of ``rows``, each n entries long, whether its entries
+    strictly increase: one pass per pair of neighbouring vertex columns,
+    each read off the rows as it goes (a transposed copy of the rows
+    would cost an iterator per row)."""
+    ok = repeat(True, len(rows))
+    for j in range(n - 1):
+        ok = map(and_, ok, map(lt, map(itemgetter(j), rows),
+                               map(itemgetter(j + 1), rows)))
+    return ok
+
+
+def _are_vertex_ids(ids, n):
+    """True when every item of ``ids`` is an int in ``range(n)``.  The
+    vertex level of a simplicial complex is ``(0,), ..., (n-1,)``, so these
+    are the vertices, each its own cell index."""
+    return not ids or (set(map(type, ids)) == {int}
+                       and min(ids) >= 0 and max(ids) < n)
 
 
 def _face_rows(level, faces, k):
     """Row of every face of every sorted k-simplex of a level, cell after
-    cell, face i dropping vertex i; ``faces`` indexes the (k-1)-simplices.
-    A face missing from ``faces`` raises NotSimplicial naming the first
-    cell that has one."""
-    columns = list(zip(*level))
+    cell, face i dropping vertex i.  ``faces`` indexes the (k-1)-simplices;
+    for k = 1 it is the vertex count, vertex v being cell v, so the rows
+    are the edges' two vertex columns.  A missing face raises NotSimplicial
+    naming the first cell that has one."""
     rows = [0] * ((k + 1) * len(level))
-    try:
-        for i in range(k + 1):
-            rows[i::k + 1] = map(faces.__getitem__,
-                                 zip(*columns[:i], *columns[i + 1:]))
-    except KeyError:
-        j, face = next((j, s[:i] + s[i + 1:]) for j, s in enumerate(level)
-                       for i in range(k + 1) if s[:i] + s[i + 1:] not in faces)
-        raise NotSimplicial(
-            f"cell (dim {k}, {j}) has face {face}, which is not in the "
-            f"dim {k - 1} simplex table") from None
-    return rows
+    if k == 1:
+        rows[0::2] = map(itemgetter(1), level)
+        rows[1::2] = map(itemgetter(0), level)
+        if _are_vertex_ids(rows, faces):
+            return rows
+        n = faces
+
+        def has(face):
+            return _are_vertex_ids(face, n)
+    else:
+        try:
+            for i in range(k + 1):
+                face = itemgetter(*range(i), *range(i + 1, k + 1))
+                rows[i::k + 1] = map(faces.__getitem__, map(face, level))
+            return rows
+        except KeyError:
+            has = faces.__contains__
+    j, face = next((j, s[:i] + s[i + 1:]) for j, s in enumerate(level)
+                   for i in range(k + 1) if not has(s[:i] + s[i + 1:]))
+    raise NotSimplicial(
+        f"cell (dim {k}, {j}) has face {face}, which is not in the "
+        f"dim {k - 1} simplex table")
 
 
 class CellComplex:
@@ -174,15 +196,18 @@ class CellComplex:
         repeats and missing faces.  d.d = 0 needs no check: face l-1 of
         face i and face i of face l (i < l) are the same tuple, so their
         rows agree, and their coefficients (-1)**(i+l-1) and (-1)**(i+l)
-        cancel.  Level k's ``{tuple: index}`` dict serves only its repeat
-        check and level k+1's face rows; lookups go to :meth:`_level_index`.
+        cancel.  A vertex's cell index is its id, so level 0 has no
+        ``{tuple: index}`` dict and the edges' face rows are their two
+        vertex columns.  Level k >= 1's dict serves only its repeat check
+        and level k+1's face rows; lookups go to :meth:`_level_index`.
         """
         levels = list(levels)
         while len(levels) > 1 and not levels[-1]:
             levels.pop()
         tables = [([], [], [0] * (len(levels[0]) + 1))]
         for k, level in enumerate(levels):
-            if not _strictly_increasing(level, k + 1):
+            if not (set(map(len, level)) <= {k + 1}
+                    and all(_increasing_rows(level, k + 1))):
                 i, verts = next(
                     (i, s) for i, s in enumerate(level)
                     if len(s) != k + 1 or list(s) != sorted(set(s)))
@@ -194,12 +219,14 @@ class CellComplex:
                     raise NotSimplicial(
                         f"vertex {level[i]} at cell (dim 0, {i}): the vertex "
                         f"ids must be 0..{len(level) - 1} in order")
-            else:
-                n = len(level)
-                tables.append((_face_rows(level, faces, k),
-                               [(-1) ** i for i in range(k + 1)] * n,
-                               range(0, (k + 1) * n + 1, k + 1)))
-                faces = None  # free level k-1's index first
+                # ids in order repeat none, and they index the vertices
+                faces = len(level)
+                continue
+            n = len(level)
+            tables.append((_face_rows(level, faces, k),
+                           [(-1) ** i for i in range(k + 1)] * n,
+                           range(0, (k + 1) * n + 1, k + 1)))
+            faces = None  # free level k-1's index first
             faces = {s: i for i, s in enumerate(level)}
             if len(faces) != len(level):
                 # faces keeps the last copy: the first cell it misses is the
@@ -295,11 +322,14 @@ class CellComplex:
         k = len(verts) - 1
         if not self.is_simplicial or k > self.dim:
             return None
+        if k == 0:
+            return verts[0] if _are_vertex_ids(verts, self.counts[0]) else None
         return self._level_index(k).get(verts)
 
     def _level_index(self, k):
-        """``{simplex: index}`` of the k-simplices, built on first use and
-        kept in the per-level cache that relabeled copies share."""
+        """``{simplex: index}`` of the k-simplices (k >= 1; a vertex is its
+        own index), built on first use and kept in the per-level cache that
+        relabeled copies share."""
         index = self._simplex_index[k]
         if index is None:
             index = self._simplex_index[k] = {
@@ -361,41 +391,52 @@ def new_complex(cells_per_dim, boundaries, labels=None):
 def simplicial_complex(simplices, labels=None):
     """Build a simplicial complex from vertex tuples (closed under faces).
 
-    Vertices are taken to be 0..max referenced index; orientation follows the
-    global vertex order with alternating boundary signs.  Faces are closed
-    one codimension at a time from the top, and each level is indexed in
-    sorted tuple order; :meth:`CellComplex.from_simplices` then computes
-    the columns.  A simplex given as a sorted tuple becomes the complex's
-    own, with no copy; each closure set goes once its level is sorted.
+    Vertices are taken to be 0..max referenced index, so the vertex level
+    is ``(0,), ..., (max,)`` by definition; orientation follows the global
+    vertex order with alternating boundary signs.  The simplices are read
+    by length, a vertex column at a time: one pass over the columns finds
+    the rows already strictly increasing, and only the others are sorted.
+    A simplex given as a sorted tuple becomes the complex's own, with no
+    copy.  Faces are closed one codimension at a time from the top, each
+    level is indexed in sorted tuple order, and each closure set goes once
+    its level is sorted; :meth:`CellComplex.from_simplices` then computes
+    the columns.
     """
-    levels = []
-    max_v = -1
-    for s in simplices:
-        verts = tuple(sorted(set(s)))
-        n = len(verts)
-        if n != len(s):
-            raise NotSimplicial(f"degenerate simplex {s}")
-        if not n:
-            raise NotSimplicial("empty simplex")
-        if verts == s:
-            verts = s
-        while len(levels) < n:
-            levels.append(set())
-        levels[n - 1].add(verts)
-        if verts[-1] > max_v:
-            max_v = verts[-1]
-    if not levels:
+    rows = list(simplices)
+    if not rows:
         raise NotSimplicial("a simplicial complex needs at least one simplex")
-    dim = len(levels) - 1
+    sizes = sorted(set(map(len, rows)))
+    given = {}
+    for n in sizes:
+        group = rows if len(sizes) == 1 else [s for s in rows if len(s) == n]
+        ok = list(_increasing_rows(group, n))
+        fixed = [tuple(sorted(set(s))) for s in compress(group, map(not_, ok))]
+        if not n or not set(map(len, fixed)) <= {n}:
+            s = next(s for s in rows if not s or len(set(s)) != len(s))
+            raise NotSimplicial(f"degenerate simplex {s}" if s
+                                else "empty simplex")
+        given[n] = set(map(tuple, compress(group, ok)))
+        given[n].update(fixed)
+    del rows, group, ok, fixed  # free the row lists before the closure
+    dim = sizes[-1] - 1
     by_dim = [None] * (dim + 1)
+    level = given.pop(dim + 1)
     for k in range(dim, 0, -1):
-        by_dim[k] = sorted(levels.pop())
-        columns = list(zip(*by_dim[k]))
-        for i in range(k + 1):
-            levels[k - 1].update(zip(*(columns[:i] + columns[i + 1:])))
-        del columns
-    levels[0].update((v,) for v in range(max_v + 1))
-    by_dim[0] = sorted(levels.pop())
+        by_dim[k] = sorted(level)
+        level = given.pop(k, set())
+        if k > 1:
+            for i in range(k + 1):
+                level.update(map(itemgetter(*range(i), *range(i + 1, k + 1)),
+                                 by_dim[k]))
+    # the vertices in use are the given ones (level) and the edges' ends
+    edges = by_dim[1] if dim else []
+    ends = [min(level)[0], max(level)[0]] if level else []
+    if edges:
+        ends += [edges[0][0], max(map(itemgetter(1), edges))]
+    by_dim[0] = [(v,) for v in range(max(ends) + 1)]
+    if min(ends) < 0:
+        # the closed vertex level, whose negative id from_simplices refuses
+        by_dim[0] = sorted(level.union(by_dim[0], zip(chain(*edges))))
     return CellComplex.from_simplices(by_dim, labels=labels)
 
 
@@ -440,15 +481,18 @@ class CellMap:
         vm = list(vertex_map)
         if len(vm) != source.n_cells(0):
             raise ShapeMismatch("vertex map length != vertex count")
-        images, signs = [], []
-        for k in range(source.dim + 1):
+        # a vertex is its own cell index
+        n = target.n_cells(0)
+        if not _are_vertex_ids(vm, n):
+            v = next(v for v in vm if not _are_vertex_ids((v,), n))
+            raise NotSimplicial(f"image {(v,)} is not a simplex of the target")
+        images, signs = [vm], [[1] * len(vm)]
+        for k in range(1, source.dim + 1):
             index = target._level_index(k) if k <= target.dim else {}
             img_k, sgn_k = [], []
             for verts in source.simplices[k]:
-                # vertices and edges, most of any map, skip the general sort
-                if k == 0:
-                    face, sign = (vm[verts[0]],), 1
-                elif k == 1:
+                # edges and triangles, most of any map, skip the general sort
+                if k == 1:
                     a, b = vm[verts[0]], vm[verts[1]]
                     face, sign = (((a, b), 1) if a < b else
                                   ((b, a), -1) if a > b else (None, 0))

@@ -15,9 +15,13 @@ simplicial maps, and the iterated pull-back stages they generate.
 import functools
 import gc
 import warnings
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, gcd
+from operator import sub
 
 from .complexes import (
     CellComplex,
@@ -561,11 +565,18 @@ def replace_faces(host, bundle, size_guard=DEFAULT_SIZE_GUARD):
     for f in range(n_faces):
         tuples.extend(in_copy(f, verts) for verts in guts.simplices[2])
     stage = simplicial_complex(tuples)
+
+    def stage_cell(k, verts):
+        """Index of a k-simplex of the stage, with no face index: a vertex
+        is its own index, and simplicial_complex sorts every level."""
+        verts = tuple(sorted(verts))
+        return verts[0] if k == 0 else bisect_left(stage.simplices[k], verts)
+
     stage_labels = {}
     for f in range(n_faces):
         for name in (bundle.p_hole_label, bundle.q_hole_label):
             stage_labels[f"{name}-{f}"] = [
-                (k, stage.simplex_index(in_copy(f, guts.simplices[k][i])))
+                (k, stage_cell(k, in_copy(f, guts.simplices[k][i])))
                 for k, i in guts.label_cells(name)]
     stage = stage.relabeled(stage_labels)
     # projection into the cone subdivision of the host
@@ -661,6 +672,8 @@ def build_tower(params, depth, size_guard=DEFAULT_SIZE_GUARD):
     with a copy of the level k-j bundle.  Every stage carries the simplicial
     projection to its predecessor and the per-stage 1/2 bound.
     """
+    if depth < 0:
+        raise InvalidParams("need at least one stage (tower depth >= 0)")
     if depth >= params.k:
         raise InvalidParams("tower depth must stay below the level k")
     bundle = build_Mk(params, size_guard=size_guard)
@@ -715,7 +728,9 @@ def pullback_subdivision(chi, tau):
     For every cell m of the source with chi(m) equal to the carrier of a
     tau-cell, the tau-cell lifts into m; lifts glue along shared faces.
     Returns (complex of the pulled-back subdivision of chi's source, vertex
-    map of the induced light map from it to tau).  The caller checks that
+    map of the induced light map from it to tau).  The vertices are
+    numbered by their image in tau, those over vertex w before those over
+    w + 1, so that vertex map is non-decreasing.  The caller checks that
     chi is light.
     """
     M, Delta = chi.source, chi.target
@@ -765,6 +780,12 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
     image in tau; the vertices of (sigma, t) pair each v of sigma with the
     vertex of t over phi(v).  ``size_guard`` bounds the number of them.
 
+    The vertices of the result, the pairs (v, x) of a vertex of M' and a
+    vertex of tau_M over the same vertex of tau, are numbered v by v and x
+    by x.  The vertices of tau_M over one vertex of tau are consecutive, so
+    a pair's id is arithmetic and no pair dict is built; the simplices over
+    each top simplex of M' are made as columns of ids.
+
     Both M and M' must be pure: only the pairs over the top simplices of M'
     are made, and :func:`simplicial_complex` closes their faces.
     """
@@ -779,22 +800,27 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
             )
     tau_M, chi_vm = pullback_subdivision(chi, tau)
     phi_vm = phi.vertex_map
-    # tau_M simplices indexed by image vertex set in tau; the induced map
-    # is light, so each has the dimension of its image
+    # the vertices of tau_M over a vertex w of tau are start[w], start[w] +
+    # 1, ... (see pullback_subdivision), so the induced light map sends a
+    # simplex to the tuple of its vertex images, in order
+    start, count = {}, Counter(chi_vm)
+    for x, w in enumerate(chi_vm):
+        start.setdefault(w, x)
     by_img = {}
-    for k in range(tau_M.dim + 1):
-        for i, verts in enumerate(tau_M.simplices[k]):
-            img = tuple(sorted({chi_vm[v] for v in verts}))
-            by_img.setdefault(img, []).append((k, i))
-    vm_base = []
-    vm_fiber = []
-    pair_index = {}
-    for v in range(Mp.n_cells(0)):
-        for (kk, i) in by_img.get((phi_vm[v],), []):
-            x = tau_M.simplices[0][i][0]
-            pair_index[(v, x)] = len(vm_base)
-            vm_base.append(v)
-            vm_fiber.append(x)
+    for level in tau_M.simplices:
+        for t in level:
+            by_img.setdefault(tuple(map(chi_vm.__getitem__, t)), []).append(t)
+    # the pairs (v, x) with phi(v) = chi(x), numbered v by v: pair (v, x)
+    # is ids[v][x - start[phi(v)]].  Every id, and every x, is taken from
+    # one list, so the simplices and vm_fiber share its ints
+    xs = list(range(len(chi_vm)))
+    pair_ids = list(range(sum(map(count.__getitem__, phi_vm))))
+    vm_base, vm_fiber, ids = [], [], []
+    for v, w in enumerate(phi_vm):
+        a, n = start.get(w, 0), count[w]
+        ids.append(pair_ids[len(vm_base):len(vm_base) + n])
+        vm_base.extend(repeat(v, n))
+        vm_fiber.extend(xs[a:a + n])
     # one simplex of P per pair (sigma, t), in every dimension: count them
     # all before any is made
     images = [[tuple(sorted({phi_vm[v] for v in verts})) for verts in level]
@@ -808,19 +834,19 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
     # and chi maps each top cell onto the whole simplex.  The copy holding
     # t' has a simplex t over phi(sigma), which contains phi(sigma'); so t
     # contains t', and (sigma', t') is a face of (sigma, t).
-    inverses = {}
+    # Per image, the rank x - start[w] of the vertex of each t over each w
+    ranks = {img: [list(map(sub, column, repeat(start[w])))
+                   for w, column in zip(img, zip(*by_img[img]))]
+             for img in set(images[Mp.dim]) if img in by_img}
     simplices = []
     for verts, img in zip(Mp.simplices[Mp.dim], images[Mp.dim]):
-        over = [phi_vm[v] for v in verts]
-        for t in by_img.get(img, ()):
-            inv = inverses.get(t)
-            if inv is None:
-                inv = inverses[t] = {chi_vm[x]: x
-                                     for x in tau_M.simplices[t[0]][t[1]]}
-            simplices.append(tuple(pair_index[(v, inv[w])]
-                                   for v, w in zip(verts, over)))
+        if img in ranks:
+            # column j: the pairs of vertex j of sigma, one per t over img
+            simplices.extend(zip(*(
+                map(ids[v].__getitem__, ranks[img][img.index(phi_vm[v])])
+                for v in verts)))
     # P's face closure is the peak of the build: free the lookups first
-    del by_img, pair_index, images, inverses, tau_M
+    del by_img, xs, pair_ids, ids, images, ranks, tau_M
     P = simplicial_complex(simplices)
     # The base projection is light with no check: a simplex (sigma, t) has
     # one vertex over each vertex of sigma, so it is injective on simplices

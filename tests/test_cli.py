@@ -525,6 +525,19 @@ class TestVerify:
         assert captured.out == ""
         assert "error: --node-limit" in captured.err
 
+    @pytest.mark.parametrize("command", [["build", "tower"],
+                                         ["verify-tower"]],
+                             ids=["build", "verify"])
+    @pytest.mark.parametrize("stages", ["0", "-1"])
+    def test_stages_below_one_usage_error(self, capsys, command, stages):
+        # stage 1 is M_k itself; no tower has fewer stages
+        rc = main(command + ["--p", "5", "--q", "2", "--k", "2", "--reduce",
+                             "--stages", stages])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert "error: need at least one stage" in captured.err
+
     def test_node_limit_below_one_from_config(self, capsys, tmp_path):
         path = tmp_path / "conf.json"
         path.write_text(json.dumps({"p": 5, "q": 2, "k": 1, "reduce": True,

@@ -236,23 +236,43 @@ class TestOnePassBuildersAgainstOracles:
     oracles."""
 
     def test_simplicial_complex_random(self):
+        seen = {"sorted": 0, "unsorted": 0, "list": 0, "repeat": 0}
         for seed in range(200):
             rng = random.Random(seed)
             n = rng.randint(1, 9)
-            simplices = random_simplices(rng, n, 3, rng.randint(1, 8))
             labels = {"some": [(0, v) for v in range(0, n, 2)]}
-            X = simplicial_complex(simplices, labels=labels)
-            O = oracle_simplicial_complex(simplices, labels=labels)
-            assert X.counts == O.counts
-            assert X.simplices == O.simplices
-            assert X.labels == O.labels
-            for k in range(1, X.dim + 1):
-                # same columns with the same entry order
-                assert [list(c.items()) for c in X.boundary_columns(k)] == \
-                    [list(c.items()) for c in O.boundary_columns(k)]
-            for level in O.simplices:
-                for i, s in enumerate(level):
-                    assert X.simplex_index(s) == i
+            # tuples of mixed lengths in random order; sorted tuples of one
+            # length, the rows the column check passes whole; and those
+            # rows mixed with unsorted ones, lists and repeats
+            size = rng.randint(1, min(4, n))
+            same = [tuple(sorted(rng.sample(range(n), size)))
+                    for _ in range(rng.randint(1, 8))]
+            mixed = []
+            for s in same:
+                kind = rng.choice(list(seen))
+                seen[kind] += 1
+                if kind == "unsorted":
+                    s = tuple(rng.sample(s, len(s)))
+                elif kind == "list":
+                    s = list(s)
+                elif kind == "repeat":
+                    mixed.append(s)
+                mixed.append(s)
+            for simplices in (random_simplices(rng, n, 3, rng.randint(1, 8)),
+                              same, mixed):
+                X = simplicial_complex(simplices, labels=labels)
+                O = oracle_simplicial_complex(simplices, labels=labels)
+                assert X.counts == O.counts
+                assert X.simplices == O.simplices
+                assert X.labels == O.labels
+                for k in range(1, X.dim + 1):
+                    # same columns with the same entry order
+                    assert [list(c.items()) for c in X.boundary_columns(k)] \
+                        == [list(c.items()) for c in O.boundary_columns(k)]
+                for level in O.simplices:
+                    for i, s in enumerate(level):
+                        assert X.simplex_index(s) == i
+        assert min(seen.values()) >= 50, seen
 
     @pytest.mark.parametrize("simplices", [[(0, 1), (2, 2)], [], [()],
                                            [(0, 1), ()]],
@@ -260,6 +280,15 @@ class TestOnePassBuildersAgainstOracles:
                                   "empty-simplex", "empty-among-others"])
     def test_malformed_input_not_simplicial(self, simplices):
         with pytest.raises(NotSimplicial):
+            simplicial_complex(simplices)
+
+    @pytest.mark.parametrize("simplices, message", [
+        ([[0, 1], (3, 1, 1), (), (2, 2)], r"degenerate simplex \(3, 1, 1\)"),
+        ([(1, 2), [], [4, 4]], "empty simplex"),
+        ([(0, 1), [2, 1, 2]], r"degenerate simplex \[2, 1, 2\]"),
+    ], ids=["degenerate-first", "empty-first", "degenerate-list"])
+    def test_refusal_names_the_first_bad_simplex(self, simplices, message):
+        with pytest.raises(NotSimplicial, match=f"^{message}$"):
             simplicial_complex(simplices)
 
     def test_vertex_tables_random(self):
@@ -417,8 +446,8 @@ class TestFlatBoundaryTables:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             M = build_Mk(MkParams(5, 2, 1, reduce=True)).complex
-        # build_Mk looked up M's vertices and edges; the others are fresh
-        for X, cached in ((circle(5), 0), (filled_triangle(), 0), (M, 2),
+        # build_Mk looked up M's edges; the others are fresh
+        for X, cached in ((circle(5), 0), (filled_triangle(), 0), (M, 1),
                           (simplicial_complex(random_simplices(rng, 9, 3, 12)
                                               + [(0, 1, 2, 3)]), 0)):
             for k in range(1, X.dim + 1):
@@ -427,11 +456,12 @@ class TestFlatBoundaryTables:
                 assert ptr == range(0, len(rows) + 1, k + 1)
                 assert coefs == [(-1) ** i for i in range(k + 1)] * X.n_cells(k)
             # the labels, the memo of invariant factors and the face index
-            # of each level looked up so far: nothing per cell
+            # of each level above the vertices looked up so far: nothing
+            # per cell
             assert len(reachable_dicts(X)) == 2 + cached
             for level in X.simplices:
                 X.simplex_index(level[0])
-            assert len(reachable_dicts(X)) == X.dim + 3
+            assert len(reachable_dicts(X)) == X.dim + 2
 
     def test_tampered_face_entry_fails_at_oracle_cell(self):
         seen = 0
@@ -479,12 +509,23 @@ class TestFaceIndexCache:
                 i = rng.randrange(X.n_cells(k))
                 assert X.simplex_index(X.simplices[k][i]) == i
                 built.add(k)
+                # a vertex is its own index: level 0 is never built
                 assert [d is not None for d in X._simplex_index] == \
-                    [d in built for d in range(X.dim + 1)]
+                    [d in built and d > 0 for d in range(X.dim + 1)]
         # a vertex map looks up the target levels of the source's dimensions
+        # above the vertices
         T = filled_triangle()
         CellMap.from_vertex_map(circle(3), T, [0, 1, 2])
-        assert [d is not None for d in T._simplex_index] == [True, True, False]
+        assert [d is not None for d in T._simplex_index] == \
+            [False, True, False]
+
+    def test_vertex_index_is_its_id(self):
+        X = simplicial_complex([(0, 1, 2), (2, 5)])
+        for v in range(6):
+            assert X.simplex_index((v,)) == v
+        for v in (-1, 6, 1.5, None):
+            assert X.simplex_index((v,)) is None
+        assert X._simplex_index == [None] * (X.dim + 1)
 
     def test_relabeled_copies_share_the_cache(self):
         X = filled_triangle()

@@ -336,6 +336,30 @@ class TestTower:
                 warnings.simplefilter("ignore")
                 build_tower(MkParams(5, 2, 1, reduce=True), 1)
 
+    @pytest.mark.parametrize("depth", [-1, -3])
+    def test_negative_depth_refused(self, depth):
+        # depth 0 is M_k alone; a tower has no fewer stages
+        with pytest.raises(InvalidParams, match="at least one stage"):
+            build_tower(MkParams(5, 2, 2, reduce=True), depth)
+
+    def test_stage_builds_no_face_index(self):
+        # the hole labels are placed by vertex id and by bisection in the
+        # sorted edge level, with no lookup table
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            host, stage = (s.complex for s in build_tower(
+                MkParams(5, 2, 2, reduce=True), 1))
+        assert stage._simplex_index == [None] * (stage.dim + 1)
+        labels = {name: cells for name, cells in stage.labels.items()
+                  if name.startswith(("p-hole-", "q-hole-"))}
+        assert len(labels) == 2 * host.n_cells(2)
+        for cells in labels.values():
+            # each label is a hole's rim: a cycle through its own vertices
+            verts = {i for k, i in cells if k == 0}
+            edges = [stage.simplices[1][i] for k, i in cells if k == 1]
+            assert len(edges) == len(verts) >= 3
+            assert {v for e in edges for v in e} == verts
+
     def test_two_stage_tower(self, towers):
         stages = towers[(5, 2, 2)]
         assert len(stages) == 2
