@@ -11,6 +11,7 @@ import json
 import sys
 import time
 
+from .cochains import RING_Q, RING_Z, ring_zp
 from .complexes import annulus_triangulation, circle, interval_product
 from .errors import CoarseKitError, InvalidParams, SizeGuardExceeded
 from .interchange import read_complex, write_complex
@@ -143,8 +144,6 @@ def cmd_build(args):
 
 
 def cmd_homology(args):
-    from .cochains import RING_Q, RING_Z, ring_zp
-
     # a modulus that is not prime is a usage error before any file is read
     ring = {"Z": RING_Z, "Q": RING_Q}.get(args.ring) or ring_zp(args.prime)
     X = read_complex(args.infile)

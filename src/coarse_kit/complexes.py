@@ -24,6 +24,7 @@ from .errors import (
     NotASimplex,
     NotASubcomplex,
     NotAVertex,
+    NotDivisible,
     NotIsomorphic,
     NotSimplicial,
     ShapeMismatch,
@@ -705,8 +706,6 @@ def _rim_cylinder(a, b, vertex_map):
     if b < 3:
         raise TooFewVertices(f"target circle needs >= 3 vertices, got {b}")
     if a % b != 0 or a < b:
-        from .errors import NotDivisible
-
         raise NotDivisible(f"domain size {a} is not a positive multiple of {b}")
     top, bot = circle(a), circle(b)
     f = CellMap.from_vertex_map(top, bot, [vertex_map(j) for j in range(a)])
@@ -960,24 +959,31 @@ def interval_product(X, n, size_guard=DEFAULT_CELL_BUDGET):
 class Subdivision:
     """A subdivision with carrier bookkeeping.
 
-    ``carrier`` maps every cell of the refined complex to the base cell whose
-    interior contains it (dimensions may differ, so this is a table rather
-    than a chain map).
+    ``vertex_carriers[v]`` is the sorted vertex tuple of the base simplex
+    whose interior contains vertex v of the refined complex.  The
+    subdivisions here are linear, so a simplex lies in the interior of the
+    base simplex spanned by its vertices' carriers
+    (:func:`simplex_carrier`), and the vertex table is the whole carrier.
     """
 
     complex: CellComplex
     base: CellComplex
-    carrier: dict = field(default_factory=dict)
+    vertex_carriers: list = field(default_factory=list)
     middle_faces: dict = field(default_factory=dict)
     apexes: dict = field(default_factory=dict)
+
+
+def simplex_carrier(vertex_carriers, verts):
+    """The base vertices carrying the simplex ``verts`` of a subdivision:
+    the union of its vertices' carriers, as a frozenset."""
+    return frozenset().union(*map(vertex_carriers.__getitem__, verts))
 
 
 def barycentric_subdivision(X):
     """Standard barycentric subdivision of a simplicial complex.
 
-    New vertices are the cells of X; new simplices are flags of proper faces.
-    Returns a :class:`Subdivision` whose carrier sends each flag simplex to
-    its largest cell.
+    New vertices are the cells of X, in cell order, each carried by itself;
+    new simplices are flags of proper faces.
     """
     if not X.is_simplicial:
         raise NotSimplicial("barycentric subdivision needs a simplicial complex")
@@ -995,26 +1001,22 @@ def barycentric_subdivision(X):
                 for flag in flags_by_top[fc]:
                     flags_by_top[(k, i)].append(flag + [(k, i)])
     simplices = []
-    carrier = {}
     all_flags = []
     for c in cell_order:
         all_flags.extend(flags_by_top[c])
     for flag in all_flags:
         simplices.append(tuple(sorted(vert_of[c] for c in flag)))
     sd = simplicial_complex(simplices)
-    for k in range(sd.dim + 1):
-        for i, verts in enumerate(sd.simplices[k]):
-            top = max(cell_order[v] for v in verts)
-            carrier[(k, i)] = top
-    return Subdivision(sd, X, carrier)
+    return Subdivision(sd, X, list(chain.from_iterable(X.simplices)))
 
 
 def midpoint_subdivision_global(X):
     """Edge-midpoint subdivision of every cell of a 2-dim simplicial complex.
 
-    Vertices keep their indices; edge e gets midpoint vertex |X0| + e.  Each
-    face splits into three corner faces and a middle face; ``middle_faces``
-    maps each base face to its middle face in the refinement.
+    Vertices keep their indices and carriers; edge e gets midpoint vertex
+    |X0| + e, carried by e.  Each face splits into three corner faces and a
+    middle face; ``middle_faces`` maps each base face to its middle face in
+    the refinement.
     """
     if not X.is_simplicial:
         raise NotSimplicial("midpoint subdivision needs a simplicial complex")
@@ -1041,28 +1043,10 @@ def midpoint_subdivision_global(X):
     for v in range(n0):
         simplices.append((v,))
     sd = simplicial_complex(simplices)
-    carrier = {}
-    for v in range(n0):
-        carrier[(0, v)] = (0, v)
-    for e in range(X.n_cells(1)):
-        carrier[(0, mid(e))] = (1, e)
-    edge_carrier = {}
-    for e in range(X.n_cells(1)):
-        u, v = X.simplices[1][e]
-        for pair in ((u, mid(e)), (min(mid(e), v), max(mid(e), v))):
-            idx = sd.simplex_index(pair)
-            carrier[(1, idx)] = (1, e)
-    middle = {}
-    for f, (mab, mac, mbc) in face_mids.items():
-        a, b, c = X.simplices[2][f]
-        for tri in ((a, mab, mac), (b, mab, mbc), (c, mac, mbc), (mab, mac, mbc)):
-            idx = sd.simplex_index(tri)
-            carrier[(2, idx)] = (2, f)
-        for pair in combinations(sorted((mab, mac, mbc)), 2):
-            idx = sd.simplex_index(pair)
-            carrier[(1, idx)] = (2, f)
-        middle[f] = sd.simplex_index(tuple(sorted((mab, mac, mbc))))
-    return Subdivision(sd, X, carrier, middle_faces=middle)
+    middle = {f: sd.simplex_index(tuple(sorted(mids)))
+              for f, mids in face_mids.items()}
+    return Subdivision(sd, X, list(chain(*X.simplices[:2])),
+                       middle_faces=middle)
 
 
 def midpoint_subdivision(X):
@@ -1097,16 +1081,17 @@ def midpoint_subdivision(X):
         "middle-boundary": [c for c in middle_cells if c != (2, mid_face)],
         "boundary": boundary_cells,
     })
-    return Subdivision(sd, X, sub.carrier, middle_faces=sub.middle_faces)
+    return Subdivision(sd, X, sub.vertex_carriers,
+                       middle_faces=sub.middle_faces)
 
 
 def cone_middle_subdivision(sub):
     """Midpoint subdivision with every middle face coned from a new apex.
 
     ``sub`` is the :func:`midpoint_subdivision_global` of the base.  The
-    standard stage-target subdivision: mesh <= 1/2 of the base.  Carrier
-    sends apexes and cone cells to the base face.  ``apexes`` maps each base
-    face to its apex vertex.
+    standard stage-target subdivision: mesh <= 1/2 of the base.  Each apex
+    is carried by its base face; ``apexes`` maps each base face to its apex
+    vertex.
     """
     X = sub.base
     sd = sub.complex
@@ -1118,28 +1103,13 @@ def cone_middle_subdivision(sub):
             if k == 2 and i in middles:
                 continue
             simplices.append(verts)
-    next_v = sd.n_cells(0)
+    vertex_carriers = list(sub.vertex_carriers)
     for f, midf in sorted(sub.middle_faces.items()):
-        apex = next_v
-        next_v += 1
-        apex_of[f] = apex
+        apex = apex_of[f] = len(vertex_carriers)
+        vertex_carriers.append(X.simplices[2][f])
         m1, m2, m3 = sd.simplices[2][midf]
         for pair in ((m1, m2), (m1, m3), (m2, m3)):
             simplices.append(tuple(sorted(pair + (apex,))))
-    face_of = {a: f for f, a in apex_of.items()}
     tau = simplicial_complex(simplices)
-    carrier = {}
-    for k in range(tau.dim + 1):
-        for i, verts in enumerate(tau.simplices[k]):
-            base_cell = None
-            if all(v < sd.n_cells(0) for v in verts):
-                old = sd.simplex_index(verts)
-                if old is not None:
-                    base_cell = sub.carrier[(k, old)]
-            if base_cell is None:
-                # touches an apex, its largest vertex: carried by the base
-                # face that owns it
-                base_cell = (2, face_of.get(verts[-1]))
-            carrier[(k, i)] = base_cell
-    return Subdivision(tau, X, carrier, middle_faces=dict(sub.middle_faces),
-                       apexes=apex_of)
+    return Subdivision(tau, X, vertex_carriers,
+                       middle_faces=dict(sub.middle_faces), apexes=apex_of)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import simplicial_complex
-from .errors import Disconnected, NotACover, Uncovered
+from .errors import DimensionTooHigh, Disconnected, NotACover, Uncovered
 
 INFINITY = math.inf  # sentinel for "empty complement", never arithmetic
 
@@ -297,8 +297,6 @@ def per_simplex_lipschitz_bound(lam, b, n):
     c = b * sqrt(n+1) * (doubled-simplex distortion); both factors are cached
     as exact rational over-approximations for n <= 3.
     """
-    from .errors import DimensionTooHigh
-
     if n > 3:
         raise DimensionTooHigh("constants cached for dimensions <= 3 only")
     lam = Fraction(lam)

@@ -36,12 +36,15 @@ from .complexes import (
     filled_triangle,
     glue,
     interval_product,
+    mapping_cylinder,
     midpoint_subdivision,
     midpoint_subdivision_global,
     remove_cells,
+    simplex_carrier,
     simplicial_complex,
     subcomplex_matching,
     wedge,
+    _vertex_span_cells,
 )
 from .cochains import (
     Cochain,
@@ -211,15 +214,11 @@ def _pants(ap, aq):
         vm[t] = t
     for u in range(1, aq):
         vm[ap + u] = ap + u - 1
-    from .complexes import mapping_cylinder
-
     f = CellMap.from_vertex_map(dom, W, vm)
     cyl, _, retr = mapping_cylinder(f)
     nk = ap + aq
     p_loop_verts = set(range(nk, nk + ap))
     q_loop_verts = {nk} | set(range(nk + ap, nk + ap + aq - 1))
-    from .complexes import _vertex_span_cells
-
     labels = {
         "domain-rim": cyl.label_cells("domain"),
         "wedge": cyl.label_cells("target"),
@@ -350,51 +349,32 @@ def _host_carriers(X, vm, sub):
     """Host vertex set of the subdivision carrier of vm(s), per simplex s.
 
     ``vm`` sends the vertices of X to vertices of ``sub.complex``.  Returns
-    one list per dimension of X: entry i is the vertex set of the base cell
-    of ``sub`` carrying the image simplex vm(X.simplices[k][i]), or None when
-    that image is no simplex of ``sub.complex`` or has no carrier.  Simplices
-    with the same carrier share one frozenset.
+    one list per dimension of X: entry i is the union of the carriers of
+    the vertices of vm(X.simplices[k][i]) (:func:`simplex_carrier`).
+    Simplices with the same carrier share one frozenset.
     """
-    tauC, host, carrier = sub.complex, sub.base, sub.carrier
-    vertex_sets = {}
-    table = []
-    for k in range(X.dim + 1):
-        row = []
-        for verts in X.simplices[k]:
-            imgs = tuple(sorted({vm[v] for v in verts}))
-            cell = carrier.get((len(imgs) - 1, tauC.simplex_index(imgs)))
-            if cell is not None and cell not in vertex_sets:
-                vertex_sets[cell] = frozenset(host.simplices[cell[0]][cell[1]])
-            row.append(vertex_sets.get(cell))
-        table.append(row)
-    return table
+    shared = {}
+    frozen = [shared.setdefault(c, c)
+              for c in map(frozenset, sub.vertex_carriers)]
+    at = [frozen[w] for w in vm]
+    return [[shared.setdefault(c, c)
+             for c in (simplex_carrier(at, verts) for verts in level)]
+            for level in X.simplices]
 
 
 def simplicial_approx_identity(sub):
     """Simplicial approximation of the identity on a subdivision.
 
-    Sends every new vertex to the smallest vertex of its carrier cell; the
-    carrier-containment condition is verified on every simplex and
-    NoValidAssignment raised if the carrier data cannot support it.
+    Sends every new vertex to the smallest vertex of its carrier.  A
+    simplex's carrier is the union of its vertices' carriers, so its image
+    lies in its carrier by construction.  NoValidAssignment is raised when
+    the carrier table does not have one entry per vertex.
     """
-    tau, base = sub.complex, sub.base
-    vm = []
-    for v in range(tau.n_cells(0)):
-        c = sub.carrier.get((0, v))
-        if c is None:
-            raise NoValidAssignment(f"no carrier for vertex {v}")
-        vm.append(base.simplices[c[0]][c[1]][0])
-    rho = CellMap.from_vertex_map(tau, base, vm)
-    carriers = _host_carriers(tau, range(tau.n_cells(0)), sub)
-    for k, row in enumerate(carriers):
-        for i, carrier_verts in enumerate(row):
-            if carrier_verts is None:
-                raise NoValidAssignment(f"no carrier for cell (dim {k}, {i})")
-            if not {vm[v] for v in tau.simplices[k][i]} <= carrier_verts:
-                raise NoValidAssignment(
-                    f"approximation escapes the carrier at cell (dim {k}, {i})"
-                )
-    return rho
+    tau, carriers = sub.complex, sub.vertex_carriers
+    if len(carriers) != tau.n_cells(0):
+        raise NoValidAssignment(
+            f"{len(carriers)} vertex carriers for {tau.n_cells(0)} vertices")
+    return CellMap.from_vertex_map(tau, sub.base, list(map(min, carriers)))
 
 
 # -- the product certificate -----------------------------------------------
@@ -505,8 +485,6 @@ def _guts_of(bundle):
     M = bundle.complex
     # the subdivided-triangle part: cells with all vertices < 6 (the glue
     # kept those vertex indices); everything else is inside the middle hole
-    from .complexes import _vertex_span_cells
-
     d_cells = set(_vertex_span_cells(M, range(6)))
     keep_rim = set(M.label_cells("middle-boundary"))
     doomed = sorted(d_cells - keep_rim, reverse=True)
@@ -614,8 +592,7 @@ def check_stage_carriers(stage, carriers, q=None):
     vm_q = (q if q is not None else stage.projection).vertex_map
     for k, row in enumerate(carriers):
         for i, carrier_verts in enumerate(row):
-            if carrier_verts is None or not (
-                    {vm_q[v] for v in X.simplices[k][i]} <= carrier_verts):
+            if not {vm_q[v] for v in X.simplices[k][i]} <= carrier_verts:
                 return False, (k, i)
     return True, None
 
@@ -626,15 +603,13 @@ def open_star_refinement_witnesses(stage, carriers):
     For every vertex v of the stage complex, intersects the host carriers of
     the tau-images of all simplices containing v; any vertex in the
     intersection witnesses Ost(v) c proj^{-1}(Ost(u, host)), the carriers
-    read from the stage's :func:`stage_carriers` table ``carriers``.  A
-    simplex whose image has no carrier leaves its vertices without a
-    witness.  Returns (all_found, witness dict).
+    read from the stage's :func:`stage_carriers` table ``carriers``.
+    Returns (all_found, witness dict).
     """
     X = stage.complex
     common = [None] * X.n_cells(0)
     for k, row in enumerate(carriers):
         for i, carrier_verts in enumerate(row):
-            carrier_verts = carrier_verts or frozenset()
             for v in X.simplices[k][i]:
                 c = common[v]
                 if c is None:
@@ -733,41 +708,30 @@ def pullback_subdivision(chi, tau):
     w + 1, so that vertex map is non-decreasing.  The caller checks that
     chi is light.
     """
-    M, Delta = chi.source, chi.target
-    tauC = tau.complex
-    # source cells by their exact image simplex
+    M, carriers, chi_vm = chi.source, tau.vertex_carriers, chi.vertex_map
+    # source simplices by the vertex set of their image (chi is light)
     by_image = {}
-    for k in range(M.dim + 1):
-        for i, verts in enumerate(M.simplices[k]):
-            img = tuple(sorted(chi.vertex_map[v] for v in verts))
-            by_image.setdefault(img, []).append((k, i))
+    for level in M.simplices:
+        for m in level:
+            by_image.setdefault(frozenset(map(chi_vm.__getitem__, m)),
+                                []).append(m)
     verts_new = []
     vert_index = {}
-    for w in range(tauC.n_cells(0)):
-        cw = tau.carrier[(0, w)]
-        c_img = tuple(sorted(Delta.simplices[cw[0]][cw[1]]))
-        for m in by_image.get(c_img, []):
+    for w, cw in enumerate(carriers):
+        for m in by_image.get(frozenset(cw), ()):
             vert_index[(w, m)] = len(verts_new)
             verts_new.append(w)
+    # a tau simplex t lifts into each m over its carrier; vertex w of t
+    # lifts to the face of m over w's carrier
     simplices = []
-    for k in range(tauC.dim + 1):
-        for t, tverts in enumerate(tauC.simplices[k]):
-            ct = tau.carrier[(k, t)]
-            c_img = tuple(sorted(Delta.simplices[ct[0]][ct[1]]))
-            for m in by_image.get(c_img, []):
-                # face of m over each vertex carrier, through chi's iso
-                mk, mi = m
-                mverts = M.simplices[mk][mi]
-                inv = {chi.vertex_map[v]: v for v in mverts}
-                lift = []
-                for w in tverts:
-                    cw = tau.carrier[(0, w)]
-                    wv = Delta.simplices[cw[0]][cw[1]]
-                    sub_m = tuple(sorted(inv[x] for x in wv))
-                    face = M.simplex_index(sub_m)
-                    lift.append(vert_index[(w, (len(sub_m) - 1, face))])
-                simplices.append(tuple(sorted(lift)))
-    return simplicial_complex(sorted(set(simplices))), verts_new
+    for level in tau.complex.simplices:
+        for t in level:
+            for m in by_image.get(simplex_carrier(carriers, t), ()):
+                simplices.append(tuple(
+                    vert_index[(w, tuple(v for v in m
+                                         if chi_vm[v] in carriers[w]))]
+                    for w in t))
+    return simplicial_complex(simplices), verts_new
 
 
 def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
@@ -861,7 +825,7 @@ def dimension_coloring(sd):
     X = sd.complex
     n = sd.base.dim
     target = simplicial_complex([tuple(range(n + 1))])
-    vm = [sd.carrier[(0, v)][0] for v in range(X.n_cells(0))]
+    vm = [len(c) - 1 for c in sd.vertex_carriers]
     return CellMap.from_vertex_map(X, target, vm)
 
 

@@ -16,10 +16,11 @@ from .cochains import (
     Cochain,
     _subcomplex_cells,
     coboundary,
+    cohomology,
     min_norm_primitive,
     relative_coboundary_matrix,
 )
-from .complexes import interval_product
+from .complexes import interval_product, labeled_cycle
 from .degrees import DegreeReport, bezout, check_degree_relation, min_m_bound
 from .errors import (
     CoarseKitError,
@@ -28,7 +29,14 @@ from .errors import (
     NotACoboundary,
 )
 from .exact_linalg import check_lp_lower_bound, smith_normal_form, solve_integer
-from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport, decode_number
+from .report import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    VerificationReport,
+    decode_number,
+    load_report,
+)
 from .towers import (
     HOLE_EDGES,
     MkParams,
@@ -204,8 +212,6 @@ def _winding_relation(bundle):
     so all four sign combinations are tried; exactly the geometric one is
     solvable over Z.
     """
-    from .complexes import labeled_cycle
-
     M = bundle.complex
     p, q, k = bundle.params.p, bundle.params.q, bundle.params.k
     z_mid = labeled_cycle(M, "middle-boundary")
@@ -284,6 +290,8 @@ def verify_tower(params, stages, node_limit=10_000_000):
         warnings.simplefilter("ignore")
         tower = build_tower(params, depth=stages - 1,
                             size_guard=TOWER_CELL_BUDGET)
+    # imported here: at module level it would load metric_nerve in every
+    # CLI start
     from .metric_nerve import lipschitz_constant
 
     for stage in tower[1:]:
@@ -342,8 +350,6 @@ def check_witness(report_path):
     The records fix the witnesses a report carries: a missing or an
     unexpected witness, like a report that cannot be read, is a FAIL
     record."""
-    from .report import load_report
-
     out = VerificationReport(command="check-witness",
                              params={"report": os.path.basename(str(report_path))})
     try:
@@ -575,8 +581,6 @@ def _check_dual_witness(out, bundle, entry, claimed):
 
 def homology_summary(X, ring=RING_Z):
     """Per-degree cohomology table for a complex (used by the CLI)."""
-    from .cochains import cohomology
-
     out = []
     for k in range(X.dim + 1):
         s = cohomology(X, k, ring)

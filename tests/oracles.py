@@ -34,9 +34,16 @@ equal the unit 3-cocycle pulled back along q x xi.
 ``oracle_is_light`` is the vertex-image set test of lightness that the
 tables' zero entries replaced.
 
+``oracle_cell_carriers`` is the carrier table of a barycentric, midpoint
+or cone subdivision with one entry per cell, filled cell by cell as the
+builders did before a subdivision kept one carrier per vertex; every cell's
+carrier must be the join of its vertices' carriers.
 ``oracle_simplicial_approx_identity``, ``oracle_check_stage_carriers`` and
 ``oracle_open_star_refinement_witnesses`` are the three per-simplex carrier
-loops of ``towers`` that its one shared carrier table replaced.
+loops of ``towers`` that its one shared carrier table replaced; they read
+such a per-cell table.  ``oracle_pullback_subdivision`` is the pulled-back
+subdivision read off that table, with an inverse vertex dict per lift and a
+face lookup per lifted vertex.
 
 ``oracle_simplicial_columns`` and ``oracle_interval_product_columns`` are
 boundary columns as one ``{row: coeff}`` dict per cell, made from simplex
@@ -71,7 +78,11 @@ from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
 
-from coarse_kit.complexes import CellComplex, CellMap
+from coarse_kit.complexes import (
+    CellComplex,
+    CellMap,
+    midpoint_subdivision_global,
+)
 from coarse_kit.errors import (
     NodeLimitExceeded,
     NoIntegerSolution,
@@ -1162,19 +1173,72 @@ def oracle_is_light(f):
                for level in f.source.simplices for verts in level)
 
 
-def oracle_simplicial_approx_identity(sub):
-    """Approximation of the identity, every carrier looked up per cell."""
+def oracle_cell_carriers(sub, kind):
+    """``{(dim, index): base cell}`` for every cell of a subdivision of the
+    given kind ("barycentric", "midpoint" or "cone"), cell by cell.  A cone
+    subdivision is read against the midpoint subdivision of its base."""
+    X, sd = sub.base, sub.complex
+    carrier = {}
+    if kind == "barycentric":
+        # the flag simplex over its largest cell
+        cell_order = [(k, i) for k in range(X.dim + 1)
+                      for i in range(X.n_cells(k))]
+        for k in range(sd.dim + 1):
+            for i, verts in enumerate(sd.simplices[k]):
+                carrier[(k, i)] = max(cell_order[v] for v in verts)
+        return carrier
+    if kind == "cone":
+        mid = midpoint_subdivision_global(X)
+        inner, msd = oracle_cell_carriers(mid, "midpoint"), mid.complex
+        face_of = {a: f for f, a in sub.apexes.items()}
+        for k in range(sd.dim + 1):
+            for i, verts in enumerate(sd.simplices[k]):
+                base_cell = None
+                if all(v < msd.n_cells(0) for v in verts):
+                    old = msd.simplex_index(verts)
+                    if old is not None:
+                        base_cell = inner[(k, old)]
+                if base_cell is None:
+                    # touches an apex, its largest vertex: carried by the
+                    # base face that owns it
+                    base_cell = (2, face_of.get(verts[-1]))
+                carrier[(k, i)] = base_cell
+        return carrier
+    assert kind == "midpoint", kind
+    n0 = X.n_cells(0)
+    for v in range(n0):
+        carrier[(0, v)] = (0, v)
+    for e in range(X.n_cells(1)):
+        carrier[(0, n0 + e)] = (1, e)
+        u, v = X.simplices[1][e]
+        for pair in ((u, n0 + e), (min(n0 + e, v), max(n0 + e, v))):
+            carrier[(1, sd.simplex_index(pair))] = (1, e)
+    for f in range(X.n_cells(2) if X.dim >= 2 else 0):
+        a, b, c = X.simplices[2][f]
+        mab, mac, mbc = (n0 + X.simplex_index(e)
+                         for e in ((a, b), (a, c), (b, c)))
+        for tri in ((a, mab, mac), (b, mab, mbc), (c, mac, mbc),
+                    (mab, mac, mbc)):
+            carrier[(2, sd.simplex_index(tri))] = (2, f)
+        for pair in combinations(sorted((mab, mac, mbc)), 2):
+            carrier[(1, sd.simplex_index(pair))] = (2, f)
+    return carrier
+
+
+def oracle_simplicial_approx_identity(sub, cell_carriers):
+    """Approximation of the identity, every carrier looked up per cell in
+    the table ``cell_carriers``."""
     tau, base = sub.complex, sub.base
     vm = []
     for v in range(tau.n_cells(0)):
-        c = sub.carrier.get((0, v))
+        c = cell_carriers.get((0, v))
         if c is None:
             raise NoValidAssignment(f"no carrier for vertex {v}")
         vm.append(base.simplices[c[0]][c[1]][0])
     rho = CellMap.from_vertex_map(tau, base, vm)
     for k in range(tau.dim + 1):
         for i in range(tau.n_cells(k)):
-            carrier = sub.carrier.get((k, i))
+            carrier = cell_carriers.get((k, i))
             if carrier is None:
                 raise NoValidAssignment(f"no carrier for cell (dim {k}, {i})")
             carrier_verts = set(base.simplices[carrier[0]][carrier[1]])
@@ -1186,9 +1250,9 @@ def oracle_simplicial_approx_identity(sub):
     return rho
 
 
-def oracle_check_stage_carriers(stage, q=None):
+def oracle_check_stage_carriers(stage, cell_carriers, q=None):
     """Carrier containment of q, one image lookup and carrier set per
-    simplex; a tau cell without a carrier raises KeyError."""
+    simplex, the tau carriers read from the table ``cell_carriers``."""
     X = stage.complex
     tau, tau_map = stage.tau, stage.tau_map
     q = q if q is not None else stage.projection
@@ -1203,16 +1267,16 @@ def oracle_check_stage_carriers(stage, q=None):
             t_idx = tauC.simplex_index(t_imgs)
             if t_idx is None:
                 return False, (k, i)
-            carrier = tau.carrier[(len(t_imgs) - 1, t_idx)]
+            carrier = cell_carriers[(len(t_imgs) - 1, t_idx)]
             carrier_verts = set(host.simplices[carrier[0]][carrier[1]])
             if not {vm_q[v] for v in verts} <= carrier_verts:
                 return False, (k, i)
     return True, None
 
 
-def oracle_open_star_refinement_witnesses(stage):
-    """Star-refinement witnesses, per vertex over its incident simplices;
-    a tau cell without a carrier raises KeyError."""
+def oracle_open_star_refinement_witnesses(stage, cell_carriers):
+    """Star-refinement witnesses, per vertex over its incident simplices,
+    the tau carriers read from the table ``cell_carriers``."""
     X = stage.complex
     tau, tau_map = stage.tau, stage.tau_map
     host = tau.base
@@ -1230,7 +1294,7 @@ def oracle_open_star_refinement_witnesses(stage):
         for (k, i) in incident[v]:
             imgs = tuple(sorted({vm[u] for u in X.simplices[k][i]}))
             t_idx = tauC.simplex_index(imgs)
-            carrier = tau.carrier[(len(imgs) - 1, t_idx)]
+            carrier = cell_carriers[(len(imgs) - 1, t_idx)]
             cv = set(host.simplices[carrier[0]][carrier[1]])
             cand = cv if cand is None else cand & cv
             if not cand:
@@ -1241,6 +1305,47 @@ def oracle_open_star_refinement_witnesses(stage):
             ok = False
             witnesses[v] = None
     return ok, witnesses
+
+
+def oracle_pullback_subdivision(chi, tau, cell_carriers):
+    """The subdivision tau pulled back through the light map chi, the tau
+    carriers read from the table ``cell_carriers``: (complex, vertex map to
+    tau), as ``towers.pullback_subdivision`` returns them."""
+    M, Delta = chi.source, chi.target
+    tauC = tau.complex
+    # source cells by their exact image simplex
+    by_image = {}
+    for k in range(M.dim + 1):
+        for i, verts in enumerate(M.simplices[k]):
+            img = tuple(sorted(chi.vertex_map[v] for v in verts))
+            by_image.setdefault(img, []).append((k, i))
+    verts_new = []
+    vert_index = {}
+    for w in range(tauC.n_cells(0)):
+        cw = cell_carriers[(0, w)]
+        c_img = tuple(sorted(Delta.simplices[cw[0]][cw[1]]))
+        for m in by_image.get(c_img, []):
+            vert_index[(w, m)] = len(verts_new)
+            verts_new.append(w)
+    simplices = []
+    for k in range(tauC.dim + 1):
+        for t, tverts in enumerate(tauC.simplices[k]):
+            ct = cell_carriers[(k, t)]
+            c_img = tuple(sorted(Delta.simplices[ct[0]][ct[1]]))
+            for m in by_image.get(c_img, []):
+                # face of m over each vertex carrier, through chi's iso
+                mk, mi = m
+                mverts = M.simplices[mk][mi]
+                inv = {chi.vertex_map[v]: v for v in mverts}
+                lift = []
+                for w in tverts:
+                    cw = cell_carriers[(0, w)]
+                    wv = Delta.simplices[cw[0]][cw[1]]
+                    sub_m = tuple(sorted(inv[x] for x in wv))
+                    face = M.simplex_index(sub_m)
+                    lift.append(vert_index[(w, (len(sub_m) - 1, face))])
+                simplices.append(tuple(sorted(lift)))
+    return oracle_simplicial_complex(sorted(set(simplices))), verts_new
 
 
 def oracle_vertex_matching(X, Y, cells, identify):

@@ -41,6 +41,10 @@ TOWER_522_CKX = \
     "27df807890dd4f5ec514ca5da65fee353cc522b7ffc0b8295a41250e4e08c679"
 Y_STAGE_521_CKX = \
     "d571728ec6d4f0a543360f4a313e99f54304305c158b8d82bfb24ae8c4f60911"
+# verify-tower (3,2,2) --reduce, two stages: its carrier-containment and
+# star-refinement records come from the stage-1 subdivision's carriers
+TOWER_322_REPORT = \
+    "578c78c494f476583bd553e702c6e604c0f1014bce5ac402d2376e239b906461"
 
 
 def sha256_of(path):
@@ -365,6 +369,9 @@ class TestVerify:
             assert records[name]["status"] == "INCONCLUSIVE"
             assert records[name]["values"]["node_count"] == count
         assert data["node_count"] == str(sum(map(int, counts.values())))
+
+    def test_tower_322_bytes(self, tower_322_report):
+        assert sha256_of(tower_322_report) == TOWER_322_REPORT
 
     def test_tower_witnesses_recheck(self, capsys, tmp_path):
         report_path = tmp_path / "tower.json"

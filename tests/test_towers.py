@@ -21,13 +21,17 @@ from coarse_kit.cochains import (
 )
 from coarse_kit.complexes import (
     CellMap,
+    Subdivision,
     annulus_triangulation,
     barycentric_subdivision,
+    cone_middle_subdivision,
     filled_triangle,
     interval_product,
     labeled_cycle,
     midpoint_subdivision,
+    midpoint_subdivision_global,
     path_complex,
+    simplex_carrier,
     simplicial_complex,
 )
 from coarse_kit.degrees import circle_map_degree
@@ -53,12 +57,14 @@ from coarse_kit.towers import (
     pick_n,
     product_obstruction_cocycle,
     pullback_complex,
+    pullback_subdivision,
     replace_faces,
     simplicial_approx_identity,
     stage_carriers,
 )
 
 from oracles import (
+    oracle_cell_carriers,
     oracle_check_stage_carriers,
     oracle_complex_homology,
     oracle_from_vertex_map,
@@ -66,6 +72,7 @@ from oracles import (
     oracle_open_star_refinement_witnesses,
     oracle_product_cellmap,
     oracle_pullback_complex,
+    oracle_pullback_subdivision,
     oracle_simplicial_approx_identity,
 )
 from test_complexes import cell_images, random_simplices, random_vertex_map
@@ -436,16 +443,12 @@ class TestApproxIdentity:
     def test_midpoint(self):
         sub = midpoint_subdivision(filled_triangle())
         rho = simplicial_approx_identity(sub)
-        for v in range(sub.complex.n_cells(0)):
-            carrier = sub.carrier[(0, v)]
-            assert rho.vertex_map[v] in sub.base.simplices[carrier[0]][carrier[1]]
+        for v, carrier in enumerate(sub.vertex_carriers):
+            assert rho.vertex_map[v] in carrier
 
     def test_trivial_subdivision(self):
-        from coarse_kit.complexes import Subdivision
-
         X = filled_triangle()
-        triv = Subdivision(X, X, {(k, i): (k, i)
-                                  for k in range(3) for i in range(X.n_cells(k))})
+        triv = Subdivision(X, X, list(X.simplices[0]))
         rho = simplicial_approx_identity(triv)
         assert rho.vertex_map == [0, 1, 2]
 
@@ -454,16 +457,56 @@ class TestApproxIdentity:
         rho = simplicial_approx_identity(sub)
         assert rho.target.counts == [3, 3, 1]
 
+    @pytest.mark.parametrize("edit", [lambda c: c[:-1], lambda c: c + c[:1]],
+                             ids=["one-short", "one-long"])
+    def test_table_of_wrong_length_refused(self, edit):
+        sub = midpoint_subdivision(filled_triangle())
+        with pytest.raises(NoValidAssignment,
+                           match="^[0-9]+ vertex carriers for 6 vertices$"):
+            simplicial_approx_identity(
+                replace(sub, vertex_carriers=edit(sub.vertex_carriers)))
 
-def _tau_cells(stage):
-    """The tau cell each stage simplex lands in, keyed (dim, index)."""
-    X, vm, tauC = stage.complex, stage.tau_map.vertex_map, stage.tau.complex
-    out = {}
-    for k in range(X.dim + 1):
-        for i, verts in enumerate(X.simplices[k]):
-            imgs = tuple(sorted({vm[v] for v in verts}))
-            out[(k, i)] = (len(imgs) - 1, tauC.simplex_index(imgs))
-    return out
+
+def _subdivisions(X):
+    """The barycentric, midpoint and cone subdivisions of X, by kind."""
+    mid = midpoint_subdivision_global(X)
+    return {"barycentric": barycentric_subdivision(X), "midpoint": mid,
+            "cone": cone_middle_subdivision(mid)}
+
+
+class TestVertexCarriers:
+    """The join of the vertex carriers against the carrier table the
+    builders once filled cell by cell."""
+
+    @staticmethod
+    def assert_join_matches(sub, kind):
+        cells = oracle_cell_carriers(sub, kind)
+        assert len(cells) == sub.complex.total_cells()
+        # each entry is the base simplex's own sorted tuple
+        assert sub.vertex_carriers == [
+            sub.base.simplices[d][j] for d, j in (
+                cells[(0, v)] for v in range(sub.complex.n_cells(0)))]
+        for (k, i), (d, j) in cells.items():
+            join = simplex_carrier(sub.vertex_carriers,
+                                   sub.complex.simplices[k][i])
+            assert tuple(sorted(join)) == sub.base.simplices[d][j], (k, i)
+
+    @pytest.mark.parametrize("kind", ["barycentric", "midpoint", "cone"])
+    def test_triangle(self, kind):
+        self.assert_join_matches(_subdivisions(filled_triangle())[kind],
+                                 kind)
+
+    @pytest.mark.parametrize("pqk", [(3, 2, 2), (5, 2, 1), (5, 2, 2)],
+                             ids=["322", "521", "522"])
+    def test_bundles(self, towers, mk521, pqk):
+        X = mk521.complex if pqk == (5, 2, 1) else towers[pqk][0].complex
+        for kind, sub in _subdivisions(X).items():
+            self.assert_join_matches(sub, kind)
+
+    @pytest.mark.parametrize("pqk", [(3, 2, 2), (5, 2, 2)],
+                             ids=["322", "522"])
+    def test_tower_stage_tau(self, towers, pqk):
+        self.assert_join_matches(towers[pqk][1].tau, "cone")
 
 
 def _outcome(check, *args):
@@ -479,86 +522,60 @@ def _outcome(check, *args):
 class TestCarrierOracles:
     """The shared carrier table against the three per-simplex loops it
     replaced, on stage 1 of each tower and on tampered copies: a q vertex
-    moved out of its carrier, a tau carrier pointed at a disjoint host face,
-    and a tau carrier deleted (one tau cell of each dimension)."""
+    moved out of its carrier, and a tau vertex carrier pointed at a
+    disjoint host face."""
 
     @pytest.mark.parametrize("pqk", [(3, 2, 2), (5, 2, 2)],
                              ids=["322", "522"])
     def test_checks_match_references(self, towers, pqk):
         stage = towers[pqk][1]
         tau, host = stage.tau, stage.tau.base
-        tau_cells = _tau_cells(stage)
+        cells = oracle_cell_carriers(tau, "cone")
         rng = random.Random(sum(pqk))
-        seen = set()
-
-        def host_verts(cell):
-            return set(host.simplices[cell[0]][cell[1]])
-
-        def compare(st, q=None):
-            carriers = stage_carriers(st)
-            ok_c = check_stage_carriers(st, carriers, q)
-            assert ok_c == oracle_check_stage_carriers(st, q)
-            ost = open_star_refinement_witnesses(st, carriers)
-            assert ost == oracle_open_star_refinement_witnesses(st)
-            approx = _outcome(simplicial_approx_identity, st.tau)
-            assert approx == _outcome(oracle_simplicial_approx_identity,
-                                      st.tau)
-            seen.update(kind for kind, failed in (
-                ("carrier-escape", not ok_c[0]),
-                ("missing-witness", not ost[0]),
-                ("no-valid-assignment", approx is NoValidAssignment),
-            ) if failed)
-            return ok_c, ost
-
-        ok_c, clean_ost = compare(stage)
-        assert ok_c == (True, None) and clean_ost[0] and not seen
 
         carriers = stage_carriers(stage)
-        vm_q = stage.projection.vertex_map
+        ok_c = check_stage_carriers(stage, carriers)
+        assert ok_c == (True, None)
+        assert ok_c == oracle_check_stage_carriers(stage, cells)
+        ost = open_star_refinement_witnesses(stage, carriers)
+        assert ost[0]
+        assert ost == oracle_open_star_refinement_witnesses(stage, cells)
+        approx = _outcome(simplicial_approx_identity, tau)
+        assert approx == _outcome(oracle_simplicial_approx_identity, tau,
+                                  cells)
+
+        vm_tau, vm_q = stage.tau_map.vertex_map, stage.projection.vertex_map
         for v in rng.sample(range(stage.complex.n_cells(0)), 3):
-            outside = set(range(host.n_cells(0))) - host_verts(
-                tau.carrier[tau_cells[(0, v)]])
+            outside = set(range(host.n_cells(0))) - set(
+                tau.vertex_carriers[vm_tau[v]])
             moved = list(vm_q)
             moved[v] = min(outside)
             q = SimpleNamespace(vertex_map=moved)
             assert check_stage_carriers(stage, carriers, q) == (False, (0, v))
-            assert oracle_check_stage_carriers(stage, q) == (False, (0, v))
+            assert oracle_check_stage_carriers(stage, cells, q) == \
+                (False, (0, v))
 
-        images = sorted(set(tau_cells.values()))
-        for dim in range(3):
-            cell = rng.choice([c for c in images if c[0] == dim])
-            old = host_verts(tau.carrier[cell])
-            face = next((2, f) for f in range(host.n_cells(2))
-                        if not old & host_verts((2, f)))
-            moved = replace(stage, tau=replace(
-                tau, carrier={**tau.carrier, cell: face}))
-            ok_c, _ = compare(moved)
-            assert not ok_c[0]
-
-            carrier = dict(tau.carrier)
-            del carrier[cell]
-            deleted = replace(stage, tau=replace(tau, carrier=carrier))
-            # the references raise KeyError at a deleted carrier; the
-            # table reports the first simplex over it and leaves its
-            # vertices without a witness
-            landing = [s for s, c in tau_cells.items() if c == cell]
-            carriers_deleted = stage_carriers(deleted)
-            assert check_stage_carriers(deleted, carriers_deleted) == \
-                (False, landing[0])
-            lost = {v for k, i in landing
-                    for v in stage.complex.simplices[k][i]}
-            witnesses = {v: None if v in lost else w
-                         for v, w in clean_ost[1].items()}
-            assert open_star_refinement_witnesses(
-                deleted, carriers_deleted) == (False, witnesses)
-            for check in (oracle_check_stage_carriers,
-                          oracle_open_star_refinement_witnesses):
-                assert _outcome(check, deleted) is KeyError
-            for check in (simplicial_approx_identity,
-                          oracle_simplicial_approx_identity):
-                assert _outcome(check, deleted.tau) is NoValidAssignment
-        assert seen == {"carrier-escape", "missing-witness",
-                        "no-valid-assignment"}
+        for w in rng.sample(sorted(set(vm_tau)), 3):
+            old = set(tau.vertex_carriers[w])
+            face = next(f for f in host.simplices[2] if not old & set(f))
+            vertex_carriers = list(tau.vertex_carriers)
+            vertex_carriers[w] = face
+            tampered = replace(stage, tau=replace(
+                tau, vertex_carriers=vertex_carriers))
+            # the per-cell reference with tau vertex w pointed at the face
+            tampered_cells = {**cells, (0, w): (2, host.simplices[2].index(
+                face))}
+            first = (0, vm_tau.index(w))
+            assert check_stage_carriers(
+                tampered, stage_carriers(tampered)) == (False, first)
+            assert oracle_check_stage_carriers(
+                tampered, tampered_cells) == (False, first)
+            # every simplex at v carries v's own carrier, so a witness
+            # is still found at every vertex: the smallest carrier vertex
+            ok_o, witnesses = open_star_refinement_witnesses(
+                tampered, stage_carriers(tampered))
+            assert ok_o and witnesses == {
+                v: min(vertex_carriers[x]) for v, x in enumerate(vm_tau)}
 
 
 class TestPullback:
@@ -660,6 +677,15 @@ class TestPullbackReference:
         assert stage.tau_map.vertex_map == [phi.vertex_map[v] for v in base]
         assert cell_images(stage.tau_map) == oracle_from_vertex_map(
             stage.complex, phi.target, [phi.vertex_map[v] for v in base])
+
+    @pytest.mark.parametrize("p", [3, 5], ids=["321", "521"])
+    def test_subdivision_matches_per_cell_reference(self, p):
+        chi, _, tau = _y_stage_inputs(p)
+        tau_M, chi_vm = pullback_subdivision(chi, tau)
+        ref, ref_vm = oracle_pullback_subdivision(
+            chi, tau, oracle_cell_carriers(tau, "midpoint"))
+        assert tau_M.simplices == ref.simplices
+        assert chi_vm == ref_vm
 
     def test_size_guard_counts_every_simplex(self):
         # 108071 simplices in P at (3,2,1), in every dimension
