@@ -15,7 +15,7 @@ lookup; two threads filling one level at once store equal dicts.
 
 from copy import copy
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress, islice, repeat
 from operator import and_, itemgetter, lt, not_
 
 from .errors import (
@@ -200,7 +200,9 @@ class CellComplex:
         cancel.  A vertex's cell index is its id, so level 0 has no
         ``{tuple: index}`` dict and the edges' face rows are their two
         vertex columns.  Level k >= 1's dict serves only its repeat check
-        and level k+1's face rows; lookups go to :meth:`_level_index`.
+        and level k+1's face rows; lookups go to :meth:`_level_index`.  So
+        the top level builds none when one pass over neighbouring tuples
+        finds it strictly increasing, which leaves no room for a repeat.
         """
         levels = list(levels)
         while len(levels) > 1 and not levels[-1]:
@@ -227,6 +229,9 @@ class CellComplex:
             tables.append((_face_rows(level, faces, k),
                            [(-1) ** i for i in range(k + 1)] * n,
                            range(0, (k + 1) * n + 1, k + 1)))
+            if (k == len(levels) - 1
+                    and all(map(lt, level, islice(level, 1, None)))):
+                break  # a strictly increasing top level repeats nothing
             faces = None  # free level k-1's index first
             faces = {s: i for i, s in enumerate(level)}
             if len(faces) != len(level):

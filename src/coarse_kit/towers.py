@@ -747,21 +747,15 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
     The vertices of the result, the pairs (v, x) of a vertex of M' and a
     vertex of tau_M over the same vertex of tau, are numbered v by v and x
     by x.  The vertices of tau_M over one vertex of tau are consecutive, so
-    a pair's id is arithmetic and no pair dict is built; the simplices over
-    each top simplex of M' are made as columns of ids.
-
-    Both M and M' must be pure: only the pairs over the top simplices of M'
-    are made, and :func:`simplicial_complex` closes their faces.
+    a pair's id is arithmetic and no pair dict is built.  Every level of the
+    result is made from pairs: its vertex level is all the pair ids, and
+    the k-simplices over each k-simplex of M' are made as columns of ids,
+    each tuple strictly increasing since the ids increase with v.  So the
+    result is the whole fiber product, and neither M nor M' need be pure.
     """
     if not is_light(chi):
         raise NotLight("chi must be light (injective on closed simplices)")
     Mp = phi.source
-    for X, name in ((chi.source, "chi"), (Mp, "phi")):
-        if not _is_pure(X):
-            raise NotSimplicial(
-                f"the source of {name} has a simplex that is no face of a top "
-                "simplex; the pullback is built from top simplices only"
-            )
     tau_M, chi_vm = pullback_subdivision(chi, tau)
     phi_vm = phi.vertex_map
     # the vertices of tau_M over a vertex w of tau are start[w], start[w] +
@@ -792,26 +786,25 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
     if sum(len(by_img.get(img, ())) for level in images
            for img in level) > size_guard:
         raise SizeGuardExceeded(f"pullback exceeds {size_guard} simplices")
-    # The top simplices of M' are enough.  Take a simplex (sigma', t') of P
-    # and a top simplex sigma of M' containing sigma'.  Every simplex of
-    # tau_M lies in the copy of tau over some top cell of M, since M is pure
-    # and chi maps each top cell onto the whole simplex.  The copy holding
-    # t' has a simplex t over phi(sigma), which contains phi(sigma'); so t
-    # contains t', and (sigma', t') is a face of (sigma, t).
     # Per image, the rank x - start[w] of the vertex of each t over each w
     ranks = {img: [list(map(sub, column, repeat(start[w])))
                    for w, column in zip(img, zip(*by_img[img]))]
-             for img in set(images[Mp.dim]) if img in by_img}
-    simplices = []
-    for verts, img in zip(Mp.simplices[Mp.dim], images[Mp.dim]):
-        if img in ranks:
-            # column j: the pairs of vertex j of sigma, one per t over img
-            simplices.extend(zip(*(
-                map(ids[v].__getitem__, ranks[img][img.index(phi_vm[v])])
-                for v in verts)))
-    # P's face closure is the peak of the build: free the lookups first
+             for img in set().union(*images[1:]) if img in by_img}
+    levels = [list(zip(pair_ids))]
+    for simplices, imgs in zip(Mp.simplices[1:], images[1:]):
+        level = []
+        for verts, img in zip(simplices, imgs):
+            if img in ranks:
+                # column j: the pairs of vertex j of sigma, one per t over img
+                level.extend(zip(*(
+                    map(ids[v].__getitem__, ranks[img][img.index(phi_vm[v])])
+                    for v in verts)))
+        # made sigma by sigma, the level is nearly in tuple order already
+        level.sort()
+        levels.append(level)
+    # the face dicts of from_simplices are the peak: free the lookups first
     del by_img, xs, pair_ids, ids, images, ranks, tau_M
-    P = simplicial_complex(simplices)
+    P = CellComplex.from_simplices(levels)
     # The base projection is light with no check: a simplex (sigma, t) has
     # one vertex over each vertex of sigma, so it is injective on simplices
     return PullbackResult(

@@ -57,9 +57,10 @@ identification, with its boundary-closure and orientation checks;
 ``oracle_vertex_matching`` is the matching an identification induces.  The
 two gluings must give the same complex and labels.
 
-``oracle_pullback_complex`` is the fiber product that ``towers`` built from
-every (sigma, t) pair in every dimension, before it emitted pairs over the
-top simplices only and let the face closure derive the rest.
+``oracle_pullback_complex`` is the fiber product from every (sigma, t)
+pair in every dimension, each found through an inverse dict and a pair
+dict and closed by ``oracle_simplicial_complex``; ``towers`` makes the same
+pairs level by level as columns of arithmetic pair ids.
 
 ``oracle_serialize_complex`` is the line-by-line ``.ckx`` writer (one
 string per line, triples bucketed by row) that the bulk level formats of

@@ -41,6 +41,9 @@ TOWER_522_CKX = \
     "27df807890dd4f5ec514ca5da65fee353cc522b7ffc0b8295a41250e4e08c679"
 Y_STAGE_521_CKX = \
     "d571728ec6d4f0a543360f4a313e99f54304305c158b8d82bfb24ae8c4f60911"
+# build y-stage (3,2,1), two stages: a second fiber product
+Y_STAGE_321_CKX = \
+    "2668a0962f489b2801807ddf98992c27483bdbbdc69f517395f2b20e4ea51bf5"
 # verify-tower (3,2,2) --reduce, two stages: its carrier-containment and
 # star-refinement records come from the stage-1 subdivision's carriers
 TOWER_322_REPORT = \
@@ -231,14 +234,17 @@ class TestBuild:
         assert rc == 0
         assert "euler -1" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("kind, k, digest", [
-        ("tower", "2", TOWER_522_CKX),
-        ("y-stage", "1", Y_STAGE_521_CKX),
-    ], ids=["tower-522", "y-stage-521"])
-    def test_two_stage_ckx_bytes(self, capsys, tmp_path, kind, k, digest):
+    @pytest.mark.parametrize("kind, p, k, digest", [
+        ("tower", "5", "2", TOWER_522_CKX),
+        ("y-stage", "5", "1", Y_STAGE_521_CKX),
+        ("y-stage", "3", "1", Y_STAGE_321_CKX),
+    ], ids=["tower-522", "y-stage-521", "y-stage-321"])
+    def test_two_stage_ckx_bytes(self, capsys, tmp_path, kind, p, k, digest):
         path = tmp_path / f"{kind}.ckx"
-        assert main(["build", kind, "--p", "5", "--q", "2", "--k", k,
-                     "--reduce", "--stages", "2", "--out", str(path)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # p = 3 <= q^2 warns
+            assert main(["build", kind, "--p", p, "--q", "2", "--k", k,
+                         "--reduce", "--stages", "2", "--out", str(path)]) == 0
         capsys.readouterr()
         assert sha256_of(path) == digest
 

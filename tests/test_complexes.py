@@ -165,6 +165,23 @@ class TestElementary:
             CellComplex.from_simplices([[(0,), (1,)],
                                         [(0, 1), (0, 1), (0, 1)]])
 
+    def test_from_simplices_top_level_repeats(self):
+        # the top level builds its dict only when it is not strictly
+        # increasing; the refusal names the first repeat either way
+        verts, edges = [(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)]
+        with pytest.raises(NotSimplicial, match=r"\(0, 1, 2\) at cell \(dim "
+                           r"2, 0\) is repeated at cell \(dim 2, 1\)"):
+            CellComplex.from_simplices([verts, edges, [(0, 1, 2)] * 2])
+        with pytest.raises(NotSimplicial, match=r"\(0, 1\) at cell \(dim 1, "
+                           r"1\) is repeated at cell \(dim 1, 3\)"):
+            CellComplex.from_simplices([verts,
+                                        [(1, 2), (0, 1), (0, 2), (0, 1)]])
+        X = CellComplex.from_simplices([verts, [(1, 2), (0, 1), (0, 2)]])
+        assert X.counts == [3, 3]
+        assert X.simplices[1] == [(1, 2), (0, 1), (0, 2)]
+        assert X.boundary_columns(1) == [{2: 1, 1: -1}, {1: 1, 0: -1},
+                                         {2: 1, 0: -1}]
+
     def test_from_simplices_refuses_vertex_ids_that_are_not_positions(self):
         # the edge's faces are in the vertex level, but vertex 5 is cell 1
         with pytest.raises(NotSimplicial, match=r"vertex \(5,\) at cell "

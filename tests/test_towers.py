@@ -653,8 +653,8 @@ def _y_stage_inputs(p):
 
 
 class TestPullbackReference:
-    """The fiber product made from the top simplices of M' against the
-    all-pairs reference, on the second Y-stage and on impure inputs."""
+    """The fiber product made level by level against the all-pairs
+    reference, on the second Y-stage and on impure inputs."""
 
     @pytest.mark.parametrize("p", [3, 5], ids=["321", "521"])
     def test_y_stage_matches_all_pairs(self, p):
@@ -702,17 +702,24 @@ class TestPullbackReference:
                                    match="^pullback exceeds 108070 simplices$"):
                     build()
 
-    def test_impure_inputs_refused(self):
+    def test_impure_inputs_match_all_pairs(self):
         tau = midpoint_subdivision(filled_triangle())
         # a triangle with a dangling edge, light over the triangle and
-        # simplicial into tau
+        # simplicial into tau: impure chi, impure phi, and both
         impure = simplicial_complex([(0, 1, 2), (2, 3)])
         chi = CellMap.from_vertex_map(impure, filled_triangle(), [0, 1, 2, 0])
-        with pytest.raises(NotSimplicial, match="source of chi"):
-            pullback_complex(chi, CellMap.identity(tau.complex), tau)
         phi = CellMap.from_vertex_map(impure, tau.complex, [0, 3, 4, 2])
-        with pytest.raises(NotSimplicial, match="source of phi"):
-            pullback_complex(CellMap.identity(filled_triangle()), phi, tau)
+        cases = [(chi, CellMap.identity(tau.complex), [8, 11, 4]),
+                 (CellMap.identity(filled_triangle()), phi, [4, 4, 1]),
+                 (chi, phi, [6, 6, 1])]
+        for chi_, phi_, counts in cases:
+            ref, base, fiber, _ = oracle_pullback_complex(
+                chi_, phi_, tau, DEFAULT_SIZE_GUARD)
+            res = pullback_complex(chi_, phi_, tau)
+            assert res.complex.counts == ref.counts == counts
+            assert res.complex.simplices == ref.simplices
+            assert res.proj_base.vertex_map == base
+            assert res.fiber_vertex_map == fiber
 
 
 class TestYStages:
