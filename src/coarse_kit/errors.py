@@ -121,10 +121,6 @@ class NotLight(CoarseKitError):
     pass
 
 
-class Disconnected(CoarseKitError):
-    pass
-
-
 class NotACover(CoarseKitError):
     pass
 

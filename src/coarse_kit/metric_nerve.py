@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import simplicial_complex
-from .errors import DimensionTooHigh, Disconnected, NotACover, Uncovered
+from .errors import DimensionTooHigh, NotACover, Uncovered
 
 INFINITY = math.inf  # sentinel for "empty complement", never arithmetic
 
@@ -79,25 +79,15 @@ def skeleton_metric(X):
 def lipschitz_constant(f):
     """Vertex-level Lipschitz constant: max over edges of d(f(u), f(v)).
 
-    Exact on 1-skeleta (unit edges: the denominator is 1) and a lower bound
-    for the continuous constant.  Raises Disconnected when an edge image
-    spans two components of the target.
+    Exact on 1-skeleta (unit edges) and a lower bound for the continuous
+    constant.  Every ``CellMap`` is simplicial (``from_vertex_map`` checks
+    each image; ``identity`` and ``compose`` keep that), so d(f(u), f(v)) is
+    1 when an edge keeps its ends apart and 0 when it collapses: no distance
+    table of the target is needed.
     """
-    X, Y = f.source, f.target
-    table = skeleton_metric(Y)
-    best = 0
-    for e, ends in enumerate(X.edge_ends()):
-        if not ends:
-            continue
-        u, v = ends
-        du, dv = f.vertex_map[u], f.vertex_map[v]
-        d = table.d(du, dv)
-        if d is None:
-            raise Disconnected(
-                f"edge {e} maps across components ({du} vs {dv})"
-            )
-        best = max(best, d)
-    return best
+    vm = f.vertex_map
+    return int(any(vm[ends[0]] != vm[ends[1]]
+                   for ends in f.source.edge_ends() if ends))
 
 
 @dataclass
@@ -270,16 +260,8 @@ def star_of_set(cover, t):
 
 def star_refines(fine, coarse):
     """Star-refinement: St(V, fine) inside a single coarse set, for all V."""
-    witness = {}
-    for t in range(len(fine.sets)):
-        st = star_of_set(fine, t)
-        hit = next(
-            (u for u, u_set in enumerate(coarse.sets) if st <= u_set), None
-        )
-        if hit is None:
-            return False, witness
-        witness[t] = hit
-    return True, witness
+    stars = [star_of_set(fine, t) for t in range(len(fine.sets))]
+    return refines(CoverSpec(carrier=fine.carrier, sets=stars), coarse)
 
 
 # over-approximations of the doubled-simplex distortion constants: a pair of

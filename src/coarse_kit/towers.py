@@ -18,7 +18,6 @@ import warnings
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from math import factorial, gcd
 from operator import sub
@@ -100,18 +99,17 @@ class MkParams:
 
 @dataclass
 class TowerStage:
-    """One stage of a tower: complex, projection data, Lipschitz bound.
+    """One stage of a tower: complex and projection data.
 
     ``projection`` is the honest simplicial map to the previous stage (the
-    subdivision approximation); ``tau_map`` lands in the mesh-1/2 subdivision
-    ``tau`` of the projection target, which is what certifies the 1/2 bound
-    per stage.  Pull-back stages keep the level-1 triangle subdivision as
-    ``tau`` and their triangle-valued map into it as ``tau_map``.
+    subdivision approximation); ``tau_map`` lands in ``tau``, the mesh-1/2
+    :func:`cone_middle_subdivision` of the projection target, which gives
+    the stage its 1/2 factor.  Pull-back stages keep the level-1 triangle
+    subdivision as ``tau`` and their triangle-valued map as ``tau_map``.
     """
 
     complex: CellComplex
     projection: CellMap = None
-    lipschitz_bound: Fraction = Fraction(1, 2)
     level: int = 0
     tau: Subdivision = None
     tau_map: CellMap = None
@@ -645,15 +643,14 @@ def build_tower(params, depth, size_guard=DEFAULT_SIZE_GUARD):
 
     Stage 0 is M(p, q, k); stage j swallows every 2-simplex of stage j-1
     with a copy of the level k-j bundle.  Every stage carries the simplicial
-    projection to its predecessor and the per-stage 1/2 bound.
+    projection to its predecessor and a tau map into a mesh-1/2 subdivision.
     """
     if depth < 0:
         raise InvalidParams("need at least one stage (tower depth >= 0)")
     if depth >= params.k:
         raise InvalidParams("tower depth must stay below the level k")
     bundle = build_Mk(params, size_guard=size_guard)
-    stages = [TowerStage(complex=bundle.complex, projection=None,
-                         lipschitz_bound=Fraction(1, 2), level=0)]
+    stages = [TowerStage(complex=bundle.complex, projection=None, level=0)]
     for j in range(1, depth + 1):
         sub_params = MkParams(params.p, params.q, params.k - j,
                               reduce=params.reduce)
@@ -663,7 +660,7 @@ def build_tower(params, depth, size_guard=DEFAULT_SIZE_GUARD):
             host, inner, size_guard=size_guard)
         stages.append(TowerStage(
             complex=stage, projection=projection, tau=tau, tau_map=tau_map,
-            lipschitz_bound=Fraction(1, 2), level=j,
+            level=j,
         ))
     return stages
 
@@ -829,15 +826,14 @@ def build_Y_stage(params, stages, size_guard=DEFAULT_SIZE_GUARD):
     Stage 1 is the level-1 bundle; stage t is the fiber product of the
     barycentrically subdivided level-t bundle (with its dimension-coloring
     light map) against the previous stage's triangle-valued map.  Each stage
-    records the simplicial projection to its predecessor and the per-stage
-    mesh bound 1/2 (composites are (1/2)^(t-1)-Lipschitz per simplex).
+    records the simplicial projection to its predecessor and its
+    triangle-valued map.
     """
     if stages < 1:
         raise InvalidParams("need at least one stage")
     base_params = MkParams(params.p, params.q, 1, reduce=params.reduce)
     b1 = build_Mk(base_params, size_guard=size_guard)
-    out = [TowerStage(complex=b1.complex, projection=None,
-                      lipschitz_bound=Fraction(1, 2), level=1)]
+    out = [TowerStage(complex=b1.complex, projection=None, level=1)]
     phi_prev = b1.phi
     tau_prev = b1.tau
     for t in range(2, stages + 1):
@@ -851,8 +847,7 @@ def build_Y_stage(params, stages, size_guard=DEFAULT_SIZE_GUARD):
         # projection, a composite of chain maps and so one itself
         phi_t = phi_prev.compose(result.proj_base)
         stage = TowerStage(
-            complex=result.complex, projection=result.proj_base,
-            lipschitz_bound=Fraction(1, 2) ** (t - 1), level=t,
+            complex=result.complex, projection=result.proj_base, level=t,
             tau=tau_prev, tau_map=phi_t,
         )
         out.append(stage)

@@ -38,7 +38,6 @@ from .report import (
     load_report,
 )
 from .towers import (
-    HOLE_EDGES,
     MkParams,
     build_Mk,
     build_beta,
@@ -60,13 +59,9 @@ _INTEGER = re.compile(r"-?[0-9]+")
 NO_MK = "the report's params give no M(p, q, k)"
 
 
-def _params_dict(params, extra=None):
-    out = {
-        "p": params.p, "q": params.q, "k": params.k,
-        "edge_scale": HOLE_EDGES, "reduce": params.reduce,
-    }
-    out.update(extra or {})
-    return out
+def _params_dict(params, extra):
+    return {"p": params.p, "q": params.q, "k": params.k,
+            "reduce": params.reduce, **extra}
 
 
 def _search_primitive(report, bundle, node_limit):
@@ -134,15 +129,10 @@ def verify_prop51(params, node_limit=10_000_000):
     # (d) exact minimal primitive norm >= q^k - 1; without a relative
     # primitive there is no norm to bound and (a) has already failed
     if prim is not None:
-        m_k = prim.certificate.optimum
-        ok = m_k >= q ** k - 1
-        proof = prim.certificate.infeasibility_proof
-        report.check(
-            "norm-lower-bound", ok,
-            m_k=m_k, bound=q ** k - 1,
-            certificate=proof.get("kind"),
-            evaluations=prim.certificate.node_count,
-        )
+        _add_norm_lower_bound(
+            report, prim.certificate.optimum, q, k,
+            certificate=prim.certificate.infeasibility_proof.get("kind"),
+            evaluations=prim.certificate.node_count)
         _attach_primitive(report, prim)
     elif exhausted is not None:
         _add_exhausted(report, "norm-lower-bound", exhausted)
@@ -185,6 +175,13 @@ def _add_arithmetic_records(report, bundle):
     rel_ok, signs = _winding_relation(bundle)
     report.check("winding-relation", rel_ok, signs=signs,
                  exponents={"p": p ** k, "q": q ** k})
+
+
+def _add_norm_lower_bound(report, m_k, q, k, **values):
+    """prop51's norm-lower-bound record: the minimal norm m_k >= q^k - 1."""
+    bound = q ** k - 1
+    report.check("norm-lower-bound", m_k is not None and m_k >= bound,
+                 m_k=m_k, bound=bound, **values)
 
 
 def _sparse(cochain):
@@ -280,12 +277,33 @@ def verify_prop52(params, node_limit=10_000_000, n_mode="factorial"):
 
 
 def verify_tower(params, stages, node_limit=10_000_000):
-    """Stage bounds, star-refinement witnesses, carrier containment, growth."""
+    """Stage records (:func:`_add_stage_records`) and the growth of the
+    minimal norms across levels, each row with its primitive."""
     report = VerificationReport(
         command="verify-tower",
         params=_params_dict(params, {"stages": stages,
                                      "node_limit": node_limit}),
     )
+    _add_stage_records(report, params, stages)
+    table, gammas = {}, {}
+    for j in range(1, params.k + 1):
+        sub = MkParams(params.p, params.q, j, reduce=params.reduce)
+        prim, exhausted = _search_primitive(report, build_Mk(sub), node_limit)
+        if exhausted is not None:
+            _add_exhausted(report, f"norm-growth-level-{j}", exhausted)
+            continue
+        table[str(j)] = prim.certificate.optimum
+        gammas[f"level-{j}-primitive"] = _sparse(prim.gamma)
+    if len(table) == params.k:
+        _add_growth_table(report, table, params.q, params.k)
+        report.witnesses.update(gammas)
+    return report
+
+
+def _add_stage_records(report, params, stages):
+    """verify-tower's records for each stage j >= 1 of ``build_tower(params,
+    stages - 1)``: its tau map into the mesh-1/2 subdivision of stage j-1 is
+    1-Lipschitz, and its projection approximates it and refines stars."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tower = build_tower(params, depth=stages - 1,
@@ -295,61 +313,45 @@ def verify_tower(params, stages, node_limit=10_000_000):
     from .metric_nerve import lipschitz_constant
 
     for stage in tower[1:]:
-        # simplicial into the mesh-1/2 subdivision: vertex-level constant of
-        # the tau map is at most 1, so the stage contracts by the mesh factor
         vertex_level = lipschitz_constant(stage.tau_map)
-        lip_ok = (vertex_level <= 1
-                  and stage.lipschitz_bound <= Fraction(1, 2))
-        report.check(
-            f"stage-{stage.level}-lipschitz", lip_ok,
-            vertex_level=vertex_level,
-            bound=stage.lipschitz_bound,
-            cells=stage.complex.total_cells(),
-        )
+        report.check(f"stage-{stage.level}-lipschitz", vertex_level <= 1,
+                     vertex_level=vertex_level,
+                     cells=stage.complex.total_cells())
         carriers = stage_carriers(stage)
         ok_c, offending = check_stage_carriers(stage, carriers)
         report.check(f"stage-{stage.level}-carrier-containment", ok_c,
                      offending=offending)
         ok_o, wit = open_star_refinement_witnesses(stage, carriers)
-        report.check(
-            f"stage-{stage.level}-star-refinement", ok_o,
-            vertices=len(wit),
-            missing=sum(1 for u in wit.values() if u is None),
-        )
-    # norm growth across levels; each row of the table carries its primitive
-    values = []
-    gammas = {}
-    status = PASS
-    for j in range(1, params.k + 1):
-        sub = MkParams(params.p, params.q, j, reduce=params.reduce)
-        prim, exhausted = _search_primitive(report, build_Mk(sub), node_limit)
-        if exhausted is not None:
-            _add_exhausted(report, f"norm-growth-level-{j}", exhausted)
-            status = INCONCLUSIVE
-            continue
-        values.append((j, prim.certificate.optimum))
-        gammas[f"level-{j}-primitive"] = _sparse(prim.gamma)
-    growing = all(a[1] < b[1] for a, b in zip(values, values[1:]))
-    meets = all(m >= params.q ** j - 1 for j, m in values)
-    if status == PASS:
-        report.check(
-            "norm-growth-table", growing and meets,
-            table={str(j): m for j, m in values},
-            strictly_growing=growing, meets_lower_bounds=meets,
-        )
-        report.witnesses.update(gammas)
-    return report
+        report.check(f"stage-{stage.level}-star-refinement", ok_o,
+                     vertices=len(wit),
+                     missing=sum(1 for u in wit.values() if u is None))
+
+
+def _add_growth_table(report, table, q, k):
+    """verify-tower's norm-growth-table record of ``{str(j): m_j}``: every
+    level 1..k has an integer m_j, growing strictly and >= q^j - 1."""
+    rows = [_claimed_int(table.get(str(j))) for j in range(1, k + 1)]
+    whole = None not in rows
+    growing = whole and all(a < b for a, b in zip(rows, rows[1:]))
+    meets = whole and all(m >= q ** j - 1 for j, m in enumerate(rows, 1))
+    report.check("norm-growth-table", growing and meets, table=table,
+                 strictly_growing=growing, meets_lower_bounds=meets)
+
+
+def _claimed_int(value):
+    """The integer a report's value names, or None."""
+    try:
+        return int(str(value))
+    except ValueError:
+        return None
 
 
 def check_witness(report_path):
-    """Re-check a report's inline witnesses without any search, on the
-    complexes its params fix: M(p, q, k) for the primitive, its LP dual and
-    beta (on M x [0, n]), and M(p, q, j) for row j of a norm-growth table.
-    prop51's :data:`ARITHMETIC_RECORDS` are recomputed on that M(p, q, k).
-
-    The records fix the witnesses a report carries: a missing or an
-    unexpected witness, like a report that cannot be read, is a FAIL
-    record."""
+    """Re-check a report without any search, on the complexes its params
+    fix: its inline witnesses (primitive and LP dual on M(p, q, k), beta on
+    M x [0, n], row j of a norm-growth table on M(p, q, j)), its status and
+    the records its params give (:func:`_check_recomputed`).  A missing or
+    an unexpected witness, like a report that cannot be read, is a FAIL."""
     out = VerificationReport(command="check-witness",
                              params={"report": os.path.basename(str(report_path))})
     try:
@@ -358,19 +360,18 @@ def check_witness(report_path):
     except ValueError as exc:
         out.add("report-parse", FAIL, reason=str(exc))
         return out
+    status = VerificationReport(command="", params={},
+                                records=data.get("records", [])).status
+    if data.get("status") != status:
+        out.add("report-status", FAIL, claimed=data.get("status"),
+                recomputed=status)
     params = None
     given = data.get("params")
     given = given if isinstance(given, dict) else {}
-    edge_scale = str(given.get("edge_scale", HOLE_EDGES))
-    if edge_scale != str(HOLE_EDGES):
-        # every hole of M(p, q, k) has HOLE_EDGES edges: no other build exists
-        out.add("params-edge-scale", FAIL, edge_scale=edge_scale,
-                expected=HOLE_EDGES)
-    else:
-        try:
-            params = _report_mk_params(given)
-        except InvalidParams as exc:
-            out.add("report-params", FAIL, reason=str(exc))
+    try:
+        params = _report_mk_params(given)
+    except InvalidParams as exc:
+        out.add("report-params", FAIL, reason=str(exc))
     claims = {name: rec["values"] for name, rec in records.items()}
     # prop51 claims m_k under norm-lower-bound, prop52 under
     # minimal-primitive: the primitive must attain it and an LP dual, when
@@ -392,9 +393,9 @@ def check_witness(report_path):
         if names:
             out.add(name, FAIL, witnesses=sorted(names))
     present = needed & witnesses.keys()
-    arithmetic = [name for name in ARITHMETIC_RECORDS if name in records]
+    command = data.get("command")
     bundle = None
-    if params is not None and (arithmetic or present & {
+    if params is not None and (command == "verify-prop51" or present & {
             "primitive", "beta", "norm-lower-bound-dual"}):
         bundle = build_Mk(params)
     m_k = mk_claim.get("m_k")
@@ -412,14 +413,35 @@ def check_witness(report_path):
             continue
         level = None
         if params is not None:
-            if not (_INDEX.fullmatch(j) and 1 <= int(j) <= params.k):
+            if j not in map(str, range(1, params.k + 1)):
                 out.add(f"{tag}witness-solves-system", FAIL,
                         reason=f"{j!r} is not a level 1..{params.k}")
                 continue
             level = build_Mk(_report_mk_params({**given, "k": j}))
         _check_primitive(out, level, witnesses[f"{tag}primitive"], claimed,
                          tag)
-    _check_arithmetic(out, bundle, records, arithmetic)
+    redo = None
+    if params is not None:
+        # prop51's arithmetic, verify-tower's stages, the claimed verdicts
+        redo = VerificationReport(command="", params={})
+        if command == "verify-prop51":
+            _add_arithmetic_records(redo, bundle)
+        elif command == "verify-tower":
+            try:
+                _add_stage_records(redo, params,
+                                   _claimed_int(given.get("stages")) or 0)
+            except CoarseKitError as exc:
+                out.add("report-params", FAIL, reason=str(exc))
+        nlb = records.get("norm-lower-bound", {"status": INCONCLUSIVE})
+        if nlb["status"] != INCONCLUSIVE:
+            claim = nlb["values"]
+            _add_norm_lower_bound(
+                redo, _claimed_int(claim.get("m_k")), params.q, params.k,
+                certificate=claim.get("certificate"),
+                evaluations=claim.get("evaluations"))
+        if "norm-growth-table" in claims:
+            _add_growth_table(redo, table, params.q, params.k)
+    _check_recomputed(out, records, redo)
     if not out.records:
         out.add("no-witnesses-found", FAIL, report=str(report_path))
     return out
@@ -440,6 +462,9 @@ def _report_parts(data):
         if not (isinstance(rec, dict) and isinstance(rec.get("values"), dict)):
             raise ValueError(f"record {i} is not an object with a values "
                              "object")
+        if rec.get("status") not in (PASS, FAIL, INCONCLUSIVE):
+            raise ValueError(f"record {i} has no status {PASS}, {FAIL} or "
+                             f"{INCONCLUSIVE}")
         by_name.setdefault(str(rec.get("name")), rec)
     table = by_name.get("norm-growth-table", {"values": {}})["values"]
     if not isinstance(table.get("table", {}), dict):
@@ -461,8 +486,6 @@ def _report_mk_params(given):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return MkParams(p, q, k, reduce=given.get("reduce") == "true")
-
-
 
 
 def _read_entry(entry, X, degree):
@@ -509,21 +532,22 @@ def _check_primitive(out, bundle, entry, claimed, tag=""):
         out.check(name, ok, claimed=claimed, actual=gamma.norm())
 
 
-def _check_arithmetic(out, bundle, records, names):
-    """Each named record of the report must equal, status and values, the
-    one recomputed on the bundle's M(p, q, k); no bundle is a FAIL."""
-    redo = VerificationReport(command="", params={})
-    if bundle is not None:
-        _add_arithmetic_records(redo, bundle)
-    want = {r.pop("name"): r for r in redo.records}
+def _check_recomputed(out, records, redo):
+    """Each record of ``redo`` must be in the report and equal it, status and
+    values, and the report may hold no arithmetic or stage record that
+    ``redo`` lacks; no ``redo`` (no M(p, q, k)) fails every such record."""
+    want = {} if redo is None else {r.pop("name"): r for r in redo.records}
+    names = list(want) + [name for name in records if name not in want and (
+        name in ARITHMETIC_RECORDS or name.startswith("stage-"))]
     for name in names:
-        given = {key: records[name].get(key) for key in ("status", "values")}
-        if bundle is None:
-            out.check(name, False, reason=NO_MK)
-        elif given != want[name]:
-            out.check(name, False, recomputed=want[name],
-                      reason="the report's record is not the one its params "
-                             "give")
+        if name not in want:
+            out.check(name, False, reason=NO_MK if redo is None else
+                      "the report's params give no such record")
+        elif {key: records.get(name, {}).get(key)
+              for key in ("status", "values")} != want[name]:
+            out.check(name, False, recomputed=want[name], reason=(
+                "the report's record is not the one its params give"
+                if name in records else "the report has no such record"))
         else:
             out.check(name, True)
 

@@ -49,13 +49,12 @@ from coarse_kit.towers import (
     build_Mk,
     build_beta,
     build_tower,
-    check_stage_carriers,
-    open_star_refinement_witnesses,
-    stage_carriers,
     pick_n,
     product_obstruction_cocycle,
     pullback_complex,
 )
+from coarse_kit.report import VerificationReport
+from coarse_kit.verify import _add_stage_records
 
 from oracles import (
     ilp_min_linf,
@@ -328,18 +327,18 @@ def test_criterion_08_nerve_identities():
 
 
 def test_criterion_09_tower_regularity():
+    # the stage records verify-tower writes and check-witness recomputes
     t0 = time.time()
-    tower522 = _build_tower_522()
-    ok = True
-    for stage in tower522[1:]:
-        ok = ok and stage.lipschitz_bound <= Fraction(1, 2)
-        carriers = stage_carriers(stage)
-        good, _ = check_stage_carriers(stage, carriers)
-        ok = ok and good
-        found, wit = open_star_refinement_witnesses(stage, carriers)
-        ok = ok and found and all(u is not None for u in wit.values())
+    report = VerificationReport(command="verify-tower", params={})
+    _add_stage_records(report, MkParams(5, 2, 2, reduce=True), 2)
+    records = {r["name"]: r for r in report.records}
+    ok = list(records) == [
+        "stage-1-lipschitz", "stage-1-carrier-containment",
+        "stage-1-star-refinement"]
+    ok = ok and all(r["status"] == "PASS" for r in records.values())
     _criterion(9, "two-stage tower regularity at (5,2,2)", ok, t0, 120,
-               f"stage cells {[s.complex.total_cells() for s in tower522]}")
+               "stage-1 cells "
+               f"{records['stage-1-lipschitz']['values']['cells']}")
 
 
 def test_criterion_10_zp_coincidence():

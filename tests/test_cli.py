@@ -10,31 +10,34 @@ from pathlib import Path
 import pytest
 
 from coarse_kit.cli import build_parser, main
-from coarse_kit.report import load_report
+from coarse_kit.report import VerificationReport, load_report
 from coarse_kit.verify import ARITHMETIC_RECORDS, NO_MK
 
 # sha256 of reports for the fixed runs below; refactors of the exact core
 # must leave these bytes unchanged.  Each report carries its witness
 # cochains inline, so its digest pins them too.  They were re-pinned when
 # the witnesses moved inline from .ckx files: each report differs from the
-# run before only in its `witnesses`
+# run before only in its `witnesses`.  They were re-pinned again when the
+# constant `edge_scale` param left every report and the constant `bound`
+# left verify-tower's stage-<j>-lipschitz records: each report is the one
+# before with those keys deleted
 PROP51_521_REPORT = \
-    "c8a4db919454d13f346b054b5629cd81dfbb90809a118c9eaeec4f6b6a032c81"
+    "916c1ed181494336a19ca8aef3ebb7531ea89aca8f776cce5198d189cd47598b"
 # the prop52 report carries its lp-dual certificate as the witness
 # norm-lower-bound-dual, which check-witness re-checks
 PROP52_521_LCM_REPORT = \
-    "0bdb75dc5b8cd146ada797ccdec02a758b93194799fc2f0d42c3ce0f4ec636ed"
+    "106a2f3fc86b59a56476cc037518d8cab7d022ae16fdb172e35dc78e764c3694"
 # (7,2,1) picks n = 2, so its product obstruction is off the first layer
 PROP52_721_LCM_REPORT = \
-    "e5cd49d3427952c5853ab7929d18efb0b79575091a1628ac0ff228215acc7dd8"
+    "abba950db332f59770b5ac3ef910f611e56cd8054e9fb70285439efcab081a3f"
 # (3,2,2) picks n = 6: a k = 2 product certificate
 PROP52_322_LCM_REPORT = \
-    "dcfd7e2b01ee8b3718a58bdef5915d066e5c211401db06e8d555c35fcf8e9df4"
+    "b4c2bf45ae6438f7af7fc01f88b0a40ead03b06bd5064bf2c0a205909244d645"
 PROP51_721_REPORT = \
-    "f902c730c5a03e9df05f7de4fa8359ce977cc738f7813d2d6b63098a295f96ad"
+    "ee2621eeda7639a10ce5758ef930712dc4b26c6d52974efceda849e0cfed1f97"
 # (5,2,2) is the triple whose lattice search visits 271 points
 PROP51_522_REPORT = \
-    "a797542b069b5e92f092c668166da1e59f0b04cf9b268a9202c65e3d4242cb3c"
+    "bc4fbcf2d530ac508b8c1b40d625c0b64eaecc5277bc3e543d230811a09aa464"
 # the last stage of build tower (5,2,2) and build y-stage (5,2,1), two
 # stages each: the simplicial builders and the .ckx writer
 TOWER_522_CKX = \
@@ -47,22 +50,23 @@ Y_STAGE_321_CKX = \
 # verify-tower (3,2,2) --reduce, two stages: its carrier-containment and
 # star-refinement records come from the stage-1 subdivision's carriers
 TOWER_322_REPORT = \
-    "578c78c494f476583bd553e702c6e604c0f1014bce5ac402d2376e239b906461"
+    "1b0bb2b25a52f7d85869048230305cac6d379fc232632a31655a8ee0581a72f4"
 
 
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def report_fixture(name, argv):
-    """A module fixture: the report of one verify run, written by --out."""
+def report_fixture(name, argv, rc=0):
+    """A module fixture: the report of one verify run, written by --out,
+    that exits ``rc``."""
 
     @pytest.fixture(scope="module")
     def report(tmp_path_factory):
         path = tmp_path_factory.mktemp(name) / "report.json"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert main(argv + ["--reduce", "--out", str(path)]) == 0
+            assert main(argv + ["--reduce", "--out", str(path)]) == rc
         return path
 
     return report
@@ -85,6 +89,13 @@ prop52_721_report = report_fixture("prop52_721", [
 # a verify-tower (3,2,2) report, whose table has rows 1 and 2
 tower_322_report = report_fixture("tower_322", [
     "verify-tower", "--p", "3", "--q", "2", "--k", "2", "--stages", "2"])
+# honest FAIL reports: at (2,3,1) m_k 1 is below the bound 2, and the
+# (2,3,2) table 1, 2 is below the bounds 2, 8
+prop51_231_report = report_fixture("prop51_231", [
+    "verify-prop51", "--p", "2", "--q", "3", "--k", "1"], rc=1)
+tower_232_report = report_fixture("tower_232", [
+    "verify-tower", "--p", "2", "--q", "3", "--k", "2", "--stages", "2"],
+    rc=1)
 
 
 def recheck(capsys, tmp_path, report, edit=None):
@@ -572,20 +583,6 @@ class TestVerify:
         assert main(["verify-prop51", "--help"]) == 0
         assert "--node-limit" in capsys.readouterr().out
 
-    def test_other_edge_scale_fails_check(self, capsys, tmp_path,
-                                          prop51_521_report):
-        # every M(p, q, k) hole has 3 edges; a report claiming another
-        # edge scale cannot be rebuilt and fails its re-check
-        assert load_report(prop51_521_report)["params"]["edge_scale"] == "3"
-        rc, failed = recheck(capsys, tmp_path, prop51_521_report,
-                             lambda d: d["params"].update(edge_scale="4"))
-        assert rc == 1
-        # nor can the primitive and LP dual it carries be re-checked, nor
-        # its arithmetic records recomputed
-        assert list(failed) == ["params-edge-scale", "witness-solves-system",
-                                "lower-bound-dual-certificate",
-                                *ARITHMETIC_RECORDS]
-
 
 def swap_levels(data):
     w = data["witnesses"]
@@ -605,16 +602,140 @@ def flip_winding_sign(data):
     signs["q"] = str(-int(signs["q"]))
 
 
-def add_row_x(data):
-    # a table row and its witness for a level that is no level
-    record(data, "norm-growth-table")["table"]["x"] = "1"
-    data["witnesses"]["level-x-primitive"] = \
-        data["witnesses"]["level-1-primitive"]
+def add_row(level):
+    """An edit that adds a table row and its witness for ``level``."""
+    def edit(data):
+        record(data, "norm-growth-table")["table"][level] = "1"
+        data["witnesses"][f"level-{level}-primitive"] = \
+            data["witnesses"]["level-1-primitive"]
+    return edit
+
+
+BIG = "9" * 5000
+
+
+def add_stage_2_record(data):
+    # a --stages 2 tower has no stage 2
+    rec = dict(next(r for r in data["records"]
+                    if r["name"] == "stage-1-lipschitz"),
+               name="stage-2-lipschitz")
+    data["records"].insert(1, rec)
+
+
+def drop_record(name):
+    def edit(data):
+        data["records"] = [r for r in data["records"] if r["name"] != name]
+    return edit
+
+
+def set_status(name, status, **values):
+    """An edit that gives the record ``name`` and the report ``status``,
+    and updates the record's values."""
+    def edit(data):
+        rec = next(r for r in data["records"] if r["name"] == name)
+        rec["status"] = data["status"] = status
+        rec["values"].update(values)
+    return edit
+
+
+def forge_tower_232(data):
+    set_status("norm-growth-table", "PASS", meets_lower_bounds="true")(data)
+    record(data, "stage-1-lipschitz").update(vertex_level="0")
+
+
+NOT_THE_ONE = "the report's record is not the one its params give"
+NO_SUCH = "the report's params give no such record"
+STAGE_1 = dict.fromkeys(["stage-1-lipschitz", "stage-1-carrier-containment",
+                         "stage-1-star-refinement"], NO_SUCH)
+# edits of the verify-tower (3,2,2) report, whose stage records
+# check-witness recomputes from its params, and the records that then
+# fail, with their reasons
+STAGE_TAMPERS = {
+    "vertex-level": (lambda data: record(data, "stage-1-lipschitz").update(
+        vertex_level="0"), {"stage-1-lipschitz": NOT_THE_ONE}),
+    "offending": (lambda data: record(
+        data, "stage-1-carrier-containment").update(offending="(0, 0)"),
+        {"stage-1-carrier-containment": NOT_THE_ONE}),
+    "vertices": (lambda data: record(data, "stage-1-star-refinement").update(
+        vertices="1"), {"stage-1-star-refinement": NOT_THE_ONE}),
+    "missing": (lambda data: record(data, "stage-1-star-refinement").update(
+        missing="1"), {"stage-1-star-refinement": NOT_THE_ONE}),
+    "dropped": (drop_record("stage-1-star-refinement"),
+                {"stage-1-star-refinement": "the report has no such record"}),
+    "stage-2-added": (add_stage_2_record, {"stage-2-lipschitz": NO_SUCH}),
+    "stages-0": (lambda data: data["params"].update(stages="0"), {
+        "report-params": "need at least one stage (tower depth >= 0)",
+        **STAGE_1}),
+    # stages that are no integer give no stage, like "0"
+    "stages-x": (lambda data: data["params"].update(stages="x"), {
+        "report-params": "need at least one stage (tower depth >= 0)",
+        **STAGE_1}),
+    "stages-3": (lambda data: data["params"].update(stages="3"), {
+        "report-params": "tower depth must stay below the level k",
+        **STAGE_1}),
+}
+# records whose status check-witness does not re-derive, each with the
+# reason; flipping the status of any other record must fail the re-check
+NOT_RECHECKED = {
+    "retraction-obstruction-solvable": (
+        "whether the obstruction has integer primitives is not solved "
+        "again: only the primitive witness of a PASS is re-checked"),
+}
 
 
 class TestCheckWitness:
     """check-witness rebuilds every complex from the report's params and
     reads the witness cochains the records call for from the report."""
+
+    @pytest.mark.parametrize("name", sorted(STAGE_TAMPERS))
+    def test_edited_stage_record_fails(self, capsys, tmp_path,
+                                       tower_322_report, name):
+        edit, want = STAGE_TAMPERS[name]
+        rc, failed = recheck(capsys, tmp_path, tower_322_report, edit)
+        assert rc == 1
+        assert {n: v.get("reason") for n, v in failed.items()} == want
+
+    @pytest.mark.parametrize("report, edit, want", [
+        ("prop51_231_report", set_status("norm-lower-bound", "PASS"),
+         ["norm-lower-bound"]),
+        ("tower_232_report", forge_tower_232,
+         ["stage-1-lipschitz", "norm-growth-table"]),
+        ("prop51_231_report", lambda data: data.update(status="PASS"),
+         ["report-status"]),
+    ], ids=["prop51-231-bound", "tower-232-table", "prop51-231-status"])
+    def test_forged_verdict_fails(self, capsys, tmp_path, request, report,
+                                  edit, want):
+        # a verdict is re-derived from the numbers its record claims, and
+        # the report's status from its records
+        rc, failed = recheck(capsys, tmp_path,
+                             request.getfixturevalue(report), edit)
+        assert rc == 1
+        assert list(failed) == want
+
+    @pytest.mark.parametrize("report", ["prop51_231_report",
+                                        "tower_232_report"])
+    def test_honest_fail_report_checks_pass(self, capsys, tmp_path, request,
+                                            report):
+        rc, failed = recheck(capsys, tmp_path,
+                             request.getfixturevalue(report))
+        assert (rc, failed) == (0, {})
+
+    @pytest.mark.parametrize("report", ["tower_322_report",
+                                        "prop51_521_report",
+                                        "prop51_231_report"])
+    def test_every_flipped_status_fails(self, capsys, tmp_path, request,
+                                        report):
+        # a record added without a re-check fails here until it has one or
+        # joins NOT_RECHECKED
+        path = request.getfixturevalue(report)
+        for name in [r["name"] for r in load_report(path)["records"]]:
+            def flip(data, name=name):
+                rec = next(r for r in data["records"] if r["name"] == name)
+                rec["status"] = "FAIL" if rec["status"] == "PASS" else "PASS"
+                data["status"] = VerificationReport(
+                    command="", params={}, records=data["records"]).status
+            rc, _ = recheck(capsys, tmp_path, path, flip)
+            assert rc == (0 if name in NOT_RECHECKED else 1), name
 
     @pytest.mark.parametrize("report, witness", [
         ("tower_322_report", "level-2-primitive"),
@@ -660,9 +781,8 @@ class TestCheckWitness:
         (flip_winding_sign, "winding-relation"),
         (lambda data: record(data, "degree-relation")["samples"][0].update(
             ok="false"), "degree-relation"),
-        (lambda data: next(r for r in data["records"] if r["name"] ==
-                           "degree-relation").update(status="FAIL"),
-         "degree-relation"),
+        # the report's status follows the record's, as report-status asks
+        (set_status("degree-relation", "FAIL"), "degree-relation"),
     ], ids=["bezout-m", "winding-sign", "degree-sample", "degree-status"])
     def test_edited_arithmetic_record_fails(self, capsys, tmp_path,
                                             prop51_521_report, edit, name):
@@ -687,10 +807,15 @@ class TestCheckWitness:
         ("prop52_721_report", lambda data: record(
             data, "minimal-primitive").update(m_k="abc"),
          "witness-norm-matches-claim", "the claim is not a number"),
-        ("tower_322_report", add_row_x, "level-x-witness-solves-system",
+        ("tower_322_report", add_row("x"), "level-x-witness-solves-system",
          "'x' is not a level 1..2"),
+        ("prop51_521_report", lambda data: data["records"][0].pop("status"),
+         "report-parse", "record 0 has no status PASS, FAIL or INCONCLUSIVE"),
+        # more digits than int() converts
+        ("tower_322_report", add_row(BIG), f"level-{BIG}-witness-solves-system",
+         f"'{BIG}' is not a level 1..2"),
     ], ids=["witnesses-a-list", "witness-mk-level-x", "values-a-string",
-            "m_k-not-a-number", "table-row-x"])
+            "m_k-not-a-number", "table-row-x", "no-status", "table-row-big"])
     def test_malformed_report_fails(self, capsys, tmp_path, request, report,
                                     edit, name, reason):
         rc, failed = recheck(capsys, tmp_path,

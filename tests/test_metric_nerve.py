@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,8 @@ from coarse_kit.metric_nerve import (
     star_refines,
 )
 
-from oracles import oracle_complex_homology
+from coarse_kit.towers import MkParams, build_tower, build_Y_stage
+from oracles import oracle_complex_homology, oracle_floyd_warshall
 from test_complexes import random_circle_map
 
 
@@ -77,6 +79,33 @@ class TestSkeletonMetric:
             assert t.d(a, c) <= t.d(a, bb) + t.d(bb, c)
 
 
+def all_pairs_lipschitz(f):
+    """The vertex-level Lipschitz constant read off the target's all-pairs
+    distances: max over edges (u, v) of d(f(u), f(v))."""
+    d = oracle_floyd_warshall(f.target)
+    vm = f.vertex_map
+    return max((d[vm[u]][vm[v]] for u, v in filter(None,
+                                                     f.source.edge_ends())),
+               default=0)
+
+
+@pytest.fixture(scope="module")
+def stage_maps():
+    """The stage-1 tau maps and projections of the two-stage towers (3,2,2)
+    and (5,2,2), and the stage-2 tau map of the y-stage segment (3,2,1)."""
+    out = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for p in (3, 5):
+            stage = build_tower(MkParams(p, 2, 2, reduce=True), 1)[1]
+            out[f"tower-{p}22-tau"] = stage.tau_map
+            out[f"tower-{p}22-projection"] = stage.projection
+        stage = build_Y_stage(MkParams(3, 2, 1, reduce=True), 2,
+                              size_guard=3_000_000)[1]
+        out["y-stage-321-tau"] = stage.tau_map
+    return out
+
+
 class TestLipschitz:
     def test_identity(self):
         assert lipschitz_constant(CellMap.identity(circle(5))) == 1
@@ -91,6 +120,30 @@ class TestLipschitz:
 
         A, collapse = annulus_triangulation(6, 3)
         assert lipschitz_constant(collapse) <= 1
+
+    def test_matches_all_pairs_distances_small(self):
+        from coarse_kit import annulus_triangulation
+
+        C = circle(4)
+        maps = [CellMap.identity(circle(5)),
+                CellMap.identity(filled_triangle()),
+                CellMap.from_vertex_map(C, C, [0, 0, 0, 0]),
+                annulus_triangulation(6, 3)[1]]
+        rng = random.Random(211)
+        for _ in range(30):
+            b = rng.choice([3, 4, 5])
+            f, _ = random_circle_map(rng, b * rng.choice([1, 2, 3]), b)
+            g, _ = random_circle_map(rng, b, rng.choice(range(3, b + 1)))
+            maps += [f, g.compose(f)]
+        for f in maps:
+            assert lipschitz_constant(f) == all_pairs_lipschitz(f)
+
+    @pytest.mark.parametrize("name", [
+        "tower-322-tau", "tower-322-projection", "tower-522-tau",
+        "tower-522-projection", "y-stage-321-tau"])
+    def test_matches_all_pairs_distances_on_stages(self, stage_maps, name):
+        f = stage_maps[name]
+        assert lipschitz_constant(f) == all_pairs_lipschitz(f) == 1
 
 
 class TestLebesgue:

@@ -2,7 +2,6 @@ import gc
 import random
 import warnings
 from dataclasses import replace
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -371,7 +370,6 @@ class TestTower:
         stages = towers[(5, 2, 2)]
         assert len(stages) == 2
         s1 = stages[1]
-        assert s1.lipschitz_bound == Fraction(1, 2)
         carriers = stage_carriers(s1)
         ok, offending = check_stage_carriers(s1, carriers)
         assert ok, offending
@@ -383,13 +381,6 @@ class TestTower:
         host = simplicial_complex([(0, 1, 2), (2, 3)])
         with pytest.raises(NotSimplicial, match="the host"):
             replace_faces(host, mk521)
-
-    def test_composite_bound(self, towers):
-        stages = towers[(5, 2, 2)]
-        total = Fraction(1)
-        for s in stages[1:]:
-            total *= s.lipschitz_bound
-        assert total == Fraction(1, 2) ** (len(stages) - 1)
 
 
 # the two builders that pause the cyclic collector, each on its smallest
@@ -736,7 +727,6 @@ class TestYStages:
                                    size_guard=3_000_000)
         s2 = stages[1]
         assert is_light(s2.projection)
-        assert s2.lipschitz_bound == Fraction(1, 2)
         rho = simplicial_approx_identity(s2.tau)
         q_delta = rho.compose(s2.tau_map)
         ok2, off = check_stage_carriers(s2, stage_carriers(s2), q=q_delta)
