@@ -5,7 +5,9 @@ Smith normal form is the one elimination routine.  It works on sparse rows
 for callers that read them: integer solving, kernel lattices, lattice
 complements and unimodular inverses are read off the factors, in a fixed
 pivot order; cohomology reads only the invariant factors, which any pivot
-order gives, so it takes unit pivots from the shortest rows first.
+order gives, so it takes unit pivots from the shortest rows first.  A solve
+sums U b over the columns of U that b's nonzeros pick, and the lattice
+complement hands Smith sparse rows.
 The tests check the output against independent oracles (``verify_snf``
 in ``tests/oracles.py`` uses a separate Bareiss determinant), so Smith is
 not used to verify Smith.  Beside it sits one exact LP:
@@ -14,12 +16,13 @@ when the box holds no rational solution.  That vector is the re-checkable
 certificate behind every sup-norm lower bound (``check_lp_lower_bound``).
 
 No floating point anywhere: integers are arbitrary precision, the LP runs on
-a sparse tableau of integer rows, each over its own denominator, and values
-are Fractions.
+a sparse tableau of integer rows, each over its own denominator and
+rewritten in place, and values are Fractions.
 """
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -36,12 +39,6 @@ def _shape(A):
         if len(row) != n:
             raise ShapeMismatch("ragged matrix")
     return m, n
-
-
-def mat_vec(A, x):
-    """A x, summed over the nonzero entries of x only."""
-    nonzero = [(j, v) for j, v in enumerate(x) if v]
-    return [sum(row[j] * v for j, v in nonzero) for row in A]
 
 
 def _identity(n):
@@ -71,8 +68,10 @@ class SnfDecomposition:
     ``diag`` is the diagonal of D (min(m, n) entries, zeros last) and
     ``shape`` is (m, n).  ``u_rows`` holds the rows of U and ``v_cols`` the
     columns of V as sparse {index: int} dicts; both are None when the
-    factors were not asked for.  ``U``, ``D`` and ``V`` are the dense
-    matrices, built on each access.
+    factors were not asked for.  ``u_cols``, the columns of U in the same
+    form, is derived from ``u_rows`` on first access and kept, so the
+    solves against one factorization share it.  ``U``, ``D`` and ``V`` are
+    the dense matrices, built on each access.
     """
 
     shape: tuple
@@ -94,6 +93,14 @@ class SnfDecomposition:
         for i, d in enumerate(self.diag):
             D[i][i] = d
         return D
+
+    @cached_property
+    def u_cols(self):
+        cols = [{} for _ in range(self.shape[0])]
+        for i, row in enumerate(self.u_rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return cols
 
     @property
     def U(self):
@@ -381,15 +388,20 @@ def lattice_quotient_complement(K, M):
     the sublattice (each expressible in K).  Returns (free, divisors) where
     ``free`` are basis vectors of a complement of the saturation and
     ``divisors`` are the nontrivial invariant factors (torsion of the
-    quotient; empty when the quotient is free).
+    quotient; empty when the quotient is free).  Both Smith forms are taken
+    of sparse rows.
     """
     if not K:
         return [], []
     n = len(K[0])
     r = len(K)
     # coordinates of M in the basis K: solve K^T s = M^T columnwise
-    KT = [[K[j][i] for j in range(r)] for i in range(n)]
-    snf_k = smith_normal_form(KT)
+    support = [[(i, v) for i, v in enumerate(vec) if v] for vec in K]
+    KT = [{} for _ in range(n)]
+    for j, entries in enumerate(support):
+        for i, v in entries:
+            KT[i][j] = v
+    snf_k = smith_normal_form(KT, ncols=r)
     S = []
     for vec in M:
         res = solve_integer(KT, vec, snf=snf_k)
@@ -398,13 +410,26 @@ def lattice_quotient_complement(K, M):
         S.append(res.solution)
     if not S:
         return list(K), []
-    Smat = [[S[t][i] for t in range(len(S))] for i in range(r)]
-    dec = smith_normal_form(Smat)
-    # columns of U^-1 give the adapted basis; only the free ones are built
-    Uinv = _unimodular_inverse(dec.U)
-    diag = dec.diagonal()
+    Smat = [{} for _ in range(r)]
+    for t, s in enumerate(S):
+        for i, v in enumerate(s):
+            if v:
+                Smat[i][t] = v
+    dec = smith_normal_form(Smat, ncols=len(S))
+    # columns of U^-1 give the adapted basis; only the free ones are built,
+    # each as an integer combination of the vectors of K
+    Uinv = _unimodular_inverse(dec.u_rows)
+    diag = dec.diag
     kept = [*range(len(diag), r), *(t for t, d in enumerate(diag) if d == 0)]
-    free = [mat_vec(KT, [Uinv[i][t] for i in range(r)]) for t in kept]
+    free = []
+    for t in kept:
+        vec = [0] * n
+        for row, entries in zip(Uinv, support):
+            a = row[t]
+            if a:
+                for i, v in entries:
+                    vec[i] += a * v
+        free.append(vec)
     torsion = [d for d in diag if d > 1]
     return free, torsion
 
@@ -412,14 +437,18 @@ def lattice_quotient_complement(K, M):
 def _unimodular_inverse(U):
     """Integer inverse of a unimodular matrix, read off its Smith form.
 
-    The factors satisfy W U V = I, so U^-1 = V W, summed as one outer
-    product per column of V and row of W.  Raises ArithmeticError unless U
-    is square with every invariant factor 1 (determinant +-1).
+    ``U`` is a list of rows in any form :func:`smith_normal_form` takes
+    (dense lists or {column: int} dicts), one column per row.  The factors
+    satisfy W U V = I, so U^-1 = V W, summed as one outer product per
+    column of V and row of W.  Raises ArithmeticError unless U is square
+    with every invariant factor 1 (determinant +-1).
     """
-    m, n = _shape(U)
-    if m != n:
-        raise ArithmeticError(f"{m}x{n} matrix is not square")
-    snf = smith_normal_form(U)
+    n = len(U)
+    try:
+        snf = smith_normal_form(U, ncols=n)
+    except ShapeMismatch as exc:
+        raise ArithmeticError(f"matrix with {n} rows is not square: "
+                              f"{exc}") from None
     if any(d != 1 for d in snf.diag):
         raise ArithmeticError("matrix is not unimodular")
     inv = [[0] * n for _ in range(n)]
@@ -455,8 +484,14 @@ def solve_integer(A, b, snf=None):
     m, n = snf.shape
     if len(b) != m:
         raise ShapeMismatch(f"rhs length {len(b)} != {m} rows")
-    nonzero = [(j, int(v)) for j, v in enumerate(b) if v]
-    c = [sum(row.get(j, 0) * v for j, v in nonzero) for row in snf.u_rows]
+    # c = U b, summed over the columns of U that b's nonzeros pick
+    c = [0] * m
+    u_cols = snf.u_cols
+    for j, v in enumerate(b):
+        if v:
+            v = int(v)
+            for i, u in u_cols[j].items():
+                c[i] += u * v
     x = [0] * n
     for i in range(min(m, n)):
         d = snf.diag[i]
@@ -512,29 +547,34 @@ def _mat_t_vec(A, y, n):
 def _eliminate(row, rhs, den, f, prow, prhs, piv):
     """Subtract f/piv times the pivot row (prow, prhs) from a sparse row
     (row, rhs) over den, where f and piv are the two rows' numerators in the
-    entering column: (T piv - f T_l) / (den piv).  Returns (row, rhs, den)
-    in lowest terms."""
-    new = {j: v * piv for j, v in row.items()}
+    entering column: (T piv - f T_l) / (den piv).  ``row`` is rewritten in
+    place, in lowest terms; returns its (rhs, den)."""
+    if piv != 1:
+        for j, v in row.items():
+            row[j] = v * piv
     for j, v in prow.items():
-        t = new.get(j, 0) - f * v
+        t = row.get(j, 0) - f * v
         if t:
-            new[j] = t
+            row[j] = t
         else:
-            del new[j]
-    return _reduce_row(new, rhs * piv - f * prhs, den * piv)
+            del row[j]
+    return _reduce_row(row, rhs * piv - f * prhs, den * piv)
 
 
 def _reduce_row(row, rhs, den):
-    """Lowest terms for a sparse row over its denominator: den > 0 and
-    gcd(den, rhs, entries) = 1.  Returns (row, rhs, den)."""
+    """Lowest terms for a sparse row over its denominator, in place: den > 0
+    and gcd(den, rhs, entries) = 1.  Returns (rhs, den)."""
     if den < 0:
-        row = {j: -v for j, v in row.items()}
+        for j, v in row.items():
+            row[j] = -v
         rhs, den = -rhs, -den
-    g = gcd(den, rhs, *row.values())
-    if g > 1:
-        row = {j: v // g for j, v in row.items()}
-        rhs, den = rhs // g, den // g
-    return row, rhs, den
+    if den != 1:
+        g = gcd(den, rhs, *row.values())
+        if g > 1:
+            for j, v in row.items():
+                row[j] = v // g
+            rhs, den = rhs // g, den // g
+    return rhs, den
 
 
 def _box_lp(A, b, lo, hi):
@@ -546,8 +586,9 @@ def _box_lp(A, b, lo, hi):
     row i is a dict {column: int} over its own positive denominator, which
     its right-hand side shares, and so is the cost row, whose right-hand
     side is the objective cell; every row is kept in lowest terms.  A pivot
-    rewrites only the rows with a nonzero in the entering column (plus the
-    pivot and cost rows); every other row is unchanged as a rational.
+    rewrites, in place, only the rows with a nonzero in the entering column
+    (plus the pivot and cost rows); every other row is unchanged as a
+    rational.  The rows are the LP's own, so A and b are not changed.
     Dantzig pricing with ties to the lowest column, then Bland's rule after
     a degeneracy stall; ratio ties go to the lowest basic variable.
     Returns (x, None) with a rational basic solution when feasible, else
@@ -652,14 +693,15 @@ def _box_lp(A, b, lo, hi):
         prow, prhs = rows[leave], rhs[leave]
         piv = prow[enter]
         # rows with a zero in the entering column keep their value; the
-        # pivot row becomes T_l / piv
+        # pivot row becomes T_l / piv, reduced in place once no other row
+        # (the cost row last) is eliminated against it
         for i, row in enumerate(rows):
             f = row.get(enter)
             if f and i != leave:
-                rows[i], rhs[i], den[i] = _eliminate(
+                rhs[i], den[i] = _eliminate(
                     row, rhs[i], den[i], f, prow, prhs, piv)
-        rows[leave], rhs[leave], den[leave] = _reduce_row(prow, prhs, piv)
-        cost, obj, dc = _eliminate(cost, obj, dc, cost[enter], prow, prhs, piv)
+        obj, dc = _eliminate(cost, obj, dc, cost[enter], prow, prhs, piv)
+        rhs[leave], den[leave] = _reduce_row(prow, prhs, piv)
         basis[leave] = enter
         del basic_pos[out]
         basic_pos[enter] = leave

@@ -141,6 +141,9 @@ def verify_prop51(params, node_limit=10_000_000):
 
 ARITHMETIC_RECORDS = ("bezout-coefficient-bound", "degree-relation",
                       "winding-relation")
+# with the stage-* records: what check-witness recomputes from the params
+# and the witnesses alone
+RECOMPUTED_RECORDS = (*ARITHMETIC_RECORDS, "interval-length")
 
 
 def _add_arithmetic_records(report, bundle):
@@ -252,19 +255,9 @@ def verify_prop52(params, node_limit=10_000_000, n_mode="factorial"):
     report.add("minimal-primitive", PASS, m_k=m_k,
                certificate=proof.get("kind"))
     _attach_primitive(report, prim)
-    try:
-        n = pick_n(gamma, n_mode)
-    except OverflowError:
-        report.add("interval-length", FAIL, reason="factorial overflow")
+    n = _add_interval_length(report, gamma, n_mode)
+    if n is None:
         return report
-    est = (2 * n + 1) * bundle.complex.total_cells()
-    if est > PROP52_CELL_BUDGET:
-        report.add(
-            "interval-length", INCONCLUSIVE, n=n, estimated_cells=est,
-            suggestion="rerun with --n-mode lcm",
-        )
-        return report
-    report.add("interval-length", PASS, n=n, mode=n_mode)
     cert = build_beta(gamma, n, size_guard=PROP52_CELL_BUDGET)
     target = product_obstruction_cocycle(bundle.obstruction, cert.product)
     lhs = coboundary(cert.beta)
@@ -274,6 +267,27 @@ def verify_prop52(params, node_limit=10_000_000, n_mode="factorial"):
                  norm=cert.beta.norm())
     report.witnesses["beta"] = _sparse(cert.beta)
     return report
+
+
+def _add_interval_length(report, gamma, n_mode):
+    """prop52's interval-length record for the primitive ``gamma``: the n
+    that ``pick_n`` gives it, PASS when M(p, q, k) x [0, n] fits
+    :data:`PROP52_CELL_BUDGET`.  Returns n when the record passes, else
+    None."""
+    try:
+        n = pick_n(gamma, n_mode)
+    except OverflowError:
+        report.add("interval-length", FAIL, reason="factorial overflow")
+        return None
+    est = (2 * n + 1) * gamma.complex.total_cells()
+    if est > PROP52_CELL_BUDGET:
+        report.add(
+            "interval-length", INCONCLUSIVE, n=n, estimated_cells=est,
+            suggestion="rerun with --n-mode lcm",
+        )
+        return None
+    report.add("interval-length", PASS, n=n, mode=n_mode)
+    return n
 
 
 def verify_tower(params, stages, node_limit=10_000_000):
@@ -350,8 +364,10 @@ def check_witness(report_path):
     """Re-check a report without any search, on the complexes its params
     fix: its inline witnesses (primitive and LP dual on M(p, q, k), beta on
     M x [0, n], row j of a norm-growth table on M(p, q, j)), its status and
-    the records its params give (:func:`_check_recomputed`).  A missing or
-    an unexpected witness, like a report that cannot be read, is a FAIL."""
+    the records its params and its primitive give
+    (:func:`_check_recomputed`).  A missing or an unexpected witness, a
+    verify-tower level record that is not INCONCLUSIVE, and a report that
+    cannot be read are each a FAIL."""
     out = VerificationReport(command="check-witness",
                              params={"report": os.path.basename(str(report_path))})
     try:
@@ -386,7 +402,8 @@ def check_witness(report_path):
         needed.add("primitive")
     if mk_claim.get("certificate") == "lp-dual":
         needed.add("norm-lower-bound-dual")
-    if "product-coboundary-identity" in claims:
+    if "product-coboundary-identity" in claims or records.get(
+            "interval-length", {}).get("status") == PASS:
         needed.add("beta")
     for name, names in (("missing-witness", needed - witnesses.keys()),
                         ("unexpected-witness", witnesses.keys() - needed)):
@@ -399,8 +416,9 @@ def check_witness(report_path):
             "primitive", "beta", "norm-lower-bound-dual"}):
         bundle = build_Mk(params)
     m_k = mk_claim.get("m_k")
+    gamma = None
     if "primitive" in present:
-        _check_primitive(out, bundle, witnesses["primitive"], m_k)
+        gamma = _check_primitive(out, bundle, witnesses["primitive"], m_k)
     if "norm-lower-bound-dual" in present:
         _check_dual_witness(out, bundle, witnesses["norm-lower-bound-dual"],
                             m_k)
@@ -422,16 +440,19 @@ def check_witness(report_path):
                          tag)
     redo = None
     if params is not None:
-        # prop51's arithmetic, verify-tower's stages, the claimed verdicts
+        # prop51's arithmetic, prop52's interval length, verify-tower's
+        # stages, the claimed verdicts
         redo = VerificationReport(command="", params={})
         if command == "verify-prop51":
             _add_arithmetic_records(redo, bundle)
-        elif command == "verify-tower":
-            try:
+        try:
+            if command == "verify-prop52" and gamma is not None:
+                _add_interval_length(redo, gamma, given.get("n_mode"))
+            elif command == "verify-tower":
                 _add_stage_records(redo, params,
                                    _claimed_int(given.get("stages")) or 0)
-            except CoarseKitError as exc:
-                out.add("report-params", FAIL, reason=str(exc))
+        except CoarseKitError as exc:
+            out.add("report-params", FAIL, reason=str(exc))
         nlb = records.get("norm-lower-bound", {"status": INCONCLUSIVE})
         if nlb["status"] != INCONCLUSIVE:
             claim = nlb["values"]
@@ -442,6 +463,18 @@ def check_witness(report_path):
         if "norm-growth-table" in claims:
             _add_growth_table(redo, table, params.q, params.k)
     _check_recomputed(out, records, redo)
+    # verify-tower writes a level record only when that level's search ran
+    # out of nodes, and then writes no table
+    levels = [name for name in records
+              if name.startswith("norm-growth-level-")]
+    for name in levels:
+        if records[name]["status"] != INCONCLUSIVE:
+            out.add(name, FAIL, reason="a level outside the norm-growth "
+                                       "table can only be INCONCLUSIVE")
+    if command == "verify-tower" and not levels and \
+            "norm-growth-table" not in records:
+        out.add("norm-growth-table", FAIL,
+                reason="the report has no such record")
     if not out.records:
         out.add("no-witnesses-found", FAIL, report=str(report_path))
     return out
@@ -508,15 +541,18 @@ def _read_entry(entry, X, degree):
 def _check_primitive(out, bundle, entry, claimed, tag=""):
     """Re-check a primitive gamma on the bundle's M(p, q, k): delta(gamma) =
     obstruction, gamma vanishing on the boundary subcomplex and, when a
-    value is claimed, its norm equal to it.  No bundle, or an entry that
-    is no 1-cochain on it, is a FAIL of the first record."""
+    value is claimed, its norm equal to it.  Returns gamma; no bundle, or
+    an entry that is no 1-cochain on it, is a FAIL of the first record and
+    returns None."""
     name = f"{tag}witness-solves-system"
     if bundle is None:
-        return out.check(name, False, reason=NO_MK)
+        out.check(name, False, reason=NO_MK)
+        return None
     try:
         gamma = _read_entry(entry, bundle.complex, 1)
     except ValueError as exc:
-        return out.check(name, False, reason=str(exc))
+        out.check(name, False, reason=str(exc))
+        return None
     out.check(name, coboundary(gamma) == bundle.obstruction,
               norm=gamma.norm())
     boundary = bundle.complex.label_cells_of_dim(bundle.boundary_label, 1)
@@ -527,18 +563,21 @@ def _check_primitive(out, bundle, entry, claimed, tag=""):
         try:
             ok = gamma.norm() == decode_number(claimed)
         except (TypeError, ValueError, ZeroDivisionError):
-            return out.check(name, False, claimed=claimed,
-                             reason="the claim is not a number")
-        out.check(name, ok, claimed=claimed, actual=gamma.norm())
+            out.check(name, False, claimed=claimed,
+                      reason="the claim is not a number")
+        else:
+            out.check(name, ok, claimed=claimed, actual=gamma.norm())
+    return gamma
 
 
 def _check_recomputed(out, records, redo):
     """Each record of ``redo`` must be in the report and equal it, status and
-    values, and the report may hold no arithmetic or stage record that
-    ``redo`` lacks; no ``redo`` (no M(p, q, k)) fails every such record."""
+    values, and the report may hold no record of
+    :data:`RECOMPUTED_RECORDS` and no stage record that ``redo`` lacks; no
+    ``redo`` (no M(p, q, k)) fails every such record."""
     want = {} if redo is None else {r.pop("name"): r for r in redo.records}
     names = list(want) + [name for name in records if name not in want and (
-        name in ARITHMETIC_RECORDS or name.startswith("stage-"))]
+        name in RECOMPUTED_RECORDS or name.startswith("stage-"))]
     for name in names:
         if name not in want:
             out.check(name, False, reason=NO_MK if redo is None else

@@ -68,6 +68,11 @@ string per line, triples bucketed by row) that the bulk level formats of
 It writes format v2, as the package does: simplex blocks only for a
 simplicial complex, boundary blocks for any other.
 
+``oracle_lattice_quotient_complement`` is the lattice complement on dense
+matrices that the sparse rows of ``exact_linalg.lattice_quotient_complement``
+replaced, and ``oracle_solve_integer`` the solve that summed U b row by row
+over the dense U; both must agree with the package exactly.
+
 ``ilp_min_linf`` is the second reference for minimal sup-norms: a generic
 branch and bound (integer bounds propagation plus the package's exact box
 LP) that knows nothing of the lattice structure the degree-2 minimal
@@ -100,9 +105,10 @@ from coarse_kit.exact_linalg import (
     _identity,
     _mat_mul,
     _shape,
+    _unimodular_inverse,
     box_feasibility,
     check_lp_lower_bound,
-    mat_vec,
+    smith_normal_form,
     solve_integer,
 )
 from coarse_kit.towers import pullback_subdivision
@@ -319,6 +325,68 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
+
+
+def mat_vec(A, x):
+    """A x, summed over the nonzero entries of x only."""
+    nonzero = [(j, v) for j, v in enumerate(x) if v]
+    return [sum(row[j] * v for j, v in nonzero) for row in A]
+
+
+def oracle_solve_integer(snf, b):
+    """(solution, obstruction) of A x = b from the Smith form of A, with
+    U b summed row by row over the dense U: the solve that
+    ``exact_linalg.solve_integer`` replaced by sums over U's columns.  The
+    two must give the same solution or the same obstruction string."""
+    m, n = snf.shape
+    U = snf.U
+    c = [sum(a * int(v) for a, v in zip(row, b) if v) for row in U]
+    x = [0] * n
+    for i in range(min(m, n)):
+        d = snf.diag[i]
+        if d == 0:
+            if c[i] != 0:
+                return None, f"row {i}: 0 = {c[i]} is inconsistent"
+            continue
+        if c[i] % d != 0:
+            return None, f"row {i}: {d} does not divide {c[i]}"
+        for t, v in snf.v_cols[i].items():
+            x[t] += v * (c[i] // d)
+    for i in range(n, m):
+        if c[i] != 0:
+            return None, f"row {i}: 0 = {c[i]} is inconsistent"
+    return x, None
+
+
+def oracle_lattice_quotient_complement(K, M):
+    """(free, torsion) of span(K) over the sublattice span(M), on dense
+    matrices: K^T and the coordinate matrix of M as dense rows, U^-1 from
+    the dense U, and the free vectors as K^T times its columns.  The routine
+    that the sparse ``exact_linalg.lattice_quotient_complement`` replaced;
+    the Smith factors of dense and sparse rows are equal, so the two must
+    agree exactly."""
+    if not K:
+        return [], []
+    n = len(K[0])
+    r = len(K)
+    KT = [[K[j][i] for j in range(r)] for i in range(n)]
+    snf_k = smith_normal_form(KT)
+    S = []
+    for vec in M:
+        x, obstruction = oracle_solve_integer(snf_k, vec)
+        if obstruction is not None:
+            raise ArithmeticError("sublattice vector escapes the lattice")
+        S.append(x)
+    if not S:
+        return list(K), []
+    Smat = [[S[t][i] for t in range(len(S))] for i in range(r)]
+    dec = smith_normal_form(Smat)
+    Uinv = _unimodular_inverse(dec.U)
+    diag = dec.diagonal()
+    kept = [*range(len(diag), r), *(t for t, d in enumerate(diag) if d == 0)]
+    free = [mat_vec(KT, [Uinv[i][t] for i in range(r)]) for t in kept]
+    torsion = [d for d in diag if d > 1]
+    return free, torsion
 
 
 def oracle_rank(A):

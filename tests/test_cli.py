@@ -96,6 +96,14 @@ prop51_231_report = report_fixture("prop51_231", [
 tower_232_report = report_fixture("tower_232", [
     "verify-tower", "--p", "2", "--q", "3", "--k", "2", "--stages", "2"],
     rc=1)
+# honest INCONCLUSIVE reports: at (5,2,2) the factorial n = 720 puts the
+# product past its cell budget, and at node limit 2 both levels of the
+# (3,2,2) tower run out of nodes
+prop52_522_factorial_report = report_fixture("prop52_522_factorial", [
+    "verify-prop52", "--p", "5", "--q", "2", "--k", "2"], rc=2)
+tower_322_exhausted_report = report_fixture("tower_322_exhausted", [
+    "verify-tower", "--p", "3", "--q", "2", "--k", "2", "--stages", "2",
+    "--node-limit", "2"], rc=2)
 
 
 def recheck(capsys, tmp_path, report, edit=None):
@@ -136,21 +144,24 @@ def negate_first(entry):
 
 # edits of a verify-prop52 (5,2,1) report that check-witness must refuse
 # with a FAIL of beta-coboundary-identity, and the reason it gives (None:
-# delta(beta) differs from the obstruction pulled back to M x [0, n]).
-# Forging the product complex itself, or the M_k it is built on, is no
-# longer possible: check-witness builds both from the report's params
+# delta(beta) differs from the obstruction pulled back to M x [0, n]), and
+# whether the interval-length record, recomputed from the primitive, fails
+# too.  Forging the product complex itself, or the M_k it is built on, is
+# no longer possible: check-witness builds both from the report's params
 PRODUCT_FORGERIES = {
-    "zeroed": (lambda data: data["witnesses"]["beta"].clear(), None),
+    "zeroed": (lambda data: data["witnesses"]["beta"].clear(), None, False),
     "one-value-changed": (lambda data: negate_first(data["witnesses"]["beta"]),
-                          None),
+                          None, False),
     "n-edited": (lambda data: record(data, "interval-length").update(n="2"),
-                 None),
+                 None, True),
     "no-n": (lambda data: record(data, "interval-length").pop("n"),
-             "the report gives no interval length n: None"),
+             "the report gives no interval length n: None", True),
     "value-not-integer": (lambda data: data["witnesses"]["beta"].update(
-        {"0": "1/2"}), "the value '1/2' of cell 0 is not a decimal integer"),
+        {"0": "1/2"}), "the value '1/2' of cell 0 is not a decimal integer",
+        False),
     "cell-out-of-range": (lambda data: data["witnesses"]["beta"].update(
-        {"99999": "1"}), "cell '99999' is not a 2-cell index below 387"),
+        {"99999": "1"}), "cell '99999' is not a 2-cell index below 387",
+        False),
 }
 
 
@@ -460,10 +471,11 @@ class TestVerify:
         # beta lives on the M_k of the report's params times [0, n] for the
         # report's n, and its coboundary is that M_k's obstruction pulled
         # back
-        forge, reason = PRODUCT_FORGERIES[name]
+        forge, reason, edits_n = PRODUCT_FORGERIES[name]
         rc, failed = recheck(capsys, tmp_path, prop52_521_report, forge)
         assert rc == 1
-        assert list(failed) == ["beta-coboundary-identity"]
+        assert list(failed) == ["beta-coboundary-identity",
+                                *["interval-length"] * edits_n]
         assert failed["beta-coboundary-identity"].get("reason") == reason
 
     @pytest.mark.parametrize("edit, reason", [
@@ -638,6 +650,20 @@ def set_status(name, status, **values):
     return edit
 
 
+def pass_levels(data):
+    """Turn every norm-growth-level record, and the report, to PASS."""
+    for rec in data["records"]:
+        if rec["name"].startswith("norm-growth-level-"):
+            rec["status"] = "PASS"
+    data["status"] = "PASS"
+
+
+def drop_levels(data):
+    data["records"] = [r for r in data["records"]
+                       if not r["name"].startswith("norm-growth-level-")]
+    data["status"] = "PASS"
+
+
 def forge_tower_232(data):
     set_status("norm-growth-table", "PASS", meets_lower_bounds="true")(data)
     record(data, "stage-1-lipschitz").update(vertex_level="0")
@@ -702,7 +728,20 @@ class TestCheckWitness:
          ["stage-1-lipschitz", "norm-growth-table"]),
         ("prop51_231_report", lambda data: data.update(status="PASS"),
          ["report-status"]),
-    ], ids=["prop51-231-bound", "tower-232-table", "prop51-231-status"])
+        # an interval length past the cell budget claimed to fit: the
+        # product certificate it promises then calls for beta
+        ("prop52_522_factorial_report", set_status("interval-length", "PASS"),
+         ["missing-witness", "interval-length"]),
+        ("prop52_522_factorial_report", set_status(
+            "interval-length", "PASS", mode="factorial"),
+         ["missing-witness", "interval-length"]),
+        # levels whose search ran out of nodes claimed to pass, or dropped
+        ("tower_322_exhausted_report", pass_levels,
+         ["norm-growth-level-1", "norm-growth-level-2"]),
+        ("tower_322_exhausted_report", drop_levels, ["norm-growth-table"]),
+    ], ids=["prop51-231-bound", "tower-232-table", "prop51-231-status",
+            "prop52-522-interval", "prop52-522-interval-mode",
+            "tower-322-levels", "tower-322-levels-dropped"])
     def test_forged_verdict_fails(self, capsys, tmp_path, request, report,
                                   edit, want):
         # a verdict is re-derived from the numbers its record claims, and
@@ -720,7 +759,16 @@ class TestCheckWitness:
                              request.getfixturevalue(report))
         assert (rc, failed) == (0, {})
 
+    @pytest.mark.parametrize("report", ["prop52_522_factorial_report",
+                                        "tower_322_exhausted_report"])
+    def test_honest_inconclusive_report_checks_pass(self, capsys, tmp_path,
+                                                    request, report):
+        rc, failed = recheck(capsys, tmp_path,
+                             request.getfixturevalue(report))
+        assert (rc, failed) == (0, {})
+
     @pytest.mark.parametrize("report", ["tower_322_report",
+                                        "tower_322_exhausted_report",
                                         "prop51_521_report",
                                         "prop51_231_report"])
     def test_every_flipped_status_fails(self, capsys, tmp_path, request,

@@ -8,12 +8,14 @@ import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
 
+from coarse_kit import cochains
 from coarse_kit.errors import NoIntegerSolution, ShapeMismatch, SizeGuardExceeded
 from coarse_kit.exact_linalg import (
     _box_lp,
     _unimodular_inverse,
     box_feasibility,
     check_lp_lower_bound,
+    lattice_quotient_complement,
     smith_normal_form,
     solve_integer,
 )
@@ -25,9 +27,11 @@ from oracles import (
     check_norm_certificate,
     ilp_min_linf,
     oracle_box_lp,
+    oracle_lattice_quotient_complement,
     oracle_min_linf,
     oracle_smith_diagonal,
     oracle_smith_normal_form,
+    oracle_solve_integer,
     verify_snf,
 )
 
@@ -194,6 +198,38 @@ class TestSolveInteger:
                 assert res, f"trial {trial}: oracle found a solution, solver did not"
 
 
+    def test_many_rhs_on_one_factorization(self):
+        # the columns of U are derived once and shared by every solve on
+        # the factorization: each solve must equal a solve on a fresh
+        # factorization and the dense row-by-row solve, obstruction
+        # strings included
+        rng = random.Random(83)
+        seen = set()
+        for _ in range(150):
+            m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+            A = [[rng.choice((0, 0, 1, -1, 2, -3, 4)) for _ in range(n)]
+                 for _ in range(m)]
+            snf = smith_normal_form(A)
+            for _ in range(8):
+                if rng.random() < 0.4:
+                    x = [rng.randint(-3, 3) for _ in range(n)]
+                    b = [sum(a * v for a, v in zip(row, x)) for row in A]
+                else:
+                    b = [rng.choice((0, 0, 1, -1, 2, 5)) for _ in range(m)]
+                shared = solve_integer(A, b, snf=snf)
+                fresh = solve_integer(A, b)
+                got = (shared.solution, shared.obstruction)
+                assert got == (fresh.solution, fresh.obstruction), (A, b)
+                assert got == oracle_solve_integer(snf, b), (A, b)
+                if shared:
+                    assert [sum(a * v for a, v in zip(row, shared.solution))
+                            for row in A] == b
+                    seen.add("solved")
+                else:
+                    seen.add(shared.obstruction.split(": ")[1].split()[1])
+        assert seen == {"solved", "does", "="}
+
+
 class TestUnimodularInverse:
     def test_inverse_of_elementary_product(self):
         rng = random.Random(61)
@@ -216,11 +252,28 @@ class TestUnimodularInverse:
                 assert prod == [[int(i == j) for j in range(n)]
                                 for i in range(n)]
 
+    def test_dict_rows_give_the_dense_inverse(self):
+        rng = random.Random(67)
+        for n in (1, 2, 4, 7):
+            for _ in range(5):
+                U = [[int(i == j) for j in range(n)] for i in range(n)]
+                for _ in range(5 * n):
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    if i != j:
+                        q = rng.randint(-2, 2)
+                        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+                rows = [{j: v for j, v in enumerate(row) if v} for row in U]
+                assert _unimodular_inverse(rows) == _unimodular_inverse(U)
+
     @pytest.mark.parametrize("U", [
         [[2]],
         [[1, 2], [2, 4]],
         [[1, 0, 0], [0, 1, 0]],
-    ], ids=["det-2", "singular", "non-square"])
+        [[1, 0], [0, 1], [1, 1]],
+        [{0: 1, 2: 1}, {1: 1}],
+        [{0: 2}],
+    ], ids=["det-2", "singular", "non-square", "tall", "dict-non-square",
+            "dict-det-2"])
     def test_non_unimodular_raises(self, U):
         with pytest.raises(ArithmeticError):
             _unimodular_inverse(U)
@@ -246,6 +299,73 @@ class TestBoxFeasibility:
     def test_dual_of_wrong_length_fails(self):
         for dual in ([], [Fraction(1, 7), 0]):
             assert not check_lp_lower_bound([[5, 2]], [1], dual, 0)
+
+
+class TestLatticeQuotientComplement:
+    """Sparse rows against the dense routine they replaced: the factored
+    Smith forms are equal, so the free vectors and torsion must be too."""
+
+    def test_random_lattices(self):
+        rng = random.Random(37)
+        seen = set()
+        for _ in range(300):
+            n = rng.randrange(1, 7)
+            r = rng.randrange(1, n + 1)
+            K = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)]
+                 for _ in range(r)]
+            if smith_normal_form(K).rank < r:
+                continue  # the vectors of K must be a basis
+            kind = rng.random()
+            if kind < 0.15:
+                M = []
+            elif kind < 0.3:
+                # K itself, shuffled with extra combinations: M spans K
+                M = [list(vec) for vec in K] + [
+                    [a + b for a, b in zip(K[0], K[-1])]]
+                rng.shuffle(M)
+            else:
+                M = []
+                for _ in range(rng.randrange(1, r + 2)):
+                    coeffs = [rng.choice((0, 0, 1, -1, 2, 3)) for _ in K]
+                    scale = rng.choice((1, 1, 2, 3))
+                    M.append([scale * sum(c * vec[i]
+                                          for c, vec in zip(coeffs, K))
+                              for i in range(n)])
+            free, torsion = lattice_quotient_complement(K, M)
+            assert (free, torsion) == oracle_lattice_quotient_complement(K, M)
+            if not M:
+                seen.add("empty M")
+            elif not free and not torsion:
+                seen.add("M spans K")
+            if torsion:
+                seen.add("torsion")
+            if free and M:
+                seen.add("free part")
+        assert seen == {"empty M", "M spans K", "torsion", "free part"}
+
+    @pytest.mark.parametrize("pqk", [(5, 2, 1), (7, 2, 1), (5, 2, 2)],
+                             ids=["521", "721", "522"])
+    def test_mk_systems(self, monkeypatch, pqk):
+        # the two lattices the minimal-primitive search splits: the
+        # cocycles over the coboundaries, and the cycles over the
+        # boundaries of relative faces
+        seen = []
+
+        def recording(K, M):
+            seen.append((K, M))
+            return lattice_quotient_complement(K, M)
+
+        monkeypatch.setattr(cochains, "lattice_quotient_complement",
+                            recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            bundle = build_Mk(MkParams(*pqk, reduce=True))
+        cochains.min_norm_primitive(bundle.obstruction,
+                                    vanishing_on=bundle.boundary_label)
+        assert len(seen) == 2
+        for K, M in seen:
+            assert lattice_quotient_complement(K, M) == \
+                oracle_lattice_quotient_complement(K, M)
 
 
 def _outcome(lp, A, b, lo, hi):
@@ -323,6 +443,42 @@ class TestBoxLpAgainstDense:
         for t in range(m_k):
             lo, hi = [-t] * n, [t] * n
             assert _box_lp(A, b, lo, hi) == oracle_box_lp(A, b, lo, hi)
+
+
+class TestBoxFeasibilityInPlace:
+    """The tableau rows are rewritten in place: they must be the LP's own
+    copies, so A and b are left as they were and a second call returns the
+    same point or the same Farkas vector."""
+
+    def _twice(self, A, b, t):
+        A0, b0 = [list(row) for row in A], list(b)
+        first = box_feasibility(A, b, t)
+        assert (A, b) == (A0, b0)
+        assert box_feasibility(A, b, t) == first
+        assert (A, b) == (A0, b0)
+        return first
+
+    def test_random_boxes(self):
+        rng = random.Random(13)
+        seen = set()
+        for _ in range(400):
+            A, b, _, _, _ = _random_box(rng)
+            x, _ = self._twice(A, b, rng.randint(0, 3))
+            seen.add("feasible" if x is not None else "infeasible")
+        assert seen == {"feasible", "infeasible"}
+
+    @pytest.mark.parametrize("pqk, t, certified", [
+        ((5, 2, 1), 0, True), ((2, 3, 1), 0, True), ((7, 2, 1), 1, False),
+        ((5, 2, 2), 5, False),
+    ], ids=["521", "231", "721", "522"])
+    def test_mk_probe(self, pqk, t, certified):
+        # the certify probe at m_k - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            bundle = build_Mk(MkParams(*pqk, reduce=True))
+        A, b, _, _ = _relative_system(bundle)
+        x, farkas = self._twice(A, b, t)
+        assert (farkas is not None) == certified
 
 
 class TestIlpMinLinf:
