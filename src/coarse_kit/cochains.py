@@ -5,6 +5,8 @@ form of the coboundary matrices; for finite complexes the bounded theory
 agrees with it degree by degree, so the quantitative content lives in the
 norm certificates (minimal primitives), not in extra groups.  Relative
 cochains use the kernel model: cochains vanishing on the subcomplex.
+Minimal primitives, and the rational points of their LP probes, are found
+by early-exit Bellman-Ford on the potentials.
 """
 
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from .exact_linalg import (
 
 RING_Z = "Z"
 RING_Q = "Q"
+MAX_CUT_RUNS = 64  # Bellman-Ford runs of one LP-probe cut loop
 
 
 def is_prime(n):
@@ -569,6 +572,11 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
     beats the incumbent, and only a point that does is bisected to its exact
     bound.  A scan cut short by ``node_limit`` raises NodeLimitExceeded with
     a true interval; a ``node_limit`` below 1 raises InvalidParams.
+
+    The bound optimum - 1 is probed by one exact LP, ``box_feasibility``:
+    a Farkas vector makes the certificate "lp-dual", a rational point
+    "search-exhausted".  For a free lattice of rank 1, ``_cut_point`` looks
+    for the point first, and the simplex runs only if it finds none.
     """
     X, k = c.complex, c.degree
     if node_limit < 1:
@@ -611,7 +619,9 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
         proof = {"kind": "trivial", "detail": "optimum is zero"}
         lp_bound = Fraction(0)
     else:
-        probe, farkas = box_feasibility(M, b, optimum - 1)
+        line = meta["line"]
+        point = _cut_point(*line, optimum - 1) if line else None
+        probe, farkas = box_feasibility(M, b, optimum - 1, point=point)
         if probe is None:
             proof = {"kind": "lp-dual", "dual": farkas, "bound": optimum - 1}
             lp_bound = Fraction(optimum)
@@ -632,15 +642,16 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
                     lower=0):
     """Minimize ||gamma0 + delta0 h + free-lattice part||_inf exactly.
 
-    Returns (optimum, witness vector over ``cols``, meta).  ``cols`` are the
-    non-subcomplex edge indices; potentials live on non-subcomplex vertices
-    with subcomplex vertices grounded at zero.  A loop (an edge with an empty
-    boundary) joins the ground to itself; an edge that is neither head - tail
-    nor a loop raises ShapeMismatch naming it.  ``M`` is the relative
-    coboundary out of degree 1 (rows: 2-cells, columns: ``cols``) and the
-    vectors of ``K`` are a basis of its integer kernel.  A search that
-    needs more than ``node_limit`` lattice evaluations raises
-    NodeLimitExceeded with the interval [``lower``, incumbent].
+    Returns (optimum, witness vector over ``cols``, meta); ``meta["line"]``
+    holds ``_cut_point``'s arguments but the bound when beta = 1.  ``cols``
+    are the non-subcomplex edge indices; potentials live on non-subcomplex
+    vertices with subcomplex vertices grounded at zero.  A loop (an edge
+    with an empty boundary) joins the ground to itself; an edge that is
+    neither head - tail nor a loop raises ShapeMismatch naming it.  ``M``
+    is the relative coboundary out of degree 1 (rows: 2-cells, columns:
+    ``cols``) and the vectors of ``K`` are a basis of its integer kernel.
+    A search that needs more than ``node_limit`` lattice evaluations
+    raises NodeLimitExceeded with the interval [``lower``, incumbent].
 
     Every point is decided by ``_least_bound``: the first exactly, and
     every later one against the incumbent best_B, so a point that does not
@@ -674,7 +685,7 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
     if torsion:
         raise ArithmeticError("degree-1 relative cohomology has torsion")
     beta = len(free_z)
-    meta = {"evaluations": 0, "beta": beta}
+    meta = {"evaluations": 0, "beta": beta, "line": None}
     if beta == 0:
         B, h = _least_bound(n_nodes, edge_ends, gamma0)
         meta["evaluations"] = 1
@@ -758,7 +769,44 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
         if not found:
             break
         target = best_B - 1
+    if beta == 1:
+        meta["line"] = (n_nodes, edge_ends, base, dual[0], best_u[0])
     return best_B, _apply_potentials(w_of_u(best_u), edge_ends, best_h), meta
+
+
+def _cut_point(n_nodes, edge_ends, base, direction, u0, bound):
+    """A rational x = w(u) + delta0 h with |x_e| <= bound, where
+    w(u) = base + u * direction, or None.
+
+    No integer u meets a bound below the optimum, which the search found
+    at u0, and the least bound over h is convex in u, so the loop looks in
+    [u0 - 1, u0 + 1].  At u = p/q one ``_bellman_potentials`` run on the
+    integer weights q * w(u) at q * bound gives potentials, so x, or a
+    negative cycle D, whose signed w-sum a_D + u * b_D exceeds
+    bound * |D| on one side of u (Benders 1962): the interval keeps the
+    other side and u moves to its midpoint.  An empty interval, a cycle
+    with b_D = 0 or ``MAX_CUT_RUNS`` runs give None, which decides nothing.
+    """
+    lo, hi = Fraction(u0 - 1), Fraction(u0 + 1)
+    for _ in range(MAX_CUT_RUNS):
+        if lo > hi:
+            return None
+        u = (lo + hi) / 2
+        p, q = u.numerator, u.denominator
+        w = [q * a + p * d for a, d in zip(base, direction)]
+        h, cycle = _bellman_potentials(n_nodes, edge_ends, w, q * bound)
+        if cycle is None:
+            return [Fraction(v, q) for v in _apply_potentials(w, edge_ends, h)]
+        a_D = sum(s * base[e] for e, s in cycle)
+        b_D = sum(s * direction[e] for e, s in cycle)
+        if b_D == 0:
+            return None
+        cut = Fraction(bound * len(cycle) - a_D, b_D)
+        if b_D > 0:
+            hi = min(hi, cut)
+        else:
+            lo = max(lo, cut)
+    return None
 
 
 def _apply_potentials(w, edge_ends, h):

@@ -14,6 +14,7 @@ not used to verify Smith.  Beside it sits one exact LP:
 feasibility of A x = b in an integer box, which hands back a Farkas vector
 when the box holds no rational solution.  That vector is the re-checkable
 certificate behind every sup-norm lower bound (``check_lp_lower_bound``).
+A point found some other way is checked, not pivoted for.
 
 No floating point anywhere: integers are arbitrary precision, the LP runs on
 a sparse tableau of integer rows, each over its own denominator and
@@ -718,15 +719,21 @@ def _box_lp(A, b, lo, hi):
             if flipped[j]:
                 z[j] = U[j] - z[j]
         x = [zj + lo[j] for j, zj in enumerate(z)]
-        if mat_vec_fraction(A, x) != [Fraction(v) for v in b]:
-            raise ArithmeticError("phase-1 produced an invalid point")
-        if any(not lo[j] <= x[j] <= hi[j] for j in range(n)):
-            raise ArithmeticError("phase-1 point violates the box")
+        _check_point(A, b, x, lo, hi)
         return x, None
     # infeasible: Farkas vector from the artificial reduced costs
     y = [1 - Fraction(cost.get(n + i, 0), dc) for i in range(m)]
     pi = [row_sign[i] * y[i] for i in range(m)]
     return None, _normalize_farkas(A, b, lo, hi, pi)
+
+
+def _check_point(A, b, x, lo, hi):
+    """Raise ArithmeticError unless the rational point x solves A x = b
+    exactly and lies in the box lo_j <= x_j <= hi_j."""
+    if len(x) != len(lo) or mat_vec_fraction(A, x) != [Fraction(v) for v in b]:
+        raise ArithmeticError("the point does not solve A x = b")
+    if any(not lo[j] <= x[j] <= hi[j] for j in range(len(x))):
+        raise ArithmeticError("the point violates the box")
 
 
 def _normalize_farkas(A, b, lo, hi, pi):
@@ -743,15 +750,22 @@ def _normalize_farkas(A, b, lo, hi, pi):
     return pi
 
 
-def box_feasibility(A, b, t):
+def box_feasibility(A, b, t, point=None):
     """Feasibility of A x = b in the symmetric box |x_j| <= t.
 
     Returns (x, None) when feasible, else (None, farkas) with
     farkas . b > t * ||A^T farkas||_1 and ||A^T farkas||_1 <= 1 — the
     checkable sup-norm lower-bound certificate at bound t.
+
+    A given ``point`` gets the exact checks a simplex point gets and is
+    returned with no pivot; ArithmeticError if it fails them.
     """
     m, n = _shape(A)
-    return _box_lp(A, b, [-t] * n, [t] * n)
+    lo, hi = [-t] * n, [t] * n
+    if point is not None:
+        _check_point(A, b, point, lo, hi)
+        return point, None
+    return _box_lp(A, b, lo, hi)
 
 
 def mat_vec_fraction(A, x):

@@ -102,27 +102,17 @@ def verify_prop51(params, node_limit=10_000_000):
         params=_params_dict(params, {"node_limit": node_limit}),
     )
     bundle = build_Mk(params)
-    M = bundle.complex
     q, k = params.q, params.k
 
     # (a) the obstruction cocycle has a primitive: absolute and relative.
     # The relative system is factored once, by the minimal-primitive search
-    # of (d), which raises NotACoboundary when it has no solution.  A
-    # relative primitive extended by zero is an absolute one, so the
-    # absolute system is solved only when there is none
+    # of (d), which raises NotACoboundary when it has no solution
     try:
         prim, exhausted = _search_primitive(report, bundle, node_limit)
     except NotACoboundary:
         prim = exhausted = None
-    res_rel = res_abs = prim is not None or exhausted is not None
-    if not res_rel:
-        abs_mat, _, abs_rows = relative_coboundary_matrix(M, set(), 1)
-        abs_rhs = [bundle.obstruction.values[j] for j in abs_rows]
-        res_abs = bool(solve_integer(abs_mat, abs_rhs))
-    report.check(
-        "retraction-obstruction-solvable", res_abs and res_rel,
-        absolute=res_abs, relative=res_rel,
-    )
+    _add_solvable_record(report, bundle,
+                         prim is not None or exhausted is not None)
 
     _add_arithmetic_records(report, bundle)
 
@@ -137,6 +127,26 @@ def verify_prop51(params, node_limit=10_000_000):
     elif exhausted is not None:
         _add_exhausted(report, "norm-lower-bound", exhausted)
     return report
+
+
+def _add_solvable_record(report, bundle, relative):
+    """prop51's retraction-obstruction-solvable record: the obstruction has
+    integer primitives relative to the boundary and absolute.  ``relative``
+    None solves the relative system; the absolute one is solved only when
+    it has no solution, as a relative primitive is an absolute one."""
+    M, obstruction = bundle.complex, bundle.obstruction
+    if relative is None:
+        mat, rhs, _, _ = _relative_system(bundle)
+        on_boundary = M.label_cells_of_dim(bundle.boundary_label, 2)
+        relative = not any(obstruction.values[j] for j in on_boundary) \
+            and bool(solve_integer(mat, rhs))
+    absolute = relative
+    if not absolute:
+        abs_mat, _, abs_rows = relative_coboundary_matrix(M, set(), 1)
+        absolute = bool(solve_integer(
+            abs_mat, [obstruction.values[j] for j in abs_rows]))
+    report.check("retraction-obstruction-solvable", absolute and relative,
+                 absolute=absolute, relative=relative)
 
 
 ARITHMETIC_RECORDS = ("bezout-coefficient-bound", "degree-relation",
@@ -364,7 +374,7 @@ def check_witness(report_path):
     """Re-check a report without any search, on the complexes its params
     fix: its inline witnesses (primitive and LP dual on M(p, q, k), beta on
     M x [0, n], row j of a norm-growth table on M(p, q, j)), its status and
-    the records its params and its primitive give
+    the records its params and its witnesses give
     (:func:`_check_recomputed`).  A missing or an unexpected witness, a
     verify-tower level record that is not INCONCLUSIVE, and a report that
     cannot be read are each a FAIL."""
@@ -415,15 +425,20 @@ def check_witness(report_path):
     if params is not None and (command == "verify-prop51" or present & {
             "primitive", "beta", "norm-lower-bound-dual"}):
         bundle = build_Mk(params)
+    # the records the params and the witnesses give
+    redo = None if params is None else VerificationReport(command="",
+                                                          params={})
     m_k = mk_claim.get("m_k")
     gamma = None
+    attained = False
     if "primitive" in present:
-        gamma = _check_primitive(out, bundle, witnesses["primitive"], m_k)
+        gamma, attained = _check_primitive(out, bundle,
+                                           witnesses["primitive"], m_k)
     if "norm-lower-bound-dual" in present:
         _check_dual_witness(out, bundle, witnesses["norm-lower-bound-dual"],
                             m_k)
     if "beta" in present:
-        _check_beta(out, bundle, witnesses["beta"],
+        _check_beta(out, redo, bundle, witnesses["beta"],
                     claims.get("interval-length", {}).get("n"))
     for j, claimed in table.items():
         tag = f"level-{j}-"
@@ -438,13 +453,17 @@ def check_witness(report_path):
             level = build_Mk(_report_mk_params({**given, "k": j}))
         _check_primitive(out, level, witnesses[f"{tag}primitive"], claimed,
                          tag)
-    redo = None
-    if params is not None:
-        # prop51's arithmetic, prop52's interval length, verify-tower's
-        # stages, the claimed verdicts
-        redo = VerificationReport(command="", params={})
+    if redo is not None:
+        # a primitive that attains m_k solves the relative system and makes
+        # prop52's minimal-primitive a PASS; one that does not has failed
         if command == "verify-prop51":
+            _add_solvable_record(redo, bundle, attained or None)
             _add_arithmetic_records(redo, bundle)
+        minimal = records.get("minimal-primitive", {"status": INCONCLUSIVE})
+        if command == "verify-prop52" and attained and \
+                minimal["status"] != INCONCLUSIVE:
+            redo.add("minimal-primitive", PASS, m_k=m_k,
+                     certificate=mk_claim.get("certificate"))
         try:
             if command == "verify-prop52" and gamma is not None:
                 _add_interval_length(redo, gamma, given.get("n_mode"))
@@ -541,33 +560,35 @@ def _read_entry(entry, X, degree):
 def _check_primitive(out, bundle, entry, claimed, tag=""):
     """Re-check a primitive gamma on the bundle's M(p, q, k): delta(gamma) =
     obstruction, gamma vanishing on the boundary subcomplex and, when a
-    value is claimed, its norm equal to it.  Returns gamma; no bundle, or
-    an entry that is no 1-cochain on it, is a FAIL of the first record and
-    returns None."""
+    value is claimed, its norm equal to it.  Returns (gamma, whether every
+    check passed); no bundle, or an entry that is no 1-cochain on it, is a
+    FAIL of the first record and returns (None, False)."""
     name = f"{tag}witness-solves-system"
     if bundle is None:
         out.check(name, False, reason=NO_MK)
-        return None
+        return None, False
     try:
         gamma = _read_entry(entry, bundle.complex, 1)
     except ValueError as exc:
         out.check(name, False, reason=str(exc))
-        return None
-    out.check(name, coboundary(gamma) == bundle.obstruction,
-              norm=gamma.norm())
+        return None, False
+    solves = coboundary(gamma) == bundle.obstruction
+    out.check(name, solves, norm=gamma.norm())
     boundary = bundle.complex.label_cells_of_dim(bundle.boundary_label, 1)
-    out.check(f"{tag}witness-vanishes-on-boundary",
-              all(gamma.values[e] == 0 for e in boundary))
+    vanishes = all(gamma.values[e] == 0 for e in boundary)
+    out.check(f"{tag}witness-vanishes-on-boundary", vanishes)
+    attains = True
     if claimed is not None:
         name = f"{tag}witness-norm-matches-claim"
         try:
-            ok = gamma.norm() == decode_number(claimed)
+            attains = gamma.norm() == decode_number(claimed)
         except (TypeError, ValueError, ZeroDivisionError):
+            attains = False
             out.check(name, False, claimed=claimed,
                       reason="the claim is not a number")
         else:
-            out.check(name, ok, claimed=claimed, actual=gamma.norm())
-    return gamma
+            out.check(name, attains, claimed=claimed, actual=gamma.norm())
+    return gamma, solves and vanishes and attains
 
 
 def _check_recomputed(out, records, redo):
@@ -591,12 +612,13 @@ def _check_recomputed(out, records, redo):
             out.check(name, True)
 
 
-def _check_beta(out, bundle, entry, n):
+def _check_beta(out, redo, bundle, entry, n):
     """Re-check beta on M x [0, n], for M the bundle's M(p, q, k) and n the
     report's interval length: delta(beta) is the obstruction pulled back to
-    the product (:func:`towers.product_obstruction_cocycle`), and
-    ||beta|| <= 4.  No bundle, no n, or an entry that is no 2-cochain on the
-    product is a FAIL of the first record."""
+    the product (:func:`towers.product_obstruction_cocycle`); a beta that
+    does gives ``redo`` prop52's product-coboundary-identity and
+    beta-norm-bound records.  No bundle, no n, or an entry that is no
+    2-cochain on the product is a FAIL of the first record."""
     name = "beta-coboundary-identity"
     if bundle is None:
         return out.check(name, False, reason=NO_MK)
@@ -610,8 +632,10 @@ def _check_beta(out, bundle, entry, n):
     except (CoarseKitError, ValueError) as exc:
         return out.check(name, False, n=n, reason=str(exc))
     target = product_obstruction_cocycle(bundle.obstruction, prod)
-    out.check(name, coboundary(beta) == target, n=n)
-    out.check("beta-norm-bound", beta.norm() <= 4, norm=beta.norm())
+    if out.check(name, coboundary(beta) == target, n=n) == PASS:
+        redo.check("product-coboundary-identity", True,
+                   cells=prod.complex.n_cells(3))
+        redo.check("beta-norm-bound", beta.norm() <= 4, norm=beta.norm())
 
 
 def _check_dual_witness(out, bundle, entry, claimed):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from coarse_kit.cli import build_parser, main
+from coarse_kit.cochains import RING_Z, Cochain
 from coarse_kit.report import VerificationReport, load_report
 from coarse_kit.verify import ARITHMETIC_RECORDS, NO_MK
 
@@ -700,14 +701,6 @@ STAGE_TAMPERS = {
         "report-params": "tower depth must stay below the level k",
         **STAGE_1}),
 }
-# records whose status check-witness does not re-derive, each with the
-# reason; flipping the status of any other record must fail the re-check
-NOT_RECHECKED = {
-    "retraction-obstruction-solvable": (
-        "whether the obstruction has integer primitives is not solved "
-        "again: only the primitive witness of a PASS is re-checked"),
-}
-
 
 class TestCheckWitness:
     """check-witness rebuilds every complex from the report's params and
@@ -770,11 +763,12 @@ class TestCheckWitness:
     @pytest.mark.parametrize("report", ["tower_322_report",
                                         "tower_322_exhausted_report",
                                         "prop51_521_report",
-                                        "prop51_231_report"])
+                                        "prop51_231_report",
+                                        "prop52_521_report"])
     def test_every_flipped_status_fails(self, capsys, tmp_path, request,
                                         report):
-        # a record added without a re-check fails here until it has one or
-        # joins NOT_RECHECKED
+        # check-witness re-derives the status of every record: a record
+        # added without a re-check fails here until it has one
         path = request.getfixturevalue(report)
         for name in [r["name"] for r in load_report(path)["records"]]:
             def flip(data, name=name):
@@ -783,7 +777,37 @@ class TestCheckWitness:
                 data["status"] = VerificationReport(
                     command="", params={}, records=data["records"]).status
             rc, _ = recheck(capsys, tmp_path, path, flip)
-            assert rc == (0 if name in NOT_RECHECKED else 1), name
+            assert rc == 1, name
+
+    @pytest.mark.parametrize("boundary, relative, absolute", [
+        ([(0, 0)], True, True),
+        ([(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)], False, True),
+        (None, False, False),
+    ], ids=["vertex", "triangle-boundary", "no-integer-primitive"])
+    def test_solvable_record_solves(self, boundary, relative, absolute):
+        # no M(p, q, k) tried has an obstruction without a relative
+        # primitive, so the systems that check-witness solves when the
+        # primitive witness fails are tried on a filled triangle, and on a
+        # face wrapped twice around a loop, with c = 1 on the face
+        from types import SimpleNamespace
+
+        from coarse_kit import filled_triangle, new_complex
+        from coarse_kit.verify import _add_solvable_record
+
+        if boundary is None:
+            X = new_complex([1, 1, 1], [None, [{}], [{0: 2}]],
+                            labels={"boundary": []})
+        else:
+            X = filled_triangle().relabeled({"boundary": boundary})
+        bundle = SimpleNamespace(complex=X, boundary_label="boundary",
+                                 obstruction=Cochain(X, 2, RING_Z, [1]))
+        report = VerificationReport(command="", params={})
+        _add_solvable_record(report, bundle, None)
+        assert report.records == [{
+            "name": "retraction-obstruction-solvable",
+            "status": "PASS" if relative and absolute else "FAIL",
+            "values": {"absolute": str(absolute).lower(),
+                       "relative": str(relative).lower()}}]
 
     @pytest.mark.parametrize("report, witness", [
         ("tower_322_report", "level-2-primitive"),
@@ -924,6 +948,38 @@ class TestCheckWitness:
         checked = json.loads(capsys.readouterr().out)
         assert {r["name"]: r["values"] for r in checked["records"]}[
             "beta-coboundary-identity"] == {"n": n}
+
+
+class TestLpProbe:
+    """The LP probe at m_k - 1 pivots only for a Farkas vector: where it
+    has a point, the cut loop finds it and the simplex never runs."""
+
+    @pytest.mark.parametrize("p, k, digest, certificate, evaluations", [
+        ("5", "2", PROP51_522_REPORT, "search-exhausted", "271"),
+        ("7", "1", PROP51_721_REPORT, "search-exhausted", "31"),
+        ("5", "1", PROP51_521_REPORT, "lp-dual", "4"),
+    ], ids=["522", "721", "521"])
+    def test_simplex_runs_only_for_farkas(self, capsys, tmp_path, monkeypatch,
+                                          p, k, digest, certificate,
+                                          evaluations):
+        from coarse_kit import exact_linalg
+
+        runs = []
+        box_lp = exact_linalg._box_lp
+
+        monkeypatch.setattr(exact_linalg, "_box_lp",
+                            lambda *args: runs.append(1) or box_lp(*args))
+        path = tmp_path / "report.json"
+        assert main(["verify-prop51", "--p", p, "--q", "2", "--k", k,
+                     "--reduce", "--out", str(path)]) == 0
+        capsys.readouterr()
+        claim = record(load_report(path), "norm-lower-bound")
+        assert (claim["certificate"], claim["evaluations"]) == \
+            (certificate, evaluations)
+        # the pinned bytes carry the (5,2,1) Farkas vector as the witness
+        # norm-lower-bound-dual
+        assert sha256_of(path) == digest
+        assert len(runs) == (certificate == "lp-dual")
 
 
 def test_cli_import_loads_no_openssl():

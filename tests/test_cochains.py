@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coarse_kit import CellMap, circle, filled_triangle, simplicial_complex
+from coarse_kit import cochains
 from coarse_kit.cochains import (
     Cochain,
     RING_Q,
@@ -34,6 +35,7 @@ from coarse_kit.errors import (
     ShapeMismatch,
     WrongShape,
 )
+from coarse_kit.exact_linalg import _box_lp
 from coarse_kit.towers import MkParams, build_Mk
 
 from oracles import (
@@ -514,28 +516,36 @@ class TestMinNormPrimitive:
             min_norm_primitive(Cochain(X, 2, RING_Z, [3]))
 
 
+def random_relative_problems(rng, trials):
+    """Minimal-primitive problems (X, A, A_cells, mat, rows, c) on random
+    simplicial complexes over 8 vertices, c the coboundary of a random
+    1-cochain vanishing on the random subcomplex A; pairs with no relative
+    2-cell, where the zero primitive is optimal, are skipped."""
+    for _ in range(trials):
+        X = simplicial_complex(sorted(
+            {tuple(sorted(rng.sample(range(8), 3)))
+             for _ in range(rng.randint(1, 5))}
+            | {tuple(sorted(rng.sample(range(8), 2)))
+               for _ in range(rng.randint(0, 5))}))
+        A = closed_random_subcomplex(rng, X) if rng.random() < 0.4 else []
+        A_cells = _subcomplex_cells(X, A)
+        mat, cols, rows = relative_coboundary_matrix(X, A_cells, 1)
+        if not mat:
+            continue
+        g = Cochain(X, 1, RING_Z, [
+            0 if (1, e) in A_cells else rng.randint(-2, 2)
+            for e in range(X.n_cells(1))])
+        yield X, A, A_cells, mat, rows, coboundary(g)
+
+
 class TestMinNormPrimitiveAgainstReference:
     """The lattice search against a generic branch and bound that knows
     nothing of the cocycle lattice, at every rank of it up to 3 and past."""
 
     def test_random_pairs(self):
-        rng = random.Random(2013)
         betas = set()
-        for _ in range(200):
-            X = simplicial_complex(sorted(
-                {tuple(sorted(rng.sample(range(8), 3)))
-                 for _ in range(rng.randint(1, 5))}
-                | {tuple(sorted(rng.sample(range(8), 2)))
-                   for _ in range(rng.randint(0, 5))}))
-            A = closed_random_subcomplex(rng, X) if rng.random() < 0.4 else []
-            A_cells = _subcomplex_cells(X, A)
-            mat, cols, rows = relative_coboundary_matrix(X, A_cells, 1)
-            if not mat:
-                continue  # no relative 2-cell: the zero primitive is optimal
-            g = Cochain(X, 1, RING_Z, [
-                0 if (1, e) in A_cells else rng.randint(-2, 2)
-                for e in range(X.n_cells(1))])
-            c = coboundary(g)
+        for X, A, A_cells, mat, rows, c in random_relative_problems(
+                random.Random(2013), 200):
             res = min_norm_primitive(c, vanishing_on=A)
             ref = ilp_min_linf(mat, [c.values[j] for j in rows])
             assert res.certificate.optimum == ref.optimum
@@ -544,6 +554,54 @@ class TestMinNormPrimitiveAgainstReference:
             assert all(res.gamma.values[i] == 0 for k, i in A_cells if k == 1)
             betas.add(min(relative_cohomology(X, A, 1).free_rank, 3))
         assert betas == {0, 1, 2, 3}
+
+
+class TestLpProbe:
+    """The LP probe at m_k - 1 decides as the simplex does: from the cut
+    loop's point when the cocycle lattice has rank 1 and the loop finds
+    one, else from the simplex, whose (x, farkas) it returns."""
+
+    @staticmethod
+    def problems(rng):
+        """(X, A, c) from random simplicial pairs, then from presentation
+        complexes, whose 2-cells wind loops many times: there the probe
+        often has a rational point, as on M(p, q, k)."""
+        for X, A, _, _, _, c in random_relative_problems(rng, 150):
+            yield X, A, c
+        for _ in range(300):
+            X = random_presentation_complex(rng)
+            if X.dim == 2:
+                yield X, [], coboundary(Cochain(X, 1, RING_Z, [
+                    rng.randint(-3, 3) for _ in range(X.n_cells(1))]))
+
+    def test_random_problems(self, monkeypatch):
+        probes = []
+        probe = cochains.box_feasibility
+
+        def recorded(A, b, t, point=None):
+            out = probe(A, b, t, point=point)
+            probes.append((A, b, t, point, out))
+            return out
+
+        monkeypatch.setattr(cochains, "box_feasibility", recorded)
+        seen = set()
+        for X, A, c in self.problems(random.Random(7)):
+            probes.clear()
+            min_norm_primitive(c, vanishing_on=A)
+            if not probes:
+                continue  # m_k = 0: no probe
+            (M, b, t, point, (x, farkas)), = probes
+            n = len(M[0])
+            simplex = _box_lp(M, b, [-t] * n, [t] * n)
+            beta = min(relative_cohomology(X, A, 1).free_rank, 2)
+            if point is None:
+                assert (x, farkas) == simplex
+            else:
+                assert x is point and simplex[1] is None
+            seen.add((beta, "cut" if point else "simplex", x is not None))
+        assert seen == {(0, "simplex", False), (1, "simplex", False),
+                        (1, "cut", True), (2, "simplex", False),
+                        (2, "simplex", True)}
 
 
 def random_potential_system(rng):

@@ -445,6 +445,55 @@ class TestBoxLpAgainstDense:
             assert _box_lp(A, b, lo, hi) == oracle_box_lp(A, b, lo, hi)
 
 
+def _mk_line(monkeypatch, pqk):
+    """The relative system (A, b) of M(p, q, k) --reduce, and the arguments
+    its minimal-primitive search hands the cut loop, all but the bound."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bundle = build_Mk(MkParams(*pqk, reduce=True))
+    lines = []
+    cut_point = cochains._cut_point
+    monkeypatch.setattr(cochains, "_cut_point", lambda *args: lines.append(
+        args[:-1]) or cut_point(*args))
+    cochains.min_norm_primitive(bundle.obstruction,
+                                vanishing_on=bundle.boundary_label)
+    A, b, _, _ = _relative_system(bundle)
+    return A, b, lines[0]
+
+
+class TestCutLoop:
+    """The cut loop finds the LP probe's point on the potentials, and
+    box_feasibility checks a given point instead of pivoting."""
+
+    @pytest.mark.parametrize("pqk, m_k", [
+        ((5, 2, 1), 1), ((7, 2, 1), 2), ((2, 3, 1), 1), ((3, 2, 2), 3),
+        ((5, 2, 2), 6),
+    ], ids=["521", "721", "231", "322", "522"])
+    def test_mk_systems_every_bound(self, monkeypatch, pqk, m_k):
+        A, b, line = _mk_line(monkeypatch, pqk)
+        n = len(A[0])
+        for t in range(m_k):
+            point = cochains._cut_point(*line, t)
+            x, _ = _box_lp(A, b, [-t] * n, [t] * n)
+            assert (point is None) == (x is None), t
+            if point is not None:
+                assert box_feasibility(A, b, t, point=point) == (point, None)
+
+    def test_given_point_returned_unchanged(self):
+        point = [Fraction(1, 5), Fraction(0)]
+        x, farkas = box_feasibility([[5, 2]], [1], 1, point=point)
+        assert x is point and farkas is None
+
+    @pytest.mark.parametrize("point, reason", [
+        ([Fraction(1, 5), Fraction(1, 2)], "does not solve"),
+        ([Fraction(1, 5)], "does not solve"),
+        ([Fraction(1), Fraction(-2)], "violates the box"),
+    ], ids=["off-the-system", "too-short", "outside-the-box"])
+    def test_bad_point_raises(self, point, reason):
+        with pytest.raises(ArithmeticError, match=reason):
+            box_feasibility([[5, 2]], [1], 1, point=point)
+
+
 class TestBoxFeasibilityInPlace:
     """The tableau rows are rewritten in place: they must be the LP's own
     copies, so A and b are left as they were and a second call returns the
