@@ -1,7 +1,9 @@
 """Cochains with sup-norms and exact simplicial cohomology.
 
 Coefficients are Z, Z_p (p prime) or Q.  Cohomology comes out of Smith normal
-form of the coboundary matrices; for finite complexes the bounded theory
+form of the coboundary matrices, which are built in one form only: sparse
+{column: int} rows read off the boundary columns a complex stores, handed to
+every solver as they are.  For finite complexes the bounded theory
 agrees with it degree by degree, so the quantitative content lives in the
 norm certificates (minimal primitives), not in extra groups.  Relative
 cochains use the kernel model: cochains vanishing on the subcomplex.
@@ -25,8 +27,6 @@ from .errors import (
 )
 from .exact_linalg import (
     NormCertificate,
-    _identity,
-    _mat_mul,
     _unimodular_inverse,
     box_feasibility,
     kernel_lattice_basis,
@@ -128,30 +128,9 @@ def _coboundary_rows(X, k, rows, cols):
              if r in col_pos} for j in rows]
 
 
-def _coboundary_block(X, k, rows, cols):
-    """The block of ``_coboundary_rows`` as a dense matrix.  Every dense
-    coboundary matrix in this module is built here."""
-    mat = [[0] * len(cols) for _ in rows]
-    for row, sparse in zip(mat, _coboundary_rows(X, k, rows, cols)):
-        for t, c in sparse.items():
-            row[t] = c
-    return mat
-
-
 def _cells(X, k, A_cells, inside=False):
     """Indices of the k-cells outside (or inside) a subcomplex, in order."""
     return [i for i in range(X.n_cells(k)) if ((k, i) in A_cells) == inside]
-
-
-def coboundary_matrix(X, k):
-    """Matrix of delta: C^k -> C^{k+1}; transpose of the (k+1)-boundary.
-
-    Rows are (k+1)-cells, columns are k-cells, so <delta g, s> = <g, ds>.
-    """
-    if not 0 <= k < X.dim:
-        raise DegreeOutOfRange(f"no coboundary out of degree {k} on dim {X.dim}")
-    return _coboundary_block(X, k, range(X.n_cells(k + 1)),
-                             range(X.n_cells(k)))
 
 
 def coboundary(c):
@@ -195,11 +174,13 @@ def relative_coboundary_matrix(X, A_cells, k):
     """Coboundary on cochains vanishing on a subcomplex.
 
     Columns: k-cells outside A; rows: (k+1)-cells outside A.  Returns
-    (matrix, kept column indices, kept row indices).
+    (matrix, kept column indices, kept row indices), the matrix as one
+    {column position: coefficient} row per kept row, over len(cols)
+    columns.
     """
     cols = _cells(X, k, A_cells)
     rows = _cells(X, k + 1, A_cells)
-    return _coboundary_block(X, k, rows, cols), cols, rows
+    return _coboundary_rows(X, k, rows, cols), cols, rows
 
 
 def _invariant_factors(rows, ncols):
@@ -251,8 +232,7 @@ def cohomology(X, k, ring=RING_Z):
 
 def _relative_factors(X, A_cells, k):
     """Nonzero invariant factors of the relative delta_k (cells outside A)."""
-    cols = _cells(X, k, A_cells)
-    rows = _coboundary_rows(X, k, _cells(X, k + 1, A_cells), cols)
+    rows, cols, _ = relative_coboundary_matrix(X, A_cells, k)
     return _invariant_factors(rows, len(cols))
 
 
@@ -271,43 +251,56 @@ def relative_cohomology(X, subcomplex, k, ring=RING_Z):
 # -- exactness of the pair sequence --------------------------------------------
 
 
-def _field_rank_kernel(M, field, ncols=0):
-    """Rank and kernel of M over Q or F_p, read off one Smith form.
+def _field_rank_kernel(rows, field, ncols):
+    """Rank and kernel of a matrix over Q or F_p, read off one Smith form.
 
-    U M V = D with U and V invertible over the field, so the rank counts the
-    diagonal entries that are units there, and the columns j of V with
-    d_j = 0 (Q) or p | d_j (F_p), every j past the diagonal included, span
-    ker(M).  ``kernel`` has one row per column of M (``ncols`` rows when M
-    has no rows) and one column per kernel vector.
+    The matrix M is given by sparse {column: int} rows over ``ncols``
+    columns.  U M V = D with U and V invertible over the field, so the rank
+    counts the diagonal entries that are units there, and the columns j of V
+    with d_j = 0 (Q) or p | d_j (F_p), every j past the diagonal included,
+    span ker(M).  ``kernel`` has one {kernel vector: value} row per column
+    of M.
     """
-    if not M:
-        return 0, _identity(ncols)
     p = field[1] if _is_zp(field) else None
     if p:
-        M = [[v % p for v in row] for row in M]
-    snf = smith_normal_form(M)
+        rows = [{j: v % p for j, v in row.items()} for row in rows]
+    snf = smith_normal_form(rows, ncols=ncols)
     diag = snf.diagonal()
     rank = _rank_mod_p(diag, p) if p else snf.rank
-    n = snf.shape[1]
-    padded = diag + [0] * (n - len(diag))  # d_j = 0 past the diagonal
+    padded = diag + [0] * (ncols - len(diag))  # d_j = 0 past the diagonal
     free = [snf.v_cols[j] for j, d in enumerate(padded)
             if (d % p if p else d) == 0]
-    kernel = [[col.get(i, 0) % p if p else col.get(i, 0) for col in free]
-              for i in range(n)]
+    kernel = [{} for _ in range(ncols)]
+    for t, col in enumerate(free):
+        for i, v in col.items():
+            if p:
+                v %= p
+            if v:
+                kernel[i][t] = v
     return rank, kernel
 
 
-def _quotient_map_rank(F, Z_basis, image, ring):
+def _combine(row, Z):
+    """sum_t row[t] * Z[t] for sparse rows: a row applied to Z's rows."""
+    out = {}
+    for t, c in row.items():
+        for j, v in Z[t].items():
+            out[j] = out.get(j, 0) + c * v
+    return out
+
+
+def _quotient_map_rank(fz, width, image, ring):
     """Rank of the induced map on cohomology over a field.
 
-    ``F``: cochain-level matrix; ``Z_basis``: columns spanning the source
-    cocycles; ``image``: (B, rank(B)), the columns of B spanning the target
-    coboundaries.  rank = rank([F Z | B]) - rank(B).
+    ``fz``: the sparse rows of F Z, for F the cochain-level map and the
+    ``width`` columns of Z spanning the source cocycles; ``image``: (B,
+    columns of B, rank(B)), the sparse rows of B, whose columns span the
+    target coboundaries.  rank = rank([F Z | B]) - rank(B).
     """
-    B_target, B_rank = image
-    fz = _mat_mul(F, Z_basis)
-    joint = [row_f + row_b for row_f, row_b in zip(fz, B_target)]
-    return _field_rank_kernel(joint, ring)[0] - B_rank
+    B, B_cols, B_rank = image
+    joint = [{**row_f, **{width + j: v for j, v in row_b.items()}}
+             for row_f, row_b in zip(fz, B)]
+    return _field_rank_kernel(joint, ring, width + B_cols)[0] - B_rank
 
 
 def exactness_check(X, subcomplex, ring=RING_Q):
@@ -329,62 +322,60 @@ def exactness_check(X, subcomplex, ring=RING_Q):
             return list(range(X.n_cells(k)))
         return _cells(X, k, A_cells, inside=(kind == "sub"))
 
-    # cocycle bases, coboundary matrices and their ranks per degree for the
+    # cocycle bases, coboundary rows and their ranks per degree for the
     # 3 theories: relative (cells outside A), absolute, and the subcomplex A
     spaces = {}
     for kind in ("rel", "abs", "sub"):
         for k in range(dims + 1):
             cols = cells(kind, k)
-            delta = _coboundary_block(X, k, cells(kind, k + 1), cols)
+            delta = _coboundary_rows(X, k, cells(kind, k + 1), cols)
             rank, Z = _field_rank_kernel(delta, field, len(cols))
             spaces[(kind, k)] = {
                 "cols": cols, "Z": Z, "delta": delta, "rank": rank,
             }
 
     def image_basis(kind, k):
-        # coboundaries in degree k as columns, and their rank: delta_{k-1}
-        # applied to all unit cochains = the matrix of delta_{k-1}
+        # coboundaries in degree k as columns, their count and rank: the
+        # rows of delta_{k-1}, none below degree 0
         if k == 0:
-            return [[0] * 0 for _ in spaces[(kind, 0)]["cols"]], 0
+            return [{} for _ in spaces[(kind, 0)]["cols"]], 0, 0
         prev = spaces[(kind, k - 1)]
-        if not prev["delta"]:
-            nrows = len(spaces[(kind, k)]["cols"])
-            return [[0] * len(prev["cols"]) for _ in range(nrows)], 0
-        return prev["delta"], prev["rank"]
+        return prev["delta"], len(prev["cols"]), prev["rank"]
 
     def hdim(kind, k):  # dim ker(delta_k) - rank(delta_{k-1})
         space = spaces[(kind, k)]
-        return len(space["cols"]) - space["rank"] - image_basis(kind, k)[1]
+        return len(space["cols"]) - space["rank"] - image_basis(kind, k)[2]
 
-    # cochain-level matrices of the three maps per degree
+    def cocycles(kind, k):  # (Z, number of its columns)
+        space = spaces[(kind, k)]
+        return space["Z"], len(space["cols"]) - space["rank"]
+
+    # F Z for the three maps per degree, F the cochain-level map
     def map_j(k):  # H^k(X, A) -> H^k(X): inclusion of relative cochains
-        rel_cols = spaces[("rel", k)]["cols"]
-        F = [[0] * len(rel_cols) for _ in range(X.n_cells(k))]
-        for t, i in enumerate(rel_cols):
-            F[i][t] = 1
-        return F
+        Z, width = cocycles("rel", k)
+        pos = {i: t for t, i in enumerate(spaces[("rel", k)]["cols"])}
+        return [Z[pos[i]] if i in pos else {}
+                for i in range(X.n_cells(k))], width
 
     def map_res(k):  # H^k(X) -> H^k(A): restriction
-        sub_cols = spaces[("sub", k)]["cols"]
-        F = [[0] * X.n_cells(k) for _ in sub_cols]
-        for t, i in enumerate(sub_cols):
-            F[t][i] = 1
-        return F
+        Z, width = cocycles("abs", k)
+        return [Z[i] for i in spaces[("sub", k)]["cols"]], width
 
     def map_conn(k):  # H^k(A) -> H^{k+1}(X, A): extend by zero, then delta
-        return _coboundary_block(X, k, spaces[("rel", k + 1)]["cols"],
+        Z, width = cocycles("sub", k)
+        delta = _coboundary_rows(X, k, spaces[("rel", k + 1)]["cols"],
                                  spaces[("sub", k)]["cols"])
+        return [_combine(row, Z) for row in delta], width
 
     ranks = {}
     for k in range(dims + 1):
         ranks[("j", k)] = _quotient_map_rank(
-            map_j(k), spaces[("rel", k)]["Z"], image_basis("abs", k), field)
+            *map_j(k), image_basis("abs", k), field)
         ranks[("res", k)] = _quotient_map_rank(
-            map_res(k), spaces[("abs", k)]["Z"], image_basis("sub", k), field)
+            *map_res(k), image_basis("sub", k), field)
         if k + 1 <= dims:
             ranks[("conn", k)] = _quotient_map_rank(
-                map_conn(k), spaces[("sub", k)]["Z"],
-                image_basis("rel", k + 1), field)
+                *map_conn(k), image_basis("rel", k + 1), field)
         else:
             ranks[("conn", k)] = 0
 
@@ -594,20 +585,19 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
             raise NotACoboundary(
                 "cochain is nonzero on the subcomplex its primitive must vanish on"
             )
-    snf = smith_normal_form(M)
+    snf = smith_normal_form(M, ncols=len(cols))
     feas = solve_integer(M, b, snf=snf)
     if not feas:
         raise NotACoboundary(f"no integer primitive: {feas.obstruction}")
-    # with no relative 2-cells M has no rows and every edge vector solves it
-    gamma0 = feas.solution if M else [0] * len(cols)
+    gamma0 = feas.solution
     # the cocycle lattice comes from the same Smith form of M; U, D and V are
     # released before the search, where holding them raises peak memory
-    K = kernel_lattice_basis(M, snf=snf) if M else _identity(len(cols))
+    K = kernel_lattice_basis(M, snf=snf)
     del snf
     # |c(s)| <= ||gamma|| * sum_e |<ds, e>| over relative edges on every
     # relative face s: the lower end of an interval the budget cuts short
-    lower = max((-(-abs(bs) // sum(map(abs, row)))
-                 for row, bs in zip(M, b) if any(row)), default=0)
+    lower = max((-(-abs(bs) // sum(map(abs, row.values())))
+                 for row, bs in zip(M, b) if any(row.values())), default=0)
     optimum, witness, meta = _structured_min(X, A_cells, cols, gamma0, M, K,
                                              node_limit=node_limit,
                                              lower=lower)
@@ -621,7 +611,8 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
     else:
         line = meta["line"]
         point = _cut_point(*line, optimum - 1) if line else None
-        probe, farkas = box_feasibility(M, b, optimum - 1, point=point)
+        probe, farkas = box_feasibility(M, b, optimum - 1, point=point,
+                                        ncols=len(cols))
         if probe is None:
             proof = {"kind": "lp-dual", "dual": farkas, "bound": optimum - 1}
             lp_bound = Fraction(optimum)
@@ -648,8 +639,9 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
     vertices with subcomplex vertices grounded at zero.  A loop (an edge
     with an empty boundary) joins the ground to itself; an edge that is
     neither head - tail nor a loop raises ShapeMismatch naming it.  ``M``
-    is the relative coboundary out of degree 1 (rows: 2-cells, columns:
-    ``cols``) and the vectors of ``K`` are a basis of its integer kernel.
+    is the relative coboundary out of degree 1, as sparse rows (one per
+    relative 2-cell, over the positions of ``cols``), and the vectors of
+    ``K`` are a basis of its integer kernel.
     A search that needs more than ``node_limit`` lattice evaluations
     raises NodeLimitExceeded with the interval [``lower``, incumbent].
 
@@ -678,9 +670,14 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
                 f"edge {e} has boundary {X.boundary_of(1, e)}: the potentials "
                 "need every edge to be head - tail or a loop")
 
-    # d0_cols[i] is the coboundary of the i-th free vertex: column i of delta0
-    delta0 = _coboundary_block(X, 0, cols, free_verts)
-    d0_cols = [[row[i] for row in delta0] for i in range(len(free_verts))]
+    # d0_cols[i] is the coboundary of the i-th free vertex, column i of
+    # delta0, as {edge position: +-1}: +1 where it is the head, -1 the tail
+    d0_cols = [{} for _ in free_verts]
+    for t, (u, v) in enumerate(edge_ends):
+        if u != ground:
+            d0_cols[u][t] = -1
+        if v != ground:
+            d0_cols[v][t] = 1
     free_z, torsion = lattice_quotient_complement(K, d0_cols)
     if torsion:
         raise ArithmeticError("degree-1 relative cohomology has torsion")
@@ -692,7 +689,8 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
         return B, _apply_potentials(gamma0, edge_ends, h), meta
     # probe cycles: free basis of relative 1-cycles (kernel of the boundary
     # d0_cols) mod the boundaries of relative faces (the rows of M)
-    Kc = kernel_lattice_basis(d0_cols) if d0_cols else _identity(len(cols))
+    Kc = kernel_lattice_basis(
+        d0_cols, snf=smith_normal_form(d0_cols, ncols=len(cols)))
     cycles, _ = lattice_quotient_complement(Kc, M)
     if len(cycles) != beta:
         raise ArithmeticError("cycle/cocycle rank mismatch")

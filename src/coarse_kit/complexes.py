@@ -302,15 +302,6 @@ class CellComplex:
                         if [c for c, _ in col] == [-1, 1] else None)
         return ends
 
-    def boundary_matrix(self, k):
-        """Dense boundary matrix: rows = (k-1)-cells, columns = k-cells."""
-        rows, cols = self.n_cells(k - 1), self.n_cells(k)
-        mat = [[0] * cols for _ in range(rows)]
-        for j, col in enumerate(self.boundary_columns(k) if cols else ()):
-            for r, c in col.items():
-                mat[r][j] = c
-        return mat
-
     def euler_characteristic(self):
         return sum((-1) ** k * c for k, c in enumerate(self.counts))
 

@@ -69,15 +69,13 @@ class NodeLimitExceeded(CoarseKitError):
             the largest ceil(|c(s)| / sum of |coefficients| of ds on
             relative edges) over relative faces s.
         upper: best incumbent value, or None if no feasible point was found.
-        witness: incumbent vector for `upper`, or None.
         node_count: nodes explored before giving up.
     """
 
-    def __init__(self, message, lower=None, upper=None, witness=None, node_count=0):
+    def __init__(self, message, lower=None, upper=None, node_count=0):
         super().__init__(message)
         self.lower = lower
         self.upper = upper
-        self.witness = witness
         self.node_count = node_count
 
 

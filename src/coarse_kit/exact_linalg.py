@@ -1,7 +1,10 @@
 """Exact integer and rational linear algebra.
 
-Smith normal form is the one elimination routine.  It works on sparse rows
-(dense rows are converted) and builds the unimodular factors U and V only
+Every matrix here is a list of sparse {column: int} rows, the form the
+complexes store their boundaries in; each entry point also takes dense rows
+(tests pass them), which ``_sparse_rows`` converts, and dict rows come with
+``ncols``, their column count.  Smith normal form is the one elimination
+routine.  It builds the unimodular factors U and V only
 for callers that read them: integer solving, kernel lattices, lattice
 complements and unimodular inverses are read off the factors, in a fixed
 pivot order; cohomology reads only the invariant factors, which any pivot
@@ -31,35 +34,6 @@ from .errors import ShapeMismatch, SizeGuardExceeded
 
 DEFAULT_SNF_BUDGET = 4_000_000
 MAX_LP_PIVOTS = 2_000_000  # per box_feasibility probe
-
-
-def _shape(A):
-    m = len(A)
-    n = len(A[0]) if m else 0
-    for row in A:
-        if len(row) != n:
-            raise ShapeMismatch("ragged matrix")
-    return m, n
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(A, B):
-    if not A or not B or not B[0]:
-        return [[] for _ in A]
-    m, n, l = len(A), len(B), len(B[0])
-    out = [[0] * l for _ in range(m)]
-    for i in range(m):
-        Ai = A[i]
-        for k in range(n):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(l):
-                    out[i][j] += a * Bk[j]
-    return out
 
 
 @dataclass
@@ -116,24 +90,26 @@ class SnfDecomposition:
 
 def _sparse_rows(A, ncols=None):
     """(m, n, rows): the rows of A as fresh {column: int} dicts without
-    zeros.  Each row of A is a dense list or a dict; ``ncols`` gives n when
-    the rows are dicts (default: the length of the dense rows)."""
+    zeros.  Each row of A is a dense list or a dict; ``ncols`` gives n, and
+    dict rows with entries need it (default: the length of the dense rows)."""
     m = len(A)
     n = ncols
-    if n is None:
-        n = len(A[0]) if m and not isinstance(A[0], dict) else 0
+    if n is None and m and not isinstance(A[0], dict):
+        n = len(A[0])
     rows = []
     for row in A:
         if isinstance(row, dict):
-            items = row.items()
+            if row and n is None:
+                raise ShapeMismatch("dict rows need ncols, their column count")
             if any(not 0 <= j < n for j in row):
                 raise ShapeMismatch(f"sparse row has a column outside 0..{n - 1}")
+            items = row.items()
         elif len(row) != n:
             raise ShapeMismatch("ragged matrix")
         else:
             items = enumerate(row)
         rows.append({j: int(v) for j, v in items if v})
-    return m, n, rows
+    return m, n or 0, rows
 
 
 def _axpy(target, source, q):
@@ -386,7 +362,8 @@ def lattice_quotient_complement(K, M):
     """Split a kernel lattice over a sublattice: span(K) = span(M) + free part.
 
     ``K``: basis vectors of the ambient lattice; ``M``: generating vectors of
-    the sublattice (each expressible in K).  Returns (free, divisors) where
+    the sublattice (each expressible in K), dense lists or {index: int}
+    dicts.  Returns (free, divisors) where
     ``free`` are basis vectors of a complement of the saturation and
     ``divisors`` are the nontrivial invariant factors (torsion of the
     quotient; empty when the quotient is free).  Both Smith forms are taken
@@ -476,23 +453,23 @@ def solve_integer(A, b, snf=None):
     """Solve A x = b over the integers via Smith normal form.
 
     ``snf``, when given, is the Smith form of A with its factors (A is then
-    not read).  Returns an :class:`IntegerSolveResult`; when unsolvable,
-    ``obstruction`` names the violated divisibility (or inconsistency)
-    condition.
+    not read).  ``b`` is a dense list or a {row: int} dict, under the rule
+    ``_sparse_rows`` applies to a row.  Returns an
+    :class:`IntegerSolveResult`; when unsolvable, ``obstruction`` names the
+    violated divisibility (or inconsistency) condition.
     """
     if snf is None:
         snf = smith_normal_form(A)
     m, n = snf.shape
-    if len(b) != m:
+    if not isinstance(b, dict) and len(b) != m:
         raise ShapeMismatch(f"rhs length {len(b)} != {m} rows")
+    (b,) = _sparse_rows([b], m)[2]
     # c = U b, summed over the columns of U that b's nonzeros pick
     c = [0] * m
     u_cols = snf.u_cols
-    for j, v in enumerate(b):
-        if v:
-            v = int(v)
-            for i, u in u_cols[j].items():
-                c[i] += u * v
+    for j, v in b.items():
+        for i, u in u_cols[j].items():
+            c[i] += u * v
     x = [0] * n
     for i in range(min(m, n)):
         d = snf.diag[i]
@@ -518,30 +495,29 @@ def solve_integer(A, b, snf=None):
 # -- exact box LP with Farkas certificates -------------------------------------
 
 
-def check_lp_lower_bound(A, b, dual, bound):
+def check_lp_lower_bound(A, b, dual, bound, *, ncols=None):
     """Verify the dual certificate shows min ||x||_inf > bound.
 
     Needs one entry of y per row of A, ||A^T y||_1 <= 1 and b . y > bound;
     then ||x||_inf >= b.y for every solution of A x = b.  Pure evaluation,
-    no search.
+    no search.  ``A`` and ``ncols`` as for :func:`box_feasibility`.
     """
-    m, n = _shape(A)
+    m, n, rows = _sparse_rows(A, ncols)
     if len(dual) != m:
         return False
-    norm1 = sum(abs(g) for g in _mat_t_vec(A, dual, n))
+    norm1 = sum(abs(g) for g in _mat_t_vec(rows, dual, n))
     dot = sum((Fraction(bi) * yi for bi, yi in zip(b, dual) if bi and yi),
               Fraction(0))
     return norm1 <= 1 and dot > bound
 
 
-def _mat_t_vec(A, y, n):
-    """A^T y for an A with n columns, summed over the nonzero terms only."""
+def _mat_t_vec(rows, y, n):
+    """A^T y for A given by its sparse rows over n columns."""
     g = [0] * n
-    for row, v in zip(A, y):
+    for row, v in zip(rows, y):
         if v:
-            for j, a in enumerate(row):
-                if a:
-                    g[j] += a * v
+            for j, a in row.items():
+                g[j] += a * v
     return g
 
 
@@ -578,8 +554,11 @@ def _reduce_row(row, rhs, den):
     return rhs, den
 
 
-def _box_lp(A, b, lo, hi):
+def _box_lp(A, b, lo, hi, *, ncols=None):
     """Exact feasibility of A x = b with lo_j <= x_j <= hi_j (integers).
+
+    ``A`` and ``ncols`` as for :func:`box_feasibility`; the LP reads A's
+    sparse rows only.
 
     Phase-1 bounded-variable simplex on z = x - lo in [0, U_j]; upper bounds
     handled by column substitutions z -> U - z so every nonbasic variable
@@ -596,15 +575,15 @@ def _box_lp(A, b, lo, hi):
     (None, farkas) where farkas . b > sum_j max(g_j lo_j, g_j hi_j) for
     g = A^T farkas, exactly.
     """
-    m, n = _shape(A)
+    m, n, A = _sparse_rows(A, ncols)
     b = [int(v) for v in b]
     if any(lo[j] > hi[j] for j in range(n)):
         raise ShapeMismatch("empty box")
     U = [hi[j] - lo[j] for j in range(n)]
-    bp = [b[i] - sum(A[i][j] * lo[j] for j in range(n)) for i in range(m)]
+    bp = [b[i] - sum(a * lo[j] for j, a in A[i].items()) for i in range(m)]
     if n == 0 or all(u == 0 for u in U):
         x = [Fraction(lo[j]) for j in range(n)]
-        if mat_vec_fraction(A, x) == [Fraction(v) for v in b]:
+        if len(b) == m and not any(bp):  # A lo = b
             return x, None
         i = next(i for i in range(m) if bp[i] != 0)
         pi = [Fraction(0)] * m
@@ -613,7 +592,7 @@ def _box_lp(A, b, lo, hi):
     row_sign = [1 if v >= 0 else -1 for v in bp]
     rows = []
     for i in range(m):
-        row = {j: row_sign[i] * a for j, a in enumerate(A[i]) if a}
+        row = {j: row_sign[i] * a for j, a in A[i].items()}
         row[n + i] = 1
         rows.append(row)
     rhs = [row_sign[i] * bp[i] for i in range(m)]
@@ -729,19 +708,22 @@ def _box_lp(A, b, lo, hi):
 
 def _check_point(A, b, x, lo, hi):
     """Raise ArithmeticError unless the rational point x solves A x = b
-    exactly and lies in the box lo_j <= x_j <= hi_j."""
-    if len(x) != len(lo) or mat_vec_fraction(A, x) != [Fraction(v) for v in b]:
+    exactly, A given by its sparse rows, and lies in the box
+    lo_j <= x_j <= hi_j."""
+    if len(x) != len(lo) or len(b) != len(A) or any(
+            sum(a * x[j] for j, a in row.items() if x[j]) != v
+            for row, v in zip(A, b)):
         raise ArithmeticError("the point does not solve A x = b")
     if any(not lo[j] <= x[j] <= hi[j] for j in range(len(x))):
         raise ArithmeticError("the point violates the box")
 
 
 def _normalize_farkas(A, b, lo, hi, pi):
-    """Scale a Farkas vector and verify it separates the box exactly."""
-    m, n = _shape(A)
-    g = _mat_t_vec(A, pi, n)
+    """Scale a Farkas vector and verify it separates the box exactly; A is
+    given by its sparse rows over len(lo) columns."""
+    g = _mat_t_vec(A, pi, len(lo))
     cap = sum(max(gj * lo[j], gj * hi[j]) for j, gj in enumerate(g))
-    dot = sum(Fraction(b[i]) * pi[i] for i in range(m) if b[i] and pi[i])
+    dot = sum(Fraction(b[i]) * pi[i] for i in range(len(A)) if b[i] and pi[i])
     if dot <= cap:
         raise ArithmeticError("phase-1 produced an invalid Farkas certificate")
     norm1 = sum(abs(gj) for gj in g)
@@ -750,28 +732,24 @@ def _normalize_farkas(A, b, lo, hi, pi):
     return pi
 
 
-def box_feasibility(A, b, t, point=None):
+def box_feasibility(A, b, t, point=None, *, ncols=None):
     """Feasibility of A x = b in the symmetric box |x_j| <= t.
 
-    Returns (x, None) when feasible, else (None, farkas) with
-    farkas . b > t * ||A^T farkas||_1 and ||A^T farkas||_1 <= 1 — the
-    checkable sup-norm lower-bound certificate at bound t.
+    ``A`` is a list of rows, dense lists or {column: int} dicts; dict rows
+    need ``ncols``, the number of columns.  Returns (x, None) when feasible,
+    else (None, farkas) with farkas . b > t * ||A^T farkas||_1 and
+    ||A^T farkas||_1 <= 1 — the checkable sup-norm lower-bound certificate
+    at bound t.
 
     A given ``point`` gets the exact checks a simplex point gets and is
     returned with no pivot; ArithmeticError if it fails them.
     """
-    m, n = _shape(A)
+    _, n, rows = _sparse_rows(A, ncols)
     lo, hi = [-t] * n, [t] * n
     if point is not None:
-        _check_point(A, b, point, lo, hi)
+        _check_point(rows, b, point, lo, hi)
         return point, None
-    return _box_lp(A, b, lo, hi)
-
-
-def mat_vec_fraction(A, x):
-    """A x over the rationals, summed over the nonzero terms only."""
-    return [sum((Fraction(a) * v for a, v in zip(row, x) if a and v),
-                Fraction(0)) for row in A]
+    return _box_lp(rows, b, lo, hi, ncols=n)
 
 
 # -- integer L-infinity certificates -------------------------------------------

@@ -88,6 +88,8 @@ def _add_exhausted(report, name, exc):
 
 
 def _relative_system(bundle):
+    """(sparse rows, rhs, kept columns, kept rows) of the obstruction's
+    relative system delta(gamma) = obstruction on the bundle's M(p, q, k)."""
     M = bundle.complex
     A_cells = _subcomplex_cells(M, bundle.boundary_label)
     mat, cols, rows = relative_coboundary_matrix(M, A_cells, 1)
@@ -136,15 +138,17 @@ def _add_solvable_record(report, bundle, relative):
     it has no solution, as a relative primitive is an absolute one."""
     M, obstruction = bundle.complex, bundle.obstruction
     if relative is None:
-        mat, rhs, _, _ = _relative_system(bundle)
+        mat, rhs, cols, _ = _relative_system(bundle)
         on_boundary = M.label_cells_of_dim(bundle.boundary_label, 2)
         relative = not any(obstruction.values[j] for j in on_boundary) \
-            and bool(solve_integer(mat, rhs))
+            and bool(solve_integer(mat, rhs, snf=smith_normal_form(
+                mat, ncols=len(cols))))
     absolute = relative
     if not absolute:
-        abs_mat, _, abs_rows = relative_coboundary_matrix(M, set(), 1)
+        abs_mat, abs_cols, abs_rows = relative_coboundary_matrix(M, set(), 1)
         absolute = bool(solve_integer(
-            abs_mat, [obstruction.values[j] for j in abs_rows]))
+            abs_mat, [obstruction.values[j] for j in abs_rows],
+            snf=smith_normal_form(abs_mat, ncols=len(abs_cols))))
     report.check("retraction-obstruction-solvable", absolute and relative,
                  absolute=absolute, relative=relative)
 
@@ -657,12 +661,13 @@ def _check_dual_witness(out, bundle, entry, claimed):
     if bound != m_k - 1:
         return out.check(name, False, bound=bound,
                          reason=f"bound is not m_k - 1 = {m_k - 1}")
-    mat, rhs, _, _ = _relative_system(bundle)
+    mat, rhs, cols, _ = _relative_system(bundle)
     if len(dual) != len(rhs):
         return out.check(name, False, bound=bound,
                          reason=f"{len(dual)} dual entries for "
                                 f"{len(rhs)} relative faces")
-    return out.check(name, check_lp_lower_bound(mat, rhs, dual, m_k - 1),
+    return out.check(name, check_lp_lower_bound(mat, rhs, dual, m_k - 1,
+                                                ncols=len(cols)),
                      bound=bound)
 
 

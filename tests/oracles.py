@@ -5,6 +5,13 @@ matrices, independent of the package internals: a gcd-only Smith
 diagonalization (no pivot strategy, no witnesses), homology ranks from it,
 and a complete backtracking enumerator for minimal sup-norm solutions.
 
+The package builds every matrix as sparse {column: int} rows.  The dense
+references here are ``boundary_matrix`` and ``coboundary_matrix`` of a
+complex, read off its boundary columns cell by cell, and
+``oracle_relative_coboundary``, the block of the latter on the cells outside
+a subcomplex; ``densify`` turns sparse rows into the dense matrices the
+oracles take.
+
 ``oracle_smith_normal_form`` is the dense Smith form with unimodular
 factors that the sparse kernel of ``exact_linalg.smith_normal_form``
 replaced; with factors the two must give the same U, D and V.
@@ -102,9 +109,6 @@ from coarse_kit.errors import (
 from coarse_kit.exact_linalg import (
     NormCertificate,
     _box_lp,
-    _identity,
-    _mat_mul,
-    _shape,
     _unimodular_inverse,
     box_feasibility,
     check_lp_lower_bound,
@@ -114,6 +118,66 @@ from coarse_kit.exact_linalg import (
 from coarse_kit.towers import pullback_subdivision
 
 DEFAULT_NODE_LIMIT = 10_000_000
+
+
+def _shape(A):
+    m = len(A)
+    n = len(A[0]) if m else 0
+    for row in A:
+        if len(row) != n:
+            raise ShapeMismatch("ragged matrix")
+    return m, n
+
+
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _mat_mul(A, B):
+    if not A or not B or not B[0]:
+        return [[] for _ in A]
+    m, n, l = len(A), len(B), len(B[0])
+    out = [[0] * l for _ in range(m)]
+    for i in range(m):
+        Ai = A[i]
+        for k in range(n):
+            a = Ai[k]
+            if a:
+                Bk = B[k]
+                for j in range(l):
+                    out[i][j] += a * Bk[j]
+    return out
+
+
+def densify(rows, ncols):
+    """The dense matrix of sparse {column: int} rows over ncols columns."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def boundary_matrix(X, k):
+    """Dense boundary matrix: rows = (k-1)-cells, columns = k-cells."""
+    mat = [[0] * X.n_cells(k) for _ in range(X.n_cells(k - 1))]
+    for j in range(X.n_cells(k)):
+        for r, c in X.boundary_of(k, j).items():
+            mat[r][j] = c
+    return mat
+
+
+def coboundary_matrix(X, k):
+    """Dense matrix of delta: C^k -> C^{k+1}, the transpose of the
+    (k+1)-boundary: rows are (k+1)-cells, columns are k-cells."""
+    d = boundary_matrix(X, k + 1)
+    return [[d[i][j] for i in range(X.n_cells(k))]
+            for j in range(X.n_cells(k + 1))]
+
+
+def oracle_relative_coboundary(X, A_cells, k):
+    """The block of ``coboundary_matrix(X, k)`` on the cells outside the
+    subcomplex ``A_cells`` ({(dim, index)}), rows and columns in order."""
+    full = coboundary_matrix(X, k)
+    cols = [i for i in range(X.n_cells(k)) if (k, i) not in A_cells]
+    return [[full[s][i] for i in cols] for s in range(X.n_cells(k + 1))
+            if (k + 1, s) not in A_cells]
 
 
 def oracle_smith_normal_form(A, size_guard=4_000_000, events=None):
@@ -415,8 +479,8 @@ def oracle_homology(boundary_k, boundary_k1, n_k):
 
 def oracle_complex_homology(X, k):
     """H_k of a CellComplex via the dense oracle Smith form."""
-    bk = X.boundary_matrix(k) if k >= 1 else []
-    bk1 = X.boundary_matrix(k + 1) if k + 1 <= X.dim else []
+    bk = boundary_matrix(X, k) if k >= 1 else []
+    bk1 = boundary_matrix(X, k + 1) if k + 1 <= X.dim else []
     if k >= 1 and X.n_cells(k - 1) == 0:
         bk = []
     rank_k = oracle_rank(bk) if bk else 0
@@ -661,7 +725,7 @@ def ilp_min_linf(A, b, node_limit=DEFAULT_NODE_LIMIT, snf=None):
             sol = _integer_point_in_box(A, b, bound, node_limit, state)
         except NodeLimitExceeded as exc:
             raise NodeLimitExceeded(
-                str(exc), lower=lo, upper=incumbent_bound, witness=incumbent,
+                str(exc), lower=lo, upper=incumbent_bound,
                 node_count=state["nodes"],
             ) from exc
         if sol is not None:

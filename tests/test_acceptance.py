@@ -57,6 +57,7 @@ from coarse_kit.report import VerificationReport
 from coarse_kit.verify import _add_stage_records
 
 from oracles import (
+    densify,
     ilp_min_linf,
     oracle_cohomology_mod_p,
     oracle_complex_homology,
@@ -166,13 +167,13 @@ def test_criterion_03_obstruction_solvable(bundles):
     for t in TRIPLES:
         b = bundles[t]
         M = b.complex
-        A0, _, rows0 = relative_coboundary_matrix(M, set(), 1)
+        A0, cols0, rows0 = relative_coboundary_matrix(M, set(), 1)
         ok = ok and bool(solve_integer(
-            A0, [b.obstruction.values[j] for j in rows0]))
+            densify(A0, len(cols0)), [b.obstruction.values[j] for j in rows0]))
         A_cells = _subcomplex_cells(M, "boundary")
-        A1, _, rows1 = relative_coboundary_matrix(M, A_cells, 1)
+        A1, cols1, rows1 = relative_coboundary_matrix(M, A_cells, 1)
         ok = ok and bool(solve_integer(
-            A1, [b.obstruction.values[j] for j in rows1]))
+            densify(A1, len(cols1)), [b.obstruction.values[j] for j in rows1]))
     _criterion(3, "retraction obstruction has integer primitives", ok, t0, 30)
 
 
@@ -199,6 +200,7 @@ def test_criterion_04_norm_growth_and_bruteforce(bundles):
     boundary_cells = [c for c in mini.label_cells("boundary")]
     A_cells = _subcomplex_cells(mini, boundary_cells)
     mat, cols, rows = relative_coboundary_matrix(mini, A_cells, 1)
+    mat = densify(mat, len(cols))
     # vortex cocycle on the one face carrying the subdivided corner
     from coarse_kit.cochains import Cochain, RING_Z
     c_vals = [0] * mini.n_cells(2)

@@ -967,8 +967,8 @@ class TestLpProbe:
         runs = []
         box_lp = exact_linalg._box_lp
 
-        monkeypatch.setattr(exact_linalg, "_box_lp",
-                            lambda *args: runs.append(1) or box_lp(*args))
+        monkeypatch.setattr(exact_linalg, "_box_lp", lambda *args, **kwargs:
+                            runs.append(1) or box_lp(*args, **kwargs))
         path = tmp_path / "report.json"
         assert main(["verify-prop51", "--p", p, "--q", "2", "--k", k,
                      "--reduce", "--out", str(path)]) == 0
@@ -980,6 +980,93 @@ class TestLpProbe:
         # norm-lower-bound-dual
         assert sha256_of(path) == digest
         assert len(runs) == (certificate == "lp-dual")
+
+
+# the CLI commands of the search-k2 and certify-small workloads of
+# perfbench/run.py (its WORKLOADS), each with the exit code run.py pins
+BENCH_WORKLOADS = {
+    "search-k2": [
+        (["verify-prop51", "--p", "5", "--q", "2", "--k", "2", "--reduce",
+          "--out", "p51_522.json"], 0),
+        (["check-witness", "--report", "p51_522.json"], 0),
+    ],
+    "certify-small": [
+        (["verify-prop51", "--p", "5", "--q", "2", "--k", "1", "--reduce",
+          "--out", "p51_521.json"], 0),
+        (["check-witness", "--report", "p51_521.json"], 0),
+        (["verify-prop51", "--p", "7", "--q", "2", "--k", "1", "--reduce",
+          "--out", "p51_721.json"], 0),
+        (["check-witness", "--report", "p51_721.json"], 0),
+        (["verify-prop51", "--p", "2", "--q", "3", "--k", "1", "--reduce",
+          "--out", "p51_231.json"], 1),
+        (["check-witness", "--report", "p51_231.json"], 0),
+        (["verify-prop52", "--p", "5", "--q", "2", "--k", "1", "--reduce",
+          "--n-mode", "lcm", "--out", "p52_521.json"], 0),
+        (["check-witness", "--report", "p52_521.json"], 0),
+        (["verify-prop52", "--p", "7", "--q", "2", "--k", "1", "--reduce",
+          "--n-mode", "lcm", "--out", "p52_721.json"], 0),
+        (["check-witness", "--report", "p52_721.json"], 0),
+        (["verify-tower", "--p", "3", "--q", "2", "--k", "2", "--reduce",
+          "--stages", "2", "--out", "tower_report.json"], 0),
+    ],
+}
+
+
+def test_traced_functions_run_on_their_workloads(tmp_path, monkeypatch,
+                                                 capsys):
+    """Every function perfbench/design.json marks as exercised by search-k2
+    or certify-small is called by that workload's commands.  Each is
+    counted at every binding in every coarse_kit module, as
+    perfbench/tracing.py wraps it, so a change that stops a workload
+    calling one fails here, not only under ``run.py --trace 1``."""
+    import functools
+    import importlib
+    import pkgutil
+    from collections import Counter
+
+    import coarse_kit
+    from coarse_kit import cli
+
+    root = Path(__file__).resolve().parents[1]
+    design = json.loads((root / "perfbench" / "design.json").read_text())
+    modules = [coarse_kit] + [
+        importlib.import_module(f"coarse_kit.{info.name}")
+        for info in pkgutil.iter_modules(coarse_kit.__path__)]
+    calls = Counter()
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    exercised = {workload: [] for workload in BENCH_WORKLOADS}
+    for layer in design["layers"]:
+        name = layer["function"]
+        workloads = [w for w in layer["exercised_by"] if w in exercised]
+        if not workloads:
+            continue
+        for workload in workloads:
+            exercised[workload].append(name)
+        home, attr = name.split(".")
+        original = getattr(importlib.import_module(f"coarse_kit.{home}"),
+                           attr)
+        wrapper = counted(name, original)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    monkeypatch.chdir(tmp_path)
+    for workload, commands in BENCH_WORKLOADS.items():
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for argv, rc in commands:
+                assert cli.main(argv) == rc, argv
+        capsys.readouterr()
+        assert [name for name in exercised[workload] if not calls[name]] \
+            == [], workload
 
 
 def test_cli_import_loads_no_openssl():

@@ -15,7 +15,6 @@ from coarse_kit.cochains import (
     _least_bound,
     _subcomplex_cells,
     coboundary,
-    coboundary_matrix,
     cohomology,
     exactness_check,
     fundamental_class,
@@ -39,6 +38,8 @@ from coarse_kit.exact_linalg import _box_lp
 from coarse_kit.towers import MkParams, build_Mk
 
 from oracles import (
+    coboundary_matrix,
+    densify,
     ilp_min_linf,
     oracle_cohomology_mod_p,
     oracle_complex_homology,
@@ -46,6 +47,7 @@ from oracles import (
     oracle_potential_minimax,
     oracle_rank,
     oracle_rank_mod_p,
+    oracle_relative_coboundary,
 )
 from test_complexes import random_circle_map
 
@@ -89,6 +91,18 @@ class TestCoboundary:
                 for i in range(len(d1))
             ]
             assert all(v == 0 for row in prod for v in row)
+
+    def test_relative_rows_are_sparse(self):
+        # the relative coboundary of M(5,2,1) out of degree 1 stays the
+        # sparse rows the complex stores: at most 3 edges per 2-cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            M = build_Mk(MkParams(5, 2, 1, reduce=True)).complex
+        A_cells = _subcomplex_cells(M, "boundary")
+        mat, cols, rows = relative_coboundary_matrix(M, A_cells, 1)
+        assert all(isinstance(row, dict) and len(row) <= 3 for row in mat)
+        assert densify(mat, len(cols)) == \
+            oracle_relative_coboundary(M, A_cells, 1)
 
     def test_pairing_identity(self):
         # <delta g, s> = <g, ds> on a sample of cochains
@@ -289,11 +303,14 @@ class TestFieldEliminator:
             for _ in range(40):
                 m, n = rng.randrange(1, 6), rng.randrange(1, 7)
                 M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-                rank, kernel = _field_rank_kernel(M, field)
+                rank, kernel = _field_rank_kernel(
+                    [{j: v for j, v in enumerate(row) if v} for row in M],
+                    field, n)
                 assert rank == (oracle_rank(M) if p is None
                                 else oracle_rank_mod_p(M, p))
                 assert len(kernel) == n
-                vectors = [list(col) for col in zip(*kernel)]
+                vectors = [list(col) for col in zip(*densify(kernel,
+                                                              n - rank))]
                 assert len(vectors) == n - rank
                 for v in vectors:
                     Mv = [sum(Fraction(a) * x for a, x in zip(row, v))
@@ -302,9 +319,9 @@ class TestFieldEliminator:
                                for e in Mv)
 
     def test_no_rows_gives_identity_kernel(self):
-        rank, kernel = _field_rank_kernel([], RING_Q, ncols=3)
+        rank, kernel = _field_rank_kernel([], RING_Q, 3)
         assert rank == 0
-        assert kernel == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert kernel == [{0: 1}, {1: 1}, {2: 1}]
 
 
 class TestExactness:
@@ -501,9 +518,10 @@ class TestMinNormPrimitive:
         X = new_complex([1, 1, 1], [None, [{}], [{0: 1}]])
         c = Cochain(X, 2, RING_Z, [3])
         res = min_norm_primitive(c)
-        mat, _, rows = relative_coboundary_matrix(X, set(), 1)
+        mat, cols, rows = relative_coboundary_matrix(X, set(), 1)
         assert res.certificate.optimum == 3
-        assert ilp_min_linf(mat, [c.values[j] for j in rows]).optimum == 3
+        assert ilp_min_linf(densify(mat, len(cols)),
+                            [c.values[j] for j in rows]).optimum == 3
         assert res.gamma.values == [3]
 
     def test_edge_that_is_no_graph_edge_is_named(self):
@@ -519,8 +537,9 @@ class TestMinNormPrimitive:
 def random_relative_problems(rng, trials):
     """Minimal-primitive problems (X, A, A_cells, mat, rows, c) on random
     simplicial complexes over 8 vertices, c the coboundary of a random
-    1-cochain vanishing on the random subcomplex A; pairs with no relative
-    2-cell, where the zero primitive is optimal, are skipped."""
+    1-cochain vanishing on the random subcomplex A and mat its dense
+    relative system; pairs with no relative 2-cell, where the zero
+    primitive is optimal, are skipped."""
     for _ in range(trials):
         X = simplicial_complex(sorted(
             {tuple(sorted(rng.sample(range(8), 3)))
@@ -535,7 +554,7 @@ def random_relative_problems(rng, trials):
         g = Cochain(X, 1, RING_Z, [
             0 if (1, e) in A_cells else rng.randint(-2, 2)
             for e in range(X.n_cells(1))])
-        yield X, A, A_cells, mat, rows, coboundary(g)
+        yield X, A, A_cells, densify(mat, len(cols)), rows, coboundary(g)
 
 
 class TestMinNormPrimitiveAgainstReference:
@@ -578,9 +597,9 @@ class TestLpProbe:
         probes = []
         probe = cochains.box_feasibility
 
-        def recorded(A, b, t, point=None):
-            out = probe(A, b, t, point=point)
-            probes.append((A, b, t, point, out))
+        def recorded(A, b, t, point=None, ncols=None):
+            out = probe(A, b, t, point=point, ncols=ncols)
+            probes.append((A, b, t, point, ncols, out))
             return out
 
         monkeypatch.setattr(cochains, "box_feasibility", recorded)
@@ -590,9 +609,8 @@ class TestLpProbe:
             min_norm_primitive(c, vanishing_on=A)
             if not probes:
                 continue  # m_k = 0: no probe
-            (M, b, t, point, (x, farkas)), = probes
-            n = len(M[0])
-            simplex = _box_lp(M, b, [-t] * n, [t] * n)
+            (M, b, t, point, n, (x, farkas)), = probes
+            simplex = _box_lp(M, b, [-t] * n, [t] * n, ncols=n)
             beta = min(relative_cohomology(X, A, 1).free_rank, 2)
             if point is None:
                 assert (x, farkas) == simplex

@@ -25,6 +25,7 @@ from coarse_kit.verify import _relative_system
 
 from oracles import (
     check_norm_certificate,
+    densify,
     ilp_min_linf,
     oracle_box_lp,
     oracle_lattice_quotient_complement,
@@ -145,12 +146,14 @@ class TestSmithAgainstOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             bundle = build_Mk(MkParams(5, 2, 1, reduce=True))
-        A, _, _, _ = _relative_system(bundle)
-        self._agree(A)
+        A, _, cols, _ = _relative_system(bundle)
+        self._agree(densify(A, len(cols)))
 
     def test_sparse_rows_need_columns_in_range(self):
         with pytest.raises(ShapeMismatch):
             smith_normal_form([{3: 1}], ncols=2)
+        with pytest.raises(ShapeMismatch, match="need ncols"):
+            smith_normal_form([{0: 1}])
 
     def test_size_guard_counts_nonzeros(self):
         A = [[0] * 50 for _ in range(50)]
@@ -299,6 +302,8 @@ class TestBoxFeasibility:
     def test_dual_of_wrong_length_fails(self):
         for dual in ([], [Fraction(1, 7), 0]):
             assert not check_lp_lower_bound([[5, 2]], [1], dual, 0)
+            assert not check_lp_lower_bound([{0: 5, 1: 2}], [1], dual, 0,
+                                            ncols=2)
 
 
 class TestLatticeQuotientComplement:
@@ -365,13 +370,13 @@ class TestLatticeQuotientComplement:
         assert len(seen) == 2
         for K, M in seen:
             assert lattice_quotient_complement(K, M) == \
-                oracle_lattice_quotient_complement(K, M)
+                oracle_lattice_quotient_complement(K, densify(M, len(K[0])))
 
 
-def _outcome(lp, A, b, lo, hi):
+def _outcome(lp, *args, **kwargs):
     """(x, farkas) from an LP, or the type of the exception it raised."""
     try:
-        return lp(A, b, lo, hi)
+        return lp(*args, **kwargs)
     except Exception as exc:  # the exception type is what is compared
         return type(exc)
 
@@ -425,6 +430,12 @@ class TestBoxLpAgainstDense:
             A, b, lo, hi, tags = _random_box(rng)
             got = _outcome(_box_lp, A, b, lo, hi)
             assert got == _outcome(oracle_box_lp, A, b, lo, hi), (A, b, lo, hi)
+            # the same LP as dict rows, and a symmetric box of it
+            rows, n = _sparse(A), len(lo)
+            assert _outcome(_box_lp, rows, b, lo, hi, ncols=n) == got
+            t = abs(lo[0]) if n else 0
+            assert _outcome(box_feasibility, rows, b, t, ncols=n) == \
+                _outcome(box_feasibility, A, b, t)
             seen |= tags
             if isinstance(got, tuple):
                 seen.add("feasible" if got[1] is None else "infeasible")
@@ -438,16 +449,22 @@ class TestBoxLpAgainstDense:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             bundle = build_Mk(MkParams(*pqk, reduce=True))
-        A, b, _, _ = _relative_system(bundle)
-        n = len(A[0])
+        rows, b, cols, _ = _relative_system(bundle)
+        n = len(cols)
+        A = densify(rows, n)
         for t in range(m_k):
             lo, hi = [-t] * n, [t] * n
-            assert _box_lp(A, b, lo, hi) == oracle_box_lp(A, b, lo, hi)
+            out = _box_lp(A, b, lo, hi)
+            assert out == oracle_box_lp(A, b, lo, hi)
+            assert _box_lp(rows, b, lo, hi, ncols=n) == out
+            assert box_feasibility(rows, b, t, ncols=n) == \
+                box_feasibility(A, b, t) == out
 
 
 def _mk_line(monkeypatch, pqk):
-    """The relative system (A, b) of M(p, q, k) --reduce, and the arguments
-    its minimal-primitive search hands the cut loop, all but the bound."""
+    """The relative system (rows, b, column count) of M(p, q, k) --reduce,
+    and the arguments its minimal-primitive search hands the cut loop, all
+    but the bound."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         bundle = build_Mk(MkParams(*pqk, reduce=True))
@@ -457,8 +474,8 @@ def _mk_line(monkeypatch, pqk):
         args[:-1]) or cut_point(*args))
     cochains.min_norm_primitive(bundle.obstruction,
                                 vanishing_on=bundle.boundary_label)
-    A, b, _, _ = _relative_system(bundle)
-    return A, b, lines[0]
+    rows, b, cols, _ = _relative_system(bundle)
+    return rows, b, len(cols), lines[0]
 
 
 class TestCutLoop:
@@ -470,14 +487,18 @@ class TestCutLoop:
         ((5, 2, 2), 6),
     ], ids=["521", "721", "231", "322", "522"])
     def test_mk_systems_every_bound(self, monkeypatch, pqk, m_k):
-        A, b, line = _mk_line(monkeypatch, pqk)
-        n = len(A[0])
+        rows, b, n, line = _mk_line(monkeypatch, pqk)
+        A = densify(rows, n)
         for t in range(m_k):
             point = cochains._cut_point(*line, t)
-            x, _ = _box_lp(A, b, [-t] * n, [t] * n)
+            x, farkas = _box_lp(A, b, [-t] * n, [t] * n)
+            assert _box_lp(rows, b, [-t] * n, [t] * n, ncols=n) == \
+                (x, farkas)
             assert (point is None) == (x is None), t
             if point is not None:
-                assert box_feasibility(A, b, t, point=point) == (point, None)
+                assert box_feasibility(A, b, t, point=point) == \
+                    box_feasibility(rows, b, t, point=point, ncols=n) == \
+                    (point, None)
 
     def test_given_point_returned_unchanged(self):
         point = [Fraction(1, 5), Fraction(0)]
@@ -499,11 +520,11 @@ class TestBoxFeasibilityInPlace:
     copies, so A and b are left as they were and a second call returns the
     same point or the same Farkas vector."""
 
-    def _twice(self, A, b, t):
-        A0, b0 = [list(row) for row in A], list(b)
-        first = box_feasibility(A, b, t)
+    def _twice(self, A, b, t, ncols=None):
+        A0, b0 = [type(row)(row) for row in A], list(b)
+        first = box_feasibility(A, b, t, ncols=ncols)
         assert (A, b) == (A0, b0)
-        assert box_feasibility(A, b, t) == first
+        assert box_feasibility(A, b, t, ncols=ncols) == first
         assert (A, b) == (A0, b0)
         return first
 
@@ -525,8 +546,8 @@ class TestBoxFeasibilityInPlace:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             bundle = build_Mk(MkParams(*pqk, reduce=True))
-        A, b, _, _ = _relative_system(bundle)
-        x, farkas = self._twice(A, b, t)
+        A, b, cols, _ = _relative_system(bundle)
+        x, farkas = self._twice(A, b, t, ncols=len(cols))
         assert (farkas is not None) == certified
 
 

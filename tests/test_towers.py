@@ -63,6 +63,7 @@ from coarse_kit.towers import (
 )
 
 from oracles import (
+    densify,
     oracle_cell_carriers,
     oracle_check_stage_carriers,
     oracle_complex_homology,
@@ -182,11 +183,13 @@ class TestBuildMk:
         M = mk521.complex
         # absolute
         A0, cols0, rows0 = relative_coboundary_matrix(M, set(), 1)
-        assert solve_integer(A0, [mk521.obstruction.values[j] for j in rows0])
+        assert solve_integer(densify(A0, len(cols0)),
+                             [mk521.obstruction.values[j] for j in rows0])
         # relative to the boundary circle
         A_cells = _subcomplex_cells(M, "boundary")
         A1, cols1, rows1 = relative_coboundary_matrix(M, A_cells, 1)
-        assert solve_integer(A1, [mk521.obstruction.values[j] for j in rows1])
+        assert solve_integer(densify(A1, len(cols1)),
+                             [mk521.obstruction.values[j] for j in rows1])
 
     def test_min_primitive_meets_growth_bound(self, gamma521):
         assert gamma521.certificate.optimum >= 2 ** 1 - 1
