@@ -648,7 +648,8 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
     Every point is decided by ``_least_bound``: the first exactly, and
     every later one against the incumbent best_B, so a point that does not
     beat it costs one Bellman-Ford run at best_B - 1 whose cycle proves
-    B(u) >= best_B.
+    B(u) >= best_B.  A point is evaluated once: the search keeps the set
+    of points seen, and no potentials but the incumbent's.
     """
     # vertices and grounding
     free_verts = _cells(X, 0, A_cells)
@@ -718,15 +719,16 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
                     w[t] += uj * d
         return w
 
-    cache = {}
+    seen = set()
 
     def evaluate(u, incumbent=None):
         # (B, h, u), exact unless B(u) >= incumbent: then (incumbent, None,
         # u), a lower bound that stays one, and never an improvement, as the
-        # incumbent only decreases
+        # incumbent only decreases.  So a point seen before, no better than
+        # the incumbent then, gets the same answer with no new evaluation
         u = tuple(u)
-        if u in cache:
-            return cache[u]
+        if u in seen:
+            return incumbent, None, u
         if meta["evaluations"] >= node_limit:
             raise NodeLimitExceeded(
                 "lattice evaluation budget exhausted",
@@ -735,9 +737,9 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
                 node_count=meta["evaluations"],
             )
         meta["evaluations"] += 1
+        seen.add(u)
         B, h = _least_bound(n_nodes, edge_ends, w_of_u(u), incumbent)
-        cache[u] = (B, h, u)
-        return cache[u]
+        return B, h, u
 
     # descend from u = 0, then sweep the certified box around the incumbent
     cur = tuple([0] * beta)

@@ -441,37 +441,33 @@ def simplicial_complex(simplices, labels=None):
 
 
 class CellMap:
-    """Simplicial map: a vertex map and the cell tables it induces.
+    """Simplicial map, stored as its vertex map.
 
     Every map the constructions build has this form: vertex-map-induced
-    maps, identities and their composites.  Besides its ``vertex_map`` it
-    is stored per dimension k as two tables over the source k-cells:
-    ``images[k][i]``, the index of the target k-cell the i-th cell maps to
-    (-1 where it maps to zero), and ``signs[k][i]``, its coefficient (+-1,
-    and 0 where the image is zero).  The constructor trusts its tables; they
-    come from :meth:`from_vertex_map`, :meth:`identity` or :meth:`compose`.
+    maps, identities and their composites.  It holds ``source``, ``target``
+    and ``vertex_map`` and nothing else: a k-simplex goes to the sorted
+    tuple of its vertex images, with the sign of the sort, or to zero when
+    two of its vertices meet, and :meth:`cell_image` reads that off the
+    vertex map when asked.  The constructor trusts its vertex map; it comes
+    from :meth:`from_vertex_map`, :meth:`identity` or :meth:`compose`.
     """
 
-    def __init__(self, source, target, images, signs, vertex_map):
+    def __init__(self, source, target, vertex_map):
         self.source = source
         self.target = target
-        self._images = images
-        self._signs = signs
         self.vertex_map = list(vertex_map)
 
     @classmethod
     def from_vertex_map(cls, source, target, vertex_map):
         """Simplicial map induced by a vertex assignment.
 
-        A simplex goes to the sorted tuple of its vertex images, with the
-        sign of the sorting permutation, or to zero when two of its
-        vertices meet.  Checked: both complexes are simplicial, the map
-        covers every vertex, and every image that is not zero is a simplex
-        of the target (``NotSimplicial`` names the first that is not).  The
-        chain-map identity needs no check: a simplicial map is a chain map
-        on oriented chains with degenerate simplices sent to zero (Munkres,
-        *Elements of Algebraic Topology*, section 12), and both tables hold
-        the alternating boundaries of sorted tuples.
+        Checked: both complexes are simplicial, the map covers every
+        vertex, and every image that is not zero is a simplex of the target
+        (``NotSimplicial`` names the first in (k, i) order that is not).
+        The chain-map identity needs no check: a simplicial map is a chain
+        map on oriented chains with degenerate simplices sent to zero
+        (Munkres, *Elements of Algebraic Topology*, section 12), and both
+        complexes hold the alternating boundaries of sorted tuples.
         """
         if not (source.is_simplicial and target.is_simplicial):
             raise NotSimplicial("vertex maps need simplicial complexes")
@@ -483,58 +479,52 @@ class CellMap:
         if not _are_vertex_ids(vm, n):
             v = next(v for v in vm if not _are_vertex_ids((v,), n))
             raise NotSimplicial(f"image {(v,)} is not a simplex of the target")
-        images, signs = [vm], [[1] * len(vm)]
         for k in range(1, source.dim + 1):
             index = target._level_index(k) if k <= target.dim else {}
-            img_k, sgn_k = [], []
             for verts in source.simplices[k]:
                 # edges and triangles, most of any map, skip the general sort
                 if k == 1:
                     a, b = vm[verts[0]], vm[verts[1]]
-                    face, sign = (((a, b), 1) if a < b else
-                                  ((b, a), -1) if a > b else (None, 0))
+                    if a == b:
+                        continue
+                    face = (a, b) if a < b else (b, a)
                 elif k == 2:
-                    # three compare-and-swaps, each swap flipping the sign
+                    # three compare-and-swaps
                     a, b, c = vm[verts[0]], vm[verts[1]], vm[verts[2]]
-                    sign = 1
                     if a > b:
-                        a, b, sign = b, a, -1
+                        a, b = b, a
                     if b > c:
-                        b, c, sign = c, b, -sign
+                        b, c = c, b
                         if a > b:
-                            a, b, sign = b, a, -sign
-                    face = (a, b, c)
+                            a, b = b, a
                     if a == b or b == c:
-                        face, sign = None, 0
+                        continue
+                    face = (a, b, c)
                 else:
-                    face, sign = _sorted_with_sign(map(vm.__getitem__, verts))
-                if sign == 0:
-                    img_k.append(-1)
-                    sgn_k.append(0)
-                    continue
-                idx = index.get(face)
-                if idx is None:
+                    face = _sorted_with_sign(map(vm.__getitem__, verts))[0]
+                    if face is None:
+                        continue
+                if face not in index:
                     raise NotSimplicial(
                         f"image {face} is not a simplex of the target"
                     )
-                img_k.append(idx)
-                sgn_k.append(sign)
-            images.append(img_k)
-            signs.append(sgn_k)
-        return cls(source, target, images, signs, vm)
+        return cls(source, target, vm)
 
     @classmethod
     def identity(cls, X):
-        images = [list(range(n)) for n in X.counts]
-        return cls(X, X, images, [[1] * n for n in X.counts], images[0])
-
-    def is_nondegenerate(self):
-        """True when no source cell maps to zero (no image is -1)."""
-        return all(-1 not in img for img in self._images)
+        if not X.is_simplicial:
+            raise NotSimplicial("complex has no simplex tables")
+        return cls(X, X, range(X.n_cells(0)))
 
     def cell_image(self, k, i):
-        j = self._images[k][i]
-        return {j: self._signs[k][i]} if j >= 0 else {}
+        """Image of the i-th source k-cell as ``{target index: +-1}``, or
+        ``{}`` when two of its vertices meet."""
+        vm = self.vertex_map
+        if k == 0:
+            return {vm[i]: 1}
+        face, sign = _sorted_with_sign(
+            map(vm.__getitem__, self.source.simplices[k][i]))
+        return {self.target._level_index(k)[face]: sign} if sign else {}
 
     def chain_image(self, k, chain):
         """Push a k-chain (dict index -> coeff) forward to the target."""
@@ -545,21 +535,12 @@ class CellMap:
         return {j: c for j, c in out.items() if c != 0}
 
     def compose(self, other):
-        """self after other (other: X -> Y, self: Y -> Z gives X -> Z)."""
+        """self after other (other: X -> Y, self: Y -> Z gives X -> Z); a
+        composite of simplicial maps is simplicial, so no check is made."""
         if not same_structure(other.target, self.source):
             raise ShapeMismatch("composition target/source mismatch")
-        vm = [self.vertex_map[w] for w in other.vertex_map]
-        images, signs = [], []
-        for k, (img, sgn) in enumerate(zip(other._images, other._signs)):
-            if k >= len(self._images):
-                images.append([-1] * len(img))
-                signs.append([0] * len(img))
-                continue
-            outer_img, outer_sgn = self._images[k], self._signs[k]
-            images.append([outer_img[j] if j >= 0 else -1 for j in img])
-            signs.append([outer_sgn[j] * s if j >= 0 else 0
-                          for j, s in zip(img, sgn)])
-        return CellMap(other.source, self.target, images, signs, vm)
+        return CellMap(other.source, self.target,
+                       [self.vertex_map[w] for w in other.vertex_map])
 
 
 # -- elementary constructors ----------------------------------------------
@@ -711,8 +692,7 @@ def _rim_cylinder(a, b, vertex_map):
         "target-rim": _vertex_span_cells(cyl, range(a, a + b)),
     }
     cyl = cyl.relabeled({**cyl.labels, **lbl})
-    retr = CellMap.from_vertex_map(cyl, bot, retr.vertex_map)
-    return cyl, retr
+    return cyl, CellMap(cyl, bot, retr.vertex_map)
 
 
 def _vertex_span_cells(X, vertices):

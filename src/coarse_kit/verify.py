@@ -286,8 +286,8 @@ def verify_prop52(params, node_limit=10_000_000, n_mode="factorial"):
 def _add_interval_length(report, gamma, n_mode):
     """prop52's interval-length record for the primitive ``gamma``: the n
     that ``pick_n`` gives it, PASS when M(p, q, k) x [0, n] fits
-    :data:`PROP52_CELL_BUDGET`.  Returns n when the record passes, else
-    None."""
+    :data:`PROP52_CELL_BUDGET`, else INCONCLUSIVE, suggesting lcm when it
+    was not the mode.  Returns n when the record passes, else None."""
     try:
         n = pick_n(gamma, n_mode)
     except OverflowError:
@@ -295,10 +295,10 @@ def _add_interval_length(report, gamma, n_mode):
         return None
     est = (2 * n + 1) * gamma.complex.total_cells()
     if est > PROP52_CELL_BUDGET:
-        report.add(
-            "interval-length", INCONCLUSIVE, n=n, estimated_cells=est,
-            suggestion="rerun with --n-mode lcm",
-        )
+        hint = ({} if n_mode == "lcm" else
+                {"suggestion": "rerun with --n-mode lcm"})
+        report.add("interval-length", INCONCLUSIVE, n=n, estimated_cells=est,
+                   **hint)
         return None
     report.add("interval-length", PASS, n=n, mode=n_mode)
     return n

@@ -30,16 +30,16 @@ the same points and the same Farkas vectors.
 
 ``oracle_simplicial_complex`` (closure by every nonempty subset) and
 ``oracle_from_vertex_map`` (one image dict per source cell, signs by pair
-inversions) are the builders that the one-pass face closure and the image
-and sign tables of ``complexes.CellMap`` replaced.  ``oracle_compose`` is
-the dict composition of maps given as those dicts, and
-``oracle_chain_map_failure`` is the dict chain-map check; the tables'
-``cell_image`` views must agree with both.  ``oracle_product_cellmap`` is
+inversions) are the builders that the one-pass face closure and the
+vertex-map reading of ``complexes.CellMap.cell_image`` replaced.
+``oracle_compose`` is the dict composition of maps given as those dicts,
+and ``oracle_chain_map_failure`` is the dict chain-map check;
+``cell_image`` must agree with both.  ``oracle_product_cellmap`` is
 the dict product of a base map and a path map on interval products, the
 reference for ``towers.product_obstruction_cocycle``: the closed form must
 equal the unit 3-cocycle pulled back along q x xi.
 ``oracle_is_light`` is the vertex-image set test of lightness that the
-tables' zero entries replaced.
+edge test of ``towers.is_light`` replaced.
 
 ``oracle_cell_carriers`` is the carrier table of a barycentric, midpoint
 or cone subdivision with one entry per cell, filled cell by cell as the

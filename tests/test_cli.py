@@ -949,6 +949,18 @@ class TestCheckWitness:
         assert {r["name"]: r["values"] for r in checked["records"]}[
             "beta-coboundary-identity"] == {"n": n}
 
+    def test_prop52_lcm_past_budget_names_no_other_mode(self, capsys,
+                                                        tmp_path):
+        # at (7,2,2) the lcm n = 4620 is past the cell budget, and lcm is
+        # already the mode, so the record suggests no rerun
+        path = tmp_path / "report.json"
+        assert main(["verify-prop52", "--p", "7", "--q", "2", "--k", "2",
+                     "--reduce", "--n-mode", "lcm", "--out",
+                     str(path)]) == 2
+        values = record(load_report(path), "interval-length")
+        assert values["n"] == "4620" and "suggestion" not in values
+        assert main(["check-witness", "--report", str(path)]) == 0
+
 
 class TestLpProbe:
     """The LP probe at m_k - 1 pivots only for a Farkas vector: where it

@@ -354,10 +354,29 @@ class TestOnePassBuildersAgainstOracles:
             assert cell_images(h) == oracle_from_vertex_map(X, W, vm3)
             if X.dim >= 3:
                 # the general sort: 3-simplices sent to zero, or reversed
-                seen["dim-3-degenerate"] += -1 in f._images[3]
-                seen["dim-3-sign-minus"] += (-1 in f._signs[3]) + (
-                    -1 in h._signs[3])
+                seen["dim-3-degenerate"] += {} in cell_images(f)[3]
+                seen["dim-3-sign-minus"] += sum(
+                    any(-1 in img.values() for img in cell_images(g)[3])
+                    for g in (f, h))
         assert all(count >= 5 for count in seen.values()), seen
+
+
+class TestCellMapIsItsVertexMap:
+    """A simplicial map stores its vertex map and reads each cell's image
+    off it, so every way of making one leaves the same three fields."""
+
+    def test_only_the_vertex_map_is_stored(self):
+        X, C = filled_triangle(), circle(3)
+        f = CellMap.from_vertex_map(C, X, [0, 1, 2])
+        g = CellMap.from_vertex_map(X, X, [1, 2, 0])
+        for h in (f, CellMap.identity(X), g.compose(f)):
+            assert set(vars(h)) == {"source", "target", "vertex_map"}
+
+    def test_identity_refuses_a_complex_with_no_simplices(self):
+        Z = interval_product(circle(3), 1).complex
+        with pytest.raises(NotSimplicial):
+            CellMap.identity(Z)
+
 
 class TestFastPathTampering:
     """The checks that remain reject a bad table and name the cell: the
