@@ -14,7 +14,7 @@ by early-exit Bellman-Ford on the potentials.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import ceil, floor, isqrt
 
 from .errors import (
     DegreeOutOfRange,
@@ -37,7 +37,7 @@ from .exact_linalg import (
 
 RING_Z = "Z"
 RING_Q = "Q"
-MAX_CUT_RUNS = 64  # Bellman-Ford runs of one LP-probe cut loop
+MAX_CUT_RUNS = 64  # rational runs of the cut loop for the LP probe's point
 
 
 def is_prime(n):
@@ -556,18 +556,19 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
     primitive exists and DegreeOutOfRange when c is not of degree 2.
 
     The solution set is gamma0 + im(delta^0) + (free cocycle lattice); the
-    free lattice (rank = first Betti number of the pair) is scanned in a
-    bounded box, so no general branch and bound is needed.  At each lattice
-    point the potential part is a difference-constraint problem: past the
-    first point, one early-exit Bellman-Ford run decides whether the point
-    beats the incumbent, and only a point that does is bisected to its exact
-    bound.  A scan cut short by ``node_limit`` raises NodeLimitExceeded with
-    a true interval; a ``node_limit`` below 1 raises InvalidParams.
+    free lattice has rank beta, the first Betti number of the pair.  At each
+    lattice point the potential part is a difference-constraint problem, so
+    one early-exit Bellman-Ford run decides whether the point beats the
+    incumbent, and its negative cycle, if any, rules out a half-line of
+    points at once: a cut loop closes the lattice in a few runs (see
+    ``_structured_min``).  A search cut short by ``node_limit`` raises
+    NodeLimitExceeded with a true interval; a ``node_limit`` below 1 raises
+    InvalidParams.
 
     The bound optimum - 1 is probed by one exact LP, ``box_feasibility``:
     a Farkas vector makes the certificate "lp-dual", a rational point
-    "search-exhausted".  For a free lattice of rank 1, ``_cut_point`` looks
-    for the point first, and the simplex runs only if it finds none.
+    "search-exhausted".  For beta = 1 the cut loop looks for that point
+    first, and the simplex runs only if it finds none.
     """
     X, k = c.complex, c.degree
     if node_limit < 1:
@@ -609,9 +610,7 @@ def min_norm_primitive(c, node_limit=10_000_000, vanishing_on=None):
         proof = {"kind": "trivial", "detail": "optimum is zero"}
         lp_bound = Fraction(0)
     else:
-        line = meta["line"]
-        point = _cut_point(*line, optimum - 1) if line else None
-        probe, farkas = box_feasibility(M, b, optimum - 1, point=point,
+        probe, farkas = box_feasibility(M, b, optimum - 1, point=meta["point"],
                                         ncols=len(cols))
         if probe is None:
             proof = {"kind": "lp-dual", "dual": farkas, "bound": optimum - 1}
@@ -633,8 +632,8 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
                     lower=0):
     """Minimize ||gamma0 + delta0 h + free-lattice part||_inf exactly.
 
-    Returns (optimum, witness vector over ``cols``, meta); ``meta["line"]``
-    holds ``_cut_point``'s arguments but the bound when beta = 1.  ``cols``
+    Returns (optimum, witness vector over ``cols``, meta); ``meta["point"]``
+    is a rational solution of norm at most optimum - 1, or None.  ``cols``
     are the non-subcomplex edge indices; potentials live on non-subcomplex
     vertices with subcomplex vertices grounded at zero.  A loop (an edge
     with an empty boundary) joins the ground to itself; an edge that is
@@ -645,11 +644,21 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
     A search that needs more than ``node_limit`` lattice evaluations
     raises NodeLimitExceeded with the interval [``lower``, incumbent].
 
-    Every point is decided by ``_least_bound``: the first exactly, and
-    every later one against the incumbent best_B, so a point that does not
-    beat it costs one Bellman-Ford run at best_B - 1 whose cycle proves
-    B(u) >= best_B.  A point is evaluated once: the search keeps the set
-    of points seen, and no potentials but the incumbent's.
+    A lattice point u holds the pairings of a primitive with the probe
+    cycles C_j, so B(u), the least bound over the potentials, is at least
+    |u_j| / |C_j|.  The point u = 0 is solved exactly by ``_least_bound``.
+    The first beta - 1 coordinates then run over the box that the incumbent
+    best_B leaves, and each line along the last one is closed by cuts
+    (Benders 1962): one ``_bellman_potentials`` run at best_B - 1 on its
+    middle integer gives potentials, a better point that ``_least_bound``
+    brings to its exact bound, or a negative cycle D.  The signed sum of w
+    along D is affine in u, a_D + u * b_D, and D rules out every u with
+    a_D + u * b_D > (best_B - 1) * |D|: a half-line, or the whole line when
+    b_D = 0.  Feasibility at a bound is convex in u, so what is left is an
+    interval, and a line closed at one incumbent stays closed at a better
+    one.  For beta = 1, once no integer is left, the loop probes rational
+    midpoints u = p/q, with a run on q * w at q * (best_B - 1), at most
+    ``MAX_CUT_RUNS`` times: potentials there give ``meta["point"]``.
     """
     # vertices and grounding
     free_verts = _cells(X, 0, A_cells)
@@ -683,10 +692,10 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
     if torsion:
         raise ArithmeticError("degree-1 relative cohomology has torsion")
     beta = len(free_z)
-    meta = {"evaluations": 0, "beta": beta, "line": None}
+    # u = 0 (all of the search when beta = 0) is one evaluation
+    meta = {"evaluations": 1, "point": None}
     if beta == 0:
         B, h = _least_bound(n_nodes, edge_ends, gamma0)
-        meta["evaluations"] = 1
         return B, _apply_potentials(gamma0, edge_ends, h), meta
     # probe cycles: free basis of relative 1-cycles (kernel of the boundary
     # d0_cols) mod the boundaries of relative faces (the rows of M)
@@ -719,94 +728,63 @@ def _structured_min(X, A_cells, cols, gamma0, M, K, node_limit=10_000_000,
                     w[t] += uj * d
         return w
 
-    seen = set()
-
-    def evaluate(u, incumbent=None):
-        # (B, h, u), exact unless B(u) >= incumbent: then (incumbent, None,
-        # u), a lower bound that stays one, and never an improvement, as the
-        # incumbent only decreases.  So a point seen before, no better than
-        # the incumbent then, gets the same answer with no new evaluation
-        u = tuple(u)
-        if u in seen:
-            return incumbent, None, u
-        if meta["evaluations"] >= node_limit:
-            raise NodeLimitExceeded(
-                "lattice evaluation budget exhausted",
-                lower=lower,
-                upper=incumbent,
-                node_count=meta["evaluations"],
-            )
-        meta["evaluations"] += 1
-        seen.add(u)
-        B, h = _least_bound(n_nodes, edge_ends, w_of_u(u), incumbent)
-        return B, h, u
-
-    # descend from u = 0, then sweep the certified box around the incumbent
-    cur = tuple([0] * beta)
-    best_B, best_h, best_u = evaluate(cur)
-    improved = True
-    while improved:
-        improved = False
-        for j in range(beta):
-            for step in (1, -1):
-                cand = list(best_u)
-                cand[j] += step
-                B, h, u = evaluate(cand, best_B)
-                if B < best_B:
-                    best_B, best_h, best_u = B, h, u
-                    improved = True
-    # exhaustive finish: any strictly better point obeys |u_j| <= (B-1)*len_j
-    target = best_B - 1
-    while target >= 0:
-        found = False
-        ranges = [range(-target * lengths[j], target * lengths[j] + 1)
-                  for j in range(beta)]
-        for u in product(*ranges):
-            B, h, uu = evaluate(u, best_B)
-            if B < best_B:
-                best_B, best_h, best_u = B, h, uu
-                found = True
-        if not found:
+    best_u = (0,) * beta
+    best_B, best_h = _least_bound(n_nodes, edge_ends, w_of_u(best_u))
+    slope, width = dual[-1], lengths[-1]
+    # the lines along the last coordinate, over the incumbent's box
+    for prefix in product(*(range(-(best_B - 1) * n, (best_B - 1) * n + 1)
+                            for n in lengths[:-1])):
+        if best_B == 0:
             break
-        target = best_B - 1
-    if beta == 1:
-        meta["line"] = (n_nodes, edge_ends, base, dual[0], best_u[0])
+        if any(abs(uj) > (best_B - 1) * n
+               for uj, n in zip(prefix, lengths)):
+            continue
+        line = w_of_u(prefix + (0,))
+        hi = Fraction((best_B - 1) * width)
+        lo = -hi
+        rational_runs = 0
+        while best_B > 0:
+            bound = best_B - 1
+            lo, hi = max(lo, -bound * width), min(hi, bound * width)
+            first, last = ceil(lo), floor(hi)
+            if first <= last:
+                u = Fraction((first + last) // 2)
+                if meta["evaluations"] >= node_limit:
+                    raise NodeLimitExceeded(
+                        "lattice evaluation budget exhausted",
+                        lower=lower,
+                        upper=best_B,
+                        node_count=meta["evaluations"],
+                    )
+                meta["evaluations"] += 1
+            elif beta == 1 and lo <= hi and rational_runs < MAX_CUT_RUNS:
+                u = Fraction(lo + hi, 2)
+                rational_runs += 1
+            else:
+                break
+            p, q = u.numerator, u.denominator
+            w = [q * a + p * d for a, d in zip(line, slope)]
+            h, cycle = _bellman_potentials(n_nodes, edge_ends, w, q * bound)
+            if cycle is None:
+                if q > 1:
+                    meta["point"] = [Fraction(v, q) for v in
+                                     _apply_potentials(w, edge_ends, h)]
+                    break
+                # B(u) <= bound; (bound, None) means B(u) == bound, with h
+                B, h_B = _least_bound(n_nodes, edge_ends, w, below=bound)
+                best_B, best_h = B, h if h_B is None else h_B
+                best_u = prefix + (p,)
+                continue
+            a_D = sum(s * line[e] for e, s in cycle)
+            b_D = sum(s * slope[e] for e, s in cycle)
+            if b_D == 0:
+                break
+            cut = Fraction(bound * len(cycle) - a_D, b_D)
+            if b_D > 0:
+                hi = min(hi, cut)
+            else:
+                lo = max(lo, cut)
     return best_B, _apply_potentials(w_of_u(best_u), edge_ends, best_h), meta
-
-
-def _cut_point(n_nodes, edge_ends, base, direction, u0, bound):
-    """A rational x = w(u) + delta0 h with |x_e| <= bound, where
-    w(u) = base + u * direction, or None.
-
-    No integer u meets a bound below the optimum, which the search found
-    at u0, and the least bound over h is convex in u, so the loop looks in
-    [u0 - 1, u0 + 1].  At u = p/q one ``_bellman_potentials`` run on the
-    integer weights q * w(u) at q * bound gives potentials, so x, or a
-    negative cycle D, whose signed w-sum a_D + u * b_D exceeds
-    bound * |D| on one side of u (Benders 1962): the interval keeps the
-    other side and u moves to its midpoint.  An empty interval, a cycle
-    with b_D = 0 or ``MAX_CUT_RUNS`` runs give None, which decides nothing.
-    """
-    lo, hi = Fraction(u0 - 1), Fraction(u0 + 1)
-    for _ in range(MAX_CUT_RUNS):
-        if lo > hi:
-            return None
-        u = (lo + hi) / 2
-        p, q = u.numerator, u.denominator
-        w = [q * a + p * d for a, d in zip(base, direction)]
-        h, cycle = _bellman_potentials(n_nodes, edge_ends, w, q * bound)
-        if cycle is None:
-            return [Fraction(v, q) for v in _apply_potentials(w, edge_ends, h)]
-        a_D = sum(s * base[e] for e, s in cycle)
-        b_D = sum(s * direction[e] for e, s in cycle)
-        if b_D == 0:
-            return None
-        cut = Fraction(bound * len(cycle) - a_D, b_D)
-        if b_D > 0:
-            hi = min(hi, cut)
-        else:
-            lo = max(lo, cut)
-    return None
 
 
 def _apply_potentials(w, edge_ends, h):

@@ -803,10 +803,11 @@ def pullback_complex(chi, phi, tau, size_guard=DEFAULT_SIZE_GUARD):
     # the face dicts of from_simplices are the peak: free the lookups first
     del by_img, xs, pair_ids, ids, images, ranks, tau_M
     P = CellComplex.from_simplices(levels)
-    # The base projection is light with no check: a simplex (sigma, t) has
-    # one vertex over each vertex of sigma, so it is injective on simplices
+    # The base projection is simplicial and light with no check: a simplex
+    # (sigma, t) has one vertex over each vertex of sigma, so it goes onto
+    # sigma, a simplex of M', injectively
     return PullbackResult(
-        complex=P, proj_base=CellMap.from_vertex_map(P, Mp, vm_base),
+        complex=P, proj_base=CellMap(P, Mp, vm_base),
         fiber_vertex_map=vm_fiber, tau_vertex_map=chi_vm,
     )
 

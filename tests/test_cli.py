@@ -21,7 +21,10 @@ from coarse_kit.verify import ARITHMETIC_RECORDS, NO_MK
 # run before only in its `witnesses`.  They were re-pinned again when the
 # constant `edge_scale` param left every report and the constant `bound`
 # left verify-tower's stage-<j>-lipschitz records: each report is the one
-# before with those keys deleted
+# before with those keys deleted.  The (7,2,1), (5,2,2), prop52 lcm (7,2,1)
+# and (3,2,2), and tower (3,2,2) reports were re-pinned when a cut loop
+# took over the lattice search: each is the one before with only its
+# node_count and evaluations changed
 PROP51_521_REPORT = \
     "916c1ed181494336a19ca8aef3ebb7531ea89aca8f776cce5198d189cd47598b"
 # the prop52 report carries its lp-dual certificate as the witness
@@ -30,15 +33,16 @@ PROP52_521_LCM_REPORT = \
     "106a2f3fc86b59a56476cc037518d8cab7d022ae16fdb172e35dc78e764c3694"
 # (7,2,1) picks n = 2, so its product obstruction is off the first layer
 PROP52_721_LCM_REPORT = \
-    "abba950db332f59770b5ac3ef910f611e56cd8054e9fb70285439efcab081a3f"
+    "4cad9a8a0cf323401ce7658086cf110648a38901814e2cef99ea657d86f724e9"
 # (3,2,2) picks n = 6: a k = 2 product certificate
 PROP52_322_LCM_REPORT = \
-    "b4c2bf45ae6438f7af7fc01f88b0a40ead03b06bd5064bf2c0a205909244d645"
+    "cf24592c38798f9531ee88771bfdf8665c67c0989145a6418ae5dfcac706de11"
 PROP51_721_REPORT = \
-    "ee2621eeda7639a10ce5758ef930712dc4b26c6d52974efceda849e0cfed1f97"
-# (5,2,2) is the triple whose lattice search visits 271 points
+    "c72fea9e78eca8755b079a47a2a185f209276de2ff5c9f41165f24687bdbc761"
+# (5,2,2) is the triple whose lattice search visited 271 points before
+# the cut loop, which probes 4
 PROP51_522_REPORT = \
-    "bc4fbcf2d530ac508b8c1b40d625c0b64eaecc5277bc3e543d230811a09aa464"
+    "ae0ca8953c1eb2203f74c193474cbb6aab4a1774c41d33d9212a604ddb2730fa"
 # the last stage of build tower (5,2,2) and build y-stage (5,2,1), two
 # stages each: the simplicial builders and the .ckx writer
 TOWER_522_CKX = \
@@ -51,7 +55,7 @@ Y_STAGE_321_CKX = \
 # verify-tower (3,2,2) --reduce, two stages: its carrier-containment and
 # star-refinement records come from the stage-1 subdivision's carriers
 TOWER_322_REPORT = \
-    "1b0bb2b25a52f7d85869048230305cac6d379fc232632a31655a8ee0581a72f4"
+    "20eac7b3afd8a8dbbd2dc625856924eb890dab075f60489d1c085f5e746b1240"
 
 
 def sha256_of(path):
@@ -98,13 +102,13 @@ tower_232_report = report_fixture("tower_232", [
     "verify-tower", "--p", "2", "--q", "3", "--k", "2", "--stages", "2"],
     rc=1)
 # honest INCONCLUSIVE reports: at (5,2,2) the factorial n = 720 puts the
-# product past its cell budget, and at node limit 2 both levels of the
+# product past its cell budget, and at node limit 1 both levels of the
 # (3,2,2) tower run out of nodes
 prop52_522_factorial_report = report_fixture("prop52_522_factorial", [
     "verify-prop52", "--p", "5", "--q", "2", "--k", "2"], rc=2)
 tower_322_exhausted_report = report_fixture("tower_322_exhausted", [
     "verify-tower", "--p", "3", "--q", "2", "--k", "2", "--stages", "2",
-    "--node-limit", "2"], rc=2)
+    "--node-limit", "1"], rc=2)
 
 
 def recheck(capsys, tmp_path, report, edit=None):
@@ -362,14 +366,31 @@ class TestVerify:
     def test_node_limit_interval_522(self, capsys):
         # cut in the middle of the search: the upper end is the incumbent
         rc = main(["verify-prop51", "--p", "5", "--q", "2", "--k", "2",
-                   "--reduce", "--node-limit", "40"])
+                   "--reduce", "--node-limit", "3"])
         data = json.loads(capsys.readouterr().out)
         assert rc == 2
         record = {r["name"]: r for r in data["records"]}["norm-lower-bound"]
         assert record["status"] == "INCONCLUSIVE"
-        assert record["values"] == {"lower": "1", "node_count": "40",
+        assert record["values"] == {"lower": "1", "node_count": "3",
                                     "upper": "6"}
-        assert data["node_count"] == "40"
+        assert data["node_count"] == "3"
+
+    @pytest.mark.parametrize("p, q, k", [(5, 2, 3), (7, 2, 2), (3, 2, 3)],
+                             ids=["523", "722", "323"])
+    def test_growth_rows_close_in_few_probes(self, capsys, tmp_path, p, q,
+                                             k):
+        # the cut loop closes each lattice line in a few Bellman-Ford runs;
+        # a sweep of the proof box takes 110,113, 1,387 and 1,961
+        path = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main(["verify-prop51", "--p", str(p), "--q", str(q),
+                       "--k", str(k), "--reduce", "--node-limit", "50",
+                       "--out", str(path)])
+        assert rc == 0
+        assert load_report(path)["status"] == "PASS"
+        capsys.readouterr()
+        assert main(["check-witness", "--report", str(path)]) == 0
 
     def test_node_limit_interval(self, capsys):
         rc = main(["verify-prop51", "--p", "7", "--q", "2", "--k", "1",
@@ -967,8 +988,8 @@ class TestLpProbe:
     has a point, the cut loop finds it and the simplex never runs."""
 
     @pytest.mark.parametrize("p, k, digest, certificate, evaluations", [
-        ("5", "2", PROP51_522_REPORT, "search-exhausted", "271"),
-        ("7", "1", PROP51_721_REPORT, "search-exhausted", "31"),
+        ("5", "2", PROP51_522_REPORT, "search-exhausted", "4"),
+        ("7", "1", PROP51_721_REPORT, "search-exhausted", "4"),
         ("5", "1", PROP51_521_REPORT, "lp-dual", "4"),
     ], ids=["522", "721", "521"])
     def test_simplex_runs_only_for_farkas(self, capsys, tmp_path, monkeypatch,

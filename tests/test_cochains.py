@@ -30,6 +30,7 @@ from coarse_kit.complexes import midpoint_subdivision, remove_cells
 from coarse_kit.errors import (
     DegreeOutOfRange,
     InvalidParams,
+    NodeLimitExceeded,
     NotACoboundary,
     ShapeMismatch,
     WrongShape,
@@ -462,21 +463,24 @@ class TestMinNormPrimitive:
         assert res.gamma.values == [0] * X.n_cells(1)
 
     def test_522_decides_each_rejected_point_in_one_run(self, monkeypatch):
-        # the first of the 271 lattice points of M(5,2,2) is already optimal,
-        # so the cycle of one Bellman-Ford run rejects every later one
+        # the first lattice point of M(5,2,2), u = 0, is already optimal, so
+        # each later integer probe is one Bellman-Ford run at bound 5 whose
+        # cycle cuts the line, and one rational probe, at a u with
+        # denominator 100, finds the LP probe's point
         import coarse_kit.cochains as cochains
 
         runs, calls = [], []
         bellman, least = cochains._bellman_potentials, cochains._least_bound
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             before = len(runs)
-            B, h = least(*args)
+            B, h = least(*args, **kwargs)
             calls.append((h is not None, len(runs) - before))
             return B, h
 
         monkeypatch.setattr(cochains, "_bellman_potentials",
-                            lambda *args: runs.append(1) or bellman(*args))
+                            lambda *args: runs.append(args[3]) or
+                            bellman(*args))
         monkeypatch.setattr(cochains, "_least_bound", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -484,10 +488,11 @@ class TestMinNormPrimitive:
         res = min_norm_primitive(bundle.obstruction,
                                  vanishing_on=bundle.boundary_label)
         assert res.certificate.optimum == 6
-        assert res.certificate.node_count == 271
-        assert len(calls) == 271
-        assert calls[0][0]  # the first point is solved exactly
-        assert calls[1:] == [(False, 1)] * 270
+        assert res.certificate.node_count == 4
+        assert len(calls) == 1 and calls[0][0]  # u = 0 is solved exactly
+        assert runs[calls[0][1]:] == [5, 5, 5, 500]
+        assert res.certificate.infeasibility_proof["kind"] == \
+            "search-exhausted"
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_node_limit_below_one_rejected(self, limit):
@@ -573,6 +578,29 @@ class TestMinNormPrimitiveAgainstReference:
             assert all(res.gamma.values[i] == 0 for k, i in A_cells if k == 1)
             betas.add(min(relative_cohomology(X, A, 1).free_rank, 3))
         assert betas == {0, 1, 2, 3}
+
+    def test_budget_cut_brackets_the_optimum(self):
+        # a search the node limit cuts short reports a true interval, and
+        # one it does not cut is the full search
+        outcomes = set()
+        for X, A, A_cells, mat, rows, c in random_relative_problems(
+                random.Random(2014), 120):
+            ref = ilp_min_linf(mat, [c.values[j] for j in rows]).optimum
+            full = min_norm_primitive(c, vanishing_on=A).certificate
+            n = full.node_count
+            for limit in {min(n, 2), n - 1, n} - {0}:
+                try:
+                    got = min_norm_primitive(c, node_limit=limit,
+                                             vanishing_on=A).certificate
+                except NodeLimitExceeded as exc:
+                    assert exc.lower <= ref <= exc.upper
+                    assert exc.node_count == limit < full.node_count
+                    outcomes.add("cut")
+                else:
+                    assert (got.optimum, got.node_count) == \
+                        (ref, full.node_count)
+                    outcomes.add("full")
+        assert outcomes == {"cut", "full"}
 
 
 class TestLpProbe:

@@ -8,7 +8,9 @@ top-level statement.  Dunders are exempt.  Mentions in comments or strings do
 not count, nor do references from inside the definition.
 
 Every field of a package dataclass is read as an attribute somewhere under
-``src/`` or ``tests/``: a field that is only ever set is dead weight.
+``src/`` or ``tests/``: a field that is only ever set is dead weight.  So is
+a module-level UPPER_CASE constant of the package that no other top-level
+statement under ``src/`` or ``tests/`` reads.
 
 Every function that ``perfbench/design.json`` lists for tracing resolves to
 a module-level callable of the package.
@@ -17,6 +19,7 @@ a module-level callable of the package.
 import ast
 import importlib
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,9 +28,12 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFS = FUNCTIONS + (ast.ClassDef,)
 
 
-def _referenced_names(node):
+def _referenced_names(node, loads_only=False):
     out = set()
     for sub in ast.walk(node):
+        if loads_only and isinstance(sub, (ast.Name, ast.Attribute)) and \
+                not isinstance(sub.ctx, ast.Load):
+            continue
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
@@ -41,10 +47,14 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _sources():
+    return sorted((ROOT / "src").rglob("*.py")) + \
+        sorted((ROOT / "tests").rglob("*.py"))
+
+
 def _dead_definitions():
     """(top-level names, method names) that nothing outside them names."""
-    files = sorted((ROOT / "src").rglob("*.py")) + \
-        sorted((ROOT / "tests").rglob("*.py"))
+    files = _sources()
     definitions = []
     methods = []
     references = []
@@ -106,9 +116,7 @@ def test_no_write_only_fields():
     a field counts as read when any object's attribute of that name is."""
     fields = []
     read = set()
-    files = sorted((ROOT / "src").rglob("*.py")) + \
-        sorted((ROOT / "tests").rglob("*.py"))
-    for path in files:
+    for path in _sources():
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and \
@@ -128,6 +136,33 @@ def test_no_write_only_fields():
                     and isinstance(stmt.target, ast.Name))
     unread = [qualname for qualname, name in fields if name not in read]
     assert not unread, "dataclass fields never read: " + ", ".join(unread)
+
+
+def test_no_unread_module_constants():
+    """A read is a load of the name, an attribute of that name or an import
+    of it, in a top-level statement other than the assignment."""
+    constants = []
+    reads = []
+    for path in _sources():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for index, stmt in enumerate(tree.body):
+            where = (path, index)
+            reads.append((where, _referenced_names(stmt, loads_only=True)))
+            if path.parent != PACKAGE or \
+                    not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+                [stmt.target]
+            constants.extend(
+                (where, name.id) for target in targets
+                for name in ast.walk(target) if isinstance(name, ast.Name)
+                and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name.id))
+    assert len(constants) >= 20
+    unread = [f"{where[0].relative_to(ROOT)}: {name}"
+              for where, name in constants
+              if not any(name in names for at, names in reads
+                         if at != where)]
+    assert not unread, "module constants never read: " + ", ".join(unread)
 
 
 def test_traced_functions_resolve():

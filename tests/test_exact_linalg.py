@@ -461,21 +461,22 @@ class TestBoxLpAgainstDense:
                 box_feasibility(A, b, t) == out
 
 
-def _mk_line(monkeypatch, pqk):
+def _mk_point(monkeypatch, pqk):
     """The relative system (rows, b, column count) of M(p, q, k) --reduce,
-    and the arguments its minimal-primitive search hands the cut loop, all
-    but the bound."""
+    and the point its minimal-primitive search hands the LP probe (None if
+    the cut loop found none)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         bundle = build_Mk(MkParams(*pqk, reduce=True))
-    lines = []
-    cut_point = cochains._cut_point
-    monkeypatch.setattr(cochains, "_cut_point", lambda *args: lines.append(
-        args[:-1]) or cut_point(*args))
+    points = []
+    probe = cochains.box_feasibility
+    monkeypatch.setattr(cochains, "box_feasibility", lambda *args, **kwargs:
+                        points.append(kwargs["point"]) or
+                        probe(*args, **kwargs))
     cochains.min_norm_primitive(bundle.obstruction,
                                 vanishing_on=bundle.boundary_label)
     rows, b, cols, _ = _relative_system(bundle)
-    return rows, b, len(cols), lines[0]
+    return rows, b, len(cols), points[0]
 
 
 class TestCutLoop:
@@ -487,18 +488,24 @@ class TestCutLoop:
         ((5, 2, 2), 6),
     ], ids=["521", "721", "231", "322", "522"])
     def test_mk_systems_every_bound(self, monkeypatch, pqk, m_k):
-        rows, b, n, line = _mk_line(monkeypatch, pqk)
+        # the loop runs at m_k - 1 only, and has a point there exactly when
+        # the simplex does; at a lower bound with no LP point, the box
+        # refuses it
+        rows, b, n, point = _mk_point(monkeypatch, pqk)
         A = densify(rows, n)
         for t in range(m_k):
-            point = cochains._cut_point(*line, t)
             x, farkas = _box_lp(A, b, [-t] * n, [t] * n)
             assert _box_lp(rows, b, [-t] * n, [t] * n, ncols=n) == \
                 (x, farkas)
-            assert (point is None) == (x is None), t
-            if point is not None:
-                assert box_feasibility(A, b, t, point=point) == \
-                    box_feasibility(rows, b, t, point=point, ncols=n) == \
-                    (point, None)
+            if t == m_k - 1:
+                assert (point is None) == (x is None)
+                if point is not None:
+                    assert box_feasibility(A, b, t, point=point) == \
+                        box_feasibility(rows, b, t, point=point, ncols=n) \
+                        == (point, None)
+            elif point is not None and x is None:
+                with pytest.raises(ArithmeticError, match="violates the box"):
+                    box_feasibility(rows, b, t, point=point, ncols=n)
 
     def test_given_point_returned_unchanged(self):
         point = [Fraction(1, 5), Fraction(0)]

@@ -717,6 +717,16 @@ class TestPullbackReference:
 
 
 class TestYStages:
+    def test_stage_maps_pass_the_vertex_map_checks(self):
+        # pullback_complex trusts its base projection; the checked
+        # constructor accepts the same vertex maps
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stages = build_Y_stage(MkParams(5, 2, 1, reduce=True), 2)
+        for f in (stages[1].projection, stages[1].tau_map):
+            checked = CellMap.from_vertex_map(f.source, f.target, f.vertex_map)
+            assert checked.vertex_map == f.vertex_map
+
     def test_single_stage(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
