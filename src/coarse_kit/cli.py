@@ -14,15 +14,10 @@ import time
 from .cochains import RING_Q, RING_Z, ring_zp
 from .complexes import annulus_triangulation, circle, interval_product
 from .errors import CoarseKitError, InvalidParams, SizeGuardExceeded
-from .interchange import read_complex, write_complex
 from .towers import MkParams, build_Mk, build_tower, build_Y_stage
-from .verify import (
-    check_witness,
-    homology_summary,
-    verify_prop51,
-    verify_prop52,
-    verify_tower,
-)
+
+# verify and interchange are imported in the branches that run them, so a
+# process loads only the code its command needs.
 
 USAGE_ERROR = 3
 
@@ -137,6 +132,8 @@ def cmd_build(args):
     print(f"cells {counts}")
     print(f"euler {X.euler_characteristic()}")
     if args.out:
+        from .interchange import write_complex
+
         write_complex(args.out, X)
         print(f"wrote {args.out}")
     print(f"# built in {time.time() - started:.2f}s", file=sys.stderr)
@@ -146,6 +143,9 @@ def cmd_build(args):
 def cmd_homology(args):
     # a modulus that is not prime is a usage error before any file is read
     ring = {"Z": RING_Z, "Q": RING_Q}.get(args.ring) or ring_zp(args.prime)
+    from .interchange import read_complex
+    from .verify import homology_summary
+
     X = read_complex(args.infile)
     for row in homology_summary(X, ring):
         torsion = " ".join(str(t) for t in row["torsion"])
@@ -171,11 +171,15 @@ def main(argv=None):
         if args.command == "homology":
             return cmd_homology(args)
         if args.command == "check-witness":
+            from .verify import check_witness
+
             report = check_witness(args.report)
             return _emit(report, args.out, started)
         params = _mk_params(args)
         if args.node_limit < 1:
             raise InvalidParams(f"--node-limit {args.node_limit} is below 1")
+        from .verify import verify_prop51, verify_prop52, verify_tower
+
         if args.command == "verify-prop51":
             report = verify_prop51(params, node_limit=args.node_limit)
         elif args.command == "verify-prop52":

@@ -11,7 +11,6 @@ Minimal primitives, and the rational points of their LP probes, are found
 by early-exit Bellman-Ford on the potentials.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, isqrt
@@ -56,7 +55,6 @@ def _is_zp(ring):
     return isinstance(ring, tuple) and ring[0] == "Zp"
 
 
-@dataclass
 class Cochain:
     """Coefficient function on the k-cells of a complex.
 
@@ -65,12 +63,11 @@ class Cochain:
     and Q the norm is the max absolute value.
     """
 
-    complex: object
-    degree: int
-    ring: object
-    values: list
-
-    def __post_init__(self):
+    def __init__(self, complex, degree, ring, values):
+        self.complex = complex
+        self.degree = degree
+        self.ring = ring
+        self.values = values
         want = self.complex.n_cells(self.degree)
         if len(self.values) != want:
             raise ShapeMismatch(
@@ -101,12 +98,12 @@ def zero_cochain(X, degree, ring=RING_Z):
     return Cochain(X, degree, ring, [0] * X.n_cells(degree))
 
 
-@dataclass
 class CohomologySummary:
-    degree: int
-    ring: object
-    free_rank: int
-    torsion: list
+    def __init__(self, degree, ring, free_rank, torsion):
+        self.degree = degree
+        self.ring = ring
+        self.free_rank = free_rank
+        self.torsion = torsion
 
     def __str__(self):
         if _is_zp(self.ring):
@@ -444,12 +441,12 @@ def pullback_cochain(f, c):
 # -- minimal primitives ---------------------------------------------------------
 
 
-@dataclass
 class PrimitiveResult:
     """Outcome of a minimal-primitive search for delta(gamma) = c."""
 
-    certificate: object  # NormCertificate
-    gamma: Cochain
+    def __init__(self, certificate, gamma):
+        self.certificate = certificate  # NormCertificate
+        self.gamma = gamma
 
 
 def _pred_cycle(pred, edge_ends):

@@ -14,7 +14,6 @@ lookup; two threads filling one level at once store equal dicts.
 """
 
 from copy import copy
-from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, islice, repeat
 from operator import and_, itemgetter, lt, not_
 
@@ -853,7 +852,6 @@ def remove_cells(X, cells):
 # -- products ----------------------------------------------------------------
 
 
-@dataclass
 class IntervalProduct:
     """X x [0, n] as a regular cell complex with structured cell indexing.
 
@@ -861,9 +859,10 @@ class IntervalProduct:
     base index) followed by prism cells tau x [l, l+1].
     """
 
-    complex: CellComplex
-    base: CellComplex
-    n: int
+    def __init__(self, complex, base, n):
+        self.complex = complex
+        self.base = base
+        self.n = n
 
     def slice_cell(self, k, i, level):
         return level * self.base.n_cells(k) + i
@@ -931,7 +930,6 @@ def interval_product(X, n, size_guard=DEFAULT_CELL_BUDGET):
 # -- subdivisions -------------------------------------------------------------
 
 
-@dataclass
 class Subdivision:
     """A subdivision with carrier bookkeeping.
 
@@ -942,11 +940,14 @@ class Subdivision:
     (:func:`simplex_carrier`), and the vertex table is the whole carrier.
     """
 
-    complex: CellComplex
-    base: CellComplex
-    vertex_carriers: list = field(default_factory=list)
-    middle_faces: dict = field(default_factory=dict)
-    apexes: dict = field(default_factory=dict)
+    def __init__(self, complex, base, vertex_carriers=None,
+                 middle_faces=None, apexes=None):
+        self.complex = complex
+        self.base = base
+        self.vertex_carriers = [] if vertex_carriers is None else \
+            vertex_carriers
+        self.middle_faces = {} if middle_faces is None else middle_faces
+        self.apexes = {} if apexes is None else apexes
 
 
 def simplex_carrier(vertex_carriers, verts):

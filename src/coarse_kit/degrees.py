@@ -6,23 +6,22 @@ checks relating hole degrees to the boundary degree.
 """
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import HypothesisViolated, ImageNotOnCircle, NotACycle, NotCoprime
 
 
-@dataclass
 class DegreeReport:
     """Degree data for one retraction candidate at parameters (p, q, k)."""
 
-    p: int
-    q: int
-    k: int
-    d: int = None
-    d_p: int = None
-    d_q: int = None
+    def __init__(self, p, q, k, d=None, d_p=None, d_q=None):
+        self.p = p
+        self.q = q
+        self.k = k
+        self.d = d
+        self.d_p = d_p
+        self.d_q = d_q
 
     @property
     def bound_m(self):

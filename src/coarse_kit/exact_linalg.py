@@ -25,7 +25,6 @@ rewritten in place, and values are Fractions.
 """
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
@@ -36,7 +35,6 @@ DEFAULT_SNF_BUDGET = 4_000_000
 MAX_LP_PIVOTS = 2_000_000  # per box_feasibility probe
 
 
-@dataclass
 class SnfDecomposition:
     """U * A * V = D with U, V unimodular and D a divisibility-chain diagonal.
 
@@ -49,10 +47,11 @@ class SnfDecomposition:
     the dense matrices, built on each access.
     """
 
-    shape: tuple
-    diag: list
-    u_rows: list = None
-    v_cols: list = None
+    def __init__(self, shape, diag, u_rows=None, v_cols=None):
+        self.shape = shape
+        self.diag = diag
+        self.u_rows = u_rows
+        self.v_cols = v_cols
 
     @property
     def rank(self):
@@ -438,12 +437,12 @@ def _unimodular_inverse(U):
     return inv
 
 
-@dataclass
 class IntegerSolveResult:
     """Outcome of solving A x = b over Z."""
 
-    solution: list = None
-    obstruction: str = None
+    def __init__(self, solution=None, obstruction=None):
+        self.solution = solution
+        self.obstruction = obstruction
 
     def __bool__(self):
         return self.solution is not None
@@ -755,7 +754,6 @@ def box_feasibility(A, b, t, point=None, *, ncols=None):
 # -- integer L-infinity certificates -------------------------------------------
 
 
-@dataclass
 class NormCertificate:
     """Exact integer optimum of min ||x||_inf s.t. Ax = b with certificates.
 
@@ -764,8 +762,10 @@ class NormCertificate:
     without search) or the exhausted search log (kind "search-exhausted").
     """
 
-    optimum: int
-    witness: list
-    infeasibility_proof: dict
-    node_count: int
-    lp_bound: Fraction = None
+    def __init__(self, optimum, witness, infeasibility_proof, node_count,
+                 lp_bound=None):
+        self.optimum = optimum
+        self.witness = witness
+        self.infeasibility_proof = infeasibility_proof
+        self.node_count = node_count
+        self.lp_bound = lp_bound  # Fraction

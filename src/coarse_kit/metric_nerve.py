@@ -7,7 +7,6 @@ infima/suprema are represented by these vertex-level restrictions.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import simplicial_complex
@@ -16,12 +15,12 @@ from .errors import DimensionTooHigh, NotACover, Uncovered
 INFINITY = math.inf  # sentinel for "empty complement", never arithmetic
 
 
-@dataclass
 class DistanceTable:
     """All-pairs vertex distances (None across components)."""
 
-    dist: list
-    components: list
+    def __init__(self, dist, components):
+        self.dist = dist
+        self.components = components
 
     def d(self, u, v):
         return self.dist[u][v]
@@ -90,7 +89,6 @@ def lipschitz_constant(f):
                    for ends in f.source.edge_ends() if ends))
 
 
-@dataclass
 class CoverSpec:
     """A cover of the vertex set by vertex subsets.
 
@@ -99,13 +97,11 @@ class CoverSpec:
     centers span a simplex), or "ball".
     """
 
-    carrier: object
-    sets: list
-    kind: str = "explicit"
-    centers: list = None
-
-    def __post_init__(self):
-        self.sets = [frozenset(int(v) for v in s) for s in self.sets]
+    def __init__(self, carrier, sets, kind="explicit", centers=None):
+        self.carrier = carrier
+        self.sets = [frozenset(int(v) for v in s) for s in sets]
+        self.kind = kind
+        self.centers = centers
         covered = set()
         for s in self.sets:
             covered |= s

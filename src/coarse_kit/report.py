@@ -8,7 +8,6 @@ not the artifact.  A report carries its witness cochains inline under
 """
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -40,14 +39,15 @@ def decode_number(s):
     return int(s)
 
 
-@dataclass
 class VerificationReport:
-    command: str
-    params: dict
-    records: list = field(default_factory=list)
-    witnesses: dict = field(default_factory=dict)
-    node_count: int = 0
-    version: str = __version__
+    def __init__(self, command, params, records=None, witnesses=None,
+                 node_count=0, version=__version__):
+        self.command = command
+        self.params = params
+        self.records = [] if records is None else records
+        self.witnesses = {} if witnesses is None else witnesses
+        self.node_count = node_count
+        self.version = version
 
     def add(self, name, status, **values):
         self.records.append({

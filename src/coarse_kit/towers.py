@@ -17,7 +17,6 @@ import gc
 import warnings
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from math import factorial, gcd
 from operator import sub
@@ -25,7 +24,6 @@ from operator import sub
 from .complexes import (
     CellComplex,
     CellMap,
-    Subdivision,
     annulus_triangulation,
     barycentric_subdivision,
     circle,
@@ -68,7 +66,6 @@ DEFAULT_SIZE_GUARD = 300_000
 HOLE_EDGES = 3
 
 
-@dataclass
 class MkParams:
     """Parameters of the two-hole family.
 
@@ -77,27 +74,27 @@ class MkParams:
     winding degrees and the p^k / q^k totals at desk-scale cell counts.
     """
 
-    p: int
-    q: int
-    k: int
-    reduce: bool = False
-
-    def __post_init__(self):
+    def __init__(self, p, q, k, reduce=False):
+        self.p = p
+        self.q = q
+        self.k = k
+        self.reduce = reduce
         if not (is_prime(self.p) and is_prime(self.q)):
             raise InvalidParams(f"p = {self.p} and q = {self.q} must be prime")
         if self.p == self.q:
             raise InvalidParams("p and q must differ")
         if self.k < 1:
             raise InvalidParams("level k must be >= 1")
+        if not isinstance(self.reduce, bool):
+            raise InvalidParams(f"reduce = {self.reduce!r} is not a boolean")
         if self.p <= self.q ** 2:
             warnings.warn(
                 f"p = {self.p} <= q^2 = {self.q ** 2}: the norm bounds lose "
                 "their slack in this regime",
-                stacklevel=3,
+                stacklevel=2,
             )
 
 
-@dataclass
 class TowerStage:
     """One stage of a tower: complex and projection data.
 
@@ -108,25 +105,29 @@ class TowerStage:
     subdivision as ``tau`` and their triangle-valued map as ``tau_map``.
     """
 
-    complex: CellComplex
-    projection: CellMap = None
-    level: int = 0
-    tau: Subdivision = None
-    tau_map: CellMap = None
+    def __init__(self, complex, projection=None, level=0, tau=None,
+                 tau_map=None):
+        self.complex = complex
+        self.projection = projection
+        self.level = level
+        self.tau = tau
+        self.tau_map = tau_map
 
 
-@dataclass
 class MkBundle:
     """The built complex plus the maps and labels the verifications use."""
 
-    complex: CellComplex
-    params: MkParams
-    phi: CellMap
-    tau: Subdivision
-    obstruction: Cochain
-    boundary_label: str = "boundary"
-    p_hole_label: str = "p-hole"
-    q_hole_label: str = "q-hole"
+    def __init__(self, complex, params, phi, tau, obstruction,
+                 boundary_label="boundary", p_hole_label="p-hole",
+                 q_hole_label="q-hole"):
+        self.complex = complex
+        self.params = params
+        self.phi = phi
+        self.tau = tau
+        self.obstruction = obstruction
+        self.boundary_label = boundary_label
+        self.p_hole_label = p_hole_label
+        self.q_hole_label = q_hole_label
 
 
 def _cycle_from(X, label, start):
@@ -378,14 +379,14 @@ def simplicial_approx_identity(sub):
 # -- the product certificate -----------------------------------------------
 
 
-@dataclass
 class BetaCertificate:
     """A bounded primitive on X x [0, n] for the product obstruction."""
 
-    beta: Cochain
-    product: object  # IntervalProduct
-    n: int
-    gamma: Cochain
+    def __init__(self, beta, product, n, gamma):
+        self.beta = beta
+        self.product = product  # IntervalProduct
+        self.n = n
+        self.gamma = gamma
 
 
 def build_beta(gamma, n, size_guard=DEFAULT_SIZE_GUARD):
@@ -679,7 +680,6 @@ def is_light(f):
     return all(vm[a] != vm[b] for a, b in f.source.edge_ends())
 
 
-@dataclass
 class PullbackResult:
     """Fiber product along a light map, with both projections.
 
@@ -689,10 +689,11 @@ class PullbackResult:
     map of the induced light map from that subdivision to tau.
     """
 
-    complex: CellComplex
-    proj_base: CellMap
-    fiber_vertex_map: list
-    tau_vertex_map: list
+    def __init__(self, complex, proj_base, fiber_vertex_map, tau_vertex_map):
+        self.complex = complex
+        self.proj_base = proj_base
+        self.fiber_vertex_map = fiber_vertex_map
+        self.tau_vertex_map = tau_vertex_map
 
 
 def pullback_subdivision(chi, tau):

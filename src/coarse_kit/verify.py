@@ -539,9 +539,13 @@ def _report_mk_params(given):
         raise InvalidParams(
             "the report's p, q and k must be integers, got "
             f"{given['p']!r}, {given['q']!r} and {given['k']!r}") from None
+    reduce = given.get("reduce")
+    if reduce not in ("true", "false"):
+        raise InvalidParams("the report's reduce must be \"true\" or "
+                            f"\"false\", got {reduce!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return MkParams(p, q, k, reduce=given.get("reduce") == "true")
+        return MkParams(p, q, k, reduce=reduce == "true")
 
 
 def _read_entry(entry, X, degree):

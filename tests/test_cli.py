@@ -506,7 +506,12 @@ class TestVerify:
          "the report's p, q and k must be integers, got 'five'"),
         (lambda data: data["params"].update(p="4"),
          "p = 4 and q = 2 must be prime"),
-    ], ids=["deleted", "non-integer", "not-prime"])
+        (lambda data: data["params"].update(reduce="yes"),
+         "the report's reduce must be \"true\" or \"false\", got 'yes'"),
+        (lambda data: data["params"].pop("reduce"),
+         "the report's reduce must be \"true\" or \"false\", got None"),
+    ], ids=["deleted", "non-integer", "not-prime", "non-boolean-reduce",
+            "deleted-reduce"])
     def test_bad_report_params_fail(self, capsys, tmp_path,
                                     prop51_521_report, edit, reason):
         # params that give no M(p, q, k) are a FAIL record, and the
@@ -527,6 +532,30 @@ class TestVerify:
         rc = main(["verify-prop51", "--config", str(conf)])
         assert rc == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("reduce, counts", [
+        (False, "cells 614 2076 1461"), (True, "cells 80 261 180")])
+    def test_config_reduce_is_a_json_boolean(self, capsys, tmp_path, reduce,
+                                             counts):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"p": 5, "q": 2, "k": 2,
+                                    "reduce": reduce}))
+        assert main(["build", "mk", "--config", str(conf)]) == 0
+        assert capsys.readouterr().out.startswith(counts + "\n")
+
+    @pytest.mark.parametrize("command", ["verify-prop51", "build"])
+    def test_config_string_reduce_usage_error(self, capsys, tmp_path,
+                                              command):
+        # "false" is a truthy string: it once built the reduced M_k under a
+        # report that recorded "reduce": "false"
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"p": 5, "q": 2, "k": 2,
+                                    "reduce": "false"}))
+        argv = [command] + (["mk"] if command == "build" else [])
+        assert main(argv + ["--config", str(conf)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: reduce = 'false' is not a boolean" in captured.err
 
     def test_config_file_supplies_defaulted_flags(self, capsys, tmp_path):
         # flags whose default is not None (reduce, n-mode) come from the
@@ -1102,16 +1131,49 @@ def test_traced_functions_run_on_their_workloads(tmp_path, monkeypatch,
             == [], workload
 
 
-def test_cli_import_loads_no_openssl():
-    # hashlib loads libcrypto: a few MB in every CLI process for nothing
+# run in a fresh interpreter: it writes the modules that importing the CLI
+# and running one command add to those the bare interpreter has loaded, so
+# what site and the host's .pth files import does not count
+LOADED_BY = """\
+import json, sys
+bare = set(sys.modules)
+from coarse_kit import cli
+rc = cli.main(sys.argv[2:]) if sys.argv[2:] else 0
+with open(sys.argv[1], "w") as fp:
+    json.dump(sorted(set(sys.modules) - bare), fp)
+sys.exit(rc)
+"""
+# no start loads these: dataclasses imports inspect, which imports ast, dis
+# and tokenize, and hashlib's _hashlib loads libcrypto, a few MB
+NEVER_LOADED = {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                "_hashlib"}
+
+
+@pytest.mark.parametrize("argv, loads, skips", [
+    ([], "coarse_kit.cli", set()),
+    (["build", "mk", "--p", "5", "--q", "2", "--k", "1"], "coarse_kit.towers",
+     {"coarse_kit.verify", "coarse_kit.degrees", "coarse_kit.report"}),
+    (["verify-prop51", "--p", "5", "--q", "2", "--k", "1"],
+     "coarse_kit.verify", {"coarse_kit.interchange"}),
+    (["check-witness", "--report"], "coarse_kit.verify",
+     {"coarse_kit.interchange"}),
+], ids=["import", "build", "verify-prop51", "check-witness"])
+def test_start_loads_only_what_the_command_runs(tmp_path, prop51_521_report,
+                                                argv, loads, skips):
+    # every CLI process pays for each module it loads: about 10 ms for
+    # dataclasses and its imports
+    if argv[:1] == ["check-witness"]:
+        argv = argv + [str(prop51_521_report)]
+    out = tmp_path / "modules.json"
     src = Path(__file__).resolve().parents[1] / "src"
     run = subprocess.run(
-        [sys.executable, "-c", "import sys, coarse_kit.cli; "
-         "print('_hashlib' in sys.modules)"],
+        [sys.executable, "-c", LOADED_BY, str(out), *argv],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)})
-    assert run.returncode == 0
-    assert run.stdout == "False\n"
+    assert run.returncode == 0, run.stderr
+    loaded = set(json.loads(out.read_text()))
+    assert loads in loaded
+    assert sorted(loaded & (NEVER_LOADED | skips)) == []
 
 
 def test_readme_flags_match_verify_parsers():

@@ -1,7 +1,6 @@
 import gc
 import random
 import warnings
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -45,6 +44,7 @@ from coarse_kit.exact_linalg import solve_integer
 from coarse_kit.towers import (
     DEFAULT_SIZE_GUARD,
     MkParams,
+    TowerStage,
     build_Mk,
     build_Y_stage,
     build_beta,
@@ -109,8 +109,17 @@ class TestParams:
             MkParams(5, 5, 1)
 
     def test_warns_small_p(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             MkParams(3, 2, 1)
+        # the warning names the line that made the params
+        assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("reduce", ["false", "true", 0, 1, None])
+    def test_rejects_non_boolean_reduce(self, reduce):
+        # a truthy string would build the reduced complex under a report
+        # that records the string
+        with pytest.raises(InvalidParams, match="is not a boolean"):
+            MkParams(5, 2, 1, reduce=reduce)
 
 
 class TestWindingStage:
@@ -457,8 +466,9 @@ class TestApproxIdentity:
         sub = midpoint_subdivision(filled_triangle())
         with pytest.raises(NoValidAssignment,
                            match="^[0-9]+ vertex carriers for 6 vertices$"):
-            simplicial_approx_identity(
-                replace(sub, vertex_carriers=edit(sub.vertex_carriers)))
+            simplicial_approx_identity(Subdivision(
+                sub.complex, sub.base, edit(sub.vertex_carriers),
+                sub.middle_faces, sub.apexes))
 
 
 def _subdivisions(X):
@@ -554,8 +564,11 @@ class TestCarrierOracles:
             face = next(f for f in host.simplices[2] if not old & set(f))
             vertex_carriers = list(tau.vertex_carriers)
             vertex_carriers[w] = face
-            tampered = replace(stage, tau=replace(
-                tau, vertex_carriers=vertex_carriers))
+            tampered = TowerStage(
+                stage.complex, stage.projection, stage.level,
+                Subdivision(tau.complex, tau.base, vertex_carriers,
+                            tau.middle_faces, tau.apexes),
+                stage.tau_map)
             # the per-cell reference with tau vertex w pointed at the face
             tampered_cells = {**cells, (0, w): (2, host.simplices[2].index(
                 face))}
