@@ -6,9 +6,10 @@ complexes store their boundaries in; each entry point also takes dense rows
 ``ncols``, their column count.  Smith normal form is the one elimination
 routine.  It builds the unimodular factors U and V only
 for callers that read them: integer solving, kernel lattices, lattice
-complements and unimodular inverses are read off the factors, in a fixed
-pivot order; cohomology reads only the invariant factors, which any pivot
-order gives, so it takes unit pivots from the shortest rows first.  A solve
+complements and unimodular inverses are read off the factors; cohomology
+reads only the invariant factors.  Both take one pivot order: +-1 pivots
+from the shortest rows first, which keeps U and V sparse, then the
+position rule on what is left.  A solve
 sums U b over the columns of U that b's nonzeros pick, and the lattice
 complement hands Smith sparse rows.
 The tests check the output against independent oracles (``verify_snf``
@@ -128,7 +129,7 @@ class _SparseSmith:
     ``rows[i]`` is {column: value} and ``cols[j]`` the set of rows with a
     nonzero in column j.  When ``factors`` is set, U (sparse rows) and V
     (sparse columns) start as identities and record every operation, so
-    U * A * V is the current matrix.
+    U * A * V is the current matrix but for the rows ``unit_pivots`` drops.
     """
 
     def __init__(self, rows, n, factors):
@@ -214,16 +215,17 @@ class _SparseSmith:
 
     def unit_pivots(self):
         """Pivot on +-1 entries, shortest row first (then the column with
-        the fewest nonzeros): clear the pivot's column from the other rows,
-        then drop its row, which column operations would clear without
-        touching anything else.  Rows enter a heap keyed by length and
-        re-enter it whenever they change, so a row that lost every entry is
-        never looked at again.  Returns the number of pivots; every row left
-        has no +-1 entry.  Row operations only, and U and V are not kept."""
-        rows, cols = self.rows, self.cols
+        the fewest nonzeros): row operations clear the pivot's column from
+        the other rows, then column operations clear its row, which on the
+        matrix touch that row alone, so the row is dropped and only V
+        records them.  Rows enter a heap keyed by length and re-enter it
+        whenever they change, so a row that lost every entry is never
+        looked at again.  Returns the pivots' (row, column) pairs in order,
+        each pivot made +1 in U * A * V; every row left has no +-1 entry."""
+        rows, cols, U, V = self.rows, self.cols, self.U, self.V
         heap = [(len(row), i) for i, row in enumerate(rows) if row]
         heapq.heapify(heap)
-        units = 0
+        pivots = []
         while heap:
             size, i = heapq.heappop(heap)
             row = rows[i]
@@ -235,15 +237,30 @@ class _SparseSmith:
                 continue
             j = min(units_here)[1]
             s = row[j]
-            for i2 in [i2 for i2 in cols[j] if i2 != i]:
-                self.row_op(i, i2, rows[i2][j] * s)
+            others = [i2 for i2 in cols[j] if i2 != i]
+            if size > 1:
+                for i2 in others:
+                    self.row_op(i, i2, rows[i2][j] * s)
+            else:  # a lone +-1: each row operation only deletes an entry
+                cols[j] = {i}
+                for i2 in others:
+                    q = rows[i2].pop(j) * s
+                    if U is not None:
+                        _axpy(U[i2], U[i], q)
+            for i2 in others:
                 if rows[i2]:
                     heapq.heappush(heap, (len(rows[i2]), i2))
+            if V is not None:
+                for j2, v in row.items():
+                    if j2 != j:
+                        _axpy(V[j2], V[j], v * s)
+                if s < 0:
+                    U[i] = {k: -v for k, v in U[i].items()}
             for j2 in row:
                 cols[j2].discard(i)
             rows[i] = {}
-            units += 1
-        return units
+            pivots.append((i, j))
+        return pivots
 
     def position_pivots(self):
         """Diagonalize in place, pivoting in the current positions.
@@ -316,13 +333,14 @@ def smith_normal_form(A, size_guard=DEFAULT_SNF_BUDGET, *, ncols=None,
     dict (dict rows need ``ncols``); the work is sparse either way.
     ``size_guard`` bounds the nonzeros of A.
 
-    With ``factors`` the unimodular U and V are built, and they depend on
-    the pivot order, which is fixed: smallest nonzero |v|, ties to the
-    lowest current (row, col) position (``_SparseSmith.position_pivots``),
-    so equal input gives equal factors.  Without them only the diagonal is
-    computed, and in any order, since the invariant factors do not depend
-    on it: unit pivots first, shortest row first, then the position rule on
-    what is left, which holds no +-1.
+    With ``factors`` the unimodular U and V are built; without them only
+    the diagonal is.  Either way the pivot order is one function of the
+    input, so equal input gives equal factors: +-1 pivots, the shortest
+    row first (``_SparseSmith.unit_pivots``), then the rows and columns
+    still holding entries, which hold no +-1, renumbered from 0 and
+    finished by the position rule (``_SparseSmith.position_pivots``).
+    U's rows and V's columns are put in diagonal order once, at the end:
+    the unit pivots, the finished block, then the empty rows and columns.
     """
     m, n, rows = _sparse_rows(A, ncols)
     nonzeros = sum(map(len, rows))
@@ -330,19 +348,27 @@ def smith_normal_form(A, size_guard=DEFAULT_SNF_BUDGET, *, ncols=None,
         raise SizeGuardExceeded(
             f"matrix has {nonzeros} nonzeros (budget {size_guard})")
     work = _SparseSmith(rows, n, factors)
+    pivots = work.unit_pivots()
+    rest = [i for i, row in enumerate(rows) if row]
+    kept = [j for j, held in enumerate(work.cols) if held]
+    pos = {j: t for t, j in enumerate(kept)}
+    finish = _SparseSmith([{pos[j]: v for j, v in rows[i].items()}
+                           for i in rest], len(kept), factors=False)
     if factors:
-        diag = work.position_pivots()
-    else:
-        diag = [1] * work.unit_pivots()
-        # the rows left hold no +-1: renumber their columns and finish
-        rest = [row for row in work.rows if row]
-        kept = sorted({j for row in rest for j in row})
-        pos = {j: t for t, j in enumerate(kept)}
-        rest = [{pos[j]: v for j, v in row.items()} for row in rest]
-        diag += _SparseSmith(rest, len(kept), factors=False).position_pivots()
+        finish.U = [work.U[i] for i in rest]
+        finish.V = [work.V[j] for j in kept]
+    diag = [1] * len(pivots) + finish.position_pivots()
     diag += [0] * (min(m, n) - len(diag))
-    return SnfDecomposition(shape=(m, n), diag=diag, u_rows=work.U,
-                            v_cols=work.V)
+    if not factors:
+        return SnfDecomposition(shape=(m, n), diag=diag)
+    done = {i for i, _ in pivots}.union(rest)
+    u_rows = [work.U[i] for i, _ in pivots] + finish.U + [
+        u for i, u in enumerate(work.U) if i not in done]
+    done = {j for _, j in pivots}.union(kept)
+    v_cols = [work.V[j] for _, j in pivots] + finish.V + [
+        v for j, v in enumerate(work.V) if j not in done]
+    return SnfDecomposition(shape=(m, n), diag=diag, u_rows=u_rows,
+                            v_cols=v_cols)
 
 
 def kernel_lattice_basis(A, snf=None):

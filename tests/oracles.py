@@ -14,7 +14,9 @@ oracles take.
 
 ``oracle_smith_normal_form`` is the dense Smith form with unimodular
 factors that the sparse kernel of ``exact_linalg.smith_normal_form``
-replaced; with factors the two must give the same U, D and V.
+replaced, in position pivot order; the two must give the same D and rank.
+The kernel's U and V follow its own pivot order, so ``verify_snf`` checks
+them.
 
 ``verify_snf`` checks every Smith-form invariant of a decomposition with
 factors, unimodularity by the Bareiss determinant ``_det_unimodular``, so
@@ -184,7 +186,7 @@ def oracle_smith_normal_form(A, size_guard=4_000_000, events=None):
     """Dense Smith normal form with unimodular factors: (U, D, V, rank).
 
     The dense routine the sparse ``exact_linalg.smith_normal_form``
-    replaced; with factors the two must agree entry for entry.  Pivot rule:
+    replaced; the two must give the same D and rank.  Pivot rule:
     smallest nonzero absolute value, ties broken by (row, col).  ``events``,
     when a set, collects the branches taken ("non-unit-pivot",
     "negative-pivot", "non-clean", "bad-row-fold").

@@ -66,9 +66,9 @@ from oracles import (
 
 TRIPLES = [(5, 2, 1), (5, 2, 2), (7, 2, 1)]
 # sha256 of the comma-joined values of the (5,2,2) minimal primitive, the
-# witness the 271-point lattice search picks
+# witness the cut loop picks on the lattice of the Smith factors
 PRIMITIVE_522_VALUES = \
-    "faf6b93721d95703ec934e4ee246bec94b3a639d7a8e231292b22c1a943e34fc"
+    "1756dadc1f0bdc0cbe22c6c995bb6423dad5e055db8825dae798cb0a687d12c4"
 
 
 def _criterion(num, name, ok, started, budget, detail=""):

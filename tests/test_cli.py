@@ -36,13 +36,13 @@ PROP52_721_LCM_REPORT = \
     "4cad9a8a0cf323401ce7658086cf110648a38901814e2cef99ea657d86f724e9"
 # (3,2,2) picks n = 6: a k = 2 product certificate
 PROP52_322_LCM_REPORT = \
-    "cf24592c38798f9531ee88771bfdf8665c67c0989145a6418ae5dfcac706de11"
+    "64f2b004e36712f06a77b05ec77dec8d1ca67ab2939488c4bc03c0937b45a304"
 PROP51_721_REPORT = \
     "c72fea9e78eca8755b079a47a2a185f209276de2ff5c9f41165f24687bdbc761"
 # (5,2,2) is the triple whose lattice search visited 271 points before
-# the cut loop, which probes 4
+# the cut loop, which probes 3
 PROP51_522_REPORT = \
-    "ae0ca8953c1eb2203f74c193474cbb6aab4a1774c41d33d9212a604ddb2730fa"
+    "2fa9ed3274c8a1eceb9946628f72ebda80b1349a1932c98bd3c098be987419f9"
 # the last stage of build tower (5,2,2) and build y-stage (5,2,1), two
 # stages each: the simplicial builders and the .ckx writer
 TOWER_522_CKX = \
@@ -55,7 +55,7 @@ Y_STAGE_321_CKX = \
 # verify-tower (3,2,2) --reduce, two stages: its carrier-containment and
 # star-refinement records come from the stage-1 subdivision's carriers
 TOWER_322_REPORT = \
-    "20eac7b3afd8a8dbbd2dc625856924eb890dab075f60489d1c085f5e746b1240"
+    "290fe0b0bf497cbe2d57b37148da63a8ea3e36a8d0872d85d432e7c7509beb5d"
 
 
 def sha256_of(path):
@@ -364,16 +364,17 @@ class TestVerify:
         assert sha256_of(report_path) == PROP51_522_REPORT
 
     def test_node_limit_interval_522(self, capsys):
-        # cut in the middle of the search: the upper end is the incumbent
+        # cut in the middle of the search, which takes 3 evaluations: the
+        # upper end is the incumbent
         rc = main(["verify-prop51", "--p", "5", "--q", "2", "--k", "2",
-                   "--reduce", "--node-limit", "3"])
+                   "--reduce", "--node-limit", "2"])
         data = json.loads(capsys.readouterr().out)
         assert rc == 2
         record = {r["name"]: r for r in data["records"]}["norm-lower-bound"]
         assert record["status"] == "INCONCLUSIVE"
-        assert record["values"] == {"lower": "1", "node_count": "3",
+        assert record["values"] == {"lower": "1", "node_count": "2",
                                     "upper": "6"}
-        assert data["node_count"] == "3"
+        assert data["node_count"] == "2"
 
     @pytest.mark.parametrize("p, q, k", [(5, 2, 3), (7, 2, 2), (3, 2, 3)],
                              ids=["523", "722", "323"])
@@ -1017,7 +1018,7 @@ class TestLpProbe:
     has a point, the cut loop finds it and the simplex never runs."""
 
     @pytest.mark.parametrize("p, k, digest, certificate, evaluations", [
-        ("5", "2", PROP51_522_REPORT, "search-exhausted", "4"),
+        ("5", "2", PROP51_522_REPORT, "search-exhausted", "3"),
         ("7", "1", PROP51_721_REPORT, "search-exhausted", "4"),
         ("5", "1", PROP51_521_REPORT, "lp-dual", "4"),
     ], ids=["522", "721", "521"])

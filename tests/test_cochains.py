@@ -466,7 +466,7 @@ class TestMinNormPrimitive:
         # the first lattice point of M(5,2,2), u = 0, is already optimal, so
         # each later integer probe is one Bellman-Ford run at bound 5 whose
         # cycle cuts the line, and one rational probe, at a u with
-        # denominator 100, finds the LP probe's point
+        # denominator 50, finds the LP probe's point
         import coarse_kit.cochains as cochains
 
         runs, calls = [], []
@@ -488,9 +488,9 @@ class TestMinNormPrimitive:
         res = min_norm_primitive(bundle.obstruction,
                                  vanishing_on=bundle.boundary_label)
         assert res.certificate.optimum == 6
-        assert res.certificate.node_count == 4
+        assert res.certificate.node_count == 3
         assert len(calls) == 1 and calls[0][0]  # u = 0 is solved exactly
-        assert runs[calls[0][1]:] == [5, 5, 5, 500]
+        assert runs[calls[0][1]:] == [5, 5, 250]
         assert res.certificate.infeasibility_proof["kind"] == \
             "search-exhausted"
 

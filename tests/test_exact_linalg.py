@@ -11,6 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 from coarse_kit import cochains
 from coarse_kit.errors import NoIntegerSolution, ShapeMismatch, SizeGuardExceeded
 from coarse_kit.exact_linalg import (
+    _SparseSmith,
     _box_lp,
     _unimodular_inverse,
     box_feasibility,
@@ -88,22 +89,43 @@ class TestSmithNormalForm:
             ref_diag = [d for d in ref_diag if d != 0]
             assert mine == ref_diag
 
+    def test_factor_fill_unreduced_522(self):
+        # the relative system of the unreduced M(5,2,2), 1461 x 2070: unit
+        # pivots in sparse order keep U and V near 153,000 nonzeros, where
+        # pivoting in position order filled them to 836,568
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            bundle = build_Mk(MkParams(5, 2, 2))
+        A, _, cols, _ = _relative_system(bundle)
+        assert (len(A), len(cols)) == (1461, 2070)
+        snf = smith_normal_form(A, ncols=len(cols))
+        fill = sum(map(len, snf.u_rows)) + sum(map(len, snf.v_cols))
+        assert fill <= 200_000
+        assert snf.diag == smith_normal_form(A, ncols=len(cols),
+                                             factors=False).diag
+
 
 def _sparse(A):
     return [{j: v for j, v in enumerate(row) if v} for row in A]
 
 
 class TestSmithAgainstOracle:
-    """The sparse kernel runs the dense routine's pivot rule and operation
-    order, so with factors U, D and V agree entry for entry."""
+    """The dense routine the sparse kernel replaced gives D and the rank.
+    U and V follow the kernel's own pivot order, so they are checked
+    exactly instead (U A V = D, Bareiss determinants +-1), and must not
+    depend on the input's form or on the run."""
 
     def _agree(self, A, events=None):
-        U, D, V, rank = oracle_smith_normal_form(A, events=events)
+        _, D, _, rank = oracle_smith_normal_form(A, events=events)
         snf = smith_normal_form(A)
-        assert (snf.U, snf.D, snf.V, snf.rank) == (U, D, V, rank), A
+        assert (snf.D, snf.rank) == (D, rank), A
+        assert verify_snf(A, snf)
+        factors = (snf.u_rows, snf.v_cols)
+        again = smith_normal_form(A)
+        assert (again.u_rows, again.v_cols) == factors
         if A:
             sparse = smith_normal_form(_sparse(A), ncols=len(A[0]))
-            assert (sparse.U, sparse.D, sparse.V) == (U, D, V)
+            assert (sparse.u_rows, sparse.v_cols) == factors
         bare = smith_normal_form(A, factors=False)
         assert (bare.u_rows, bare.v_cols) == (None, None)
         assert bare.diagonal() == snf.diagonal()
@@ -140,6 +162,28 @@ class TestSmithAgainstOracle:
                           "bad-row-fold"}
         assert shapes == {"empty", "no-columns", "1xn", "nx1", "zero-row",
                           "zero-column"}
+
+    def test_both_phases_in_one_call(self, monkeypatch):
+        # +-1 entries beside larger ones: the unit pivots, then the
+        # position rule on what they leave, in one factored call
+        ran = []
+        unit = _SparseSmith.unit_pivots
+        position = _SparseSmith.position_pivots
+        monkeypatch.setattr(_SparseSmith, "unit_pivots",
+                            lambda self: ran.append(unit(self)) or ran[-1])
+        monkeypatch.setattr(_SparseSmith, "position_pivots",
+                            lambda self: ran.append(position(self)) or ran[-1])
+        rng = random.Random(73)
+        both = 0
+        for _ in range(300):
+            m, n = rng.randrange(2, 9), rng.randrange(2, 9)
+            A = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, -4, 6))
+                  for _ in range(n)] for _ in range(m)]
+            ran.clear()
+            smith_normal_form(A)
+            both += bool(ran[0]) and bool(ran[1])
+            self._agree(A)
+        assert both >= 200
 
     def test_mk_relative_system(self):
         # the system the minimal-primitive search factors at (5,2,1)
