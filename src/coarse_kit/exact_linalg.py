@@ -130,6 +130,9 @@ class _SparseSmith:
     nonzero in column j.  When ``factors`` is set, U (sparse rows) and V
     (sparse columns) start as identities and record every operation, so
     U * A * V is the current matrix but for the rows ``unit_pivots`` drops.
+    The pivot order is one, with or without factors: ``unit_pivots``
+    (+-1 entries, shortest row first), then ``position_pivots`` on what is
+    left, renumbered (see ``smith_normal_form``).
     """
 
     def __init__(self, rows, n, factors):
