@@ -589,7 +589,8 @@ def fundamental_cycle(X, vertices=None):
 
 
 def cycle_vertices_of_label(X, label):
-    """Cyclic vertex order of a labeled circle subcomplex."""
+    """Cyclic vertex order of a labeled circle subcomplex, as
+    :func:`_canonical_cycle` puts it."""
     verts = set(X.label_cells_of_dim(label, 0))
     edges = X.label_cells_of_dim(label, 1)
     adj = {v: [] for v in verts}
@@ -599,17 +600,20 @@ def cycle_vertices_of_label(X, label):
         adj[b].append(a)
     if any(len(nb) != 2 for nb in adj.values()) or len(edges) != len(verts):
         raise NotASubcomplex(f"label {label!r} is not a circle")
-    start = min(verts)
-    order = [start]
-    prev, cur = None, start
-    while True:
-        nxt = [w for w in adj[cur] if w != prev]
-        step = nxt[0] if prev is not None else min(nxt)
-        if step == start:
-            break
-        order.append(step)
-        prev, cur = cur, step
-    return order
+    order = [min(verts), adj[min(verts)][0]]
+    while order[-1] != order[0]:
+        a, b = adj[order[-1]]
+        order.append(b if a == order[-2] else a)
+    return _canonical_cycle(order[:-1])
+
+
+def _canonical_cycle(order):
+    """A circle's cyclic vertex order from its least vertex toward its
+    lesser neighbour, as :func:`cycle_vertices_of_label` and
+    ``towers.build_Mk`` read every circle."""
+    i = order.index(min(order))
+    order = order[i:] + order[:i]
+    return order if order[1] < order[-1] else order[:1] + order[:0:-1]
 
 
 def labeled_cycle(X, label):
@@ -755,51 +759,51 @@ def subcomplex_matching(X, label_x, Y, label_y, vertex_map):
     return {v: vertex_map[v] for d, v in cells_y if d == 0}
 
 
+def _glue_numbering(n_x, n_y, identify, levels):
+    """The vertex numbering of a pushout, for :func:`glue` and
+    ``towers.build_Mk``: ``identify`` maps Y-vertices injectively to
+    X-vertices, X keeps its n_x ids, and Y's other vertices follow in Y
+    order.  Returns that map of Y's n_y vertices and the sorted images of
+    the vertex tuples in ``levels``, level by level."""
+    for y, x in identify.items():
+        if not 0 <= y < n_y:
+            raise NotAVertex(f"{y} is not a vertex of the second complex")
+        if not 0 <= x < n_x:
+            raise NotAVertex(f"{x} is not a vertex of the first complex")
+    fresh = iter(range(n_x, n_x + n_y))
+    vmap = [identify[y] if y in identify else next(fresh) for y in range(n_y)]
+    if len(set(identify.values())) != len(identify):
+        # an injective map degenerates no simplex: name one this one does
+        for level in levels:
+            for i, verts in enumerate(level):
+                if len(set(map(vmap.__getitem__, verts))) < len(verts):
+                    raise NotIsomorphic(f"identification degenerates Y-cell "
+                                        f"(dim {len(verts) - 1}, {i})")
+        raise NotIsomorphic("identification sends two Y-vertices to one "
+                            "X-vertex")
+    images = [[tuple(sorted(map(vmap.__getitem__, verts))) for verts in level]
+              for level in levels]
+    return vmap, images
+
+
 def glue(X, Y, identify):
     """Simplicial pushout of X and Y along a vertex identification.
 
     ``identify`` maps Y-vertices injectively to X-vertices, the form that
-    :func:`wedge` and :func:`subcomplex_matching` build.  The other
-    Y-vertices are numbered after X's, in Y order.  The result is built
-    from the merged vertex tuples, so a Y-simplex whose image is an
-    X-simplex is counted once, and every stored boundary keeps the
-    sorted-tuple alternating-sign convention that vertex-map-induced chain
-    maps rely on.  It carries X's labels and Y's, a Y label whose name X
-    already uses with ``+`` appended.
+    :func:`wedge` and :func:`subcomplex_matching` build; the vertices are
+    numbered by :func:`_glue_numbering`.  The result is built from the
+    merged vertex tuples, so a Y-simplex whose image is an X-simplex is
+    counted once, and every stored boundary keeps the sorted-tuple
+    alternating-sign convention that vertex-map-induced chain maps rely
+    on.  It carries X's labels and Y's, a Y label whose name X already
+    uses with ``+`` appended.
     """
     if not (X.is_simplicial and Y.is_simplicial):
         raise NotSimplicial("glue joins two simplicial complexes")
-    n0, ny = X.n_cells(0), Y.n_cells(0)
-    for y, x in identify.items():
-        if not 0 <= y < ny:
-            raise NotAVertex(f"{y} is not a vertex of the second complex")
-        if not 0 <= x < n0:
-            raise NotAVertex(f"{x} is not a vertex of the first complex")
-    vmap = []
-    fresh = n0
-    for i in range(ny):
-        x = identify.get(i)
-        if x is None:
-            x = fresh
-            fresh += 1
-        vmap.append(x)
-    tuples = [verts for level in X.simplices for verts in level]
-    y_tuples = []
-    for k, level in enumerate(Y.simplices):
-        images = []
-        for i, verts in enumerate(level):
-            image = tuple(sorted(vmap[v] for v in verts))
-            if len(set(image)) != len(image):
-                raise NotIsomorphic(
-                    f"identification degenerates Y-cell (dim {k}, {i})"
-                )
-            images.append(image)
-        y_tuples.append(images)
-        tuples.extend(images)
-    if len(set(identify.values())) != len(identify):
-        raise NotIsomorphic("identification sends two Y-vertices to one "
-                            "X-vertex")
-    Z = simplicial_complex(tuples)
+    _, y_tuples = _glue_numbering(X.n_cells(0), Y.n_cells(0), identify,
+                                  Y.simplices)
+    Z = simplicial_complex([verts for level in X.simplices + y_tuples
+                            for verts in level])
     labels = {}
     for name, cells in X.labels.items():
         labels[name] = tuple(sorted(

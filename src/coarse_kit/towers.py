@@ -5,6 +5,8 @@ whose middle face is replaced by a pair-of-pants whose two cuffs continue
 into mapping-cylinder towers winding with total degrees p^k and q^k down to
 triangle-sized holes.  The boundary loop is then homotopic to
 e = a^(p^k) b^(q^k), which is what drives every norm bound downstream.
+M is glued as triangle lists, numbered by the rule ``complexes.glue``
+follows, and made as one complex at the end.
 
 Also here: the recursive face-replacement towers (each 2-simplex of a stage
 swallowed by a copy of the next bundle), the product certificates
@@ -24,23 +26,18 @@ from operator import sub
 from .complexes import (
     CellComplex,
     CellMap,
-    annulus_triangulation,
     barycentric_subdivision,
-    circle,
-    coarsening_cylinder,
     cone_middle_subdivision,
     cycle_vertices_of_label,
     filled_triangle,
-    glue,
     interval_product,
-    mapping_cylinder,
     midpoint_subdivision,
     midpoint_subdivision_global,
     remove_cells,
     simplex_carrier,
     simplicial_complex,
-    subcomplex_matching,
-    wedge,
+    _canonical_cycle,
+    _glue_numbering,
     _vertex_span_cells,
 )
 from .cochains import (
@@ -130,101 +127,93 @@ class MkBundle:
         self.q_hole_label = q_hole_label
 
 
-def _cycle_from(X, label, start):
-    order = cycle_vertices_of_label(X, label)
-    i = order.index(start)
-    return order[i:] + order[:i]
+def _cylinder(a, f):
+    """The triangles of ``mapping_cylinder`` of circle(a) under the vertex
+    list f, target vertex w numbered a + w; each f here is onto the target
+    edges, so they close to the whole cylinder."""
+    tris = []
+    for u in range(a):
+        u, w = (u, u + 1) if u < a - 1 else (0, u)
+        x, y = a + f[u], a + f[w]
+        tris.append((u, w, y))
+        if x != y:
+            tris.append((u, x, y) if x < y else (u, y, x))
+    return tris
 
 
-def _tower_chain(u, params):
+def _rim(a, b, winding):
+    """The piece of ``annulus_triangulation(a, b)`` (``winding``) or of
+    ``coarsening_cylinder(a, b)``, numbered as they number theirs."""
+    f = [j % b if winding else j // (a // b) for j in range(a)]
+    return a + b, _cylinder(a, f), {"domain-rim": list(range(a)),
+                                    "target-rim": list(range(a, a + b))}
+
+
+def _glue_pieces(X, Y, pairs, rims):
+    """Piece Y glued onto piece X by ``glue``'s numbering, each Y cycle of
+    ``pairs`` onto its X cycle place by place.  A piece is a vertex count,
+    triangles and named rim cycles in ``cycle_vertices_of_label`` order;
+    X's, extended in place, take Y's rim ``rims[name]`` as ``name``."""
+    (n_x, tris, out), (n_y, y_tris, y_rims) = X, Y
+    identify = {}
+    for x_rim, y_rim in pairs:
+        if len(x_rim) != len(y_rim):
+            raise InvalidParams(
+                f"cannot chain: rim sizes {len(y_rim)} vs {len(x_rim)}")
+        identify.update(zip(y_rim, x_rim))
+    vmap, (images,) = _glue_numbering(n_x, n_y, identify, [y_tris])
+    tris.extend(images)
+    for name, rim in rims.items():
+        out[name] = _canonical_cycle([vmap[v] for v in y_rims[rim]])
+    return n_x + n_y - len(identify), tris, out
+
+
+def _attach(chain, a, b, winding):
+    """``_rim(a, b, winding)`` hung from the chain's "top" by its target
+    rim if winding, else by its domain rim; its other rim is the new top."""
+    down, up = ["target-rim", "domain-rim"][::1 if winding else -1]
+    piece = _rim(a, b, winding)
+    return _glue_pieces(chain, piece, [(chain[2].pop("top"), piece[2][down])],
+                        {"top": up})
+
+
+def _tower(u, params):
     """Tower of degree-u cylinders from a collar circle down to a small hole.
 
-    Returns a complex labeled "hole" (HOLE_EDGES edges) and "collar"
-    (the outer rim), with composite winding u^k from collar to hole.
-    In reduce mode every circle is HOLE_EDGES or HOLE_EDGES*u; otherwise the
-    stage sizes run HOLE_EDGES^k * u^i with a final coarsening to the hole.
+    A piece with rims "hole" (HOLE_EDGES edges) and "top" (the collar),
+    with composite winding u^k from collar to hole.  In reduce mode every
+    circle is HOLE_EDGES or HOLE_EDGES*u; otherwise the stage sizes run
+    HOLE_EDGES^k * u^i with a final coarsening to the hole.
     """
-    k = params.k
+    k, h = params.k, HOLE_EDGES
     if params.reduce:
-        S, _ = annulus_triangulation(HOLE_EDGES * u, HOLE_EDGES)
-        chain = S.relabeled({
-            "hole": S.label_cells("target-rim"),
-            "top": S.label_cells("domain-rim"),
-        })
-        for _ in range(k - 1):
-            C, _ = coarsening_cylinder(HOLE_EDGES * u, HOLE_EDGES)
-            chain = _attach_cyl(chain, C, attach="domain-rim", free="target-rim")
-            S2, _ = annulus_triangulation(HOLE_EDGES * u, HOLE_EDGES)
-            chain = _attach_cyl(chain, S2, attach="target-rim", free="domain-rim")
+        steps = [(h * u, h, True)] + [(h * u, h, False),
+                                      (h * u, h, True)] * (k - 1)
     else:
-        base = HOLE_EDGES ** k
-        S, _ = annulus_triangulation(base * u, base)
-        if base > HOLE_EDGES:
-            C0, _ = coarsening_cylinder(base, HOLE_EDGES)
-            chain = C0.relabeled({
-                "hole": C0.label_cells("target-rim"),
-                "top": C0.label_cells("domain-rim"),
-            })
-            chain = _attach_cyl(chain, S, attach="target-rim", free="domain-rim")
-        else:
-            chain = S.relabeled({
-                "hole": S.label_cells("target-rim"),
-                "top": S.label_cells("domain-rim"),
-            })
-        for i in range(2, k + 1):
-            Si, _ = annulus_triangulation(base * u ** i, base * u ** (i - 1))
-            chain = _attach_cyl(chain, Si, attach="target-rim", free="domain-rim")
+        base = h ** k
+        steps = [(base, h, False)] * (base > h) + [
+            (base * u ** i, base * u ** (i - 1), True)
+            for i in range(1, k + 1)]
+    n, tris, rims = _rim(*steps[0])
+    chain = n, tris, {"hole": rims["target-rim"], "top": rims["domain-rim"]}
+    for step in steps[1:]:
+        chain = _attach(chain, *step)
     return chain
 
 
-def _attach_cyl(chain, piece, attach, free):
-    """Glue a cylinder's ``attach`` rim onto the chain's "top"; relabel.
-
-    All labels of the chain except "top" survive; the new "top" is the
-    piece's other rim.
-    """
-    top_order = cycle_vertices_of_label(chain, "top")
-    rim_order = cycle_vertices_of_label(piece, attach)
-    if len(top_order) != len(rim_order):
-        raise InvalidParams(
-            f"cannot chain: rim sizes {len(rim_order)} vs {len(top_order)}"
-        )
-    vm = {rim_order[t]: top_order[t] for t in range(len(rim_order))}
-    Z = glue(chain, piece, subcomplex_matching(chain, "top", piece, attach, vm))
-    labels = {name: Z.label_cells(name) for name in chain.labels
-              if name != "top"}
-    labels["top"] = Z.label_cells(free)
-    return Z.relabeled(labels)
-
-
-def _pants(ap, aq):
-    """Triangulated mapping cylinder of the two-point collapse.
-
-    Domain rim: circle(ap + aq); target: wedge of circles with ap and aq
-    edges meeting at the image of the two collapsed points.  Labels:
-    "domain-rim", "wedge" (the whole target), "p-loop", "q-loop".
-    """
-    W = wedge(circle(ap), circle(aq), 0, 0)
-    # wedge complex: X-circle keeps vertices 0..ap-1; Y-vertex u >= 1 lands
-    # at ap + u - 1; the wedge point is 0
-    dom = circle(ap + aq)
-    vm = [0] * (ap + aq)
-    for t in range(ap):
-        vm[t] = t
-    for u in range(1, aq):
-        vm[ap + u] = ap + u - 1
-    f = CellMap.from_vertex_map(dom, W, vm)
-    cyl, _, retr = mapping_cylinder(f)
-    nk = ap + aq
-    p_loop_verts = set(range(nk, nk + ap))
-    q_loop_verts = {nk} | set(range(nk + ap, nk + ap + aq - 1))
-    labels = {
-        "domain-rim": cyl.label_cells("domain"),
-        "wedge": cyl.label_cells("target"),
-        "p-loop": _vertex_span_cells(cyl, p_loop_verts),
-        "q-loop": _vertex_span_cells(cyl, q_loop_verts),
-    }
-    return cyl.relabeled(labels)
+def _circle_cells(M, name, cycle):
+    """The cells of the circle through ``cycle`` in M, each edge found by
+    bisection in M's sorted edge level."""
+    edges = M.simplices[1]
+    cells = [(0, v) for v in cycle]
+    distinct = len(set(cycle)) == len(cycle) >= 3
+    for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+        e = (v, w) if v < w else (w, v)
+        i = bisect_left(edges, e)
+        if not distinct or edges[i:i + 1] != [e]:
+            raise InvalidParams(f"label {name!r} of M is not a circle")
+        cells.append((1, i))
+    return cells
 
 
 def _is_pure(X):
@@ -243,82 +232,64 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
     Pieces, glued hole-outward: two tower chains wedged at their collars, a
     pair-of-pants cylinder over the wedge, a degree-one coarsening collar
     down to a triangle, and the midpoint-subdivided triangle with its middle
-    face removed.  The boundary is the subdivided triangle boundary; phi
-    collapses everything inside the middle hole onto one midpoint vertex and
-    is the identity on the outer part.
+    face removed, each a closed-form triangle list; M is made once from
+    the glued lists.  The boundary is the subdivided triangle boundary; phi
+    collapses everything inside the middle hole onto one midpoint vertex
+    and is the identity on the outer part.
     """
     p, q, k = params.p, params.q, params.k
     ap = HOLE_EDGES * p if params.reduce else (HOLE_EDGES * p) ** k
     aq = HOLE_EDGES * q if params.reduce else (HOLE_EDGES * q) ** k
-    est = 6 * (ap + aq) * (k + 1)
-    if est > size_guard:
+    nk = ap + aq
+    # the pants and the collar below them have 3 nk + 3 triangles: refuse
+    # before any list is made
+    if 6 * nk > size_guard:
         raise SizeGuardExceeded(
-            f"estimated {est} cells exceeds the budget {size_guard}; "
-            "rebuild with reduce=True for desk-scale sizes"
-        )
-    # tower chains, wedged at their collar base points
-    TP = _tower_chain(p, params)
-    TQ = _tower_chain(q, params)
-    TP = TP.relabeled({"p-hole": TP.label_cells("hole"),
-                       "collar-p": TP.label_cells("top")})
-    TQ = TQ.relabeled({"q-hole": TQ.label_cells("hole"),
-                       "collar-q": TQ.label_cells("top")})
-    base_p = cycle_vertices_of_label(TP, "collar-p")[0]
-    base_q = cycle_vertices_of_label(TQ, "collar-q")[0]
-    W = wedge(TP, TQ, base_p, base_q)
-    wedge_vertex = base_p
-    # pair of pants over the wedge of collars
-    P = _pants(ap, aq)
-    p_order = _cycle_from(W, "collar-p", wedge_vertex)
-    q_order = _cycle_from(W, "collar-q", wedge_vertex)
-    loop_p = _cycle_from(P, "p-loop", ap + aq)
-    loop_q = _cycle_from(P, "q-loop", ap + aq)
-    vm = {}
-    for t, v in enumerate(loop_p):
-        vm[v] = p_order[t]
-    for t, v in enumerate(loop_q):
-        vm[v] = q_order[t]
-    wedge_cells = tuple(sorted(set(P.label_cells("p-loop"))
-                               | set(P.label_cells("q-loop"))))
-    P = P.relabeled({"wedge": wedge_cells,
-                     "domain-rim": P.label_cells("domain-rim")})
-    collar_cells = tuple(sorted(set(W.label_cells("collar-p"))
-                                | set(W.label_cells("collar-q"))))
-    W = W.relabeled({**{n: W.label_cells(n) for n in ("p-hole", "q-hole")},
-                     "collar-wedge": collar_cells})
-    M1 = glue(W, P, subcomplex_matching(W, "collar-wedge", P, "wedge", vm))
+            f"more than {6 * nk} cells exceed the budget {size_guard}; "
+            "rebuild with reduce=True for desk-scale sizes")
+    # tower chains, wedged at the collars' first, least vertices
+    n, tris, rims = _tower(p, params)
+    collar_p, TQ = rims["top"], _tower(q, params)
+    W = _glue_pieces((n, tris, {"p-hole": rims["hole"]}), TQ,
+                     [(collar_p[:1], TQ[2]["top"][:1])],
+                     {"q-hole": "hole", "collar-q": "top"})
+    # pair of pants over the wedge of collars: circle(nk) collapsed onto
+    # the circles 0..ap-1 and 0, ap..nk-2, whose loops in the cylinder
+    # start at the wedge point nk, as both collars do
+    collapse = list(range(ap)) + [0] + list(range(ap, nk - 1))
+    P = (2 * nk - 1, _cylinder(nk, collapse), {"domain-rim": list(range(nk))})
+    loops = [(collar_p, list(range(nk, nk + ap))),
+             (W[2].pop("collar-q"), [nk, *range(nk + ap, 2 * nk - 1)])]
+    guts = _glue_pieces(W, P, loops, {"top": "domain-rim"})
     # coarsening collar down to the middle triangle size
-    K, _ = coarsening_cylinder(ap + aq, HOLE_EDGES)
-    guts = _attach_cyl(
-        M1.relabeled({"top": M1.label_cells("domain-rim"),
-                      "p-hole": M1.label_cells("p-hole"),
-                      "q-hole": M1.label_cells("q-hole")}),
-        K, attach="domain-rim", free="target-rim",
-    )
-    guts = guts.relabeled({
-        "p-hole": guts.label_cells("p-hole"),
-        "q-hole": guts.label_cells("q-hole"),
-        "guts-boundary": guts.label_cells("top"),
-    })
+    guts = _attach(guts, nk, HOLE_EDGES, False)
     # the holed subdivided triangle
     tau = midpoint_subdivision(filled_triangle())
-    (middle,) = tau.complex.label_cells("middle")
-    D = remove_cells(tau.complex, [middle])
-    vm2 = {}
-    g_order = cycle_vertices_of_label(guts, "guts-boundary")
-    d_order = cycle_vertices_of_label(D, "middle-boundary")
-    for t, v in enumerate(g_order):
-        vm2[v] = d_order[t]
-    M = glue(D, guts, subcomplex_matching(D, "middle-boundary", guts,
-                                          "guts-boundary", vm2))
-    M = M.relabeled({name: M.label_cells(name) for name in
-                     ("boundary", "middle-boundary", "p-hole", "q-hole")})
+    T = tau.complex
+    (middle,) = T.label_cells("middle")
+    D = (T.n_cells(0),
+         [s for i, s in enumerate(T.simplices[2]) if (2, i) != middle],
+         {name: cycle_vertices_of_label(T, name)
+          for name in ("boundary", "middle-boundary")})
+    n, tris, rims = _glue_pieces(
+        D, guts, [(D[2]["middle-boundary"], guts[2].pop("top"))],
+        {"p-hole": "p-hole", "q-hole": "q-hole"})
+    # M is a disk with two holes, Euler characteristic -1, so its n
+    # vertices and t triangles close to n + t + 1 edges
+    cells = 2 * (n + len(tris)) + 1
+    if cells > size_guard:
+        raise SizeGuardExceeded(
+            f"{cells} cells exceed the budget {size_guard}; "
+            "rebuild with reduce=True for desk-scale sizes")
+    M = simplicial_complex(tris)
+    M = M.relabeled({name: _circle_cells(M, name, cycle)
+                     for name, cycle in rims.items()})
     # phi: identity on the subdivided-triangle part, everything else onto
     # one midpoint vertex of the middle face
-    n_outer = tau.complex.n_cells(0)
+    n_outer = T.n_cells(0)
     mid_vertex = 3  # midpoint of edge (0, 1) in the subdivision
     phi_vm = [v if v < n_outer else mid_vertex for v in range(M.n_cells(0))]
-    phi = CellMap.from_vertex_map(M, tau.complex, phi_vm)
+    phi = CellMap.from_vertex_map(M, T, phi_vm)
     rho = simplicial_approx_identity(tau)
     mu = fundamental_class(filled_triangle(), 2)
     obstruction = pullback_cochain(rho.compose(phi), mu)

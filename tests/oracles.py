@@ -66,6 +66,12 @@ identification, with its boundary-closure and orientation checks;
 ``oracle_vertex_matching`` is the matching an identification induces.  The
 two gluings must give the same complex and labels.
 
+``oracle_build_Mk`` is M(p, q, k) made as ``towers.build_Mk`` made it
+before it glued triangle lists: one ``glue`` pushout of two complexes per
+gluing step, each piece a mapping-cylinder complex and each rim order read
+back with ``cycle_vertices_of_label``.  The two must give the same levels,
+labels, phi, tau and obstruction.
+
 ``oracle_pullback_complex`` is the fiber product from every (sigma, t)
 pair in every dimension, each found through an inverse dict and a pair
 dict and closed by ``oracle_simplicial_complex``; ``towers`` makes the same
@@ -93,12 +99,26 @@ from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
 
+from coarse_kit.cochains import fundamental_class, pullback_cochain
 from coarse_kit.complexes import (
     CellComplex,
     CellMap,
+    annulus_triangulation,
+    circle,
+    coarsening_cylinder,
+    cycle_vertices_of_label,
+    filled_triangle,
+    glue,
+    mapping_cylinder,
+    midpoint_subdivision,
     midpoint_subdivision_global,
+    remove_cells,
+    subcomplex_matching,
+    wedge,
+    _vertex_span_cells,
 )
 from coarse_kit.errors import (
+    InvalidParams,
     NodeLimitExceeded,
     NoIntegerSolution,
     NoValidAssignment,
@@ -117,7 +137,13 @@ from coarse_kit.exact_linalg import (
     smith_normal_form,
     solve_integer,
 )
-from coarse_kit.towers import pullback_subdivision
+from coarse_kit.towers import (
+    HOLE_EDGES,
+    MkBundle,
+    _check_bundle,
+    pullback_subdivision,
+    simplicial_approx_identity,
+)
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -1628,3 +1654,187 @@ def oracle_serialize_complex(X):
         cells = " ".join(f"{d}:{i}" for d, i in X.labels[name])
         lines.append(f"label {name} {cells}".rstrip())
     return "\n".join(lines) + "\n"
+
+
+def _oracle_cycle_from(X, label, start):
+    order = cycle_vertices_of_label(X, label)
+    i = order.index(start)
+    return order[i:] + order[:i]
+
+
+def _oracle_tower_chain(u, params):
+    """Tower of degree-u cylinders from a collar circle down to a small hole.
+
+    Returns a complex labeled "hole" (HOLE_EDGES edges) and "collar"
+    (the outer rim), with composite winding u^k from collar to hole.
+    In reduce mode every circle is HOLE_EDGES or HOLE_EDGES*u; otherwise the
+    stage sizes run HOLE_EDGES^k * u^i with a final coarsening to the hole.
+    """
+    k = params.k
+    if params.reduce:
+        S, _ = annulus_triangulation(HOLE_EDGES * u, HOLE_EDGES)
+        chain = S.relabeled({
+            "hole": S.label_cells("target-rim"),
+            "top": S.label_cells("domain-rim"),
+        })
+        for _ in range(k - 1):
+            C, _ = coarsening_cylinder(HOLE_EDGES * u, HOLE_EDGES)
+            chain = _oracle_attach_cyl(chain, C, attach="domain-rim", free="target-rim")
+            S2, _ = annulus_triangulation(HOLE_EDGES * u, HOLE_EDGES)
+            chain = _oracle_attach_cyl(chain, S2, attach="target-rim", free="domain-rim")
+    else:
+        base = HOLE_EDGES ** k
+        S, _ = annulus_triangulation(base * u, base)
+        if base > HOLE_EDGES:
+            C0, _ = coarsening_cylinder(base, HOLE_EDGES)
+            chain = C0.relabeled({
+                "hole": C0.label_cells("target-rim"),
+                "top": C0.label_cells("domain-rim"),
+            })
+            chain = _oracle_attach_cyl(chain, S, attach="target-rim", free="domain-rim")
+        else:
+            chain = S.relabeled({
+                "hole": S.label_cells("target-rim"),
+                "top": S.label_cells("domain-rim"),
+            })
+        for i in range(2, k + 1):
+            Si, _ = annulus_triangulation(base * u ** i, base * u ** (i - 1))
+            chain = _oracle_attach_cyl(chain, Si, attach="target-rim", free="domain-rim")
+    return chain
+
+
+def _oracle_attach_cyl(chain, piece, attach, free):
+    """Glue a cylinder's ``attach`` rim onto the chain's "top"; relabel.
+
+    All labels of the chain except "top" survive; the new "top" is the
+    piece's other rim.
+    """
+    top_order = cycle_vertices_of_label(chain, "top")
+    rim_order = cycle_vertices_of_label(piece, attach)
+    if len(top_order) != len(rim_order):
+        raise InvalidParams(
+            f"cannot chain: rim sizes {len(rim_order)} vs {len(top_order)}"
+        )
+    vm = {rim_order[t]: top_order[t] for t in range(len(rim_order))}
+    Z = glue(chain, piece, subcomplex_matching(chain, "top", piece, attach, vm))
+    labels = {name: Z.label_cells(name) for name in chain.labels
+              if name != "top"}
+    labels["top"] = Z.label_cells(free)
+    return Z.relabeled(labels)
+
+
+def _oracle_pants(ap, aq):
+    """Triangulated mapping cylinder of the two-point collapse.
+
+    Domain rim: circle(ap + aq); target: wedge of circles with ap and aq
+    edges meeting at the image of the two collapsed points.  Labels:
+    "domain-rim", "wedge" (the whole target), "p-loop", "q-loop".
+    """
+    W = wedge(circle(ap), circle(aq), 0, 0)
+    # wedge complex: X-circle keeps vertices 0..ap-1; Y-vertex u >= 1 lands
+    # at ap + u - 1; the wedge point is 0
+    dom = circle(ap + aq)
+    vm = [0] * (ap + aq)
+    for t in range(ap):
+        vm[t] = t
+    for u in range(1, aq):
+        vm[ap + u] = ap + u - 1
+    f = CellMap.from_vertex_map(dom, W, vm)
+    cyl, _, retr = mapping_cylinder(f)
+    nk = ap + aq
+    p_loop_verts = set(range(nk, nk + ap))
+    q_loop_verts = {nk} | set(range(nk + ap, nk + ap + aq - 1))
+    labels = {
+        "domain-rim": cyl.label_cells("domain"),
+        "wedge": cyl.label_cells("target"),
+        "p-loop": _vertex_span_cells(cyl, p_loop_verts),
+        "q-loop": _vertex_span_cells(cyl, q_loop_verts),
+    }
+    return cyl.relabeled(labels)
+
+
+def oracle_build_Mk(params):
+    """M(p, q, k) as ``towers.build_Mk`` assembled it before it glued
+    triangle lists: every gluing step a ``glue`` pushout of two complexes.
+
+    Pieces, glued hole-outward: two tower chains wedged at their collars, a
+    pair-of-pants cylinder over the wedge, a degree-one coarsening collar
+    down to a triangle, and the midpoint-subdivided triangle with its middle
+    face removed.  The boundary is the subdivided triangle boundary; phi
+    collapses everything inside the middle hole onto one midpoint vertex and
+    is the identity on the outer part.
+    """
+    p, q, k = params.p, params.q, params.k
+    ap = HOLE_EDGES * p if params.reduce else (HOLE_EDGES * p) ** k
+    aq = HOLE_EDGES * q if params.reduce else (HOLE_EDGES * q) ** k
+    # tower chains, wedged at their collar base points
+    TP = _oracle_tower_chain(p, params)
+    TQ = _oracle_tower_chain(q, params)
+    TP = TP.relabeled({"p-hole": TP.label_cells("hole"),
+                       "collar-p": TP.label_cells("top")})
+    TQ = TQ.relabeled({"q-hole": TQ.label_cells("hole"),
+                       "collar-q": TQ.label_cells("top")})
+    base_p = cycle_vertices_of_label(TP, "collar-p")[0]
+    base_q = cycle_vertices_of_label(TQ, "collar-q")[0]
+    W = wedge(TP, TQ, base_p, base_q)
+    wedge_vertex = base_p
+    # pair of pants over the wedge of collars
+    P = _oracle_pants(ap, aq)
+    p_order = _oracle_cycle_from(W, "collar-p", wedge_vertex)
+    q_order = _oracle_cycle_from(W, "collar-q", wedge_vertex)
+    loop_p = _oracle_cycle_from(P, "p-loop", ap + aq)
+    loop_q = _oracle_cycle_from(P, "q-loop", ap + aq)
+    vm = {}
+    for t, v in enumerate(loop_p):
+        vm[v] = p_order[t]
+    for t, v in enumerate(loop_q):
+        vm[v] = q_order[t]
+    wedge_cells = tuple(sorted(set(P.label_cells("p-loop"))
+                               | set(P.label_cells("q-loop"))))
+    P = P.relabeled({"wedge": wedge_cells,
+                     "domain-rim": P.label_cells("domain-rim")})
+    collar_cells = tuple(sorted(set(W.label_cells("collar-p"))
+                                | set(W.label_cells("collar-q"))))
+    W = W.relabeled({**{n: W.label_cells(n) for n in ("p-hole", "q-hole")},
+                     "collar-wedge": collar_cells})
+    M1 = glue(W, P, subcomplex_matching(W, "collar-wedge", P, "wedge", vm))
+    # coarsening collar down to the middle triangle size
+    K, _ = coarsening_cylinder(ap + aq, HOLE_EDGES)
+    guts = _oracle_attach_cyl(
+        M1.relabeled({"top": M1.label_cells("domain-rim"),
+                      "p-hole": M1.label_cells("p-hole"),
+                      "q-hole": M1.label_cells("q-hole")}),
+        K, attach="domain-rim", free="target-rim",
+    )
+    guts = guts.relabeled({
+        "p-hole": guts.label_cells("p-hole"),
+        "q-hole": guts.label_cells("q-hole"),
+        "guts-boundary": guts.label_cells("top"),
+    })
+    # the holed subdivided triangle
+    tau = midpoint_subdivision(filled_triangle())
+    (middle,) = tau.complex.label_cells("middle")
+    D = remove_cells(tau.complex, [middle])
+    vm2 = {}
+    g_order = cycle_vertices_of_label(guts, "guts-boundary")
+    d_order = cycle_vertices_of_label(D, "middle-boundary")
+    for t, v in enumerate(g_order):
+        vm2[v] = d_order[t]
+    M = glue(D, guts, subcomplex_matching(D, "middle-boundary", guts,
+                                          "guts-boundary", vm2))
+    M = M.relabeled({name: M.label_cells(name) for name in
+                     ("boundary", "middle-boundary", "p-hole", "q-hole")})
+    # phi: identity on the subdivided-triangle part, everything else onto
+    # one midpoint vertex of the middle face
+    n_outer = tau.complex.n_cells(0)
+    mid_vertex = 3  # midpoint of edge (0, 1) in the subdivision
+    phi_vm = [v if v < n_outer else mid_vertex for v in range(M.n_cells(0))]
+    phi = CellMap.from_vertex_map(M, tau.complex, phi_vm)
+    rho = simplicial_approx_identity(tau)
+    mu = fundamental_class(filled_triangle(), 2)
+    obstruction = pullback_cochain(rho.compose(phi), mu)
+    bundle = MkBundle(
+        complex=M, params=params, phi=phi, tau=tau, obstruction=obstruction,
+    )
+    _check_bundle(bundle)
+    return bundle

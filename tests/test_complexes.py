@@ -22,6 +22,7 @@ from coarse_kit import (
     wedge,
 )
 from coarse_kit.complexes import (
+    _glue_numbering,
     cycle_vertices_of_label,
     interval_product,
     labeled_cycle,
@@ -482,8 +483,9 @@ class TestFlatBoundaryTables:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             M = build_Mk(MkParams(5, 2, 1, reduce=True)).complex
-        # build_Mk looked up M's edges; the others are fresh
-        for X, cached in ((circle(5), 0), (filled_triangle(), 0), (M, 1),
+        # build_Mk finds M's label edges by bisection in its sorted edge
+        # level, so M, like the fresh others, has no face index yet
+        for X, cached in ((circle(5), 0), (filled_triangle(), 0), (M, 0),
                           (simplicial_complex(random_simplices(rng, 9, 3, 12)
                                               + [(0, 1, 2, 3)]), 0)):
             for k in range(1, X.dim + 1):
@@ -733,6 +735,16 @@ class TestWedgeGlue:
             glue(cylinder, edge, {0: 0})
         with pytest.raises(NotSimplicial):
             glue(edge, cylinder, {0: 0})
+
+    def test_glue_numbering(self):
+        # glue and build_Mk's assembly number the pushout by this one rule
+        tri = [[(0, 1, 2)]]
+        assert _glue_numbering(3, 4, {1: 2, 3: 0}, tri) == (
+            [3, 2, 4, 0], [[(2, 3, 4)]])
+        with pytest.raises(NotIsomorphic, match=r"degenerates Y-cell \(dim 2"):
+            _glue_numbering(3, 3, {0: 0, 1: 0}, tri)
+        with pytest.raises(NotIsomorphic, match="two Y-vertices"):
+            _glue_numbering(3, 4, {0: 0, 3: 0}, tri)
 
     def test_glue_against_oracle(self):
         """Wedges at random vertices and gluings along labeled circles

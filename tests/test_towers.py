@@ -18,6 +18,7 @@ from coarse_kit.cochains import (
     ring_zp,
 )
 from coarse_kit.complexes import (
+    CellComplex,
     CellMap,
     Subdivision,
     annulus_triangulation,
@@ -64,6 +65,7 @@ from coarse_kit.towers import (
 
 from oracles import (
     densify,
+    oracle_build_Mk,
     oracle_cell_carriers,
     oracle_check_stage_carriers,
     oracle_complex_homology,
@@ -219,6 +221,57 @@ class TestBuildMk:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 build_Mk(MkParams(5, 2, 4), size_guard=2000)
+
+    def test_size_guard_counts_every_cell(self):
+        # (5,2,3) --reduce has 713 cells: every smaller budget refuses it
+        params = MkParams(5, 2, 3, reduce=True)
+        with pytest.raises(SizeGuardExceeded, match="713 cells"):
+            build_Mk(params, size_guard=600)
+        with pytest.raises(SizeGuardExceeded):
+            build_Mk(params, size_guard=712)
+        assert build_Mk(params, size_guard=713).complex.total_cells() == 713
+
+    @pytest.mark.parametrize("pqk,reduce", [
+        *((pqk, True) for pqk in ((5, 2, 1), (7, 2, 1), (2, 3, 1), (3, 2, 2),
+                                  (5, 2, 2), (7, 2, 2), (3, 2, 3), (5, 2, 3),
+                                  (5, 2, 6), (11, 3, 2))),
+        *((pqk, False) for pqk in ((5, 2, 1), (7, 2, 1), (2, 3, 1),
+                                   (3, 2, 2), (5, 2, 2))),
+    ], ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple)
+        else ("reduce" if v else "full"))
+    def test_against_glued_complexes(self, pqk, reduce):
+        """The triangle-list assembly against the chain of glue pushouts:
+        the same levels, labels, phi, tau and obstruction, and a size
+        guard that refuses one cell short of the complex."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            params = MkParams(*pqk, reduce=reduce)
+        ref = oracle_build_Mk(params)
+        cells = ref.complex.total_cells()
+        b = build_Mk(params, size_guard=cells)
+        assert b.complex.simplices == ref.complex.simplices
+        assert b.complex.labels == ref.complex.labels
+        assert b.phi.vertex_map == ref.phi.vertex_map
+        assert b.tau.complex.simplices == ref.tau.complex.simplices
+        assert b.obstruction.values == ref.obstruction.values
+        with pytest.raises(SizeGuardExceeded):
+            build_Mk(params, size_guard=cells - 1)
+
+    def test_one_complex_per_build(self, monkeypatch):
+        """M is made by one simplicial_complex call whatever k is: a build
+        that makes one complex per gluing step makes more at k = 6."""
+        made = []
+        from_simplices = CellComplex.from_simplices
+
+        def spy(cls, *args, **kwargs):
+            made.append(args)
+            return from_simplices(*args, **kwargs)
+
+        monkeypatch.setattr(CellComplex, "from_simplices", classmethod(spy))
+        build_Mk(MkParams(5, 2, 1, reduce=True))
+        at_k1 = len(made)
+        build_Mk(MkParams(5, 2, 6, reduce=True))
+        assert len(made) == 2 * at_k1
 
 
 def collapse_xi(n):
