@@ -608,9 +608,8 @@ def cycle_vertices_of_label(X, label):
 
 
 def _canonical_cycle(order):
-    """A circle's cyclic vertex order from its least vertex toward its
-    lesser neighbour, as :func:`cycle_vertices_of_label` and
-    ``towers.build_Mk`` read every circle."""
+    """A circle's vertex order from its least vertex toward its lesser
+    neighbour, the order every circle is read in."""
     i = order.index(min(order))
     order = order[i:] + order[:i]
     return order if order[1] < order[-1] else order[:1] + order[:0:-1]
@@ -632,33 +631,22 @@ def mapping_cylinder(f):
     deformation-retracts to the target, so their homologies agree (tested
     via the Smith-form oracle).
     """
-    K, L = f.source, f.target
+    K, L, vm = f.source, f.target, f.vertex_map
     nk = K.n_cells(0)
-    src = lambda v: v            # cylinder indices of domain vertices
-    tgt = lambda w: nk + w       # cylinder indices of target vertices
-    simp = set()
-    for k in range(L.dim + 1):
-        for verts in L.simplices[k]:
-            simp.add(tuple(sorted(tgt(w) for w in verts)))
-    for k in range(K.dim + 1):
-        for verts in K.simplices[k]:
+    # domain vertex v is v in the cylinder, target vertex w is nk + w
+    simp = {tuple(nk + w for w in verts)
+            for level in L.simplices for verts in level}
+    for level in K.simplices:
+        for verts in level:
             for i in range(len(verts)):
-                cand = tuple(src(v) for v in verts[: i + 1]) + tuple(
-                    tgt(f.vertex_map[v]) for v in verts[i:]
-                )
-                simp.add(tuple(sorted(set(cand))))
+                simp.add(verts[:i + 1]
+                         + tuple(sorted({nk + vm[v] for v in verts[i:]})))
     cyl = simplicial_complex(sorted(simp, key=lambda t: (len(t), t)))
-    dom_cells, tgt_cells = [], []
-    for k in range(cyl.dim + 1):
-        for i, verts in enumerate(cyl.simplices[k]):
-            if all(v < nk for v in verts):
-                dom_cells.append((k, i))
-            if all(v >= nk for v in verts):
-                tgt_cells.append((k, i))
-    cyl = cyl.relabeled({"domain": dom_cells, "target": tgt_cells})
-    incl = CellMap.from_vertex_map(K, cyl, [src(v) for v in range(nk)])
-    retr_vm = [f.vertex_map[v] for v in range(nk)] + list(range(L.n_cells(0)))
-    retr = CellMap.from_vertex_map(cyl, L, retr_vm)
+    cyl = cyl.relabeled({
+        "domain": _vertex_span_cells(cyl, range(nk)),
+        "target": _vertex_span_cells(cyl, range(nk, cyl.n_cells(0)))})
+    incl = CellMap.from_vertex_map(K, cyl, range(nk))
+    retr = CellMap.from_vertex_map(cyl, L, vm + list(range(L.n_cells(0))))
     return cyl, incl, retr
 
 
@@ -669,7 +657,7 @@ def annulus_triangulation(a, b):
     rim.  Labels: "domain-rim" (the a-circle), "target-rim" (the b-circle).
     Returns ``(complex, collapse map to circle(b))``.
     """
-    return _rim_cylinder(a, b, lambda j: j % b)
+    return _rim_cylinder(a, b, True)
 
 
 def coarsening_cylinder(a, b):
@@ -678,35 +666,47 @@ def coarsening_cylinder(a, b):
     Used to re-coarsen circle sizes between winding stages without adding
     degree.  Same labeling contract as :func:`annulus_triangulation`.
     """
-    return _rim_cylinder(a, b, lambda j: j // (a // b))
+    return _rim_cylinder(a, b, False)
 
 
-def _rim_cylinder(a, b, vertex_map):
-    """Labeled mapping cylinder of circle(a) -> circle(b), j -> vertex_map(j)."""
+def _rim_map(a, b, winding):
+    return [j % b if winding else j // (a // b) for j in range(a)]
+
+
+def _cylinder(a, f):
+    """The triangles of :func:`mapping_cylinder` of circle(a) under the
+    vertex list f (target vertex w is a + w); they close to all of it
+    when f is onto the target edges, as a :func:`_rim_map` is."""
+    tris = []
+    for u in range(a):
+        u, w = (u, u + 1) if u < a - 1 else (0, u)
+        x, y = a + f[u], a + f[w]
+        tris.append((u, w, y))
+        if x != y:
+            tris.append((u, x, y) if x < y else (u, y, x))
+    return tris
+
+
+def _rim_cylinder(a, b, winding):
+    """Labeled mapping cylinder of circle(a) -> circle(b) by ``_rim_map``."""
     if b < 3:
         raise TooFewVertices(f"target circle needs >= 3 vertices, got {b}")
     if a % b != 0 or a < b:
         raise NotDivisible(f"domain size {a} is not a positive multiple of {b}")
-    top, bot = circle(a), circle(b)
-    f = CellMap.from_vertex_map(top, bot, [vertex_map(j) for j in range(a)])
-    cyl, _, retr = mapping_cylinder(f)
-    lbl = {
-        "domain-rim": _vertex_span_cells(cyl, range(a)),
-        "target-rim": _vertex_span_cells(cyl, range(a, a + b)),
-    }
-    cyl = cyl.relabeled({**cyl.labels, **lbl})
-    return cyl, CellMap(cyl, bot, retr.vertex_map)
+    f = _rim_map(a, b, winding)
+    cyl = simplicial_complex(_cylinder(a, f))
+    dom = _vertex_span_cells(cyl, range(a))
+    tgt = _vertex_span_cells(cyl, range(a, a + b))
+    cyl = cyl.relabeled({"domain": dom, "target": tgt,
+                         "domain-rim": dom, "target-rim": tgt})
+    return cyl, CellMap(cyl, circle(b), f + list(range(b)))
 
 
 def _vertex_span_cells(X, vertices):
     """All cells of X whose vertices lie in the given set."""
     vs = set(vertices)
-    cells = []
-    for k in range(X.dim + 1):
-        for i, verts in enumerate(X.simplices[k]):
-            if all(v in vs for v in verts):
-                cells.append((k, i))
-    return cells
+    return [(k, i) for k, level in enumerate(X.simplices)
+            for i, verts in enumerate(level) if vs.issuperset(verts)]
 
 
 # -- wedge and gluing -------------------------------------------------------
@@ -760,11 +760,10 @@ def subcomplex_matching(X, label_x, Y, label_y, vertex_map):
 
 
 def _glue_numbering(n_x, n_y, identify, levels):
-    """The vertex numbering of a pushout, for :func:`glue` and
-    ``towers.build_Mk``: ``identify`` maps Y-vertices injectively to
-    X-vertices, X keeps its n_x ids, and Y's other vertices follow in Y
-    order.  Returns that map of Y's n_y vertices and the sorted images of
-    the vertex tuples in ``levels``, level by level."""
+    """The pushout numbering of :func:`glue` and ``towers.build_Mk``: X
+    keeps its n_x ids, ``identify`` maps Y-vertices injectively to X's, and
+    Y's other vertices follow in Y order.  Returns that map of Y's n_y
+    vertices and the sorted images of the tuples in ``levels``."""
     for y, x in identify.items():
         if not 0 <= y < n_y:
             raise NotAVertex(f"{y} is not a vertex of the second complex")

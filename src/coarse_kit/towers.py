@@ -37,7 +37,9 @@ from .complexes import (
     simplex_carrier,
     simplicial_complex,
     _canonical_cycle,
+    _cylinder,
     _glue_numbering,
+    _rim_map,
     _vertex_span_cells,
 )
 from .cochains import (
@@ -127,33 +129,18 @@ class MkBundle:
         self.q_hole_label = q_hole_label
 
 
-def _cylinder(a, f):
-    """The triangles of ``mapping_cylinder`` of circle(a) under the vertex
-    list f, target vertex w numbered a + w; each f here is onto the target
-    edges, so they close to the whole cylinder."""
-    tris = []
-    for u in range(a):
-        u, w = (u, u + 1) if u < a - 1 else (0, u)
-        x, y = a + f[u], a + f[w]
-        tris.append((u, w, y))
-        if x != y:
-            tris.append((u, x, y) if x < y else (u, y, x))
-    return tris
-
-
 def _rim(a, b, winding):
     """The piece of ``annulus_triangulation(a, b)`` (``winding``) or of
     ``coarsening_cylinder(a, b)``, numbered as they number theirs."""
-    f = [j % b if winding else j // (a // b) for j in range(a)]
-    return a + b, _cylinder(a, f), {"domain-rim": list(range(a)),
-                                    "target-rim": list(range(a, a + b))}
+    return a + b, _cylinder(a, _rim_map(a, b, winding)), {
+        "domain-rim": list(range(a)), "target-rim": list(range(a, a + b))}
 
 
 def _glue_pieces(X, Y, pairs, rims):
     """Piece Y glued onto piece X by ``glue``'s numbering, each Y cycle of
     ``pairs`` onto its X cycle place by place.  A piece is a vertex count,
-    triangles and named rim cycles in ``cycle_vertices_of_label`` order;
-    X's, extended in place, take Y's rim ``rims[name]`` as ``name``."""
+    triangles and rim cycles in ``_canonical_cycle`` order; X's, extended
+    in place, take Y's rim ``rims[name]`` as ``name``."""
     (n_x, tris, out), (n_y, y_tris, y_rims) = X, Y
     identify = {}
     for x_rim, y_rim in pairs:
@@ -201,6 +188,28 @@ def _tower(u, params):
     return chain
 
 
+def _cell_count(params):
+    """The cells of M(p, q, k), 2 (n + t) + 1 for n vertices and t
+    triangles (M has Euler characteristic -1), in closed form.
+
+    A winding step a -> b has 2a triangles, a coarsening step a + b, and
+    each step after a tower's first adds its new top's vertices.  The
+    pants, the collar and the holed triangle add 4 nk + 2 HOLE_EDGES + 5.
+    """
+    k, h = params.k, HOLE_EDGES
+    size = 2 * h + 5
+    for u in (params.p, params.q):
+        if params.reduce:
+            top = h * u
+            size += (4 * top + 2 * h) * k - top - h
+        else:
+            base, top = h ** k, (h * u) ** k
+            c = base + h if base > h else 0  # the coarsening to the hole
+            size += 3 * (top - base) * u // (u - 1) + c + (c or h)
+        size += 4 * top
+    return 2 * size + 1
+
+
 def _circle_cells(M, name, cycle):
     """The cells of the circle through ``cycle`` in M, each edge found by
     bisection in M's sorted edge level."""
@@ -237,19 +246,20 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
     collapses everything inside the middle hole onto one midpoint vertex
     and is the identity on the outer part.
     """
-    p, q, k = params.p, params.q, params.k
-    ap = HOLE_EDGES * p if params.reduce else (HOLE_EDGES * p) ** k
-    aq = HOLE_EDGES * q if params.reduce else (HOLE_EDGES * q) ** k
-    nk = ap + aq
-    # the pants and the collar below them have 3 nk + 3 triangles: refuse
-    # before any list is made
-    if 6 * nk > size_guard:
+    # an unreduced tower has over 2^k vertices: refuse k uncounted
+    if not params.reduce and params.k >= size_guard.bit_length():
         raise SizeGuardExceeded(
-            f"more than {6 * nk} cells exceed the budget {size_guard}; "
+            f"more than 2^{params.k} cells exceed the budget {size_guard}")
+    cells = _cell_count(params)
+    if cells > size_guard:
+        raise SizeGuardExceeded(
+            f"{cells} cells exceed the budget {size_guard}; "
             "rebuild with reduce=True for desk-scale sizes")
     # tower chains, wedged at the collars' first, least vertices
-    n, tris, rims = _tower(p, params)
-    collar_p, TQ = rims["top"], _tower(q, params)
+    n, tris, rims = _tower(params.p, params)
+    collar_p, TQ = rims["top"], _tower(params.q, params)
+    ap = len(collar_p)
+    nk = ap + len(TQ[2]["top"])
     W = _glue_pieces((n, tris, {"p-hole": rims["hole"]}), TQ,
                      [(collar_p[:1], TQ[2]["top"][:1])],
                      {"q-hole": "hole", "collar-q": "top"})
@@ -274,13 +284,6 @@ def build_Mk(params, size_guard=DEFAULT_SIZE_GUARD):
     n, tris, rims = _glue_pieces(
         D, guts, [(D[2]["middle-boundary"], guts[2].pop("top"))],
         {"p-hole": "p-hole", "q-hole": "q-hole"})
-    # M is a disk with two holes, Euler characteristic -1, so its n
-    # vertices and t triangles close to n + t + 1 edges
-    cells = 2 * (n + len(tris)) + 1
-    if cells > size_guard:
-        raise SizeGuardExceeded(
-            f"{cells} cells exceed the budget {size_guard}; "
-            "rebuild with reduce=True for desk-scale sizes")
     M = simplicial_complex(tris)
     M = M.relabeled({name: _circle_cells(M, name, cycle)
                      for name, cycle in rims.items()})

@@ -617,6 +617,23 @@ class TestAnnulus:
         target_cycle = fundamental_cycle(collapse.target)
         assert image == target_cycle
 
+    @pytest.mark.parametrize("a,b", [(3, 3), (6, 3), (15, 3), (12, 6),
+                                     (12, 4), (20, 5)])
+    def test_rim_cylinders_are_mapping_cylinders(self, a, b):
+        """The closed-form rim cylinders against mapping_cylinder of their
+        circle maps: the same levels, labels and collapse."""
+        for build, vm in ((annulus_triangulation, lambda j: j % b),
+                          (coarsening_cylinder, lambda j: j // (a // b))):
+            f = CellMap.from_vertex_map(circle(a), circle(b),
+                                        [vm(j) for j in range(a)])
+            ref, _, retr = mapping_cylinder(f)
+            A, collapse = build(a, b)
+            assert A.simplices == ref.simplices
+            assert A.labels == ref.relabeled({
+                **ref.labels, "domain-rim": ref.labels["domain"],
+                "target-rim": ref.labels["target"]}).labels
+            assert collapse.vertex_map == retr.vertex_map
+
 
 class TestMappingCylinder:
     def test_identity_cylinder_matches_annulus(self):

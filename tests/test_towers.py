@@ -231,6 +231,17 @@ class TestBuildMk:
             build_Mk(params, size_guard=712)
         assert build_Mk(params, size_guard=713).complex.total_cells() == 713
 
+    def test_size_guard_refuses_before_building(self, monkeypatch):
+        """A k past every budget is refused on the closed-form count,
+        before any piece of M is made."""
+        def no_tower(u, params):
+            raise AssertionError("a tower was built")
+
+        monkeypatch.setattr("coarse_kit.towers._tower", no_tower)
+        for reduce in (True, False):
+            with pytest.raises(SizeGuardExceeded):
+                build_Mk(MkParams(5, 2, 10 ** 9, reduce=reduce))
+
     @pytest.mark.parametrize("pqk,reduce", [
         *((pqk, True) for pqk in ((5, 2, 1), (7, 2, 1), (2, 3, 1), (3, 2, 2),
                                   (5, 2, 2), (7, 2, 2), (3, 2, 3), (5, 2, 3),
