@@ -11,13 +11,27 @@ import json
 import sys
 import time
 
-from .cochains import RING_Q, RING_Z, ring_zp
-from .complexes import annulus_triangulation, circle, interval_product
-from .errors import CoarseKitError, InvalidParams, SizeGuardExceeded
-from .towers import MkParams, build_Mk, build_tower, build_Y_stage
+from .errors import (
+    CoarseKitError,
+    InvalidParams,
+    NotDivisible,
+    ShapeMismatch,
+    SizeGuardExceeded,
+    TooFewVertices,
+)
 
-# verify and interchange are imported in the branches that run them, so a
-# process loads only the code its command needs.
+# Every other module of the package is imported in the branch that runs
+# it, so a process compiles only the code its command needs (the bench
+# runs each command with no bytecode cache):
+#   build circle/annulus/product  complexes, constructions
+#   build mk                      mk (with cochains, complexes, exact_linalg)
+#   build tower/y-stage           towers (with mk and constructions)
+#   build --out                   interchange
+#   homology                      rings, homology, interchange
+#   verify-prop51/52, -tower      verify and records; mk, cochains, degrees
+#                                 and report through them; towers for
+#                                 prop52 and tower, metric_nerve for tower
+#   check-witness                 witness and records, as verify does
 
 USAGE_ERROR = 3
 
@@ -95,6 +109,8 @@ def _parse(argv):
 
 
 def _mk_params(args):
+    from .mk import MkParams
+
     if args.p is None or args.q is None or args.k is None:
         raise InvalidParams("--p, --q and --k are required")
     return MkParams(args.p, args.q, args.k, reduce=args.reduce)
@@ -111,23 +127,46 @@ def _emit(report, out, started):
     return report.exit_code()
 
 
+def _small_complex(args):
+    """The circle, annulus or interval product ``build`` names; the builder
+    refuses an out-of-range ``--n``, ``--a``, ``--b`` or ``--levels``
+    before it builds anything."""
+    if args.kind == "annulus":
+        from .constructions import annulus_triangulation
+
+        return annulus_triangulation(args.a, args.b)[0]
+    from .complexes import circle
+
+    if args.kind == "circle":
+        return circle(args.n)
+    from .constructions import interval_product
+
+    return interval_product(circle(args.n), args.levels).complex
+
+
 def cmd_build(args):
     started = time.time()
-    if args.kind == "circle":
-        X = circle(args.n)
-    elif args.kind == "annulus":
-        X, _ = annulus_triangulation(args.a, args.b)
+    if args.kind in ("circle", "annulus", "product"):
+        try:
+            X = _small_complex(args)
+        except (NotDivisible, ShapeMismatch, TooFewVertices) as exc:
+            # a size flag out of range is a usage error, as --stages is
+            raise InvalidParams(str(exc)) from None
     elif args.kind == "mk":
+        from .mk import build_Mk
+
         X = build_Mk(_mk_params(args)).complex
     elif args.kind == "tower":
+        from .towers import build_tower
+
         # only the last stage's complex is kept: the earlier stages and
         # their projection and tau maps are freed before the write
         X = build_tower(_mk_params(args), depth=args.stages - 1)[-1].complex
     elif args.kind == "y-stage":
+        from .towers import build_Y_stage
+
         X = build_Y_stage(_mk_params(args), args.stages,
                           size_guard=3_000_000)[-1].complex
-    elif args.kind == "product":
-        X = interval_product(circle(args.n), args.levels).complex
     counts = " ".join(str(c) for c in X.counts)
     print(f"cells {counts}")
     print(f"euler {X.euler_characteristic()}")
@@ -142,9 +181,11 @@ def cmd_build(args):
 
 def cmd_homology(args):
     # a modulus that is not prime is a usage error before any file is read
+    from .rings import RING_Q, RING_Z, ring_zp
+
     ring = {"Z": RING_Z, "Q": RING_Q}.get(args.ring) or ring_zp(args.prime)
+    from .homology import homology_summary
     from .interchange import read_complex
-    from .verify import homology_summary
 
     X = read_complex(args.infile)
     for row in homology_summary(X, ring):
@@ -171,7 +212,7 @@ def main(argv=None):
         if args.command == "homology":
             return cmd_homology(args)
         if args.command == "check-witness":
-            from .verify import check_witness
+            from .witness import check_witness
 
             report = check_witness(args.report)
             return _emit(report, args.out, started)

@@ -1,33 +1,21 @@
-"""Vertex-level metric machinery: distances, Lipschitz constants, covers,
-nerves, Lebesgue numbers and refinement checks.
+"""Vertex-level metric machinery: Lipschitz constants, covers, nerves and
+the partition of unity of a cover.
 
 All quantities are evaluated on the vertex set of the 1-skeleton with unit
 edge lengths, so every number is an exact integer or rational.  Continuous
 infima/suprema are represented by these vertex-level restrictions.
+verify-tower, and check-witness on its report, load this module for
+:func:`lipschitz_constant`; the covers and nerves serve the acceptance
+criteria.
 """
 
 import math
 from fractions import Fraction
 
 from .complexes import simplicial_complex
-from .errors import DimensionTooHigh, NotACover, Uncovered
+from .errors import NotACover, Uncovered
 
 INFINITY = math.inf  # sentinel for "empty complement", never arithmetic
-
-
-class DistanceTable:
-    """All-pairs vertex distances (None across components)."""
-
-    def __init__(self, dist, components):
-        self.dist = dist
-        self.components = components
-
-    def d(self, u, v):
-        return self.dist[u][v]
-
-    @property
-    def connected(self):
-        return len(self.components) == 1
 
 
 def _adjacency(X):
@@ -59,20 +47,6 @@ def _bfs(adj, sources):
                     nxt.append(w)
         frontier = nxt
     return dist
-
-
-def skeleton_metric(X):
-    """Shortest-path distances on the 1-skeleton with unit edges (BFS)."""
-    adj = _adjacency(X)
-    dist = [_bfs(adj, [v]) for v in range(len(adj))]
-    components = []
-    placed = set()
-    for v, row in enumerate(dist):
-        if v not in placed:
-            comp = [w for w, d in enumerate(row) if d is not None]
-            placed.update(comp)
-            components.append(comp)
-    return DistanceTable(dist=dist, components=components)
 
 
 def lipschitz_constant(f):
@@ -115,20 +89,6 @@ def open_star_cover(X):
     sets = [{v, *nbrs} for v, nbrs in enumerate(adj)]
     return CoverSpec(carrier=X, sets=sets, kind="open-star",
                      centers=list(range(len(adj))))
-
-
-def mesh(cover):
-    """Largest vertex diameter of a cover set."""
-    table = skeleton_metric(cover.carrier)
-    out = 0
-    for s in cover.sets:
-        for u in s:
-            for v in s:
-                d = table.d(u, v)
-                if d is None:
-                    return INFINITY
-                out = max(out, d)
-    return out
 
 
 def multiplicity(cover):
@@ -181,28 +141,6 @@ def _complement_distances(s, adj):
     return [INFINITY if d is None else d for d in _bfs(adj, comp)]
 
 
-def lebesgue_number(cover):
-    """L(cover) = min over vertices of max over sets of d(x, complement).
-
-    Exact on the vertex set; a set with empty complement reports the INFINITY
-    sentinel.  Note the vertex-level floor: positive values are >= 1.
-    """
-    X = cover.carrier
-    adj = _adjacency(X)
-    n = X.n_cells(0)
-    per_set = [_complement_distances(s, adj) for s in cover.sets]
-    overall = None
-    for x in range(n):
-        best = 0
-        for vec in per_set:
-            d = INFINITY if vec is None else vec[x]
-            best = max(best, d)
-            if best is INFINITY:
-                break
-        overall = best if overall is None else min(overall, best)
-    return overall if overall is not None else INFINITY
-
-
 def canonical_projection(cover, vertex):
     """Partition-of-unity weights d(x, X-U) / sum_V d(x, X-V), exact.
 
@@ -229,58 +167,3 @@ def canonical_projection(cover, vertex):
     if total == 0:
         raise Uncovered(f"vertex {vertex} lies in no cover set")
     return [Fraction(d, total) for d in raw]
-
-
-def refines(fine, coarse):
-    """Every fine set inside some coarse set; returns (bool, witness map)."""
-    witness = {}
-    for t, v_set in enumerate(fine.sets):
-        hit = next(
-            (u for u, u_set in enumerate(coarse.sets) if v_set <= u_set), None
-        )
-        if hit is None:
-            return False, witness
-        witness[t] = hit
-    return True, witness
-
-
-def star_of_set(cover, t):
-    """Union of cover sets meeting set t (the star in the cover)."""
-    base = cover.sets[t]
-    out = set(base)
-    for s in cover.sets:
-        if s & base:
-            out |= s
-    return out
-
-
-def star_refines(fine, coarse):
-    """Star-refinement: St(V, fine) inside a single coarse set, for all V."""
-    stars = [star_of_set(fine, t) for t in range(len(fine.sets))]
-    return refines(CoverSpec(carrier=fine.carrier, sets=stars), coarse)
-
-
-# over-approximations of the doubled-simplex distortion constants: a pair of
-# unit simplices glued along a face has geodesic/euclidean distortion at most
-# sqrt(2 * (2n+1)) < 4 for n <= 3; sqrt(n+1) <= 2 likewise
-_DISTORTION_BOUND = 4
-_DIAMETER_FACTOR = 2
-
-
-def per_simplex_lipschitz_bound(lam, b, n):
-    """Global Lipschitz bound c(n, b) * lam from a per-simplex bound lam.
-
-    Maps of uniform complexes that are lam-Lipschitz on every closed simplex
-    into a b-bounded target are globally c*lam-Lipschitz with
-    c = b * sqrt(n+1) * (doubled-simplex distortion); both factors are cached
-    as exact rational over-approximations for n <= 3.
-    """
-    if n > 3:
-        raise DimensionTooHigh("constants cached for dimensions <= 3 only")
-    lam = Fraction(lam)
-    if lam == 0:
-        return Fraction(0)
-    c = Fraction(b) * _DIAMETER_FACTOR * _DISTORTION_BOUND
-    if c < 1:
-        c = Fraction(1)  # the bound can never undercut the per-simplex one
-    return c * lam

@@ -61,12 +61,12 @@ of ``complexes.CellComplex`` replaced; ``oracle_boundary_squared_failure``
 is the per-cell d.d check on those dicts.
 
 ``oracle_glue`` is the pushout along a cell matching ``{Y-cell: (X-cell,
-sign)}`` that ``complexes.glue`` took before it took a vertex
+sign)}`` that ``constructions.glue`` took before it took a vertex
 identification, with its boundary-closure and orientation checks;
 ``oracle_vertex_matching`` is the matching an identification induces.  The
 two gluings must give the same complex and labels.
 
-``oracle_build_Mk`` is M(p, q, k) made as ``towers.build_Mk`` made it
+``oracle_build_Mk`` is M(p, q, k) made as ``mk.build_Mk`` made it
 before it glued triangle lists: one ``glue`` pushout of two complexes per
 gluing step, each piece a mapping-cylinder complex and each rim order read
 back with ``cycle_vertices_of_label``.  The two must give the same levels,
@@ -88,6 +88,10 @@ matrices that the sparse rows of ``exact_linalg.lattice_quotient_complement``
 replaced, and ``oracle_solve_integer`` the solve that summed U b row by row
 over the dense U; both must agree with the package exactly.
 
+``relative_cohomology`` is H^k(X, A) from the Smith form of the relative
+coboundary, the cochains vanishing on A; no command computes it, and the
+tests draw the first Betti number of a pair from it.
+
 ``ilp_min_linf`` is the second reference for minimal sup-norms: a generic
 branch and bound (integer bounds propagation plus the package's exact box
 LP) that knows nothing of the lattice structure the degree-2 minimal
@@ -99,25 +103,34 @@ from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
 
-from coarse_kit.cochains import fundamental_class, pullback_cochain
+from coarse_kit.cochains import (
+    fundamental_class,
+    pullback_cochain,
+    relative_coboundary_matrix,
+)
 from coarse_kit.complexes import (
     CellComplex,
     CellMap,
-    annulus_triangulation,
+    _cells,
+    _subcomplex_cells,
     circle,
-    coarsening_cylinder,
     cycle_vertices_of_label,
     filled_triangle,
-    glue,
-    mapping_cylinder,
     midpoint_subdivision,
     midpoint_subdivision_global,
+)
+from coarse_kit.constructions import (
+    annulus_triangulation,
+    coarsening_cylinder,
+    glue,
+    mapping_cylinder,
     remove_cells,
     subcomplex_matching,
     wedge,
     _vertex_span_cells,
 )
 from coarse_kit.errors import (
+    DegreeOutOfRange,
     InvalidParams,
     NodeLimitExceeded,
     NoIntegerSolution,
@@ -137,13 +150,19 @@ from coarse_kit.exact_linalg import (
     smith_normal_form,
     solve_integer,
 )
-from coarse_kit.towers import (
+from coarse_kit.homology import (
+    CohomologySummary,
+    _cohomology_from_factors,
+    _invariant_factors,
+)
+from coarse_kit.mk import (
     HOLE_EDGES,
     MkBundle,
     _check_bundle,
-    pullback_subdivision,
     simplicial_approx_identity,
 )
+from coarse_kit.rings import RING_Z
+from coarse_kit.towers import pullback_subdivision
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -517,6 +536,25 @@ def oracle_complex_homology(X, k):
     free = X.n_cells(k) - rank_k - len(nonzero)
     torsion = [d for d in nonzero if d > 1]
     return free, sorted(torsion)
+
+
+def _relative_factors(X, A_cells, k):
+    """Nonzero invariant factors of the relative delta_k (cells outside A)."""
+    rows, cols, _ = relative_coboundary_matrix(X, A_cells, k)
+    return _invariant_factors(rows, len(cols))
+
+
+
+def relative_cohomology(X, subcomplex, k, ring=RING_Z):
+    """H^k(X, A): cohomology of the cochains vanishing on the subcomplex."""
+    if not 0 <= k <= X.dim:
+        raise DegreeOutOfRange(f"degree {k} outside 0..{X.dim}")
+    A_cells = _subcomplex_cells(X, subcomplex)
+    up = _relative_factors(X, A_cells, k) if k < X.dim else []
+    down = _relative_factors(X, A_cells, k - 1) if k >= 1 else []
+    free, torsion = _cohomology_from_factors(
+        down, up, len(_cells(X, k, A_cells)), ring)
+    return CohomologySummary(degree=k, ring=ring, free_rank=free, torsion=torsion)
 
 
 def oracle_min_linf(A, b, max_bound=6):

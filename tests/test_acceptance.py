@@ -25,15 +25,11 @@ from coarse_kit import (
     simplicial_complex,
     subcomplex_matching,
 )
-from coarse_kit.cochains import (
-    cohomology,
-    exactness_check,
-    min_norm_primitive,
-    relative_coboundary_matrix,
-    ring_zp,
-    _subcomplex_cells,
-)
-from coarse_kit.complexes import midpoint_subdivision, remove_cells
+from coarse_kit.cochains import min_norm_primitive, relative_coboundary_matrix
+from coarse_kit.complexes import _subcomplex_cells, midpoint_subdivision
+from coarse_kit.constructions import remove_cells
+from coarse_kit.homology import cohomology, exactness_check
+from coarse_kit.rings import ring_zp
 from coarse_kit.degrees import DegreeReport, bezout, check_degree_relation, circle_map_degree
 from coarse_kit.exact_linalg import solve_integer
 from coarse_kit.metric_nerve import (
@@ -54,7 +50,7 @@ from coarse_kit.towers import (
     pullback_complex,
 )
 from coarse_kit.report import VerificationReport
-from coarse_kit.verify import _add_stage_records
+from coarse_kit.records import _add_stage_records
 
 from oracles import (
     densify,

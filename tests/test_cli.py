@@ -12,7 +12,8 @@ import pytest
 from coarse_kit.cli import build_parser, main
 from coarse_kit.cochains import RING_Z, Cochain
 from coarse_kit.report import VerificationReport, load_report
-from coarse_kit.verify import ARITHMETIC_RECORDS, NO_MK
+from coarse_kit.records import ARITHMETIC_RECORDS
+from coarse_kit.witness import NO_MK
 
 # sha256 of reports for the fixed runs below; refactors of the exact core
 # must leave these bytes unchanged.  Each report carries its witness
@@ -280,6 +281,21 @@ class TestBuild:
         assert rc == 0
         assert "euler 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["circle", "--n", "2"],
+         "a simplicial circle needs >= 3 vertices, got 2"),
+        (["annulus", "--a", "2", "--b", "3"],
+         "domain size 2 is not a positive multiple of 3"),
+        (["product", "--levels", "0"], "interval products need n >= 1"),
+    ], ids=["circle-n", "annulus-a", "product-levels"])
+    def test_size_flag_out_of_range_is_usage_error(self, capsys, argv,
+                                                   message):
+        # refused before anything is built, with the builder's message
+        assert main(["build", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestVerify:
     def test_prop51_full_cycle(self, capsys, tmp_path):
@@ -392,6 +408,27 @@ class TestVerify:
         assert load_report(path)["status"] == "PASS"
         capsys.readouterr()
         assert main(["check-witness", "--report", str(path)]) == 0
+
+    @pytest.mark.parametrize("reduce, rc, status, m_k", [
+        (False, 1, "FAIL", "2"), (True, 0, "PASS", "3")],
+        ids=["unreduced", "reduce"])
+    def test_reduce_can_change_m_k(self, capsys, tmp_path, reduce, rc,
+                                   status, m_k):
+        # the degree-one collars of --reduce change the complex, and at
+        # (3,2,2) its minimal norm: 2 unreduced, below q^k - 1 = 3, and 3
+        # reduced.  Each verdict is honest, and check-witness PASSes both
+        path = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # p = 3 <= q^2 warns
+            assert main(["verify-prop51", "--p", "3", "--q", "2", "--k", "2",
+                         *["--reduce"] * reduce, "--out", str(path)]) == rc
+        data = load_report(path)
+        claim = {r["name"]: r for r in data["records"]}["norm-lower-bound"]
+        assert (data["status"], claim["status"]) == (status, status)
+        assert (claim["values"]["m_k"], claim["values"]["bound"]) == (m_k, "3")
+        capsys.readouterr()
+        assert main(["check-witness", "--report", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "PASS"
 
     def test_node_limit_interval(self, capsys):
         rc = main(["verify-prop51", "--p", "7", "--q", "2", "--k", "1",
@@ -843,7 +880,7 @@ class TestCheckWitness:
         from types import SimpleNamespace
 
         from coarse_kit import filled_triangle, new_complex
-        from coarse_kit.verify import _add_solvable_record
+        from coarse_kit.records import _add_solvable_record
 
         if boundary is None:
             X = new_complex([1, 1, 1], [None, [{}], [{0: 2}]],
@@ -1134,47 +1171,79 @@ def test_traced_functions_run_on_their_workloads(tmp_path, monkeypatch,
 
 # run in a fresh interpreter: it writes the modules that importing the CLI
 # and running one command add to those the bare interpreter has loaded, so
-# what site and the host's .pth files import does not count
+# what site and the host's .pth files import does not count, each with the
+# file it was loaded from
 LOADED_BY = """\
 import json, sys
 bare = set(sys.modules)
 from coarse_kit import cli
 rc = cli.main(sys.argv[2:]) if sys.argv[2:] else 0
 with open(sys.argv[1], "w") as fp:
-    json.dump(sorted(set(sys.modules) - bare), fp)
+    json.dump({name: getattr(sys.modules[name], "__file__", None)
+               for name in sorted(set(sys.modules) - bare)}, fp)
 sys.exit(rc)
 """
 # no start loads these: dataclasses imports inspect, which imports ast, dis
 # and tokenize, and hashlib's _hashlib loads libcrypto, a few MB
 NEVER_LOADED = {"dataclasses", "inspect", "ast", "dis", "tokenize",
                 "_hashlib"}
+VERIFY_MODULES = {"coarse_kit.verify", "coarse_kit.records",
+                  "coarse_kit.witness"}
+MK_521 = ["--p", "5", "--q", "2", "--k", "1"]
 
 
-@pytest.mark.parametrize("argv, loads, skips", [
-    ([], "coarse_kit.cli", set()),
-    (["build", "mk", "--p", "5", "--q", "2", "--k", "1"], "coarse_kit.towers",
-     {"coarse_kit.verify", "coarse_kit.degrees", "coarse_kit.report"}),
-    (["verify-prop51", "--p", "5", "--q", "2", "--k", "1"],
-     "coarse_kit.verify", {"coarse_kit.interchange"}),
-    (["check-witness", "--report"], "coarse_kit.verify",
-     {"coarse_kit.interchange"}),
-], ids=["import", "build", "verify-prop51", "check-witness"])
+# The ceiling bounds the bytes of package source a start loads, each module
+# compiled whole when there is no bytecode cache, as the bench runs.  build
+# mk loaded coarse_kit.towers until M's builder moved to coarse_kit.mk
+@pytest.mark.parametrize("argv, loads, skips, ceiling", [
+    ([], "coarse_kit.cli", set(), None),
+    (["build", "mk", *MK_521, "--out", "mk.ckx"], "coarse_kit.mk",
+     VERIFY_MODULES | {"coarse_kit.degrees", "coarse_kit.report",
+                       "coarse_kit.towers"}, 125_000),
+    (["build", "tower", "--p", "5", "--q", "2", "--k", "2", "--reduce",
+      "--stages", "2", "--out", "tower.ckx"], "coarse_kit.towers",
+     VERIFY_MODULES | {"coarse_kit.degrees", "coarse_kit.report"}, 160_000),
+    (["verify-prop51", *MK_521], "coarse_kit.verify",
+     {"coarse_kit.interchange", "coarse_kit.towers", "coarse_kit.witness",
+      "coarse_kit.homology"}, 145_000),
+    (["verify-prop52", *MK_521, "--reduce", "--n-mode", "lcm"],
+     "coarse_kit.towers", {"coarse_kit.interchange", "coarse_kit.witness",
+                           "coarse_kit.homology"}, 175_000),
+    (["verify-tower", "--p", "5", "--q", "2", "--k", "2", "--reduce",
+      "--stages", "2"], "coarse_kit.metric_nerve",
+     {"coarse_kit.interchange", "coarse_kit.witness", "coarse_kit.homology"},
+     180_000),
+    (["check-witness", "--report"], "coarse_kit.witness",
+     {"coarse_kit.interchange", "coarse_kit.verify", "coarse_kit.towers",
+      "coarse_kit.homology"}, 145_000),
+    (["homology", "--in", "mk.ckx"], "coarse_kit.homology",
+     VERIFY_MODULES | {"coarse_kit.mk", "coarse_kit.towers",
+                       "coarse_kit.cochains"}, 125_000),
+], ids=["import", "build", "build-tower", "verify-prop51", "verify-prop52",
+        "verify-tower", "check-witness", "homology"])
 def test_start_loads_only_what_the_command_runs(tmp_path, prop51_521_report,
-                                                argv, loads, skips):
+                                                argv, loads, skips, ceiling):
     # every CLI process pays for each module it loads: about 10 ms for
-    # dataclasses and its imports
+    # dataclasses and its imports, and some 0.2 ms per KB of package source
     if argv[:1] == ["check-witness"]:
         argv = argv + [str(prop51_521_report)]
+    if argv[:1] == ["homology"]:
+        assert main(["build", "mk", *MK_521, "--reduce",
+                     "--out", str(tmp_path / "mk.ckx")]) == 0
     out = tmp_path / "modules.json"
     src = Path(__file__).resolve().parents[1] / "src"
     run = subprocess.run(
         [sys.executable, "-c", LOADED_BY, str(out), *argv],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert run.returncode == 0, run.stderr
-    loaded = set(json.loads(out.read_text()))
+    loaded = json.loads(out.read_text())
     assert loads in loaded
-    assert sorted(loaded & (NEVER_LOADED | skips)) == []
+    assert sorted(loaded.keys() & (NEVER_LOADED | skips)) == []
+    if ceiling is not None:
+        package = [path for name, path in loaded.items()
+                   if name.split(".")[0] == "coarse_kit"]
+        assert sum(map(os.path.getsize, package)) <= ceiling
 
 
 def test_readme_flags_match_verify_parsers():

@@ -8,25 +8,20 @@ from coarse_kit import CellMap, circle, filled_triangle, simplicial_complex
 from coarse_kit import cochains
 from coarse_kit.cochains import (
     Cochain,
-    RING_Q,
     RING_Z,
     _bellman_potentials,
-    _field_rank_kernel,
     _least_bound,
-    _subcomplex_cells,
     coboundary,
-    cohomology,
-    exactness_check,
     fundamental_class,
-    is_prime,
     min_norm_primitive,
     pullback_cochain,
     relative_coboundary_matrix,
-    relative_cohomology,
-    ring_zp,
     zero_cochain,
 )
-from coarse_kit.complexes import midpoint_subdivision, remove_cells
+from coarse_kit.complexes import _subcomplex_cells, midpoint_subdivision
+from coarse_kit.constructions import remove_cells
+from coarse_kit.homology import _field_rank_kernel, cohomology, exactness_check
+from coarse_kit.rings import RING_Q, is_prime, ring_zp
 from coarse_kit.errors import (
     DegreeOutOfRange,
     InvalidParams,
@@ -49,6 +44,7 @@ from oracles import (
     oracle_rank,
     oracle_rank_mod_p,
     oracle_relative_coboundary,
+    relative_cohomology,
 )
 from test_complexes import random_circle_map
 
@@ -251,7 +247,7 @@ class TestSparseCohomologyAgainstOracles:
                     (homology(k)[0], sorted(homology(k - 1)[1]))
 
     def test_each_coboundary_factored_once(self, monkeypatch):
-        import coarse_kit.cochains as cochains
+        import coarse_kit.homology as cochains
         from coarse_kit.towers import MkParams, build_Mk
         from coarse_kit.verify import homology_summary
 

@@ -24,11 +24,10 @@ from coarse_kit import (
 from coarse_kit.complexes import (
     _glue_numbering,
     cycle_vertices_of_label,
-    interval_product,
     labeled_cycle,
     midpoint_subdivision_global,
-    remove_cells,
 )
+from coarse_kit.constructions import interval_product, remove_cells
 from coarse_kit.errors import (
     NotAChainComplex,
     NotASimplex,

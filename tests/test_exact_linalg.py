@@ -22,7 +22,7 @@ from coarse_kit.exact_linalg import (
 )
 
 from coarse_kit.towers import MkParams, build_Mk
-from coarse_kit.verify import _relative_system
+from coarse_kit.records import _relative_system
 
 from oracles import (
     check_norm_certificate,

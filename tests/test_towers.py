@@ -9,29 +9,27 @@ from coarse_kit.cochains import (
     Cochain,
     RING_Z,
     coboundary,
-    cohomology,
-    exactness_check,
     fundamental_class,
     min_norm_primitive,
     pullback_cochain,
-    relative_cohomology,
-    ring_zp,
 )
 from coarse_kit.complexes import (
     CellComplex,
     CellMap,
     Subdivision,
-    annulus_triangulation,
-    barycentric_subdivision,
-    cone_middle_subdivision,
     filled_triangle,
-    interval_product,
     labeled_cycle,
     midpoint_subdivision,
     midpoint_subdivision_global,
     path_complex,
     simplex_carrier,
     simplicial_complex,
+)
+from coarse_kit.constructions import (
+    annulus_triangulation,
+    barycentric_subdivision,
+    cone_middle_subdivision,
+    interval_product,
 )
 from coarse_kit.degrees import circle_map_degree
 from coarse_kit.errors import (
@@ -42,6 +40,8 @@ from coarse_kit.errors import (
     SizeGuardExceeded,
 )
 from coarse_kit.exact_linalg import solve_integer
+from coarse_kit.homology import cohomology, exactness_check
+from coarse_kit.rings import ring_zp
 from coarse_kit.towers import (
     DEFAULT_SIZE_GUARD,
     MkParams,
@@ -76,6 +76,7 @@ from oracles import (
     oracle_pullback_complex,
     oracle_pullback_subdivision,
     oracle_simplicial_approx_identity,
+    relative_cohomology,
 )
 from test_complexes import cell_images, random_simplices, random_vertex_map
 
@@ -237,7 +238,7 @@ class TestBuildMk:
         def no_tower(u, params):
             raise AssertionError("a tower was built")
 
-        monkeypatch.setattr("coarse_kit.towers._tower", no_tower)
+        monkeypatch.setattr("coarse_kit.mk._tower", no_tower)
         for reduce in (True, False):
             with pytest.raises(SizeGuardExceeded):
                 build_Mk(MkParams(5, 2, 10 ** 9, reduce=reduce))
